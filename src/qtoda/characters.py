@@ -17,7 +17,7 @@ Their agreement is a test target, not an assumption.
 
 from __future__ import annotations
 
-from typing import List, Literal, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .fixed_points import FixedPoint
 from .symbolic import (
@@ -29,7 +29,6 @@ from .symbolic import (
     geometric_block,
 )
 
-Orientation = Literal["A", "B"]
 Stage = Tuple[int, ...]
 
 
@@ -40,9 +39,7 @@ def line_weight(ring: TVRing, j: int, twist: int) -> LaurentPoly:
 
 def weight_ratio(ring: TVRing, k: int, j: int, v_power: int = 0) -> LaurentPoly:
     """The monomial t_k^2 t_j^{-2} v^{v_power}."""
-    exps = {k: 2} if k == j else {k: 2, j: -2}
-    if k == j:
-        exps = {k: 0}
+    exps = {k: 2, j: -2} if k != j else {}
     return ring.t_monomial(exps, v_power=v_power)
 
 
@@ -162,16 +159,10 @@ def corr_tangent_char(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPol
     total = tangent_char(ring, p)
     for k in range(1, i + 1):
         dk = p.entry(i, k) + (1 if k == j else 0)
-        total = total + _ratio_jk(ring, j, k, 2 * dk - 2 * a)
+        total = total + weight_ratio(ring, j, k, 2 * dk - 2 * a)
     for k in range(1, i):
-        total = total - _ratio_jk(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)
+        total = total - weight_ratio(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)
     return total
-
-
-def _ratio_jk(ring: TVRing, j: int, k: int, v_power: int) -> LaurentPoly:
-    """The monomial t_j^2 t_k^{-2} v^{v_power}."""
-    exps = {j: 2, k: -2} if j != k else {}
-    return ring.t_monomial(exps, v_power=v_power)
 
 
 def modification_weight(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPoly:
@@ -186,12 +177,10 @@ def char_dimension(chi: LaurentPoly) -> int:
     return chi.eval_at_ones()
 
 
-def sym_inverse(chi: LaurentPoly, orientation: Orientation = "A") -> RatFunc:
-    """Inverse of the orientation product over the character's weights.
-
-    Orientation "A": prod_w (1 - w)^{-mult}; orientation "B" uses the dual
-    weights, prod_w (1 - w^{-1})^{-mult}.  Raises DegeneracyError if the
-    trivial weight occurs or a multiplicity is negative.
+def sym_inverse(chi: LaurentPoly) -> RatFunc:
+    """Inverse of the orientation product over the character's weights,
+    prod_w (1 - w)^{-mult}.  Raises DegeneracyError if the trivial weight
+    occurs or a multiplicity is negative.
     """
     ring = chi.ring
     if not isinstance(ring, TVRing):
@@ -202,18 +191,9 @@ def sym_inverse(chi: LaurentPoly, orientation: Orientation = "A") -> RatFunc:
             raise DegeneracyError("negative weight multiplicity in character")
         if all(e == 0 for e in exps):
             raise DegeneracyError("trivial weight in character: point not isolated")
-        if orientation == "B":
-            exps = tuple(-e for e in exps)
         w = ring.monomial(exps)
         factor_list.append((ring.one() - w, -mult))
     return RatFunc.from_factors(ring, ring.one(), factor_list)
-
-
-def structure_sheaf_coeffs(ring: TVRing, points: Sequence[FixedPoint],
-                           orientation: Orientation = "A") -> List[RatFunc]:
-    """Localized coefficients of the structure-sheaf class in the fixed-point
-    basis: one orientation-product inverse per point."""
-    return [sym_inverse(tangent_char(ring, p), orientation) for p in points]
 
 
 def det_weight(ring: TVRing, p: FixedPoint) -> LaurentPoly:

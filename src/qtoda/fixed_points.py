@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .symbolic import UsageError
 
@@ -176,15 +176,6 @@ def all_degrees(n: int, box: int) -> List[DegreeVector]:
     return [tuple(d) for d in itertools.product(range(box + 1), repeat=n - 1)]
 
 
-def degrees_of_total(n: int, total: int) -> List[DegreeVector]:
-    """All degree vectors with component sum equal to `total`."""
-    out = []
-    for d in itertools.product(range(total + 1), repeat=n - 1):
-        if sum(d) == total:
-            out.append(tuple(d))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Elementary moves (simple raising / lowering of one row's total degree)
 # ---------------------------------------------------------------------------
@@ -222,7 +213,3 @@ def raise_moves(p: FixedPoint, i: int) -> List[Tuple[FixedPoint, int]]:
             out.append((p.replace(i, j, p.entry(i, j) + 1), j))
     return out
 
-
-def point_index(points: Sequence[FixedPoint]) -> Dict[Rows, int]:
-    """Map from row data to position, for vector bookkeeping."""
-    return {p.rows: k for k, p in enumerate(points)}

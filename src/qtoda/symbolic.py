@@ -18,7 +18,6 @@ nothing ever needs a multivariate GCD.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -216,9 +215,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.ring.nvars: 1}
@@ -490,20 +486,6 @@ class RatFunc:
         return f"({num!r})/({den!r})"
 
 
-def normalize(r: RatFunc) -> RatFunc:
-    """Re-anchor a rational function.
-
-    Cancels shared tracked factors and monomial content (the tracked
-    representation keeps these current, so this re-canonicalizes and drops
-    exponent-0 entries).  The equality class is unchanged.  No multivariate
-    GCD is taken: untracked common polynomial factors stay put.
-    """
-    out = RatFunc(r.ring, r.unit, {})
-    for canon, e in r.factors.values():
-        out = out._with_factor(canon, e)
-    return out
-
-
 def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
     """Sum of rational functions over a shared least common tracked denominator."""
     live = [t for t in terms if not t.unit.is_zero()]
@@ -547,42 +529,22 @@ class RatSum:
         self.ring = ring
         self.parts: List[RatFunc] = [p for p in parts if not p.is_zero()]
 
-    def copy(self) -> "RatSum":
-        return RatSum(self.ring, list(self.parts))
-
     def add(self, term: RatFunc) -> None:
         if not term.is_zero():
             self.parts.append(term)
 
-    def extend(self, other: "RatSum") -> None:
-        self.parts.extend(other.parts)
-
-    def times(self, r: RatFunc) -> "RatSum":
-        return RatSum(self.ring, [p * r for p in self.parts])
-
     def __neg__(self) -> "RatSum":
         return RatSum(self.ring, [-p for p in self.parts])
-
-    def is_structurally_zero(self) -> bool:
-        return not self.parts
 
     def to_ratfunc(self) -> RatFunc:
         if not self.parts:
             return RatFunc.zero(self.ring)
         return rat_sum(self.ring, self.parts)
 
-    def eval(self, point: EvalPoint) -> Fraction:
-        return sum((p.eval(point) for p in self.parts), Fraction(0))
-
 
 # ---------------------------------------------------------------------------
-# Equality oracles
+# Equality
 # ---------------------------------------------------------------------------
-
-RANDOM_EVAL_LO = 2
-RANDOM_EVAL_HI = 1 << 20
-_RETRY_BUDGET = 200
-
 
 def eq_exact(a: RatFunc, b: RatFunc) -> bool:
     """True iff a == b as rational functions, by exact cross-multiplication.
@@ -591,49 +553,6 @@ def eq_exact(a: RatFunc, b: RatFunc) -> bool:
     """
     a._check(b)
     return (a - b).is_zero()
-
-
-def random_point(ring: Ring, rng: random.Random) -> EvalPoint:
-    return EvalPoint(
-        tuple(Fraction(rng.randint(RANDOM_EVAL_LO, RANDOM_EVAL_HI))
-              for _ in range(ring.nvars))
-    )
-
-
-def _zero_on_random_points(diff: RatSum, trials: int, rng: random.Random) -> bool:
-    for _ in range(trials):
-        for _ in range(_RETRY_BUDGET):
-            point = random_point(diff.ring, rng)
-            try:
-                if diff.eval(point) != 0:
-                    return False
-                break
-            except EvaluationError:
-                continue
-        else:
-            raise EvaluationError("no denominator-safe point within retry budget")
-    return True
-
-
-def eq_random(a: RatFunc, b: RatFunc, trials: int = 5, seed: int = 0) -> bool:
-    """Seeded probabilistic equality via evaluation at large random points.
-
-    Deterministic for fixed (seed, inputs); False only on a genuinely
-    nonzero difference, True with overwhelming probability on equality.
-    """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    a._check(b)
-    return _zero_on_random_points(RatSum(a.ring, [a, -b]), trials, random.Random(seed))
-
-
-def sum_is_zero(s: RatSum, seed: int = 0, prescreen_trials: int = 2) -> bool:
-    """Zero test for a lazy sum: cheap random prescreen, then exact combine."""
-    if not s.parts:
-        return True
-    if not _zero_on_random_points(s, prescreen_trials, random.Random(seed)):
-        return False
-    return s.to_ratfunc().is_zero()
 
 
 def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:

@@ -20,7 +20,7 @@ contributing zero:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .fixed_points import DegreeVector, all_degrees
 from .operators import ModuleContext, _padded
@@ -49,6 +49,11 @@ class TodaSeries:
         for d in self.coeffs:
             if len(d) != self.n - 1 or any(not 0 <= x <= self.box for x in d):
                 raise UsageError(f"degree {d} outside the series box")
+
+    def truncate(self, box: int) -> "TodaSeries":
+        """The same series on the smaller box 0..box."""
+        return TodaSeries(self.n, box, {d: c for d, c in self.coeffs.items()
+                                        if max(d) <= box})
 
     def coeff(self, ring: TVRing, degree: DegreeVector) -> RatFunc:
         if any(x < 0 for x in degree):
@@ -156,30 +161,48 @@ def check_eigen(ring: TVRing, s: TodaSeries, applied: TodaSeries,
     return records
 
 
-def verify_toda(ctx: ModuleContext, box: int,
-                sigma: int = DEFAULT_SIGMA) -> List[dict]:
-    """Both eigen-equations over the box: the sum-type operator on the
-    Whittaker pairing series and the difference-type operator on the
-    coefficient-sum series."""
-    ring = ctx.ring
+def eigen_records(ring: TVRing, pair_series: TodaSeries,
+                  sheaf_series: TodaSeries,
+                  sigma: int = DEFAULT_SIGMA) -> List[dict]:
+    """Both eigen-equations: the sum-type operator on the Whittaker pairing
+    series and the difference-type operator on the coefficient-sum series."""
     records = []
-    pair_series = whittaker_pair_series(ctx, box)
     for r in check_eigen(ring, pair_series,
                          apply_sum_op(ring, pair_series, sigma), sigma):
         records.append({"check": "sum-op-eigen", **r})
-    sheaf_series = coefficient_sum_series(ctx, box)
     for r in check_eigen(ring, sheaf_series,
                          apply_difference_op(ring, sheaf_series, sigma), sigma):
         records.append({"check": "difference-op-eigen", **r})
     return records
 
 
+def verify_toda(ctx: ModuleContext, box: int,
+                sigma: int = DEFAULT_SIGMA) -> List[dict]:
+    """Both eigen-equations over the box."""
+    return eigen_records(ctx.ring, whittaker_pair_series(ctx, box),
+                         coefficient_sum_series(ctx, box), sigma)
+
+
+def sign_calibration(ring: TVRing, pair_series: TodaSeries,
+                     sheaf_series: TodaSeries, records: List[dict],
+                     box: int) -> Dict[int, bool]:
+    """{sigma: all-pass} over the degrees in `box`.  The working sign's
+    verdict is read from its eigen records over the two series; the opposite
+    sign is checked on the series truncated to `box`."""
+    def passed(rs: List[dict]) -> bool:
+        return all(r["status"] == "pass" for r in rs if max(r["degree"]) <= box)
+
+    opposite = eigen_records(ring, pair_series.truncate(box),
+                             sheaf_series.truncate(box), -DEFAULT_SIGMA)
+    return {DEFAULT_SIGMA: passed(records), -DEFAULT_SIGMA: passed(opposite)}
+
+
 def calibrate_sign(ctx: ModuleContext, box: int) -> Dict[int, bool]:
     """Which shift-monomial sign makes the eigen-equations hold.  Returns
     {sigma: all-pass}; the working convention is sigma = -1, and the
     opposite sign must fail (non-vacuity of the calibration)."""
-    out = {}
-    for sigma in (-1, 1):
-        records = verify_toda(ctx, box, sigma)
-        out[sigma] = all(r["status"] == "pass" for r in records)
-    return out
+    ring = ctx.ring
+    pair = whittaker_pair_series(ctx, box)
+    sheaf = coefficient_sum_series(ctx, box)
+    return sign_calibration(ring, pair, sheaf,
+                            eigen_records(ring, pair, sheaf), box)

@@ -43,6 +43,7 @@ from .symbolic import (
     UsageError,
     eq_exact,
     generic_ring,
+    tv_ring,
 )
 
 
@@ -205,7 +206,7 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
         raise UsageError(f"row lengths must be {i - 1} and {i}")
     if not 1 <= i <= n - 1:
         raise UsageError("row index out of range")
-    ring = tv_ring_cached(n)
+    ring = tv_ring(n)
     one_minus_v2 = [(ring.one() - ring.v(2), -1)]
     parts: List[RatFunc] = []
     for j in range(1, i + 1):
@@ -276,14 +277,3 @@ def whittaker_pair_localized(ctx: ModuleContext,
     return shapovalov_pair(ctx, whittaker_k(ctx, degree),
                            whittaker_w(ctx, degree))
 
-
-# cached torus rings keyed by rank, so repeated identity checks share one
-_RING_CACHE = {}
-
-
-def tv_ring_cached(n: int) -> TVRing:
-    ring = _RING_CACHE.get(n)
-    if ring is None:
-        from .symbolic import tv_ring
-        ring = _RING_CACHE[n] = tv_ring(n)
-    return ring

@@ -113,11 +113,24 @@ class TestVerify:
                           "--suite", "summation", "--i", "3", "--seed", "7")
         assert code == EXIT_PASS
         checks = [r for r in parsed(lines) if r.get("check")]
-        assert len(checks) == 1 and checks[0]["mode"] == "random"
+        assert len(checks) == 1 and checks[0]["status"] == "pass"
+        assert "mode" not in checks[0]
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--n", "2", "--box", "1",
                      "--suite", "bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", [["--trials", "5"], ["--convention", "B"]],
+                             ids=lambda x: x[0])
+    def test_removed_flags_rejected(self, capsys, flag):
+        assert main(["verify", "--n", "2", "--box", "1", *flag]) == EXIT_USAGE
+
+    def test_config_echo(self, capsys):
+        _, lines = run(capsys, "verify", "--n", "2", "--box", "0",
+                       "--suite", "relations", "--seed", "3")
+        assert parsed(lines)[0]["config"] == {
+            "command": "verify", "n": 2, "box": 0, "seed": 3,
+            "suite": "relations"}
 
     def test_budget_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("QTODA_TIME_BUDGET", "0.000001")

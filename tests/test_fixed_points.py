@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from qtoda.fixed_points import (
     FixedPoint,
     all_degrees,
-    degrees_of_total,
     enumerate_points,
     kostant_count,
     lower_moves,
-    point_index,
     raise_moves,
 )
 from qtoda.symbolic import UsageError
@@ -96,9 +94,6 @@ class TestDegreeHelpers:
         assert all_degrees(2, 2) == [(0,), (1,), (2,)]
         assert len(all_degrees(3, 2)) == 9
 
-    def test_degrees_of_total(self):
-        assert set(degrees_of_total(3, 2)) == {(0, 2), (1, 1), (2, 0)}
-
 
 @st.composite
 def fixed_point_strategy(draw):
@@ -149,9 +144,3 @@ class TestMoves:
         assert lower_moves(p, 1) == [] and lower_moves(p, 2) == []
         assert len(raise_moves(p, 1)) == 1 and len(raise_moves(p, 2)) == 1
 
-
-def test_point_index():
-    pts = enumerate_points(3, (1, 1))
-    idx = point_index(pts)
-    for k, p in enumerate(pts):
-        assert idx[p.rows] == k

@@ -9,6 +9,8 @@ import itertools
 
 import pytest
 
+from qtoda import operators
+
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
     ModuleContext,
@@ -27,7 +29,7 @@ from qtoda.operators import (
     verify_summation_identity,
     verify_relations,
 )
-from qtoda.symbolic import UsageError, eq_exact
+from qtoda.symbolic import LaurentPoly, RatFunc, UsageError, eq_exact
 
 
 def degree_grid(max_n, max_total):
@@ -174,7 +176,7 @@ class TestRelationSuite:
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_all_relations_hold(self, n, box):
         ctx = ModuleContext(n)
-        records = verify_relations(ctx, Truncation(n, box), seed=7)
+        records = verify_relations(ctx, Truncation(n, box))
         fails = [r for r in records if r["status"] == "fail"]
         assert fails == []
         # non-vacuity: a healthy share of records actually ran
@@ -184,17 +186,33 @@ class TestRelationSuite:
     def test_boundary_diagonal_needs_determinant(self):
         # for n = 2 the K_1 = L_1^2 identity only holds on the SL torus
         ctx = ModuleContext(2)
-        records = verify_relations(ctx, Truncation(2, 1), seed=7)
+        records = verify_relations(ctx, Truncation(2, 1))
         diag = [r for r in records if r["check"] == "diagonal-consistency"]
         assert diag and all(r["status"] == "pass" for r in diag)
         assert all(r["mode"] == "modulo-det" for r in diag)
 
     def test_interior_diagonal_is_free(self):
         ctx = ModuleContext(4)
-        records = verify_relations(ctx, Truncation(4, 1), seed=7)
+        records = verify_relations(ctx, Truncation(4, 1))
         interior = [r for r in records
                     if r["check"] == "diagonal-consistency" and r["i"] == 2]
         assert interior and all(r["mode"] == "free" for r in interior)
+
+    def test_broken_relation_fails_with_witness(self, monkeypatch):
+        # E_1 F_1 - F_1 E_1 without its Cartan term is nonzero on [0]
+        ctx = ModuleContext(2)
+        E, F = op_E(ctx, 1), op_F(ctx, 1)
+        one = RatFunc.one(ctx.ring)
+        broken = [("broken-commutator", {"i": 1, "j": 1},
+                   [(one, (E, F)), (-one, (F, E))])]
+        monkeypatch.setattr(operators, "relation_suite", lambda ctx: broken)
+        records = verify_relations(ctx, Truncation(2, 1))
+        [rec] = [r for r in records if r["check"] == "broken-commutator"
+                 and r["degree"] == [0]]
+        assert rec["status"] == "fail" and rec["mode"] == "modulo-det"
+        entry = rec["witness"]["entry"]
+        assert not LaurentPoly.from_json(ctx.ring, entry["num"]).is_zero()
+        assert rec["witness"]["source"] == FixedPoint.zero(2).to_json()
 
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_commutator_diagonality(self, n, box):
@@ -209,19 +227,19 @@ class TestRelationSuite:
 
 class TestSummationIdentity:
     def test_exact_rank_one(self):
-        assert verify_summation_identity(2, 1, [[], [2], [1, 0]], exact=True)
-        assert verify_summation_identity(3, 1, [[], [3], [2, 0]], exact=True)
+        assert verify_summation_identity(2, 1, [[], [2], [1, 0]])
+        assert verify_summation_identity(3, 1, [[], [3], [2, 0]])
 
     def test_exact_rank_two(self):
-        assert verify_summation_identity(3, 2, [[3], [2, 1], [1, 1, 0]], exact=True)
-        assert verify_summation_identity(4, 2, [[4], [3, 2], [2, 0, 0]], exact=True)
+        assert verify_summation_identity(3, 2, [[3], [2, 1], [1, 1, 0]])
+        assert verify_summation_identity(4, 2, [[4], [3, 2], [2, 0, 0]])
 
     @pytest.mark.parametrize("i,rows", [
         (3, [[5, 4], [3, 2, 1], [2, 1, 1, 0]]),
         (4, [[7, 6, 5], [5, 4, 3, 2], [4, 2, 1, 1, 0]]),
     ], ids=lambda x: str(x))
-    def test_random_higher_rank(self, i, rows):
-        assert verify_summation_identity(i + 1, i, rows, exact=False, seed=13, trials=5)
+    def test_exact_higher_rank(self, i, rows):
+        assert verify_summation_identity(i + 1, i, rows)
 
     def test_row_length_validation(self):
         with pytest.raises(UsageError):

@@ -60,6 +60,14 @@ class TestSeries:
         with pytest.raises(UsageError):
             s.coeff(ctx.ring, (2,))
 
+    def test_truncate_equals_smaller_build(self):
+        ctx = ModuleContext(3)
+        for build in (whittaker_pair_series, coefficient_sum_series):
+            small, cut = build(ctx, 1), build(ctx, 2).truncate(1)
+            assert cut.box == 1 and sorted(cut.coeffs) == sorted(small.coeffs)
+            for d, c in small.coeffs.items():
+                assert eq_exact(cut.coeffs[d], c)
+
 
 EIGEN_BOXES = [(2, 4), (3, 2)]
 
@@ -77,6 +85,14 @@ class TestEigenEquations:
         out = calibrate_sign(ctx, 2)
         assert out[-1] is True
         assert out[1] is False
+
+    def test_verdicts_do_not_depend_on_the_box(self):
+        # so the calibration may read a sign's verdict from a larger box
+        ctx = ModuleContext(2)
+        for sigma in (-1, 1):
+            inner = [r for r in verify_toda(ctx, 4, sigma)
+                     if max(r["degree"]) <= 2]
+            assert inner == verify_toda(ctx, 2, sigma)
 
     def test_cross_mismatch_is_detected(self):
         # the difference-type operator is NOT diagonal on the pairing series:

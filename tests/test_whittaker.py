@@ -13,7 +13,7 @@ from qtoda.operators import (
     op_E,
     op_F,
 )
-from qtoda.symbolic import RatFunc, UsageError, eq_exact, eq_random
+from qtoda.symbolic import RatFunc, UsageError, eq_exact
 from qtoda.whittaker import (
     dual_eigen_check,
     line_pushforward_sides,
@@ -114,14 +114,11 @@ class TestPushforwardIdentity:
         (2, (3,), (2, 1)),
         (2, (5,), (0, 4)),
         (3, (4, 2), (3, 1, 2)),
+        (4, (7, 5, 3), (6, 4, 2, 1)),
     ], ids=lambda x: str(x))
     def test_exact_low_rank(self, i, upper, mid):
         lhs, rhs = line_pushforward_sides(i + 1, i, upper, mid)
         assert eq_exact(lhs, rhs)
-
-    def test_random_rank_four(self):
-        lhs, rhs = line_pushforward_sides(5, 4, (7, 5, 3), (6, 4, 2, 1))
-        assert eq_random(lhs, rhs, trials=5, seed=17)
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_partial_fractions(self, i):
