@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Literal, Optional, Sequence, Tuple
 
 from .characters import (
     corr_tangent_char,
@@ -616,15 +616,15 @@ def relation_suite(ctx: ModuleContext) -> List[Tuple[str, dict, List[Term]]]:
     return suite
 
 
-def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> List[dict]:
+def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
     """The purely diagonal relations: K_i as a ratio of squares of the L's.
 
     K_1 = L_1^2 L_2^{-1}; interior K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1};
     K_{n-1} = L_{n-2}^{-1} L_{n-1}^2 (for n = 2 simply K_1 = L_1^2).  The
     outermost identity needs the determinant constraint t_1..t_n = 1.
+    Yields one record per (i, degree).
     """
     ring = ctx.ring
-    records = []
     for i in range(1, ctx.n):
         for d in tr.degrees():
             lhs = ctx.k_scalar(i, d)
@@ -639,31 +639,31 @@ def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> List[dict]:
                 status, mode = "pass", "modulo-det"
             else:
                 status, mode = "fail", "modulo-det"
-            records.append({
+            yield {
                 "check": "diagonal-consistency",
                 "i": i,
                 "degree": list(d),
                 "mode": mode,
                 "status": status,
-            })
-    return records
+            }
 
 
-def verify_relations(ctx: ModuleContext, tr: Truncation) -> List[dict]:
+def verify_relations(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
     """Run the whole relation suite over the truncation box.
 
-    One record per (relation, indices, degree); a record passes when the
-    identity annihilates every basis vector of that degree.  Records are
-    skipped when the relation orbit leaves the box.
+    Yields one record per (relation, indices, degree), as soon as it is
+    decided; a record passes when the identity annihilates every basis
+    vector of that degree.  Records are skipped when the relation orbit
+    leaves the box.
     """
-    records = cartan_monomial_records(ctx, tr)
+    yield from cartan_monomial_records(ctx, tr)
     for name, params, terms in relation_suite(ctx):
         for d in tr.degrees():
             if not _orbit_in_box(tr, d, terms):
-                records.append({
+                yield {
                     "check": name, **params, "degree": list(d),
                     "mode": "free", "status": "skipped-out-of-box",
-                })
+                }
                 continue
             status, mode, witness = "pass", "free", None
             for p in ctx.points(d):
@@ -677,19 +677,18 @@ def verify_relations(ctx: ModuleContext, tr: Truncation) -> List[dict]:
                    "mode": mode, "status": status}
             if witness:
                 rec["witness"] = witness
-            records.append(rec)
-    return records
+            yield rec
 
 
-def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> List[dict]:
-    """All off-diagonal entries of E_i F_i - F_i E_i must vanish exactly."""
+def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[dict]:
+    """All off-diagonal entries of E_i F_i - F_i E_i must vanish exactly.
+    Yields one record per degree."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
-    records = []
     for d in tr.degrees():
         if not tr.contains(tuple(a + b for a, b in zip(d, E.shift))):
-            records.append({"check": "commutator-diagonality", "i": i,
-                            "degree": list(d), "status": "skipped-out-of-box"})
+            yield {"check": "commutator-diagonality", "i": i,
+                   "degree": list(d), "status": "skipped-out-of-box"}
             continue
         ok = True
         for p in ctx.points(d):
@@ -700,9 +699,8 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> List[dict]:
             for q, total in buckets.values():
                 if q.rows != p.rows and not total.to_ratfunc().is_zero():
                     ok = False
-        records.append({"check": "commutator-diagonality", "i": i,
-                        "degree": list(d), "status": "pass" if ok else "fail"})
-    return records
+        yield {"check": "commutator-diagonality", "i": i,
+               "degree": list(d), "status": "pass" if ok else "fail"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@
 
 The coefficient ring for everything downstream is the integer Laurent ring
 Z[t_1^{±1},...,t_n^{±1}, v^{±1/2}] and its fraction field.  A Laurent
-polynomial is a dict from exponent tuples to arbitrary-precision ints; the
-zero polynomial is the empty dict.
+polynomial is a dict from packed monomial keys to arbitrary-precision ints;
+the zero polynomial is the empty dict.
+
+A monomial with exponents (e_1, ..., e_N) is packed into one int: the digits
+(e_1 + ... + e_N, e_1, ..., e_N) in balanced radix 2**W, the total degree
+most significant.  Packing is linear, so a monomial product is one int add,
+and while every digit stays strictly inside (-2**(W-1), 2**(W-1)) int order
+is graded-lexicographic order.  Each polynomial carries an upper bound on
+its largest digit magnitude; a product whose bound could leave that range
+raises UsageError instead of wrapping.  Exponent tuples appear only at the
+boundary (constructors, JSON, repr, evaluation).
 
 Half-integer powers of v occur in a few diagonal operators, so the last
 exponent slot counts units of v^(1/2): the monomial v^k is stored with last
@@ -20,10 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
-Terms = Dict[Exponent, int]
+Terms = Dict[int, int]  # packed monomial key -> nonzero coefficient
+
+W = 24  # bits per packed digit
+_HALF = 1 << (W - 1)
+SLOT_LIMIT = _HALF - 1  # largest digit magnitude a key may hold
+_MASK = (1 << W) - 1
 
 
 class UsageError(ValueError):
@@ -42,6 +57,48 @@ class DegeneracyError(ValueError):
     """Raised when a localization weight degenerates (trivial tangent weight)."""
 
 
+def pack(exps: Sequence[int]) -> int:
+    """The key of the monomial with exponent vector exps (no range check)."""
+    key = sum(exps)
+    for e in exps:
+        key = (key << W) + e
+    return key
+
+
+@lru_cache(maxsize=None)
+def _bias(nvars: int) -> int:
+    """2**(W-1) in each of the nvars + 1 digits: adding it to a key makes
+    every digit nonnegative, so plain shifts and masks read them."""
+    return _HALF * (((1 << (W * (nvars + 1))) - 1) // _MASK)
+
+
+def unpack(key: int, nvars: int) -> Exponent:
+    """The exponent vector of a key packed from nvars exponents."""
+    u = key + _bias(nvars)
+    return tuple(((u >> (W * j)) & _MASK) - _HALF
+                 for j in range(nvars - 1, -1, -1))
+
+
+def _slot_bound(exps: Sequence[int]) -> int:
+    """Largest digit magnitude of the key of exps, total degree included."""
+    return max(abs(sum(exps)), max((abs(e) for e in exps), default=0))
+
+
+def _packed(ring: "Ring", terms: Mapping[Exponent, int]) -> "LaurentPoly":
+    """The polynomial with these (exponents -> nonzero coefficient) terms,
+    with its exact digit bound."""
+    out: Terms = {}
+    bound = 0
+    for exps, c in terms.items():
+        if len(exps) != ring.nvars:
+            raise UsageError(f"expected {ring.nvars} exponents, got {len(exps)}")
+        bound = max(bound, _slot_bound(exps))
+        out[pack(exps)] = c
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"an exponent or total degree exceeds ±{SLOT_LIMIT}")
+    return LaurentPoly(ring, out, bound)
+
+
 @dataclass(frozen=True)
 class Ring:
     """A parameter space: an ordered tuple of variable names."""
@@ -53,7 +110,7 @@ class Ring:
         return len(self.names)
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {})
+        return LaurentPoly(self, {}, 0)
 
     def one(self) -> "LaurentPoly":
         return self.const(1)
@@ -61,19 +118,19 @@ class Ring:
     def const(self, c: int) -> "LaurentPoly":
         if c == 0:
             return self.zero()
-        return LaurentPoly(self, {(0,) * self.nvars: int(c)})
+        return LaurentPoly(self, {0: int(c)}, 0)
 
     def var(self, idx: int, power: int = 1) -> "LaurentPoly":
         exps = [0] * self.nvars
         exps[idx] = power
-        return LaurentPoly(self, {tuple(exps): 1})
+        return self.monomial(exps)
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "LaurentPoly":
         if len(exps) != self.nvars:
             raise UsageError(f"expected {self.nvars} exponents, got {len(exps)}")
         if coeff == 0:
             return self.zero()
-        return LaurentPoly(self, {tuple(int(e) for e in exps): int(coeff)})
+        return _packed(self, {tuple(int(e) for e in exps): int(coeff)})
 
 
 @dataclass(frozen=True)
@@ -111,20 +168,21 @@ class TVRing(Ring):
         """Substitute t_n := (t_1 ... t_{n-1})^{-1}, leaving v untouched."""
         if p.ring != self:
             raise UsageError("polynomial from a different ring")
-        out: Terms = {}
-        for exps, c in p.terms.items():
+        out: Dict[Exponent, int] = {}
+        for key, c in p.terms.items():
+            exps = unpack(key, self.nvars)
             en = exps[self.n - 1]
             new = list(exps)
             for j in range(self.n - 1):
                 new[j] -= en
             new[self.n - 1] = 0
-            key = tuple(new)
-            nc = out.get(key, 0) + c
+            e = tuple(new)
+            nc = out.get(e, 0) + c
             if nc:
-                out[key] = nc
+                out[e] = nc
             else:
-                out.pop(key, None)
-        return LaurentPoly(self, out)
+                out.pop(e, None)
+        return _packed(self, out)
 
 
 def tv_ring(n: int) -> TVRing:
@@ -139,66 +197,74 @@ def generic_ring(names: Sequence[str]) -> Ring:
     return Ring(names=tuple(names))
 
 
-def _grlex_key(exps: Exponent) -> Tuple[int, Exponent]:
-    return (sum(exps), exps)
-
-
 class LaurentPoly:
-    """Immutable-by-convention sparse Laurent polynomial over Z."""
+    """Immutable-by-convention sparse Laurent polynomial over Z.
 
-    __slots__ = ("ring", "terms", "_hash")
+    `terms` maps packed monomial keys to coefficients; `bound` is an upper
+    bound on the magnitude of every digit of every key (see the module
+    docstring), never above SLOT_LIMIT.
+    """
 
-    def __init__(self, ring: Ring, terms: Terms):
+    __slots__ = ("ring", "terms", "bound", "_hash")
+
+    def __init__(self, ring: Ring, terms: Terms, bound: int):
         self.ring = ring
         self.terms = terms
+        self.bound = bound
         self._hash: int | None = None
 
-    @staticmethod
-    def _merge(ring: Ring, a: Terms, b: Terms, sign: int) -> "LaurentPoly":
-        out = dict(a)
-        for e, c in b.items():
-            nc = out.get(e, 0) + sign * c
+    def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            nc = out.get(k, 0) + sign * c
             if nc:
-                out[e] = nc
+                out[k] = nc
             else:
-                out.pop(e, None)
-        return LaurentPoly(ring, out)
+                out.pop(k, None)
+        return LaurentPoly(self.ring, out, max(self.bound, other.bound))
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.ring != other.ring:
             raise UsageError("operands live in different rings")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        return self._merge(self.ring, self.terms, other.terms, 1)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        return self._merge(self.ring, self.terms, other.terms, -1)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.ring, {k: -c for k, c in self.terms.items()},
+                           self.bound)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
+        bound = self.bound + other.bound
+        if bound > SLOT_LIMIT:
+            raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out: Terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                nc = out.get(e, 0) + ca * cb
-                if nc:
-                    out[e] = nc
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                if k in out:
+                    nc = out[k] + ca * cb
+                    if nc:
+                        out[k] = nc
+                    else:
+                        del out[k]
                 else:
-                    out.pop(e, None)
-        return LaurentPoly(self.ring, out)
+                    out[k] = ca * cb
+        return LaurentPoly(self.ring, out, bound)
 
     def scalar_mul(self, c: int) -> "LaurentPoly":
         if c == 0:
             return self.ring.zero()
-        return LaurentPoly(self.ring, {e: c * k for e, k in self.terms.items()})
+        return LaurentPoly(self.ring, {k: c * x for k, x in self.terms.items()},
+                           self.bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -217,20 +283,23 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.nvars: 1}
+        return self.terms == {0: 1}
 
     def monomial_parts(self) -> Tuple[Exponent, int]:
         if len(self.terms) != 1:
             raise UsageError("not a monomial")
-        [(e, c)] = self.terms.items()
-        return e, c
+        [(k, c)] = self.terms.items()
+        return unpack(k, self.ring.nvars), c
 
     def sorted_terms(self) -> List[Tuple[Exponent, int]]:
         """Terms in canonical (graded-lexicographic) order."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        nvars = self.ring.nvars
+        return [(unpack(k, nvars), c) for k, c in sorted(self.terms.items())]
 
     def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
+        if len(exps) != self.ring.nvars or _slot_bound(exps) > SLOT_LIMIT:
+            return 0
+        return self.terms.get(pack(exps), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -239,7 +308,7 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring.names, tuple(self.sorted_terms())))
+            self._hash = hash((self.ring.names, tuple(sorted(self.terms.items()))))
         return self._hash
 
     def eval(self, point: "EvalPoint") -> Fraction:
@@ -247,7 +316,8 @@ class LaurentPoly:
         if len(point.values) != self.ring.nvars:
             raise UsageError("evaluation point has wrong arity")
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for k, c in self.terms.items():
+            exps = unpack(k, self.ring.nvars)
             term = Fraction(c)
             for val, e in zip(point.values, exps):
                 if e:
@@ -268,7 +338,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(ring: Ring, data: Iterable) -> "LaurentPoly":
-        terms: Terms = {}
+        terms: Dict[Exponent, int] = {}
         for exps, coeff in data:
             e = tuple(int(x) for x in exps)
             if len(e) != ring.nvars:
@@ -276,7 +346,7 @@ class LaurentPoly:
             c = int(coeff)
             if c:
                 terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(ring, {e: c for e, c in terms.items() if c != 0})
+        return _packed(ring, {e: c for e, c in terms.items() if c != 0})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -308,7 +378,7 @@ class EvalPoint:
 # Rational functions with tracked factors
 # ---------------------------------------------------------------------------
 
-FactorKey = Tuple[Tuple[Exponent, int], ...]
+FactorKey = Tuple[Tuple[int, int], ...]
 
 
 def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, Exponent, int]:
@@ -317,16 +387,17 @@ def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, Exponent, int]:
     Returns (canonical, shift_exps, sign) with p = sign * mono(shift) * canonical,
     where canonical's graded-lex-least term is a positive constant.
     """
-    exps, coeff = min(p.terms.items(), key=lambda item: _grlex_key(item[0]))
-    sign = 1 if coeff > 0 else -1
-    canon = {
-        tuple(x - y for x, y in zip(e, exps)): sign * c for e, c in p.terms.items()
-    }
-    return LaurentPoly(p.ring, canon), exps, sign
+    low = min(p.terms)
+    sign = 1 if p.terms[low] > 0 else -1
+    bound = 2 * p.bound  # digits of k - low
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
+    canon = {k - low: sign * c for k, c in p.terms.items()}
+    return LaurentPoly(p.ring, canon, bound), unpack(low, p.ring.nvars), sign
 
 
 def _factor_key(p: LaurentPoly) -> FactorKey:
-    return tuple(sorted(p.terms.items(), key=lambda item: _grlex_key(item[0])))
+    return tuple(sorted(p.terms.items()))
 
 
 class RatFunc:

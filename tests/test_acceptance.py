@@ -146,7 +146,7 @@ def test_criterion_05_commutator_diagonality():
         ctx = ModuleContext(n)
         tr = Truncation(n, box)
         for i in range(1, n):
-            records = diagonality_check(ctx, i, tr)
+            records = list(diagonality_check(ctx, i, tr))
             if any(r["status"] == "fail" for r in records):
                 ok = False
             if not any(r["status"] == "pass" for r in records):

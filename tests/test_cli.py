@@ -3,9 +3,11 @@ determinism."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from qtoda import cli, operators
 from qtoda.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -13,6 +15,7 @@ from qtoda.cli import (
     EXIT_USAGE,
     main,
 )
+from qtoda.operators import ModuleContext, Truncation
 
 
 def run(capsys, *argv):
@@ -139,9 +142,53 @@ class TestVerify:
         assert code == EXIT_BUDGET
         assert parsed(lines)[-1]["complete"] is False
 
+    def test_budget_stops_relations_between_records(self, capsys, monkeypatch):
+        # a fake clock passes the deadline as soon as the first verdict is
+        # out; the run may then do at most one more record's worth of
+        # identity checks (one per basis vector of a degree)
+        calls = []
+        identity_holds = operators._identity_holds
+
+        def counted(*args):
+            calls.append(args)
+            return identity_holds(*args)
+
+        now = [0.0]
+        emit = cli.Reporter.emit
+
+        def emit_then_expire(rep, record):
+            emit(rep, record)
+            if "status" in record:
+                now[0] = 1e9
+
+        monkeypatch.setattr(operators, "_identity_holds", counted)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
+        monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "2",
+                          "--suite", "relations")
+        assert code == EXIT_BUDGET
+        records = parsed(lines)
+        assert records[-1]["complete"] is False
+        assert len([r for r in records if "status" in r]) == 1
+        per_record = max(len(ModuleContext(3).points(d))
+                         for d in Truncation(3, 2).degrees())
+        assert len(calls) <= per_record
+
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("QTODA_TIME_BUDGET", "soon")
         assert main(["verify", "--n", "2", "--box", "1"]) == EXIT_USAGE
+
+
+class TestVerifyToda:
+    def test_box_zero_skips_the_sign_calibration(self, capsys):
+        # at degree 0 both signs pass, so the calibration cannot be decided
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "0",
+                          "--suite", "toda")
+        assert code == EXIT_PASS
+        [cal] = [r for r in parsed(lines)
+                 if r.get("check") == "shift-sign-calibration"]
+        assert cal["status"] == "skipped-out-of-box"
 
 
 class TestDeterminism:

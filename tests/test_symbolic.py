@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoda.symbolic import (
+    SLOT_LIMIT,
     ArithmeticDomainError,
     EvalPoint,
     LaurentPoly,
@@ -16,8 +17,10 @@ from qtoda.symbolic import (
     eq_exact,
     generic_ring,
     geometric_block,
+    pack,
     rat_sum,
     tv_ring,
+    unpack,
 )
 
 R2 = tv_ring(2)
@@ -39,9 +42,10 @@ class TestLaurentPoly:
 
     def test_t_and_v_constructors(self):
         p = R2.t(1) * R2.t(2, -2) * R2.v(3)
-        assert p.terms == {(1, -2, 6): 1}
-        assert R2.v_half(1).terms == {(0, 0, 1): 1}
-        assert R2.t_monomial({2: 4}, v_power=-1, coeff=-3).terms == {(0, 4, -2): -3}
+        assert p.sorted_terms() == [((1, -2, 6), 1)]
+        assert R2.v_half(1).sorted_terms() == [((0, 0, 1), 1)]
+        assert R2.t_monomial({2: 4}, v_power=-1, coeff=-3).sorted_terms() \
+            == [((0, 4, -2), -3)]
 
     def test_bad_index(self):
         with pytest.raises(UsageError):
@@ -90,6 +94,84 @@ class TestLaurentPoly:
         p = R2.t(2) + R2.t(1) + R2.v(1) + R2.const(5)
         exps = [e for e, _ in p.sorted_terms()]
         assert exps == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 2)]
+
+
+def grlex(exps):
+    return (sum(exps), exps)
+
+
+def exps_strategy(nvars, limit=SLOT_LIMIT):
+    """Exponent vectors whose every key digit, total degree included, is in
+    range."""
+    return st.tuples(*[st.integers(-limit, limit)] * nvars).filter(
+        lambda e: abs(sum(e)) <= SLOT_LIMIT)
+
+
+def digit_bound(p):
+    """The largest key digit magnitude p really has."""
+    return max((max(abs(sum(e)), *map(abs, e)) for e, _ in p.sorted_terms()),
+               default=0)
+
+
+def naive_product(a, b):
+    """Reference product on exponent tuples."""
+    out = {}
+    for ea, ca in a.sorted_terms():
+        for eb, cb in b.sorted_terms():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return sorted(((e, c) for e, c in out.items() if c), key=lambda t: grlex(t[0]))
+
+
+class TestPacking:
+    @given(st.integers(1, 6).flatmap(exps_strategy))
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_inverts_pack(self, exps):
+        assert unpack(pack(exps), len(exps)) == exps
+
+    @given(st.lists(exps_strategy(3), min_size=2, max_size=12, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_key_order_is_graded_lex(self, exps_list):
+        by_key = [unpack(k, 3) for k in sorted(map(pack, exps_list))]
+        assert by_key == sorted(exps_list, key=grlex)
+
+    @given(poly_strategy(R2, max_exp=40), poly_strategy(R2, max_exp=40))
+    @settings(max_examples=40, deadline=None)
+    def test_product_matches_eval(self, a, b):
+        point = EvalPoint.of(2, Fraction(-3, 5), Fraction(7, 2))
+        assert (a * b).eval(point) == a.eval(point) * b.eval(point)
+
+    @given(poly_strategy(R2, max_exp=SLOT_LIMIT // 6),
+           poly_strategy(R2, max_exp=SLOT_LIMIT // 6))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_exponents_against_tuple_reference(self, a, b):
+        prod = a * b
+        assert prod.sorted_terms() == naive_product(a, b)
+        canons = [canon for f in (a, b) if not f.is_zero()
+                  for canon, _ in RatFunc.from_frac(R2.one(), f).factors.values()]
+        for p in (prod, a + b, a - b, -a, *canons):
+            assert digit_bound(p) <= p.bound <= SLOT_LIMIT
+
+    def test_slot_at_the_limit_raises(self):
+        assert R2.t(1, SLOT_LIMIT).sorted_terms() == [((SLOT_LIMIT, 0, 0), 1)]
+        for bad in (SLOT_LIMIT + 1, -SLOT_LIMIT - 1):
+            with pytest.raises(UsageError):
+                R2.t(1, bad)
+            with pytest.raises(UsageError):
+                LaurentPoly.from_json(R2, [[[0, bad, 0], "1"]])
+        # every exponent in range, but the total degree is not
+        with pytest.raises(UsageError):
+            R2.monomial((SLOT_LIMIT, 1, 0))
+
+    def test_product_that_could_overflow_raises(self):
+        assert R2.t(1, SLOT_LIMIT - 1) * R2.t(1) == R2.t(1, SLOT_LIMIT)
+        with pytest.raises(UsageError):
+            R2.t(1, SLOT_LIMIT) * R2.t(2)
+        with pytest.raises(UsageError):
+            R2.t(1, SLOT_LIMIT // 2 + 1) ** 2
+        # the bound is checked, not the exponents: these would cancel
+        with pytest.raises(UsageError):
+            R2.t(1, SLOT_LIMIT) * R2.t(1, -1)
 
 
 class TestRatFunc:
