@@ -786,7 +786,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
         big = big * x
     lhs = RatFunc.from_poly((ring.one() - q) * (big - ring.one()))
 
-    def half(q_on_r: bool) -> RatFunc:
+    def half(q_on_r: bool) -> List[RatFunc]:
         parts = []
         for j in range(i):
             exps = tuple(-2 * e for e in s[j].monomial_parts()[0])
@@ -806,9 +806,15 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
                     factors.append((s[j] - s[k], -1))
                     factors.append((s[k] - q * s[j], -1))
             parts.append(RatFunc.from_factors(ring, unit, factors))
-        return RatSum(ring, parts).to_ratfunc()
+        return parts
 
-    rhs = half(False).scale_poly(q) - half(True)
+    # The j-th parts of the two sums share the poles s_j - s_k.  Side by side,
+    # the pairwise sum cancels those first and its partial sums stay small;
+    # summed as two separate halves, each half expands far more.
+    shifted = [f.scale_poly(q) for f in half(False)]
+    negated = [-t for t in half(True)]
+    rhs = RatSum(ring, [x for pair in zip(shifted, negated)
+                        for x in pair]).to_ratfunc()
     return lhs, rhs
 
 

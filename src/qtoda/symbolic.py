@@ -23,6 +23,16 @@ tracked canonical factors instead of expanded products.  Every localization
 quantity in this package is born as a monomial times a product of
 (1 - monomial) binomials, so tracked factors cancel syntactically and
 nothing ever needs a multivariate GCD.
+
+Sums are where expanded numerators appear.  `rat_sum` adds its parts
+pairwise in a balanced tree, and after each pairwise sum it divides the
+numerator by every tracked binomial 1 - x^s that both summands carry in
+their denominators, for as long as the division is exact (a prefix sum
+along the lattice lines e + Z s, checked by multiplying back).  Localization
+sums collapse to small rational functions, so the partial sums stay small
+instead of growing to the lcm of every part's denominator.  `eq_exact`
+divides both sides by the factor powers they share before it expands
+anything.
 """
 
 from __future__ import annotations
@@ -269,15 +279,15 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise UsageError("negative power of a general polynomial; use RatFunc")
-        result = self.ring.one()
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return self.ring.one() if result is None else result
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -557,34 +567,135 @@ class RatFunc:
         return f"({num!r})/({den!r})"
 
 
+_ABSENT = (None, 0)  # factors.get default: the factor's power is 0
+
+
+def _binomial_step(key: FactorKey) -> int | None:
+    """s_key when the canonical factor with this key is 1 - x^s, else None."""
+    if len(key) == 2 and key[0] == (0, 1) and key[1][1] == -1:
+        return key[1][0]
+    return None
+
+
+def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
+    """q with (1 - x^s) q == p, or None when 1 - x^s does not divide p.
+
+    s is given by its packed key (s_key > 0).  The quotient is
+    q_e = sum_{k >= 0} p_{e - k s}, a prefix sum along each lattice line
+    e + Z s, so the division is exact exactly when every line sums to 0.
+    The keys of one line agree mod s_key.  Two keys of p that agree mod
+    s_key and lie at most 2 * p.bound / |s|_max steps apart are on one line,
+    where |s|_max is the largest digit magnitude of s: both differences then
+    have digits of at most 2 * p.bound, and packing is one-to-one there.  So
+    each residue class, in key order, splits into its lines wherever two
+    neighbours lie further apart.  No division is tried when 2 * p.bound
+    could pass SLOT_LIMIT.  Every quotient is multiplied back before it is
+    returned, and a mismatch raises.
+    """
+    terms = p.terms
+    if sum(terms.values()) or 2 * p.bound > SLOT_LIMIT:
+        return None
+    span = 2 * p.bound // _slot_bound(unpack(s_key, p.ring.nvars))
+    keys = sorted(terms)
+    keys.sort(key=s_key.__rmod__)  # stable: each residue class in key order
+    q: Terms = {}
+    prefix = 0
+    # Every line but the last is checked to close on 0; p(1) = 0 then closes
+    # the last one too.
+    for key, after in zip(keys, keys[1:]):
+        prefix += terms[key]
+        if prefix:
+            # the line goes on, so its next term must be the next key
+            steps, off = divmod(after - key, s_key)
+            if off or steps > span:
+                return None
+            q[key] = prefix
+            for m in range(1, steps):
+                q[key + m * s_key] = prefix
+    back = dict(q)
+    for key, c in q.items():
+        nc = back.get(key + s_key, 0) - c
+        if nc:
+            back[key + s_key] = nc
+        else:
+            del back[key + s_key]
+    if back != terms:
+        raise ArithmeticError("binomial quotient failed its multiply-back check")
+    # q's terms lie between terms of p on one line, so p's bound holds
+    return LaurentPoly(p.ring, q, p.bound)
+
+
+def _over_common_den(a: RatFunc, b: RatFunc) -> Tuple[
+        LaurentPoly, LaurentPoly, Dict[FactorKey, Tuple[LaurentPoly, int]]]:
+    """(pa, pb, den) with a = pa / den and b = pb / den, where den holds the
+    negative powers of the least common tracked denominator.  Positive
+    factor powers are expanded into pa and pb."""
+    pa, pb = a.unit, b.unit
+    den: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
+    for key, (canon, _) in {**b.factors, **a.factors}.items():
+        ea = a.factors.get(key, _ABSENT)[1]
+        eb = b.factors.get(key, _ABSENT)[1]
+        m = min(ea, eb, 0)
+        if m:
+            den[key] = (canon, m)
+        if ea != m:
+            pa = pa * canon ** (ea - m)
+        if eb != m:
+            pb = pb * canon ** (eb - m)
+    return pa, pb, den
+
+
+def _add(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b over the least common tracked denominator, then cancelled: each
+    tracked 1 - x^s in the denominator of both a and b is divided out of the
+    numerator while the division stays exact."""
+    pa, pb, den = _over_common_den(a, b)
+    terms = dict(pa.terms)
+    for k, c in pb.terms.items():
+        nc = terms.get(k, 0) + c
+        if nc:
+            terms[k] = nc
+        else:
+            del terms[k]
+    if not terms:
+        return RatFunc.zero(a.ring)
+    unit = LaurentPoly(a.ring, terms, max(pa.bound, pb.bound))
+    for key, (canon, e) in list(den.items()):
+        s_key = _binomial_step(key)
+        if s_key is None or a.factors.get(key, _ABSENT)[1] >= 0 \
+                or b.factors.get(key, _ABSENT)[1] >= 0:
+            continue
+        while e < 0:
+            q = binomial_quotient(unit, s_key)
+            if q is None:
+                break
+            unit, e = q, e + 1
+        if e:
+            den[key] = (canon, e)
+        else:
+            del den[key]
+    return RatFunc(a.ring, unit, den)
+
+
+def _tree_sum(parts: Sequence[RatFunc], lo: int, hi: int) -> RatFunc:
+    if hi - lo == 1:
+        return parts[lo]
+    mid = (lo + hi) // 2
+    return _add(_tree_sum(parts, lo, mid), _tree_sum(parts, mid, hi))
+
+
 def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
-    """Sum of rational functions over a shared least common tracked denominator."""
+    """Sum of rational functions, added pairwise in a balanced tree.
+
+    Each pairwise sum is taken over the least common tracked denominator and
+    then cancels the tracked binomials it can (see `_add`), so the partial
+    sums stay near the size of the reduced result instead of growing to the
+    lcm of every part's denominator.
+    """
     live = [t for t in terms if not t.unit.is_zero()]
     if not live:
         return RatFunc.zero(ring)
-    if len(live) == 1:
-        return live[0]
-    need: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
-    for t in live:
-        for key, (canon, e) in t.factors.items():
-            if e < 0:
-                old = need.get(key)
-                if old is None or -e > old[1]:
-                    need[key] = (canon, -e)
-    total = ring.zero()
-    for t in live:
-        part = t.unit
-        for key, (canon, n) in need.items():
-            e = t.factors.get(key, (canon, 0))[1]
-            lift = e + n
-            if lift:
-                part = part * (canon ** lift)
-        for key, (canon, e) in t.factors.items():
-            if e > 0 and key not in need:
-                part = part * (canon ** e)
-        total = total + part
-    factors = {key: (canon, -n) for key, (canon, n) in need.items()}
-    return RatFunc(ring, total, factors)
+    return _tree_sum(live, 0, len(live))
 
 
 class RatSum:
@@ -620,10 +731,27 @@ class RatSum:
 def eq_exact(a: RatFunc, b: RatFunc) -> bool:
     """True iff a == b as rational functions, by exact cross-multiplication.
 
-    Shared tracked factors cancel before anything is expanded.
+    First every tracked factor power that a and b share with the same sign
+    is divided out of both sides: dividing both by one nonzero factor keeps
+    the verdict, and a shared numerator factor is then never expanded.  The
+    rest is compared over the least common tracked denominator, term by
+    term; no binomial cancellation is tried, since only the equality of the
+    two numerators matters.
     """
     a._check(b)
-    return (a - b).is_zero()
+    fa, fb = dict(a.factors), dict(b.factors)
+    for key in a.factors.keys() & b.factors.keys():
+        (canon, ea), eb = fa[key], fb[key][1]
+        if ea * eb > 0:
+            shared = ea if abs(ea) <= abs(eb) else eb
+            for f, e in ((fa, ea), (fb, eb)):
+                if e == shared:
+                    del f[key]
+                else:
+                    f[key] = (canon, e - shared)
+    pa, pb, _ = _over_common_den(RatFunc(a.ring, a.unit, fa),
+                                 RatFunc(b.ring, b.unit, fb))
+    return pa.terms == pb.terms
 
 
 def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:

@@ -78,48 +78,54 @@ def _minus_unit(degree: DegreeVector, i: int) -> DegreeVector:
     return tuple(x - (1 if k == i else 0) for k, x in enumerate(degree, 1))
 
 
+def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
+    """sum_j shift_j(d)^2, the diagonal part of both operators."""
+    total = ring.zero()
+    for j in range(1, ring.n + 1):
+        total = total + shift_monomial(ring, j, degree, sigma) ** 2
+    return total
+
+
+def _sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+               sigma: int) -> RatFunc:
+    """The degree-d coefficient of the sum-type operator applied to s."""
+    total = RatSum(ring, [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))])
+    for i in range(1, s.n):
+        src = _minus_unit(d, i)
+        c = s.coeff(ring, src)
+        if not c.is_zero():
+            m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
+                * shift_monomial(ring, i + 1, src, sigma)
+            total.add(c.scale_poly(m))
+    return total.to_ratfunc()
+
+
+def _difference_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+                      sigma: int) -> RatFunc:
+    """The degree-d coefficient of the difference-type operator applied to s."""
+    total = RatSum(ring, [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))])
+    for j in range(2, s.n + 1):
+        src = _minus_unit(d, j - 1)
+        c = s.coeff(ring, src)
+        if not c.is_zero():
+            total.add(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
+    return total.to_ratfunc()
+
+
 def apply_sum_op(ring: TVRing, s: TodaSeries,
                  sigma: int = DEFAULT_SIGMA) -> TodaSeries:
     """The sum-type difference operator (all squared shifts plus the
     v^{-2}-weighted nearest-neighbor products)."""
-    n = s.n
-    out: Dict[DegreeVector, RatFunc] = {}
-    for d in s.coeffs:
-        total = RatSum(ring)
-        diag = ring.zero()
-        for j in range(1, n + 1):
-            diag = diag + shift_monomial(ring, j, d, sigma) ** 2
-        total.add(s.coeffs[d].scale_poly(diag))
-        for i in range(1, n):
-            src = _minus_unit(d, i)
-            c = s.coeff(ring, src)
-            if not c.is_zero():
-                m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
-                    * shift_monomial(ring, i + 1, src, sigma)
-                total.add(c.scale_poly(m))
-        out[d] = total.to_ratfunc()
-    return TodaSeries(n, s.box, out)
+    return TodaSeries(s.n, s.box, {d: _sum_op_at(ring, s, d, sigma)
+                                   for d in s.coeffs})
 
 
 def apply_difference_op(ring: TVRing, s: TodaSeries,
                         sigma: int = DEFAULT_SIGMA) -> TodaSeries:
     """The difference-type operator (squared shifts minus the lattice-lowered
     squared shifts)."""
-    n = s.n
-    out: Dict[DegreeVector, RatFunc] = {}
-    for d in s.coeffs:
-        total = RatSum(ring)
-        diag = ring.zero()
-        for j in range(1, n + 1):
-            diag = diag + shift_monomial(ring, j, d, sigma) ** 2
-        total.add(s.coeffs[d].scale_poly(diag))
-        for j in range(2, n + 1):
-            src = _minus_unit(d, j - 1)
-            c = s.coeff(ring, src)
-            if not c.is_zero():
-                total.add(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
-        out[d] = total.to_ratfunc()
-    return TodaSeries(n, s.box, out)
+    return TodaSeries(s.n, s.box, {d: _difference_op_at(ring, s, d, sigma)
+                                   for d in s.coeffs})
 
 
 def eigenvalue_monomial_sum(ring: TVRing,
@@ -187,14 +193,21 @@ def sign_calibration(ring: TVRing, pair_series: TodaSeries,
                      sheaf_series: TodaSeries, records: List[dict],
                      box: int) -> Dict[int, bool]:
     """{sigma: all-pass} over the degrees in `box`.  The working sign's
-    verdict is read from its eigen records over the two series; the opposite
-    sign is checked on the series truncated to `box`."""
-    def passed(rs: List[dict]) -> bool:
-        return all(r["status"] == "pass" for r in rs if max(r["degree"]) <= box)
-
-    opposite = eigen_records(ring, pair_series.truncate(box),
-                             sheaf_series.truncate(box), -DEFAULT_SIGMA)
-    return {DEFAULT_SIGMA: passed(records), -DEFAULT_SIGMA: passed(opposite)}
+    verdict is read from its eigen records over the two series.  The
+    opposite sign applies both operators one degree at a time, in graded
+    order, and `all` stops at the first degree where either eigen-equation
+    fails."""
+    lam = eigenvalue_monomial_sum(ring, -DEFAULT_SIGMA)
+    degrees = sorted((d for d in pair_series.coeffs if max(d) <= box),
+                     key=lambda d: (sum(d), d))
+    opposite = all(eq_exact(op(ring, s, d, -DEFAULT_SIGMA),
+                            s.coeffs[d].scale_poly(lam))
+                   for d in degrees
+                   for s, op in ((pair_series, _sum_op_at),
+                                 (sheaf_series, _difference_op_at)))
+    return {DEFAULT_SIGMA: all(r["status"] == "pass" for r in records
+                               if max(r["degree"]) <= box),
+            -DEFAULT_SIGMA: opposite}
 
 
 def calibrate_sign(ctx: ModuleContext, box: int) -> Dict[int, bool]:

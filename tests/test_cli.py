@@ -191,6 +191,15 @@ class TestVerifyToda:
         assert cal["status"] == "skipped-out-of-box"
 
 
+    def test_frontier_box_three(self, capsys):
+        # (n, box) = (4, 3): out of reach before rat_sum cancelled binomials
+        code, lines = run(capsys, "verify", "--n", "4", "--box", "3",
+                          "--suite", "toda")
+        assert code == EXIT_PASS
+        records = parsed(lines)
+        assert records[-1]["counts"] == {"pass": 129}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -10,10 +10,12 @@ from qtoda.symbolic import (
     SLOT_LIMIT,
     ArithmeticDomainError,
     EvalPoint,
+    EvaluationError,
     LaurentPoly,
     RatFunc,
     RatSum,
     UsageError,
+    binomial_quotient,
     eq_exact,
     generic_ring,
     geometric_block,
@@ -275,3 +277,118 @@ class TestGeometricBlock:
         m = R2.one()
         full = geometric_block(0, 5, m)
         assert full == geometric_block(0, 2, m) + geometric_block(3, 5, m)
+
+
+def one_minus(s):
+    return R2.one() - R2.monomial(s)
+
+
+def step_strategy(max_exp=3):
+    """A nonzero step s with pack(s) > 0, so 1 - x^s is a canonical factor."""
+    return st.tuples(*[st.integers(-max_exp, max_exp)] * R2.nvars).filter(
+        any).map(lambda s: s if pack(s) > 0 else tuple(-x for x in s))
+
+
+class TestBinomialQuotient:
+    @given(poly_strategy(R2, max_exp=6), step_strategy())
+    @settings(max_examples=80, deadline=None)
+    def test_every_quotient_multiplies_back(self, p, s):
+        for target in (p, p * one_minus(s)):
+            q = binomial_quotient(target, pack(s))
+            if q is not None:
+                assert one_minus(s) * q == target
+                assert q.bound <= target.bound
+        assert binomial_quotient(p * one_minus(s), pack(s)) == p
+
+    @given(poly_strategy(R2, max_exp=6), step_strategy(),
+           st.tuples(*[st.integers(-9, 9)] * R2.nvars),
+           st.integers(-9, 9).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_non_multiple_gives_none(self, p, s, e, c):
+        # adding one monomial moves the sum of its line off 0
+        assert binomial_quotient(p * one_minus(s) + R2.monomial(e, c),
+                                 pack(s)) is None
+
+    @given(st.integers(1, 5), st.integers(1, 4),
+           exps_strategy(3, SLOT_LIMIT // 2 - 30).filter(
+               lambda e: abs(sum(e)) <= SLOT_LIMIT // 2 - 30))
+    @settings(max_examples=80, deadline=None)
+    def test_keys_equal_mod_the_step_on_distinct_lines(self, a, k, e):
+        # s = (0, a, -a) and d = (-k a, k a, 0) are not parallel, yet
+        # pack(d) = -k 2**24 pack(s): the keys of x^e and x^(e+d) agree mod
+        # pack(s), so they share a residue class but lie on distinct lines.
+        # The digits reach up to the largest bound the division accepts.
+        s, d = (0, a, -a), (-k * a, k * a, 0)
+        assert pack(d) % pack(s) == 0
+        far = R2.monomial(tuple(x + y for x, y in zip(e, d)))
+        pair = R2.monomial(e) - far
+        assert binomial_quotient(pair, pack(s)) is None
+        assert binomial_quotient(pair * one_minus(s), pack(s)) == pair
+
+    def test_digits_at_the_limit_never_give_a_wrong_quotient(self):
+        s = (0, 1, -1)
+        e = (SLOT_LIMIT - 4, -(SLOT_LIMIT - 4), SLOT_LIMIT - 8)
+        pair = R2.monomial(e) - R2.monomial((e[0] - 1, e[1] + 1, e[2]))
+        for p in (pair, pair * one_minus(s)):
+            q = binomial_quotient(p, pack(s))
+            assert q is None or one_minus(s) * q == p
+
+
+def ratfunc_strategy(max_factors=3):
+    """unit * prod (1 - x^s)^e over a few shared steps, so sums share
+    denominators and cancel."""
+    steps = [(0, 0, 2), (1, -1, 0), (0, 1, 2), (1, 0, -2)]
+    factor = st.tuples(st.sampled_from(steps), st.integers(-2, 1))
+    return st.tuples(poly_strategy(R2, max_terms=3, max_exp=2),
+                     st.lists(factor, max_size=max_factors)).map(
+        lambda uf: RatFunc.from_factors(
+            R2, uf[0], [(one_minus(s), e) for s, e in uf[1]]))
+
+
+POINTS = [EvalPoint.of(2, 3, Fraction(1, 2)),
+          EvalPoint.of(Fraction(-3, 5), 7, 3),
+          EvalPoint.of(5, Fraction(2, 7), -2)]
+
+
+class TestTreeSum:
+    @given(st.lists(ratfunc_strategy(), max_size=9), ratfunc_strategy(),
+           st.sampled_from([(0, 0, 2), (1, -1, 0)]))
+    @settings(max_examples=80, deadline=None)
+    def test_tree_sum_matches_evaluation(self, parts, r, s):
+        # r/(1 - x^s) - x^s r/(1 - x^s) == r: a pair that must cancel
+        split = [r * RatFunc.from_factors(R2, m, [(one_minus(s), -1)])
+                 for m in (R2.one(), -R2.monomial(s))]
+        parts = parts[:len(parts) // 2] + split + parts[len(parts) // 2:]
+        total = rat_sum(R2, parts)
+        for point in POINTS:
+            try:
+                want = sum((p.eval(point) for p in parts), Fraction(0))
+            except EvaluationError:
+                continue
+            assert total.eval(point) == want
+
+    def test_cancellation_reaches_the_reduced_form(self):
+        one_minus_v2 = one_minus((0, 0, 4))
+        a = RatFunc.from_frac(R2.one(), one_minus_v2)
+        b = RatFunc.from_frac(R2.v(2), one_minus_v2)
+        s = rat_sum(R2, [a, -b])
+        assert s.unit == R2.one() and not s.factors
+        # 1 + v^2 (1 - v^2) / (1 - v^2)^2 collapses to 1 / (1 - v^2)
+        c = RatFunc.from_factors(R2, R2.v(2), [(one_minus_v2, -2)])
+        s = rat_sum(R2, [a, -b, c, -c.scale_poly(R2.v(2))])
+        assert s.num == R2.one() and s.den == one_minus_v2
+
+
+class TestEqExact:
+    @given(ratfunc_strategy(), ratfunc_strategy(), ratfunc_strategy(),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_stripped_equality_agrees_with_the_difference(self, a, b, shared,
+                                                          same):
+        # shared factors on both sides; with same, b is a refactored copy of a
+        if same:
+            b = RatFunc(R2, a.num, {}) * RatFunc.from_frac(R2.one(), a.den)
+        a, b = a * shared, b * shared
+        assert eq_exact(a, b) == (a - b).is_zero()
+        if same:
+            assert eq_exact(a, b)

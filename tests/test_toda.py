@@ -11,8 +11,10 @@ from qtoda.toda import (
     calibrate_sign,
     check_eigen,
     coefficient_sum_series,
+    eigen_records,
     eigenvalue_monomial_sum,
     shift_monomial,
+    sign_calibration,
     verify_toda,
     whittaker_pair_series,
 )
@@ -85,6 +87,24 @@ class TestEigenEquations:
         out = calibrate_sign(ctx, 2)
         assert out[-1] is True
         assert out[1] is False
+
+    @pytest.mark.parametrize("n,box,cut", [(2, 3, 2), (3, 2, 2), (4, 1, 1),
+                                           (2, 1, 0)],
+                             ids=lambda x: str(x))
+    def test_early_stop_calibration_matches_exhaustive(self, n, box, cut):
+        # the calibration stops at the first failing degree; the reference
+        # runs both signs' eigen records over the whole truncated series.
+        # At cut 0 only degree 0 counts, where both signs pass.
+        ctx = ModuleContext(n)
+        ring = ctx.ring
+        pair = whittaker_pair_series(ctx, box)
+        sheaf = coefficient_sum_series(ctx, box)
+        records = eigen_records(ring, pair, sheaf)
+        reference = {
+            sigma: all(r["status"] == "pass" for r in eigen_records(
+                ring, pair.truncate(cut), sheaf.truncate(cut), sigma))
+            for sigma in (-1, 1)}
+        assert sign_calibration(ring, pair, sheaf, records, cut) == reference
 
     def test_verdicts_do_not_depend_on_the_box(self):
         # so the calibration may read a sign's verdict from a larger box
