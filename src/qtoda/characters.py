@@ -17,9 +17,14 @@ Their agreement is a test target, not an assumption.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from .fixed_points import FixedPoint
+from .fixed_points import (
+    DegreeVector,
+    FixedPoint,
+    enumerate_points,
+    raise_moves,
+)
 from .symbolic import (
     DegeneracyError,
     LaurentPoly,
@@ -215,3 +220,32 @@ def det_weight(ring: TVRing, p: FixedPoint) -> LaurentPoly:
 def _check_ring(ring: TVRing, p: FixedPoint) -> None:
     if ring.n != p.n:
         raise UsageError("ring rank and fixed-point rank differ")
+
+
+def character_records(ring: TVRing, degree: DegreeVector) -> Iterator[dict]:
+    """At every fixed point of one degree: the closed tangent character
+    against the chain oracle, then each correspondence character at a
+    raising move against its oracle, each with its dimension (2|d| and
+    2|d| + 1).  One record per character."""
+    for p in enumerate_points(ring.n, degree):
+        chi = tangent_char(ring, p)
+        ok = chi == tangent_char_oracle(ring, p)
+        dim_ok = char_dimension(chi) == 2 * sum(degree)
+        yield {
+            "check": "tangent-character-oracle-equivalence",
+            "point": [list(r) for r in p.rows],
+            "dimension": char_dimension(chi),
+            "status": "pass" if ok and dim_ok else "fail",
+        }
+        for i in range(1, ring.n):
+            for _, j in raise_moves(p, i):
+                chi_c = corr_tangent_char(ring, p, i, j)
+                ok = chi_c == corr_tangent_char_oracle(ring, p, i, j)
+                dim_ok = char_dimension(chi_c) == 2 * sum(degree) + 1
+                yield {
+                    "check": "correspondence-character-oracle-equivalence",
+                    "point": [list(r) for r in p.rows],
+                    "i": i,
+                    "j": j,
+                    "status": "pass" if ok and dim_ok else "fail",
+                }

@@ -15,58 +15,29 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import Dict, Optional, Sequence, TextIO
 
 from . import __version__
-from .characters import (
-    char_dimension,
-    corr_tangent_char,
-    corr_tangent_char_oracle,
-    tangent_char,
-    tangent_char_oracle,
-)
-from .fixed_points import (
-    FixedPoint,
-    all_degrees,
-    enumerate_points,
-    kostant_count,
-    raise_moves,
-)
+from .characters import character_records
+from .fixed_points import enumerate_points, kostant_count
 from .operators import (
     ModuleContext,
     ModuleVector,
-    Truncation,
-    apply_op,
-    basis_vector,
-    diagonality_check,
-    op_E,
-    op_F,
-    verify_summation_identity,
-    verify_relations,
+    relation_records,
+    summation_records,
 )
-from .symbolic import RatFunc, UsageError, eq_exact
-from .toda import (
-    apply_difference_op,
-    apply_sum_op,
-    check_eigen,
-    coefficient_sum_series,
-    eigen_records,
-    sign_calibration,
-    whittaker_pair_series,
-)
+from .symbolic import UsageError, eq_exact
+from .toda import TodaSeries, toda_records
 from .whittaker import (
     dual_eigen_check,
-    line_pushforward_sides,
     lowering_eigen_check,
-    partial_fraction_identity,
     rgamma_char,
-    shapovalov_pair,
     whittaker_k,
     whittaker_pair_closed,
     whittaker_pair_localized,
+    whittaker_records,
     whittaker_w,
 )
 
@@ -157,32 +128,10 @@ def cmd_enumerate(args, rep: Reporter) -> None:
 
 
 def cmd_characters(args, rep: Reporter) -> None:
-    degree = _parse_degree(args.degree, args.n)
-    ctx = ModuleContext(args.n)
-    ring = ctx.ring
-    for p in enumerate_points(args.n, degree):
+    ring = ModuleContext(args.n).ring
+    for record in character_records(ring, _parse_degree(args.degree, args.n)):
+        rep.emit(record)
         rep.checkpoint()
-        chi = tangent_char(ring, p)
-        ok = chi == tangent_char_oracle(ring, p)
-        dim_ok = char_dimension(chi) == 2 * sum(degree)
-        rep.emit({
-            "check": "tangent-character-oracle-equivalence",
-            "point": [list(r) for r in p.rows],
-            "dimension": char_dimension(chi),
-            "status": "pass" if ok and dim_ok else "fail",
-        })
-        for i in range(1, args.n):
-            for _, j in raise_moves(p, i):
-                chi_c = corr_tangent_char(ring, p, i, j)
-                ok = chi_c == corr_tangent_char_oracle(ring, p, i, j)
-                dim_ok = char_dimension(chi_c) == 2 * sum(degree) + 1
-                rep.emit({
-                    "check": "correspondence-character-oracle-equivalence",
-                    "point": [list(r) for r in p.rows],
-                    "i": i,
-                    "j": j,
-                    "status": "pass" if ok and dim_ok else "fail",
-                })
 
 
 def cmd_whittaker(args, rep: Reporter) -> None:
@@ -215,151 +164,33 @@ def cmd_whittaker(args, rep: Reporter) -> None:
 
 
 def cmd_toda(args, rep: Reporter) -> None:
-    ctx = ModuleContext(args.n)
-    builders = {"I": whittaker_pair_series, "J": coefficient_sum_series}
-    operators = {"S": apply_sum_op, "G": apply_difference_op}
-    pairs = [(args.series or "I", args.operator or "S")] \
-        if (args.series or args.operator) else [("I", "S"), ("J", "G")]
-    for series_name, op_name in pairs:
+    pair = TodaSeries(args.n, args.box, {})
+    sheaf = TodaSeries(args.n, args.box, {})
+    for record in toda_records(ModuleContext(args.n), args.box, pair, sheaf):
+        rep.emit(record)
         rep.checkpoint()
-        s = builders[series_name](ctx, args.box)
-        applied = operators[op_name](ctx.ring, s)
-        for r in check_eigen(ctx.ring, s, applied):
-            rep.emit({"check": f"eigen-{series_name}-{op_name}", **r})
+    for name, s in (("I", pair), ("J", sheaf)):
         for d in sorted(s.coeffs):
-            rep.emit({"series": series_name, "degree": list(d),
+            rep.emit({"series": name, "degree": list(d),
                       "value": s.coeffs[d].to_json()})
 
 
-# -- verification suites -----------------------------------------------------
-
-def _suite_relations(args, rep: Reporter, ctx: ModuleContext) -> None:
-    tr = Truncation(args.n, args.box)
-    for r in verify_relations(ctx, tr):
-        rep.emit(r)
-        rep.checkpoint()
-    for i in range(1, args.n):
-        for r in diagonality_check(ctx, i, tr):
-            rep.emit(r)
-            rep.checkpoint()
-
-
-def _random_admissible_rows(i: int, rng: random.Random) -> List[List[int]]:
-    low = [rng.randint(0, 3) for _ in range(i + 1)]
-    mid = [low[j] + rng.randint(0, 3) for j in range(i)]
-    upper = [mid[j] + rng.randint(0, 3) for j in range(i - 1)]
-    return [upper, mid, low]
-
-
-def _suite_summation(args, rep: Reporter, ctx: ModuleContext) -> None:
-    rng = random.Random(args.seed)
-    targets = [args.i] if args.i else list(range(1, min(args.n, 5)))
-    for i in targets:
-        if not 1 <= i <= args.n - 1:
-            raise UsageError(f"row index {i} out of range for n={args.n}")
-        rows = _random_admissible_rows(i, rng)
-        ok = verify_summation_identity(args.n, i, rows)
-        rep.emit({"check": "commutator-summation-identity", "i": i,
-                  "rows": rows, "status": "pass" if ok else "fail"})
-        rep.checkpoint()
-
-
-def _suite_whittaker(args, rep: Reporter, ctx: ModuleContext) -> None:
-    n, box = args.n, args.box
-    z = basis_vector(ctx, FixedPoint.zero(n))
-    ok = eq_exact(shapovalov_pair(ctx, z, z), RatFunc.one(ctx.ring))
-    rep.emit({"check": "pairing-normalization",
-              "status": "pass" if ok else "fail"})
-    tr = Truncation(n, box + 1)
-    for i in range(1, n):
-        E, F = op_E(ctx, i), op_F(ctx, i)
-        for d in all_degrees(n, box):
-            target = tuple(x + (1 if kk == i else 0)
-                           for kk, x in enumerate(d, 1))
-            ps = [basis_vector(ctx, p) for p in ctx.points(d)]
-            qs = [basis_vector(ctx, q) for q in ctx.points(target)]
-            eps = [apply_op(E, p, tr) for p in ps]
-            fqs = [apply_op(F, q, tr) for q in qs]
-            ok = True
-            for p, ep in zip(ps, eps):
-                for q, fq in zip(qs, fqs):
-                    if not eq_exact(shapovalov_pair(ctx, ep, q),
-                                    shapovalov_pair(ctx, p, fq)):
-                        ok = False
-            rep.emit({"check": "raising-lowering-adjoint", "i": i,
-                      "degree": list(d), "status": "pass" if ok else "fail"})
-            rep.checkpoint()
-    for i in range(1, n):
-        for d in all_degrees(n, box):
-            rep.emit({"check": "structure-sheaf-vector-eigen", "i": i,
-                      "degree": list(d),
-                      "status": "pass" if lowering_eigen_check(ctx, i, d)
-                      else "fail"})
-            rep.emit({"check": "dual-vector-eigen", "i": i,
-                      "degree": list(d),
-                      "status": "pass" if dual_eigen_check(ctx, i, d)
-                      else "fail"})
-            rep.checkpoint()
-    # the pushforward identity behind the dual eigen-property, on real rows
-    for i in range(1, n):
-        for d in all_degrees(n, min(box, 2)):
-            for p in ctx.points(d):
-                upper = p.rows[i - 2] if i >= 2 else ()
-                mid = p.rows[i - 1]
-                lhs, rhs = line_pushforward_sides(n, i, upper, mid)
-                rep.emit({"check": "line-pushforward-identity", "i": i,
-                          "point": [list(r) for r in p.rows],
-                          "status": "pass" if eq_exact(lhs, rhs) else "fail"})
-            rep.checkpoint()
-    for i in range(1, 5):
-        rep.emit({"check": "partial-fraction-identity", "i": i,
-                  "status": "pass" if partial_fraction_identity(i)
-                  else "fail"})
-    for d in all_degrees(n, box):
-        ok = eq_exact(whittaker_pair_closed(ctx, d),
-                      whittaker_pair_localized(ctx, d))
-        rep.emit({"check": "whittaker-pairing-two-path", "degree": list(d),
-                  "status": "pass" if ok else "fail"})
-        rep.checkpoint()
-
-
-def _suite_toda(args, rep: Reporter, ctx: ModuleContext) -> None:
-    ring = ctx.ring
-    pair = whittaker_pair_series(ctx, args.box)
-    sheaf = coefficient_sum_series(ctx, args.box)
-    records = eigen_records(ring, pair, sheaf)
-    for r in records:
-        rep.emit(r)
-    rep.checkpoint()
-    if args.box == 0:
-        # at degree 0 both signs pass, so the opposite sign cannot fail
-        status = "skipped-out-of-box"
-    else:
-        cal = sign_calibration(ring, pair, sheaf, records, min(args.box, 2))
-        status = "pass" if cal[-1] and not cal[1] else "fail"
-    rep.emit({"check": "shift-sign-calibration",
-              "working_sign": -1,
-              "status": status})
-
-
 SUITES = {
-    "relations": _suite_relations,
-    "summation": _suite_summation,
-    "whittaker": _suite_whittaker,
-    "toda": _suite_toda,
+    "relations": relation_records,
+    "summation": summation_records,
+    "whittaker": whittaker_records,
+    "toda": toda_records,
 }
 
 
 def cmd_verify(args, rep: Reporter) -> None:
     ctx = ModuleContext(args.n)
-    if args.suite == "full":
-        names: Iterable[str] = SUITES
-    else:
-        if args.suite not in SUITES:
-            raise UsageError(f"unknown suite {args.suite!r}")
-        names = [args.suite]
-    for name in names:
-        SUITES[name](args, rep, ctx)
+    for name in SUITES if args.suite == "full" else [args.suite]:
+        # the summation suite draws its rows at random and has no box
+        params = (args.seed, args.i) if name == "summation" else (args.box,)
+        for record in SUITES[name](ctx, *params):
+            rep.emit(record)
+            rep.checkpoint()
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, degree=False, box=False):
         p.add_argument("--n", type=int, required=True,
                        help="rank parameter (>= 2)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="picks the summation suite's random rows")
         p.add_argument("--out", help="write the report to this path")
         if degree:
             p.add_argument("--degree", required=True,
@@ -402,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, box=True)
     p.add_argument("--suite", default="full",
                    choices=("full",) + tuple(SUITES))
+    p.add_argument("--seed", type=int, default=0,
+                   help="picks the summation suite's random rows")
     p.add_argument("--i", type=int, help="restrict the summation-identity "
                                          "suite to one row index")
     p.set_defaults(fn=cmd_verify)
@@ -412,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toda", help="difference-Toda eigen checks")
     common(p, box=True)
-    p.add_argument("--series", choices=("I", "J"))
-    p.add_argument("--operator", choices=("S", "G"))
     p.set_defaults(fn=cmd_toda)
 
     return parser
@@ -431,8 +260,7 @@ def _budget() -> Optional[float]:
 
 
 def _config_echo(args) -> dict:
-    keys = ("command", "n", "degree", "box", "seed", "suite", "i", "series",
-            "operator")
+    keys = ("command", "n", "degree", "box", "seed", "suite", "i")
     cfg = {k: getattr(args, k) for k in keys
            if getattr(args, k, None) is not None}
     return {"version": __version__, "config": cfg}

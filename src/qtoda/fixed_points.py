@@ -62,9 +62,6 @@ class FixedPoint:
     def degree(self) -> DegreeVector:
         return tuple(sum(row) for row in self.rows)
 
-    def total_degree(self) -> int:
-        return sum(self.degree)
-
     def replace(self, i: int, j: int, value: int) -> "FixedPoint":
         """A copy with entry (i, j) set to value."""
         rows = [list(r) for r in self.rows]

@@ -27,6 +27,7 @@ mode is reported per record.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Literal, Optional, Sequence, Tuple
 
@@ -49,11 +50,11 @@ from .fixed_points import (
 from .symbolic import (
     LaurentPoly,
     RatFunc,
-    RatSum,
     TVRing,
     UsageError,
     eq_exact,
     generic_ring,
+    rat_sum,
     tv_ring,
 )
 
@@ -422,7 +423,7 @@ def compose(*ops: GradedOperator, label: Optional[str] = None) -> GradedOperator
                 if len(parts) == 1:
                     frontier.append((r, parts[0]))
                 else:
-                    frontier.append((r, RatSum(parts[0].ring, parts).to_ratfunc()))
+                    frontier.append((r, rat_sum(parts[0].ring, parts)))
         return [(q, c) for q, c in frontier if c is not None and not c.is_zero()]
 
     return GradedOperator(label or "∘".join(op.label for op in ops), shift, fn)
@@ -431,12 +432,12 @@ def compose(*ops: GradedOperator, label: Optional[str] = None) -> GradedOperator
 def apply_op(op: GradedOperator, x: ModuleVector, tr: Truncation) -> ModuleVector:
     """Exact sparse matrix-vector product; targets outside the box drop."""
     target = tuple(a + b for a, b in zip(x.degree, op.shift))
-    out: Dict[FixedPoint, RatSum] = {}
+    out: Dict[FixedPoint, List[RatFunc]] = {}
     if tr.contains(target):
         for p, c in x.coeffs.items():
             for q, entry in op.terms(p):
-                out.setdefault(q, RatSum(entry.ring)).add(entry * c)
-    coeffs = {q: s.to_ratfunc() for q, s in out.items()}
+                out.setdefault(q, []).append(entry * c)
+    coeffs = {q: rat_sum(parts[0].ring, parts) for q, parts in out.items()}
     return ModuleVector(target, {q: c for q, c in coeffs.items() if not c.is_zero()})
 
 
@@ -482,13 +483,13 @@ def _term_action(term: Term, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
 def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
                     p: FixedPoint) -> Tuple[bool, str, Optional[dict]]:
     """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
-    buckets: Dict[Rows, Tuple[FixedPoint, RatSum]] = {}
+    buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
     for term in terms:
         for q, c in _term_action(term, p):
-            buckets.setdefault(q.rows, (q, RatSum(ctx.ring)))[1].add(c)
+            buckets.setdefault(q.rows, (q, []))[1].append(c)
     mode = "free"
-    for q, total in buckets.values():
-        r = total.to_ratfunc()
+    for q, parts in buckets.values():
+        r = rat_sum(ctx.ring, parts)
         if r.is_zero():
             continue
         mode = "modulo-det"
@@ -692,15 +693,24 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[di
             continue
         ok = True
         for p in ctx.points(d):
-            buckets: Dict[Rows, Tuple[FixedPoint, RatSum]] = {}
+            buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
             for term in ((one, (E, F)), (-one, (F, E))):
                 for q, c in _term_action(term, p):
-                    buckets.setdefault(q.rows, (q, RatSum(ctx.ring)))[1].add(c)
-            for q, total in buckets.values():
-                if q.rows != p.rows and not total.to_ratfunc().is_zero():
+                    buckets.setdefault(q.rows, (q, []))[1].append(c)
+            for q, parts in buckets.values():
+                if q.rows != p.rows and not rat_sum(ctx.ring, parts).is_zero():
                     ok = False
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}
+
+
+def relation_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
+    """The relation suite over the box, then the commutator diagonality of
+    every row."""
+    tr = Truncation(ctx.n, box)
+    yield from verify_relations(ctx, tr)
+    for i in range(1, ctx.n):
+        yield from diagonality_check(ctx, i, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +769,7 @@ def summation_identity_sides(n: int, i: int,
                 factors.append((_one_minus(ring, k, j, 2 * a - 2 * low[k - 1] + (0 if shifted else 2)), 1))
                 factors.append((_one_minus(ring, j, k, 2 * upper[k - 1] - 2 * a + (2 if shifted else 0)), 1))
             parts.append(RatFunc.from_factors(ring, unit, factors))
-        return RatSum(ring, parts).to_ratfunc()
+        return rat_sum(ring, parts)
 
     rhs = half(True) - half(False)
     return lhs, rhs
@@ -813,8 +823,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
     # summed as two separate halves, each half expands far more.
     shifted = [f.scale_poly(q) for f in half(False)]
     negated = [-t for t in half(True)]
-    rhs = RatSum(ring, [x for pair in zip(shifted, negated)
-                        for x in pair]).to_ratfunc()
+    rhs = rat_sum(ring, [x for pair in zip(shifted, negated) for x in pair])
     return lhs, rhs
 
 
@@ -828,3 +837,26 @@ def verify_summation_identity(n: int, i: int,
     lhs_o, rhs_o = summation_identity_sides(n, i, rows)
     lhs_s, rhs_s = summation_identity_sides_generic(i)
     return eq_exact(lhs_o, rhs_o) and eq_exact(lhs_s, rhs_s)
+
+
+def _random_admissible_rows(i: int, rng: random.Random) -> List[List[int]]:
+    """Rows i-1, i and i+1 of a random admissible array: each entry is the
+    entry below it plus 0..3."""
+    low = [rng.randint(0, 3) for _ in range(i + 1)]
+    mid = [low[j] + rng.randint(0, 3) for j in range(i)]
+    upper = [mid[j] + rng.randint(0, 3) for j in range(i - 1)]
+    return [upper, mid, low]
+
+
+def summation_records(ctx: ModuleContext, seed: int,
+                      i: Optional[int] = None) -> Iterator[dict]:
+    """The summation identity for row i, or for every row up to 4, each on
+    random admissible rows drawn from `seed`; one record per row."""
+    rng = random.Random(seed)
+    for row in [i] if i else range(1, min(ctx.n, 5)):
+        if not 1 <= row <= ctx.n - 1:
+            raise UsageError(f"row index {row} out of range for n={ctx.n}")
+        rows = _random_admissible_rows(row, rng)
+        ok = verify_summation_identity(ctx.n, row, rows)
+        yield {"check": "commutator-summation-identity", "i": row,
+               "rows": rows, "status": "pass" if ok else "fail"}

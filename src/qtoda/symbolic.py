@@ -159,10 +159,6 @@ class TVRing(Ring):
         """The monomial v^power (stored with doubled exponent)."""
         return self.var(self.n, 2 * power)
 
-    def v_half(self, doubled_power: int) -> "LaurentPoly":
-        """The monomial v^(doubled_power/2)."""
-        return self.var(self.n, doubled_power)
-
     def t_monomial(self, t_exps: Mapping[int, int], v_power: int = 0,
                    v_doubled_extra: int = 0, coeff: int = 1) -> "LaurentPoly":
         """Monomial coeff * prod t_i^{t_exps[i]} * v^{v_power + v_doubled_extra/2}."""
@@ -269,12 +265,6 @@ class LaurentPoly:
                 else:
                     out[k] = ca * cb
         return LaurentPoly(self.ring, out, bound)
-
-    def scalar_mul(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return self.ring.zero()
-        return LaurentPoly(self.ring, {k: c * x for k, x in self.terms.items()},
-                           self.bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -696,32 +686,6 @@ def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
     if not live:
         return RatFunc.zero(ring)
     return _tree_sum(live, 0, len(live))
-
-
-class RatSum:
-    """A lazy finite sum of factored rational functions.
-
-    Used for module-vector coefficients so operator compositions stay in
-    factored form; expansion happens only at equality checks.
-    """
-
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: Ring, parts: Sequence[RatFunc] = ()):
-        self.ring = ring
-        self.parts: List[RatFunc] = [p for p in parts if not p.is_zero()]
-
-    def add(self, term: RatFunc) -> None:
-        if not term.is_zero():
-            self.parts.append(term)
-
-    def __neg__(self) -> "RatSum":
-        return RatSum(self.ring, [-p for p in self.parts])
-
-    def to_ratfunc(self) -> RatFunc:
-        if not self.parts:
-            return RatFunc.zero(self.ring)
-        return rat_sum(self.ring, self.parts)
 
 
 # ---------------------------------------------------------------------------

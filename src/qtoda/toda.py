@@ -4,7 +4,7 @@ A series here is a box-truncated family of exact rational coefficients
 indexed by degree vectors.  The two difference operators act through shift
 monomials: shifting slot j of the degree lattice multiplies the coefficient
 by t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
-calibration is a test target).  Both distinguished series -- the Whittaker
+calibration record checks that the opposite sign fails).  Both distinguished series -- the Whittaker
 pairing series and the coefficient-sum series -- are eigenfunctions with
 eigenvalue sum_i t_i^{2 sigma}.
 
@@ -20,17 +20,17 @@ contributing zero:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional
 
 from .fixed_points import DegreeVector, all_degrees
 from .operators import ModuleContext, _padded
 from .symbolic import (
     LaurentPoly,
     RatFunc,
-    RatSum,
     TVRing,
     UsageError,
     eq_exact,
+    rat_sum,
 )
 from .whittaker import rgamma_char, whittaker_k, whittaker_pair_localized
 
@@ -49,11 +49,6 @@ class TodaSeries:
         for d in self.coeffs:
             if len(d) != self.n - 1 or any(not 0 <= x <= self.box for x in d):
                 raise UsageError(f"degree {d} outside the series box")
-
-    def truncate(self, box: int) -> "TodaSeries":
-        """The same series on the smaller box 0..box."""
-        return TodaSeries(self.n, box, {d: c for d, c in self.coeffs.items()
-                                        if max(d) <= box})
 
     def coeff(self, ring: TVRing, degree: DegreeVector) -> RatFunc:
         if any(x < 0 for x in degree):
@@ -86,46 +81,32 @@ def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
     return total
 
 
-def _sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
-               sigma: int) -> RatFunc:
-    """The degree-d coefficient of the sum-type operator applied to s."""
-    total = RatSum(ring, [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))])
+def sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+              sigma: int = DEFAULT_SIGMA) -> RatFunc:
+    """The degree-d coefficient of the sum-type operator applied to s (all
+    squared shifts plus the v^{-2}-weighted nearest-neighbor products)."""
+    parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
     for i in range(1, s.n):
         src = _minus_unit(d, i)
         c = s.coeff(ring, src)
         if not c.is_zero():
             m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
                 * shift_monomial(ring, i + 1, src, sigma)
-            total.add(c.scale_poly(m))
-    return total.to_ratfunc()
+            parts.append(c.scale_poly(m))
+    return rat_sum(ring, parts)
 
 
-def _difference_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
-                      sigma: int) -> RatFunc:
-    """The degree-d coefficient of the difference-type operator applied to s."""
-    total = RatSum(ring, [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))])
+def difference_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+                     sigma: int = DEFAULT_SIGMA) -> RatFunc:
+    """The degree-d coefficient of the difference-type operator applied to s
+    (squared shifts minus the lattice-lowered squared shifts)."""
+    parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
     for j in range(2, s.n + 1):
         src = _minus_unit(d, j - 1)
         c = s.coeff(ring, src)
         if not c.is_zero():
-            total.add(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
-    return total.to_ratfunc()
-
-
-def apply_sum_op(ring: TVRing, s: TodaSeries,
-                 sigma: int = DEFAULT_SIGMA) -> TodaSeries:
-    """The sum-type difference operator (all squared shifts plus the
-    v^{-2}-weighted nearest-neighbor products)."""
-    return TodaSeries(s.n, s.box, {d: _sum_op_at(ring, s, d, sigma)
-                                   for d in s.coeffs})
-
-
-def apply_difference_op(ring: TVRing, s: TodaSeries,
-                        sigma: int = DEFAULT_SIGMA) -> TodaSeries:
-    """The difference-type operator (squared shifts minus the lattice-lowered
-    squared shifts)."""
-    return TodaSeries(s.n, s.box, {d: _difference_op_at(ring, s, d, sigma)
-                                   for d in s.coeffs})
+            parts.append(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
+    return rat_sum(ring, parts)
 
 
 def eigenvalue_monomial_sum(ring: TVRing,
@@ -135,58 +116,6 @@ def eigenvalue_monomial_sum(ring: TVRing,
     for i in range(1, ring.n + 1):
         total = total + ring.t_monomial({i: 2 * sigma})
     return total
-
-
-def whittaker_pair_series(ctx: ModuleContext, box: int) -> TodaSeries:
-    """Coefficients: the pairing of the two Whittaker vectors per degree."""
-    return TodaSeries(ctx.n, box, {
-        d: whittaker_pair_localized(ctx, d)
-        for d in all_degrees(ctx.n, box)
-    })
-
-
-def coefficient_sum_series(ctx: ModuleContext, box: int) -> TodaSeries:
-    """Coefficients: the sum of localized structure-sheaf coefficients
-    (the global-sections character) per degree."""
-    return TodaSeries(ctx.n, box, {
-        d: rgamma_char(ctx, whittaker_k(ctx, d))
-        for d in all_degrees(ctx.n, box)
-    })
-
-
-def check_eigen(ring: TVRing, s: TodaSeries, applied: TodaSeries,
-                sigma: int = DEFAULT_SIGMA) -> List[dict]:
-    """Per-degree records comparing an applied operator against eigenvalue
-    times the original series."""
-    lam = eigenvalue_monomial_sum(ring, sigma)
-    records = []
-    for d in sorted(s.coeffs):
-        ok = eq_exact(applied.coeffs[d], s.coeffs[d].scale_poly(lam))
-        records.append({"degree": list(d),
-                        "status": "pass" if ok else "fail"})
-    return records
-
-
-def eigen_records(ring: TVRing, pair_series: TodaSeries,
-                  sheaf_series: TodaSeries,
-                  sigma: int = DEFAULT_SIGMA) -> List[dict]:
-    """Both eigen-equations: the sum-type operator on the Whittaker pairing
-    series and the difference-type operator on the coefficient-sum series."""
-    records = []
-    for r in check_eigen(ring, pair_series,
-                         apply_sum_op(ring, pair_series, sigma), sigma):
-        records.append({"check": "sum-op-eigen", **r})
-    for r in check_eigen(ring, sheaf_series,
-                         apply_difference_op(ring, sheaf_series, sigma), sigma):
-        records.append({"check": "difference-op-eigen", **r})
-    return records
-
-
-def verify_toda(ctx: ModuleContext, box: int,
-                sigma: int = DEFAULT_SIGMA) -> List[dict]:
-    """Both eigen-equations over the box."""
-    return eigen_records(ctx.ring, whittaker_pair_series(ctx, box),
-                         coefficient_sum_series(ctx, box), sigma)
 
 
 def sign_calibration(ring: TVRing, pair_series: TodaSeries,
@@ -203,19 +132,51 @@ def sign_calibration(ring: TVRing, pair_series: TodaSeries,
     opposite = all(eq_exact(op(ring, s, d, -DEFAULT_SIGMA),
                             s.coeffs[d].scale_poly(lam))
                    for d in degrees
-                   for s, op in ((pair_series, _sum_op_at),
-                                 (sheaf_series, _difference_op_at)))
+                   for s, op in ((pair_series, sum_op_at),
+                                 (sheaf_series, difference_op_at)))
     return {DEFAULT_SIGMA: all(r["status"] == "pass" for r in records
                                if max(r["degree"]) <= box),
             -DEFAULT_SIGMA: opposite}
 
 
-def calibrate_sign(ctx: ModuleContext, box: int) -> Dict[int, bool]:
-    """Which shift-monomial sign makes the eigen-equations hold.  Returns
-    {sigma: all-pass}; the working convention is sigma = -1, and the
-    opposite sign must fail (non-vacuity of the calibration)."""
+def toda_records(ctx: ModuleContext, box: int,
+                 pair: Optional[TodaSeries] = None,
+                 sheaf: Optional[TodaSeries] = None) -> Iterator[dict]:
+    """Both eigen-equations over the box, then the sign calibration.
+
+    The sum-type operator is checked on the Whittaker pairing series, then
+    the difference-type operator on the coefficient-sum series (the
+    global-sections character of the localized structure-sheaf class).  Each
+    series is filled one degree at a time in lexicographic order; every
+    d - e_i is lex-smaller than d, so each record is decided as soon as its
+    degree exists.  Pass empty series as `pair` and `sheaf` to keep the
+    filled coefficients.  The calibration record comes last: the working
+    sign must pass and the opposite sign must fail, over degrees <= 2.
+    """
     ring = ctx.ring
-    pair = whittaker_pair_series(ctx, box)
-    sheaf = coefficient_sum_series(ctx, box)
-    return sign_calibration(ring, pair, sheaf,
-                            eigen_records(ring, pair, sheaf), box)
+    pair = TodaSeries(ctx.n, box, {}) if pair is None else pair
+    sheaf = TodaSeries(ctx.n, box, {}) if sheaf is None else sheaf
+    lam = eigenvalue_monomial_sum(ring)
+    families = (
+        ("sum-op-eigen", pair, sum_op_at,
+         lambda d: whittaker_pair_localized(ctx, d)),
+        ("difference-op-eigen", sheaf, difference_op_at,
+         lambda d: rgamma_char(ctx, whittaker_k(ctx, d))),
+    )
+    records = []
+    for check, s, op, coefficient in families:
+        for d in all_degrees(ctx.n, box):
+            s.coeffs[d] = coefficient(d)
+            ok = eq_exact(op(ring, s, d), s.coeffs[d].scale_poly(lam))
+            records.append({"check": check, "degree": list(d),
+                            "status": "pass" if ok else "fail"})
+            yield records[-1]
+    if box == 0:
+        # at degree 0 both signs pass, so the opposite sign cannot fail
+        status = "skipped-out-of-box"
+    else:
+        cal = sign_calibration(ring, pair, sheaf, records, min(box, 2))
+        status = "pass" if cal[DEFAULT_SIGMA] and not cal[-DEFAULT_SIGMA] \
+            else "fail"
+    yield {"check": "shift-sign-calibration", "working_sign": DEFAULT_SIGMA,
+           "status": status}

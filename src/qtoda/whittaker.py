@@ -20,16 +20,19 @@ with the direct localized computation is a test target.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .characters import det_weight
-from .fixed_points import DegreeVector, FixedPoint
+from .fixed_points import DegreeVector, FixedPoint, all_degrees
 from .operators import (
     ModuleContext,
     ModuleVector,
     Truncation,
     apply_op,
+    basis_vector,
     compose,
+    op_E,
+    op_F,
     op_K,
     op_f,
     _one_minus,
@@ -38,11 +41,11 @@ from .operators import (
 from .symbolic import (
     LaurentPoly,
     RatFunc,
-    RatSum,
     TVRing,
     UsageError,
     eq_exact,
     generic_ring,
+    rat_sum,
     tv_ring,
 )
 
@@ -75,18 +78,14 @@ def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
     """The pairing of two graded vectors; distinct degrees are orthogonal."""
     if tuple(x.degree) != tuple(y.degree):
         return RatFunc.zero(ctx.ring)
-    total = RatSum(ctx.ring)
-    for p, xc in x.coeffs.items():
-        yc = y.coeffs.get(p)
-        if yc is not None:
-            total.add(xc * yc * pairing_weight(ctx, p))
-    return total.to_ratfunc()
+    return rat_sum(ctx.ring, [xc * y.coeffs[p] * pairing_weight(ctx, p)
+                              for p, xc in x.coeffs.items() if p in y.coeffs])
 
 
 def rgamma_char(ctx: ModuleContext, x: ModuleVector) -> RatFunc:
     """Global-sections character of a localized class: the plain coefficient
     sum (each fixed-point class contributes 1)."""
-    return RatSum(ctx.ring, list(x.coeffs.values())).to_ratfunc()
+    return rat_sum(ctx.ring, list(x.coeffs.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
             factors.append(
                 (_one_minus(ring, j, k, 2 * upper[k - 1] - 2 * a), 1))
         parts.append(RatFunc.from_factors(ring, unit, factors))
-    lhs = RatSum(ring, parts).to_ratfunc()
+    lhs = rat_sum(ring, parts)
     rhs_unit = ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid))
     rhs = RatFunc.from_factors(ring, rhs_unit, one_minus_v2)
     return lhs, rhs
@@ -246,7 +245,7 @@ def partial_fraction_identity(i: int) -> bool:
             if k != j:
                 factors.append((s[k] - s[j], -1))
         parts.append(RatFunc.from_factors(ring, ring.one(), factors))
-    return eq_exact(RatSum(ring, parts).to_ratfunc(), RatFunc.one(ring))
+    return eq_exact(rat_sum(ring, parts), RatFunc.one(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +276,67 @@ def whittaker_pair_localized(ctx: ModuleContext,
     return shapovalov_pair(ctx, whittaker_k(ctx, degree),
                            whittaker_w(ctx, degree))
 
+
+
+# ---------------------------------------------------------------------------
+# The whittaker suite
+# ---------------------------------------------------------------------------
+
+def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
+    """Every pairing and Whittaker check over the box, one record each.
+
+    In order: the pairing normalization at the lowest vector; for each row
+    and in-box degree, adjointness of E_i and F_i on every basis pair; both
+    Whittaker eigen-properties; the line-pushforward identity on the real
+    rows of every point up to degree 2; the partial-fraction identity for
+    i <= 4; and the two-path Whittaker pairing at every in-box degree.
+    """
+    n = ctx.n
+    z = basis_vector(ctx, FixedPoint.zero(n))
+    ok = eq_exact(shapovalov_pair(ctx, z, z), RatFunc.one(ctx.ring))
+    yield {"check": "pairing-normalization",
+           "status": "pass" if ok else "fail"}
+    tr = Truncation(n, box + 1)
+    for i in range(1, n):
+        E, F = op_E(ctx, i), op_F(ctx, i)
+        for d in all_degrees(n, box):
+            target = tuple(x + (1 if kk == i else 0)
+                           for kk, x in enumerate(d, 1))
+            ps = [basis_vector(ctx, p) for p in ctx.points(d)]
+            qs = [basis_vector(ctx, q) for q in ctx.points(target)]
+            eps = [apply_op(E, p, tr) for p in ps]
+            fqs = [apply_op(F, q, tr) for q in qs]
+            ok = True
+            for p, ep in zip(ps, eps):
+                for q, fq in zip(qs, fqs):
+                    if not eq_exact(shapovalov_pair(ctx, ep, q),
+                                    shapovalov_pair(ctx, p, fq)):
+                        ok = False
+            yield {"check": "raising-lowering-adjoint", "i": i,
+                   "degree": list(d), "status": "pass" if ok else "fail"}
+    for i in range(1, n):
+        for d in all_degrees(n, box):
+            yield {"check": "structure-sheaf-vector-eigen", "i": i,
+                   "degree": list(d),
+                   "status": "pass" if lowering_eigen_check(ctx, i, d)
+                   else "fail"}
+            yield {"check": "dual-vector-eigen", "i": i, "degree": list(d),
+                   "status": "pass" if dual_eigen_check(ctx, i, d)
+                   else "fail"}
+    for i in range(1, n):
+        for d in all_degrees(n, min(box, 2)):
+            for p in ctx.points(d):
+                upper = p.rows[i - 2] if i >= 2 else ()
+                lhs, rhs = line_pushforward_sides(n, i, upper, p.rows[i - 1])
+                yield {"check": "line-pushforward-identity", "i": i,
+                       "point": [list(r) for r in p.rows],
+                       "status": "pass" if eq_exact(lhs, rhs) else "fail"}
+    for i in range(1, 5):
+        yield {"check": "partial-fraction-identity", "i": i,
+               "status": "pass" if partial_fraction_identity(i)
+               else "fail"}
+    for d in all_degrees(n, box):
+        ok = eq_exact(whittaker_pair_closed(ctx, d),
+                      whittaker_pair_localized(ctx, d))
+        yield {"check": "whittaker-pairing-two-path", "degree": list(d),
+               "status": "pass" if ok else "fail"}

@@ -5,55 +5,47 @@ Each test computes its verdict, prints a single line
 line is emitted even on failure (run with -s to see all lines live).
 """
 
+import functools
 import itertools
 import random
 import time
 
-from qtoda.characters import (
-    char_dimension,
-    corr_tangent_char,
-    corr_tangent_char_oracle,
-    tangent_char,
-    tangent_char_oracle,
-)
+from qtoda.characters import character_records
 from qtoda.cli import EXIT_PASS, main
-from qtoda.fixed_points import (
-    FixedPoint,
-    all_degrees,
-    enumerate_points,
-    kostant_count,
-    raise_moves,
-)
+from qtoda.fixed_points import enumerate_points, kostant_count
 from qtoda.operators import (
     ModuleContext,
-    Truncation,
-    apply_op,
-    basis_vector,
-    diagonality_check,
-    summation_identity_sides,
-    summation_identity_sides_generic,
+    _random_admissible_rows,
     op_E,
     op_F,
+    relation_records,
+    summation_identity_sides,
+    summation_identity_sides_generic,
     verify_summation_identity,
-    verify_relations,
 )
-from qtoda.symbolic import RatFunc, eq_exact
-from qtoda.toda import verify_toda
-from qtoda.whittaker import (
-    dual_eigen_check,
-    line_pushforward_sides,
-    lowering_eigen_check,
-    partial_fraction_identity,
-    shapovalov_pair,
-    whittaker_pair_closed,
-    whittaker_pair_localized,
-)
+from qtoda.symbolic import eq_exact
+from qtoda.toda import toda_records
+from qtoda.whittaker import whittaker_records
 
 
 def report(num, ok, description):
     verdict = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {verdict}: {description}")
     assert ok, f"criterion {num} failed: {description}"
+
+
+@functools.lru_cache(maxsize=None)
+def suite_records(records, n, box):
+    """The records a `verify` suite emits at (n, box), computed once for all
+    the criteria that read them."""
+    return tuple(records(ModuleContext(n), box))
+
+
+def checks_pass(records, checks):
+    """Every record of the named checks passes, and each check has one."""
+    picked = [r for r in records if r["check"] in checks]
+    return {r["check"] for r in picked} == set(checks) and \
+        all(r["status"] == "pass" for r in picked)
 
 
 def degrees_upto(n, total):
@@ -79,22 +71,11 @@ def test_criterion_02_tangent_characters():
     t0 = time.monotonic()
     ok = True
     for n in (2, 3, 4):
-        ctx = ModuleContext(n)
-        ring = ctx.ring
+        ring = ModuleContext(n).ring
         for d in degrees_upto(n, 4):
-            for p in enumerate_points(n, d):
-                chi = tangent_char(ring, p)
-                if chi != tangent_char_oracle(ring, p):
-                    ok = False
-                if char_dimension(chi) != 2 * sum(d):
-                    ok = False
-                for i in range(1, n):
-                    for _, j in raise_moves(p, i):
-                        cc = corr_tangent_char(ring, p, i, j)
-                        if cc != corr_tangent_char_oracle(ring, p, i, j):
-                            ok = False
-                        if char_dimension(cc) != 2 * sum(d) + 1:
-                            ok = False
+            records = list(character_records(ring, d))
+            if not records or any(r["status"] != "pass" for r in records):
+                ok = False
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60
     report(2, ok, "closed tangent/correspondence characters match the chain "
@@ -131,8 +112,9 @@ def test_criterion_04_relation_suite():
     t0 = time.monotonic()
     ok = True
     for n, box in ((2, 4), (3, 3), (4, 2)):
-        records = verify_relations(ModuleContext(n), Truncation(n, box))
-        if any(r["status"] == "fail" for r in records):
+        records = suite_records(relation_records, n, box)
+        if any(r["status"] == "fail" for r in records
+               if r["check"] != "commutator-diagonality"):
             ok = False
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 600
@@ -143,13 +125,13 @@ def test_criterion_04_relation_suite():
 def test_criterion_05_commutator_diagonality():
     ok = True
     for n, box in ((2, 4), (3, 3), (4, 2)):
-        ctx = ModuleContext(n)
-        tr = Truncation(n, box)
+        records = suite_records(relation_records, n, box)
         for i in range(1, n):
-            records = list(diagonality_check(ctx, i, tr))
-            if any(r["status"] == "fail" for r in records):
+            rows = [r for r in records
+                    if r["check"] == "commutator-diagonality" and r["i"] == i]
+            if any(r["status"] == "fail" for r in rows):
                 ok = False
-            if not any(r["status"] == "pass" for r in records):
+            if not any(r["status"] == "pass" for r in rows):
                 ok = False
     report(5, ok, "off-diagonal entries of the raising/lowering commutator "
                   "vanish over the same ranges")
@@ -169,10 +151,8 @@ def test_criterion_06_summation_identity():
     # exact in both variable systems for i = 3, 4 with random admissible rows
     rng = random.Random(23)
     for i in (3, 4):
-        low = [rng.randint(0, 3) for _ in range(i + 1)]
-        mid = [low[j] + rng.randint(0, 3) for j in range(i)]
-        upper = [mid[j] + rng.randint(0, 3) for j in range(i - 1)]
-        if not verify_summation_identity(i + 1, i, [upper, mid, low]):
+        if not verify_summation_identity(i + 1, i,
+                                         _random_admissible_rows(i, rng)):
             ok = False
     # exact spot-check on one randomized instance
     lo, ro = summation_identity_sides(4, 3, [[3, 2], [2, 1, 1], [1, 1, 0, 0]])
@@ -183,69 +163,36 @@ def test_criterion_06_summation_identity():
                   "spot-check at i=3")
 
 
+WHITTAKER_BOXES = ((2, 3), (3, 3))
+
+
 def test_criterion_07_pairing_suite():
-    ok = True
-    for n in (2, 3):
-        ctx = ModuleContext(n)
-        z = basis_vector(ctx, FixedPoint.zero(n))
-        if not eq_exact(shapovalov_pair(ctx, z, z), RatFunc.one(ctx.ring)):
-            ok = False
-        box = 3
-        tr = Truncation(n, box + 1)
-        for i in range(1, n):
-            E, F = op_E(ctx, i), op_F(ctx, i)
-            for d in all_degrees(n, box):
-                target = tuple(x + (1 if k == i else 0)
-                               for k, x in enumerate(d, 1))
-                ps = [basis_vector(ctx, p) for p in ctx.points(d)]
-                qs = [basis_vector(ctx, q) for q in ctx.points(target)]
-                eps = [apply_op(E, p, tr) for p in ps]
-                fqs = [apply_op(F, q, tr) for q in qs]
-                for p, ep in zip(ps, eps):
-                    for q, fq in zip(qs, fqs):
-                        if not eq_exact(shapovalov_pair(ctx, ep, q),
-                                        shapovalov_pair(ctx, p, fq)):
-                            ok = False
+    ok = all(checks_pass(suite_records(whittaker_records, n, box),
+                         ("pairing-normalization", "raising-lowering-adjoint"))
+             for n, box in WHITTAKER_BOXES)
     report(7, ok, "pairing normalization at the lowest vector and "
                   "raising/lowering adjointness for all basis pairs, "
                   "n <= 3, box 3")
 
 
 def test_criterion_08_whittaker_suite():
-    ok = True
-    for n, box in ((2, 3), (3, 2)):
-        ctx = ModuleContext(n)
-        for i in range(1, n):
-            for d in all_degrees(n, box):
-                if not lowering_eigen_check(ctx, i, d):
-                    ok = False
-                if not dual_eigen_check(ctx, i, d):
-                    ok = False
-        # the pushforward identity behind the eigen-property, on real rows
-        for i in range(1, n):
-            for d in all_degrees(n, min(box, 2)):
-                for p in ctx.points(d):
-                    upper = p.rows[i - 2] if i >= 2 else ()
-                    lhs, rhs = line_pushforward_sides(n, i, upper,
-                                                      p.rows[i - 1])
-                    if not eq_exact(lhs, rhs):
-                        ok = False
-    for i in (1, 2, 3, 4):
-        if not partial_fraction_identity(i):
-            ok = False
+    checks = ("structure-sheaf-vector-eigen", "dual-vector-eigen",
+              "line-pushforward-identity", "partial-fraction-identity")
+    ok = all(checks_pass(suite_records(whittaker_records, n, box), checks)
+             for n, box in WHITTAKER_BOXES)
     report(8, ok, "Whittaker eigen-properties at every in-box degree, the "
                   "line-pushforward identity, and the partial-fraction "
-                  "identity through i=4")
+                  "identity through i=4, n <= 3, box 3")
 
 
 def test_criterion_09_whittaker_pairing_two_path():
     ok = True
-    for n in (2, 3):
-        ctx = ModuleContext(n)
-        for d in degrees_upto(n, 3):
-            if not eq_exact(whittaker_pair_closed(ctx, d),
-                            whittaker_pair_localized(ctx, d)):
-                ok = False
+    for n, box in WHITTAKER_BOXES:
+        records = suite_records(whittaker_records, n, box)
+        ok = ok and checks_pass(records, ("whittaker-pairing-two-path",))
+        decided = {tuple(r["degree"]) for r in records
+                   if r["check"] == "whittaker-pairing-two-path"}
+        ok = ok and decided >= set(degrees_upto(n, 3))
     report(9, ok, "closed Whittaker-pairing product equals the direct "
                   "localized pairing, n <= 3, |d| <= 3")
 
@@ -254,9 +201,9 @@ def test_criterion_10_toda_eigen_equations():
     t0 = time.monotonic()
     ok = True
     for n, box in ((2, 4), (3, 2)):
-        records = verify_toda(ModuleContext(n), box)
-        if not records or any(r["status"] != "pass" for r in records):
-            ok = False
+        records = suite_records(toda_records, n, box)
+        ok = ok and checks_pass(records, ("sum-op-eigen", "difference-op-eigen",
+                                          "shift-sign-calibration"))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 300
     report(10, ok, "difference-Toda eigen-equations for both series over "

@@ -107,7 +107,7 @@ class TestCorrespondenceChar:
 class TestSymInverse:
     def test_simple(self):
         ring = tv_ring(2)
-        chi = ring.t_monomial({1: 2}) + ring.v(2).scalar_mul(2)
+        chi = ring.t_monomial({1: 2}) + ring.const(2) * ring.v(2)
         s = sym_inverse(chi)
         expected = RatFunc.from_frac(
             ring.one(),

@@ -7,10 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from qtoda import cli, operators
+from qtoda import cli, operators, toda
 from qtoda.cli import (
     EXIT_BUDGET,
-    EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
     main,
@@ -85,20 +84,18 @@ class TestWhittakerCommand:
 
 
 class TestTodaCommand:
-    def test_default_pairs(self, capsys):
+    def test_eigen_records_then_series(self, capsys):
         code, lines = run(capsys, "toda", "--n", "2", "--box", "2")
         assert code == EXIT_PASS
-        checks = [r for r in parsed(lines) if r.get("check")]
-        names = {r["check"] for r in checks}
-        assert names == {"eigen-I-S", "eigen-J-G"}
+        records = parsed(lines)[1:-1]
+        checks = [r for r in records if r.get("check")]
+        assert records[:len(checks)] == checks
+        assert [r["check"] for r in checks] == \
+            ["sum-op-eigen"] * 3 + ["difference-op-eigen"] * 3 \
+            + ["shift-sign-calibration"]
         assert all(r["status"] == "pass" for r in checks)
-
-    def test_explicit_mismatch_fails(self, capsys):
-        code, lines = run(capsys, "toda", "--n", "2", "--box", "3",
-                          "--series", "I", "--operator", "G")
-        assert code == EXIT_FAIL
-        checks = [r for r in parsed(lines) if r.get("check")]
-        assert any(r["status"] == "fail" for r in checks)
+        assert [(r["series"], r["degree"]) for r in records[len(checks):]] \
+            == [(s, [d]) for s in "IJ" for d in range(3)]
 
 
 class TestVerify:
@@ -123,10 +120,18 @@ class TestVerify:
         assert main(["verify", "--n", "2", "--box", "1",
                      "--suite", "bogus"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag", [["--trials", "5"], ["--convention", "B"]],
-                             ids=lambda x: x[0])
-    def test_removed_flags_rejected(self, capsys, flag):
-        assert main(["verify", "--n", "2", "--box", "1", *flag]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--box", "1", "--trials", "5"],
+        ["verify", "--box", "1", "--convention", "B"],
+        ["toda", "--box", "1", "--series", "I"],
+        ["toda", "--box", "1", "--operator", "G"],
+        ["toda", "--box", "1", "--seed", "1"],
+        ["enumerate", "--degree", "1", "--seed", "1"],
+        ["characters", "--degree", "1", "--seed", "1"],
+        ["whittaker", "--degree", "1", "--seed", "1"],
+    ], ids=lambda x: " ".join(x[0:1] + x[-2:-1]))
+    def test_removed_flags_rejected(self, capsys, argv):
+        assert main([argv[0], "--n", "2", *argv[1:]]) == EXIT_USAGE
 
     def test_config_echo(self, capsys):
         _, lines = run(capsys, "verify", "--n", "2", "--box", "0",
@@ -142,17 +147,21 @@ class TestVerify:
         assert code == EXIT_BUDGET
         assert parsed(lines)[-1]["complete"] is False
 
-    def test_budget_stops_relations_between_records(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("suite", ["relations", "whittaker", "toda",
+                                       "summation"])
+    def test_budget_stops_between_records(self, capsys, monkeypatch, suite):
         # a fake clock passes the deadline as soon as the first verdict is
-        # out; the run may then do at most one more record's worth of
-        # identity checks (one per basis vector of a degree)
+        # out.  The relation suite may then do at most one more record's
+        # worth of identity checks (one per basis vector of a degree); the
+        # toda suite has built the degree-0 pairing and nothing else.
         calls = []
-        identity_holds = operators._identity_holds
-
-        def counted(*args):
-            calls.append(args)
-            return identity_holds(*args)
-
+        counted = {"relations": (operators, "_identity_holds"),
+                   "toda": (toda, "whittaker_pair_localized")}
+        if suite in counted:
+            module, name = counted[suite]
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a: calls.append(a) or original(*a))
         now = [0.0]
         emit = cli.Reporter.emit
 
@@ -161,19 +170,21 @@ class TestVerify:
             if "status" in record:
                 now[0] = 1e9
 
-        monkeypatch.setattr(operators, "_identity_holds", counted)
         monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
         monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
         monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
         code, lines = run(capsys, "verify", "--n", "3", "--box", "2",
-                          "--suite", "relations")
+                          "--suite", suite)
         assert code == EXIT_BUDGET
         records = parsed(lines)
         assert records[-1]["complete"] is False
         assert len([r for r in records if "status" in r]) == 1
-        per_record = max(len(ModuleContext(3).points(d))
-                         for d in Truncation(3, 2).degrees())
-        assert len(calls) <= per_record
+        if suite == "relations":
+            per_record = max(len(ModuleContext(3).points(d))
+                             for d in Truncation(3, 2).degrees())
+            assert len(calls) <= per_record
+        if suite == "toda":
+            assert len(calls) == 1
 
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("QTODA_TIME_BUDGET", "soon")

@@ -39,7 +39,6 @@ class TestFixedPoint:
     def test_degree(self):
         p = FixedPoint(4, ((3,), (2, 4), (0, 1, 2)))
         assert p.degree == (3, 6, 3)
-        assert p.total_degree() == 12
 
     def test_json_round_trip(self):
         p = FixedPoint(3, ((2,), (1, 5)))

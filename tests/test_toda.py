@@ -6,18 +6,31 @@ from qtoda.operators import ModuleContext
 from qtoda.symbolic import RatFunc, UsageError, eq_exact
 from qtoda.toda import (
     TodaSeries,
-    apply_difference_op,
-    apply_sum_op,
-    calibrate_sign,
-    check_eigen,
-    coefficient_sum_series,
-    eigen_records,
+    difference_op_at,
     eigenvalue_monomial_sum,
     shift_monomial,
     sign_calibration,
-    verify_toda,
-    whittaker_pair_series,
+    sum_op_at,
+    toda_records,
 )
+
+
+def filled_series(ctx, box):
+    """The eigen records, the pairing series and the coefficient-sum series
+    over the box, as toda_records fills them."""
+    pair = TodaSeries(ctx.n, box, {})
+    sheaf = TodaSeries(ctx.n, box, {})
+    records = list(toda_records(ctx, box, pair, sheaf))
+    return records, pair, sheaf
+
+
+def eigen_verdicts(ring, pairs, sigma, box):
+    """{(operator, degree): verdict} for every (series, operator) pair at
+    every degree <= box, without stopping at a failure."""
+    lam = eigenvalue_monomial_sum(ring, sigma)
+    return {(op.__name__, d): eq_exact(op(ring, s, d, sigma),
+                                       s.coeffs[d].scale_poly(lam))
+            for s, op in pairs for d in sorted(s.coeffs) if max(d) <= box}
 
 
 class TestShiftMonomial:
@@ -46,8 +59,8 @@ class TestShiftMonomial:
 class TestSeries:
     def test_zero_degree_coefficients(self):
         ctx = ModuleContext(2)
-        for series in (whittaker_pair_series(ctx, 1),
-                       coefficient_sum_series(ctx, 1)):
+        _, pair, sheaf = filled_series(ctx, 1)
+        for series in (pair, sheaf):
             assert eq_exact(series.coeffs[(0,)], RatFunc.one(ctx.ring))
 
     def test_box_validation(self):
@@ -57,18 +70,18 @@ class TestSeries:
 
     def test_missing_degree_is_error_but_negative_is_zero(self):
         ctx = ModuleContext(2)
-        s = coefficient_sum_series(ctx, 1)
+        _, _, s = filled_series(ctx, 1)
         assert s.coeff(ctx.ring, (-1,)).is_zero()
         with pytest.raises(UsageError):
             s.coeff(ctx.ring, (2,))
 
-    def test_truncate_equals_smaller_build(self):
+    def test_filled_on_a_larger_box_equals_smaller_fill(self):
         ctx = ModuleContext(3)
-        for build in (whittaker_pair_series, coefficient_sum_series):
-            small, cut = build(ctx, 1), build(ctx, 2).truncate(1)
-            assert cut.box == 1 and sorted(cut.coeffs) == sorted(small.coeffs)
-            for d, c in small.coeffs.items():
-                assert eq_exact(cut.coeffs[d], c)
+        _, *small = filled_series(ctx, 1)
+        _, *big = filled_series(ctx, 2)
+        for s, b in zip(small, big):
+            for d, c in s.coeffs.items():
+                assert eq_exact(b.coeffs[d], c)
 
 
 EIGEN_BOXES = [(2, 4), (3, 2)]
@@ -77,53 +90,58 @@ EIGEN_BOXES = [(2, 4), (3, 2)]
 class TestEigenEquations:
     @pytest.mark.parametrize("n,box", EIGEN_BOXES, ids=lambda x: str(x))
     def test_both_eigen_equations(self, n, box):
-        ctx = ModuleContext(n)
-        records = verify_toda(ctx, box)
-        assert records and all(r["status"] == "pass" for r in records)
+        records, pair, _ = filled_series(ModuleContext(n), box)
+        assert {r["check"] for r in records} == {
+            "sum-op-eigen", "difference-op-eigen", "shift-sign-calibration"}
+        assert len(records) == 2 * len(pair.coeffs) + 1
+        assert all(r["status"] == "pass" for r in records)
 
     def test_sign_calibration(self):
         # sigma = -1 is the working convention; the opposite sign must fail
         ctx = ModuleContext(2)
-        out = calibrate_sign(ctx, 2)
-        assert out[-1] is True
-        assert out[1] is False
+        records, pair, sheaf = filled_series(ctx, 2)
+        assert sign_calibration(ctx.ring, pair, sheaf, records[:-1],
+                                2) == {-1: True, 1: False}
+        assert records[-1] == {"check": "shift-sign-calibration",
+                               "working_sign": -1, "status": "pass"}
 
     @pytest.mark.parametrize("n,box,cut", [(2, 3, 2), (3, 2, 2), (4, 1, 1),
                                            (2, 1, 0)],
                              ids=lambda x: str(x))
     def test_early_stop_calibration_matches_exhaustive(self, n, box, cut):
         # the calibration stops at the first failing degree; the reference
-        # runs both signs' eigen records over the whole truncated series.
-        # At cut 0 only degree 0 counts, where both signs pass.
+        # decides every degree <= cut for both signs.  At cut 0 only
+        # degree 0 counts, where both signs pass.
         ctx = ModuleContext(n)
         ring = ctx.ring
-        pair = whittaker_pair_series(ctx, box)
-        sheaf = coefficient_sum_series(ctx, box)
-        records = eigen_records(ring, pair, sheaf)
-        reference = {
-            sigma: all(r["status"] == "pass" for r in eigen_records(
-                ring, pair.truncate(cut), sheaf.truncate(cut), sigma))
-            for sigma in (-1, 1)}
-        assert sign_calibration(ring, pair, sheaf, records, cut) == reference
+        records, pair, sheaf = filled_series(ctx, box)
+        pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
+        reference = {sigma: all(eigen_verdicts(ring, pairs, sigma, cut)
+                                .values())
+                     for sigma in (-1, 1)}
+        assert sign_calibration(ring, pair, sheaf, records[:-1],
+                                cut) == reference
 
     def test_verdicts_do_not_depend_on_the_box(self):
         # so the calibration may read a sign's verdict from a larger box
         ctx = ModuleContext(2)
+        _, *small = filled_series(ctx, 2)
+        _, *big = filled_series(ctx, 4)
+        ops = (sum_op_at, difference_op_at)
         for sigma in (-1, 1):
-            inner = [r for r in verify_toda(ctx, 4, sigma)
-                     if max(r["degree"]) <= 2]
-            assert inner == verify_toda(ctx, 2, sigma)
+            assert eigen_verdicts(ctx.ring, zip(big, ops), sigma, 2) == \
+                eigen_verdicts(ctx.ring, zip(small, ops), sigma, 2)
 
     def test_cross_mismatch_is_detected(self):
         # the difference-type operator is NOT diagonal on the pairing series:
         # the eigen checks are non-vacuous
         ctx = ModuleContext(2)
-        s = whittaker_pair_series(ctx, 3)
-        records = check_eigen(ctx.ring, s, apply_difference_op(ctx.ring, s))
-        assert any(r["status"] == "fail" for r in records)
+        _, pair, _ = filled_series(ctx, 3)
+        verdicts = eigen_verdicts(ctx.ring, [(pair, difference_op_at)], -1, 3)
+        assert not all(verdicts.values())
 
     def test_sum_op_on_sheaf_series_mismatch(self):
         ctx = ModuleContext(2)
-        s = coefficient_sum_series(ctx, 3)
-        records = check_eigen(ctx.ring, s, apply_sum_op(ctx.ring, s))
-        assert any(r["status"] == "fail" for r in records)
+        _, _, sheaf = filled_series(ctx, 3)
+        verdicts = eigen_verdicts(ctx.ring, [(sheaf, sum_op_at)], -1, 3)
+        assert not all(verdicts.values())
