@@ -191,13 +191,14 @@ def sym_inverse(chi: LaurentPoly) -> RatFunc:
     if not isinstance(ring, TVRing):
         raise UsageError("character must live in a torus ring")
     factor_list = []
-    for exps, mult in chi.sorted_terms():
+    for key, mult in sorted(chi.terms.items()):
         if mult < 0:
             raise DegeneracyError("negative weight multiplicity in character")
-        if all(e == 0 for e in exps):
+        if key == 0:
             raise DegeneracyError("trivial weight in character: point not isolated")
-        w = ring.monomial(exps)
-        factor_list.append((ring.one() - w, -mult))
+        # 1 - w, straight from w's key; chi's bound covers w's digits
+        one_minus_w = LaurentPoly(ring, {0: 1, key: -1}, chi.bound)
+        factor_list.append((one_minus_w, -mult))
     return RatFunc.from_factors(ring, ring.one(), factor_list)
 
 

@@ -280,6 +280,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("rank parameter must be at least 2")
         if getattr(args, "box", None) is not None and args.box < 0:
             raise UsageError("box must be nonnegative")
+        if getattr(args, "i", None) is not None \
+                and not 1 <= args.i <= args.n - 1:
+            raise UsageError(f"row index {args.i} out of range for n={args.n}")
         if args.out:
             stream = open(args.out, "w")
             close = True

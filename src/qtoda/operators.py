@@ -135,14 +135,6 @@ class ModuleVector:
         return got if got is not None else RatFunc.zero(ring)
 
 
-def _monomial_pow(p: LaurentPoly, m: int) -> LaurentPoly:
-    """Integer (possibly negative) power of a ±1-coefficient monomial."""
-    exps, coeff = p.monomial_parts()
-    if coeff not in (1, -1):
-        raise UsageError("expected a unit monomial")
-    return p.ring.monomial(tuple(e * m for e in exps), coeff ** (m & 1) if m else 1)
-
-
 class GradedOperator:
     """A degree-homogeneous operator given by its action on basis vectors."""
 
@@ -173,6 +165,8 @@ class ModuleContext:
         self._points: Dict[DegreeVector, List[FixedPoint]] = {}
         self._sym: Dict[Rows, RatFunc] = {}
         self._corr_sym: Dict[Tuple[Rows, int, int], RatFunc] = {}
+        # theta_p per point, filled by whittaker.pairing_weight
+        self.pairing_weights: Dict[Rows, RatFunc] = {}
 
     def points(self, degree: Sequence[int]) -> List[FixedPoint]:
         key = tuple(degree)
@@ -243,7 +237,7 @@ def op_K(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
     ctx._check_row(i)
     return op_scalar(
         ctx,
-        lambda d: RatFunc.from_poly(_monomial_pow(ctx.k_scalar(i, d), power)),
+        lambda d: RatFunc.from_poly(ctx.k_scalar(i, d) ** power),
         label=f"K{i}^{power}",
     )
 
@@ -252,7 +246,7 @@ def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
     ctx._check_row(i)
     return op_scalar(
         ctx,
-        lambda d: RatFunc.from_poly(_monomial_pow(ctx.l_scalar(i, d), power)),
+        lambda d: RatFunc.from_poly(ctx.l_scalar(i, d) ** power),
         label=f"L{i}^{power}",
     )
 
@@ -519,7 +513,7 @@ def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
 
     def scalar(d: DegreeVector) -> RatFunc:
         kappa = ctx.k_scalar(i, d)
-        return RatFunc.from_frac(kappa - _monomial_pow(kappa, -1),
+        return RatFunc.from_frac(kappa - kappa ** -1,
                                  ring.v(1) - ring.v(-1))
 
     return op_scalar(ctx, scalar, label=f"(K{i}-K{i}^-1)/(v-v^-1)")
@@ -632,7 +626,7 @@ def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict
             rhs = ring.one()
             for k, power in ((i - 1, -1), (i, 2), (i + 1, -1)):
                 if 1 <= k <= ctx.n - 1:
-                    rhs = rhs * _monomial_pow(ctx.l_scalar(k, d), power)
+                    rhs = rhs * ctx.l_scalar(k, d) ** power
             diff = lhs - rhs
             if diff.is_zero():
                 status, mode = "pass", "free"
@@ -791,7 +785,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
 
     big = q
     for x in s:
-        big = big * ring.monomial(tuple(-2 * e for e in x.monomial_parts()[0]))
+        big = big * x ** -2
     for x in p + r:
         big = big * x
     lhs = RatFunc.from_poly((ring.one() - q) * (big - ring.one()))
@@ -799,8 +793,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
     def half(q_on_r: bool) -> List[RatFunc]:
         parts = []
         for j in range(i):
-            exps = tuple(-2 * e for e in s[j].monomial_parts()[0])
-            unit = ring.monomial(exps)
+            unit = s[j] ** -2
             factors: List[Tuple[LaurentPoly, int]] = []
             for rk in r:
                 factors.append((s[j] - (q * rk if q_on_r else rk), 1))
@@ -853,7 +846,7 @@ def summation_records(ctx: ModuleContext, seed: int,
     """The summation identity for row i, or for every row up to 4, each on
     random admissible rows drawn from `seed`; one record per row."""
     rng = random.Random(seed)
-    for row in [i] if i else range(1, min(ctx.n, 5)):
+    for row in range(1, min(ctx.n, 5)) if i is None else [i]:
         if not 1 <= row <= ctx.n - 1:
             raise UsageError(f"row index {row} out of range for n={ctx.n}")
         rows = _random_admissible_rows(row, rng)

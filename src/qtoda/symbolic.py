@@ -11,8 +11,13 @@ most significant.  Packing is linear, so a monomial product is one int add,
 and while every digit stays strictly inside (-2**(W-1), 2**(W-1)) int order
 is graded-lexicographic order.  Each polynomial carries an upper bound on
 its largest digit magnitude; a product whose bound could leave that range
-raises UsageError instead of wrapping.  Exponent tuples appear only at the
-boundary (constructors, JSON, repr, evaluation).
+raises UsageError instead of wrapping.
+
+Linearity also builds monomials: the key of (e_1, ..., e_N) is
+sum_j e_j * key(x_j), and a monomial's k-th power is its key times k.
+Constructors, factor shifts, geometric blocks and monomial powers work on
+keys alone; exponent tuples appear only at the boundary (JSON, repr,
+evaluation, coefficient lookup and the determinant substitution).
 
 Half-integer powers of v occur in a few diagonal operators, so the last
 exponent slot counts units of v^(1/2): the monomial v^k is stored with last
@@ -89,6 +94,13 @@ def unpack(key: int, nvars: int) -> Exponent:
                  for j in range(nvars - 1, -1, -1))
 
 
+@lru_cache(maxsize=None)
+def _unit_keys(nvars: int) -> Tuple[int, ...]:
+    """The key of each variable x_j (exponent 1 in slot j, total degree 1)."""
+    return tuple(pack([int(i == j) for i in range(nvars)])
+                 for j in range(nvars))
+
+
 def _slot_bound(exps: Sequence[int]) -> int:
     """Largest digit magnitude of the key of exps, total degree included."""
     return max(abs(sum(exps)), max((abs(e) for e in exps), default=0))
@@ -138,9 +150,21 @@ class Ring:
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "LaurentPoly":
         if len(exps) != self.nvars:
             raise UsageError(f"expected {self.nvars} exponents, got {len(exps)}")
+        key = total = bound = 0
+        for e, unit in zip(exps, _unit_keys(self.nvars)):
+            e = int(e)
+            key += e * unit
+            total += e
+            bound = max(bound, abs(e))
+        return self._monomial_key(key, max(bound, abs(total)), coeff)
+
+    def _monomial_key(self, key: int, bound: int, coeff: int) -> "LaurentPoly":
+        """coeff * x^key, where bound is the key's largest digit magnitude."""
         if coeff == 0:
             return self.zero()
-        return _packed(self, {tuple(int(e) for e in exps): int(coeff)})
+        if bound > SLOT_LIMIT:
+            raise UsageError(f"an exponent or total degree exceeds ±{SLOT_LIMIT}")
+        return LaurentPoly(self, {key: int(coeff)}, bound)
 
 
 @dataclass(frozen=True)
@@ -162,13 +186,18 @@ class TVRing(Ring):
     def t_monomial(self, t_exps: Mapping[int, int], v_power: int = 0,
                    v_doubled_extra: int = 0, coeff: int = 1) -> "LaurentPoly":
         """Monomial coeff * prod t_i^{t_exps[i]} * v^{v_power + v_doubled_extra/2}."""
-        exps = [0] * self.nvars
+        units = _unit_keys(self.nvars)
+        total = 2 * v_power + v_doubled_extra
+        key = total * units[self.n]
+        bound = abs(total)
         for i, e in t_exps.items():
             if not 1 <= i <= self.n:
                 raise UsageError(f"t index {i} out of range 1..{self.n}")
-            exps[i - 1] = int(e)
-        exps[self.n] = 2 * v_power + v_doubled_extra
-        return self.monomial(exps, coeff)
+            e = int(e)
+            key += e * units[i - 1]
+            total += e
+            bound = max(bound, abs(e))
+        return self._monomial_key(key, max(bound, abs(total)), coeff)
 
     def substitute_det_one(self, p: "LaurentPoly") -> "LaurentPoly":
         """Substitute t_n := (t_1 ... t_{n-1})^{-1}, leaving v untouched."""
@@ -267,6 +296,12 @@ class LaurentPoly:
         return LaurentPoly(self.ring, out, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        if len(self.terms) == 1:
+            [(key, c)] = self.terms.items()
+            if k >= 0 or c in (1, -1):
+                # a monomial: its key times k (1/c = c for a unit c)
+                return self.ring._monomial_key(key * k, abs(k) * self.bound,
+                                               c ** abs(k))
         if k < 0:
             raise UsageError("negative power of a general polynomial; use RatFunc")
         result = None
@@ -284,12 +319,6 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self.terms == {0: 1}
-
-    def monomial_parts(self) -> Tuple[Exponent, int]:
-        if len(self.terms) != 1:
-            raise UsageError("not a monomial")
-        [(k, c)] = self.terms.items()
-        return unpack(k, self.ring.nvars), c
 
     def sorted_terms(self) -> List[Tuple[Exponent, int]]:
         """Terms in canonical (graded-lexicographic) order."""
@@ -381,11 +410,12 @@ class EvalPoint:
 FactorKey = Tuple[Tuple[int, int], ...]
 
 
-def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, Exponent, int]:
+def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, int, int]:
     """Scale a nonzero factor to canonical form.
 
-    Returns (canonical, shift_exps, sign) with p = sign * mono(shift) * canonical,
-    where canonical's graded-lex-least term is a positive constant.
+    Returns (canonical, low, sign) with p = sign * x^low * canonical, where
+    low is the key of p's graded-lex-least term and canonical's least term
+    is a positive constant.
     """
     low = min(p.terms)
     sign = 1 if p.terms[low] > 0 else -1
@@ -393,7 +423,7 @@ def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, Exponent, int]:
     if bound > SLOT_LIMIT:
         raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
     canon = {k - low: sign * c for k, c in p.terms.items()}
-    return LaurentPoly(p.ring, canon, bound), unpack(low, p.ring.nvars), sign
+    return LaurentPoly(p.ring, canon, bound), low, sign
 
 
 def _factor_key(p: LaurentPoly) -> FactorKey:
@@ -454,10 +484,19 @@ class RatFunc:
             if e < 0:
                 raise ArithmeticDomainError("zero denominator factor")
             return RatFunc.zero(self.ring)
-        canon, shift, sign = _canonical_factor(f)
-        unit = self.unit * self.ring.monomial(tuple(x * e for x in shift))
-        if sign < 0 and e % 2:
-            unit = -unit
+        canon, low, sign = _canonical_factor(f)
+        unit = self.unit
+        flip = -1 if sign < 0 and e % 2 else 1
+        if low or flip < 0:
+            # unit * (sign * x^low)^e: every key shifts by e * low, whose
+            # digits are at most |e| * f.bound
+            bound = unit.bound + abs(e) * f.bound if low else unit.bound
+            if bound > SLOT_LIMIT:
+                raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
+            shift = e * low
+            unit = LaurentPoly(self.ring, {k + shift: flip * c
+                                           for k, c in unit.terms.items()},
+                               bound)
         factors = dict(self.factors)
         if not canon.is_one():
             key = _factor_key(canon)
@@ -723,7 +762,21 @@ def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:
     ring = m.ring
     if not isinstance(ring, TVRing):
         raise UsageError("geometric_block needs a torus ring")
-    total = ring.zero()
+    if lo > hi:
+        return ring.zero()
+    # v^{2l} has key 4l * key(v): the v slot counts half units
+    bound = m.bound + 4 * max(abs(lo), abs(hi))
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
+    step = 4 * _unit_keys(ring.nvars)[ring.n]
+    out: Terms = {}
     for l in range(lo, hi + 1):
-        total = total + m * ring.v(2 * l)
-    return total
+        shift = l * step
+        for k, c in m.terms.items():
+            k += shift
+            nc = out.get(k, 0) + c
+            if nc:
+                out[k] = nc
+            else:
+                del out[k]
+    return LaurentPoly(ring, out, bound)

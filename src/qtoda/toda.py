@@ -4,9 +4,10 @@ A series here is a box-truncated family of exact rational coefficients
 indexed by degree vectors.  The two difference operators act through shift
 monomials: shifting slot j of the degree lattice multiplies the coefficient
 by t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
-calibration record checks that the opposite sign fails).  Both distinguished series -- the Whittaker
-pairing series and the coefficient-sum series -- are eigenfunctions with
-eigenvalue sum_i t_i^{2 sigma}.
+calibration record checks that the opposite sign fails).  Both
+distinguished series -- the Whittaker pairing series and the
+coefficient-sum series -- are eigenfunctions with eigenvalue
+sum_i t_i^{2 sigma}.
 
 Coefficient recursions, with d_0 = d_n = 0 and absent (negative) degrees
 contributing zero:

@@ -68,9 +68,14 @@ def pairing_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
 
 
 def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
-    """Per-point weight theta_p = m_d * det_weight(p) / sym_factor(p)."""
-    pref = pairing_prefactor(ctx.ring, p.degree) * det_weight(ctx.ring, p)
-    return RatFunc.from_poly(pref) / ctx.sym_factor(p)
+    """Per-point weight theta_p = m_d * det_weight(p) / sym_factor(p),
+    computed once per point and kept in the context."""
+    theta = ctx.pairing_weights.get(p.rows)
+    if theta is None:
+        pref = pairing_prefactor(ctx.ring, p.degree) * det_weight(ctx.ring, p)
+        theta = RatFunc.from_poly(pref) / ctx.sym_factor(p)
+        ctx.pairing_weights[p.rows] = theta
+    return theta
 
 
 def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
@@ -120,8 +125,7 @@ def whittaker_w(ctx: ModuleContext, degree: Sequence[int]) -> ModuleVector:
     pref = dual_whittaker_prefactor(ctx.ring, degree)
     coeffs = {}
     for p in ctx.points(degree):
-        exps, coeff = det_weight(ctx.ring, p).monomial_parts()
-        inv_det = ctx.ring.monomial(tuple(-e for e in exps), coeff)
+        inv_det = det_weight(ctx.ring, p) ** -1
         coeffs[p] = ctx.sym_factor(p).scale_poly(pref * inv_det)
     return ModuleVector(degree, coeffs)
 

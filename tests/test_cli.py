@@ -116,6 +116,13 @@ class TestVerify:
         assert len(checks) == 1 and checks[0]["status"] == "pass"
         assert "mode" not in checks[0]
 
+    @pytest.mark.parametrize("row", ["0", "3", "5"])
+    def test_bad_row_index_rejected_before_any_record(self, capsys, row):
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "1",
+                          "--i", row)
+        assert code == EXIT_USAGE
+        assert not [r for r in parsed(lines) if r.get("check")]
+
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--n", "2", "--box", "1",
                      "--suite", "bogus"]) == EXIT_USAGE

@@ -29,7 +29,7 @@ from qtoda.operators import (
     verify_summation_identity,
     verify_relations,
 )
-from qtoda.symbolic import LaurentPoly, RatFunc, UsageError, eq_exact
+from qtoda.symbolic import LaurentPoly, RatFunc, UsageError, eq_exact, rat_sum
 
 
 def degree_grid(max_n, max_total):
@@ -213,6 +213,18 @@ class TestRelationSuite:
         entry = rec["witness"]["entry"]
         assert not LaurentPoly.from_json(ctx.ring, entry["num"]).is_zero()
         assert rec["witness"]["source"] == FixedPoint.zero(2).to_json()
+        # replay the witness from its JSON alone
+        source = FixedPoint.from_json(rec["witness"]["source"])
+        target = FixedPoint.from_json(rec["witness"]["target"])
+        replayed = RatFunc.from_frac(
+            LaurentPoly.from_json(ctx.ring, entry["num"]),
+            LaurentPoly.from_json(ctx.ring, entry["den"]))
+        [(_, _, terms)] = broken
+        parts = [c for term in terms
+                 for q, c in operators._term_action(term, source)
+                 if q == target]
+        assert eq_exact(replayed, rat_sum(ctx.ring, parts))
+        assert not operators._zero_mod_det(ctx.ring, replayed)
 
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_commutator_diagonality(self, n, box):

@@ -279,6 +279,107 @@ class TestGeometricBlock:
         assert full == geometric_block(0, 2, m) + geometric_block(3, 5, m)
 
 
+def tuple_monomial(ring, exps, coeff=1):
+    """Reference monomial, built through the exponent-tuple path."""
+    return LaurentPoly.from_json(ring, [[list(exps), coeff]])
+
+
+def slot_bound(exps):
+    return max(abs(sum(exps)), *map(abs, exps))
+
+
+nonzero_coeff = st.integers(-9, 9).filter(bool)
+wide = st.integers(-SLOT_LIMIT - 2, SLOT_LIMIT + 2)
+
+
+class TestKeyConstructors:
+    """The constructors that build keys directly, against the tuple path."""
+
+    @given(st.integers(1, 5).flatmap(
+        lambda k: st.tuples(*[wide] * k)), nonzero_coeff)
+    @settings(max_examples=150, deadline=None)
+    def test_monomial(self, exps, c):
+        ring = generic_ring([f"x{j}" for j in range(len(exps))])
+        if slot_bound(exps) > SLOT_LIMIT:
+            with pytest.raises(UsageError):
+                ring.monomial(exps, c)
+            return
+        m = ring.monomial(exps, c)
+        assert m.terms == {pack(exps): c}
+        assert slot_bound(exps) <= m.bound <= SLOT_LIMIT
+
+    @given(st.dictionaries(st.integers(1, 3), wide, max_size=3),
+           st.integers(-SLOT_LIMIT // 2 - 1, SLOT_LIMIT // 2 + 1),
+           st.integers(-3, 3), nonzero_coeff)
+    @settings(max_examples=150, deadline=None)
+    def test_t_monomial(self, t_exps, v_power, extra, c):
+        ring = tv_ring(3)
+        exps = [t_exps.get(i, 0) for i in (1, 2, 3)] + [2 * v_power + extra]
+        if slot_bound(exps) > SLOT_LIMIT:
+            with pytest.raises(UsageError):
+                ring.t_monomial(t_exps, v_power, extra, c)
+            return
+        m = ring.t_monomial(t_exps, v_power, extra, c)
+        assert m.terms == tuple_monomial(ring, exps, c).terms
+        assert digit_bound(m) <= m.bound <= SLOT_LIMIT
+
+    @given(poly_strategy(R2), st.integers(-4, 4), st.integers(-4, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_geometric_block(self, m, lo, hi):
+        want = R2.zero()
+        for l in range(lo, hi + 1):
+            want = want + m * tuple_monomial(R2, (0, 0, 4 * l))
+        got = geometric_block(lo, hi, m)
+        assert got.terms == want.terms
+        assert digit_bound(got) <= got.bound <= SLOT_LIMIT
+
+    @given(poly_strategy(R2), poly_strategy(R2, max_exp=5),
+           st.integers(-3, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_with_factor(self, unit, f, e):
+        if f.is_zero():
+            return
+        r = RatFunc.from_factors(R2, unit, [(f, e)])
+        # f = sign * x^low * canonical, low being f's graded-lex-least term
+        low, c = f.sorted_terms()[0]
+        sign = 1 if c > 0 or e % 2 == 0 else -1
+        want = unit * tuple_monomial(R2, [x * e for x in low], sign)
+        assert r.unit.terms == want.terms
+        assert digit_bound(r.unit) <= r.unit.bound <= SLOT_LIMIT
+
+    @given(exps_strategy(3, limit=200), st.sampled_from([1, -1, 2, -5]),
+           st.integers(-6, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_monomial_power(self, exps, c, k):
+        m = tuple_monomial(R2, exps, c)
+        if k < 0 and c not in (1, -1):
+            with pytest.raises(UsageError):
+                m ** k
+            return
+        got = m ** k
+        assert got.terms == \
+            tuple_monomial(R2, [x * k for x in exps], c ** abs(k)).terms
+        assert digit_bound(got) <= got.bound <= SLOT_LIMIT
+
+    def test_digit_past_the_limit_raises(self):
+        with pytest.raises(UsageError):
+            R2.t_monomial({}, v_doubled_extra=SLOT_LIMIT + 1)
+        with pytest.raises(UsageError):
+            R2.t_monomial({1: SLOT_LIMIT, 2: 1})
+        with pytest.raises(UsageError):
+            R2.t(1, SLOT_LIMIT // 3 + 1) ** -3
+        with pytest.raises(UsageError):
+            geometric_block(0, SLOT_LIMIT // 4 + 1, R2.one())
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R2.t(2, SLOT_LIMIT // 2),
+                                 [(R2.one() - R2.t(1, -(SLOT_LIMIT // 2)), 2)])
+
+    def test_negative_power_of_a_non_monomial_raises(self):
+        for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3)):
+            with pytest.raises(UsageError):
+                p ** -1
+
+
 def one_minus(s):
     return R2.one() - R2.monomial(s)
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
     ModuleContext,
@@ -19,6 +20,7 @@ from qtoda.whittaker import (
     line_pushforward_sides,
     lowering_eigen_check,
     pairing_prefactor,
+    pairing_weight,
     partial_fraction_identity,
     rgamma_char,
     shapovalov_pair,
@@ -45,6 +47,16 @@ class TestPairing:
         y = basis_vector(ctx, enumerate_points(n, d1)[0])
         assert shapovalov_pair(ctx, x, y).is_zero()
         assert x.degree == d0
+
+    def test_pairing_weight_computed_once_per_point(self):
+        ctx = ModuleContext(3)
+        for p in enumerate_points(3, (1, 2)):
+            theta = pairing_weight(ctx, p)
+            assert pairing_weight(ctx, p) is theta
+            fresh = RatFunc.from_poly(pairing_prefactor(ctx.ring, p.degree)
+                                      * det_weight(ctx.ring, p)) \
+                / ModuleContext(3).sym_factor(p)
+            assert eq_exact(theta, fresh)
 
     def test_prefactor_at_zero_is_one(self):
         ctx = ModuleContext(3)
