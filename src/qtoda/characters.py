@@ -17,7 +17,8 @@ Their agreement is a test target, not an assumption.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .fixed_points import (
     DegreeVector,
@@ -42,8 +43,11 @@ def line_weight(ring: TVRing, j: int, twist: int) -> LaurentPoly:
     return ring.t_monomial({j: 2}, v_power=-2 * twist)
 
 
+@lru_cache(maxsize=None)
 def weight_ratio(ring: TVRing, k: int, j: int, v_power: int = 0) -> LaurentPoly:
-    """The monomial t_k^2 t_j^{-2} v^{v_power}."""
+    """The monomial t_k^2 t_j^{-2} v^{v_power}, built once per ring and
+    arguments: every tangent character and closed entry reuses the same few
+    ratios."""
     exps = {k: 2, j: -2} if k != j else {}
     return ring.t_monomial(exps, v_power=v_power)
 
@@ -205,17 +209,20 @@ def sym_inverse(chi: LaurentPoly) -> RatFunc:
 def det_weight(ring: TVRing, p: FixedPoint) -> LaurentPoly:
     """Normalized determinant-of-cohomology weight of the tautological flag.
 
-    Product over all entries a = a_{ij} of t_j^{-2a} v^{a(a-1)}; the
-    normalization makes the zero-degree point carry weight 1.  Raising
-    entry (i, j) by one multiplies the weight by t_j^{-2} v^{2a}.
+    Product over all entries a = a_{ij} of t_j^{-2a} v^{a(a-1)}, built as
+    one monomial from the summed exponents; the normalization makes the
+    zero-degree point carry weight 1.  Raising entry (i, j) by one
+    multiplies the weight by t_j^{-2} v^{2a}.
     """
     _check_ring(ring, p)
-    total = ring.one()
+    t_exps: Dict[int, int] = {}
+    v_power = 0
     for i in range(1, p.n):
         for j in range(1, i + 1):
             a = p.entry(i, j)
-            total = total * ring.t_monomial({j: -2 * a}, v_power=a * (a - 1))
-    return total
+            t_exps[j] = t_exps.get(j, 0) - 2 * a
+            v_power += a * (a - 1)
+    return ring.t_monomial(t_exps, v_power=v_power)
 
 
 def _check_ring(ring: TVRing, p: FixedPoint) -> None:

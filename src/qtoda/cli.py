@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional, Sequence, TextIO
+from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .characters import character_records
@@ -33,7 +33,7 @@ from .toda import TodaSeries, toda_records
 from .whittaker import (
     dual_eigen_check,
     lowering_eigen_check,
-    rgamma_char,
+    sheaf_rgamma,
     whittaker_k,
     whittaker_pair_closed,
     whittaker_pair_localized,
@@ -98,6 +98,8 @@ def _parse_degree(text: str, n: int) -> tuple:
         raise UsageError(f"cannot parse degree vector {text!r}")
     if len(degree) != n - 1:
         raise UsageError(f"degree vector must have {n - 1} components")
+    if any(d < 0 for d in degree):
+        raise UsageError("degree components must be nonnegative")
     return degree
 
 
@@ -114,7 +116,7 @@ def _vector_json(x: ModuleVector) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args, rep: Reporter) -> None:
-    degree = _parse_degree(args.degree, args.n)
+    degree = args.degree_vector
     points = enumerate_points(args.n, degree)
     for p in points:
         rep.emit({"point": [list(r) for r in p.rows]})
@@ -129,38 +131,43 @@ def cmd_enumerate(args, rep: Reporter) -> None:
 
 def cmd_characters(args, rep: Reporter) -> None:
     ring = ModuleContext(args.n).ring
-    for record in character_records(ring, _parse_degree(args.degree, args.n)):
+    for record in character_records(ring, args.degree_vector):
         rep.emit(record)
         rep.checkpoint()
 
 
-def cmd_whittaker(args, rep: Reporter) -> None:
-    degree = _parse_degree(args.degree, args.n)
-    ctx = ModuleContext(args.n)
+def _whittaker_records(n: int, degree: tuple) -> Iterator[dict]:
+    """Both Whittaker components at one degree, their pairing, then the
+    two-path pairing check and the eigen checks that land on it."""
+    ctx = ModuleContext(n)
     k = whittaker_k(ctx, degree)
     w = whittaker_w(ctx, degree)
     pairing = whittaker_pair_localized(ctx, degree)
-    rep.emit({"vector": "structure-sheaf", **_vector_json(k)})
-    rep.emit({"vector": "dual", **_vector_json(w)})
-    rep.emit({"pairing": pairing.to_json(),
-              "rgamma": rgamma_char(ctx, k).to_json()})
+    yield {"vector": "structure-sheaf", **_vector_json(k)}
+    yield {"vector": "dual", **_vector_json(w)}
+    yield {"pairing": pairing.to_json(),
+           "rgamma": sheaf_rgamma(ctx, degree).to_json()}
     ok = eq_exact(pairing, whittaker_pair_closed(ctx, degree))
-    rep.emit({"check": "whittaker-pairing-two-path",
-              "degree": list(degree),
-              "status": "pass" if ok else "fail"})
-    for i in range(1, args.n):
+    yield {"check": "whittaker-pairing-two-path", "degree": list(degree),
+           "status": "pass" if ok else "fail"}
+    for i in range(1, n):
         if degree[i - 1] == 0:
             continue
         lower = tuple(d - (1 if kk == i else 0)
                       for kk, d in enumerate(degree, 1))
-        rep.emit({"check": "structure-sheaf-vector-eigen", "i": i,
-                  "degree": list(lower),
-                  "status": "pass" if lowering_eigen_check(ctx, i, lower)
-                  else "fail"})
-        rep.emit({"check": "dual-vector-eigen", "i": i,
-                  "degree": list(lower),
-                  "status": "pass" if dual_eigen_check(ctx, i, lower)
-                  else "fail"})
+        yield {"check": "structure-sheaf-vector-eigen", "i": i,
+               "degree": list(lower),
+               "status": "pass" if lowering_eigen_check(ctx, i, lower)
+               else "fail"}
+        yield {"check": "dual-vector-eigen", "i": i, "degree": list(lower),
+               "status": "pass" if dual_eigen_check(ctx, i, lower)
+               else "fail"}
+
+
+def cmd_whittaker(args, rep: Reporter) -> None:
+    for record in _whittaker_records(args.n, args.degree_vector):
+        rep.emit(record)
+        rep.checkpoint()
 
 
 def cmd_toda(args, rep: Reporter) -> None:
@@ -283,6 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "i", None) is not None \
                 and not 1 <= args.i <= args.n - 1:
             raise UsageError(f"row index {args.i} out of range for n={args.n}")
+        if getattr(args, "degree", None) is not None:
+            args.degree_vector = _parse_degree(args.degree, args.n)
         if args.out:
             stream = open(args.out, "w")
             close = True

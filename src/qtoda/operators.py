@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Literal, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Literal,
+                    Optional, Sequence, Tuple, TypeVar)
 
 from .characters import (
     corr_tangent_char,
@@ -60,6 +61,8 @@ from .symbolic import (
 
 EntryPath = Literal["closed", "geometric"]
 TwistPath = Literal["composite", "direct"]
+T = TypeVar("T")
+_UNBUILT = object()
 
 
 @dataclass(frozen=True)
@@ -157,36 +160,50 @@ class GradedOperator:
 
 
 class ModuleContext:
-    """Shared caches: ring, fixed points, localization factors."""
+    """The owner of everything derived from (n, point) or (n, degree): the
+    ring, the fixed points, the localization factors, the raising and
+    lowering operators and the Whittaker data.
+
+    `memo` builds each item the first time it is asked for and keeps it for
+    the life of the context, so every check that needs it shares one copy.
+    Cached values are immutable by convention: callers build new objects
+    instead of changing the ones they are given.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.ring: TVRing = tv_ring(n)
-        self._points: Dict[DegreeVector, List[FixedPoint]] = {}
-        self._sym: Dict[Rows, RatFunc] = {}
-        self._corr_sym: Dict[Tuple[Rows, int, int], RatFunc] = {}
-        # theta_p per point, filled by whittaker.pairing_weight
-        self.pairing_weights: Dict[Rows, RatFunc] = {}
+        self._memo: Dict[str, Dict[Hashable, Any]] = {}
+
+    def memo(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
+        """The `kind` item at `key`, made by build() on first use."""
+        table = self._memo.get(kind)
+        if table is None:
+            table = self._memo[kind] = {}
+        got = table.get(key, _UNBUILT)
+        if got is _UNBUILT:
+            got = table[key] = build()
+        return got
+
+    @property
+    def _sym(self) -> Dict[Hashable, Any]:
+        """The sym_factor table by point rows (the bench tracer counts its
+        hits)."""
+        return self._memo.get("sym", {})
 
     def points(self, degree: Sequence[int]) -> List[FixedPoint]:
         key = tuple(degree)
-        if key not in self._points:
-            self._points[key] = enumerate_points(self.n, key)
-        return self._points[key]
+        return self.memo("points", key, lambda: enumerate_points(self.n, key))
 
     def sym_factor(self, p: FixedPoint) -> RatFunc:
         """S-character of the tangent space at p (the localization factor)."""
-        if p.rows not in self._sym:
-            self._sym[p.rows] = sym_inverse(tangent_char(self.ring, p))
-        return self._sym[p.rows]
+        return self.memo("sym", p.rows,
+                         lambda: sym_inverse(tangent_char(self.ring, p)))
 
     def corr_sym_factor(self, p: FixedPoint, i: int, j: int) -> RatFunc:
         """S-character of the correspondence tangent space at (p, p+e_{ij})."""
-        key = (p.rows, i, j)
-        if key not in self._corr_sym:
-            self._corr_sym[key] = sym_inverse(
-                corr_tangent_char(self.ring, p, i, j))
-        return self._corr_sym[key]
+        return self.memo("corr_sym", (p.rows, i, j), lambda: sym_inverse(
+            corr_tangent_char(self.ring, p, i, j)))
 
     # -- diagonal scalars --------------------------------------------------
 
@@ -327,9 +344,13 @@ def _lower_entry_geometric(ctx: ModuleContext, p: FixedPoint, q: FixedPoint,
 
 
 def op_E(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
-    """The raising operator for row i: degree d -> d + e_i."""
+    """The raising operator for row i: degree d -> d + e_i.  One operator,
+    and so one entry cache, per context, row and path."""
     ctx._check_row(i)
+    return ctx.memo("E", (i, path), lambda: _raising_op(ctx, i, path))
 
+
+def _raising_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
     def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
         pref = _raise_prefactor(ctx, i, p.degree)
         out = []
@@ -345,9 +366,13 @@ def op_E(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperat
 
 
 def op_F(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
-    """The lowering operator for row i: degree d -> d - e_i."""
+    """The lowering operator for row i: degree d -> d - e_i.  One operator,
+    and so one entry cache, per context, row and path."""
     ctx._check_row(i)
+    return ctx.memo("F", (i, path), lambda: _lowering_op(ctx, i, path))
 
+
+def _lowering_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
     def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
         pref = _lower_prefactor(ctx, i, p.degree)
         out = []

@@ -33,7 +33,7 @@ from .symbolic import (
     eq_exact,
     rat_sum,
 )
-from .whittaker import rgamma_char, whittaker_k, whittaker_pair_localized
+from .whittaker import sheaf_rgamma, whittaker_pair_localized
 
 DEFAULT_SIGMA = -1
 
@@ -162,7 +162,7 @@ def toda_records(ctx: ModuleContext, box: int,
         ("sum-op-eigen", pair, sum_op_at,
          lambda d: whittaker_pair_localized(ctx, d)),
         ("difference-op-eigen", sheaf, difference_op_at,
-         lambda d: rgamma_char(ctx, whittaker_k(ctx, d))),
+         lambda d: sheaf_rgamma(ctx, d)),
     )
     records = []
     for check, s, op, coefficient in families:

@@ -67,15 +67,20 @@ def pairing_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
     return ring.t_monomial(t_exps, v_power=v_power, coeff=sign)
 
 
+def _det(ctx: ModuleContext, p: FixedPoint) -> LaurentPoly:
+    """det_weight(p), once per point and context."""
+    return ctx.memo("det", p.rows, lambda: det_weight(ctx.ring, p))
+
+
 def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
     """Per-point weight theta_p = m_d * det_weight(p) / sym_factor(p),
     computed once per point and kept in the context."""
-    theta = ctx.pairing_weights.get(p.rows)
-    if theta is None:
-        pref = pairing_prefactor(ctx.ring, p.degree) * det_weight(ctx.ring, p)
-        theta = RatFunc.from_poly(pref) / ctx.sym_factor(p)
-        ctx.pairing_weights[p.rows] = theta
-    return theta
+
+    def build() -> RatFunc:
+        pref = pairing_prefactor(ctx.ring, p.degree) * _det(ctx, p)
+        return RatFunc.from_poly(pref) / ctx.sym_factor(p)
+
+    return ctx.memo("theta", p.rows, build)
 
 
 def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
@@ -93,16 +98,26 @@ def rgamma_char(ctx: ModuleContext, x: ModuleVector) -> RatFunc:
     return rat_sum(ctx.ring, list(x.coeffs.values()))
 
 
+def sheaf_rgamma(ctx: ModuleContext, degree: Sequence[int]) -> RatFunc:
+    """rgamma_char of the structure-sheaf Whittaker component at one degree,
+    once per degree and context: the closed Whittaker pairing and the Toda
+    coefficient-sum series share it."""
+    degree = tuple(degree)
+    return ctx.memo("sheaf_rgamma", degree,
+                    lambda: rgamma_char(ctx, whittaker_k(ctx, degree)))
+
+
 # ---------------------------------------------------------------------------
 # Whittaker vectors
 # ---------------------------------------------------------------------------
 
 def whittaker_k(ctx: ModuleContext, degree: Sequence[int]) -> ModuleVector:
     """Degree-d component of the structure-sheaf Whittaker vector: the
-    localized structure-sheaf class, coefficient sym_factor(p) at p."""
+    localized structure-sheaf class, coefficient sym_factor(p) at p.  Built
+    once per degree and context."""
     degree = tuple(degree)
-    return ModuleVector(degree, {p: ctx.sym_factor(p)
-                                 for p in ctx.points(degree)})
+    return ctx.memo("whittaker_k", degree, lambda: ModuleVector(
+        degree, {p: ctx.sym_factor(p) for p in ctx.points(degree)}))
 
 
 def dual_whittaker_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
@@ -120,14 +135,17 @@ def dual_whittaker_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
 
 def whittaker_w(ctx: ModuleContext, degree: Sequence[int]) -> ModuleVector:
     """Degree-d component of the dual Whittaker vector: the localized class
-    of the inverse determinant line, scaled by its degree prefactor."""
+    of the inverse determinant line, scaled by its degree prefactor.  Built
+    once per degree and context."""
     degree = tuple(degree)
-    pref = dual_whittaker_prefactor(ctx.ring, degree)
-    coeffs = {}
-    for p in ctx.points(degree):
-        inv_det = det_weight(ctx.ring, p) ** -1
-        coeffs[p] = ctx.sym_factor(p).scale_poly(pref * inv_det)
-    return ModuleVector(degree, coeffs)
+
+    def build() -> ModuleVector:
+        pref = dual_whittaker_prefactor(ctx.ring, degree)
+        return ModuleVector(degree, {
+            p: ctx.sym_factor(p).scale_poly(pref * _det(ctx, p) ** -1)
+            for p in ctx.points(degree)})
+
+    return ctx.memo("whittaker_w", degree, build)
 
 
 def dual_raising_op(ctx: ModuleContext, i: int):
@@ -270,15 +288,16 @@ def whittaker_pair_closed(ctx: ModuleContext,
     t_exps = {i: d[i - 1] - d[i] for i in range(1, m + 2)}
     sign = -1 if sum(degree) % 2 else 1
     pref = ctx.ring.t_monomial(t_exps, v_power=v_power, coeff=sign)
-    return rgamma_char(ctx, whittaker_k(ctx, degree)).scale_poly(pref)
+    return sheaf_rgamma(ctx, degree).scale_poly(pref)
 
 
 def whittaker_pair_localized(ctx: ModuleContext,
                              degree: Sequence[int]) -> RatFunc:
-    """The same pairing computed directly from the two vectors."""
+    """The same pairing computed directly from the two vectors, once per
+    degree and context: the whittaker and toda suites share it."""
     degree = tuple(degree)
-    return shapovalov_pair(ctx, whittaker_k(ctx, degree),
-                           whittaker_w(ctx, degree))
+    return ctx.memo("whittaker_pair", degree, lambda: shapovalov_pair(
+        ctx, whittaker_k(ctx, degree), whittaker_w(ctx, degree)))
 
 
 

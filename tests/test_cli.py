@@ -17,6 +17,23 @@ from qtoda.cli import (
 from qtoda.operators import ModuleContext, Truncation
 
 
+@pytest.fixture
+def expire_after_first_verdict(monkeypatch):
+    """A fake clock that passes the time budget as soon as the first record
+    with a status is written."""
+    now = [0.0]
+    emit = cli.Reporter.emit
+
+    def emit_then_expire(rep, record):
+        emit(rep, record)
+        if "status" in record:
+            now[0] = 1e9
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
+    monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -123,6 +140,18 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert not [r for r in parsed(lines) if r.get("check")]
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "3", "--degree", "1"],
+        ["characters", "--n", "3", "--degree=1,-1"],
+        ["whittaker", "--n", "3", "--degree", "1,1,1"],
+        ["whittaker", "--n", "2", "--degree=-2"],
+        ["enumerate", "--n", "2", "--degree", "x"],
+    ], ids=lambda x: " ".join(x))
+    def test_bad_degree_rejected_before_any_record(self, capsys, argv):
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert lines == []
+
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--n", "2", "--box", "1",
                      "--suite", "bogus"]) == EXIT_USAGE
@@ -156,11 +185,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["relations", "whittaker", "toda",
                                        "summation"])
-    def test_budget_stops_between_records(self, capsys, monkeypatch, suite):
-        # a fake clock passes the deadline as soon as the first verdict is
-        # out.  The relation suite may then do at most one more record's
-        # worth of identity checks (one per basis vector of a degree); the
-        # toda suite has built the degree-0 pairing and nothing else.
+    def test_budget_stops_between_records(self, capsys, monkeypatch, suite,
+                                          expire_after_first_verdict):
+        # the deadline passes as soon as the first verdict is out.  The
+        # relation suite may then do at most one more record's worth of
+        # identity checks (one per basis vector of a degree); the toda suite
+        # has built the degree-0 pairing and nothing else.
         calls = []
         counted = {"relations": (operators, "_identity_holds"),
                    "toda": (toda, "whittaker_pair_localized")}
@@ -169,17 +199,6 @@ class TestVerify:
             original = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a: calls.append(a) or original(*a))
-        now = [0.0]
-        emit = cli.Reporter.emit
-
-        def emit_then_expire(rep, record):
-            emit(rep, record)
-            if "status" in record:
-                now[0] = 1e9
-
-        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
-        monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
         code, lines = run(capsys, "verify", "--n", "3", "--box", "2",
                           "--suite", suite)
         assert code == EXIT_BUDGET
@@ -192,6 +211,15 @@ class TestVerify:
             assert len(calls) <= per_record
         if suite == "toda":
             assert len(calls) == 1
+
+    def test_whittaker_command_stops_between_records(
+            self, capsys, expire_after_first_verdict):
+        code, lines = run(capsys, "whittaker", "--n", "4", "--degree", "2,2,2")
+        assert code == EXIT_BUDGET
+        records = parsed(lines)
+        assert records[-1]["complete"] is False
+        assert [r["check"] for r in records if "status" in r] == \
+            ["whittaker-pairing-two-path"]
 
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("QTODA_TIME_BUDGET", "soon")

@@ -1,0 +1,80 @@
+"""The ModuleContext memo: every operator, point weight and Whittaker
+component is built once per context, and sharing them changes no record."""
+
+import pytest
+
+from qtoda import operators, toda, whittaker
+from qtoda.cli import EXIT_PASS, SUITES, main
+from qtoda.fixed_points import all_degrees
+from qtoda.operators import ModuleContext, op_E, op_F
+from qtoda.whittaker import whittaker_records
+
+
+def suite_stream(name, ctx, box):
+    # the summation suite draws its rows from a seed and has no box
+    params = (0, None) if name == "summation" else (box,)
+    return list(SUITES[name](ctx, *params))
+
+
+def test_streams_do_not_depend_on_the_suites_run_before():
+    shared = ModuleContext(3)
+    for name in reversed(list(SUITES)):
+        fresh = suite_stream(name, ModuleContext(3), 2)
+        assert suite_stream(name, shared, 2) == fresh, name
+
+
+@pytest.mark.parametrize("op", [op_E, op_F])
+def test_default_and_explicit_path_share_one_operator(op):
+    ctx = ModuleContext(3)
+    for i in (1, 2):
+        assert op(ctx, i) is op(ctx, i, "closed")
+        assert op(ctx, i, "geometric") is op(ctx, i, "geometric")
+        assert op(ctx, i, "geometric") is not op(ctx, i)
+    assert op(ModuleContext(3), 1) is not op(ctx, 1)
+
+
+def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):
+    calls = []
+    for name in ("_raise_entry_closed", "_lower_entry_closed"):
+        original = getattr(operators, name)
+
+        def counted(ctx, p, i, j, original=original, name=name):
+            calls.append((name, p.rows, i, j))
+            return original(ctx, p, i, j)
+
+        monkeypatch.setattr(operators, name, counted)
+    records = list(whittaker_records(ModuleContext(3), 2))
+    assert all(r["status"] == "pass" for r in records)
+    assert {c[0] for c in calls} == {"_raise_entry_closed",
+                                     "_lower_entry_closed"}
+    assert len(calls) == len(set(calls))
+
+
+def test_full_verify_builds_each_whittaker_coefficient_once(monkeypatch,
+                                                            tmp_path):
+    # verify --suite full runs the whittaker suite, then the toda suite;
+    # both read the localized pairing and the coefficient sum per degree
+    pairs, sums = [], []
+    pair, rgamma = whittaker.shapovalov_pair, whittaker.rgamma_char
+
+    def counted_pair(ctx, x, y):
+        # the structure-sheaf component: its coefficients are the sym factors
+        if x.coeffs and all(c is ctx.sym_factor(p)
+                            for p, c in x.coeffs.items()):
+            pairs.append(tuple(x.degree))
+        return pair(ctx, x, y)
+
+    def counted_rgamma(ctx, x):
+        sums.append(tuple(x.degree))
+        return rgamma(ctx, x)
+
+    monkeypatch.setattr(whittaker, "shapovalov_pair", counted_pair)
+    for module in (whittaker, toda):
+        monkeypatch.setattr(module, "rgamma_char", counted_rgamma,
+                            raising=False)
+    out = tmp_path / "full.jsonl"
+    assert main(["verify", "--n", "3", "--box", "2", "--out", str(out)]) \
+        == EXIT_PASS
+    degrees = sorted(all_degrees(3, 2))
+    assert sorted(pairs) == degrees
+    assert sorted(sums) == degrees
