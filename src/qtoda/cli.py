@@ -120,6 +120,7 @@ def cmd_enumerate(args, rep: Reporter) -> None:
     points = enumerate_points(args.n, degree)
     for p in points:
         rep.emit({"point": [list(r) for r in p.rows]})
+        rep.checkpoint()
     expected = kostant_count(args.n, degree)
     rep.emit({
         "check": "count-matches-root-combinations",

@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Hashable, Iterator, List, Literal,
-                    Optional, Sequence, Tuple, TypeVar)
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Literal, Optional, Sequence, Tuple, TypeVar)
 
 from .characters import (
     corr_tangent_char,
@@ -245,8 +245,16 @@ def _unit_vec(n: int, i: int, sign: int = 1) -> Tuple[int, ...]:
 def op_scalar(ctx: ModuleContext,
               scalar: Callable[[DegreeVector], RatFunc],
               label: str = "scalar") -> GradedOperator:
+    """The diagonal operator acting on degree d by scalar(d), built once per
+    degree of this operator."""
+    by_degree: Dict[DegreeVector, RatFunc] = {}
+
     def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        return [(p, scalar(p.degree))]
+        d = p.degree
+        s = by_degree.get(d)
+        if s is None:
+            s = by_degree[d] = scalar(d)
+        return [(p, s)]
     return GradedOperator(label, (0,) * (ctx.n - 1), fn)
 
 
@@ -488,26 +496,36 @@ def _orbit_in_box(tr: Truncation, degree: DegreeVector,
 
 
 def _term_action(term: Term, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
+    """The term coeff * chain applied to [p], as (target, coefficient) pairs,
+    one per path through the (nonempty) chain."""
     coeff, chain = term
-    frontier: List[Tuple[FixedPoint, RatFunc]] = [(p, coeff)]
-    for op in reversed(chain):
-        nxt: List[Tuple[FixedPoint, RatFunc]] = []
-        for q, c in frontier:
-            for r, entry in op.terms(q):
-                nxt.append((r, entry * c))
-        frontier = nxt
+    *rest, first = chain
+    frontier = first.terms(p)
+    # a constant 1 coefficient multiplies nothing
+    if coeff.factors or not coeff.unit.is_one():
+        frontier = [(r, entry * coeff) for r, entry in frontier]
+    for op in reversed(rest):
+        frontier = [(r, entry * c) for q, c in frontier
+                    for r, entry in op.terms(q)]
     return frontier
+
+
+def _buckets(terms: Sequence[Term],
+             p: FixedPoint) -> Iterable[Tuple[FixedPoint, List[RatFunc]]]:
+    """The parts of (sum of terms)[p], grouped by target basis vector in
+    first-reached order."""
+    buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
+    for term in terms:
+        for q, c in _term_action(term, p):
+            buckets.setdefault(q.rows, (q, []))[1].append(c)
+    return buckets.values()
 
 
 def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
                     p: FixedPoint) -> Tuple[bool, str, Optional[dict]]:
     """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
-    buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
-    for term in terms:
-        for q, c in _term_action(term, p):
-            buckets.setdefault(q.rows, (q, []))[1].append(c)
     mode = "free"
-    for q, parts in buckets.values():
+    for q, parts in _buckets(terms, p):
         r = rat_sum(ctx.ring, parts)
         if r.is_zero():
             continue
@@ -559,6 +577,7 @@ def relation_suite(ctx: ModuleContext) -> List[Tuple[str, dict, List[Term]]]:
     f = {i: op_f(ctx, i) for i in rng}
     L = {i: op_L(ctx, i) for i in rng}
     Linv = {i: op_L(ctx, i, -1) for i in rng}
+    cartan = {i: _cartan_commutator_rhs(ctx, i) for i in rng}
     cho = SevostyanovChoice.standard(n)
 
     for i, j in itertools.product(rng, rng):
@@ -589,7 +608,7 @@ def relation_suite(ctx: ModuleContext) -> List[Tuple[str, dict, List[Term]]]:
             (-one, (F[j], E[i])),
         ]
         if i == j:
-            comm_terms.append((-one, (_cartan_commutator_rhs(ctx, i),)))
+            comm_terms.append((-one, (cartan[i],)))
         suite.append(("raising-lowering-commutator", {"i": i, "j": j}, comm_terms))
         # twisted commutator with the c-matrix weight
         tw_terms: List[Term] = [
@@ -597,7 +616,7 @@ def relation_suite(ctx: ModuleContext) -> List[Tuple[str, dict, List[Term]]]:
             (-v(cho.c(i, j)), (f[j], e[i])),
         ]
         if i == j:
-            tw_terms.append((-one, (_cartan_commutator_rhs(ctx, i),)))
+            tw_terms.append((-one, (cartan[i],)))
         suite.append(("twisted-commutator", {"i": i, "j": j}, tw_terms))
 
         if abs(i - j) > 1:
@@ -705,6 +724,7 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[di
     Yields one record per degree."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
+    terms = ((one, (E, F)), (-one, (F, E)))
     for d in tr.degrees():
         if not tr.contains(tuple(a + b for a, b in zip(d, E.shift))):
             yield {"check": "commutator-diagonality", "i": i,
@@ -712,11 +732,7 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[di
             continue
         ok = True
         for p in ctx.points(d):
-            buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
-            for term in ((one, (E, F)), (-one, (F, E))):
-                for q, c in _term_action(term, p):
-                    buckets.setdefault(q.rows, (q, []))[1].append(c)
-            for q, parts in buckets.values():
+            for q, parts in _buckets(terms, p):
                 if q.rows != p.rows and not rat_sum(ctx.ring, parts).is_zero():
                     ok = False
         yield {"check": "commutator-diagonality", "i": i,

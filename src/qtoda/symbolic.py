@@ -30,13 +30,15 @@ quantity in this package is born as a monomial times a product of
 nothing ever needs a multivariate GCD.
 
 Sums are where expanded numerators appear.  `rat_sum` adds its parts
-pairwise in a balanced tree, and after each pairwise sum it divides the
+pairwise in a balanced tree.  Each pairwise sum keeps tracked every factor
+power that the two summands share, positive powers included, so only what
+is left of each summand is expanded and added.  It then divides the
 numerator by every tracked binomial 1 - x^s that both summands carry in
 their denominators, for as long as the division is exact (a prefix sum
 along the lattice lines e + Z s, checked by multiplying back).  Localization
 sums collapse to small rational functions, so the partial sums stay small
 instead of growing to the lcm of every part's denominator.  `eq_exact`
-divides both sides by the factor powers they share before it expands
+divides both sides by the same shared factor powers before it expands
 anything.
 """
 
@@ -260,7 +262,7 @@ class LaurentPoly:
         return LaurentPoly(self.ring, out, max(self.bound, other.bound))
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise UsageError("operands live in different rings")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -281,6 +283,10 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(b) == 1 and a:
+            # one term times one term: one key sum, no collision possible
+            [(ka, ca)], [(kb, cb)] = a.items(), b.items()
+            return LaurentPoly(self.ring, {ka + kb: ca * cb}, bound)
         out: Terms = {}
         for ka, ca in a.items():
             for kb, cb in b.items():
@@ -511,21 +517,28 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "RatFunc") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise UsageError("operands live in different rings")
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         if self.unit.is_zero() or other.unit.is_zero():
             return RatFunc.zero(self.ring)
-        factors = dict(self.factors)
-        for key, (canon, e) in other.factors.items():
-            old = factors.get(key)
-            ne = (old[1] if old else 0) + e
-            if ne:
-                factors[key] = (canon, ne)
-            else:
-                factors.pop(key, None)
+        # factor dicts are never mutated once built, so a product with an
+        # untracked side shares the other side's dict
+        if not other.factors:
+            factors = self.factors
+        elif not self.factors:
+            factors = other.factors
+        else:
+            factors = dict(self.factors)
+            for key, (canon, e) in other.factors.items():
+                old = factors.get(key)
+                ne = (old[1] if old else 0) + e
+                if ne:
+                    factors[key] = (canon, ne)
+                else:
+                    factors.pop(key, None)
         return RatFunc(self.ring, self.unit * other.unit, factors)
 
     def inv(self) -> "RatFunc":
@@ -539,7 +552,7 @@ class RatFunc:
         return self * other.inv()
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.ring, -self.unit, dict(self.factors))
+        return RatFunc(self.ring, -self.unit, self.factors)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
@@ -551,7 +564,7 @@ class RatFunc:
     def scale_poly(self, p: LaurentPoly) -> "RatFunc":
         if p.is_zero():
             return RatFunc.zero(self.ring)
-        return RatFunc(self.ring, self.unit * p, dict(self.factors))
+        return RatFunc(self.ring, self.unit * p, self.factors)
 
     # -- views --------------------------------------------------------------
 
@@ -656,29 +669,35 @@ def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
 
 def _over_common_den(a: RatFunc, b: RatFunc) -> Tuple[
         LaurentPoly, LaurentPoly, Dict[FactorKey, Tuple[LaurentPoly, int]]]:
-    """(pa, pb, den) with a = pa / den and b = pb / den, where den holds the
-    negative powers of the least common tracked denominator.  Positive
-    factor powers are expanded into pa and pb."""
+    """(pa, pb, common) with a = pa * common and b = pb * common.
+
+    `common` holds each tracked factor at the smaller of its two powers: the
+    least common tracked denominator, times every positive factor power that
+    a and b share.  Only the remaining powers are expanded into pa and pb.
+    """
     pa, pb = a.unit, b.unit
-    den: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
+    common: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
     for key, (canon, _) in {**b.factors, **a.factors}.items():
         ea = a.factors.get(key, _ABSENT)[1]
         eb = b.factors.get(key, _ABSENT)[1]
-        m = min(ea, eb, 0)
+        m = min(ea, eb)
         if m:
-            den[key] = (canon, m)
+            common[key] = (canon, m)
         if ea != m:
             pa = pa * canon ** (ea - m)
         if eb != m:
             pb = pb * canon ** (eb - m)
-    return pa, pb, den
+    return pa, pb, common
 
 
 def _add(a: RatFunc, b: RatFunc) -> RatFunc:
-    """a + b over the least common tracked denominator, then cancelled: each
-    tracked 1 - x^s in the denominator of both a and b is divided out of the
-    numerator while the division stays exact."""
-    pa, pb, den = _over_common_den(a, b)
+    """a + b as (pa + pb) * common (see `_over_common_den`), then cancelled.
+
+    The shared numerator factor powers stay tracked on the sum, so only the
+    remainders are expanded and added.  Each tracked 1 - x^s in the
+    denominator of both a and b is then divided out of the numerator while
+    the division stays exact."""
+    pa, pb, common = _over_common_den(a, b)
     terms = dict(pa.terms)
     for k, c in pb.terms.items():
         nc = terms.get(k, 0) + c
@@ -689,7 +708,7 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     if not terms:
         return RatFunc.zero(a.ring)
     unit = LaurentPoly(a.ring, terms, max(pa.bound, pb.bound))
-    for key, (canon, e) in list(den.items()):
+    for key, (canon, e) in list(common.items()):
         s_key = _binomial_step(key)
         if s_key is None or a.factors.get(key, _ABSENT)[1] >= 0 \
                 or b.factors.get(key, _ABSENT)[1] >= 0:
@@ -700,10 +719,10 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
                 break
             unit, e = q, e + 1
         if e:
-            den[key] = (canon, e)
+            common[key] = (canon, e)
         else:
-            del den[key]
-    return RatFunc(a.ring, unit, den)
+            del common[key]
+    return RatFunc(a.ring, unit, common)
 
 
 def _tree_sum(parts: Sequence[RatFunc], lo: int, hi: int) -> RatFunc:
@@ -734,26 +753,14 @@ def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
 def eq_exact(a: RatFunc, b: RatFunc) -> bool:
     """True iff a == b as rational functions, by exact cross-multiplication.
 
-    First every tracked factor power that a and b share with the same sign
-    is divided out of both sides: dividing both by one nonzero factor keeps
-    the verdict, and a shared numerator factor is then never expanded.  The
-    rest is compared over the least common tracked denominator, term by
-    term; no binomial cancellation is tried, since only the equality of the
-    two numerators matters.
+    Both sides are divided by the factor powers they have in common (see
+    `_over_common_den`): dividing both by one nonzero factor keeps the
+    verdict, and a shared numerator factor is then never expanded.  The
+    remainders are compared term by term; no binomial cancellation is tried,
+    since only the equality of the two numerators matters.
     """
     a._check(b)
-    fa, fb = dict(a.factors), dict(b.factors)
-    for key in a.factors.keys() & b.factors.keys():
-        (canon, ea), eb = fa[key], fb[key][1]
-        if ea * eb > 0:
-            shared = ea if abs(ea) <= abs(eb) else eb
-            for f, e in ((fa, ea), (fb, eb)):
-                if e == shared:
-                    del f[key]
-                else:
-                    f[key] = (canon, e - shared)
-    pa, pb, _ = _over_common_den(RatFunc(a.ring, a.unit, fa),
-                                 RatFunc(b.ring, b.unit, fb))
+    pa, pb, _ = _over_common_den(a, b)
     return pa.terms == pb.terms
 
 

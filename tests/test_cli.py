@@ -60,6 +60,28 @@ class TestEnumerate:
         assert code == EXIT_PASS
         assert len([r for r in parsed(lines) if "point" in r]) == 1
 
+    def test_budget_stops_after_the_first_point(self, capsys, monkeypatch):
+        # a fake clock that passes the deadline once the first point is out
+        now = [0.0]
+        emit = cli.Reporter.emit
+
+        def emit_then_expire(rep, record):
+            emit(rep, record)
+            if "point" in record:
+                now[0] = 1e9
+
+        monkeypatch.setattr(cli, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
+        monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
+        code, lines = run(capsys, "enumerate", "--n", "4", "--degree", "2,2,2")
+        assert code == EXIT_BUDGET
+        records = parsed(lines)
+        assert [r for r in records if "point" in r] == [records[1]]
+        # the summary counts the config echo and the one point
+        assert records[2:] == [{"summary": True, "complete": False,
+                                "counts": {}, "records": 2}]
+
     def test_usage_errors(self, capsys):
         assert main(["enumerate", "--n", "1", "--degree", "0"]) == EXIT_USAGE
         capsys.readouterr()

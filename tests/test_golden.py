@@ -19,7 +19,10 @@ byte-equal.  The `verify` digests, the two bench workloads among them,
 were taken before that change and did not move.  The third bench
 workload, `verify --suite relations` at (4, 2), was pinned from the code
 that still built every monomial through an exponent tuple, before keys
-were built directly."""
+were built directly.  `verify --suite relations` at (5, 1) reaches wider
+tracked factor sets than (4, 2); it was pinned from the code whose pairwise
+sums still expanded every positive factor power the two summands share,
+before those powers stayed tracked."""
 
 import hashlib
 
@@ -34,6 +37,8 @@ GOLDEN = [
      "09f449e574a215f8cace41af1ed8caebda30cc6f81a2262ba362c3817d75f8f9"),
     (["verify", "--n", "4", "--box", "2", "--suite", "relations"],
      "47280e0cc767648ca96739a12eff2d3d437a9c161af5f150965a52d387a282da"),
+    (["verify", "--n", "5", "--box", "1", "--suite", "relations"],
+     "016d3f9076dc7f1a1520903c7faa160c85788b540133c89850dca1918a3f52c4"),
     (["verify", "--n", "4", "--box", "2", "--suite", "toda"],
      "7c48f36ec91ebf3f1a226f457fa194ae8092c9faa63c5977366dfbc7c937e497"),
     (["toda", "--n", "3", "--box", "2"],

@@ -493,3 +493,98 @@ class TestEqExact:
         assert eq_exact(a, b) == (a - b).is_zero()
         if same:
             assert eq_exact(a, b)
+
+
+# Tracked factors that no part of ratfunc_strategy carries; 1 - v^3 is
+# divisible by the 1 - v that those parts may have in their denominators.
+SHARED = [one_minus((1, 1, 0)), one_minus((0, 0, 6)),
+          R2.t(1) + R2.t(2) + R2.v(1)]
+
+
+def tracked(f):
+    """The (key, canonical factor) under which f is tracked."""
+    [(key, (canon, _))] = RatFunc.from_factors(R2, R2.one(),
+                                               [(f, 1)]).factors.items()
+    return key, canon
+
+
+class TestSharedNumeratorFactors:
+    @given(st.lists(st.tuples(ratfunc_strategy(), st.integers(1, 3)),
+                    min_size=2, max_size=7),
+           st.sampled_from(range(len(SHARED))))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_factor_stays_tracked(self, parts_powers, which):
+        f = SHARED[which]
+        parts = [r * RatFunc.from_factors(R2, R2.one(), [(f, k)])
+                 for r, k in parts_powers]
+        total = rat_sum(R2, parts)
+        for point in POINTS:
+            try:
+                want = sum((p.eval(point) for p in parts), Fraction(0))
+            except EvaluationError:
+                continue
+            assert total.eval(point) == want
+        live = [k for (r, k) in parts_powers if not r.is_zero()]
+        if not total.is_zero():
+            key, canon = tracked(f)
+            assert total.factors[key] == (canon, min(live))
+
+    def test_shared_power_is_the_smaller_one(self):
+        f = SHARED[0]
+        key, canon = tracked(f)
+        a = RatFunc.from_factors(R2, R2.t(1), [(f, 3), (one_minus((0, 0, 2)), -1)])
+        b = RatFunc.from_factors(R2, R2.v(1), [(f, 2)])
+        total = a + b
+        assert total.factors[key] == (canon, 2)
+        assert eq_exact(total, RatFunc.from_factors(
+            R2, R2.t(1) * f + R2.v(1) * one_minus((0, 0, 2)),
+            [(f, 2), (one_minus((0, 0, 2)), -1)]))
+
+
+class TestProductFastPaths:
+    @given(poly_strategy(R2, max_terms=1, max_exp=SLOT_LIMIT // 6),
+           poly_strategy(R2, max_terms=1, max_exp=SLOT_LIMIT // 6))
+    @settings(max_examples=150, deadline=None)
+    def test_one_term_product_matches_the_tuple_reference(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            prod = x * y
+            assert prod.sorted_terms() == naive_product(x, y)
+            assert digit_bound(prod) <= prod.bound == x.bound + y.bound
+
+    @given(st.integers(1, 5), st.integers(-9, 9).filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_operand_on_either_side(self, e, c):
+        m = R2.t(1, e) * R2.const(c)
+        zero = m - m
+        assert (zero * m).is_zero() and (m * zero).is_zero()
+        assert (R2.zero() * m).is_zero() and (m * R2.zero()).is_zero()
+
+    @given(st.integers(1, 40), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_one_term_bound_past_the_limit_raises(self, over, slot):
+        exps = [0, 0, 0]
+        exps[slot] = over
+        big, small = R2.t(1, SLOT_LIMIT), R2.monomial(exps)
+        for x, y in ((big, small), (small, big)):
+            with pytest.raises(UsageError):
+                x * y
+        # the bound is checked before the zero operand is seen
+        with pytest.raises(UsageError):
+            big * (small - small)
+
+    @given(ratfunc_strategy(), poly_strategy(R2, max_terms=3, max_exp=2),
+           st.sampled_from(SHARED + [one_minus((0, 0, 2))]),
+           st.integers(-2, 2).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_factor_dict_is_never_mutated(self, x, p, f, e):
+        x = x._with_factor(one_minus((1, 0, 1)), -1)  # at least one factor
+        y = RatFunc.from_poly(p)
+        before = dict(x.factors)
+        for prod in (x * y, y * x, -x, x.scale_poly(p)):
+            if prod.is_zero():
+                continue
+            assert prod.factors is x.factors
+            changed = prod._with_factor(f, e)
+            assert changed.factors is not x.factors
+            assert x.factors == before and not y.factors
+            assert prod.factors == before
