@@ -56,6 +56,7 @@ from .symbolic import (
     eq_exact,
     generic_ring,
     rat_sum,
+    sum_is_zero,
     tv_ring,
 )
 
@@ -132,10 +133,6 @@ class ModuleVector:
         for p in self.coeffs:
             if p.degree != tuple(self.degree):
                 raise UsageError("coefficient key has the wrong degree")
-
-    def coeff(self, p: FixedPoint, ring: TVRing) -> RatFunc:
-        got = self.coeffs.get(p)
-        return got if got is not None else RatFunc.zero(ring)
 
 
 class GradedOperator:
@@ -430,30 +427,30 @@ def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
 # Operator algebra on basis vectors
 # ---------------------------------------------------------------------------
 
+def _paths(chain: Sequence[GradedOperator], p: FixedPoint,
+           coeff: Optional[RatFunc] = None) -> List[Tuple[FixedPoint, RatFunc]]:
+    """coeff * chain applied to [p], ops right to left, as (target,
+    coefficient) pairs: one per path through the chain, so a target that
+    several paths reach appears once per path."""
+    *rest, first = chain
+    frontier = first.terms(p)
+    if coeff is not None:
+        frontier = [(r, entry * coeff) for r, entry in frontier]
+    for op in reversed(rest):
+        frontier = [(r, entry * c) for q, c in frontier
+                    for r, entry in op.terms(q)]
+    return frontier
+
+
 def compose(*ops: GradedOperator, label: Optional[str] = None) -> GradedOperator:
-    """Composition; ops are applied right to left, as written."""
+    """Composition; ops are applied right to left, as written.  Its terms
+    hold one entry per path (see `_paths`): `apply_op` and the relation
+    buckets add the entries of a target that several paths reach."""
     if not ops:
         raise UsageError("empty composition")
     shift = tuple(sum(s) for s in zip(*(op.shift for op in ops)))
-
-    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        frontier: List[Tuple[FixedPoint, RatFunc]] = [(p, None)]  # type: ignore
-        for op in reversed(ops):
-            nxt: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
-            for q, coeff in frontier:
-                for r, entry in op.terms(q):
-                    total = entry if coeff is None else entry * coeff
-                    slot = nxt.setdefault(r.rows, (r, []))
-                    slot[1].append(total)
-            frontier = []
-            for r, parts in nxt.values():
-                if len(parts) == 1:
-                    frontier.append((r, parts[0]))
-                else:
-                    frontier.append((r, rat_sum(parts[0].ring, parts)))
-        return [(q, c) for q, c in frontier if c is not None and not c.is_zero()]
-
-    return GradedOperator(label or "∘".join(op.label for op in ops), shift, fn)
+    return GradedOperator(label or "∘".join(op.label for op in ops), shift,
+                          lambda p: _paths(ops, p))
 
 
 def apply_op(op: GradedOperator, x: ModuleVector, tr: Truncation) -> ModuleVector:
@@ -499,15 +496,10 @@ def _term_action(term: Term, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
     """The term coeff * chain applied to [p], as (target, coefficient) pairs,
     one per path through the (nonempty) chain."""
     coeff, chain = term
-    *rest, first = chain
-    frontier = first.terms(p)
     # a constant 1 coefficient multiplies nothing
-    if coeff.factors or not coeff.unit.is_one():
-        frontier = [(r, entry * coeff) for r, entry in frontier]
-    for op in reversed(rest):
-        frontier = [(r, entry * c) for q, c in frontier
-                    for r, entry in op.terms(q)]
-    return frontier
+    if not coeff.factors and coeff.unit.is_one():
+        return _paths(chain, p)
+    return _paths(chain, p, coeff)
 
 
 def _buckets(terms: Sequence[Term],
@@ -526,10 +518,10 @@ def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
     """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
     mode = "free"
     for q, parts in _buckets(terms, p):
-        r = rat_sum(ctx.ring, parts)
-        if r.is_zero():
+        if sum_is_zero(parts):
             continue
         mode = "modulo-det"
+        r = rat_sum(ctx.ring, parts)
         if not _zero_mod_det(ctx.ring, r):
             witness = {
                 "source": p.to_json(),
@@ -733,7 +725,7 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[di
         ok = True
         for p in ctx.points(d):
             for q, parts in _buckets(terms, p):
-                if q.rows != p.rows and not rat_sum(ctx.ring, parts).is_zero():
+                if q.rows != p.rows and not sum_is_zero(parts):
                     ok = False
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}

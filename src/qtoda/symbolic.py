@@ -17,7 +17,7 @@ Linearity also builds monomials: the key of (e_1, ..., e_N) is
 sum_j e_j * key(x_j), and a monomial's k-th power is its key times k.
 Constructors, factor shifts, geometric blocks and monomial powers work on
 keys alone; exponent tuples appear only at the boundary (JSON, repr,
-evaluation, coefficient lookup and the determinant substitution).
+evaluation and the determinant substitution).
 
 Half-integer powers of v occur in a few diagonal operators, so the last
 exponent slot counts units of v^(1/2): the monomial v^k is stored with last
@@ -29,17 +29,18 @@ quantity in this package is born as a monomial times a product of
 (1 - monomial) binomials, so tracked factors cancel syntactically and
 nothing ever needs a multivariate GCD.
 
-Sums are where expanded numerators appear.  `rat_sum` adds its parts
-pairwise in a balanced tree.  Each pairwise sum keeps tracked every factor
-power that the two summands share, positive powers included, so only what
-is left of each summand is expanded and added.  It then divides the
-numerator by every tracked binomial 1 - x^s that both summands carry in
-their denominators, for as long as the division is exact (a prefix sum
-along the lattice lines e + Z s, checked by multiplying back).  Localization
-sums collapse to small rational functions, so the partial sums stay small
-instead of growing to the lcm of every part's denominator.  `eq_exact`
-divides both sides by the same shared factor powers before it expands
-anything.
+Sums are where expanded numerators appear.  Both ways of adding keep every
+tracked factor at its smallest power over the parts (`_over_common_den`),
+so only what is left of each part is expanded.  A verdict needs only a
+zero test: `sum_is_zero` adds the remainders once and compares the sum
+with 0, and `eq_exact(a, b)` is `sum_is_zero([a, -b])`.  A value comes
+from `rat_sum`, which adds its parts pairwise in a balanced tree.  After
+each pairwise sum it divides the numerator by every tracked binomial
+1 - x^s that both summands carry in their denominators, for as long as the
+division is exact (a prefix sum along the lattice lines e + Z s, checked by
+multiplying back).  Localization sums collapse to small rational functions,
+so the partial sums stay small instead of growing to the lcm of every
+part's denominator.
 """
 
 from __future__ import annotations
@@ -330,11 +331,6 @@ class LaurentPoly:
         """Terms in canonical (graded-lexicographic) order."""
         nvars = self.ring.nvars
         return [(unpack(k, nvars), c) for k, c in sorted(self.terms.items())]
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        if len(exps) != self.ring.nvars or _slot_bound(exps) > SLOT_LIMIT:
-            return 0
-        return self.terms.get(pack(exps), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -667,27 +663,42 @@ def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
     return LaurentPoly(p.ring, q, p.bound)
 
 
-def _over_common_den(a: RatFunc, b: RatFunc) -> Tuple[
-        LaurentPoly, LaurentPoly, Dict[FactorKey, Tuple[LaurentPoly, int]]]:
-    """(pa, pb, common) with a = pa * common and b = pb * common.
+def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
+        List[LaurentPoly], Dict[FactorKey, Tuple[LaurentPoly, int]]]:
+    """(polys, common) with parts[k] = polys[k] * common for every k.
 
-    `common` holds each tracked factor at the smaller of its two powers: the
-    least common tracked denominator, times every positive factor power that
-    a and b share.  Only the remaining powers are expanded into pa and pb.
+    `common` holds each tracked factor at its smallest power over all parts,
+    a part without the factor counting as power 0: the least common tracked
+    denominator, times every positive factor power that all parts share.
+    Only the remaining powers are expanded into the polys.
     """
-    pa, pb = a.unit, b.unit
+    polys = [r.unit for r in parts]
+    keys: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
+    for r in reversed(parts):
+        keys.update(r.factors)
     common: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
-    for key, (canon, _) in {**b.factors, **a.factors}.items():
-        ea = a.factors.get(key, _ABSENT)[1]
-        eb = b.factors.get(key, _ABSENT)[1]
-        m = min(ea, eb)
+    for key, (canon, _) in keys.items():
+        powers = [r.factors.get(key, _ABSENT)[1] for r in parts]
+        m = min(powers)
         if m:
             common[key] = (canon, m)
-        if ea != m:
-            pa = pa * canon ** (ea - m)
-        if eb != m:
-            pb = pb * canon ** (eb - m)
-    return pa, pb, common
+        for k, e in enumerate(powers):
+            if e != m:
+                polys[k] = polys[k] * canon ** (e - m)
+    return polys, common
+
+
+def _merged(polys: Sequence[LaurentPoly]) -> Terms:
+    """The terms of the sum of polys."""
+    terms = dict(polys[0].terms)
+    for p in polys[1:]:
+        for k, c in p.terms.items():
+            nc = terms.get(k, 0) + c
+            if nc:
+                terms[k] = nc
+            else:
+                del terms[k]
+    return terms
 
 
 def _add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -697,14 +708,8 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     remainders are expanded and added.  Each tracked 1 - x^s in the
     denominator of both a and b is then divided out of the numerator while
     the division stays exact."""
-    pa, pb, common = _over_common_den(a, b)
-    terms = dict(pa.terms)
-    for k, c in pb.terms.items():
-        nc = terms.get(k, 0) + c
-        if nc:
-            terms[k] = nc
-        else:
-            del terms[k]
+    (pa, pb), common = _over_common_den([a, b])
+    terms = _merged([pa, pb])
     if not terms:
         return RatFunc.zero(a.ring)
     unit = LaurentPoly(a.ring, terms, max(pa.bound, pb.bound))
@@ -747,21 +752,30 @@ def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Equality
+# Zero tests
 # ---------------------------------------------------------------------------
 
-def eq_exact(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a == b as rational functions, by exact cross-multiplication.
+def sum_is_zero(parts: Sequence[RatFunc]) -> bool:
+    """True iff the parts sum to zero as rational functions.
 
-    Both sides are divided by the factor powers they have in common (see
-    `_over_common_den`): dividing both by one nonzero factor keeps the
-    verdict, and a shared numerator factor is then never expanded.  The
-    remainders are compared term by term; no binomial cancellation is tried,
-    since only the equality of the two numerators matters.
+    Every part is divided by the factor powers that all nonzero parts have in
+    common (see `_over_common_den`): that keeps the verdict, and a factor
+    power they share is never expanded.  The remainders are added and the
+    sum is compared with 0; no binomial division is tried, since only
+    whether the numerator vanishes matters.  An empty list sums to zero.
     """
-    a._check(b)
-    pa, pb, _ = _over_common_den(a, b)
-    return pa.terms == pb.terms
+    for r in parts[1:]:
+        parts[0]._check(r)
+    live = [r for r in parts if not r.unit.is_zero()]
+    if not live:
+        return True
+    polys, _ = _over_common_den(live)
+    return not _merged(polys)
+
+
+def eq_exact(a: RatFunc, b: RatFunc) -> bool:
+    """True iff a == b as rational functions: a - b sums to zero."""
+    return sum_is_zero([a, -b])
 
 
 def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:

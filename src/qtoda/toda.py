@@ -21,18 +21,11 @@ contributing zero:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .fixed_points import DegreeVector, all_degrees
 from .operators import ModuleContext, _padded
-from .symbolic import (
-    LaurentPoly,
-    RatFunc,
-    TVRing,
-    UsageError,
-    eq_exact,
-    rat_sum,
-)
+from .symbolic import LaurentPoly, RatFunc, TVRing, UsageError, sum_is_zero
 from .whittaker import sheaf_rgamma, whittaker_pair_localized
 
 DEFAULT_SIGMA = -1
@@ -83,9 +76,10 @@ def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
 
 
 def sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
-              sigma: int = DEFAULT_SIGMA) -> RatFunc:
-    """The degree-d coefficient of the sum-type operator applied to s (all
-    squared shifts plus the v^{-2}-weighted nearest-neighbor products)."""
+              sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
+    """The parts of the degree-d coefficient of the sum-type operator applied
+    to s (all squared shifts plus the v^{-2}-weighted nearest-neighbor
+    products)."""
     parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
     for i in range(1, s.n):
         src = _minus_unit(d, i)
@@ -94,20 +88,21 @@ def sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
             m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
                 * shift_monomial(ring, i + 1, src, sigma)
             parts.append(c.scale_poly(m))
-    return rat_sum(ring, parts)
+    return parts
 
 
 def difference_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
-                     sigma: int = DEFAULT_SIGMA) -> RatFunc:
-    """The degree-d coefficient of the difference-type operator applied to s
-    (squared shifts minus the lattice-lowered squared shifts)."""
+                     sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
+    """The parts of the degree-d coefficient of the difference-type operator
+    applied to s (squared shifts minus the lattice-lowered squared
+    shifts)."""
     parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
     for j in range(2, s.n + 1):
         src = _minus_unit(d, j - 1)
         c = s.coeff(ring, src)
         if not c.is_zero():
             parts.append(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
-    return rat_sum(ring, parts)
+    return parts
 
 
 def eigenvalue_monomial_sum(ring: TVRing,
@@ -119,6 +114,15 @@ def eigenvalue_monomial_sum(ring: TVRing,
     return total
 
 
+def _eigen_holds(ring: TVRing, s: TodaSeries,
+                 op: Callable[..., List[RatFunc]], d: DegreeVector,
+                 sigma: int = DEFAULT_SIGMA) -> bool:
+    """(op s)_d == lam * s_d for the eigenvalue lam of this sign: the
+    operator's parts and -lam * s_d sum to zero."""
+    lam = eigenvalue_monomial_sum(ring, sigma)
+    return sum_is_zero(op(ring, s, d, sigma) + [s.coeffs[d].scale_poly(-lam)])
+
+
 def sign_calibration(ring: TVRing, pair_series: TodaSeries,
                      sheaf_series: TodaSeries, records: List[dict],
                      box: int) -> Dict[int, bool]:
@@ -127,11 +131,9 @@ def sign_calibration(ring: TVRing, pair_series: TodaSeries,
     opposite sign applies both operators one degree at a time, in graded
     order, and `all` stops at the first degree where either eigen-equation
     fails."""
-    lam = eigenvalue_monomial_sum(ring, -DEFAULT_SIGMA)
     degrees = sorted((d for d in pair_series.coeffs if max(d) <= box),
                      key=lambda d: (sum(d), d))
-    opposite = all(eq_exact(op(ring, s, d, -DEFAULT_SIGMA),
-                            s.coeffs[d].scale_poly(lam))
+    opposite = all(_eigen_holds(ring, s, op, d, -DEFAULT_SIGMA)
                    for d in degrees
                    for s, op in ((pair_series, sum_op_at),
                                  (sheaf_series, difference_op_at)))
@@ -157,7 +159,6 @@ def toda_records(ctx: ModuleContext, box: int,
     ring = ctx.ring
     pair = TodaSeries(ctx.n, box, {}) if pair is None else pair
     sheaf = TodaSeries(ctx.n, box, {}) if sheaf is None else sheaf
-    lam = eigenvalue_monomial_sum(ring)
     families = (
         ("sum-op-eigen", pair, sum_op_at,
          lambda d: whittaker_pair_localized(ctx, d)),
@@ -168,7 +169,7 @@ def toda_records(ctx: ModuleContext, box: int,
     for check, s, op, coefficient in families:
         for d in all_degrees(ctx.n, box):
             s.coeffs[d] = coefficient(d)
-            ok = eq_exact(op(ring, s, d), s.coeffs[d].scale_poly(lam))
+            ok = _eigen_holds(ring, s, op, d)
             records.append({"check": check, "degree": list(d),
                             "status": "pass" if ok else "fail"})
             yield records[-1]

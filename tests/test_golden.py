@@ -22,7 +22,11 @@ that still built every monomial through an exponent tuple, before keys
 were built directly.  `verify --suite relations` at (5, 1) reaches wider
 tracked factor sets than (4, 2); it was pinned from the code whose pairwise
 sums still expanded every positive factor power the two summands share,
-before those powers stayed tracked."""
+before those powers stayed tracked.  `verify --suite toda` at (4, 3) runs
+the shift-sign calibration over every degree <= 2; it was pinned from the
+code that still summed each operator's parts with rat_sum and compared the
+sum with eq_exact, before one zero test of the parts decided each
+eigen-equation."""
 
 import hashlib
 
@@ -41,6 +45,8 @@ GOLDEN = [
      "016d3f9076dc7f1a1520903c7faa160c85788b540133c89850dca1918a3f52c4"),
     (["verify", "--n", "4", "--box", "2", "--suite", "toda"],
      "7c48f36ec91ebf3f1a226f457fa194ae8092c9faa63c5977366dfbc7c937e497"),
+    (["verify", "--n", "4", "--box", "3", "--suite", "toda"],
+     "9fb769060fe44e18f5d19f0f3e4bfb60f0c35868c0c1f67f268e882861ad0252"),
     (["toda", "--n", "3", "--box", "2"],
      "c651217363b7d78bee99a295ede230084417d4862d89ba45bf88ae59b7006ec1"),
     (["whittaker", "--n", "4", "--degree", "1,2,1"],

@@ -20,6 +20,7 @@ from qtoda.symbolic import (
     geometric_block,
     pack,
     rat_sum,
+    sum_is_zero,
     tv_ring,
     unpack,
 )
@@ -588,3 +589,79 @@ class TestProductFastPaths:
             assert changed.factors is not x.factors
             assert x.factors == before and not y.factors
             assert prod.factors == before
+
+
+# Steps s whose 1 - x^s is nonzero at every point of POINTS, so a sum of
+# parts built from them evaluates there without a pole.
+ZERO_TEST_STEPS = [(0, 0, 2), (1, -1, 0), (0, 1, 2), (1, 0, -2), (1, 1, 0),
+                   (0, 0, 6)]
+
+
+@st.composite
+def zero_test_parts(draw):
+    """0-5 parts over tracked 1 - x^s factors, laid out so that one factor
+    is shared by every denominator, each part has a denominator factor of
+    its own, or every part carries a positive power of one factor.  Half the
+    time the parts are closed to sum to zero: each is followed by its
+    negation refactored as expanded -num/den, and one negation may be split
+    in two along a binomial, m/(1-x^s) - x^s m/(1-x^s) == m."""
+    layout = draw(st.sampled_from(["shared", "disjoint", "positive"]))
+    step = st.sampled_from(ZERO_TEST_STEPS)
+    common = draw(step)
+    parts = []
+    for k in range(draw(st.integers(0, 5))):
+        factors = [(one_minus(s), e) for s, e in draw(st.lists(
+            st.tuples(step, st.integers(-2, 1)), max_size=2))]
+        if layout == "shared":
+            factors.append((one_minus(common), -draw(st.integers(1, 2))))
+        elif layout == "disjoint":
+            factors.append((one_minus(ZERO_TEST_STEPS[k]), -1))
+        else:
+            factors.append((one_minus(common), draw(st.integers(1, 3))))
+        unit = draw(poly_strategy(R2, max_terms=3, max_exp=2))
+        parts.append(RatFunc.from_factors(R2, unit, factors))
+    if draw(st.booleans()):
+        mirror = [RatFunc.from_frac(-p.num, p.den) for p in parts]
+        if mirror and draw(st.booleans()):
+            s, m = draw(step), mirror.pop(0)
+            mirror += [m * RatFunc.from_factors(R2, c, [(one_minus(s), -1)])
+                       for c in (R2.one(), -R2.monomial(s))]
+        parts = parts + mirror
+    return parts
+
+
+class TestSumIsZero:
+    @given(zero_test_parts())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_agrees_with_the_tree_sum_and_evaluation(self, parts):
+        verdict = sum_is_zero(parts)
+        assert verdict == rat_sum(R2, parts).is_zero()
+        values = [sum((p.eval(point) for p in parts), Fraction(0))
+                  for point in POINTS]
+        if verdict:
+            assert values == [0, 0, 0]
+
+    def test_a_sum_that_closes_only_over_three_parts(self):
+        # 1/(1 - v^2) - v^2/(1 - v^2) - 1 == 0, though no two parts cancel
+        f = one_minus((0, 0, 4))
+        a = RatFunc.from_frac(R2.one(), f)
+        b = RatFunc.from_frac(R2.v(2), f)
+        one = RatFunc.one(R2)
+        assert sum_is_zero([a, -b, -one])
+        for pair in ([a, -b], [a, -one], [-b, -one]):
+            assert not sum_is_zero(pair)
+        assert not sum_is_zero([a])
+
+    def test_empty_and_all_zero_parts_sum_to_zero(self):
+        assert sum_is_zero([])
+        zero = RatFunc.from_factors(R2, R2.zero(), [(one_minus((0, 0, 2)), -1)])
+        assert sum_is_zero([RatFunc.zero(R2)])
+        assert sum_is_zero([zero, RatFunc.zero(R2), -zero])
+
+    def test_mixed_rings_raise(self):
+        other = tv_ring(3)
+        for parts in ([RatFunc.one(R2), RatFunc.one(other)],
+                      [RatFunc.zero(R2), RatFunc.zero(other)],
+                      [RatFunc.one(R2), RatFunc.one(R2), RatFunc.zero(other)]):
+            with pytest.raises(UsageError):
+                sum_is_zero(parts)

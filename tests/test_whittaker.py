@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+from qtoda import operators
 from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
+    GradedOperator,
     ModuleContext,
     Truncation,
     apply_op,
@@ -27,6 +29,7 @@ from qtoda.whittaker import (
     whittaker_k,
     whittaker_pair_closed,
     whittaker_pair_localized,
+    whittaker_records,
     whittaker_w,
 )
 
@@ -155,3 +158,60 @@ class TestWhittakerPairing:
         ctx = ModuleContext(3)
         assert eq_exact(whittaker_pair_closed(ctx, (0, 0)),
                         RatFunc.one(ctx.ring))
+
+
+def broken_lowering(n, i, degree, edit):
+    """A context whose F_i (closed entries) is the real operator except at
+    the point of `degree` with the most entries, where edit(ring, terms)
+    replaces its terms; returns the context and that point."""
+    ctx = ModuleContext(n)
+    real = operators._lowering_op(ctx, i, "closed")
+    p0 = max(ctx.points(degree), key=lambda p: len(real.terms(p)))
+
+    def fn(p):
+        return edit(ctx.ring, real.terms(p)) if p == p0 else real.terms(p)
+
+    ctx.memo("F", (i, "closed"), lambda: GradedOperator(real.label,
+                                                        real.shift, fn))
+    return ctx, p0
+
+
+def scale_first_entry_by_v(ring, terms):
+    (q, c), *rest = terms
+    return [(q, c.scale_poly(ring.v(1)))] + rest
+
+
+def drop_last_entry(ring, terms):
+    return terms[:-1]
+
+
+def failing(ctx, box, check):
+    """The (i, degree) of every record of `check` that does not pass."""
+    return [(r["i"], tuple(r["degree"])) for r in whittaker_records(ctx, box)
+            if r["check"] == check and r["status"] != "pass"]
+
+
+class TestBrokenOperatorsFail:
+    """The entrywise adjoint and eigen checks are not vacuous: a lowering
+    operator with one wrong or missing entry fails exactly the records that
+    read it."""
+
+    @pytest.mark.parametrize("edit,i,degree", [
+        (scale_first_entry_by_v, 1, (1, 0)),
+        (scale_first_entry_by_v, 2, (1, 2)),
+        (drop_last_entry, 2, (1, 2)),
+    ], ids=["scaled-row-1", "scaled-row-2", "dropped-row-2"])
+    def test_adjoint_fails(self, edit, i, degree):
+        ctx, p0 = broken_lowering(3, i, degree, edit)
+        if edit is drop_last_entry:
+            assert len(operators._lowering_op(ModuleContext(3), i, "closed")
+                       .terms(p0)) == 2  # one of two entries is dropped
+        below = tuple(x - (1 if k == i else 0)
+                      for k, x in enumerate(degree, 1))
+        assert failing(ctx, 1, "raising-lowering-adjoint") == [(i, below)]
+
+    def test_structure_sheaf_eigen_fails(self):
+        ctx, _ = broken_lowering(3, 1, (1, 0), scale_first_entry_by_v)
+        assert failing(ctx, 1, "structure-sheaf-vector-eigen") == [(1, (0, 0))]
+        assert failing(ModuleContext(3), 1,
+                       "structure-sheaf-vector-eigen") == []
