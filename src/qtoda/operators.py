@@ -394,8 +394,14 @@ def _lowering_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
 
 def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
     """Twisted raising generator: E_i K_i^i as a composite, or directly the
-    geometric kernel with its own monomial prefactor."""
+    geometric kernel with its own monomial prefactor.  One operator, and so
+    one entry cache, per context, row and path."""
     ctx._check_row(i)
+    return ctx.memo("e", (i, path), lambda: _twisted_raising_op(ctx, i, path))
+
+
+def _twisted_raising_op(ctx: ModuleContext, i: int,
+                        path: TwistPath) -> GradedOperator:
     if path == "composite":
         return compose(op_E(ctx, i), op_K(ctx, i, i), label=f"e{i}")
 
@@ -411,8 +417,14 @@ def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
 
 def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
     """Twisted lowering generator: K_i^{-i} F_i as a composite, or directly
-    the plain pushforward-pullback kernel."""
+    the plain pushforward-pullback kernel.  One operator, and so one entry
+    cache, per context, row and path."""
     ctx._check_row(i)
+    return ctx.memo("f", (i, path), lambda: _twisted_lowering_op(ctx, i, path))
+
+
+def _twisted_lowering_op(ctx: ModuleContext, i: int,
+                         path: TwistPath) -> GradedOperator:
     if path == "composite":
         return compose(op_K(ctx, i, -i), op_F(ctx, i), label=f"f{i}")
 
@@ -844,12 +856,10 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
             parts.append(RatFunc.from_factors(ring, unit, factors))
         return parts
 
-    # The j-th parts of the two sums share the poles s_j - s_k.  Side by side,
-    # the pairwise sum cancels those first and its partial sums stay small;
-    # summed as two separate halves, each half expands far more.
-    shifted = [f.scale_poly(q) for f in half(False)]
-    negated = [-t for t in half(True)]
-    rhs = rat_sum(ring, [x for pair in zip(shifted, negated) for x in pair])
+    # the j-th parts of the two halves share the poles s_j - s_k, so each
+    # pair is summed first
+    rhs = rat_sum(ring, [[a.scale_poly(q), -b]
+                         for a, b in zip(half(False), half(True))])
     return lhs, rhs
 
 

@@ -40,7 +40,11 @@ each pairwise sum it divides the numerator by every tracked binomial
 division is exact (a prefix sum along the lattice lines e + Z s, checked by
 multiplying back).  Localization sums collapse to small rational functions,
 so the partial sums stay small instead of growing to the lcm of every
-part's denominator.
+part's denominator.  `rat_sum` also takes nested lists of parts and sums
+them innermost first.  The localization sums over fixed points nest their
+parts by the rows of the points, the stages of the flag, last row
+innermost: each inner sum then acts as a pushforward along the map that
+forgets one stage, and its poles cancel while its numerator is still small.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Terms = Dict[int, int]  # packed monomial key -> nonzero coefficient
@@ -737,15 +741,25 @@ def _tree_sum(parts: Sequence[RatFunc], lo: int, hi: int) -> RatFunc:
     return _add(_tree_sum(parts, lo, mid), _tree_sum(parts, mid, hi))
 
 
-def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
+Parts = Sequence[Union[RatFunc, List["Parts"]]]
+
+
+def rat_sum(ring: Ring, terms: Parts) -> RatFunc:
     """Sum of rational functions, added pairwise in a balanced tree.
 
     Each pairwise sum is taken over the least common tracked denominator and
     then cancels the tracked binomials it can (see `_add`), so the partial
     sums stay near the size of the reduced result instead of growing to the
-    lcm of every part's denominator.
+    lcm of every part's denominator.  A part that is a list is summed first,
+    recursively, so nested parts are added innermost first: a caller that
+    groups parts whose poles cancel together keeps every partial sum small.
     """
-    live = [t for t in terms if not t.unit.is_zero()]
+    live = []
+    for t in terms:
+        if isinstance(t, list):
+            t = rat_sum(ring, t)
+        if not t.unit.is_zero():
+            live.append(t)
     if not live:
         return RatFunc.zero(ring)
     return _tree_sum(live, 0, len(live))

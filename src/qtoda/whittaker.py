@@ -39,6 +39,7 @@ from .operators import (
 )
 from .symbolic import (
     LaurentPoly,
+    Parts,
     RatFunc,
     TVRing,
     UsageError,
@@ -83,19 +84,34 @@ def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
     return ctx.memo("theta", p.rows, build)
 
 
+def by_rows(pairs: Sequence[Tuple[FixedPoint, RatFunc]],
+            row: int = 0) -> Parts:
+    """The parts of (point, part) pairs nested the way the space fibres: one
+    group per value of row 1, in it one group per value of row 2, and so on,
+    the last row innermost.  `rat_sum` of the result sums each fibre of the
+    map that forgets a stage before the fibres are added."""
+    if not pairs or row == len(pairs[0][0].rows) - 1:
+        return [part for _, part in pairs]
+    groups: Dict[Tuple[int, ...], List[Tuple[FixedPoint, RatFunc]]] = {}
+    for p, part in pairs:
+        groups.setdefault(p.rows[row], []).append((p, part))
+    return [by_rows(g, row + 1) for g in groups.values()]
+
+
 def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
                     y: ModuleVector) -> RatFunc:
     """The pairing of two graded vectors; distinct degrees are orthogonal."""
     if tuple(x.degree) != tuple(y.degree):
         return RatFunc.zero(ctx.ring)
-    return rat_sum(ctx.ring, [xc * y.coeffs[p] * pairing_weight(ctx, p)
-                              for p, xc in x.coeffs.items() if p in y.coeffs])
+    return rat_sum(ctx.ring, by_rows(
+        [(p, xc * y.coeffs[p] * pairing_weight(ctx, p))
+         for p, xc in x.coeffs.items() if p in y.coeffs]))
 
 
 def rgamma_char(ctx: ModuleContext, x: ModuleVector) -> RatFunc:
     """Global-sections character of a localized class: the plain coefficient
     sum (each fixed-point class contributes 1)."""
-    return rat_sum(ctx.ring, list(x.coeffs.values()))
+    return rat_sum(ctx.ring, by_rows(list(x.coeffs.items())))
 
 
 def sheaf_rgamma(ctx: ModuleContext, degree: Sequence[int]) -> RatFunc:

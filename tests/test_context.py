@@ -6,7 +6,7 @@ import pytest
 from qtoda import operators, toda, whittaker
 from qtoda.cli import EXIT_PASS, SUITES, main
 from qtoda.fixed_points import all_degrees
-from qtoda.operators import ModuleContext, op_E, op_F
+from qtoda.operators import ModuleContext, op_E, op_F, op_e, op_f
 from qtoda.whittaker import whittaker_records
 
 
@@ -31,6 +31,37 @@ def test_default_and_explicit_path_share_one_operator(op):
         assert op(ctx, i, "geometric") is op(ctx, i, "geometric")
         assert op(ctx, i, "geometric") is not op(ctx, i)
     assert op(ModuleContext(3), 1) is not op(ctx, 1)
+
+
+@pytest.mark.parametrize("op", [op_e, op_f])
+def test_twisted_generators_are_built_once_per_row_and_path(op):
+    ctx = ModuleContext(3)
+    for i in (1, 2):
+        assert op(ctx, i) is op(ctx, i)
+        assert op(ctx, i) is op(ctx, i, "composite")
+        assert op(ctx, i, "geometric") is op(ctx, i, "geometric")
+        assert op(ctx, i, "geometric") is not op(ctx, i)
+    assert op(ModuleContext(3), 1) is not op(ctx, 1)
+
+
+def test_whittaker_suite_builds_each_composite_entry_once(monkeypatch):
+    # both Whittaker eigen checks read f_i = K_i^{-i} F_i: the lowering
+    # check directly, the dual check inside K_i^{2i} f_i
+    calls = []
+    original = operators._paths
+
+    def counted(chain, p, coeff=None):
+        calls.append((tuple(op.label for op in chain), p.rows))
+        return original(chain, p, coeff)
+
+    monkeypatch.setattr(operators, "_paths", counted)
+    records = list(whittaker_records(ModuleContext(4), 2))
+    assert all(r["status"] == "pass" for r in records)
+    assert len(calls) == len(set(calls))
+    for i in (1, 2, 3):
+        twisted = {p for chain, p in calls if chain == (f"K{i}^{-i}", f"F{i}")}
+        dual = {p for chain, p in calls if chain == (f"K{i}^{2 * i}", f"f{i}")}
+        assert twisted and twisted == dual
 
 
 def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):

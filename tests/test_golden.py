@@ -26,7 +26,11 @@ before those powers stayed tracked.  `verify --suite toda` at (4, 3) runs
 the shift-sign calibration over every degree <= 2; it was pinned from the
 code that still summed each operator's parts with rat_sum and compared the
 sum with eq_exact, before one zero test of the parts decided each
-eigen-equation."""
+eigen-equation.  `verify --suite toda` at (5, 2) is the first pinned config
+whose time goes mostly to localization sums, and `toda` at (4, 2) prints
+the num/den of each of those sums; both were pinned from the code that
+still added the fixed points of a degree in one balanced tree in list
+order, before the sums were nested by the rows of the points."""
 
 import hashlib
 
@@ -47,6 +51,10 @@ GOLDEN = [
      "7c48f36ec91ebf3f1a226f457fa194ae8092c9faa63c5977366dfbc7c937e497"),
     (["verify", "--n", "4", "--box", "3", "--suite", "toda"],
      "9fb769060fe44e18f5d19f0f3e4bfb60f0c35868c0c1f67f268e882861ad0252"),
+    (["verify", "--n", "5", "--box", "2", "--suite", "toda"],
+     "254c6c005d3ffc74e5225834addfd9e622fd0917cf707f8e26cfefc1092c850f"),
+    (["toda", "--n", "4", "--box", "2"],
+     "2732db6de5134ac7a8a49c24afe2bfab0b06e54e4a1375ad06139515fa5a5119"),
     (["toda", "--n", "3", "--box", "2"],
      "c651217363b7d78bee99a295ede230084417d4862d89ba45bf88ae59b7006ec1"),
     (["whittaker", "--n", "4", "--degree", "1,2,1"],

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qtoda import operators
+from qtoda import operators, symbolic
 from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
@@ -16,8 +16,9 @@ from qtoda.operators import (
     op_E,
     op_F,
 )
-from qtoda.symbolic import RatFunc, UsageError, eq_exact
+from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
 from qtoda.whittaker import (
+    by_rows,
     dual_eigen_check,
     line_pushforward_sides,
     lowering_eigen_check,
@@ -26,6 +27,7 @@ from qtoda.whittaker import (
     partial_fraction_identity,
     rgamma_char,
     shapovalov_pair,
+    sheaf_rgamma,
     whittaker_k,
     whittaker_pair_closed,
     whittaker_pair_localized,
@@ -160,6 +162,70 @@ class TestWhittakerPairing:
                         RatFunc.one(ctx.ring))
 
 
+def flatten(nested):
+    out = []
+    for x in nested:
+        out += flatten(x) if isinstance(x, list) else [x]
+    return out
+
+
+def depth(nested):
+    return 1 + max((depth(x) for x in nested if isinstance(x, list)),
+                   default=0)
+
+
+class TestSumsAlongTheFibration:
+    """shapovalov_pair and rgamma_char sum their parts nested by the rows of
+    the points; the value is the flat sum's."""
+
+    @pytest.mark.parametrize("n,degree", [(4, (2, 2, 2)), (5, (1, 1, 1, 1))])
+    def test_nested_sums_equal_flat_sums(self, n, degree):
+        ctx = ModuleContext(n)
+        k, w = whittaker_k(ctx, degree), whittaker_w(ctx, degree)
+        flat_pair = rat_sum(ctx.ring, [c * w.coeffs[p] * pairing_weight(ctx, p)
+                                       for p, c in k.coeffs.items()])
+        assert eq_exact(shapovalov_pair(ctx, k, w), flat_pair)
+        assert eq_exact(rgamma_char(ctx, k),
+                        rat_sum(ctx.ring, list(k.coeffs.values())))
+
+    @pytest.mark.parametrize("n,degree", [(2, (3,)), (4, (2, 2, 2)),
+                                          (5, (1, 2, 2, 1))])
+    def test_by_rows_groups_each_fibre(self, n, degree):
+        points = enumerate_points(n, degree)
+        nested = by_rows([(p, p) for p in points])
+        assert sorted(flatten(nested), key=lambda p: p.rows) \
+            == sorted(points, key=lambda p: p.rows)
+        assert depth(nested) == n - 1
+
+        def check(group, row):
+            # every point of a group agrees on the rows above it
+            points = flatten(group)
+            assert len({p.rows[:row] for p in points}) == 1
+            for sub in group:
+                if isinstance(sub, list):
+                    check(sub, row + 1)
+        check(nested, 0)
+        assert by_rows([]) == []
+
+    def test_nested_sum_divides_smaller_numerators(self, monkeypatch):
+        ctx = ModuleContext(5)
+        degree = (2, 2, 2, 2)
+        terms = []
+        original = symbolic.binomial_quotient
+
+        def counted(p, s_key):
+            terms.append(len(p.terms))
+            return original(p, s_key)
+
+        monkeypatch.setattr(symbolic, "binomial_quotient", counted)
+        nested = sheaf_rgamma(ctx, degree)
+        nested_terms = sum(terms)
+        terms.clear()
+        flat = rat_sum(ctx.ring, list(whittaker_k(ctx, degree).coeffs.values()))
+        assert eq_exact(nested, flat)
+        assert 0 < nested_terms < sum(terms)
+
+
 def broken_lowering(n, i, degree, edit):
     """A context whose F_i (closed entries) is the real operator except at
     the point of `degree` with the most entries, where edit(ring, terms)
@@ -209,6 +275,23 @@ class TestBrokenOperatorsFail:
         below = tuple(x - (1 if k == i else 0)
                       for k, x in enumerate(degree, 1))
         assert failing(ctx, 1, "raising-lowering-adjoint") == [(i, below)]
+
+    @pytest.mark.parametrize("edit,i,degree", [
+        (scale_first_entry_by_v, 1, (1, 0)),
+        (scale_first_entry_by_v, 2, (0, 1)),
+        (drop_last_entry, 2, (1, 2)),
+    ], ids=["scaled-row-1", "scaled-row-2", "dropped-row-2"])
+    def test_every_reader_of_the_broken_entry_fails(self, edit, i, degree):
+        # the adjoint check reads F_i; both eigen checks read the one
+        # composite f_i = K_i^{-i} F_i that the context keeps
+        ctx, _ = broken_lowering(3, i, degree, edit)
+        below = tuple(x - (1 if k == i else 0)
+                      for k, x in enumerate(degree, 1))
+        failed = [(r["check"], r["i"], tuple(r["degree"]))
+                  for r in whittaker_records(ctx, 2) if r["status"] != "pass"]
+        assert failed == [(check, i, below) for check in (
+            "raising-lowering-adjoint", "structure-sheaf-vector-eigen",
+            "dual-vector-eigen")]
 
     def test_structure_sheaf_eigen_fails(self):
         ctx, _ = broken_lowering(3, 1, (1, 0), scale_first_entry_by_v)
