@@ -3,7 +3,9 @@
 Subcommands expose enumeration, character comparison, the verification
 suites, the Whittaker data, and the difference-Toda eigen checks.  Output
 is JSON-lines: one record per check, then a trailing summary object.
-Identical configuration and seed produce byte-identical output.
+Each subcommand is a generator of records; `main` writes them one at a
+time and checks the time budget after each.  Identical configuration and
+seed produce byte-identical output.
 
 Exit codes: 0 all pass; 1 at least one failing check; 2 usage error;
 3 time budget exceeded (set via the QTODA_TIME_BUDGET env var, seconds).
@@ -21,21 +23,20 @@ from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .characters import character_records
-from .fixed_points import enumerate_points, kostant_count
+from .fixed_points import all_degrees, enumerate_points, kostant_count
 from .operators import (
     ModuleContext,
     ModuleVector,
     relation_records,
     summation_records,
 )
-from .symbolic import UsageError, eq_exact
-from .toda import TodaSeries, toda_records
+from .symbolic import UsageError, tv_ring
+from .toda import toda_records
 from .whittaker import (
-    dual_eigen_check,
-    lowering_eigen_check,
+    eigen_records,
+    pairing_two_path_record,
     sheaf_rgamma,
     whittaker_k,
-    whittaker_pair_closed,
     whittaker_pair_localized,
     whittaker_records,
     whittaker_w,
@@ -112,75 +113,52 @@ def _vector_json(x: ModuleVector) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and yields records
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args, rep: Reporter) -> None:
+def cmd_enumerate(args) -> Iterator[dict]:
     degree = args.degree_vector
     points = enumerate_points(args.n, degree)
     for p in points:
-        rep.emit({"point": [list(r) for r in p.rows]})
-        rep.checkpoint()
+        yield {"point": [list(r) for r in p.rows]}
     expected = kostant_count(args.n, degree)
-    rep.emit({
+    yield {
         "check": "count-matches-root-combinations",
         "count": len(points),
         "expected": expected,
         "status": "pass" if len(points) == expected else "fail",
-    })
+    }
 
 
-def cmd_characters(args, rep: Reporter) -> None:
-    ring = ModuleContext(args.n).ring
-    for record in character_records(ring, args.degree_vector):
-        rep.emit(record)
-        rep.checkpoint()
+def cmd_characters(args) -> Iterator[dict]:
+    return character_records(tv_ring(args.n), args.degree_vector)
 
 
-def _whittaker_records(n: int, degree: tuple) -> Iterator[dict]:
+def cmd_whittaker(args) -> Iterator[dict]:
     """Both Whittaker components at one degree, their pairing, then the
     two-path pairing check and the eigen checks that land on it."""
-    ctx = ModuleContext(n)
-    k = whittaker_k(ctx, degree)
-    w = whittaker_w(ctx, degree)
-    pairing = whittaker_pair_localized(ctx, degree)
-    yield {"vector": "structure-sheaf", **_vector_json(k)}
-    yield {"vector": "dual", **_vector_json(w)}
-    yield {"pairing": pairing.to_json(),
+    ctx, degree = ModuleContext(args.n), args.degree_vector
+    yield {"vector": "structure-sheaf",
+           **_vector_json(whittaker_k(ctx, degree))}
+    yield {"vector": "dual", **_vector_json(whittaker_w(ctx, degree))}
+    yield {"pairing": whittaker_pair_localized(ctx, degree).to_json(),
            "rgamma": sheaf_rgamma(ctx, degree).to_json()}
-    ok = eq_exact(pairing, whittaker_pair_closed(ctx, degree))
-    yield {"check": "whittaker-pairing-two-path", "degree": list(degree),
-           "status": "pass" if ok else "fail"}
-    for i in range(1, n):
-        if degree[i - 1] == 0:
-            continue
-        lower = tuple(d - (1 if kk == i else 0)
-                      for kk, d in enumerate(degree, 1))
-        yield {"check": "structure-sheaf-vector-eigen", "i": i,
-               "degree": list(lower),
-               "status": "pass" if lowering_eigen_check(ctx, i, lower)
-               else "fail"}
-        yield {"check": "dual-vector-eigen", "i": i, "degree": list(lower),
-               "status": "pass" if dual_eigen_check(ctx, i, lower)
-               else "fail"}
+    yield pairing_two_path_record(ctx, degree)
+    for i in range(1, args.n):
+        if degree[i - 1] > 0:
+            lower = tuple(d - (1 if k == i else 0)
+                          for k, d in enumerate(degree, 1))
+            yield from eigen_records(ctx, i, lower)
 
 
-def cmd_whittaker(args, rep: Reporter) -> None:
-    for record in _whittaker_records(args.n, args.degree_vector):
-        rep.emit(record)
-        rep.checkpoint()
-
-
-def cmd_toda(args, rep: Reporter) -> None:
-    pair = TodaSeries(args.n, args.box, {})
-    sheaf = TodaSeries(args.n, args.box, {})
-    for record in toda_records(ModuleContext(args.n), args.box, pair, sheaf):
-        rep.emit(record)
-        rep.checkpoint()
-    for name, s in (("I", pair), ("J", sheaf)):
-        for d in sorted(s.coeffs):
-            rep.emit({"series": name, "degree": list(d),
-                      "value": s.coeffs[d].to_json()})
+def cmd_toda(args) -> Iterator[dict]:
+    ctx = ModuleContext(args.n)
+    yield from toda_records(ctx, args.box)
+    for name, series in (("I", whittaker_pair_localized),
+                         ("J", sheaf_rgamma)):
+        for d in all_degrees(args.n, args.box):
+            yield {"series": name, "degree": list(d),
+                   "value": series(ctx, d).to_json()}
 
 
 SUITES = {
@@ -191,14 +169,12 @@ SUITES = {
 }
 
 
-def cmd_verify(args, rep: Reporter) -> None:
+def cmd_verify(args) -> Iterator[dict]:
     ctx = ModuleContext(args.n)
     for name in SUITES if args.suite == "full" else [args.suite]:
         # the summation suite draws its rows at random and has no box
         params = (args.seed, args.i) if name == "summation" else (args.box,)
-        for record in SUITES[name](ctx, *params):
-            rep.emit(record)
-            rep.checkpoint()
+        yield from SUITES[name](ctx, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +276,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rep.emit(_config_echo(args))
         complete = True
         try:
-            args.fn(args, rep)
+            for record in args.fn(args):
+                rep.emit(record)
+                rep.checkpoint()
         except BudgetExceeded:
             complete = False
         rep.emit(rep.summary(complete))

@@ -1,12 +1,14 @@
 """Difference-Toda operators acting on degree-indexed generating series.
 
-A series here is a box-truncated family of exact rational coefficients
-indexed by degree vectors.  The two difference operators act through shift
-monomials: shifting slot j of the degree lattice multiplies the coefficient
-by t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
+A series here is a plain {degree: RatFunc} dict of exact rational
+coefficients over a box of degree vectors, read from the module context:
+the Whittaker pairing series from `whittaker_pair_localized` and the
+coefficient-sum series from `sheaf_rgamma`, both built once per degree.
+The two difference operators act through shift monomials: shifting slot j
+of the degree lattice multiplies the coefficient by
+t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
 calibration record checks that the opposite sign fails).  Both
-distinguished series -- the Whittaker pairing series and the
-coefficient-sum series -- are eigenfunctions with eigenvalue
+distinguished series are eigenfunctions with eigenvalue
 sum_i t_i^{2 sigma}.
 
 Coefficient recursions, with d_0 = d_n = 0 and absent (negative) degrees
@@ -20,8 +22,7 @@ contributing zero:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .fixed_points import DegreeVector, all_degrees
 from .operators import ModuleContext, _padded
@@ -30,27 +31,8 @@ from .whittaker import sheaf_rgamma, whittaker_pair_localized
 
 DEFAULT_SIGMA = -1
 
-
-@dataclass
-class TodaSeries:
-    """A box truncation of a degree-indexed series with rational coefficients."""
-
-    n: int
-    box: int
-    coeffs: Dict[DegreeVector, RatFunc]
-
-    def __post_init__(self) -> None:
-        for d in self.coeffs:
-            if len(d) != self.n - 1 or any(not 0 <= x <= self.box for x in d):
-                raise UsageError(f"degree {d} outside the series box")
-
-    def coeff(self, ring: TVRing, degree: DegreeVector) -> RatFunc:
-        if any(x < 0 for x in degree):
-            return RatFunc.zero(ring)
-        got = self.coeffs.get(tuple(degree))
-        if got is None:
-            raise UsageError(f"degree {degree} missing from the series box")
-        return got
+Series = Dict[DegreeVector, RatFunc]
+Operator = Callable[[TVRing, Series, DegreeVector, int], List[RatFunc]]
 
 
 def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
@@ -75,33 +57,32 @@ def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
     return total
 
 
-def sum_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+def sum_op_at(ring: TVRing, s: Series, d: DegreeVector,
               sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
     """The parts of the degree-d coefficient of the sum-type operator applied
     to s (all squared shifts plus the v^{-2}-weighted nearest-neighbor
     products)."""
-    parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
-    for i in range(1, s.n):
+    parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
+    for i in range(1, ring.n):
         src = _minus_unit(d, i)
-        c = s.coeff(ring, src)
-        if not c.is_zero():
+        if min(src) >= 0 and not s[src].is_zero():
             m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
                 * shift_monomial(ring, i + 1, src, sigma)
-            parts.append(c.scale_poly(m))
+            parts.append(s[src].scale_poly(m))
     return parts
 
 
-def difference_op_at(ring: TVRing, s: TodaSeries, d: DegreeVector,
+def difference_op_at(ring: TVRing, s: Series, d: DegreeVector,
                      sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
     """The parts of the degree-d coefficient of the difference-type operator
     applied to s (squared shifts minus the lattice-lowered squared
     shifts)."""
-    parts = [s.coeffs[d].scale_poly(_diagonal(ring, d, sigma))]
-    for j in range(2, s.n + 1):
+    parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
+    for j in range(2, ring.n + 1):
         src = _minus_unit(d, j - 1)
-        c = s.coeff(ring, src)
-        if not c.is_zero():
-            parts.append(c.scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
+        if min(src) >= 0 and not s[src].is_zero():
+            parts.append(
+                s[src].scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
     return parts
 
 
@@ -114,37 +95,29 @@ def eigenvalue_monomial_sum(ring: TVRing,
     return total
 
 
-def _eigen_holds(ring: TVRing, s: TodaSeries,
-                 op: Callable[..., List[RatFunc]], d: DegreeVector,
+def _eigen_holds(ring: TVRing, s: Series, op: Operator, d: DegreeVector,
                  sigma: int = DEFAULT_SIGMA) -> bool:
     """(op s)_d == lam * s_d for the eigenvalue lam of this sign: the
     operator's parts and -lam * s_d sum to zero."""
     lam = eigenvalue_monomial_sum(ring, sigma)
-    return sum_is_zero(op(ring, s, d, sigma) + [s.coeffs[d].scale_poly(-lam)])
+    return sum_is_zero(op(ring, s, d, sigma) + [s[d].scale_poly(-lam)])
 
 
-def sign_calibration(ring: TVRing, pair_series: TodaSeries,
-                     sheaf_series: TodaSeries, records: List[dict],
-                     box: int) -> Dict[int, bool]:
-    """{sigma: all-pass} over the degrees in `box`.  The working sign's
-    verdict is read from its eigen records over the two series.  The
-    opposite sign applies both operators one degree at a time, in graded
-    order, and `all` stops at the first degree where either eigen-equation
-    fails."""
-    degrees = sorted((d for d in pair_series.coeffs if max(d) <= box),
+def sign_calibration(ring: TVRing, pairs: Sequence[Tuple[Series, Operator]],
+                     box: int, working: bool) -> Dict[int, bool]:
+    """{sigma: all-pass} over the degrees <= `box` of the filled (series,
+    operator) pairs.  The working sign's verdict is `working`, decided by
+    its eigen records as they were made.  The opposite sign applies each
+    operator one degree at a time, in graded order, and `all` stops at the
+    first degree where an eigen-equation fails."""
+    degrees = sorted((d for d in pairs[0][0] if max(d) <= box),
                      key=lambda d: (sum(d), d))
     opposite = all(_eigen_holds(ring, s, op, d, -DEFAULT_SIGMA)
-                   for d in degrees
-                   for s, op in ((pair_series, sum_op_at),
-                                 (sheaf_series, difference_op_at)))
-    return {DEFAULT_SIGMA: all(r["status"] == "pass" for r in records
-                               if max(r["degree"]) <= box),
-            -DEFAULT_SIGMA: opposite}
+                   for d in degrees for s, op in pairs)
+    return {DEFAULT_SIGMA: working, -DEFAULT_SIGMA: opposite}
 
 
-def toda_records(ctx: ModuleContext, box: int,
-                 pair: Optional[TodaSeries] = None,
-                 sheaf: Optional[TodaSeries] = None) -> Iterator[dict]:
+def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """Both eigen-equations over the box, then the sign calibration.
 
     The sum-type operator is checked on the Whittaker pairing series, then
@@ -152,32 +125,30 @@ def toda_records(ctx: ModuleContext, box: int,
     global-sections character of the localized structure-sheaf class).  Each
     series is filled one degree at a time in lexicographic order; every
     d - e_i is lex-smaller than d, so each record is decided as soon as its
-    degree exists.  Pass empty series as `pair` and `sheaf` to keep the
-    filled coefficients.  The calibration record comes last: the working
-    sign must pass and the opposite sign must fail, over degrees <= 2.
+    degree exists.  The calibration record comes last: the working sign
+    must pass and the opposite sign must fail, over degrees <= 2.
     """
     ring = ctx.ring
-    pair = TodaSeries(ctx.n, box, {}) if pair is None else pair
-    sheaf = TodaSeries(ctx.n, box, {}) if sheaf is None else sheaf
-    families = (
-        ("sum-op-eigen", pair, sum_op_at,
-         lambda d: whittaker_pair_localized(ctx, d)),
-        ("difference-op-eigen", sheaf, difference_op_at,
-         lambda d: sheaf_rgamma(ctx, d)),
-    )
-    records = []
-    for check, s, op, coefficient in families:
+    cut = min(box, 2)
+    pairs: List[Tuple[Series, Operator]] = []
+    working = True
+    for check, op, coefficient in (
+            ("sum-op-eigen", sum_op_at, whittaker_pair_localized),
+            ("difference-op-eigen", difference_op_at, sheaf_rgamma)):
+        s: Series = {}
+        pairs.append((s, op))
         for d in all_degrees(ctx.n, box):
-            s.coeffs[d] = coefficient(d)
+            s[d] = coefficient(ctx, d)
             ok = _eigen_holds(ring, s, op, d)
-            records.append({"check": check, "degree": list(d),
-                            "status": "pass" if ok else "fail"})
-            yield records[-1]
+            if max(d) <= cut:
+                working = working and ok
+            yield {"check": check, "degree": list(d),
+                   "status": "pass" if ok else "fail"}
     if box == 0:
         # at degree 0 both signs pass, so the opposite sign cannot fail
         status = "skipped-out-of-box"
     else:
-        cal = sign_calibration(ring, pair, sheaf, records, min(box, 2))
+        cal = sign_calibration(ring, pairs, cut, working)
         status = "pass" if cal[DEFAULT_SIGMA] and not cal[-DEFAULT_SIGMA] \
             else "fail"
     yield {"check": "shift-sign-calibration", "working_sign": DEFAULT_SIGMA,

@@ -202,6 +202,15 @@ def dual_eigen_check(ctx: ModuleContext, i: int,
     return _eigen_holds(ctx, dual_raising_op(ctx, i), whittaker_w, i, degree)
 
 
+def eigen_records(ctx: ModuleContext, i: int,
+                  degree: Sequence[int]) -> Iterator[dict]:
+    """Both Whittaker eigen records of row i landing on degree d."""
+    for check, holds in (("structure-sheaf-vector-eigen", lowering_eigen_check),
+                         ("dual-vector-eigen", dual_eigen_check)):
+        yield {"check": check, "i": i, "degree": list(degree),
+               "status": "pass" if holds(ctx, i, degree) else "fail"}
+
+
 def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int]) -> bool:
     """E_i and F_i are adjoint on degrees d and d + e_i: for every point pair
     (p, q) that either operator links, E_qp theta_q - F_pq theta_p sums to
@@ -316,6 +325,14 @@ def whittaker_pair_localized(ctx: ModuleContext,
         ctx, whittaker_k(ctx, degree), whittaker_w(ctx, degree)))
 
 
+def pairing_two_path_record(ctx: ModuleContext,
+                            degree: Sequence[int]) -> dict:
+    """The closed and the localized Whittaker pairing agree at degree d."""
+    ok = eq_exact(whittaker_pair_closed(ctx, degree),
+                  whittaker_pair_localized(ctx, degree))
+    return {"check": "whittaker-pairing-two-path", "degree": list(degree),
+            "status": "pass" if ok else "fail"}
+
 
 # ---------------------------------------------------------------------------
 # The whittaker suite
@@ -342,13 +359,7 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
                    "status": "pass" if _adjoint_holds(ctx, i, d) else "fail"}
     for i in range(1, n):
         for d in all_degrees(n, box):
-            yield {"check": "structure-sheaf-vector-eigen", "i": i,
-                   "degree": list(d),
-                   "status": "pass" if lowering_eigen_check(ctx, i, d)
-                   else "fail"}
-            yield {"check": "dual-vector-eigen", "i": i, "degree": list(d),
-                   "status": "pass" if dual_eigen_check(ctx, i, d)
-                   else "fail"}
+            yield from eigen_records(ctx, i, d)
     for i in range(1, n):
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):
@@ -362,7 +373,4 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
                "status": "pass" if partial_fraction_identity(i)
                else "fail"}
     for d in all_degrees(n, box):
-        ok = eq_exact(whittaker_pair_closed(ctx, d),
-                      whittaker_pair_localized(ctx, d))
-        yield {"check": "whittaker-pairing-two-path", "degree": list(d),
-               "status": "pass" if ok else "fail"}
+        yield pairing_two_path_record(ctx, d)

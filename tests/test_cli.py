@@ -17,21 +17,25 @@ from qtoda.cli import (
 from qtoda.operators import ModuleContext, Truncation
 
 
-@pytest.fixture
-def expire_after_first_verdict(monkeypatch):
+def expire_after_first(monkeypatch, key):
     """A fake clock that passes the time budget as soon as the first record
-    with a status is written."""
+    with `key` is written."""
     now = [0.0]
     emit = cli.Reporter.emit
 
     def emit_then_expire(rep, record):
         emit(rep, record)
-        if "status" in record:
+        if key in record:
             now[0] = 1e9
 
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
     monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
+
+
+@pytest.fixture
+def expire_after_first_verdict(monkeypatch):
+    expire_after_first(monkeypatch, "status")
 
 
 def run(capsys, *argv):
@@ -61,19 +65,7 @@ class TestEnumerate:
         assert len([r for r in parsed(lines) if "point" in r]) == 1
 
     def test_budget_stops_after_the_first_point(self, capsys, monkeypatch):
-        # a fake clock that passes the deadline once the first point is out
-        now = [0.0]
-        emit = cli.Reporter.emit
-
-        def emit_then_expire(rep, record):
-            emit(rep, record)
-            if "point" in record:
-                now[0] = 1e9
-
-        monkeypatch.setattr(cli, "time",
-                            SimpleNamespace(monotonic=lambda: now[0]))
-        monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
-        monkeypatch.setenv("QTODA_TIME_BUDGET", "60")
+        expire_after_first(monkeypatch, "point")
         code, lines = run(capsys, "enumerate", "--n", "4", "--degree", "2,2,2")
         assert code == EXIT_BUDGET
         records = parsed(lines)
@@ -135,6 +127,18 @@ class TestTodaCommand:
         assert all(r["status"] == "pass" for r in checks)
         assert [(r["series"], r["degree"]) for r in records[len(checks):]] \
             == [(s, [d]) for s in "IJ" for d in range(3)]
+
+
+    def test_budget_stops_after_the_first_series_line(self, capsys,
+                                                      monkeypatch):
+        expire_after_first(monkeypatch, "series")
+        code, lines = run(capsys, "toda", "--n", "2", "--box", "2")
+        assert code == EXIT_BUDGET
+        records = parsed(lines)
+        series = [r for r in records if "series" in r]
+        assert [(r["series"], r["degree"]) for r in series] == [("I", [0])]
+        assert records[-2] == series[0]
+        assert records[-1]["complete"] is False
 
 
 class TestVerify:
@@ -242,6 +246,20 @@ class TestVerify:
         assert records[-1]["complete"] is False
         assert [r["check"] for r in records if "status" in r] == \
             ["whittaker-pairing-two-path"]
+
+    @pytest.mark.parametrize("argv", [
+        ["characters", "--n", "3", "--degree", "1,1"],
+        ["whittaker", "--n", "3", "--degree", "1,1"],
+        ["toda", "--n", "3", "--box", "2"],
+        ["verify", "--n", "3", "--box", "1"],
+    ], ids=lambda x: x[0])
+    def test_every_subcommand_stops_after_the_first_verdict(
+            self, capsys, argv, expire_after_first_verdict):
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        records = parsed(lines)
+        assert records[-1]["complete"] is False
+        assert len([r for r in records if "status" in r]) == 1
 
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("QTODA_TIME_BUDGET", "soon")

@@ -30,7 +30,11 @@ eigen-equation.  `verify --suite toda` at (5, 2) is the first pinned config
 whose time goes mostly to localization sums, and `toda` at (4, 2) prints
 the num/den of each of those sums; both were pinned from the code that
 still added the fixed points of a degree in one balanced tree in list
-order, before the sums were nested by the rows of the points."""
+order, before the sums were nested by the rows of the points.
+`enumerate` at (4, 2,2,2) and `characters` at (4, 2,1,2) were pinned from
+the code whose subcommands each ran their own emit-and-checkpoint loop,
+before every subcommand became a record generator consumed by one loop in
+`main`."""
 
 import hashlib
 
@@ -59,6 +63,10 @@ GOLDEN = [
      "c651217363b7d78bee99a295ede230084417d4862d89ba45bf88ae59b7006ec1"),
     (["whittaker", "--n", "4", "--degree", "1,2,1"],
      "31df1158ab87ac4b9e45b073ab70fd292fc34320b24c2b7215b110fc57302ffb"),
+    (["enumerate", "--n", "4", "--degree", "2,2,2"],
+     "2c1ccb5da21c131e2bb76e0fd9a943fa2c03a6a722c51be46872831b2dad11f2"),
+    (["characters", "--n", "4", "--degree", "2,1,2"],
+     "8664ff3aa8676969dc15173c6e5aba3714bd11fec6533dabb9b14c5c9ec608a4"),
 ]
 
 

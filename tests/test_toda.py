@@ -2,10 +2,10 @@
 
 import pytest
 
+from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
 from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
 from qtoda.toda import (
-    TodaSeries,
     difference_op_at,
     eigenvalue_monomial_sum,
     shift_monomial,
@@ -13,15 +13,25 @@ from qtoda.toda import (
     sum_op_at,
     toda_records,
 )
+from qtoda.whittaker import sheaf_rgamma, whittaker_pair_localized
 
 
 def filled_series(ctx, box):
-    """The eigen records, the pairing series and the coefficient-sum series
-    over the box, as toda_records fills them."""
-    pair = TodaSeries(ctx.n, box, {})
-    sheaf = TodaSeries(ctx.n, box, {})
-    records = list(toda_records(ctx, box, pair, sheaf))
-    return records, pair, sheaf
+    """The eigen records, then the pairing series and the coefficient-sum
+    series over the box as {degree: coefficient} dicts, read from the
+    context that toda_records filled."""
+    records = list(toda_records(ctx, box))
+    degrees = all_degrees(ctx.n, box)
+    return (records,
+            {d: whittaker_pair_localized(ctx, d) for d in degrees},
+            {d: sheaf_rgamma(ctx, d) for d in degrees})
+
+
+def working_verdict(records, box):
+    """The working sign's verdict as its eigen records give it over the
+    degrees <= box."""
+    return all(r["status"] == "pass" for r in records
+               if "degree" in r and max(r["degree"]) <= box)
 
 
 def eigen_verdicts(ring, pairs, sigma, box):
@@ -31,8 +41,8 @@ def eigen_verdicts(ring, pairs, sigma, box):
     records use one zero test of the parts and -lam * s_d."""
     lam = eigenvalue_monomial_sum(ring, sigma)
     return {(op.__name__, d): eq_exact(rat_sum(ring, op(ring, s, d, sigma)),
-                                       s.coeffs[d].scale_poly(lam))
-            for s, op in pairs for d in sorted(s.coeffs) if max(d) <= box}
+                                       s[d].scale_poly(lam))
+            for s, op in pairs for d in sorted(s) if max(d) <= box}
 
 
 class TestShiftMonomial:
@@ -63,27 +73,27 @@ class TestSeries:
         ctx = ModuleContext(2)
         _, pair, sheaf = filled_series(ctx, 1)
         for series in (pair, sheaf):
-            assert eq_exact(series.coeffs[(0,)], RatFunc.one(ctx.ring))
+            assert eq_exact(series[(0,)], RatFunc.one(ctx.ring))
 
-    def test_box_validation(self):
-        ctx = ModuleContext(2)
-        with pytest.raises(UsageError):
-            TodaSeries(2, 1, {(2,): RatFunc.one(ctx.ring)})
-
-    def test_missing_degree_is_error_but_negative_is_zero(self):
-        ctx = ModuleContext(2)
-        _, _, s = filled_series(ctx, 1)
-        assert s.coeff(ctx.ring, (-1,)).is_zero()
-        with pytest.raises(UsageError):
-            s.coeff(ctx.ring, (2,))
+    @pytest.mark.parametrize("op", [sum_op_at, difference_op_at],
+                             ids=lambda op: op.__name__)
+    def test_negative_degree_is_zero(self, op):
+        # at degree 0 every source degree d - e_i is negative, so only the
+        # diagonal part remains
+        ctx = ModuleContext(3)
+        one = RatFunc.one(ctx.ring)
+        parts = op(ctx.ring, {(0, 0): one}, (0, 0))
+        assert len(parts) == 1
+        assert eq_exact(parts[0], one.scale_poly(
+            eigenvalue_monomial_sum(ctx.ring)))
 
     def test_filled_on_a_larger_box_equals_smaller_fill(self):
         ctx = ModuleContext(3)
         _, *small = filled_series(ctx, 1)
         _, *big = filled_series(ctx, 2)
         for s, b in zip(small, big):
-            for d, c in s.coeffs.items():
-                assert eq_exact(b.coeffs[d], c)
+            for d, c in s.items():
+                assert eq_exact(b[d], c)
 
 
 EIGEN_BOXES = [(2, 4), (3, 2)]
@@ -95,15 +105,17 @@ class TestEigenEquations:
         records, pair, _ = filled_series(ModuleContext(n), box)
         assert {r["check"] for r in records} == {
             "sum-op-eigen", "difference-op-eigen", "shift-sign-calibration"}
-        assert len(records) == 2 * len(pair.coeffs) + 1
+        assert len(records) == 2 * len(pair) + 1
         assert all(r["status"] == "pass" for r in records)
 
     def test_sign_calibration(self):
         # sigma = -1 is the working convention; the opposite sign must fail
         ctx = ModuleContext(2)
         records, pair, sheaf = filled_series(ctx, 2)
-        assert sign_calibration(ctx.ring, pair, sheaf, records[:-1],
-                                2) == {-1: True, 1: False}
+        pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
+        assert sign_calibration(ctx.ring, pairs, 2,
+                                working_verdict(records, 2)) == \
+            {-1: True, 1: False}
         assert records[-1] == {"check": "shift-sign-calibration",
                                "working_sign": -1, "status": "pass"}
 
@@ -121,8 +133,8 @@ class TestEigenEquations:
         reference = {sigma: all(eigen_verdicts(ring, pairs, sigma, cut)
                                 .values())
                      for sigma in (-1, 1)}
-        assert sign_calibration(ring, pair, sheaf, records[:-1],
-                                cut) == reference
+        assert sign_calibration(ring, pairs, cut,
+                                working_verdict(records, cut)) == reference
 
     def test_verdicts_do_not_depend_on_the_box(self):
         # so the calibration may read a sign's verdict from a larger box
