@@ -270,7 +270,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "degree", None) is not None:
             args.degree_vector = _parse_degree(args.degree, args.n)
         if args.out:
-            stream = open(args.out, "w")
+            try:
+                stream = open(args.out, "w")
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot write {args.out}: {exc.strerror}") from exc
             close = True
         rep = Reporter(stream, budget)
         rep.emit(_config_echo(args))

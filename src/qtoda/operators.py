@@ -15,6 +15,11 @@ Every non-diagonal operator has two independent construction paths:
 
 Their entrywise agreement is an acceptance test, not an assumption.
 
+Each quantum-group relation is written once per generator set (X, Y, c):
+the plain E, F with c = 0, and Sevostyanov's twisted e_i = E_i K_i^i,
+f_i = K_i^{-i} F_i with the twist c = `sevostyanov_c`, whose relations are
+the plain ones deformed by powers v^c.
+
 Relation checks run over a degree truncation box.  A check at a basis
 vector is attempted only when the whole relation orbit (every intermediate
 degree) stays inside the box; degrees below zero are genuinely absent from
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Literal, Optional, Sequence, Tuple, TypeVar)
 
@@ -84,42 +89,12 @@ class Truncation:
         return all_degrees(self.n, self.cap)
 
 
-@dataclass(frozen=True)
-class SevostyanovChoice:
-    """The fixed twist data: matrices n_ij and c_ij = n_ij - n_ji."""
-
-    rank: int
-    n_matrix: Tuple[Tuple[int, ...], ...]
-    c_matrix: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def standard(n: int) -> "SevostyanovChoice":
-        """n_{ii} = -2i, n_{i,i±1} = i, else 0; hence c_{i,i+1} = -1,
-        c_{i+1,i} = 1, else 0."""
-        m = n - 1
-        nm = [[0] * m for _ in range(m)]
-        for i in range(1, m + 1):
-            nm[i - 1][i - 1] = -2 * i
-            if i + 1 <= m:
-                nm[i - 1][i] = i
-            if i - 1 >= 1:
-                nm[i - 1][i - 2] = i
-        cm = [[nm[a][b] - nm[b][a] for b in range(m)] for a in range(m)]
-        return SevostyanovChoice(
-            rank=n,
-            n_matrix=tuple(tuple(r) for r in nm),
-            c_matrix=tuple(tuple(r) for r in cm),
-        )
-
-    def c(self, i: int, j: int) -> int:
-        return self.c_matrix[i - 1][j - 1]
-
-    def __post_init__(self) -> None:
-        m = self.rank - 1
-        for a in range(m):
-            for b in range(m):
-                if self.c_matrix[a][b] != self.n_matrix[a][b] - self.n_matrix[b][a]:
-                    raise UsageError("c matrix is not the antisymmetrization of n")
+def sevostyanov_c(i: int, j: int) -> int:
+    """The twist exponent c(i, j) = n_ij - n_ji of the twisted generators
+    e_i = E_i K_i^i, f_i = K_i^{-i} F_i, for the standard n (n_ii = -2i,
+    n_{i,i±1} = i, else 0): -1 just above the diagonal, 1 just below, else
+    0."""
+    return i - j if abs(i - j) == 1 else 0
 
 
 @dataclass
@@ -567,97 +542,52 @@ def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
     return op_scalar(ctx, scalar, label=f"(K{i}-K{i}^-1)/(v-v^-1)")
 
 
-def relation_suite(ctx: ModuleContext) -> List[Tuple[str, dict, List[Term]]]:
-    """All relation instances as (name, params, terms-summing-to-zero)."""
-    n = ctx.n
+def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]:
+    """All relation instances as (name, params, terms-summing-to-zero).
+
+    Each relation is written once for a generator set (tag, X, Y, c): the
+    plain E, F with c = 0, and the twisted e, f with c = sevostyanov_c.
+    """
     ring = ctx.ring
-    rng = range(1, n)
+    rng = range(1, ctx.n)
     one = RatFunc.one(ring)
     v = lambda k: RatFunc.from_poly(ring.v(k))
-    suite: List[Tuple[str, dict, List[Term]]] = []
-
-    E = {i: op_E(ctx, i) for i in rng}
-    F = {i: op_F(ctx, i) for i in rng}
-    e = {i: op_e(ctx, i) for i in rng}
-    f = {i: op_f(ctx, i) for i in rng}
-    L = {i: op_L(ctx, i) for i in rng}
+    vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
+    E, F, e, f, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
+        op_E, op_F, op_e, op_f, op_L, _cartan_commutator_rhs))
     Linv = {i: op_L(ctx, i, -1) for i in rng}
-    cartan = {i: _cartan_commutator_rhs(ctx, i) for i in rng}
-    cho = SevostyanovChoice.standard(n)
+    sets = (("", E, F, lambda i, j: 0), ("twisted-", e, f, sevostyanov_c))
 
     for i, j in itertools.product(rng, rng):
-        # diagonal-conjugation: L_i X_j L_i^{-1} = v^{±δ_ij} X_j
-        suite.append((
-            "diagonal-conjugates-raising", {"i": i, "j": j},
-            [(one, (L[i], E[j], Linv[i])),
-             (-v(1 if i == j else 0), (E[j],))],
-        ))
-        suite.append((
-            "diagonal-conjugates-lowering", {"i": i, "j": j},
-            [(one, (L[i], F[j], Linv[i])),
-             (-v(-1 if i == j else 0), (F[j],))],
-        ))
-        suite.append((
-            "diagonal-conjugates-twisted-raising", {"i": i, "j": j},
-            [(one, (L[i], e[j], Linv[i])),
-             (-v(1 if i == j else 0), (e[j],))],
-        ))
-        suite.append((
-            "diagonal-conjugates-twisted-lowering", {"i": i, "j": j},
-            [(one, (L[i], f[j], Linv[i])),
-             (-v(-1 if i == j else 0), (f[j],))],
-        ))
-        # commutator of raising and lowering
-        comm_terms: List[Term] = [
-            (one, (E[i], F[j])),
-            (-one, (F[j], E[i])),
-        ]
-        if i == j:
-            comm_terms.append((-one, (cartan[i],)))
-        suite.append(("raising-lowering-commutator", {"i": i, "j": j}, comm_terms))
-        # twisted commutator with the c-matrix weight
-        tw_terms: List[Term] = [
-            (one, (e[i], f[j])),
-            (-v(cho.c(i, j)), (f[j], e[i])),
-        ]
-        if i == j:
-            tw_terms.append((-one, (cartan[i],)))
-        suite.append(("twisted-commutator", {"i": i, "j": j}, tw_terms))
-
-        if abs(i - j) > 1:
-            suite.append(("distant-raising-commute", {"i": i, "j": j},
-                          [(one, (E[i], E[j])), (-one, (E[j], E[i]))]))
-            suite.append(("distant-lowering-commute", {"i": i, "j": j},
-                          [(one, (F[i], F[j])), (-one, (F[j], F[i]))]))
-            suite.append(("distant-twisted-raising-commute", {"i": i, "j": j},
-                          [(one, (e[i], e[j])), (-one, (e[j], e[i]))]))
-            suite.append(("distant-twisted-lowering-commute", {"i": i, "j": j},
-                          [(one, (f[i], f[j])), (-one, (f[j], f[i]))]))
-
-        if abs(i - j) == 1:
-            vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
-            suite.append(("serre-raising", {"i": i, "j": j},
-                          [(one, (E[i], E[i], E[j])),
-                           (-vv, (E[i], E[j], E[i])),
-                           (one, (E[j], E[i], E[i]))]))
-            suite.append(("serre-lowering", {"i": i, "j": j},
-                          [(one, (F[i], F[i], F[j])),
-                           (-vv, (F[i], F[j], F[i])),
-                           (one, (F[j], F[i], F[i]))]))
-            # In the deformed Serre relation the twist exponent is indexed
-            # by the outer generator first: v^{c(j,i)}, the transpose of the
-            # exponent appearing in the mixed commutator.  Verified by
-            # exhaustive probe over candidate exponents at low degrees.
-            c = cho.c(j, i)
-            suite.append(("serre-twisted-raising", {"i": i, "j": j},
-                          [(one, (e[i], e[i], e[j])),
-                           (-(vv * v(c)), (e[i], e[j], e[i])),
-                           (v(2 * c), (e[j], e[i], e[i]))]))
-            suite.append(("serre-twisted-lowering", {"i": i, "j": j},
-                          [(one, (f[i], f[i], f[j])),
-                           (-(vv * v(c)), (f[i], f[j], f[i])),
-                           (v(2 * c), (f[j], f[i], f[i]))]))
-    return suite
+        ij = {"i": i, "j": j}
+        # diagonal conjugation: L_i X_j L_i^{-1} = v^{±δ_ij} X_j
+        for tag, X, Y, _ in sets:
+            for way, Z, s in (("raising", X, 1), ("lowering", Y, -1)):
+                yield (f"diagonal-conjugates-{tag}{way}", ij,
+                       [(one, (L[i], Z[j], Linv[i])),
+                        (-v(s if i == j else 0), (Z[j],))])
+        # X_i Y_j - v^{c(i,j)} Y_j X_i = δ_ij (K_i - K_i^{-1}) / (v - v^{-1})
+        for tag, X, Y, c in sets:
+            terms = [(one, (X[i], Y[j])), (-v(c(i, j)), (Y[j], X[i]))]
+            if i == j:
+                terms.append((-one, (cartan[i],)))
+            yield f"{tag or 'raising-lowering-'}commutator", ij, terms
+        for tag, X, Y, c in sets:
+            for way, Z in (("raising", X), ("lowering", Y)):
+                if abs(i - j) > 1:
+                    yield (f"distant-{tag}{way}-commute", ij,
+                           [(one, (Z[i], Z[j])), (-one, (Z[j], Z[i]))])
+                elif abs(i - j) == 1:
+                    # In the deformed Serre relation the twist exponent is
+                    # indexed by the outer generator first: v^{c(j,i)}, the
+                    # transpose of the exponent appearing in the mixed
+                    # commutator.  Verified by exhaustive probe over
+                    # candidate exponents at low degrees.
+                    k = c(j, i)
+                    yield (f"serre-{tag}{way}", ij,
+                           [(one, (Z[i], Z[i], Z[j])),
+                            (-(vv * v(k)), (Z[i], Z[j], Z[i])),
+                            (v(2 * k), (Z[j], Z[i], Z[i]))])
 
 
 def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
@@ -677,18 +607,13 @@ def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict
                 if 1 <= k <= ctx.n - 1:
                     rhs = rhs * ctx.l_scalar(k, d) ** power
             diff = lhs - rhs
-            if diff.is_zero():
-                status, mode = "pass", "free"
-            elif ring.substitute_det_one(diff).is_zero():
-                status, mode = "pass", "modulo-det"
-            else:
-                status, mode = "fail", "modulo-det"
+            ok = _zero_mod_det(ring, RatFunc.from_poly(diff))
             yield {
                 "check": "diagonal-consistency",
                 "i": i,
                 "degree": list(d),
-                "mode": mode,
-                "status": status,
+                "mode": "free" if diff.is_zero() else "modulo-det",
+                "status": "pass" if ok else "fail",
             }
 
 

@@ -295,6 +295,15 @@ class TestDeterminism:
             assert code == EXIT_PASS
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.jsonl"
+        code = main(["verify", "--n", "2", "--box", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         main(["toda", "--n", "2", "--box", "1", "--out", str(out)])

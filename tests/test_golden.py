@@ -34,7 +34,10 @@ order, before the sums were nested by the rows of the points.
 `enumerate` at (4, 2,2,2) and `characters` at (4, 2,1,2) were pinned from
 the code whose subcommands each ran their own emit-and-checkpoint loop,
 before every subcommand became a record generator consumed by one loop in
-`main`."""
+`main`.  `verify --suite relations` at (6, 1) is the first pinned config
+with distant pairs up to |i - j| = 4; it was pinned from the code that
+still typed every relation once per generator set, before each relation
+was written once in a table over the plain and twisted generators."""
 
 import hashlib
 
@@ -51,6 +54,8 @@ GOLDEN = [
      "47280e0cc767648ca96739a12eff2d3d437a9c161af5f150965a52d387a282da"),
     (["verify", "--n", "5", "--box", "1", "--suite", "relations"],
      "016d3f9076dc7f1a1520903c7faa160c85788b540133c89850dca1918a3f52c4"),
+    (["verify", "--n", "6", "--box", "1", "--suite", "relations"],
+     "d31453eaa827c15bf398c5198069538225545ad0ad1060db2b14a49491fea3a9"),
     (["verify", "--n", "4", "--box", "2", "--suite", "toda"],
      "7c48f36ec91ebf3f1a226f457fa194ae8092c9faa63c5977366dfbc7c937e497"),
     (["verify", "--n", "4", "--box", "3", "--suite", "toda"],

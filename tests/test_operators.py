@@ -14,7 +14,6 @@ from qtoda import operators
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
     ModuleContext,
-    SevostyanovChoice,
     Truncation,
     apply_op,
     basis_vector,
@@ -154,19 +153,40 @@ class TestModuleAction:
             ModuleVector((1,), {FixedPoint.zero(2): RatFunc.one(ctx.ring)})
 
 
-class TestSevostyanov:
-    def test_standard_matrices(self):
-        cho = SevostyanovChoice.standard(4)
-        assert cho.c(1, 2) == -1 and cho.c(2, 1) == 1
-        assert cho.c(2, 3) == -1 and cho.c(3, 2) == 1
-        assert cho.c(1, 3) == 0
-        for i in range(1, 4):
-            assert cho.c(i, i) == 0
-            assert cho.n_matrix[i - 1][i - 1] == -2 * i
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_sevostyanov_c_is_the_antisymmetrized_standard_n(n):
+    def n_standard(i, j):
+        if i == j:
+            return -2 * i
+        return i if abs(i - j) == 1 else 0
 
-    def test_antisymmetrization_enforced(self):
-        with pytest.raises(UsageError):
-            SevostyanovChoice(rank=2, n_matrix=((0,),), c_matrix=((1,),))
+    for i, j in itertools.product(range(1, n), repeat=2):
+        assert operators.sevostyanov_c(i, j) \
+            == n_standard(i, j) - n_standard(j, i)
+
+
+WRONG_TWIST_FAILS = {"twisted-commutator": 8, "serre-twisted-raising": 4,
+                     "serre-twisted-lowering": 4}
+
+
+@pytest.mark.parametrize("twist,fails", [
+    ("standard", {}),
+    ("transpose", WRONG_TWIST_FAILS),
+    ("zero", WRONG_TWIST_FAILS),
+])
+def test_twist_calibration(monkeypatch, twist, fails):
+    # only the standard twist makes the twisted relations hold; the
+    # transposed and the zero twist each break exactly the twisted
+    # commutators and the twisted Serre relations
+    c = operators.sevostyanov_c
+    twists = {"standard": c, "transpose": lambda i, j: c(j, i),
+               "zero": lambda i, j: 0}
+    monkeypatch.setattr(operators, "sevostyanov_c", twists[twist])
+    counts = {}
+    for r in verify_relations(ModuleContext(3), Truncation(3, 2)):
+        if r["status"] == "fail":
+            counts[r["check"]] = counts.get(r["check"], 0) + 1
+    assert counts == fails
 
 
 SUITE_BOXES = [(2, 4), (3, 3), (4, 2)]
