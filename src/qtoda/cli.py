@@ -264,9 +264,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("rank parameter must be at least 2")
         if getattr(args, "box", None) is not None and args.box < 0:
             raise UsageError("box must be nonnegative")
-        if getattr(args, "i", None) is not None \
-                and not 1 <= args.i <= args.n - 1:
-            raise UsageError(f"row index {args.i} out of range for n={args.n}")
+        if getattr(args, "i", None) is not None:
+            if args.suite not in ("summation", "full"):
+                raise UsageError(f"--i does not apply to suite {args.suite}")
+            if not 1 <= args.i <= args.n - 1:
+                raise UsageError(
+                    f"row index {args.i} out of range for n={args.n}")
         if getattr(args, "degree", None) is not None:
             args.degree_vector = _parse_degree(args.degree, args.n)
         if args.out:

@@ -58,6 +58,12 @@ class FixedPoint:
             raise UsageError(f"column {j} out of range for row {i}")
         return self.rows[i - 1][j - 1]
 
+    def row(self, i: int) -> Tuple[int, ...]:
+        """Row i, with the boundary rows a_{0,*} = () and a_{n,*} = 0."""
+        if i == self.n:
+            return (0,) * self.n
+        return self.rows[i - 1] if i else ()
+
     @property
     def degree(self) -> DegreeVector:
         return tuple(sum(row) for row in self.rows)
@@ -189,8 +195,7 @@ def lower_moves(p: FixedPoint, i: int) -> List[Tuple[FixedPoint, int]]:
         raise UsageError(f"row index {i} out of range")
     out = []
     for j in range(1, i + 1):
-        below = p.entry(i + 1, j) if i + 1 <= p.n - 1 else 0
-        if p.entry(i, j) > below:
+        if p.entry(i, j) > p.entry(i + 1, j):
             out.append((p.replace(i, j, p.entry(i, j) - 1), j))
     return out
 

@@ -8,7 +8,9 @@ operator along decrements.  Off-adjacency entries vanish.
 
 Every non-diagonal operator has two independent construction paths:
 
-- "closed": the factored product formula for each matrix entry;
+- "closed": the factored product formula for each matrix entry, written
+  once over rows (`raising_product`, `lowering_product`); the pushforward
+  and summation identities sum the same products;
 - "geometric": the localization ratio S(correspondence) / S(source) of
   symmetric-algebra characters, scaled by the tautological line weight for
   the raising direction.
@@ -34,11 +36,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Literal, Optional, Sequence, Tuple, TypeVar)
+                    Literal, Optional, Sequence, Tuple, TypeVar, get_args)
 
 from .characters import (
     corr_tangent_char,
+    line_weight,
     modification_weight,
     sym_inverse,
     tangent_char,
@@ -198,6 +202,12 @@ class ModuleContext:
         if not 1 <= i <= self.n - 1:
             raise UsageError(f"row index {i} out of range 1..{self.n - 1}")
 
+    def _check_generator(self, i: int, path: str, paths: Any) -> None:
+        """Row i is in range and path is one of the Literal `paths`."""
+        self._check_row(i)
+        if path not in get_args(paths):
+            raise UsageError(f"unknown operator path {path!r}")
+
 
 def _padded(degree: DegreeVector) -> Dict[int, int]:
     d = {k: v for k, v in enumerate(degree, start=1)}
@@ -252,8 +262,10 @@ def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
 # Raising / lowering operators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _one_minus(ring: TVRing, t_num: int, t_den: int, v_power: int) -> LaurentPoly:
-    """1 - t_{t_num}^2 t_{t_den}^{-2} v^{v_power}."""
+    """1 - t_{t_num}^2 t_{t_den}^{-2} v^{v_power}, built once per ring and
+    arguments: the closed products reuse the same few binomials."""
     return ring.one() - weight_ratio(ring, t_num, t_den, v_power)
 
 
@@ -276,39 +288,52 @@ def _lower_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> Lauren
     )
 
 
+def raising_product(ring: TVRing, upper: Sequence[int], mid: Sequence[int],
+                    j: int) -> RatFunc:
+    """The closed raising entry at column j of row i = len(mid), without the
+    degree prefactor, for rows a_{i-1,*} = upper and a_{i,*} = mid
+    (a = mid_j):
+      t_j^2 v^{-2a} (1-v^2)^{-1}
+            prod_{k<=i, k!=j} (1 - t_j^2 t_k^{-2} v^{2a_ik - 2a})^{-1}
+            prod_{k<=i-1}     (1 - t_j^2 t_k^{-2} v^{2a_{i-1,k} - 2a})."""
+    a = mid[j - 1]
+    # 1 - v^2 is the binomial with k = j
+    factors: List[Tuple[LaurentPoly, int]] = [(_one_minus(ring, j, j, 2), -1)]
+    for k, b in enumerate(mid, start=1):
+        if k != j:
+            factors.append((_one_minus(ring, j, k, 2 * b - 2 * a), -1))
+    for k, b in enumerate(upper, start=1):
+        factors.append((_one_minus(ring, j, k, 2 * b - 2 * a), 1))
+    return RatFunc.from_factors(ring, line_weight(ring, j, a), factors)
+
+
+def lowering_product(ring: TVRing, mid: Sequence[int], low: Sequence[int],
+                     j: int) -> RatFunc:
+    """The closed lowering entry at column j of row i = len(mid), without
+    the degree prefactor, for rows a_{i,*} = mid and a_{i+1,*} = low
+    (a = mid_j):
+      (1-v^2)^{-1} prod_{k<=i, k!=j} (1 - t_k^2 t_j^{-2} v^{2a - 2a_ik})^{-1}
+                   prod_{k<=i+1}     (1 - t_k^2 t_j^{-2} v^{2a - 2a_{i+1,k}})."""
+    a = mid[j - 1]
+    factors: List[Tuple[LaurentPoly, int]] = [(_one_minus(ring, j, j, 2), -1)]
+    for k, b in enumerate(mid, start=1):
+        if k != j:
+            factors.append((_one_minus(ring, k, j, 2 * a - 2 * b), -1))
+    for k, b in enumerate(low, start=1):
+        factors.append((_one_minus(ring, k, j, 2 * a - 2 * b), 1))
+    return RatFunc.from_factors(ring, ring.one(), factors)
+
+
 def _raise_entry_closed(ctx: ModuleContext, p: FixedPoint, i: int,
                         j: int) -> RatFunc:
-    """Factored product for the raising entry at move (i, j), without the
-    degree prefactor."""
-    ring = ctx.ring
-    a = p.entry(i, j)
-    factors: List[Tuple[LaurentPoly, int]] = [(ring.one() - ring.v(2), -1)]
-    for k in range(1, i + 1):
-        if k != j:
-            factors.append(
-                (_one_minus(ring, j, k, 2 * p.entry(i, k) - 2 * a), -1))
-    for k in range(1, i):
-        factors.append(
-            (_one_minus(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a), 1))
-    lam = ring.t_monomial({j: 2}, v_power=-2 * a)
-    return RatFunc.from_factors(ring, lam, factors)
+    """The raising entry at move (i, j), without the degree prefactor."""
+    return raising_product(ctx.ring, p.row(i - 1), p.row(i), j)
 
 
 def _lower_entry_closed(ctx: ModuleContext, p: FixedPoint, i: int,
                         j: int) -> RatFunc:
-    """Factored product for the lowering entry at move (i, j), without the
-    degree prefactor."""
-    ring = ctx.ring
-    a = p.entry(i, j)
-    factors: List[Tuple[LaurentPoly, int]] = [(ring.one() - ring.v(2), -1)]
-    for k in range(1, i + 1):
-        if k != j:
-            factors.append(
-                (_one_minus(ring, k, j, 2 * a - 2 * p.entry(i, k)), -1))
-    for k in range(1, i + 2):
-        factors.append(
-            (_one_minus(ring, k, j, 2 * a - 2 * p.entry(i + 1, k)), 1))
-    return RatFunc.from_factors(ring, ring.one(), factors)
+    """The lowering entry at move (i, j), without the degree prefactor."""
+    return lowering_product(ctx.ring, p.row(i), p.row(i + 1), j)
 
 
 def _raise_entry_geometric(ctx: ModuleContext, p: FixedPoint, i: int,
@@ -326,7 +351,7 @@ def _lower_entry_geometric(ctx: ModuleContext, p: FixedPoint, q: FixedPoint,
 def op_E(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
     """The raising operator for row i: degree d -> d + e_i.  One operator,
     and so one entry cache, per context, row and path."""
-    ctx._check_row(i)
+    ctx._check_generator(i, path, EntryPath)
     return ctx.memo("E", (i, path), lambda: _raising_op(ctx, i, path))
 
 
@@ -335,10 +360,8 @@ def _raising_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
         pref = _raise_prefactor(ctx, i, p.degree)
         out = []
         for q, j in raise_moves(p, i):
-            if path == "closed":
-                entry = _raise_entry_closed(ctx, p, i, j)
-            else:
-                entry = _raise_entry_geometric(ctx, p, i, j)
+            entry = (_raise_entry_closed(ctx, p, i, j) if path == "closed"
+                     else _raise_entry_geometric(ctx, p, i, j))
             out.append((q, entry.scale_poly(pref)))
         return out
 
@@ -348,7 +371,7 @@ def _raising_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
 def op_F(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
     """The lowering operator for row i: degree d -> d - e_i.  One operator,
     and so one entry cache, per context, row and path."""
-    ctx._check_row(i)
+    ctx._check_generator(i, path, EntryPath)
     return ctx.memo("F", (i, path), lambda: _lowering_op(ctx, i, path))
 
 
@@ -357,10 +380,8 @@ def _lowering_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
         pref = _lower_prefactor(ctx, i, p.degree)
         out = []
         for q, j in lower_moves(p, i):
-            if path == "closed":
-                entry = _lower_entry_closed(ctx, p, i, j)
-            else:
-                entry = _lower_entry_geometric(ctx, p, q, i, j)
+            entry = (_lower_entry_closed(ctx, p, i, j) if path == "closed"
+                     else _lower_entry_geometric(ctx, p, q, i, j))
             out.append((q, entry.scale_poly(pref)))
         return out
 
@@ -371,7 +392,7 @@ def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
     """Twisted raising generator: E_i K_i^i as a composite, or directly the
     geometric kernel with its own monomial prefactor.  One operator, and so
     one entry cache, per context, row and path."""
-    ctx._check_row(i)
+    ctx._check_generator(i, path, TwistPath)
     return ctx.memo("e", (i, path), lambda: _twisted_raising_op(ctx, i, path))
 
 
@@ -394,7 +415,7 @@ def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
     """Twisted lowering generator: K_i^{-i} F_i as a composite, or directly
     the plain pushforward-pullback kernel.  One operator, and so one entry
     cache, per context, row and path."""
-    ctx._check_row(i)
+    ctx._check_generator(i, path, TwistPath)
     return ctx.memo("f", (i, path), lambda: _twisted_lowering_op(ctx, i, path))
 
 
@@ -697,9 +718,12 @@ def summation_identity_sides(n: int, i: int,
     variables, for given row data (rows i-1, i, i+1 of a triangular array).
 
     The left side is the weighted difference of the two Cartan monomials;
-    the right side is the signed sum over columns of factored products.
-    Their equality is what makes the raising/lowering commutator diagonal
-    entries close into (K_i - K_i^{-1})/(v - v^{-1}).
+    the right side is E_i F_i - F_i E_i at the diagonal without the degree
+    prefactors: the sums over columns j of the operators' own closed
+    products, R(upper, mid - e_j, j) L(mid, low, j) minus
+    R(upper, mid, j) L(mid + e_j, low, j).  Their equality is what makes the
+    raising/lowering commutator diagonal entries close into
+    (K_i - K_i^{-1})/(v - v^{-1}).
     """
     if not 1 <= i <= n - 1:
         raise UsageError("row index out of range")
@@ -709,35 +733,19 @@ def summation_identity_sides(n: int, i: int,
 
     head = ring.t_monomial({i: 1, i + 1: -1}, v_power=Du - 2 * Dm + Dl - 1) \
         - ring.t_monomial({i: -1, i + 1: 1}, v_power=-Du + 2 * Dm - Dl + 1)
-    scale = ((ring.one() - ring.v(2)) ** 2) \
-        * ring.t_monomial({i: 1, i + 1: 1}, v_power=Du - Dl)
+    scale = ring.t_monomial({i: 1, i + 1: 1}, v_power=Du - Dl)
     lhs = RatFunc.from_frac(head * scale, ring.v(1) - ring.v(-1))
 
-    def half(shifted: bool) -> RatFunc:
-        # shifted=True is the first sum (v-exponents carry +2 in the s-slots)
-        s = 2 if shifted else 0
-        parts = []
-        for j in range(1, i + 1):
-            a = mid[j - 1]
-            unit = ring.t_monomial({j: 2}, v_power=-2 * a + s)
-            factors: List[Tuple[LaurentPoly, int]] = [
-                (_one_minus(ring, i, j, 2 * a - 2 * low[i - 1] + (0 if shifted else 2)), 1),
-                (_one_minus(ring, i + 1, j, 2 * a - 2 * low[i] + (0 if shifted else 2)), 1),
-            ]
-            for k in range(1, i + 1):
-                if k == j:
-                    continue
-                b = mid[k - 1]
-                factors.append((_one_minus(ring, k, j, 2 * a - 2 * b + (0 if shifted else 2)), -1))
-                factors.append((_one_minus(ring, j, k, 2 * b - 2 * a + (2 if shifted else 0)), -1))
-            for k in range(1, i):
-                factors.append((_one_minus(ring, k, j, 2 * a - 2 * low[k - 1] + (0 if shifted else 2)), 1))
-                factors.append((_one_minus(ring, j, k, 2 * upper[k - 1] - 2 * a + (2 if shifted else 0)), 1))
-            parts.append(RatFunc.from_factors(ring, unit, factors))
-        return rat_sum(ring, parts)
+    def moved(j: int, step: int) -> Tuple[int, ...]:
+        return tuple(b + step if k == j else b for k, b in enumerate(mid, 1))
 
-    rhs = half(True) - half(False)
-    return lhs, rhs
+    ef = rat_sum(ring, [raising_product(ring, upper, moved(j, -1), j)
+                        * lowering_product(ring, mid, low, j)
+                        for j in range(1, i + 1)])
+    fe = rat_sum(ring, [raising_product(ring, upper, mid, j)
+                        * lowering_product(ring, moved(j, 1), low, j)
+                        for j in range(1, i + 1)])
+    return lhs, ef - fe
 
 
 def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
@@ -761,7 +769,8 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
         big = big * x
     lhs = RatFunc.from_poly((ring.one() - q) * (big - ring.one()))
 
-    def half(q_on_r: bool) -> List[RatFunc]:
+    def columns(q_on_r: bool) -> List[RatFunc]:
+        # one half of the right side, one part per column j
         parts = []
         for j in range(i):
             unit = s[j] ** -2
@@ -785,7 +794,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
     # the j-th parts of the two halves share the poles s_j - s_k, so each
     # pair is summed first
     rhs = rat_sum(ring, [[a.scale_poly(q), -b]
-                         for a, b in zip(half(False), half(True))])
+                         for a, b in zip(columns(False), columns(True))])
     return lhs, rhs
 
 

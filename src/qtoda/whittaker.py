@@ -34,7 +34,7 @@ from .operators import (
     op_F,
     op_K,
     op_f,
-    _one_minus,
+    raising_product,
     _padded,
 )
 from .symbolic import (
@@ -240,11 +240,9 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
     scalar multiple of the structure sheaf.
 
     For row data a_{i-1,*} = upper (length i-1) and a_{i,*} = mid (length
-    i), the left side is
-      sum_j t_j^2 v^{-2 a_ij} (1-v^2)^{-1}
-            prod_{k<=i, k!=j} (1 - t_j^2 t_k^{-2} v^{2a_ik - 2a_ij})^{-1}
-            prod_{k<=i-1}     (1 - t_j^2 t_k^{-2} v^{2a_{i-1,k} - 2a_ij})
-    and the right side is t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
+    i), the left side is sum_j raising_product(upper, mid, j), the closed
+    raising entries of E_i without their degree prefactor, and the right
+    side is t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
     """
     upper = tuple(int(a) for a in upper)
     mid = tuple(int(a) for a in mid)
@@ -253,23 +251,11 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
     if not 1 <= i <= n - 1:
         raise UsageError("row index out of range")
     ring = tv_ring(n)
-    one_minus_v2 = [(ring.one() - ring.v(2), -1)]
-    parts: List[RatFunc] = []
-    for j in range(1, i + 1):
-        a = mid[j - 1]
-        unit = ring.t_monomial({j: 2}, v_power=-2 * a)
-        factors: List[Tuple[LaurentPoly, int]] = list(one_minus_v2)
-        for k in range(1, i + 1):
-            if k != j:
-                factors.append(
-                    (_one_minus(ring, j, k, 2 * mid[k - 1] - 2 * a), -1))
-        for k in range(1, i):
-            factors.append(
-                (_one_minus(ring, j, k, 2 * upper[k - 1] - 2 * a), 1))
-        parts.append(RatFunc.from_factors(ring, unit, factors))
-    lhs = rat_sum(ring, parts)
-    rhs_unit = ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid))
-    rhs = RatFunc.from_factors(ring, rhs_unit, one_minus_v2)
+    lhs = rat_sum(ring, [raising_product(ring, upper, mid, j)
+                         for j in range(1, i + 1)])
+    rhs = RatFunc.from_frac(
+        ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid)),
+        ring.one() - ring.v(2))
     return lhs, rhs
 
 
@@ -363,8 +349,8 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     for i in range(1, n):
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):
-                upper = p.rows[i - 2] if i >= 2 else ()
-                lhs, rhs = line_pushforward_sides(n, i, upper, p.rows[i - 1])
+                lhs, rhs = line_pushforward_sides(n, i, p.row(i - 1),
+                                                  p.row(i))
                 yield {"check": "line-pushforward-identity", "i": i,
                        "point": [list(r) for r in p.rows],
                        "status": "pass" if eq_exact(lhs, rhs) else "fail"}

@@ -166,6 +166,14 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert not [r for r in parsed(lines) if r.get("check")]
 
+    @pytest.mark.parametrize("suite", ["relations", "whittaker", "toda"])
+    def test_row_index_rejected_outside_the_summation_suites(self, capsys,
+                                                             suite):
+        code, lines = run(capsys, "verify", "--n", "2", "--box", "1",
+                          "--suite", suite, "--i", "1")
+        assert code == EXIT_USAGE
+        assert lines == []
+
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--n", "3", "--degree", "1"],
         ["characters", "--n", "3", "--degree=1,-1"],

@@ -7,6 +7,7 @@ from qtoda import operators, toda, whittaker
 from qtoda.cli import EXIT_PASS, SUITES, main
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext, op_E, op_F, op_e, op_f
+from qtoda.symbolic import UsageError
 from qtoda.whittaker import whittaker_records
 
 
@@ -39,9 +40,19 @@ def test_twisted_generators_are_built_once_per_row_and_path(op):
     for i in (1, 2):
         assert op(ctx, i) is op(ctx, i)
         assert op(ctx, i) is op(ctx, i, "composite")
-        assert op(ctx, i, "geometric") is op(ctx, i, "geometric")
-        assert op(ctx, i, "geometric") is not op(ctx, i)
+        assert op(ctx, i, "direct") is op(ctx, i, "direct")
+        assert op(ctx, i, "direct") is not op(ctx, i)
     assert op(ModuleContext(3), 1) is not op(ctx, 1)
+
+
+@pytest.mark.parametrize("op,path", [
+    (op_E, "closd"), (op_F, "composite"), (op_e, "geometric"),
+    (op_f, "closed")], ids=lambda x: getattr(x, "__name__", x))
+def test_unknown_path_is_rejected_before_anything_is_built(op, path):
+    ctx = ModuleContext(3)
+    with pytest.raises(UsageError, match="unknown operator path"):
+        op(ctx, 1, path)
+    assert not ctx._memo
 
 
 def test_whittaker_suite_builds_each_composite_entry_once(monkeypatch):

@@ -37,7 +37,11 @@ before every subcommand became a record generator consumed by one loop in
 `main`.  `verify --suite relations` at (6, 1) is the first pinned config
 with distant pairs up to |i - j| = 4; it was pinned from the code that
 still typed every relation once per generator set, before each relation
-was written once in a table over the plain and twisted generators."""
+was written once in a table over the plain and twisted generators.
+`verify --suite summation` at (5, 0) with seed 3 is the first pinned run of
+the summation suite; it was pinned from the code that still checked the
+identity on a hand-typed copy of the raising-times-lowering products,
+before its right side was built from the operators' own closed products."""
 
 import hashlib
 
@@ -62,6 +66,9 @@ GOLDEN = [
      "9fb769060fe44e18f5d19f0f3e4bfb60f0c35868c0c1f67f268e882861ad0252"),
     (["verify", "--n", "5", "--box", "2", "--suite", "toda"],
      "254c6c005d3ffc74e5225834addfd9e622fd0917cf707f8e26cfefc1092c850f"),
+    (["verify", "--n", "5", "--box", "0", "--suite", "summation",
+      "--seed", "3"],
+     "971a0189cc89549ff127c4fcb758a43aa2d3188df38c8309b175453e30ae69c4"),
     (["toda", "--n", "4", "--box", "2"],
      "2732db6de5134ac7a8a49c24afe2bfab0b06e54e4a1375ad06139515fa5a5119"),
     (["toda", "--n", "3", "--box", "2"],

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from qtoda import operators
+from qtoda import operators, whittaker
 
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
@@ -25,6 +25,7 @@ from qtoda.operators import (
     op_L,
     op_e,
     op_f,
+    summation_records,
     verify_summation_identity,
     verify_relations,
 )
@@ -276,3 +277,36 @@ class TestSummationIdentity:
     def test_row_length_validation(self):
         with pytest.raises(UsageError):
             verify_summation_identity(3, 2, [[1], [2], [1, 1, 0]])
+
+
+def break_product(monkeypatch, name):
+    """Scale the closed product `name` by v in every module that binds it."""
+    original = getattr(operators, name)
+
+    def scaled(ring, *rows_and_column):
+        return original(ring, *rows_and_column).scale_poly(ring.v(1))
+
+    for module in (operators, whittaker):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, scaled)
+
+
+class TestLemmaChecksReadTheOperatorsProducts:
+    """The pushforward and summation identities sum the products that E and
+    F are built from, so a wrong closed entry fails them."""
+
+    def test_broken_raising_product_fails_the_pushforward_identity(
+            self, monkeypatch):
+        break_product(monkeypatch, "raising_product")
+        records = [r for r in whittaker.whittaker_records(ModuleContext(3), 2)
+                   if r["check"] == "line-pushforward-identity"]
+        assert len(records) == 28
+        assert all(r["status"] == "fail" for r in records)
+
+    @pytest.mark.parametrize("name", ["raising_product", "lowering_product"])
+    def test_broken_product_fails_the_summation_identity(self, monkeypatch,
+                                                         name):
+        break_product(monkeypatch, name)
+        records = list(summation_records(ModuleContext(5), 3))
+        assert len(records) == 4
+        assert all(r["status"] == "fail" for r in records)
