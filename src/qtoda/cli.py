@@ -37,7 +37,7 @@ from .whittaker import (
     pairing_two_path_record,
     sheaf_rgamma,
     whittaker_k,
-    whittaker_pair_localized,
+    whittaker_pair_closed,
     whittaker_records,
     whittaker_w,
 )
@@ -141,7 +141,7 @@ def cmd_whittaker(args) -> Iterator[dict]:
     yield {"vector": "structure-sheaf",
            **_vector_json(whittaker_k(ctx, degree))}
     yield {"vector": "dual", **_vector_json(whittaker_w(ctx, degree))}
-    yield {"pairing": whittaker_pair_localized(ctx, degree).to_json(),
+    yield {"pairing": whittaker_pair_closed(ctx, degree).to_json(),
            "rgamma": sheaf_rgamma(ctx, degree).to_json()}
     yield pairing_two_path_record(ctx, degree)
     for i in range(1, args.n):
@@ -154,7 +154,7 @@ def cmd_whittaker(args) -> Iterator[dict]:
 def cmd_toda(args) -> Iterator[dict]:
     ctx = ModuleContext(args.n)
     yield from toda_records(ctx, args.box)
-    for name, series in (("I", whittaker_pair_localized),
+    for name, series in (("I", whittaker_pair_closed),
                          ("J", sheaf_rgamma)):
         for d in all_degrees(args.n, args.box):
             yield {"series": name, "degree": list(d),

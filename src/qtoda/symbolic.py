@@ -227,8 +227,11 @@ class TVRing(Ring):
         return _packed(self, out)
 
 
+@lru_cache(maxsize=None)
 def tv_ring(n: int) -> TVRing:
-    """The ring Z[t_1^{±1},..,t_n^{±1}, v^{±1/2}] for rank parameter n."""
+    """The ring Z[t_1^{±1},..,t_n^{±1}, v^{±1/2}] for rank parameter n, one
+    object per n, so every polynomial of one rank shares its ring by
+    identity."""
     if n < 1:
         raise UsageError("need at least one t variable")
     return TVRing(names=tuple(f"t{i}" for i in range(1, n + 1)) + ("v",), n=n)

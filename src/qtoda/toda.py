@@ -2,8 +2,9 @@
 
 A series here is a plain {degree: RatFunc} dict of exact rational
 coefficients over a box of degree vectors, read from the module context:
-the Whittaker pairing series from `whittaker_pair_localized` and the
-coefficient-sum series from `sheaf_rgamma`, both built once per degree.
+the Whittaker pairing series from `whittaker_pair_closed` (a monomial times
+`sheaf_rgamma`) and the coefficient-sum series from `sheaf_rgamma` itself,
+so both read the one localization sum, built once per degree.
 The two difference operators act through shift monomials: shifting slot j
 of the degree lattice multiplies the coefficient by
 t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
@@ -27,7 +28,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 from .fixed_points import DegreeVector, all_degrees
 from .operators import ModuleContext, _padded
 from .symbolic import LaurentPoly, RatFunc, TVRing, UsageError, sum_is_zero
-from .whittaker import sheaf_rgamma, whittaker_pair_localized
+from .whittaker import sheaf_rgamma, whittaker_pair_closed
 
 DEFAULT_SIGMA = -1
 
@@ -133,7 +134,7 @@ def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     pairs: List[Tuple[Series, Operator]] = []
     working = True
     for check, op, coefficient in (
-            ("sum-op-eigen", sum_op_at, whittaker_pair_localized),
+            ("sum-op-eigen", sum_op_at, whittaker_pair_closed),
             ("difference-op-eigen", difference_op_at, sheaf_rgamma)):
         s: Series = {}
         pairs.append((s, op))

@@ -14,8 +14,11 @@ The two distinguished vectors are:
 - the inverse-determinant vector, an eigenvector of every pairing-adjoint
   twisted raising generator with the same eigenvalue.
 
-Their pairing degree by degree has a closed product form; its agreement
-with the direct localized computation is a test target.
+Their pairing degree by degree has a closed form: a monomial m_d times the
+coefficient sum of the structure-sheaf vector.  It rests on a per-point
+identity, checked at every fixed point: the dual-vector coefficient times
+the pairing weight is m_d, so the localized pairing sum is m_d times that
+coefficient sum term by term.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .symbolic import (
 # ---------------------------------------------------------------------------
 
 def pairing_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
-    """Degree-dependent monomial m_d in the localized pairing weight:
+    """Degree-dependent monomial c_d in the localized pairing weight:
     (-1)^{sum d} v^{sum 2i d_i^2 - sum_{i>=2} (2i-1) d_i d_{i-1}}
     prod_i t_i^{(2i-1)(d_{i-1} - d_i)}  (with d_0 = d_n = 0)."""
     d = _padded(tuple(degree))
@@ -74,7 +77,7 @@ def _det(ctx: ModuleContext, p: FixedPoint) -> LaurentPoly:
 
 
 def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
-    """Per-point weight theta_p = m_d * det_weight(p) / sym_factor(p),
+    """Per-point weight theta_p = c_d * det_weight(p) / sym_factor(p),
     computed once per point and kept in the context."""
 
     def build() -> RatFunc:
@@ -285,39 +288,45 @@ def partial_fraction_identity(i: int) -> bool:
 # The pairing of the two Whittaker vectors
 # ---------------------------------------------------------------------------
 
-def whittaker_pair_closed(ctx: ModuleContext,
-                          degree: Sequence[int]) -> RatFunc:
-    """Closed form of the Whittaker pairing at one degree:
+def _closed_monomial(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
+    """The monomial m_d in front of the closed Whittaker pairing:
     (-1)^{sum d} v^{sum d_i^2 - sum d_i d_{i-1} - sum d_i}
-    prod_i t_i^{d_{i-1} - d_i} times the coefficient sum of the localized
-    structure-sheaf class."""
-    degree = tuple(degree)
-    d = _padded(degree)
+    prod_i t_i^{d_{i-1} - d_i}.  Written out on its own, not as the product
+    of `pairing_prefactor` and `dual_whittaker_prefactor`: the two-path
+    record compares that product against it."""
+    d = _padded(tuple(degree))
     m = len(degree)
     v_power = sum(d[i] ** 2 for i in range(1, m + 1)) \
         - sum(d[i] * d[i - 1] for i in range(2, m + 1)) - sum(degree)
     t_exps = {i: d[i - 1] - d[i] for i in range(1, m + 2)}
     sign = -1 if sum(degree) % 2 else 1
-    pref = ctx.ring.t_monomial(t_exps, v_power=v_power, coeff=sign)
-    return sheaf_rgamma(ctx, degree).scale_poly(pref)
+    return ring.t_monomial(t_exps, v_power=v_power, coeff=sign)
 
 
-def whittaker_pair_localized(ctx: ModuleContext,
-                             degree: Sequence[int]) -> RatFunc:
-    """The same pairing computed directly from the two vectors, once per
-    degree and context: the whittaker and toda suites share it."""
-    degree = tuple(degree)
-    return ctx.memo("whittaker_pair", degree, lambda: shapovalov_pair(
-        ctx, whittaker_k(ctx, degree), whittaker_w(ctx, degree)))
+def whittaker_pair_closed(ctx: ModuleContext,
+                          degree: Sequence[int]) -> RatFunc:
+    """Closed form of the Whittaker pairing at one degree: m_d times the
+    coefficient sum of the localized structure-sheaf class."""
+    return sheaf_rgamma(ctx, degree).scale_poly(
+        _closed_monomial(ctx.ring, degree))
 
 
 def pairing_two_path_record(ctx: ModuleContext,
                             degree: Sequence[int]) -> dict:
-    """The closed and the localized Whittaker pairing agree at degree d."""
-    ok = eq_exact(whittaker_pair_closed(ctx, degree),
-                  whittaker_pair_localized(ctx, degree))
-    return {"check": "whittaker-pairing-two-path", "degree": list(degree),
-            "status": "pass" if ok else "fail"}
+    """The dual-vector coefficient times the pairing weight is m_d at every
+    point of degree d: W_w(p) theta_p == m_d, the sym factor and det(p)
+    cancelling and the two degree prefactors multiplying to m_d.
+
+    The per-point identity implies the summed one: the localized pairing
+    sum_p W_k(p) W_w(p) theta_p is then m_d sum_p W_k(p), the closed form.
+    A failing record names the rows of the first point where it fails."""
+    m_d = RatFunc.from_poly(_closed_monomial(ctx.ring, degree))
+    record = {"check": "whittaker-pairing-two-path", "degree": list(degree)}
+    for p, c in whittaker_w(ctx, degree).coeffs.items():
+        if not eq_exact(c * pairing_weight(ctx, p), m_d):
+            return {**record, "status": "fail",
+                    "point": [list(r) for r in p.rows]}
+    return {**record, "status": "pass"}
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class TestVerify:
         # has built the degree-0 pairing and nothing else.
         calls = []
         counted = {"relations": (operators, "_identity_holds"),
-                   "toda": (toda, "whittaker_pair_localized")}
+                   "toda": (toda, "whittaker_pair_closed")}
         if suite in counted:
             module, name = counted[suite]
             original = getattr(module, name)

@@ -95,7 +95,8 @@ def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):
 def test_full_verify_builds_each_whittaker_coefficient_once(monkeypatch,
                                                             tmp_path):
     # verify --suite full runs the whittaker suite, then the toda suite;
-    # both read the localized pairing and the coefficient sum per degree
+    # both read the coefficient sum per degree, and neither sums the
+    # pairing of the structure-sheaf vector against another
     pairs, sums = [], []
     pair, rgamma = whittaker.shapovalov_pair, whittaker.rgamma_char
 
@@ -117,6 +118,16 @@ def test_full_verify_builds_each_whittaker_coefficient_once(monkeypatch,
     out = tmp_path / "full.jsonl"
     assert main(["verify", "--n", "3", "--box", "2", "--out", str(out)]) \
         == EXIT_PASS
-    degrees = sorted(all_degrees(3, 2))
-    assert sorted(pairs) == degrees
-    assert sorted(sums) == degrees
+    assert pairs == []
+    assert sorted(sums) == sorted(all_degrees(3, 2))
+
+
+def test_toda_suite_builds_no_dual_whittaker_vector(monkeypatch, tmp_path):
+    built = []
+    dual = whittaker.whittaker_w
+    monkeypatch.setattr(whittaker, "whittaker_w",
+                        lambda ctx, d: built.append(tuple(d)) or dual(ctx, d))
+    out = tmp_path / "toda.jsonl"
+    assert main(["verify", "--n", "3", "--box", "2", "--suite", "toda",
+                 "--out", str(out)]) == EXIT_PASS
+    assert built == []

@@ -296,6 +296,13 @@ wide = st.integers(-SLOT_LIMIT - 2, SLOT_LIMIT + 2)
 class TestKeyConstructors:
     """The constructors that build keys directly, against the tuple path."""
 
+    def test_one_torus_ring_per_rank(self):
+        assert tv_ring(4) is tv_ring(4)
+        assert tv_ring(3) is not tv_ring(4)
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                tv_ring(0)
+
     @given(st.integers(1, 5).flatmap(
         lambda k: st.tuples(*[wide] * k)), nonzero_coeff)
     @settings(max_examples=150, deadline=None)

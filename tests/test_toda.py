@@ -13,7 +13,7 @@ from qtoda.toda import (
     sum_op_at,
     toda_records,
 )
-from qtoda.whittaker import sheaf_rgamma, whittaker_pair_localized
+from qtoda.whittaker import sheaf_rgamma, whittaker_pair_closed
 
 
 def filled_series(ctx, box):
@@ -23,7 +23,7 @@ def filled_series(ctx, box):
     records = list(toda_records(ctx, box))
     degrees = all_degrees(ctx.n, box)
     return (records,
-            {d: whittaker_pair_localized(ctx, d) for d in degrees},
+            {d: whittaker_pair_closed(ctx, d) for d in degrees},
             {d: sheaf_rgamma(ctx, d) for d in degrees})
 
 

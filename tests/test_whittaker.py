@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qtoda import operators, symbolic
+from qtoda import operators, symbolic, whittaker
 from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
@@ -30,7 +30,6 @@ from qtoda.whittaker import (
     sheaf_rgamma,
     whittaker_k,
     whittaker_pair_closed,
-    whittaker_pair_localized,
     whittaker_records,
     whittaker_w,
 )
@@ -145,6 +144,11 @@ class TestPushforwardIdentity:
         with pytest.raises(UsageError):
             line_pushforward_sides(3, 2, (1, 2), (1, 1))
 
+    def test_sides_live_in_the_context_ring(self):
+        lhs, rhs = line_pushforward_sides(3, 1, (), (1,))
+        assert lhs.ring is ModuleContext(3).ring
+        assert rhs.ring is ModuleContext(3).ring
+
 
 class TestWhittakerPairing:
     @pytest.mark.parametrize("n", [2, 3])
@@ -153,13 +157,31 @@ class TestWhittakerPairing:
         for d in itertools.product(range(4), repeat=n - 1):
             if sum(d) > 3:
                 continue
-            assert eq_exact(whittaker_pair_closed(ctx, d),
-                            whittaker_pair_localized(ctx, d))
+            assert eq_exact(whittaker_pair_closed(ctx, d), shapovalov_pair(
+                ctx, whittaker_k(ctx, d), whittaker_w(ctx, d)))
 
     def test_zero_degree_value(self):
         ctx = ModuleContext(3)
         assert eq_exact(whittaker_pair_closed(ctx, (0, 0)),
                         RatFunc.one(ctx.ring))
+
+    def test_failing_pairing_names_its_point(self, monkeypatch):
+        # theta_p scaled by v at one point of degree (1, 1) breaks the
+        # pointwise identity there and nowhere else
+        rows = ((1,), (1, 0))
+        weight = whittaker.pairing_weight
+
+        def scaled(ctx, p):
+            theta = weight(ctx, p)
+            return theta.scale_poly(ctx.ring.v(1)) if p.rows == rows else theta
+
+        monkeypatch.setattr(whittaker, "pairing_weight", scaled)
+        failed = [r for r in whittaker_records(ModuleContext(3), 2)
+                  if r["check"] == "whittaker-pairing-two-path"
+                  and r["status"] != "pass"]
+        assert failed == [{"check": "whittaker-pairing-two-path",
+                           "degree": [1, 1], "status": "fail",
+                           "point": [[1], [1, 0]]}]
 
 
 def flatten(nested):
