@@ -23,7 +23,8 @@ from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .characters import character_records
-from .fixed_points import all_degrees, enumerate_points, kostant_count
+from .fixed_points import (all_degrees, enumerate_points, kostant_count,
+                           shifted)
 from .operators import (
     ModuleContext,
     ModuleVector,
@@ -146,9 +147,7 @@ def cmd_whittaker(args) -> Iterator[dict]:
     yield pairing_two_path_record(ctx, degree)
     for i in range(1, args.n):
         if degree[i - 1] > 0:
-            lower = tuple(d - (1 if k == i else 0)
-                          for k, d in enumerate(degree, 1))
-            yield from eigen_records(ctx, i, lower)
+            yield from eigen_records(ctx, i, shifted(degree, i, -1))
 
 
 def cmd_toda(args) -> Iterator[dict]:

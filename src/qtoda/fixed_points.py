@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .symbolic import UsageError
 
@@ -177,6 +177,19 @@ def kostant_count(n: int, degree: Sequence[int]) -> int:
 def all_degrees(n: int, box: int) -> List[DegreeVector]:
     """All degree vectors with each component in 0..box, in lexicographic order."""
     return [tuple(d) for d in itertools.product(range(box + 1), repeat=n - 1)]
+
+
+def padded(degree: Sequence[int]) -> Dict[int, int]:
+    """The degree as {slot: d_slot} over slots 0..n, with the boundary
+    slots d_0 = d_n = 0."""
+    d = dict(enumerate(degree, start=1))
+    d[0] = d[len(degree) + 1] = 0
+    return d
+
+
+def shifted(degree: Sequence[int], i: int, step: int = 1) -> DegreeVector:
+    """The degree d + step * e_i."""
+    return tuple(x + step if k == i else x for k, x in enumerate(degree, 1))
 
 
 # ---------------------------------------------------------------------------

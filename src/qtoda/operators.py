@@ -2,9 +2,11 @@
 classes, and exhaustive verification of the quantum-group relations.
 
 The module M = ⊕_d M_d has one basis vector per fixed point.  Diagonal
-operators act by a degree-dependent monomial; the raising operator for row
-i moves along single-entry increments of the triangular array, the lowering
-operator along decrements.  Off-adjacency entries vanish.
+operators act by a degree-dependent monomial.  One builder, `_move_op`,
+makes every raising and lowering generator (E_i, F_i and the direct e_i,
+f_i): it walks the single-entry increments of row i of the triangular array
+to raise, the decrements to lower, and scales each entry by the
+generator's degree prefactor.  Off-adjacency entries vanish.
 
 Every non-diagonal operator has two independent construction paths:
 
@@ -22,7 +24,8 @@ the plain E, F with c = 0, and Sevostyanov's twisted e_i = E_i K_i^i,
 f_i = K_i^{-i} F_i with the twist c = `sevostyanov_c`, whose relations are
 the plain ones deformed by powers v^c.
 
-Relation checks run over a degree truncation box.  A check at a basis
+Relation checks take the box as an int, as every other suite does, and
+run over the degrees with every component in 0..box.  A check at a basis
 vector is attempted only when the whole relation orbit (every intermediate
 degree) stays inside the box; degrees below zero are genuinely absent from
 the module and need no special casing.  Identities that fail in the free
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Literal, Optional, Sequence, Tuple, TypeVar, get_args)
 
@@ -55,7 +58,9 @@ from .fixed_points import (
     all_degrees,
     enumerate_points,
     lower_moves,
+    padded,
     raise_moves,
+    shifted,
 )
 from .symbolic import (
     LaurentPoly,
@@ -73,24 +78,6 @@ EntryPath = Literal["closed", "geometric"]
 TwistPath = Literal["composite", "direct"]
 T = TypeVar("T")
 _UNBUILT = object()
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Componentwise degree cap defining the working box."""
-
-    n: int
-    cap: int
-
-    def __post_init__(self) -> None:
-        if self.cap < 0:
-            raise UsageError("truncation cap must be nonnegative")
-
-    def contains(self, degree: DegreeVector) -> bool:
-        return all(0 <= d <= self.cap for d in degree)
-
-    def degrees(self) -> List[DegreeVector]:
-        return all_degrees(self.n, self.cap)
 
 
 def sevostyanov_c(i: int, j: int) -> int:
@@ -186,14 +173,14 @@ class ModuleContext:
     def k_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
         """t_{i+1} t_i^{-1} v^{2d_i - d_{i-1} - d_{i+1} + 1} (d_0 = d_n = 0)."""
         self._check_row(i)
-        d = _padded(degree)
+        d = padded(degree)
         return self.ring.t_monomial(
             {i + 1: 1, i: -1}, v_power=2 * d[i] - d[i - 1] - d[i + 1] + 1)
 
     def l_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
         """t_1^{-1}..t_i^{-1} v^{d_i + i(n-i)/2}; half-integer v-exponent."""
         self._check_row(i)
-        d = _padded(degree)
+        d = padded(degree)
         return self.ring.t_monomial(
             {k: -1 for k in range(1, i + 1)},
             v_doubled_extra=2 * d[i] + i * (self.n - i))
@@ -207,17 +194,6 @@ class ModuleContext:
         self._check_row(i)
         if path not in get_args(paths):
             raise UsageError(f"unknown operator path {path!r}")
-
-
-def _padded(degree: DegreeVector) -> Dict[int, int]:
-    d = {k: v for k, v in enumerate(degree, start=1)}
-    d[0] = 0
-    d[len(degree) + 1] = 0
-    return d
-
-
-def _unit_vec(n: int, i: int, sign: int = 1) -> Tuple[int, ...]:
-    return tuple(sign if k == i else 0 for k in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +247,7 @@ def _one_minus(ring: TVRing, t_num: int, t_den: int, v_power: int) -> LaurentPol
 
 def _raise_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> LaurentPoly:
     """-t_{i+1}^{-i-1} t_i^{i-1} v^{(i-1)d_{i-1} + (i+1)d_{i+1} - 2i d_i - i}."""
-    d = _padded(degree)
+    d = padded(degree)
     return ctx.ring.t_monomial(
         {i + 1: -i - 1, i: i - 1},
         v_power=(i - 1) * d[i - 1] + (i + 1) * d[i + 1] - 2 * i * d[i] - i,
@@ -281,11 +257,20 @@ def _raise_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> Lauren
 
 def _lower_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> LaurentPoly:
     """t_{i+1}^i t_i^{-i} v^{2i d_i - i d_{i-1} - i d_{i+1} - i}."""
-    d = _padded(degree)
+    d = padded(degree)
     return ctx.ring.t_monomial(
         {i + 1: i, i: -i},
         v_power=2 * i * d[i] - i * d[i - 1] - i * d[i + 1] - i,
     )
+
+
+def _twisted_raise_prefactor(ctx: ModuleContext, i: int,
+                             degree: DegreeVector) -> LaurentPoly:
+    """-t_{i+1}^{-1} t_i^{-1} v^{d_{i+1} - d_{i-1}}, the prefactor of the
+    direct e_i."""
+    d = padded(degree)
+    return ctx.ring.t_monomial(
+        {i + 1: -1, i: -1}, v_power=d[i + 1] - d[i - 1], coeff=-1)
 
 
 def raising_product(ring: TVRing, upper: Sequence[int], mid: Sequence[int],
@@ -324,18 +309,6 @@ def lowering_product(ring: TVRing, mid: Sequence[int], low: Sequence[int],
     return RatFunc.from_factors(ring, ring.one(), factors)
 
 
-def _raise_entry_closed(ctx: ModuleContext, p: FixedPoint, i: int,
-                        j: int) -> RatFunc:
-    """The raising entry at move (i, j), without the degree prefactor."""
-    return raising_product(ctx.ring, p.row(i - 1), p.row(i), j)
-
-
-def _lower_entry_closed(ctx: ModuleContext, p: FixedPoint, i: int,
-                        j: int) -> RatFunc:
-    """The lowering entry at move (i, j), without the degree prefactor."""
-    return lowering_product(ctx.ring, p.row(i), p.row(i + 1), j)
-
-
 def _raise_entry_geometric(ctx: ModuleContext, p: FixedPoint, i: int,
                            j: int) -> RatFunc:
     lam = modification_weight(ctx.ring, p, i, j)
@@ -348,44 +321,48 @@ def _lower_entry_geometric(ctx: ModuleContext, p: FixedPoint, q: FixedPoint,
     return ctx.corr_sym_factor(q, i, j) / ctx.sym_factor(p)
 
 
+def _move_op(ctx: ModuleContext, label: str, i: int, step: int,
+             prefactor: Callable[[DegreeVector], LaurentPoly],
+             entry: Callable[[FixedPoint, FixedPoint, int], RatFunc]
+             ) -> GradedOperator:
+    """Row i's generator along single-entry moves: `raise_moves` for step 1,
+    `lower_moves` for step -1.  The entry from p to q = p ± e_{ij} is
+    entry(p, q, j) times prefactor(p.degree), the prefactor built once per
+    point."""
+    moves = raise_moves if step == 1 else lower_moves
+
+    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
+        pref = prefactor(p.degree)
+        return [(q, entry(p, q, j).scale_poly(pref)) for q, j in moves(p, i)]
+
+    return GradedOperator(f"{label}{i}", shifted((0,) * (ctx.n - 1), i, step),
+                          fn)
+
+
 def op_E(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
     """The raising operator for row i: degree d -> d + e_i.  One operator,
     and so one entry cache, per context, row and path."""
     ctx._check_generator(i, path, EntryPath)
-    return ctx.memo("E", (i, path), lambda: _raising_op(ctx, i, path))
-
-
-def _raising_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
-    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        pref = _raise_prefactor(ctx, i, p.degree)
-        out = []
-        for q, j in raise_moves(p, i):
-            entry = (_raise_entry_closed(ctx, p, i, j) if path == "closed"
-                     else _raise_entry_geometric(ctx, p, i, j))
-            out.append((q, entry.scale_poly(pref)))
-        return out
-
-    return GradedOperator(f"E{i}", _unit_vec(ctx.n, i), fn)
+    if path == "closed":
+        entry = lambda p, q, j: raising_product(ctx.ring, p.row(i - 1),
+                                                p.row(i), j)
+    else:
+        entry = lambda p, q, j: _raise_entry_geometric(ctx, p, i, j)
+    return ctx.memo("E", (i, path), lambda: _move_op(
+        ctx, "E", i, 1, partial(_raise_prefactor, ctx, i), entry))
 
 
 def op_F(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
     """The lowering operator for row i: degree d -> d - e_i.  One operator,
     and so one entry cache, per context, row and path."""
     ctx._check_generator(i, path, EntryPath)
-    return ctx.memo("F", (i, path), lambda: _lowering_op(ctx, i, path))
-
-
-def _lowering_op(ctx: ModuleContext, i: int, path: EntryPath) -> GradedOperator:
-    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        pref = _lower_prefactor(ctx, i, p.degree)
-        out = []
-        for q, j in lower_moves(p, i):
-            entry = (_lower_entry_closed(ctx, p, i, j) if path == "closed"
-                     else _lower_entry_geometric(ctx, p, q, i, j))
-            out.append((q, entry.scale_poly(pref)))
-        return out
-
-    return GradedOperator(f"F{i}", _unit_vec(ctx.n, i, -1), fn)
+    if path == "closed":
+        entry = lambda p, q, j: lowering_product(ctx.ring, p.row(i),
+                                                 p.row(i + 1), j)
+    else:
+        entry = lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j)
+    return ctx.memo("F", (i, path), lambda: _move_op(
+        ctx, "F", i, -1, partial(_lower_prefactor, ctx, i), entry))
 
 
 def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
@@ -393,22 +370,15 @@ def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
     geometric kernel with its own monomial prefactor.  One operator, and so
     one entry cache, per context, row and path."""
     ctx._check_generator(i, path, TwistPath)
-    return ctx.memo("e", (i, path), lambda: _twisted_raising_op(ctx, i, path))
 
+    def build() -> GradedOperator:
+        if path == "composite":
+            return compose(op_E(ctx, i), op_K(ctx, i, i), label=f"e{i}")
+        return _move_op(
+            ctx, "e", i, 1, partial(_twisted_raise_prefactor, ctx, i),
+            lambda p, q, j: _raise_entry_geometric(ctx, p, i, j))
 
-def _twisted_raising_op(ctx: ModuleContext, i: int,
-                        path: TwistPath) -> GradedOperator:
-    if path == "composite":
-        return compose(op_E(ctx, i), op_K(ctx, i, i), label=f"e{i}")
-
-    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        d = _padded(p.degree)
-        pref = ctx.ring.t_monomial(
-            {i + 1: -1, i: -1}, v_power=d[i + 1] - d[i - 1], coeff=-1)
-        return [(q, _raise_entry_geometric(ctx, p, i, j).scale_poly(pref))
-                for q, j in raise_moves(p, i)]
-
-    return GradedOperator(f"e{i}", _unit_vec(ctx.n, i), fn)
+    return ctx.memo("e", (i, path), build)
 
 
 def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
@@ -416,19 +386,15 @@ def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOpe
     the plain pushforward-pullback kernel.  One operator, and so one entry
     cache, per context, row and path."""
     ctx._check_generator(i, path, TwistPath)
-    return ctx.memo("f", (i, path), lambda: _twisted_lowering_op(ctx, i, path))
 
+    def build() -> GradedOperator:
+        if path == "composite":
+            return compose(op_K(ctx, i, -i), op_F(ctx, i), label=f"f{i}")
+        return _move_op(
+            ctx, "f", i, -1, lambda d: ctx.ring.one(),
+            lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j))
 
-def _twisted_lowering_op(ctx: ModuleContext, i: int,
-                         path: TwistPath) -> GradedOperator:
-    if path == "composite":
-        return compose(op_K(ctx, i, -i), op_F(ctx, i), label=f"f{i}")
-
-    def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        return [(q, _lower_entry_geometric(ctx, p, q, i, j))
-                for q, j in lower_moves(p, i)]
-
-    return GradedOperator(f"f{i}", _unit_vec(ctx.n, i, -1), fn)
+    return ctx.memo("f", (i, path), build)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +404,12 @@ def _twisted_lowering_op(ctx: ModuleContext, i: int,
 def _paths(chain: Sequence[GradedOperator], p: FixedPoint,
            coeff: Optional[RatFunc] = None) -> List[Tuple[FixedPoint, RatFunc]]:
     """coeff * chain applied to [p], ops right to left, as (target,
-    coefficient) pairs: one per path through the chain, so a target that
-    several paths reach appears once per path."""
+    coefficient) pairs: one per path through the (nonempty) chain, so a
+    target that several paths reach appears once per path."""
     *rest, first = chain
     frontier = first.terms(p)
-    if coeff is not None:
+    # a constant 1 coefficient multiplies nothing
+    if coeff is not None and (coeff.factors or not coeff.unit.is_one()):
         frontier = [(r, entry * coeff) for r, entry in frontier]
     for op in reversed(rest):
         frontier = [(r, entry * c) for q, c in frontier
@@ -461,12 +428,12 @@ def compose(*ops: GradedOperator, label: Optional[str] = None) -> GradedOperator
                           lambda p: _paths(ops, p))
 
 
-def apply_op(op: GradedOperator, x: ModuleVector, tr: Truncation) -> ModuleVector:
-    """Exact sparse matrix-vector product; targets outside the box drop.
+def apply_op(op: GradedOperator, x: ModuleVector, box: int) -> ModuleVector:
+    """Exact sparse matrix-vector product; targets outside 0..box drop.
     The tests' reference for operator action: no check here calls it."""
     target = tuple(a + b for a, b in zip(x.degree, op.shift))
     out: Dict[FixedPoint, List[RatFunc]] = {}
-    if tr.contains(target):
+    if all(0 <= d <= box for d in target):
         for p, c in x.coeffs.items():
             for q, entry in op.terms(p):
                 out.setdefault(q, []).append(entry * c)
@@ -485,9 +452,9 @@ def basis_vector(ctx: ModuleContext, p: FixedPoint) -> ModuleVector:
 Term = Tuple[RatFunc, Tuple[GradedOperator, ...]]
 
 
-def _orbit_in_box(tr: Truncation, degree: DegreeVector,
+def _orbit_in_box(box: int, degree: DegreeVector,
                   terms: Sequence[Term]) -> bool:
-    """True when every intermediate degree of every term stays under the cap.
+    """True when every intermediate degree of every term stays at most box.
 
     Degrees with negative components are fine: the module genuinely has no
     such graded pieces, so the operators vanish there by themselves.
@@ -496,19 +463,9 @@ def _orbit_in_box(tr: Truncation, degree: DegreeVector,
         cum = list(degree)
         for op in reversed(chain):
             cum = [a + b for a, b in zip(cum, op.shift)]
-            if any(c > tr.cap for c in cum):
+            if any(c > box for c in cum):
                 return False
     return True
-
-
-def _term_action(term: Term, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-    """The term coeff * chain applied to [p], as (target, coefficient) pairs,
-    one per path through the (nonempty) chain."""
-    coeff, chain = term
-    # a constant 1 coefficient multiplies nothing
-    if not coeff.factors and coeff.unit.is_one():
-        return _paths(chain, p)
-    return _paths(chain, p, coeff)
 
 
 def _buckets(terms: Sequence[Term],
@@ -516,8 +473,8 @@ def _buckets(terms: Sequence[Term],
     """The parts of (sum of terms)[p], grouped by target basis vector in
     first-reached order."""
     buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
-    for term in terms:
-        for q, c in _term_action(term, p):
+    for coeff, chain in terms:
+        for q, c in _paths(chain, p, coeff):
             buckets.setdefault(q.rows, (q, []))[1].append(c)
     return buckets.values()
 
@@ -611,7 +568,7 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
                             (v(2 * k), (Z[j], Z[i], Z[i]))])
 
 
-def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
+def cartan_monomial_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """The purely diagonal relations: K_i as a ratio of squares of the L's.
 
     K_1 = L_1^2 L_2^{-1}; interior K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1};
@@ -621,7 +578,7 @@ def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict
     """
     ring = ctx.ring
     for i in range(1, ctx.n):
-        for d in tr.degrees():
+        for d in all_degrees(ctx.n, box):
             lhs = ctx.k_scalar(i, d)
             rhs = ring.one()
             for k, power in ((i - 1, -1), (i, 2), (i + 1, -1)):
@@ -638,18 +595,18 @@ def cartan_monomial_records(ctx: ModuleContext, tr: Truncation) -> Iterator[dict
             }
 
 
-def verify_relations(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
-    """Run the whole relation suite over the truncation box.
+def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
+    """Run the whole relation suite over the degrees in 0..box.
 
     Yields one record per (relation, indices, degree), as soon as it is
     decided; a record passes when the identity annihilates every basis
     vector of that degree.  Records are skipped when the relation orbit
     leaves the box.
     """
-    yield from cartan_monomial_records(ctx, tr)
+    yield from cartan_monomial_records(ctx, box)
     for name, params, terms in relation_suite(ctx):
-        for d in tr.degrees():
-            if not _orbit_in_box(tr, d, terms):
+        for d in all_degrees(ctx.n, box):
+            if not _orbit_in_box(box, d, terms):
                 yield {
                     "check": name, **params, "degree": list(d),
                     "mode": "free", "status": "skipped-out-of-box",
@@ -670,14 +627,14 @@ def verify_relations(ctx: ModuleContext, tr: Truncation) -> Iterator[dict]:
             yield rec
 
 
-def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[dict]:
+def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
     """All off-diagonal entries of E_i F_i - F_i E_i must vanish exactly.
     Yields one record per degree."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
     terms = ((one, (E, F)), (-one, (F, E)))
-    for d in tr.degrees():
-        if not _orbit_in_box(tr, d, terms):
+    for d in all_degrees(ctx.n, box):
+        if not _orbit_in_box(box, d, terms):
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue
@@ -693,10 +650,9 @@ def diagonality_check(ctx: ModuleContext, i: int, tr: Truncation) -> Iterator[di
 def relation_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """The relation suite over the box, then the commutator diagonality of
     every row."""
-    tr = Truncation(ctx.n, box)
-    yield from verify_relations(ctx, tr)
+    yield from verify_relations(ctx, box)
     for i in range(1, ctx.n):
-        yield from diagonality_check(ctx, i, tr)
+        yield from diagonality_check(ctx, i, box)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class TVRing(Ring):
 
     def v(self, power: int = 1) -> "LaurentPoly":
         """The monomial v^power (stored with doubled exponent)."""
-        return self.var(self.n, 2 * power)
+        return self.t_monomial({}, v_power=power)
 
     def t_monomial(self, t_exps: Mapping[int, int], v_power: int = 0,
                    v_doubled_extra: int = 0, coeff: int = 1) -> "LaurentPoly":
@@ -250,13 +250,12 @@ class LaurentPoly:
     docstring), never above SLOT_LIMIT.
     """
 
-    __slots__ = ("ring", "terms", "bound", "_hash")
+    __slots__ = ("ring", "terms", "bound")
 
     def __init__(self, ring: Ring, terms: Terms, bound: int):
         self.ring = ring
         self.terms = terms
         self.bound = bound
-        self._hash: int | None = None
 
     def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         self._check(other)
@@ -343,11 +342,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring.names, tuple(sorted(self.terms.items()))))
-        return self._hash
 
     def eval(self, point: "EvalPoint") -> Fraction:
         """Exact evaluation at a point with nonzero coordinates."""
@@ -467,16 +461,13 @@ class RatFunc:
     def from_frac(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
         if den.is_zero():
             raise ArithmeticDomainError("zero denominator")
-        return RatFunc.from_poly(num)._with_factor(den, -1)
+        return RatFunc.from_poly(num)._with_factors([(den, -1)])
 
     @staticmethod
     def from_factors(ring: Ring, unit: LaurentPoly,
                      factor_list: Iterable[Tuple[LaurentPoly, int]]) -> "RatFunc":
         """Build unit * prod f_i^{e_i} with factor tracking."""
-        r = RatFunc(ring, unit, {})
-        for f, e in factor_list:
-            r = r._with_factor(f, e)
-        return r
+        return RatFunc(ring, unit, {})._with_factors(factor_list)
 
     @staticmethod
     def one(ring: Ring) -> "RatFunc":
@@ -486,35 +477,46 @@ class RatFunc:
     def zero(ring: Ring) -> "RatFunc":
         return RatFunc(ring, ring.zero(), {})
 
-    def _with_factor(self, f: LaurentPoly, e: int) -> "RatFunc":
-        if e == 0 or self.unit.is_zero():
-            return self
-        if f.is_zero():
-            if e < 0:
-                raise ArithmeticDomainError("zero denominator factor")
-            return RatFunc.zero(self.ring)
-        canon, low, sign = _canonical_factor(f)
+    def _with_factors(self, factor_list: Iterable[Tuple[LaurentPoly, int]]
+                      ) -> "RatFunc":
+        """self * prod f^e, with each f = sign * x^low * canonical tracked by
+        its canonical part.  The factor dict is copied once, and the unit is
+        shifted once by the product of the (sign * x^low)^e."""
         unit = self.unit
-        flip = -1 if sign < 0 and e % 2 else 1
-        if low or flip < 0:
-            # unit * (sign * x^low)^e: every key shifts by e * low, whose
-            # digits are at most |e| * f.bound
-            bound = unit.bound + abs(e) * f.bound if low else unit.bound
-            if bound > SLOT_LIMIT:
-                raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
-            shift = e * low
+        if unit.is_zero():
+            return self
+        factors = dict(self.factors)
+        shift, flip, bound = 0, 1, unit.bound
+        for f, e in factor_list:
+            if e == 0:
+                continue
+            if f.is_zero():
+                if e < 0:
+                    raise ArithmeticDomainError("zero denominator factor")
+                return RatFunc.zero(self.ring)
+            canon, low, sign = _canonical_factor(f)
+            if sign < 0 and e % 2:
+                flip = -flip
+            if low:
+                # every key shifts by e * low, whose digits are at most
+                # |e| * f.bound
+                shift += e * low
+                bound += abs(e) * f.bound
+                if bound > SLOT_LIMIT:
+                    raise UsageError(
+                        f"a factor exponent could exceed ±{SLOT_LIMIT}")
+            if not canon.is_one():
+                key = _factor_key(canon)
+                old = factors.get(key)
+                ne = (old[1] if old else 0) + e
+                if ne:
+                    factors[key] = (canon, ne)
+                else:
+                    factors.pop(key, None)
+        if shift or flip < 0:
             unit = LaurentPoly(self.ring, {k + shift: flip * c
                                            for k, c in unit.terms.items()},
                                bound)
-        factors = dict(self.factors)
-        if not canon.is_one():
-            key = _factor_key(canon)
-            old = factors.get(key)
-            ne = (old[1] if old else 0) + e
-            if ne:
-                factors[key] = (canon, ne)
-            else:
-                factors.pop(key, None)
         return RatFunc(self.ring, unit, factors)
 
     # -- arithmetic --------------------------------------------------------
@@ -548,7 +550,8 @@ class RatFunc:
         if self.unit.is_zero():
             raise ArithmeticDomainError("division by zero")
         factors = {k: (c, -e) for k, (c, e) in self.factors.items()}
-        return RatFunc(self.ring, self.ring.one(), factors)._with_factor(self.unit, -1)
+        return RatFunc(self.ring, self.ring.one(), factors)._with_factors(
+            [(self.unit, -1)])
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .fixed_points import DegreeVector, all_degrees
-from .operators import ModuleContext, _padded
+from .fixed_points import DegreeVector, all_degrees, padded, shifted
+from .operators import ModuleContext
 from .symbolic import LaurentPoly, RatFunc, TVRing, UsageError, sum_is_zero
 from .whittaker import sheaf_rgamma, whittaker_pair_closed
 
@@ -42,12 +42,8 @@ def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
     t_j^sigma v^{d_j - d_{j-1}}  (j runs 1..n, d_0 = d_n = 0)."""
     if not 1 <= j <= ring.n:
         raise UsageError(f"shift index {j} out of range 1..{ring.n}")
-    d = _padded(tuple(degree))
+    d = padded(degree)
     return ring.t_monomial({j: sigma}, v_power=d[j] - d[j - 1])
-
-
-def _minus_unit(degree: DegreeVector, i: int) -> DegreeVector:
-    return tuple(x - (1 if k == i else 0) for k, x in enumerate(degree, 1))
 
 
 def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
@@ -65,7 +61,7 @@ def sum_op_at(ring: TVRing, s: Series, d: DegreeVector,
     products)."""
     parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
     for i in range(1, ring.n):
-        src = _minus_unit(d, i)
+        src = shifted(d, i, -1)
         if min(src) >= 0 and not s[src].is_zero():
             m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
                 * shift_monomial(ring, i + 1, src, sigma)
@@ -80,7 +76,7 @@ def difference_op_at(ring: TVRing, s: Series, d: DegreeVector,
     shifts)."""
     parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
     for j in range(2, ring.n + 1):
-        src = _minus_unit(d, j - 1)
+        src = shifted(d, j - 1, -1)
         if min(src) >= 0 and not s[src].is_zero():
             parts.append(
                 s[src].scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))

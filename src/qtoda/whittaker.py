@@ -26,7 +26,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .characters import det_weight
-from .fixed_points import DegreeVector, FixedPoint, Rows, all_degrees
+from .fixed_points import (DegreeVector, FixedPoint, Rows, all_degrees,
+                           padded, shifted)
 from .operators import (
     GradedOperator,
     ModuleContext,
@@ -38,7 +39,6 @@ from .operators import (
     op_K,
     op_f,
     raising_product,
-    _padded,
 )
 from .symbolic import (
     LaurentPoly,
@@ -62,7 +62,7 @@ def pairing_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
     """Degree-dependent monomial c_d in the localized pairing weight:
     (-1)^{sum d} v^{sum 2i d_i^2 - sum_{i>=2} (2i-1) d_i d_{i-1}}
     prod_i t_i^{(2i-1)(d_{i-1} - d_i)}  (with d_0 = d_n = 0)."""
-    d = _padded(tuple(degree))
+    d = padded(degree)
     m = len(degree)
     v_power = sum(2 * i * d[i] ** 2 for i in range(1, m + 1)) \
         - sum((2 * i - 1) * d[i] * d[i - 1] for i in range(2, m + 1))
@@ -143,7 +143,7 @@ def dual_whittaker_prefactor(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
     """Scalar in front of the inverse-determinant class:
     v^{sum (1-2i) d_i^2 - sum_{i>=2} (2-2i) d_i d_{i-1} - sum d_i}
     prod_i t_i^{(2-2i)(d_{i-1} - d_i)}."""
-    d = _padded(tuple(degree))
+    d = padded(degree)
     m = len(degree)
     v_power = sum((1 - 2 * i) * d[i] ** 2 for i in range(1, m + 1)) \
         - sum((2 - 2 * i) * d[i] * d[i - 1] for i in range(2, m + 1)) \
@@ -179,8 +179,7 @@ def _eigen_holds(ctx: ModuleContext, op: GradedOperator,
     its degree-d component.  For each target q, the entries times the source
     coefficients and -(1-v^2)^{-1} times the degree-d coefficient at q must
     sum to zero."""
-    degree = tuple(degree)
-    src = tuple(d + (1 if k == i else 0) for k, d in enumerate(degree, 1))
+    src = shifted(degree, i)
     ring = ctx.ring
     minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
     targets = {q.rows: [c * minus_scale]
@@ -219,7 +218,7 @@ def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int]) -> bool:
     (p, q) that either operator links, E_qp theta_q - F_pq theta_p sums to
     zero (the pairing of E_i[p] with [q] against that of [p] with F_i[q])."""
     E, F = op_E(ctx, i), op_F(ctx, i)
-    target = tuple(x + (1 if k == i else 0) for k, x in enumerate(degree, 1))
+    target = shifted(degree, i)
     pairs: Dict[Tuple[Rows, Rows], List[RatFunc]] = {}
     for p in ctx.points(degree):
         for q, entry in E.terms(p):
@@ -294,7 +293,7 @@ def _closed_monomial(ring: TVRing, degree: DegreeVector) -> LaurentPoly:
     prod_i t_i^{d_{i-1} - d_i}.  Written out on its own, not as the product
     of `pairing_prefactor` and `dual_whittaker_prefactor`: the two-path
     record compares that product against it."""
-    d = _padded(tuple(degree))
+    d = padded(degree)
     m = len(degree)
     v_power = sum(d[i] ** 2 for i in range(1, m + 1)) \
         - sum(d[i] * d[i - 1] for i in range(2, m + 1)) - sum(degree)

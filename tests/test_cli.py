@@ -14,7 +14,8 @@ from qtoda.cli import (
     EXIT_USAGE,
     main,
 )
-from qtoda.operators import ModuleContext, Truncation
+from qtoda.fixed_points import all_degrees
+from qtoda.operators import ModuleContext
 
 
 def expire_after_first(monkeypatch, key):
@@ -241,7 +242,7 @@ class TestVerify:
         assert len([r for r in records if "status" in r]) == 1
         if suite == "relations":
             per_record = max(len(ModuleContext(3).points(d))
-                             for d in Truncation(3, 2).degrees())
+                             for d in all_degrees(3, 2))
             assert len(calls) <= per_record
         if suite == "toda":
             assert len(calls) == 1

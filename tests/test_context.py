@@ -76,19 +76,20 @@ def test_whittaker_suite_builds_each_composite_entry_once(monkeypatch):
 
 
 def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):
+    # an operator expands the moves of a point once, when it first builds
+    # that point's entries
     calls = []
-    for name in ("_raise_entry_closed", "_lower_entry_closed"):
+    for name in ("raise_moves", "lower_moves"):
         original = getattr(operators, name)
 
-        def counted(ctx, p, i, j, original=original, name=name):
-            calls.append((name, p.rows, i, j))
-            return original(ctx, p, i, j)
+        def counted(p, i, original=original, name=name):
+            calls.append((name, p.rows, i))
+            return original(p, i)
 
         monkeypatch.setattr(operators, name, counted)
     records = list(whittaker_records(ModuleContext(3), 2))
     assert all(r["status"] == "pass" for r in records)
-    assert {c[0] for c in calls} == {"_raise_entry_closed",
-                                     "_lower_entry_closed"}
+    assert {c[0] for c in calls} == {"raise_moves", "lower_moves"}
     assert len(calls) == len(set(calls))
 
 

@@ -12,8 +12,11 @@ from qtoda.fixed_points import (
     enumerate_points,
     kostant_count,
     lower_moves,
+    padded,
     raise_moves,
+    shifted,
 )
+from qtoda.operators import ModuleContext, op_E, op_F, op_e, op_f
 from qtoda.symbolic import UsageError
 
 
@@ -143,3 +146,35 @@ class TestMoves:
         assert lower_moves(p, 1) == [] and lower_moves(p, 2) == []
         assert len(raise_moves(p, 1)) == 1 and len(raise_moves(p, 2)) == 1
 
+
+
+@pytest.mark.parametrize("n,box", [(4, 2), (3, 3)], ids=lambda x: str(x))
+class TestLatticeConventions:
+    """`padded` and `shifted` are the one statement of the degree lattice:
+    the boundary slots d_0 = d_n = 0, and the moves of row i by ±e_i."""
+
+    def test_padded_slots_are_the_row_sums(self, n, box):
+        for d in all_degrees(n, box):
+            for p in enumerate_points(n, d):
+                assert [padded(p.degree)[k] for k in range(n + 1)] \
+                    == [sum(p.row(k)) for k in range(n + 1)]
+
+    def test_moves_land_on_the_shifted_degree(self, n, box):
+        for d in all_degrees(n, box):
+            for p in enumerate_points(n, d):
+                for i in range(1, n):
+                    for q, _ in raise_moves(p, i):
+                        assert q.degree == shifted(p.degree, i)
+                    for q, _ in lower_moves(p, i):
+                        assert q.degree == shifted(p.degree, i, -1)
+
+    def test_generators_declare_the_shifted_unit(self, n, box):
+        ctx = ModuleContext(n)
+        zero = (0,) * (n - 1)
+        for i in range(1, n):
+            for op, paths, step in ((op_E, ("closed", "geometric"), 1),
+                                    (op_F, ("closed", "geometric"), -1),
+                                    (op_e, ("composite", "direct"), 1),
+                                    (op_f, ("composite", "direct"), -1)):
+                for path in paths:
+                    assert op(ctx, i, path).shift == shifted(zero, i, step)

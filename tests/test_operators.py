@@ -14,7 +14,6 @@ from qtoda import operators, whittaker
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
     ModuleContext,
-    Truncation,
     apply_op,
     basis_vector,
     compose,
@@ -121,25 +120,22 @@ class TestTwoPathAgreement:
 class TestModuleAction:
     def test_lowering_kills_degree_zero(self):
         ctx = ModuleContext(3)
-        tr = Truncation(3, 2)
         x = basis_vector(ctx, FixedPoint.zero(3))
         for i in (1, 2):
-            assert apply_op(op_F(ctx, i), x, tr).coeffs == {}
+            assert apply_op(op_F(ctx, i), x, 2).coeffs == {}
 
     def test_truncation_drops_out_of_box_targets(self):
         ctx = ModuleContext(2)
-        tr = Truncation(2, 1)
         x = basis_vector(ctx, FixedPoint(2, ((1,),)))
-        raised = apply_op(op_E(ctx, 1), x, tr)
+        raised = apply_op(op_E(ctx, 1), x, 1)
         assert raised.degree == (2,) and raised.coeffs == {}
 
     def test_compose_matches_sequential_application(self):
         ctx = ModuleContext(2)
-        tr = Truncation(2, 3)
         E, F = op_E(ctx, 1), op_F(ctx, 1)
         x = basis_vector(ctx, FixedPoint(2, ((1,),)))
-        a = apply_op(compose(F, E), x, tr)
-        b = apply_op(F, apply_op(E, x, tr), tr)
+        a = apply_op(compose(F, E), x, 3)
+        b = apply_op(F, apply_op(E, x, 3), 3)
         assert a.degree == b.degree
         assert a.coeffs.keys() == b.coeffs.keys()
         for p in a.coeffs:
@@ -184,7 +180,7 @@ def test_twist_calibration(monkeypatch, twist, fails):
                "zero": lambda i, j: 0}
     monkeypatch.setattr(operators, "sevostyanov_c", twists[twist])
     counts = {}
-    for r in verify_relations(ModuleContext(3), Truncation(3, 2)):
+    for r in verify_relations(ModuleContext(3), 2):
         if r["status"] == "fail":
             counts[r["check"]] = counts.get(r["check"], 0) + 1
     assert counts == fails
@@ -197,7 +193,7 @@ class TestRelationSuite:
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_all_relations_hold(self, n, box):
         ctx = ModuleContext(n)
-        records = list(verify_relations(ctx, Truncation(n, box)))
+        records = list(verify_relations(ctx, box))
         fails = [r for r in records if r["status"] == "fail"]
         assert fails == []
         # non-vacuity: a healthy share of records actually ran
@@ -207,14 +203,14 @@ class TestRelationSuite:
     def test_boundary_diagonal_needs_determinant(self):
         # for n = 2 the K_1 = L_1^2 identity only holds on the SL torus
         ctx = ModuleContext(2)
-        records = verify_relations(ctx, Truncation(2, 1))
+        records = verify_relations(ctx, 1)
         diag = [r for r in records if r["check"] == "diagonal-consistency"]
         assert diag and all(r["status"] == "pass" for r in diag)
         assert all(r["mode"] == "modulo-det" for r in diag)
 
     def test_interior_diagonal_is_free(self):
         ctx = ModuleContext(4)
-        records = verify_relations(ctx, Truncation(4, 1))
+        records = verify_relations(ctx, 1)
         interior = [r for r in records
                     if r["check"] == "diagonal-consistency" and r["i"] == 2]
         assert interior and all(r["mode"] == "free" for r in interior)
@@ -227,7 +223,7 @@ class TestRelationSuite:
         broken = [("broken-commutator", {"i": 1, "j": 1},
                    [(one, (E, F)), (-one, (F, E))])]
         monkeypatch.setattr(operators, "relation_suite", lambda ctx: broken)
-        records = verify_relations(ctx, Truncation(2, 1))
+        records = verify_relations(ctx, 1)
         [rec] = [r for r in records if r["check"] == "broken-commutator"
                  and r["degree"] == [0]]
         assert rec["status"] == "fail" and rec["mode"] == "modulo-det"
@@ -241,8 +237,8 @@ class TestRelationSuite:
             LaurentPoly.from_json(ctx.ring, entry["num"]),
             LaurentPoly.from_json(ctx.ring, entry["den"]))
         [(_, _, terms)] = broken
-        parts = [c for term in terms
-                 for q, c in operators._term_action(term, source)
+        parts = [c for coeff, chain in terms
+                 for q, c in operators._paths(chain, source, coeff)
                  if q == target]
         assert eq_exact(replayed, rat_sum(ctx.ring, parts))
         assert not operators._zero_mod_det(ctx.ring, replayed)
@@ -250,9 +246,8 @@ class TestRelationSuite:
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_commutator_diagonality(self, n, box):
         ctx = ModuleContext(n)
-        tr = Truncation(n, box)
         for i in range(1, n):
-            records = list(diagonality_check(ctx, i, tr))
+            records = list(diagonality_check(ctx, i, box))
             assert all(r["status"] in ("pass", "skipped-out-of-box")
                        for r in records)
             assert any(r["status"] == "pass" for r in records)

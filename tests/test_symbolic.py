@@ -303,6 +303,13 @@ class TestKeyConstructors:
             with pytest.raises(UsageError):
                 tv_ring(0)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_v_power_matches_the_tuple_monomial(self, n):
+        ring = tv_ring(n)
+        for k in range(-6, 7):
+            got, want = ring.v(k), ring.monomial([0] * n + [2 * k])
+            assert got.terms == want.terms and got.bound == want.bound
+
     @given(st.integers(1, 5).flatmap(
         lambda k: st.tuples(*[wide] * k)), nonzero_coeff)
     @settings(max_examples=150, deadline=None)
@@ -454,6 +461,52 @@ def ratfunc_strategy(max_factors=3):
             R2, uf[0], [(one_minus(s), e) for s, e in uf[1]]))
 
 
+@st.composite
+def factor_lists(draw):
+    """1-6 (factor, exponent) pairs: general polynomials, shifted binomials
+    whose least key is negative and whose lead may be negative, and at
+    times a factor repeated with the opposite exponent, so it cancels."""
+    shifted_binomial = st.tuples(
+        st.tuples(*[st.integers(-3, 0)] * R2.nvars), step_strategy(2),
+        st.sampled_from([1, -1])).map(
+        lambda t: R2.monomial(t[0], t[2]) * one_minus(t[1]))
+    factor = st.one_of(
+        poly_strategy(R2, max_terms=3, max_exp=2).filter(
+            lambda p: not p.is_zero()), shifted_binomial)
+    pairs = draw(st.lists(st.tuples(factor, st.integers(-3, 3)),
+                          min_size=1, max_size=5))
+    if draw(st.booleans()):
+        f, e = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((f, -e))
+    return pairs
+
+
+class TestFromFactors:
+    @given(poly_strategy(R2, max_terms=3, max_exp=2), factor_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_matches_the_product_of_single_factors(self, unit,
+                                                            pairs):
+        got = RatFunc.from_factors(R2, unit, pairs)
+        want = RatFunc.from_poly(unit)
+        for f, e in pairs:
+            want = want * RatFunc.from_factors(R2, R2.one(), [(f, e)])
+        assert eq_exact(got, want)
+        assert got.factors == want.factors
+        assert got.unit.terms == want.unit.terms
+        assert digit_bound(got.unit) <= got.unit.bound <= SLOT_LIMIT
+
+    def test_zero_unit_and_zero_factors(self):
+        zero = RatFunc.from_poly(R2.zero())
+        assert zero._with_factors([(R2.zero(), -1)]) is zero
+        f = one_minus((0, 0, 2))
+        with pytest.raises(ArithmeticDomainError):
+            RatFunc.from_factors(R2, R2.one(), [(f, 1), (R2.zero(), -1)])
+        r = RatFunc.from_factors(R2, R2.t(1), [(f, -1), (R2.zero(), 2)])
+        assert r.is_zero() and not r.factors
+        assert not RatFunc.from_factors(R2, R2.t(1), [(R2.zero(), 0)]) \
+            .is_zero()
+
+
 POINTS = [EvalPoint.of(2, 3, Fraction(1, 2)),
           EvalPoint.of(Fraction(-3, 5), 7, 3),
           EvalPoint.of(5, Fraction(2, 7), -2)]
@@ -585,14 +638,15 @@ class TestProductFastPaths:
            st.integers(-2, 2).filter(bool))
     @settings(max_examples=80, deadline=None)
     def test_shared_factor_dict_is_never_mutated(self, x, p, f, e):
-        x = x._with_factor(one_minus((1, 0, 1)), -1)  # at least one factor
+        # at least one factor
+        x = x._with_factors([(one_minus((1, 0, 1)), -1)])
         y = RatFunc.from_poly(p)
         before = dict(x.factors)
         for prod in (x * y, y * x, -x, x.scale_poly(p)):
             if prod.is_zero():
                 continue
             assert prod.factors is x.factors
-            changed = prod._with_factor(f, e)
+            changed = prod._with_factors([(f, e)])
             assert changed.factors is not x.factors
             assert x.factors == before and not y.factors
             assert prod.factors == before

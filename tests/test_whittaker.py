@@ -4,13 +4,12 @@ import itertools
 
 import pytest
 
-from qtoda import operators, symbolic, whittaker
+from qtoda import symbolic, whittaker
 from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, enumerate_points
 from qtoda.operators import (
     GradedOperator,
     ModuleContext,
-    Truncation,
     apply_op,
     basis_vector,
     op_E,
@@ -69,7 +68,6 @@ class TestPairing:
     @pytest.mark.parametrize("n,box", [(2, 3), (3, 2)], ids=lambda x: str(x))
     def test_raising_lowering_adjoint(self, n, box):
         ctx = ModuleContext(n)
-        tr = Truncation(n, box + 1)
         for i in range(1, n):
             E, F = op_E(ctx, i), op_F(ctx, i)
             for d in itertools.product(range(box + 1), repeat=n - 1):
@@ -78,11 +76,11 @@ class TestPairing:
                 for p in enumerate_points(n, d):
                     for q in enumerate_points(n, target):
                         lhs = shapovalov_pair(
-                            ctx, apply_op(E, basis_vector(ctx, p), tr),
+                            ctx, apply_op(E, basis_vector(ctx, p), box + 1),
                             basis_vector(ctx, q))
                         rhs = shapovalov_pair(
                             ctx, basis_vector(ctx, p),
-                            apply_op(F, basis_vector(ctx, q), tr))
+                            apply_op(F, basis_vector(ctx, q), box + 1))
                         assert eq_exact(lhs, rhs)
 
     def test_symmetric(self):
@@ -253,7 +251,7 @@ def broken_lowering(n, i, degree, edit):
     the point of `degree` with the most entries, where edit(ring, terms)
     replaces its terms; returns the context and that point."""
     ctx = ModuleContext(n)
-    real = operators._lowering_op(ctx, i, "closed")
+    real = op_F(ModuleContext(n), i)
     p0 = max(ctx.points(degree), key=lambda p: len(real.terms(p)))
 
     def fn(p):
@@ -292,8 +290,8 @@ class TestBrokenOperatorsFail:
     def test_adjoint_fails(self, edit, i, degree):
         ctx, p0 = broken_lowering(3, i, degree, edit)
         if edit is drop_last_entry:
-            assert len(operators._lowering_op(ModuleContext(3), i, "closed")
-                       .terms(p0)) == 2  # one of two entries is dropped
+            assert len(op_F(ModuleContext(3), i).terms(p0)) \
+                == 2  # one of two entries is dropped
         below = tuple(x - (1 if k == i else 0)
                       for k, x in enumerate(degree, 1))
         assert failing(ctx, 1, "raising-lowering-adjoint") == [(i, below)]
