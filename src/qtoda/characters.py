@@ -12,7 +12,10 @@ Z[t_1^{±1},..,t_n^{±1},v^{±1/2}].  Conventions, fixed once:
 Tangent characters at a fixed point come in two independent forms: a
 first-principles "chain" computation from sheaf-Hom characters of the flag
 (the oracle), and a closed multiplicity formula used by the fast paths.
-Their agreement is a test target, not an assumption.
+Their agreement is a test target, not an assumption.  The closed form is
+one pass over the rows that adds each weight's multiplicity into one
+{key: mult} dict; the oracle adds polynomials block by block, and the two
+share no helper.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .fixed_points import (
     raise_moves,
 )
 from .symbolic import (
+    SLOT_LIMIT,
     DegeneracyError,
     LaurentPoly,
     RatFunc,
@@ -46,8 +50,8 @@ def line_weight(ring: TVRing, j: int, twist: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def weight_ratio(ring: TVRing, k: int, j: int, v_power: int = 0) -> LaurentPoly:
     """The monomial t_k^2 t_j^{-2} v^{v_power}, built once per ring and
-    arguments: every tangent character and closed entry reuses the same few
-    ratios."""
+    arguments: the chain oracle, the correspondence characters and the
+    closed entries reuse the same few ratios."""
     exps = {k: 2, j: -2} if k != j else {}
     return ring.t_monomial(exps, v_power=v_power)
 
@@ -104,28 +108,58 @@ def tangent_char_oracle(ring: TVRing, p: FixedPoint) -> LaurentPoly:
     return chain_tangent_char(ring, p.rows)
 
 
+@lru_cache(maxsize=None)
+def _square_keys(ring: TVRing) -> Tuple[Tuple[int, ...], int]:
+    """The keys of t_1^2, .., t_n^2 (at index k - 1) and of v^2, once per
+    ring."""
+    return (tuple(next(iter(ring.t(k, 2).terms))
+                  for k in range(1, ring.n + 1)),
+            next(iter(ring.v(2).terms)))
+
+
 def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
     """Tangent character at a fixed point, closed multiplicity formula.
 
     For each ordered pair of lines (j, k) the multiplicity of the weight
     t_k^2 t_j^{-2} v^{2l} is read off the triangular array directly; no
     sheaf cohomology is recomputed.  Must agree with tangent_char_oracle.
+
+    The multiplicities go straight into one {key: mult} dict, the framing
+    correction (the l = 0 weight of every j < k) included.  The weight has
+    key 2 key(t_k) - 2 key(t_j) + l key(v^2).  Each nonempty run
+    l = lo..hi raises the digit bound to the weight's own bound (2, or 0
+    when j = k) plus 4 max(|lo|, |hi|), and the framing weights have bound 2.
     """
     _check_ring(ring, p)
     n = ring.n
-    total = ring.zero()
+    tsq, vsq = _square_keys(ring)
+    rows = ((),) + p.rows + ((0,) * n,)  # rows[i][j - 1] = a_{ij}, i = 0..n
+    mult: Dict[int, int] = {}
+    bound = 2
+
+    def run(base: int, lo: int, hi: int, w_bound: int, sign: int) -> None:
+        nonlocal bound
+        if lo > hi:
+            return
+        bound = max(bound, w_bound + 4 * max(abs(lo), abs(hi)))
+        for key in range(base + lo * vsq, base + (hi + 1) * vsq, vsq):
+            mult[key] = mult.get(key, 0) + sign
+
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            m = weight_ratio(ring, k, j)
+            base = tsq[k - 1] - tsq[j - 1]
+            w_bound = 2 if j != k else 0
             if j < k:
-                a = p.entry(k - 1, j)
-                total = total + geometric_block(0, a, m)
-                total = total - geometric_block(a - p.entry(k, k) + 1, a, m)
+                a = rows[k - 1][j - 1]
+                run(base, 1, a, 2, 1)  # l = 0 cancels the framing weight
+                run(base, a - rows[k][k - 1] + 1, a, 2, -1)
             for i in range(max(j, k), n):
-                lo = p.entry(i, j) - p.entry(i, k) + 1
-                hi = p.entry(i, j) - p.entry(i + 1, k)
-                total = total + geometric_block(lo, hi, m)
-    return total - based_correction(ring)
+                upper = rows[i][j - 1]
+                run(base, upper - rows[i][k - 1] + 1,
+                    upper - rows[i + 1][k - 1], w_bound, 1)
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
+    return LaurentPoly(ring, {key: m for key, m in mult.items() if m}, bound)
 
 
 def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:

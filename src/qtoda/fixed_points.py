@@ -14,7 +14,7 @@ provides both counts so the bijection can be tested.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -30,6 +30,8 @@ class FixedPoint:
 
     n: int
     rows: Rows
+    # the row sums, set once in __post_init__; == and hash read (n, rows)
+    degree: DegreeVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -49,6 +51,7 @@ class FixedPoint:
                     raise UsageError(
                         f"column {j + 1} increases from row {i} to row {i + 1}"
                     )
+        object.__setattr__(self, "degree", tuple(sum(r) for r in self.rows))
 
     def entry(self, i: int, j: int) -> int:
         """Entry a_{ij}, with boundary conventions a_{0,*} = a_{n,*} = 0."""
@@ -63,10 +66,6 @@ class FixedPoint:
         if i == self.n:
             return (0,) * self.n
         return self.rows[i - 1] if i else ()
-
-    @property
-    def degree(self) -> DegreeVector:
-        return tuple(sum(row) for row in self.rows)
 
     def replace(self, i: int, j: int, value: int) -> "FixedPoint":
         """A copy with entry (i, j) set to value."""

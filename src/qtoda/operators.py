@@ -452,20 +452,27 @@ def basis_vector(ctx: ModuleContext, p: FixedPoint) -> ModuleVector:
 Term = Tuple[RatFunc, Tuple[GradedOperator, ...]]
 
 
+def _max_prefix_shift(terms: Sequence[Term]) -> Tuple[int, ...]:
+    """The componentwise largest shift over every nonempty prefix of every
+    term's chain, the operators applied right to left: each intermediate
+    degree of the orbit of degree d is d plus one of these prefix shifts.
+    Empty when no term applies an operator."""
+    prefixes = [cum for _, chain in terms for cum in itertools.accumulate(
+        (op.shift for op in reversed(chain)),
+        lambda a, b: tuple(x + y for x, y in zip(a, b)))]
+    return tuple(map(max, zip(*prefixes)))
+
+
 def _orbit_in_box(box: int, degree: DegreeVector,
-                  terms: Sequence[Term]) -> bool:
-    """True when every intermediate degree of every term stays at most box.
+                  max_shift: Tuple[int, ...]) -> bool:
+    """True when every intermediate degree of every term stays at most box,
+    given the terms' `_max_prefix_shift`: d_c + M_c <= box for every
+    component c.
 
     Degrees with negative components are fine: the module genuinely has no
     such graded pieces, so the operators vanish there by themselves.
     """
-    for _, chain in terms:
-        cum = list(degree)
-        for op in reversed(chain):
-            cum = [a + b for a, b in zip(cum, op.shift)]
-            if any(c > box for c in cum):
-                return False
-    return True
+    return all(d + m <= box for d, m in zip(degree, max_shift))
 
 
 def _buckets(terms: Sequence[Term],
@@ -605,8 +612,9 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """
     yield from cartan_monomial_records(ctx, box)
     for name, params, terms in relation_suite(ctx):
+        max_shift = _max_prefix_shift(terms)
         for d in all_degrees(ctx.n, box):
-            if not _orbit_in_box(box, d, terms):
+            if not _orbit_in_box(box, d, max_shift):
                 yield {
                     "check": name, **params, "degree": list(d),
                     "mode": "free", "status": "skipped-out-of-box",
@@ -633,8 +641,9 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
     terms = ((one, (E, F)), (-one, (F, E)))
+    max_shift = _max_prefix_shift(terms)
     for d in all_degrees(ctx.n, box):
-        if not _orbit_in_box(box, d, terms):
+        if not _orbit_in_box(box, d, max_shift):
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue

@@ -27,7 +27,9 @@ Rational functions keep numerator/denominator factors as multisets of
 tracked canonical factors instead of expanded products.  Every localization
 quantity in this package is born as a monomial times a product of
 (1 - monomial) binomials, so tracked factors cancel syntactically and
-nothing ever needs a multivariate GCD.
+nothing ever needs a multivariate GCD.  A binomial 1 - x^{±s} is
+canonicalized once per (ring, s, bound), so equal binomials share one
+canonical polynomial; any other factor is canonicalized on every use.
 
 Sums are where expanded numerators appear.  Both ways of adding keep every
 tracked factor at its smallest power over the parts (`_over_common_den`),
@@ -433,6 +435,27 @@ def _factor_key(p: LaurentPoly) -> FactorKey:
     return tuple(sorted(p.terms.items()))
 
 
+@lru_cache(maxsize=None)
+def _canonical_binomial(ring: Ring, s: int,
+                        bound: int) -> Tuple[LaurentPoly, FactorKey]:
+    """The canonical form 1 - x^s (s > 0) of the binomials 1 - x^{±s} of
+    digit bound `bound`, and its factor key, built once.  The canonical
+    polynomial keeps the bound `_canonical_factor` would give it."""
+    if 2 * bound > SLOT_LIMIT:
+        raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
+    return LaurentPoly(ring, {0: 1, s: -1}, 2 * bound), ((0, 1), (s, -1))
+
+
+def _binomial_exponent(terms: Terms) -> int | None:
+    """s when the terms are exactly those of 1 - x^s, else None."""
+    if len(terms) == 2 and terms.get(0) == 1:
+        a, b = terms
+        s = b if a == 0 else a
+        if terms[s] == -1:
+            return s
+    return None
+
+
 class RatFunc:
     """A rational function num/den over a Laurent ring.
 
@@ -494,7 +517,14 @@ class RatFunc:
                 if e < 0:
                     raise ArithmeticDomainError("zero denominator factor")
                 return RatFunc.zero(self.ring)
-            canon, low, sign = _canonical_factor(f)
+            s = _binomial_exponent(f.terms)
+            if s is None:
+                canon, low, sign = _canonical_factor(f)
+                key = None if canon.is_one() else _factor_key(canon)
+            else:
+                # 1 - x^s is canonical for s > 0; 1 - x^s = -x^s (1 - x^-s)
+                canon, key = _canonical_binomial(f.ring, abs(s), f.bound)
+                low, sign = (0, 1) if s > 0 else (s, -1)
             if sign < 0 and e % 2:
                 flip = -flip
             if low:
@@ -505,8 +535,7 @@ class RatFunc:
                 if bound > SLOT_LIMIT:
                     raise UsageError(
                         f"a factor exponent could exceed ±{SLOT_LIMIT}")
-            if not canon.is_one():
-                key = _factor_key(canon)
+            if key is not None:
                 old = factors.get(key)
                 ne = (old[1] if old else 0) + e
                 if ne:
@@ -680,9 +709,15 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     `common` holds each tracked factor at its smallest power over all parts,
     a part without the factor counting as power 0: the least common tracked
     denominator, times every positive factor power that all parts share.
-    Only the remaining powers are expanded into the polys.
+    Only the remaining powers are expanded into the polys.  When every part
+    carries the same factor dict, as a product with an untracked scalar
+    shares its operand's, that dict is `common` and nothing is expanded;
+    `common` is then a copy, since `_add` changes it.
     """
     polys = [r.unit for r in parts]
+    shared = parts[0].factors
+    if all(r.factors is shared for r in parts):
+        return polys, dict(shared)
     keys: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
     for r in reversed(parts):
         keys.update(r.factors)

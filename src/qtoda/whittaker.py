@@ -338,7 +338,8 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     In order: the pairing normalization at the lowest vector; for each row
     and in-box degree, adjointness of E_i and F_i on every basis pair; both
     Whittaker eigen-properties; the line-pushforward identity on the real
-    rows of every point up to degree 2; the partial-fraction identity for
+    rows of every point up to degree 2, decided once per (i, row i - 1,
+    row i) and reported per point; the partial-fraction identity for
     i <= 4; and the two-path Whittaker pairing at every in-box degree.
     """
     n = ctx.n
@@ -357,11 +358,12 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     for i in range(1, n):
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):
-                lhs, rhs = line_pushforward_sides(n, i, p.row(i - 1),
-                                                  p.row(i))
+                upper, mid = p.row(i - 1), p.row(i)
+                ok = ctx.memo("pushforward", (i, upper, mid), lambda: eq_exact(
+                    *line_pushforward_sides(n, i, upper, mid)))
                 yield {"check": "line-pushforward-identity", "i": i,
                        "point": [list(r) for r in p.rows],
-                       "status": "pass" if eq_exact(lhs, rhs) else "fail"}
+                       "status": "pass" if ok else "fail"}
     for i in range(1, 5):
         yield {"check": "partial-fraction-identity", "i": i,
                "status": "pass" if partial_fraction_identity(i)

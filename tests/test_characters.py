@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from qtoda.characters import (
+    based_correction,
     char_dimension,
     corr_tangent_char,
     corr_tangent_char_oracle,
@@ -18,9 +19,12 @@ from qtoda.characters import (
     sym_inverse,
     tangent_char,
     tangent_char_oracle,
+    weight_ratio,
 )
-from qtoda.fixed_points import FixedPoint, enumerate_points, raise_moves
-from qtoda.symbolic import DegeneracyError, EvalPoint, RatFunc, eq_exact, tv_ring
+from qtoda.fixed_points import (FixedPoint, all_degrees, enumerate_points,
+                                raise_moves)
+from qtoda.symbolic import (DegeneracyError, EvalPoint, RatFunc, eq_exact,
+                            geometric_block, tv_ring)
 
 
 def grid(max_n, max_total):
@@ -65,6 +69,40 @@ class TestTangentChar:
             expected = expected + ring.v(2 * l)
             expected = expected + ring.t_monomial({2: 2, 1: -2}, v_power=2 * l)
         assert chi == expected
+
+
+def block_sum_tangent_char(ring, p):
+    """The closed character as a sum of geometric blocks, one per run of
+    v-powers, minus the framing correction: the reference for the one-pass
+    multiplicity dict, bound included."""
+    n = ring.n
+    total = ring.zero()
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            m = weight_ratio(ring, k, j)
+            if j < k:
+                a = p.entry(k - 1, j)
+                total = total + geometric_block(0, a, m)
+                total = total - geometric_block(a - p.entry(k, k) + 1, a, m)
+            for i in range(max(j, k), n):
+                lo = p.entry(i, j) - p.entry(i, k) + 1
+                hi = p.entry(i, j) - p.entry(i + 1, k)
+                total = total + geometric_block(lo, hi, m)
+    return total - based_correction(ring)
+
+
+class TestOnePassTangentChar:
+    @pytest.mark.parametrize("n,box", [(2, 4), (3, 3), (4, 2), (5, 2),
+                                       (6, 1)], ids=lambda x: str(x))
+    def test_matches_the_block_sum_and_the_oracle(self, n, box):
+        ring = tv_ring(n)
+        for d in all_degrees(n, box):
+            for p in enumerate_points(n, d):
+                chi = tangent_char(ring, p)
+                want = block_sum_tangent_char(ring, p)
+                assert chi.terms == want.terms
+                assert chi.bound == want.bound
+                assert chi == tangent_char_oracle(ring, p)
 
 
 class TestCorrespondenceChar:

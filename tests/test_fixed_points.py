@@ -50,6 +50,25 @@ class TestFixedPoint:
     def test_zero_point(self):
         assert FixedPoint.zero(4).degree == (0, 0, 0)
 
+    def test_degree_is_the_row_sums_however_the_point_is_built(self):
+        p = FixedPoint(4, ((3,), (2, 4), (0, 1, 2)))
+        built = [p, FixedPoint.zero(4), p.replace(2, 2, 7),
+                 FixedPoint.from_json(p.to_json())]
+        built += enumerate_points(4, (2, 1, 2))
+        for q in built:
+            assert q.degree == tuple(sum(r) for r in q.rows)
+        assert p.replace(2, 2, 7).degree == (3, 9, 3)
+
+    def test_equality_and_hash_read_n_and_rows_only(self):
+        p = FixedPoint(3, ((2,), (1, 5)))
+        q = FixedPoint(3, ((2,), (1, 5)))
+        # the stored degree is neither compared nor hashed
+        object.__setattr__(q, "degree", (0, 0))
+        assert p == q and hash(p) == hash(q)
+        same_degree = FixedPoint(3, ((2,), (2, 4)))
+        assert same_degree.degree == p.degree and same_degree != p
+        assert FixedPoint(4, ((2,), (1, 5), (0, 0, 0))) != p
+
 
 degree_cases = [
     (n, d)

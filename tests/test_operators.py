@@ -11,7 +11,7 @@ import pytest
 
 from qtoda import operators, whittaker
 
-from qtoda.fixed_points import FixedPoint, enumerate_points
+from qtoda.fixed_points import FixedPoint, all_degrees, enumerate_points
 from qtoda.operators import (
     ModuleContext,
     apply_op,
@@ -24,6 +24,7 @@ from qtoda.operators import (
     op_L,
     op_e,
     op_f,
+    relation_suite,
     summation_records,
     verify_summation_identity,
     verify_relations,
@@ -187,6 +188,27 @@ def test_twist_calibration(monkeypatch, twist, fails):
 
 
 SUITE_BOXES = [(2, 4), (3, 3), (4, 2)]
+
+
+def walked_orbit_in_box(box, degree, terms):
+    """Every intermediate degree of every term's chain stays at most box,
+    walked term by term: the reference for the max-prefix-shift test."""
+    for _, chain in terms:
+        cum = list(degree)
+        for op in reversed(chain):
+            cum = [a + b for a, b in zip(cum, op.shift)]
+            if any(c > box for c in cum):
+                return False
+    return True
+
+
+def test_max_prefix_shift_decides_the_box_like_the_walk():
+    for name, params, terms in relation_suite(ModuleContext(4)):
+        max_shift = operators._max_prefix_shift(terms)
+        for box in range(4):
+            for d in all_degrees(4, 3):
+                assert operators._orbit_in_box(box, d, max_shift) == \
+                    walked_orbit_in_box(box, d, terms), (name, params, d)
 
 
 class TestRelationSuite:

@@ -1,11 +1,13 @@
 """Tests for the exact Laurent / rational-function core."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtoda import symbolic
 from qtoda.symbolic import (
     SLOT_LIMIT,
     ArithmeticDomainError,
@@ -507,6 +509,53 @@ class TestFromFactors:
             .is_zero()
 
 
+@st.composite
+def binomial_lists(draw):
+    """1-6 (1 - x^s, exponent) pairs, s of either sign, odd and even
+    exponents, and at times a pair repeated with the opposite exponent, so
+    it cancels."""
+    signed_step = st.tuples(step_strategy(), st.sampled_from([1, -1])).map(
+        lambda t: tuple(t[1] * x for x in t[0]))
+    pairs = draw(st.lists(st.tuples(signed_step.map(one_minus),
+                                    st.integers(-3, 3)),
+                          min_size=1, max_size=5))
+    if draw(st.booleans()):
+        f, e = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((f, -e))
+    return pairs
+
+
+def factor_view(r):
+    """Each tracked factor's terms, bound and power, by key."""
+    return {key: (canon.terms, canon.bound, e)
+            for key, (canon, e) in r.factors.items()}
+
+
+class TestCanonicalBinomials:
+    @given(poly_strategy(R2, max_terms=3, max_exp=2).filter(
+        lambda p: not p.is_zero()), binomial_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_cached_binomials_match_the_generic_path(self, unit, pairs):
+        got = RatFunc.from_factors(R2, unit, pairs)
+        with mock.patch.object(symbolic, "_binomial_exponent",
+                               lambda terms: None):
+            want = RatFunc.from_factors(R2, unit, pairs)
+        assert factor_view(got) == factor_view(want)
+        assert got.unit.terms == want.unit.terms
+        assert got.unit.bound == want.unit.bound
+
+    def test_equal_binomials_share_one_canonical_object(self):
+        s = (0, 1, 2)
+        minus_s = tuple(-x for x in s)
+        a = RatFunc.from_factors(R2, R2.one(), [(one_minus(s), -1)])
+        b = RatFunc.from_factors(R2, R2.t(1), [(one_minus(s), 2)])
+        c = RatFunc.from_factors(R2, R2.one(), [(one_minus(minus_s), 1)])
+        [(canon_a, _)] = a.factors.values()
+        [(canon_b, _)] = b.factors.values()
+        [(canon_c, _)] = c.factors.values()
+        assert canon_a is canon_b is canon_c
+
+
 POINTS = [EvalPoint.of(2, 3, Fraction(1, 2)),
           EvalPoint.of(Fraction(-3, 5), 7, 3),
           EvalPoint.of(5, Fraction(2, 7), -2)]
@@ -650,6 +699,25 @@ class TestProductFastPaths:
             assert changed.factors is not x.factors
             assert x.factors == before and not y.factors
             assert prod.factors == before
+
+
+class TestSharedFactorDict:
+    @given(ratfunc_strategy(), st.lists(
+        poly_strategy(R2, max_terms=3, max_exp=2).filter(
+            lambda p: not p.is_zero()), min_size=2, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_dict_shortcut_matches_the_general_path(self, r, units):
+        # parts that carry one factor dict object, as the products of one
+        # entry with untracked scalars do, against parts with equal copies
+        # (two or more, so the copies take the general path)
+        shared = [RatFunc(R2, u, r.factors) for u in units]
+        copied = [RatFunc(R2, u, dict(r.factors)) for u in units]
+        polys, common = symbolic._over_common_den(shared)
+        want_polys, want_common = symbolic._over_common_den(copied)
+        assert [p.terms for p in polys] == [p.terms for p in want_polys]
+        assert [p.bound for p in polys] == [p.bound for p in want_polys]
+        assert common == want_common
+        assert common is not r.factors
 
 
 # Steps s whose 1 - x^s is nonzero at every point of POINTS, so a sum of

@@ -6,7 +6,7 @@ import pytest
 
 from qtoda import symbolic, whittaker
 from qtoda.characters import det_weight
-from qtoda.fixed_points import FixedPoint, enumerate_points
+from qtoda.fixed_points import FixedPoint, all_degrees, enumerate_points
 from qtoda.operators import (
     GradedOperator,
     ModuleContext,
@@ -146,6 +146,44 @@ class TestPushforwardIdentity:
         lhs, rhs = line_pushforward_sides(3, 1, (), (1,))
         assert lhs.ring is ModuleContext(3).ring
         assert rhs.ring is ModuleContext(3).ring
+
+
+def pushforward_records(ctx, box):
+    return [r for r in whittaker_records(ctx, box)
+            if r["check"] == "line-pushforward-identity"]
+
+
+class TestPushforwardOncePerRowPair:
+    """The identity reads only (i, row i - 1, row i), so the suite decides
+    it once per such triple and reports it at every point."""
+
+    def test_one_decision_per_row_pair(self, monkeypatch):
+        calls = []
+        sides = whittaker.line_pushforward_sides
+
+        def counted(n, i, upper, mid):
+            calls.append((i, upper, mid))
+            return sides(n, i, upper, mid)
+
+        monkeypatch.setattr(whittaker, "line_pushforward_sides", counted)
+        records = pushforward_records(ModuleContext(4), 2)
+        assert len(calls) == len(set(calls)) == 50
+        assert len(records) == 222
+        assert all(r["status"] == "pass" for r in records)
+
+    def test_broken_product_fails_every_point(self, monkeypatch):
+        raising = whittaker.raising_product
+
+        def scaled(ring, *rows_and_column):
+            return raising(ring, *rows_and_column).scale_poly(ring.v(1))
+
+        monkeypatch.setattr(whittaker, "raising_product", scaled)
+        ctx = ModuleContext(4)
+        records = pushforward_records(ctx, 2)
+        assert all(r["status"] == "fail" for r in records)
+        assert [(r["i"], r["point"]) for r in records] == [
+            (i, [list(row) for row in p.rows]) for i in range(1, 4)
+            for d in all_degrees(4, 2) for p in ctx.points(d)]
 
 
 class TestWhittakerPairing:
