@@ -28,6 +28,7 @@ from .fixed_points import (
     FixedPoint,
     enumerate_points,
     raise_moves,
+    shifted,
 )
 from .symbolic import (
     SLOT_LIMIT,
@@ -172,11 +173,8 @@ def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:
         raise UsageError("modification position out of range")
     if j != i and p.entry(i - 1, j) <= p.entry(i, j):
         raise UsageError("modification breaks column monotonicity")
-    raised = tuple(
-        a + (1 if c == j else 0) for c, a in enumerate(p.rows[i - 1], start=1)
-    )
     stages = list(p.rows)
-    stages.insert(i - 1, raised)
+    stages.insert(i - 1, shifted(p.rows[i - 1], j))
     return stages
 
 
@@ -200,8 +198,7 @@ def corr_tangent_char(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPol
         raise UsageError("modification position out of range")
     a = p.entry(i, j)
     total = tangent_char(ring, p)
-    for k in range(1, i + 1):
-        dk = p.entry(i, k) + (1 if k == j else 0)
+    for k, dk in enumerate(shifted(p.row(i), j), start=1):
         total = total + weight_ratio(ring, j, k, 2 * dk - 2 * a)
     for k in range(1, i):
         total = total - weight_ratio(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)

@@ -23,8 +23,8 @@ from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .characters import character_records
-from .fixed_points import (all_degrees, enumerate_points, kostant_count,
-                           shifted)
+from .fixed_points import (all_degrees, check_degree, enumerate_points,
+                           kostant_count, shifted)
 from .operators import (
     ModuleContext,
     ModuleVector,
@@ -98,11 +98,7 @@ def _parse_degree(text: str, n: int) -> tuple:
         degree = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse degree vector {text!r}")
-    if len(degree) != n - 1:
-        raise UsageError(f"degree vector must have {n - 1} components")
-    if any(d < 0 for d in degree):
-        raise UsageError("degree components must be nonnegative")
-    return degree
+    return check_degree(n, degree)
 
 
 def _vector_json(x: ModuleVector) -> dict:
@@ -239,7 +235,9 @@ def _budget() -> Optional[float]:
         value = float(raw)
     except ValueError:
         raise UsageError(f"{BUDGET_ENV} must be a number of seconds")
-    return value if value > 0 else None
+    if not value > 0:  # NaN included
+        raise UsageError(f"{BUDGET_ENV} must be a positive number of seconds")
+    return value
 
 
 def _config_echo(args) -> dict:

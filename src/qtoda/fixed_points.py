@@ -67,12 +67,6 @@ class FixedPoint:
             return (0,) * self.n
         return self.rows[i - 1] if i else ()
 
-    def replace(self, i: int, j: int, value: int) -> "FixedPoint":
-        """A copy with entry (i, j) set to value."""
-        rows = [list(r) for r in self.rows]
-        rows[i - 1][j - 1] = value
-        return FixedPoint(self.n, tuple(tuple(r) for r in rows))
-
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
@@ -115,13 +109,32 @@ def _row_choices(length: int, total: int,
     yield from rec(0, total, [])
 
 
-def enumerate_points(n: int, degree: Sequence[int]) -> List[FixedPoint]:
-    """All fixed points for the given rank and degree vector, in a stable order."""
+def check_degree(n: int, degree: Sequence[int]) -> DegreeVector:
+    """The degree as an int tuple, after checking that it has n - 1
+    nonnegative components."""
     degree = tuple(int(d) for d in degree)
     if len(degree) != n - 1:
         raise UsageError(f"degree vector must have {n - 1} components")
     if any(d < 0 for d in degree):
         raise UsageError("degree components must be nonnegative")
+    return degree
+
+
+def check_rows(n: int, i: int, rows: Sequence[Sequence[int]]) -> Rows:
+    """Rows i - 1, i, .. of an array of rank n as int tuples, after checking
+    1 <= i <= n - 1 and that the k-th given row has i - 1 + k entries."""
+    if not 1 <= i <= n - 1:
+        raise UsageError("row index out of range")
+    rows = tuple(tuple(int(a) for a in r) for r in rows)
+    lengths = range(i - 1, i - 1 + len(rows))
+    if any(len(r) != m for r, m in zip(rows, lengths)):
+        raise UsageError(f"row lengths must be {', '.join(map(str, lengths))}")
+    return rows
+
+
+def enumerate_points(n: int, degree: Sequence[int]) -> List[FixedPoint]:
+    """All fixed points for the given rank and degree vector, in a stable order."""
+    degree = check_degree(n, degree)
 
     points: List[FixedPoint] = []
 
@@ -151,9 +164,7 @@ def _positive_interval_vectors(n: int) -> List[DegreeVector]:
 def kostant_count(n: int, degree: Sequence[int]) -> int:
     """Number of ways to write the degree vector as an N-combination of
     interval vectors.  Independent counting oracle for enumerate_points."""
-    degree = tuple(int(d) for d in degree)
-    if len(degree) != n - 1:
-        raise UsageError(f"degree vector must have {n - 1} components")
+    degree = check_degree(n, degree)
     roots = _positive_interval_vectors(n)
 
     @lru_cache(maxsize=None)
@@ -187,7 +198,8 @@ def padded(degree: Sequence[int]) -> Dict[int, int]:
 
 
 def shifted(degree: Sequence[int], i: int, step: int = 1) -> DegreeVector:
-    """The degree d + step * e_i."""
+    """d + step * e_i, for a degree vector or an array row d (i counted
+    from 1)."""
     return tuple(x + step if k == i else x for k, x in enumerate(degree, 1))
 
 
@@ -195,35 +207,35 @@ def shifted(degree: Sequence[int], i: int, step: int = 1) -> DegreeVector:
 # Elementary moves (simple raising / lowering of one row's total degree)
 # ---------------------------------------------------------------------------
 
-def lower_moves(p: FixedPoint, i: int) -> List[Tuple[FixedPoint, int]]:
-    """Fixed points reachable by decrementing one entry of row i.
+def _moves(p: FixedPoint, i: int, step: int) -> List[Tuple[FixedPoint, int]]:
+    """The points reached by adding step (+1 or -1) to one entry of row i,
+    as (new point, column) pairs in column order.
 
-    Decrementing column j is allowed when a_{ij} > a_{i+1,j} (with the
-    convention that row n is zero), which keeps columns weakly decreasing
-    and entries nonnegative.  Returns (new point, column) pairs; the new
-    point has row-i degree lowered by one.
+    Row i - step bounds the move: the row above caps a raise, and it has no
+    column i, so the diagonal entry has no cap; the row below floors a
+    lowering, with row n zero.  Every target is built, and so validated, as
+    a new FixedPoint.
     """
     if not 1 <= i <= p.n - 1:
         raise UsageError(f"row index {i} out of range")
+    row, bound = p.row(i), p.row(i - step)
     out = []
     for j in range(1, i + 1):
-        if p.entry(i, j) > p.entry(i + 1, j):
-            out.append((p.replace(i, j, p.entry(i, j) - 1), j))
+        if j > len(bound) or step * (bound[j - 1] - row[j - 1]) > 0:
+            rows = p.rows[:i - 1] + (shifted(row, j, step),) + p.rows[i:]
+            out.append((FixedPoint(p.n, rows), j))
     return out
+
+
+def lower_moves(p: FixedPoint, i: int) -> List[Tuple[FixedPoint, int]]:
+    """Fixed points reachable by decrementing one entry of row i: column j
+    when a_{ij} > a_{i+1,j} (see `_moves`).  The new point has row-i degree
+    lowered by one."""
+    return _moves(p, i, -1)
 
 
 def raise_moves(p: FixedPoint, i: int) -> List[Tuple[FixedPoint, int]]:
-    """Fixed points reachable by incrementing one entry of row i.
-
-    Incrementing column j is allowed when j == i (the diagonal entry has no
-    cap) or a_{i-1,j} > a_{ij}.  Returns (new point, column) pairs; the new
-    point has row-i degree raised by one.
-    """
-    if not 1 <= i <= p.n - 1:
-        raise UsageError(f"row index {i} out of range")
-    out = []
-    for j in range(1, i + 1):
-        if j == i or p.entry(i - 1, j) > p.entry(i, j):
-            out.append((p.replace(i, j, p.entry(i, j) + 1), j))
-    return out
-
+    """Fixed points reachable by incrementing one entry of row i: column j
+    when j == i or a_{i-1,j} > a_{ij} (see `_moves`).  The new point has
+    row-i degree raised by one."""
+    return _moves(p, i, 1)

@@ -56,6 +56,7 @@ from .fixed_points import (
     FixedPoint,
     Rows,
     all_degrees,
+    check_rows,
     enumerate_points,
     lower_moves,
     padded,
@@ -77,6 +78,7 @@ from .symbolic import (
 EntryPath = Literal["closed", "geometric"]
 TwistPath = Literal["composite", "direct"]
 T = TypeVar("T")
+K = TypeVar("K", bound=Hashable)
 _UNBUILT = object()
 
 
@@ -428,16 +430,27 @@ def compose(*ops: GradedOperator, label: Optional[str] = None) -> GradedOperator
                           lambda p: _paths(ops, p))
 
 
+def grouped(pairs: Iterable[Tuple[K, T]]) -> Dict[K, List[T]]:
+    """{key: items} of (key, item) pairs, the keys and each key's items in
+    first-seen order.  Every check that adds the parts of one target groups
+    them here, keyed by `rows` tuples rather than by FixedPoint: a tuple's
+    hash and == run in C, the dataclass's in Python."""
+    groups: Dict[K, List[T]] = {}
+    for key, item in pairs:
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
 def apply_op(op: GradedOperator, x: ModuleVector, box: int) -> ModuleVector:
     """Exact sparse matrix-vector product; targets outside 0..box drop.
     The tests' reference for operator action: no check here calls it."""
     target = tuple(a + b for a, b in zip(x.degree, op.shift))
-    out: Dict[FixedPoint, List[RatFunc]] = {}
-    if all(0 <= d <= box for d in target):
-        for p, c in x.coeffs.items():
-            for q, entry in op.terms(p):
-                out.setdefault(q, []).append(entry * c)
-    coeffs = {q: rat_sum(parts[0].ring, parts) for q, parts in out.items()}
+    if not all(0 <= d <= box for d in target):
+        return ModuleVector(target, {})
+    out = grouped((q.rows, entry * c) for p, c in x.coeffs.items()
+                  for q, entry in op.terms(p))
+    coeffs = {FixedPoint(len(rows) + 1, rows): rat_sum(parts[0].ring, parts)
+              for rows, parts in out.items()}
     return ModuleVector(target, {q: c for q, c in coeffs.items() if not c.is_zero()})
 
 
@@ -475,22 +488,18 @@ def _orbit_in_box(box: int, degree: DegreeVector,
     return all(d + m <= box for d, m in zip(degree, max_shift))
 
 
-def _buckets(terms: Sequence[Term],
-             p: FixedPoint) -> Iterable[Tuple[FixedPoint, List[RatFunc]]]:
-    """The parts of (sum of terms)[p], grouped by target basis vector in
-    first-reached order."""
-    buckets: Dict[Rows, Tuple[FixedPoint, List[RatFunc]]] = {}
-    for coeff, chain in terms:
-        for q, c in _paths(chain, p, coeff):
-            buckets.setdefault(q.rows, (q, []))[1].append(c)
-    return buckets.values()
+def _buckets(terms: Sequence[Term], p: FixedPoint) -> Dict[Rows, List[RatFunc]]:
+    """The parts of (sum of terms)[p], grouped by the rows of the target
+    basis vector in first-reached order."""
+    return grouped((q.rows, c) for coeff, chain in terms
+                   for q, c in _paths(chain, p, coeff))
 
 
 def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
                     p: FixedPoint) -> Tuple[bool, str, Optional[dict]]:
     """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
     mode = "free"
-    for q, parts in _buckets(terms, p):
+    for rows, parts in _buckets(terms, p).items():
         if sum_is_zero(parts):
             continue
         mode = "modulo-det"
@@ -498,7 +507,7 @@ def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
         if not _zero_mod_det(ctx.ring, r):
             witness = {
                 "source": p.to_json(),
-                "target": q.to_json(),
+                "target": FixedPoint(p.n, rows).to_json(),
                 "entry": r.to_json(),
             }
             return False, mode, witness
@@ -647,11 +656,9 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue
-        ok = True
-        for p in ctx.points(d):
-            for q, parts in _buckets(terms, p):
-                if q.rows != p.rows and not sum_is_zero(parts):
-                    ok = False
+        ok = all(rows == p.rows or sum_is_zero(parts)
+                 for p in ctx.points(d)
+                 for rows, parts in _buckets(terms, p).items())
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}
 
@@ -668,15 +675,6 @@ def relation_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
 # The commutator summation identity
 # ---------------------------------------------------------------------------
 
-def _check_summation_rows(i: int, rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    if len(rows) != 3:
-        raise UsageError("expected three consecutive rows of array data")
-    upper, mid, low = (tuple(int(a) for a in r) for r in rows)
-    if len(upper) != i - 1 or len(mid) != i or len(low) != i + 1:
-        raise UsageError(f"row lengths must be {i - 1}, {i}, {i + 1}")
-    return upper, mid, low
-
-
 def summation_identity_sides(n: int, i: int,
                         rows: Sequence[Sequence[int]]) -> Tuple[RatFunc, RatFunc]:
     """Both sides of the diagonal-commutator summation identity, in the torus
@@ -690,9 +688,9 @@ def summation_identity_sides(n: int, i: int,
     raising/lowering commutator diagonal entries close into
     (K_i - K_i^{-1})/(v - v^{-1}).
     """
-    if not 1 <= i <= n - 1:
-        raise UsageError("row index out of range")
-    upper, mid, low = _check_summation_rows(i, rows)
+    if len(rows) != 3:
+        raise UsageError("expected three consecutive rows of array data")
+    upper, mid, low = check_rows(n, i, rows)
     ring = tv_ring(n)
     Du, Dm, Dl = sum(upper), sum(mid), sum(low)
 
@@ -701,14 +699,11 @@ def summation_identity_sides(n: int, i: int,
     scale = ring.t_monomial({i: 1, i + 1: 1}, v_power=Du - Dl)
     lhs = RatFunc.from_frac(head * scale, ring.v(1) - ring.v(-1))
 
-    def moved(j: int, step: int) -> Tuple[int, ...]:
-        return tuple(b + step if k == j else b for k, b in enumerate(mid, 1))
-
-    ef = rat_sum(ring, [raising_product(ring, upper, moved(j, -1), j)
+    ef = rat_sum(ring, [raising_product(ring, upper, shifted(mid, j, -1), j)
                         * lowering_product(ring, mid, low, j)
                         for j in range(1, i + 1)])
     fe = rat_sum(ring, [raising_product(ring, upper, mid, j)
-                        * lowering_product(ring, moved(j, 1), low, j)
+                        * lowering_product(ring, shifted(mid, j), low, j)
                         for j in range(1, i + 1)])
     return lhs, ef - fe
 

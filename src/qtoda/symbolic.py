@@ -647,13 +647,6 @@ class RatFunc:
 _ABSENT = (None, 0)  # factors.get default: the factor's power is 0
 
 
-def _binomial_step(key: FactorKey) -> int | None:
-    """s_key when the canonical factor with this key is 1 - x^s, else None."""
-    if len(key) == 2 and key[0] == (0, 1) and key[1][1] == -1:
-        return key[1][0]
-    return None
-
-
 def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
     """q with (1 - x^s) q == p, or None when 1 - x^s does not divide p.
 
@@ -759,7 +752,7 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
         return RatFunc.zero(a.ring)
     unit = LaurentPoly(a.ring, terms, max(pa.bound, pb.bound))
     for key, (canon, e) in list(common.items()):
-        s_key = _binomial_step(key)
+        s_key = _binomial_exponent(canon.terms)
         if s_key is None or a.factors.get(key, _ABSENT)[1] >= 0 \
                 or b.factors.get(key, _ABSENT)[1] >= 0:
             continue

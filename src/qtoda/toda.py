@@ -8,7 +8,8 @@ so both read the one localization sum, built once per degree.
 The two difference operators act through shift monomials: shifting slot j
 of the degree lattice multiplies the coefficient by
 t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
-calibration record checks that the opposite sign fails).  Both
+calibration record checks that the opposite sign fails, deciding both
+signs in the same loop that makes the eigen records).  Both
 distinguished series are eigenfunctions with eigenvalue
 sum_i t_i^{2 sigma}.
 
@@ -23,7 +24,7 @@ contributing zero:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List
 
 from .fixed_points import DegreeVector, all_degrees, padded, shifted
 from .operators import ModuleContext
@@ -33,7 +34,6 @@ from .whittaker import sheaf_rgamma, whittaker_pair_closed
 DEFAULT_SIGMA = -1
 
 Series = Dict[DegreeVector, RatFunc]
-Operator = Callable[[TVRing, Series, DegreeVector, int], List[RatFunc]]
 
 
 def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
@@ -92,26 +92,12 @@ def eigenvalue_monomial_sum(ring: TVRing,
     return total
 
 
-def _eigen_holds(ring: TVRing, s: Series, op: Operator, d: DegreeVector,
-                 sigma: int = DEFAULT_SIGMA) -> bool:
+def _eigen_holds(ring: TVRing, s: Series, op: Callable[..., List[RatFunc]],
+                 d: DegreeVector, sigma: int = DEFAULT_SIGMA) -> bool:
     """(op s)_d == lam * s_d for the eigenvalue lam of this sign: the
     operator's parts and -lam * s_d sum to zero."""
     lam = eigenvalue_monomial_sum(ring, sigma)
     return sum_is_zero(op(ring, s, d, sigma) + [s[d].scale_poly(-lam)])
-
-
-def sign_calibration(ring: TVRing, pairs: Sequence[Tuple[Series, Operator]],
-                     box: int, working: bool) -> Dict[int, bool]:
-    """{sigma: all-pass} over the degrees <= `box` of the filled (series,
-    operator) pairs.  The working sign's verdict is `working`, decided by
-    its eigen records as they were made.  The opposite sign applies each
-    operator one degree at a time, in graded order, and `all` stops at the
-    first degree where an eigen-equation fails."""
-    degrees = sorted((d for d in pairs[0][0] if max(d) <= box),
-                     key=lambda d: (sum(d), d))
-    opposite = all(_eigen_holds(ring, s, op, d, -DEFAULT_SIGMA)
-                   for d in degrees for s, op in pairs)
-    return {DEFAULT_SIGMA: working, -DEFAULT_SIGMA: opposite}
 
 
 def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
@@ -123,30 +109,31 @@ def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     series is filled one degree at a time in lexicographic order; every
     d - e_i is lex-smaller than d, so each record is decided as soon as its
     degree exists.  The calibration record comes last: the working sign
-    must pass and the opposite sign must fail, over degrees <= 2.
+    must pass and the opposite sign must fail, over degrees <= 2.  Both
+    verdicts are decided in the same loop, at each degree within that cut:
+    the working sign's from the eigen record, the opposite sign's by one
+    more eigen test, tried only until it first fails.
     """
     ring = ctx.ring
     cut = min(box, 2)
-    pairs: List[Tuple[Series, Operator]] = []
-    working = True
+    working = opposite = True
     for check, op, coefficient in (
             ("sum-op-eigen", sum_op_at, whittaker_pair_closed),
             ("difference-op-eigen", difference_op_at, sheaf_rgamma)):
         s: Series = {}
-        pairs.append((s, op))
         for d in all_degrees(ctx.n, box):
             s[d] = coefficient(ctx, d)
             ok = _eigen_holds(ring, s, op, d)
             if max(d) <= cut:
                 working = working and ok
+                opposite = opposite and _eigen_holds(ring, s, op, d,
+                                                     -DEFAULT_SIGMA)
             yield {"check": check, "degree": list(d),
                    "status": "pass" if ok else "fail"}
     if box == 0:
         # at degree 0 both signs pass, so the opposite sign cannot fail
         status = "skipped-out-of-box"
     else:
-        cal = sign_calibration(ring, pairs, cut, working)
-        status = "pass" if cal[DEFAULT_SIGMA] and not cal[-DEFAULT_SIGMA] \
-            else "fail"
+        status = "pass" if working and not opposite else "fail"
     yield {"check": "shift-sign-calibration", "working_sign": DEFAULT_SIGMA,
            "status": status}

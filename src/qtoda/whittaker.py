@@ -23,10 +23,11 @@ coefficient sum term by term.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+import itertools
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .characters import det_weight
-from .fixed_points import (DegreeVector, FixedPoint, Rows, all_degrees,
+from .fixed_points import (DegreeVector, FixedPoint, all_degrees, check_rows,
                            padded, shifted)
 from .operators import (
     GradedOperator,
@@ -34,6 +35,7 @@ from .operators import (
     ModuleVector,
     basis_vector,
     compose,
+    grouped,
     op_E,
     op_F,
     op_K,
@@ -95,9 +97,7 @@ def by_rows(pairs: Sequence[Tuple[FixedPoint, RatFunc]],
     map that forgets a stage before the fibres are added."""
     if not pairs or row == len(pairs[0][0].rows) - 1:
         return [part for _, part in pairs]
-    groups: Dict[Tuple[int, ...], List[Tuple[FixedPoint, RatFunc]]] = {}
-    for p, part in pairs:
-        groups.setdefault(p.rows[row], []).append((p, part))
+    groups = grouped((p.rows[row], (p, part)) for p, part in pairs)
     return [by_rows(g, row + 1) for g in groups.values()]
 
 
@@ -182,11 +182,11 @@ def _eigen_holds(ctx: ModuleContext, op: GradedOperator,
     src = shifted(degree, i)
     ring = ctx.ring
     minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
-    targets = {q.rows: [c * minus_scale]
-               for q, c in vector(ctx, degree).coeffs.items()}
-    for p, c in vector(ctx, src).coeffs.items():
-        for q, entry in op.terms(p):
-            targets.setdefault(q.rows, []).append(entry * c)
+    targets = grouped(itertools.chain(
+        ((q.rows, c * minus_scale)
+         for q, c in vector(ctx, degree).coeffs.items()),
+        ((q.rows, entry * c) for p, c in vector(ctx, src).coeffs.items()
+         for q, entry in op.terms(p))))
     return all(sum_is_zero(parts) for parts in targets.values())
 
 
@@ -219,15 +219,11 @@ def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int]) -> bool:
     zero (the pairing of E_i[p] with [q] against that of [p] with F_i[q])."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     target = shifted(degree, i)
-    pairs: Dict[Tuple[Rows, Rows], List[RatFunc]] = {}
-    for p in ctx.points(degree):
-        for q, entry in E.terms(p):
-            pairs.setdefault((p.rows, q.rows), []).append(
-                entry * pairing_weight(ctx, q))
-    for q in ctx.points(target):
-        for p, entry in F.terms(q):
-            pairs.setdefault((p.rows, q.rows), []).append(
-                -(entry * pairing_weight(ctx, p)))
+    pairs = grouped(itertools.chain(
+        (((p.rows, q.rows), entry * pairing_weight(ctx, q))
+         for p in ctx.points(degree) for q, entry in E.terms(p)),
+        (((p.rows, q.rows), -(entry * pairing_weight(ctx, p)))
+         for q in ctx.points(target) for p, entry in F.terms(q))))
     return all(sum_is_zero(parts) for parts in pairs.values())
 
 
@@ -246,12 +242,7 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
     raising entries of E_i without their degree prefactor, and the right
     side is t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
     """
-    upper = tuple(int(a) for a in upper)
-    mid = tuple(int(a) for a in mid)
-    if len(upper) != i - 1 or len(mid) != i:
-        raise UsageError(f"row lengths must be {i - 1} and {i}")
-    if not 1 <= i <= n - 1:
-        raise UsageError("row index out of range")
+    upper, mid = check_rows(n, i, (upper, mid))
     ring = tv_ring(n)
     lhs = rat_sum(ring, [raising_product(ring, upper, mid, j)
                          for j in range(1, i + 1)])

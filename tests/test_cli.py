@@ -274,6 +274,19 @@ class TestVerify:
         monkeypatch.setenv("QTODA_TIME_BUDGET", "soon")
         assert main(["verify", "--n", "2", "--box", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_budget_must_be_positive(self, capsys, monkeypatch, value):
+        # a budget that was asked for is never dropped: usage error, before
+        # the config echo
+        monkeypatch.setenv("QTODA_TIME_BUDGET", value)
+        code, lines = run(capsys, "verify", "--n", "2", "--box", "1")
+        assert code == EXIT_USAGE and lines == []
+
+    def test_empty_budget_means_no_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTODA_TIME_BUDGET", "")
+        code, lines = run(capsys, "verify", "--n", "2", "--box", "1")
+        assert code == EXIT_PASS and parsed(lines)[-1]["complete"] is True
+
 
 class TestVerifyToda:
     def test_box_zero_skips_the_sign_calibration(self, capsys):

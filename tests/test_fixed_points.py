@@ -52,12 +52,13 @@ class TestFixedPoint:
 
     def test_degree_is_the_row_sums_however_the_point_is_built(self):
         p = FixedPoint(4, ((3,), (2, 4), (0, 1, 2)))
-        built = [p, FixedPoint.zero(4), p.replace(2, 2, 7),
+        raised, j = raise_moves(p, 2)[-1]  # entry (2, 2) raised to 5
+        built = [p, FixedPoint.zero(4), raised,
                  FixedPoint.from_json(p.to_json())]
         built += enumerate_points(4, (2, 1, 2))
         for q in built:
             assert q.degree == tuple(sum(r) for r in q.rows)
-        assert p.replace(2, 2, 7).degree == (3, 9, 3)
+        assert j == 2 and raised.degree == (3, 7, 3)
 
     def test_equality_and_hash_read_n_and_rows_only(self):
         p = FixedPoint(3, ((2,), (1, 5)))
@@ -159,6 +160,31 @@ class TestMoves:
             reached.extend(q.rows for q, _ in raise_moves(p, i))
         target_rows = {p.rows for p in enumerate_points(n, target)}
         assert set(reached) <= target_rows
+
+    @pytest.mark.parametrize("n,box", [(2, 4), (3, 3), (4, 2), (5, 2)],
+                             ids=lambda x: str(x))
+    def test_one_move_rule_matches_the_entry_edit(self, n, box):
+        # the reference edits one entry of a copy of the rows, then builds
+        # and validates a new point
+        def reference(p, i, step):
+            out = []
+            for j in range(1, i + 1):
+                a = p.entry(i, j)
+                if step == 1 and (j == i or p.entry(i - 1, j) > a) \
+                        or step == -1 and a > p.entry(i + 1, j):
+                    rows = [list(r) for r in p.rows]
+                    rows[i - 1][j - 1] = a + step
+                    out.append((FixedPoint(n, tuple(map(tuple, rows))), j))
+            return out
+
+        def view(moves):
+            return [(q.rows, q.degree, j) for q, j in moves]
+
+        for d in all_degrees(n, box):
+            for p in enumerate_points(n, d):
+                for i in range(1, n):
+                    assert view(raise_moves(p, i)) == view(reference(p, i, 1))
+                    assert view(lower_moves(p, i)) == view(reference(p, i, -1))
 
     def test_zero_point_has_no_lowers(self):
         p = FixedPoint.zero(3)

@@ -18,6 +18,7 @@ from qtoda.operators import (
     basis_vector,
     compose,
     diagonality_check,
+    grouped,
     op_E,
     op_F,
     op_K,
@@ -30,6 +31,14 @@ from qtoda.operators import (
     verify_relations,
 )
 from qtoda.symbolic import LaurentPoly, RatFunc, UsageError, eq_exact, rat_sum
+
+
+def test_grouped_keeps_first_seen_key_and_item_order():
+    groups = grouped([("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5),
+                      ("b", 0)])
+    assert list(groups.items()) == [("b", [1, 3, 0]), ("a", [2, 5]),
+                                    ("c", [4])]
+    assert grouped([]) == {}
 
 
 def degree_grid(max_n, max_total):

@@ -556,6 +556,37 @@ class TestCanonicalBinomials:
         assert canon_a is canon_b is canon_c
 
 
+@st.composite
+def tagged_factors(draw):
+    """(factor, s): c x^e (1 - x^s) with c = ±1 and pack(s) > 0, or a general
+    nonzero polynomial with s = None."""
+    if draw(st.booleans()):
+        e = draw(st.tuples(*[st.integers(-3, 3)] * R2.nvars))
+        s = draw(step_strategy())
+        c = draw(st.sampled_from([1, -1]))
+        return R2.monomial(e, c) * one_minus(s), pack(s)
+    return draw(poly_strategy(R2, max_terms=4, max_exp=3).filter(
+        lambda p: not p.is_zero())), None
+
+
+class TestBinomialExponent:
+    @given(tagged_factors())
+    @settings(max_examples=200, deadline=None)
+    def test_exponent_is_read_off_the_canonical_key(self, tagged):
+        # _binomial_exponent(canon.terms) is s exactly when the canonical
+        # factor's key is ((0, 1), (s, -1))
+        f, s = tagged
+        canon, _, _ = symbolic._canonical_factor(f)
+        key = symbolic._factor_key(canon)
+        got = symbolic._binomial_exponent(canon.terms)
+        if len(key) == 2 and key[0] == (0, 1) and key[1][1] == -1:
+            assert got == key[1][0]
+        else:
+            assert got is None
+        if s is not None:
+            assert got == s
+
+
 POINTS = [EvalPoint.of(2, 3, Fraction(1, 2)),
           EvalPoint.of(Fraction(-3, 5), 7, 3),
           EvalPoint.of(5, Fraction(2, 7), -2)]

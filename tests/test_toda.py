@@ -1,7 +1,10 @@
 """Tests for the difference-Toda eigen-equations on the generating series."""
 
+from functools import lru_cache
+
 import pytest
 
+from qtoda import toda
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
 from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
@@ -9,7 +12,6 @@ from qtoda.toda import (
     difference_op_at,
     eigenvalue_monomial_sum,
     shift_monomial,
-    sign_calibration,
     sum_op_at,
     toda_records,
 )
@@ -27,13 +29,6 @@ def filled_series(ctx, box):
             {d: sheaf_rgamma(ctx, d) for d in degrees})
 
 
-def working_verdict(records, box):
-    """The working sign's verdict as its eigen records give it over the
-    degrees <= box."""
-    return all(r["status"] == "pass" for r in records
-               if "degree" in r and max(r["degree"]) <= box)
-
-
 def eigen_verdicts(ring, pairs, sigma, box):
     """{(operator, degree): verdict} for every (series, operator) pair at
     every degree <= box, without stopping at a failure.  The reference sums
@@ -43,6 +38,22 @@ def eigen_verdicts(ring, pairs, sigma, box):
     return {(op.__name__, d): eq_exact(rat_sum(ring, op(ring, s, d, sigma)),
                                        s[d].scale_poly(lam))
             for s, op in pairs for d in sorted(s) if max(d) <= box}
+
+
+@lru_cache(maxsize=None)
+def calibration_case(n, box):
+    """The calibration record of toda_records at (n, box), and {sigma:
+    all-pass} of the exhaustive reference over degrees <= min(box, 2)."""
+    ctx = ModuleContext(n)
+    records, pair, sheaf = filled_series(ctx, box)
+    pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
+    reference = {sigma: all(eigen_verdicts(ctx.ring, pairs, sigma,
+                                           min(box, 2)).values())
+                 for sigma in (-1, 1)}
+    return records[-1], reference
+
+
+CALIBRATION_BOXES = [(2, 3), (3, 2), (4, 1), (4, 2)]
 
 
 class TestShiftMonomial:
@@ -108,33 +119,40 @@ class TestEigenEquations:
         assert len(records) == 2 * len(pair) + 1
         assert all(r["status"] == "pass" for r in records)
 
-    def test_sign_calibration(self):
-        # sigma = -1 is the working convention; the opposite sign must fail
-        ctx = ModuleContext(2)
-        records, pair, sheaf = filled_series(ctx, 2)
-        pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
-        assert sign_calibration(ctx.ring, pairs, 2,
-                                working_verdict(records, 2)) == \
-            {-1: True, 1: False}
-        assert records[-1] == {"check": "shift-sign-calibration",
-                               "working_sign": -1, "status": "pass"}
-
-    @pytest.mark.parametrize("n,box,cut", [(2, 3, 2), (3, 2, 2), (4, 1, 1),
-                                           (2, 1, 0)],
+    @pytest.mark.parametrize("n,box", CALIBRATION_BOXES,
                              ids=lambda x: str(x))
-    def test_early_stop_calibration_matches_exhaustive(self, n, box, cut):
-        # the calibration stops at the first failing degree; the reference
-        # decides every degree <= cut for both signs.  At cut 0 only
-        # degree 0 counts, where both signs pass.
-        ctx = ModuleContext(n)
-        ring = ctx.ring
-        records, pair, sheaf = filled_series(ctx, box)
-        pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
-        reference = {sigma: all(eigen_verdicts(ring, pairs, sigma, cut)
-                                .values())
-                     for sigma in (-1, 1)}
-        assert sign_calibration(ring, pairs, cut,
-                                working_verdict(records, cut)) == reference
+    def test_sign_calibration(self, n, box):
+        # sigma = -1 is the working convention; the opposite sign must fail
+        record, reference = calibration_case(n, box)
+        assert reference == {-1: True, 1: False}
+        assert record == {"check": "shift-sign-calibration",
+                          "working_sign": -1, "status": "pass"}
+
+    @pytest.mark.parametrize("n,box", CALIBRATION_BOXES,
+                             ids=lambda x: str(x))
+    def test_early_stop_calibration_matches_exhaustive(self, n, box):
+        # the record stops trying the opposite sign at its first failing
+        # degree; the reference decides every degree <= min(box, 2) for both
+        # signs.  Box 0, where both signs pass, is skipped (see test_cli).
+        record, reference = calibration_case(n, box)
+        want = "pass" if reference[-1] and not reference[1] else "fail"
+        assert record["status"] == want
+
+    def test_opposite_sign_stops_at_its_first_failure(self, monkeypatch):
+        # at (4, 2) the opposite sign passes at degree 0 of the sum-type
+        # family and fails at the next degree, (0, 0, 1)
+        tried = []
+        eigen_holds = toda._eigen_holds
+
+        def counted(ring, s, op, d, sigma=toda.DEFAULT_SIGMA):
+            if sigma != toda.DEFAULT_SIGMA:
+                tried.append((op.__name__, d))
+            return eigen_holds(ring, s, op, d, sigma)
+
+        monkeypatch.setattr(toda, "_eigen_holds", counted)
+        records = list(toda_records(ModuleContext(4), 2))
+        assert records[-1]["status"] == "pass"
+        assert tried == [("sum_op_at", (0, 0, 0)), ("sum_op_at", (0, 0, 1))]
 
     def test_verdicts_do_not_depend_on_the_box(self):
         # so the calibration may read a sign's verdict from a larger box
