@@ -54,6 +54,10 @@ EXIT_BUDGET = 3
 
 BUDGET_ENV = "QTODA_TIME_BUDGET"
 
+# json.dumps builds an encoder per call; one with its defaults writes the
+# same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class BudgetExceeded(Exception):
     pass
@@ -72,7 +76,7 @@ class Reporter:
         status = record.get("status")
         if status:
             self.counts[status] = self.counts.get(status, 0) + 1
-        self.stream.write(json.dumps(record, sort_keys=True) + "\n")
+        self.stream.write(_ENCODER.encode(record) + "\n")
         self.records_written += 1
 
     def checkpoint(self) -> None:

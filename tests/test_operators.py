@@ -284,6 +284,134 @@ class TestRelationSuite:
             assert any(r["status"] == "pass" for r in records)
 
 
+def in_box_degrees(n, box, terms):
+    max_shift = operators._max_prefix_shift(terms)
+    return [d for d in all_degrees(n, box)
+            if operators._orbit_in_box(box, d, max_shift)]
+
+
+def decide(ctx, terms, d):
+    """(status, mode, witness) of terms over the points of degree d, the
+    point loop of `verify_relations` on terms given as they are."""
+    mode = "free"
+    for p in ctx.points(d):
+        ok, m, witness = operators._identity_holds(ctx, terms, p)
+        if m == "modulo-det":
+            mode = "modulo-det"
+        if not ok:
+            return "fail", mode, witness
+    return "pass", mode, None
+
+
+def witness_entry(ctx, witness):
+    entry = witness["entry"]
+    return RatFunc.from_frac(LaurentPoly.from_json(ctx.ring, entry["num"]),
+                             LaurentPoly.from_json(ctx.ring, entry["den"]))
+
+
+def assert_same_witness(ctx, w, w_ref):
+    """Same source and target, and entries equal as rational functions
+    (their num/den may be written apart)."""
+    assert (w is None) == (w_ref is None)
+    if w is not None:
+        assert (w["source"], w["target"]) == (w_ref["source"],
+                                              w_ref["target"])
+        assert eq_exact(witness_entry(ctx, w), witness_entry(ctx, w_ref))
+
+
+def scale_l_by_total_degree(monkeypatch, ctx):
+    """L_i acts on degree d by its scalar times v^{|d|}.  A constant factor
+    would cancel in L_i X_j L_i^{-1}; this one leaves v^{±1} there for every
+    X_j, so each conjugation breaks wherever X_j moves a point."""
+    original = ctx.l_scalar
+    monkeypatch.setattr(ctx, "l_scalar", lambda i, d: original(i, d)
+                        * ctx.ring.v(sum(d)))
+
+
+class TestDegreeFold:
+    """`_at_degree` folds each diagonal operator into its term's
+    coefficient once per degree; the unfolded terms are the reference."""
+
+    @pytest.mark.parametrize("n,box", [(3, 2), (4, 1), (4, 2)],
+                             ids=lambda x: str(x))
+    def test_folded_terms_decide_every_point_like_the_terms(self, n, box):
+        ctx = ModuleContext(n)
+        folds = 0
+        for name, params, terms in relation_suite(ctx):
+            for d in in_box_degrees(n, box, terms):
+                at_d = operators._at_degree(terms, d)
+                folds += at_d is not terms
+                for p in ctx.points(d):
+                    ok, mode, w = operators._identity_holds(ctx, at_d, p)
+                    ok_ref, mode_ref, w_ref = operators._identity_holds(
+                        ctx, terms, p)
+                    assert (ok, mode) == (ok_ref, mode_ref)
+                    assert_same_witness(ctx, w, w_ref)
+        assert folds > 0
+
+    def test_conjugations_cancel_to_no_terms(self):
+        ctx = ModuleContext(4)
+        for name, params, terms in relation_suite(ctx):
+            if name.startswith("diagonal-conjugates"):
+                for d in in_box_degrees(4, 2, terms):
+                    assert operators._at_degree(terms, d) == []
+
+    def test_broken_diagonal_fails_where_the_reference_fails(
+            self, monkeypatch):
+        ctx = ModuleContext(4)
+        scale_l_by_total_degree(monkeypatch, ctx)
+        records = {(r["check"], r["i"], r["j"], tuple(r["degree"])): r
+                   for r in verify_relations(ctx, 2)
+                   if r["check"].startswith("diagonal-conjugates")}
+        failed = 0
+        for name, params, terms in relation_suite(ctx):
+            if not name.startswith("diagonal-conjugates"):
+                continue
+            [(_, (Z,))] = terms[1:]
+            for d in in_box_degrees(4, 2, terms):
+                rec = records[(name, params["i"], params["j"], d)]
+                status, mode, witness = decide(ctx, terms, d)
+                moves = any(Z.terms(p) for p in ctx.points(d))
+                assert rec["status"] == status == ("fail" if moves
+                                                   else "pass")
+                assert rec["mode"] == mode
+                assert_same_witness(ctx, rec.get("witness"), witness)
+                failed += status == "fail"
+        assert failed > 0
+
+    def test_diagonal_scalar_is_the_terms_entry(self):
+        ctx = ModuleContext(4)
+        diagonal = [op(ctx, i, power) for i in range(1, 4)
+                    for op in (op_K, op_L) for power in (1, -1, 2)]
+        diagonal += [operators._cartan_commutator_rhs(ctx, i)
+                     for i in range(1, 4)]
+        for op in diagonal:
+            for d in all_degrees(4, 2):
+                for p in ctx.points(d):
+                    [(q, entry)] = op.terms(p)
+                    assert q == p and eq_exact(entry, op.scalar(d))
+        assert all(op(ctx, 1).scalar is None
+                   for op in (op_E, op_F, op_e, op_f))
+
+
+def test_closed_entries_are_built_once_per_rows_and_column(monkeypatch):
+    built = {}
+    for kind, name in (("raising", "raising_product"),
+                       ("lowering", "lowering_product")):
+        original = getattr(operators, name)
+
+        def counted(ring, a, b, j, kind=kind, original=original):
+            key = (kind, a, b, j)
+            built[key] = built.get(key, 0) + 1
+            return original(ring, a, b, j)
+
+        monkeypatch.setattr(operators, name, counted)
+    records = list(whittaker.whittaker_records(ModuleContext(4), 2))
+    assert all(r["status"] == "pass" for r in records)
+    assert {kind for kind, *_ in built} == {"raising", "lowering"}
+    assert set(built.values()) == {1}
+
+
 class TestSummationIdentity:
     def test_exact_rank_one(self):
         assert verify_summation_identity(2, 1, [[], [2], [1, 0]])
