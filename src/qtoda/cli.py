@@ -180,6 +180,30 @@ def cmd_verify(args) -> Iterator[dict]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_DEGREE = ("--degree", {"required": True,
+                        "help": "comma-separated degree vector"})
+_BOX = ("--box", {"type": int, "required": True,
+                  "help": "componentwise degree cap"})
+
+# (name, help, command, arguments after --n and --out) per subcommand
+SUBCOMMANDS = (
+    ("enumerate", "list fixed points and cross-check the count",
+     cmd_enumerate, [_DEGREE]),
+    ("characters", "compare closed-form characters against the chain oracle",
+     cmd_characters, [_DEGREE]),
+    ("verify", "run a verification suite", cmd_verify, [
+        _BOX,
+        ("--suite", {"default": "full", "choices": ("full",) + tuple(SUITES)}),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "picks the summation suite's random rows"}),
+        ("--i", {"type": int, "help": "restrict the summation-identity "
+                                      "suite to one row index"})]),
+    ("whittaker", "emit Whittaker data at one degree", cmd_whittaker,
+     [_DEGREE]),
+    ("toda", "difference-Toda eigen checks", cmd_toda, [_BOX]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtoda",
@@ -188,46 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "eigen-equations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, degree=False, box=False):
+    for name, help_text, fn, arguments in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True,
                        help="rank parameter (>= 2)")
         p.add_argument("--out", help="write the report to this path")
-        if degree:
-            p.add_argument("--degree", required=True,
-                           help="comma-separated degree vector")
-        if box:
-            p.add_argument("--box", type=int, required=True,
-                           help="componentwise degree cap")
-
-    p = sub.add_parser("enumerate", help="list fixed points and cross-check "
-                                         "the count")
-    common(p, degree=True)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("characters", help="compare closed-form characters "
-                                          "against the chain oracle")
-    common(p, degree=True)
-    p.set_defaults(fn=cmd_characters)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p, box=True)
-    p.add_argument("--suite", default="full",
-                   choices=("full",) + tuple(SUITES))
-    p.add_argument("--seed", type=int, default=0,
-                   help="picks the summation suite's random rows")
-    p.add_argument("--i", type=int, help="restrict the summation-identity "
-                                         "suite to one row index")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("whittaker", help="emit Whittaker data at one degree")
-    common(p, degree=True)
-    p.set_defaults(fn=cmd_whittaker)
-
-    p = sub.add_parser("toda", help="difference-Toda eigen checks")
-    common(p, box=True)
-    p.set_defaults(fn=cmd_toda)
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .symbolic import UsageError
 
@@ -72,8 +72,14 @@ class FixedPoint:
 
     @staticmethod
     def from_json(data: dict) -> "FixedPoint":
-        return FixedPoint(int(data["n"]), tuple(tuple(int(a) for a in r)
-                                                for r in data["rows"]))
+        """The point `to_json` wrote.  Data of any other shape raises
+        UsageError."""
+        try:
+            n = int(data["n"])
+            rows = tuple(tuple(int(a) for a in r) for r in data["rows"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed fixed point JSON: {exc!r}") from exc
+        return FixedPoint(n, rows)
 
     @staticmethod
     def zero(n: int) -> "FixedPoint":
@@ -83,30 +89,6 @@ class FixedPoint:
     def __repr__(self) -> str:
         body = "; ".join(",".join(map(str, r)) for r in self.rows)
         return f"FixedPoint(n={self.n}, [{body}])"
-
-
-def _row_choices(length: int, total: int,
-                 caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Compositions of `total` into `length` parts with parts 1..length-1 capped.
-
-    The final part is uncapped (a new coordinate line enters the flag there).
-    """
-    if length == 1:
-        yield (total,)
-        return
-
-    def rec(j: int, remaining: int, acc: List[int]) -> Iterator[Tuple[int, ...]]:
-        if j == length - 1:
-            acc.append(remaining)
-            yield tuple(acc)
-            acc.pop()
-            return
-        for a in range(min(remaining, caps[j]) + 1):
-            acc.append(a)
-            yield from rec(j + 1, remaining - a, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])
 
 
 def check_degree(n: int, degree: Sequence[int]) -> DegreeVector:
@@ -133,23 +115,22 @@ def check_rows(n: int, i: int, rows: Sequence[Sequence[int]]) -> Rows:
 
 
 def enumerate_points(n: int, degree: Sequence[int]) -> List[FixedPoint]:
-    """All fixed points for the given rank and degree vector, in a stable order."""
+    """All fixed points for the given rank and degree vector, in
+    lexicographic order of rows.
+
+    Row i is built from each array of rows 1..i-1: its first i - 1 entries
+    run over the product of 0..a_{i-1,j} (in lexicographic order), and its
+    last entry, where a new coordinate line enters the flag, takes what is
+    left of d_i.
+    """
     degree = check_degree(n, degree)
-
-    points: List[FixedPoint] = []
-
-    def rec(i: int, acc: List[Tuple[int, ...]]) -> None:
-        if i == n:
-            points.append(FixedPoint(n, tuple(acc)))
-            return
-        caps = acc[-1] if acc else ()
-        for row in _row_choices(i, degree[i - 1], caps):
-            acc.append(row)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(1, [])
-    return points
+    arrays: List[Rows] = [((),)]  # row 0 is empty
+    for d in degree:
+        arrays = [rows + (head + (d - sum(head),),) for rows in arrays
+                  for head in itertools.product(
+                      *(range(min(a, d) + 1) for a in rows[-1]))
+                  if sum(head) <= d]
+    return [FixedPoint(n, rows[1:]) for rows in arrays]
 
 
 def _positive_interval_vectors(n: int) -> List[DegreeVector]:

@@ -235,22 +235,22 @@ def op_scalar(ctx: ModuleContext,
                           lambda p: [(p, at(p.degree))], scalar=at)
 
 
-def op_K(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
+def _monomial_op(ctx: ModuleContext, name: str,
+                 monomial: Callable[[int, DegreeVector], LaurentPoly], i: int,
+                 power: int) -> GradedOperator:
+    """The diagonal operator `name`_i^power, acting on degree d by
+    monomial(i, d) ** power."""
     ctx._check_row(i)
-    return op_scalar(
-        ctx,
-        lambda d: RatFunc.from_poly(ctx.k_scalar(i, d) ** power),
-        label=f"K{i}^{power}",
-    )
+    return op_scalar(ctx, lambda d: RatFunc.from_poly(monomial(i, d) ** power),
+                     label=f"{name}{i}^{power}")
+
+
+def op_K(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
+    return _monomial_op(ctx, "K", ctx.k_scalar, i, power)
 
 
 def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
-    ctx._check_row(i)
-    return op_scalar(
-        ctx,
-        lambda d: RatFunc.from_poly(ctx.l_scalar(i, d) ** power),
-        label=f"L{i}^{power}",
-    )
+    return _monomial_op(ctx, "L", ctx.l_scalar, i, power)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +471,12 @@ def grouped(pairs: Iterable[Tuple[K, T]]) -> Dict[K, List[T]]:
     return groups
 
 
+def vanishes(pairs: Iterable[Tuple[Hashable, RatFunc]]) -> bool:
+    """True when every key's parts from `grouped` sum to zero, the keys
+    tried in first-seen order until one fails."""
+    return all(sum_is_zero(parts) for parts in grouped(pairs).values())
+
+
 def apply_op(op: GradedOperator, x: ModuleVector, box: int) -> ModuleVector:
     """Exact sparse matrix-vector product; targets outside 0..box drop.
     The tests' reference for operator action: no check here calls it."""
@@ -552,18 +558,19 @@ def _at_degree(terms: Sequence[Term], d: DegreeVector) -> Sequence[Term]:
             if len(coeffs) == 1 or not sum_is_zero(coeffs)]
 
 
-def _buckets(terms: Sequence[Term], p: FixedPoint) -> Dict[Rows, List[RatFunc]]:
-    """The parts of (sum of terms)[p], grouped by the rows of the target
-    basis vector in first-reached order."""
-    return grouped((q.rows, c) for coeff, chain in terms
-                   for q, c in _paths(chain, p, coeff))
+def _reached(terms: Sequence[Term],
+             p: FixedPoint) -> Iterator[Tuple[Rows, RatFunc]]:
+    """The parts of (sum of terms)[p] as (target rows, part) pairs, one per
+    path, in reach order."""
+    return ((q.rows, c) for coeff, chain in terms
+            for q, c in _paths(chain, p, coeff))
 
 
 def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
                     p: FixedPoint) -> Tuple[bool, str, Optional[dict]]:
     """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
     mode = "free"
-    for rows, parts in _buckets(terms, p).items():
+    for rows, parts in grouped(_reached(terms, p)).items():
         if sum_is_zero(parts):
             continue
         mode = "modulo-det"
@@ -733,9 +740,8 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue
-        ok = all(rows == p.rows or sum_is_zero(parts)
-                 for p in ctx.points(d)
-                 for rows, parts in _buckets(terms, p).items())
+        ok = all(vanishes(r for r in _reached(terms, p) if r[0] != p.rows)
+                 for p in ctx.points(d))
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}
 

@@ -259,26 +259,17 @@ class LaurentPoly:
         self.terms = terms
         self.bound = bound
 
-    def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + sign * c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return LaurentPoly(self.ring, out, max(self.bound, other.bound))
-
     def _check(self, other: "LaurentPoly") -> None:
         if self.ring is not other.ring and self.ring != other.ring:
             raise UsageError("operands live in different rings")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._merge(other, 1)
+        self._check(other)
+        return LaurentPoly(self.ring, _merged([self, other]),
+                           max(self.bound, other.bound))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._merge(other, -1)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.ring, {k: -c for k, c in self.terms.items()},
@@ -372,12 +363,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(ring: Ring, data: Iterable) -> "LaurentPoly":
+        """The polynomial of [exponent-vector, coefficient] pairs, as
+        `to_json` writes them; like terms are added.  Data of any other
+        shape raises UsageError."""
+        try:
+            pairs = [(tuple(int(x) for x in exps), int(coeff))
+                     for exps, coeff in data]
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"malformed polynomial JSON: {exc!r}") from exc
         terms: Dict[Exponent, int] = {}
-        for exps, coeff in data:
-            e = tuple(int(x) for x in exps)
+        for e, c in pairs:
             if len(e) != ring.nvars:
                 raise UsageError("exponent vector has wrong arity")
-            c = int(coeff)
             if c:
                 terms[e] = terms.get(e, 0) + c
         return _packed(ring, {e: c for e, c in terms.items() if c != 0})
@@ -838,14 +835,6 @@ def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:
     if bound > SLOT_LIMIT:
         raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     step = 4 * _unit_keys(ring.nvars)[ring.n]
-    out: Terms = {}
-    for l in range(lo, hi + 1):
-        shift = l * step
-        for k, c in m.terms.items():
-            k += shift
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
-    return LaurentPoly(ring, out, bound)
+    return LaurentPoly(ring, _merged([
+        LaurentPoly(ring, {k + l * step: c for k, c in m.terms.items()}, bound)
+        for l in range(lo, hi + 1)]), bound)

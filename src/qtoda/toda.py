@@ -20,11 +20,21 @@ contributing zero:
                         + v^{-2} sum_i shift_i(d-e_i) shift_{i+1}(d-e_i) s_{d-e_i}
 - difference-type op:  (G s)_d = sum_j shift_j(d)^2 s_d
                         - sum_{j>=2} shift_j(d)^2 s_{d-e_{j-1}}
+
+Each operator is written as a table: `sum_op_at(ring, d, sigma)` and
+`difference_op_at(ring, d, sigma)` return the degree-d row of the operator
+as (source degree, multiplier) pairs, so that (op s)_d is the sum of
+multiplier * s[source].  Both rows come from one builder, `_table`: the
+diagonal (d, sum_j shift_j(d)^2) first, then one pair per source d - e_i
+with no negative component.  The tables read no series, so one
+`_eigen_holds` applies either of them to either series: it folds -lam into
+the diagonal multiplier and makes one zero test of the products.  Another
+difference operator of the same family is one more table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .fixed_points import DegreeVector, all_degrees, padded, shifted
 from .operators import ModuleContext
@@ -34,6 +44,8 @@ from .whittaker import sheaf_rgamma, whittaker_pair_closed
 DEFAULT_SIGMA = -1
 
 Series = Dict[DegreeVector, RatFunc]
+# one row of an operator: (source degree, multiplier) pairs
+Table = List[Tuple[DegreeVector, LaurentPoly]]
 
 
 def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
@@ -46,41 +58,37 @@ def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
     return ring.t_monomial({j: sigma}, v_power=d[j] - d[j - 1])
 
 
-def _diagonal(ring: TVRing, degree: DegreeVector, sigma: int) -> LaurentPoly:
-    """sum_j shift_j(d)^2, the diagonal part of both operators."""
-    total = ring.zero()
+def _table(ring: TVRing, d: DegreeVector, sigma: int,
+           multiplier: Callable[[int, DegreeVector], LaurentPoly]) -> Table:
+    """The degree-d row of an operator: the diagonal (d, sum_j
+    shift_j(d)^2), then (d - e_i, multiplier(i, d - e_i)) for each
+    i = 1..n-1 whose source d - e_i has no negative component."""
+    diagonal = ring.zero()
     for j in range(1, ring.n + 1):
-        total = total + shift_monomial(ring, j, degree, sigma) ** 2
-    return total
-
-
-def sum_op_at(ring: TVRing, s: Series, d: DegreeVector,
-              sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
-    """The parts of the degree-d coefficient of the sum-type operator applied
-    to s (all squared shifts plus the v^{-2}-weighted nearest-neighbor
-    products)."""
-    parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
+        diagonal = diagonal + shift_monomial(ring, j, d, sigma) ** 2
+    table = [(d, diagonal)]
     for i in range(1, ring.n):
         src = shifted(d, i, -1)
-        if min(src) >= 0 and not s[src].is_zero():
-            m = ring.v(-2) * shift_monomial(ring, i, src, sigma) \
-                * shift_monomial(ring, i + 1, src, sigma)
-            parts.append(s[src].scale_poly(m))
-    return parts
+        if min(src) >= 0:
+            table.append((src, multiplier(i, src)))
+    return table
 
 
-def difference_op_at(ring: TVRing, s: Series, d: DegreeVector,
-                     sigma: int = DEFAULT_SIGMA) -> List[RatFunc]:
-    """The parts of the degree-d coefficient of the difference-type operator
-    applied to s (squared shifts minus the lattice-lowered squared
-    shifts)."""
-    parts = [s[d].scale_poly(_diagonal(ring, d, sigma))]
-    for j in range(2, ring.n + 1):
-        src = shifted(d, j - 1, -1)
-        if min(src) >= 0 and not s[src].is_zero():
-            parts.append(
-                s[src].scale_poly(-(shift_monomial(ring, j, d, sigma) ** 2)))
-    return parts
+def sum_op_at(ring: TVRing, d: DegreeVector,
+              sigma: int = DEFAULT_SIGMA) -> Table:
+    """The sum-type operator's degree-d row: the squared shifts, and at each
+    d - e_i the v^{-2}-weighted nearest-neighbor product there."""
+    return _table(ring, d, sigma, lambda i, src: ring.v(-2)
+                  * shift_monomial(ring, i, src, sigma)
+                  * shift_monomial(ring, i + 1, src, sigma))
+
+
+def difference_op_at(ring: TVRing, d: DegreeVector,
+                     sigma: int = DEFAULT_SIGMA) -> Table:
+    """The difference-type operator's degree-d row: the squared shifts, and
+    at each d - e_i minus the squared (i+1)-th shift at d."""
+    return _table(ring, d, sigma,
+                  lambda i, src: -(shift_monomial(ring, i + 1, d, sigma) ** 2))
 
 
 def eigenvalue_monomial_sum(ring: TVRing,
@@ -92,12 +100,14 @@ def eigenvalue_monomial_sum(ring: TVRing,
     return total
 
 
-def _eigen_holds(ring: TVRing, s: Series, op: Callable[..., List[RatFunc]],
+def _eigen_holds(ring: TVRing, s: Series, op: Callable[..., Table],
                  d: DegreeVector, sigma: int = DEFAULT_SIGMA) -> bool:
-    """(op s)_d == lam * s_d for the eigenvalue lam of this sign: the
-    operator's parts and -lam * s_d sum to zero."""
+    """(op s)_d == lam * s_d for the eigenvalue lam of this sign: each source
+    coefficient times its multiplier, -lam folded into the diagonal one,
+    sums to zero."""
     lam = eigenvalue_monomial_sum(ring, sigma)
-    return sum_is_zero(op(ring, s, d, sigma) + [s[d].scale_poly(-lam)])
+    return sum_is_zero([s[src].scale_poly(m - lam if src == d else m)
+                        for src, m in op(ring, d, sigma)])
 
 
 def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:

@@ -41,6 +41,7 @@ from .operators import (
     op_K,
     op_f,
     raising_product,
+    vanishes,
 )
 from .symbolic import (
     LaurentPoly,
@@ -182,12 +183,11 @@ def _eigen_holds(ctx: ModuleContext, op: GradedOperator,
     src = shifted(degree, i)
     ring = ctx.ring
     minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
-    targets = grouped(itertools.chain(
+    return vanishes(itertools.chain(
         ((q.rows, c * minus_scale)
          for q, c in vector(ctx, degree).coeffs.items()),
         ((q.rows, entry * c) for p, c in vector(ctx, src).coeffs.items()
          for q, entry in op.terms(p))))
-    return all(sum_is_zero(parts) for parts in targets.values())
 
 
 def lowering_eigen_check(ctx: ModuleContext, i: int,
@@ -219,12 +219,11 @@ def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int]) -> bool:
     zero (the pairing of E_i[p] with [q] against that of [p] with F_i[q])."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     target = shifted(degree, i)
-    pairs = grouped(itertools.chain(
+    return vanishes(itertools.chain(
         (((p.rows, q.rows), entry * pairing_weight(ctx, q))
          for p in ctx.points(degree) for q, entry in E.terms(p)),
         (((p.rows, q.rows), -(entry * pairing_weight(ctx, p)))
          for q in ctx.points(target) for p, entry in F.terms(q))))
-    return all(sum_is_zero(parts) for parts in pairs.values())
 
 
 # ---------------------------------------------------------------------------

@@ -333,3 +333,29 @@ class TestDeterminism:
         code = main(["toda", "--n", "2", "--box", "1"])
         stdout = capsys.readouterr().out
         assert out.read_text() == stdout
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_command_lines():
+    """The `qtoda ...` lines of the fenced block under README's "Command
+    line" heading, as argument lists without the program name."""
+    with open(README) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("qtoda ")]
+
+
+class TestReadmeExamples:
+    def test_block_is_found(self):
+        assert len(readme_command_lines()) == 6
+
+    @pytest.mark.parametrize("argv", readme_command_lines(),
+                             ids=lambda argv: " ".join(argv))
+    def test_runs_to_a_complete_passing_report(self, capsys, argv):
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_PASS
+        summary = json.loads(lines[-1])
+        assert summary["summary"] is True and summary["complete"] is True

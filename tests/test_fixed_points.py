@@ -47,6 +47,21 @@ class TestFixedPoint:
         p = FixedPoint(3, ((2,), (1, 5)))
         assert FixedPoint.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("data", [
+        {"n": 3},                                # KeyError: rows
+        {"rows": [[2], [1, 5]]},                 # KeyError: n
+        [3, [[2], [1, 5]]],                      # not an object: TypeError
+        {"n": None, "rows": [[2], [1, 5]]},      # TypeError
+        {"n": 3, "rows": 7},                     # TypeError
+        {"n": 3, "rows": [[2], [1, "x"]]},       # ValueError
+        {"n": "three", "rows": [[2], [1, 5]]},   # ValueError
+        {"n": 3, "rows": [[2], [3, 0]]},         # a column increases
+    ], ids=["no-rows", "no-n", "list", "n-none", "rows-int", "entry-text",
+            "n-text", "invalid-array"])
+    def test_malformed_json_is_a_usage_error(self, data):
+        with pytest.raises(UsageError):
+            FixedPoint.from_json(data)
+
     def test_zero_point(self):
         assert FixedPoint.zero(4).degree == (0, 0, 0)
 
@@ -99,10 +114,21 @@ class TestEnumeration:
         for p in pts:
             assert p.degree == (2, 3, 1)
 
-    def test_stable_order(self):
-        a = enumerate_points(3, (2, 2))
-        b = enumerate_points(3, (2, 2))
-        assert [p.rows for p in a] == [p.rows for p in b]
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lexicographic_order(self, n):
+        # every degree with components <= 2 against a brute force: each row
+        # i is any i-tuple summing to d_i, and the array must be valid
+        for degree in all_degrees(n, 2):
+            rows = [[r for r in itertools.product(range(d + 1), repeat=i)
+                     if sum(r) == d] for i, d in enumerate(degree, 1)]
+            brute = []
+            for array in itertools.product(*rows):
+                try:
+                    brute.append(FixedPoint(n, array).rows)
+                except UsageError:
+                    pass
+            assert [p.rows for p in enumerate_points(n, degree)] == \
+                sorted(brute)
 
     def test_bad_degree(self):
         with pytest.raises(UsageError):

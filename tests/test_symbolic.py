@@ -82,6 +82,20 @@ class TestLaurentPoly:
     def test_json_round_trip(self, a):
         assert LaurentPoly.from_json(R2, a.to_json()) == a
 
+    @pytest.mark.parametrize("data", [
+        None,                        # not a list: TypeError
+        [[[0, 1, 0]]],               # a term without its coefficient
+        [[[0, 1, 0], "1", "2"]],     # a term with an extra field
+        [[7, "1"]],                  # exponents not a list: TypeError
+        [[[0, "x", 0], "1"]],        # exponent not an integer
+        [[[0, 1, 0], "one"]],        # coefficient not an integer
+        [[[0, 1, 0], None]],         # coefficient None: TypeError
+    ], ids=["none", "short-term", "long-term", "exponents-int",
+            "exponent-text", "coefficient-text", "coefficient-none"])
+    def test_malformed_json_is_a_usage_error(self, data):
+        with pytest.raises(UsageError):
+            LaurentPoly.from_json(R2, data)
+
     def test_pow(self):
         p = R2.one() + R2.t(1)
         three = R2.const(3)

@@ -31,12 +31,15 @@ def filled_series(ctx, box):
 
 def eigen_verdicts(ring, pairs, sigma, box):
     """{(operator, degree): verdict} for every (series, operator) pair at
-    every degree <= box, without stopping at a failure.  The reference sums
-    the operator's parts with rat_sum and compares with eq_exact, where the
-    records use one zero test of the parts and -lam * s_d."""
+    every degree <= box, without stopping at a failure.  The reference
+    applies the operator's table to the series, sums with rat_sum and
+    compares with eq_exact, where the records use one zero test with -lam
+    folded into the diagonal multiplier."""
     lam = eigenvalue_monomial_sum(ring, sigma)
-    return {(op.__name__, d): eq_exact(rat_sum(ring, op(ring, s, d, sigma)),
-                                       s[d].scale_poly(lam))
+    return {(op.__name__, d): eq_exact(
+                rat_sum(ring, [s[src].scale_poly(m)
+                               for src, m in op(ring, d, sigma)]),
+                s[d].scale_poly(lam))
             for s, op in pairs for d in sorted(s) if max(d) <= box}
 
 
@@ -90,13 +93,17 @@ class TestSeries:
                              ids=lambda op: op.__name__)
     def test_negative_degree_is_zero(self, op):
         # at degree 0 every source degree d - e_i is negative, so only the
-        # diagonal part remains
-        ctx = ModuleContext(3)
-        one = RatFunc.one(ctx.ring)
-        parts = op(ctx.ring, {(0, 0): one}, (0, 0))
-        assert len(parts) == 1
-        assert eq_exact(parts[0], one.scale_poly(
-            eigenvalue_monomial_sum(ctx.ring)))
+        # diagonal remains, and there every shift is t_j^sigma
+        ring = ModuleContext(3).ring
+        assert op(ring, (0, 0)) == [((0, 0), eigenvalue_monomial_sum(ring))]
+
+    @pytest.mark.parametrize("op", [sum_op_at, difference_op_at],
+                             ids=lambda op: op.__name__)
+    def test_table_sources(self, op):
+        # the diagonal first, then every d - e_i without a negative component
+        ring = ModuleContext(4).ring
+        assert [src for src, _ in op(ring, (1, 0, 2))] == \
+            [(1, 0, 2), (0, 0, 2), (1, 0, 1)]
 
     def test_filled_on_a_larger_box_equals_smaller_fill(self):
         ctx = ModuleContext(3)

@@ -1,28 +1,37 @@
-"""Deterministic work counts of the relation suite at (n, box) = (4, 2).
+"""Deterministic work counts of the relation, whittaker and toda suites at
+(n, box) = (4, 2).
 
 Times on a shared host wander by tens of percent from one run to the next;
-these counts repeat exactly, so a change that makes the relation loop do
-more work fails here even when no timing could show it.  Each bound is the
-count measured when the diagonal operators began to be folded into the
+these counts repeat exactly, so a change that makes a suite do more work
+fails here even when no timing could show it.  The relation bounds are the
+counts measured when the diagonal operators began to be folded into the
 coefficients once per degree and each closed entry began to be built once
 per (row pair, column).  Before that the same run made 14,270 RatFunc
-products, 3,606 zero tests and 171 + 171 closed products.
+products, 3,606 zero tests and 171 + 171 closed products.  The whittaker
+and toda bounds are the counts measured when each module's twin code paths
+were folded into one owner.
+
+Each counted function is wrapped in every qtoda module that binds it
+(`whittaker` and `toda` import their own `sum_is_zero`, and `eq_exact`
+calls the one in `symbolic`), so no call escapes the count.
 """
 
-from qtoda import operators
+import pytest
+
+from qtoda import operators, symbolic, toda, whittaker
 from qtoda.operators import ModuleContext, relation_records
 from qtoda.symbolic import RatFunc
+from qtoda.toda import toda_records
+from qtoda.whittaker import whittaker_records
 
-BOUNDS = {
-    "RatFunc.__mul__": 9610,
-    "sum_is_zero": 2364,
-    "raising_product": 49,
-    "lowering_product": 46,
-}
+MODULES = (symbolic, operators, whittaker, toda)
+FUNCTIONS = ("sum_is_zero", "raising_product", "lowering_product")
 
 
-def test_relation_suite_work_stays_within_its_counts(monkeypatch):
-    counts = dict.fromkeys(BOUNDS, 0)
+def count_work(monkeypatch, suite):
+    """The records of suite(ModuleContext(4), 2) and the calls each counted
+    function made while they were made."""
+    counts = dict.fromkeys(("RatFunc.__mul__",) + FUNCTIONS, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -32,12 +41,42 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 
     monkeypatch.setattr(RatFunc, "__mul__",
                         counted("RatFunc.__mul__", RatFunc.__mul__))
-    for name in ("sum_is_zero", "raising_product", "lowering_product"):
-        monkeypatch.setattr(operators, name,
-                            counted(name, getattr(operators, name)))
-    records = list(relation_records(ModuleContext(4), 2))
+    for module in MODULES:
+        for name in FUNCTIONS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return list(suite(ModuleContext(4), 2)), counts
+
+
+def test_relation_suite_work_stays_within_its_counts(monkeypatch):
+    bounds = {
+        "RatFunc.__mul__": 9610,
+        "sum_is_zero": 2364,
+        "raising_product": 49,
+        "lowering_product": 46,
+    }
+    records, counts = count_work(monkeypatch, relation_records)
     assert len(records) == 2268
     assert not [r for r in records if r["status"] == "fail"]
-    assert all(counts[name] <= bound for name, bound in BOUNDS.items()), counts
+    assert all(counts[name] <= bound for name, bound in bounds.items()), counts
     # non-vacuity: every wrapped kernel ran
     assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("suite,n_records,bounds", [
+    (whittaker_records, 497, {"RatFunc.__mul__": 2613, "sum_is_zero": 891,
+                              "raising_product": 214,
+                              "lowering_product": 98}),
+    # the toda suite reads sheaf_rgamma alone: no product, no closed entry
+    (toda_records, 55, {"RatFunc.__mul__": 0, "sum_is_zero": 56,
+                        "raising_product": 0, "lowering_product": 0}),
+], ids=["whittaker", "toda"])
+def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
+                                            bounds):
+    records, counts = count_work(monkeypatch, suite)
+    assert len(records) == n_records
+    assert not [r for r in records if r["status"] == "fail"]
+    assert all(counts[name] <= bound for name, bound in bounds.items()), counts
+    # non-vacuity: every kernel with a nonzero bound ran
+    assert all(counts[name] for name, bound in bounds.items() if bound), counts
