@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .symbolic import UsageError
+from .symbolic import UsageError, json_int
 
 DegreeVector = Tuple[int, ...]
 Rows = Tuple[Tuple[int, ...], ...]
@@ -75,8 +75,8 @@ class FixedPoint:
         """The point `to_json` wrote.  Data of any other shape raises
         UsageError."""
         try:
-            n = int(data["n"])
-            rows = tuple(tuple(int(a) for a in r) for r in data["rows"])
+            n = json_int(data["n"])
+            rows = tuple(tuple(json_int(a) for a in r) for r in data["rows"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed fixed point JSON: {exc!r}") from exc
         return FixedPoint(n, rows)

@@ -35,7 +35,10 @@ Sums are where expanded numerators appear.  Both ways of adding keep every
 tracked factor at its smallest power over the parts (`_over_common_den`),
 so only what is left of each part is expanded.  A verdict needs only a
 zero test: `sum_is_zero` adds the remainders once and compares the sum
-with 0, and `eq_exact(a, b)` is `sum_is_zero([a, -b])`.  A value comes
+with 0, and `eq_exact(a, b)` is `sum_is_zero([a, -b])`.  Where the parts
+are monomial multiples of a few numerators over one common factor,
+`combination_is_zero` adds each multiple into one copy as a key shift.  A
+value comes
 from `rat_sum`, which adds its parts pairwise in a balanced tree.  After
 each pairwise sum it divides the numerator by every tracked binomial
 1 - x^s that both summands carry in their denominators, for as long as the
@@ -79,6 +82,15 @@ class EvaluationError(ValueError):
 
 class DegeneracyError(ValueError):
     """Raised when a localization weight degenerates (trivial tangent weight)."""
+
+
+def json_int(x: object) -> int:
+    """An int or a decimal string read from JSON, as an int.  A bool, a
+    float or any other value raises UsageError: int() would read 2.5 as 2
+    and true as 1."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise UsageError(f"not an integer: {x!r}")
+    return int(x)
 
 
 def pack(exps: Sequence[int]) -> int:
@@ -367,7 +379,7 @@ class LaurentPoly:
         `to_json` writes them; like terms are added.  Data of any other
         shape raises UsageError."""
         try:
-            pairs = [(tuple(int(x) for x in exps), int(coeff))
+            pairs = [(tuple(json_int(x) for x in exps), json_int(coeff))
                      for exps, coeff in data]
         except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed polynomial JSON: {exc!r}") from exc
@@ -816,6 +828,33 @@ def sum_is_zero(parts: Sequence[RatFunc]) -> bool:
         return True
     polys, _ = _over_common_den(live)
     return not _merged(polys)
+
+
+def combination_is_zero(base: LaurentPoly, multiples: Iterable[
+        Tuple[LaurentPoly, LaurentPoly]]) -> bool:
+    """True iff base + sum_k c_k * p_k == 0, for (c_k, p_k) in multiples and
+    every c_k a monomial.
+
+    Each multiple is added into one copy of base's terms as a key shift and
+    a coefficient scale, so no product c_k * p_k is built.
+    """
+    acc = dict(base.terms)
+    for c, p in multiples:
+        base._check(c)
+        base._check(p)
+        if len(c.terms) != 1:
+            raise UsageError("a multiplier is not a monomial")
+        if c.bound + p.bound > SLOT_LIMIT:
+            raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
+        [(shift, scale)] = c.terms.items()
+        for k, pc in p.terms.items():
+            k += shift
+            nc = acc.get(k, 0) + scale * pc
+            if nc:
+                acc[k] = nc
+            else:
+                del acc[k]
+    return not acc
 
 
 def eq_exact(a: RatFunc, b: RatFunc) -> bool:

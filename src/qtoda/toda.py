@@ -1,10 +1,11 @@
-"""Difference-Toda operators acting on degree-indexed generating series.
+"""Difference-Toda operators and their eigen-equations on the generating
+series.
 
-A series here is a plain {degree: RatFunc} dict of exact rational
-coefficients over a box of degree vectors, read from the module context:
-the Whittaker pairing series from `whittaker_pair_closed` (a monomial times
-`sheaf_rgamma`) and the coefficient-sum series from `sheaf_rgamma` itself,
-so both read the one localization sum, built once per degree.
+Two series are tested, both read from the module context one degree at a
+time: the Whittaker pairing series I_d = m_d J_d (`whittaker_pair_closed`,
+the unit monomial `_closed_monomial` times `sheaf_rgamma`) and the
+coefficient-sum series J_d = `sheaf_rgamma` itself, so both read the one
+localization sum, built once per degree.
 The two difference operators act through shift monomials: shifting slot j
 of the degree lattice multiplies the coefficient by
 t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the
@@ -26,26 +27,40 @@ Each operator is written as a table: `sum_op_at(ring, d, sigma)` and
 as (source degree, multiplier) pairs, so that (op s)_d is the sum of
 multiplier * s[source].  Both rows come from one builder, `_table`: the
 diagonal (d, sum_j shift_j(d)^2) first, then one pair per source d - e_i
-with no negative component.  The tables read no series, so one
-`_eigen_holds` applies either of them to either series: it folds -lam into
-the diagonal multiplier and makes one zero test of the products.  Another
-difference operator of the same family is one more table.
+with no negative component.  The tables read no series, and a shift
+monomial is built once per (j, d_j - d_{j-1}, sigma).
+
+Each degree is decided from one lift: `_over_common_den` writes J_d and
+every J_{d-e_i} as numerators L over one common tracked factor, and every
+eigen-equation at d, of either operator and either sign, is a zero test
+of those numerators (`combination_is_zero`).  The diagonal is the same in
+both tables, so P = L_d (diag - lam) is one product per sign (a table with
+another diagonal would get its own), and each lower part is a monomial
+times L_{d-e_i}, added into P by a key shift.
+Another difference operator of the same family is one more table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
 
 from .fixed_points import DegreeVector, all_degrees, padded, shifted
 from .operators import ModuleContext
-from .symbolic import LaurentPoly, RatFunc, TVRing, UsageError, sum_is_zero
-from .whittaker import sheaf_rgamma, whittaker_pair_closed
+from .symbolic import (LaurentPoly, TVRing, UsageError, _over_common_den,
+                       combination_is_zero)
+from .whittaker import _closed_monomial, sheaf_rgamma
 
 DEFAULT_SIGMA = -1
 
-Series = Dict[DegreeVector, RatFunc]
 # one row of an operator: (source degree, multiplier) pairs
 Table = List[Tuple[DegreeVector, LaurentPoly]]
+
+
+@lru_cache(maxsize=None)
+def _shift(ring: TVRing, j: int, step: int, sigma: int) -> LaurentPoly:
+    """t_j^sigma v^step, built once per (ring, j, step, sigma)."""
+    return ring.t_monomial({j: sigma}, v_power=step)
 
 
 def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
@@ -55,23 +70,25 @@ def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
     if not 1 <= j <= ring.n:
         raise UsageError(f"shift index {j} out of range 1..{ring.n}")
     d = padded(degree)
-    return ring.t_monomial({j: sigma}, v_power=d[j] - d[j - 1])
+    return _shift(ring, j, d[j] - d[j - 1], sigma)
 
 
-def _table(ring: TVRing, d: DegreeVector, sigma: int,
-           multiplier: Callable[[int, DegreeVector], LaurentPoly]) -> Table:
+def _sources(d: DegreeVector) -> List[Tuple[int, DegreeVector]]:
+    """(i, d - e_i) for each i = 1..n-1 whose d - e_i has no negative
+    component."""
+    lowered = (shifted(d, i, -1) for i in range(1, len(d) + 1))
+    return [(i, src) for i, src in enumerate(lowered, 1) if min(src) >= 0]
+
+
+def _table(ring: TVRing, d: DegreeVector, sigma: int, multiplier) -> Table:
     """The degree-d row of an operator: the diagonal (d, sum_j
-    shift_j(d)^2), then (d - e_i, multiplier(i, d - e_i)) for each
-    i = 1..n-1 whose source d - e_i has no negative component."""
+    shift_j(d)^2), then (d - e_i, multiplier(i, d - e_i)) for each source
+    d - e_i (see `_sources`)."""
     diagonal = ring.zero()
     for j in range(1, ring.n + 1):
         diagonal = diagonal + shift_monomial(ring, j, d, sigma) ** 2
-    table = [(d, diagonal)]
-    for i in range(1, ring.n):
-        src = shifted(d, i, -1)
-        if min(src) >= 0:
-            table.append((src, multiplier(i, src)))
-    return table
+    return [(d, diagonal)] + [(src, multiplier(i, src))
+                              for i, src in _sources(d)]
 
 
 def sum_op_at(ring: TVRing, d: DegreeVector,
@@ -100,46 +117,76 @@ def eigenvalue_monomial_sum(ring: TVRing,
     return total
 
 
-def _eigen_holds(ring: TVRing, s: Series, op: Callable[..., Table],
-                 d: DegreeVector, sigma: int = DEFAULT_SIGMA) -> bool:
-    """(op s)_d == lam * s_d for the eigenvalue lam of this sign: each source
-    coefficient times its multiplier, -lam folded into the diagonal one,
-    sums to zero."""
-    lam = eigenvalue_monomial_sum(ring, sigma)
-    return sum_is_zero([s[src].scale_poly(m - lam if src == d else m)
-                        for src, m in op(ring, d, sigma)])
+def _eigen_verdicts(ring: TVRing, d: DegreeVector, sigma: int,
+                    lam: LaurentPoly, lifted: Dict[DegreeVector, LaurentPoly],
+                    ratios: Dict[DegreeVector, LaurentPoly]) -> Iterator[bool]:
+    """The sum-type, then the difference-type eigen verdict at degree d for
+    the sign sigma and its eigenvalue lam, each decided when asked for.
+
+    `lifted` holds the numerator L_x of J_x over the degree's common factor
+    at d and at each source, and `ratios` the monomial m_{d-e_i} / m_d at
+    each source: the sum-type identity is divided by m_d, so its part at
+    d - e_i is that ratio times the multiplier times L_{d-e_i}."""
+    top = lifted[d]
+    diagonal = product = None
+    for op, scale in ((sum_op_at, ratios), (difference_op_at, None)):
+        (_, diag), *lower = op(ring, d, sigma)
+        if product is None or diag != diagonal:
+            diagonal, product = diag, top * (diag - lam)
+        yield combination_is_zero(product, [
+            (m if scale is None else scale[src] * m, lifted[src])
+            for src, m in lower])
 
 
 def toda_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """Both eigen-equations over the box, then the sign calibration.
 
-    The sum-type operator is checked on the Whittaker pairing series, then
-    the difference-type operator on the coefficient-sum series (the
-    global-sections character of the localized structure-sheaf class).  Each
-    series is filled one degree at a time in lexicographic order; every
-    d - e_i is lex-smaller than d, so each record is decided as soon as its
-    degree exists.  The calibration record comes last: the working sign
-    must pass and the opposite sign must fail, over degrees <= 2.  Both
-    verdicts are decided in the same loop, at each degree within that cut:
-    the working sign's from the eigen record, the opposite sign's by one
-    more eigen test, tried only until it first fails.
+    The sum-type operator is checked on the Whittaker pairing series I,
+    the difference-type operator on the coefficient-sum series J (the
+    global-sections character of the localized structure-sheaf class).
+    Degrees run in lexicographic order; every d - e_i is lex-smaller than
+    d, so each degree is decided as soon as J_d exists.  At each degree,
+    J_d and the J_{d-e_i} are lifted over one common tracked factor once,
+    and both families are decided from that lift.  The sum-type identity
+    sum_x I_x c_x == lam I_d is divided by m_d first: m_d is a unit, so the
+    division is exact, and I = m_d J holds by definition (the two-path
+    pairing record certifies it pointwise), so it reads J alone.
+
+    All sum-type records come first, each as soon as its degree is
+    decided; the difference-type verdicts are kept and their records
+    follow.  The calibration record comes last: the working sign must pass
+    and the opposite sign must fail, over degrees <= 2.  The opposite
+    sign's verdicts come from the same lifts, with their own product P and
+    monomials, tried only until the first one fails; lam is built once per
+    sign.
     """
     ring = ctx.ring
     cut = min(box, 2)
+    lam = {sigma: eigenvalue_monomial_sum(ring, sigma)
+           for sigma in (DEFAULT_SIGMA, -DEFAULT_SIGMA)}
     working = opposite = True
-    for check, op, coefficient in (
-            ("sum-op-eigen", sum_op_at, whittaker_pair_closed),
-            ("difference-op-eigen", difference_op_at, sheaf_rgamma)):
-        s: Series = {}
-        for d in all_degrees(ctx.n, box):
-            s[d] = coefficient(ctx, d)
-            ok = _eigen_holds(ring, s, op, d)
-            if max(d) <= cut:
-                working = working and ok
-                opposite = opposite and _eigen_holds(ring, s, op, d,
-                                                     -DEFAULT_SIGMA)
-            yield {"check": check, "degree": list(d),
-                   "status": "pass" if ok else "fail"}
+    differences = []
+    closed = {}  # m_d by degree; every source is an earlier degree
+    for d in all_degrees(ctx.n, box):
+        sources = [src for _, src in _sources(d)]
+        polys, _ = _over_common_den(
+            [sheaf_rgamma(ctx, x) for x in [d] + sources])
+        lifted = dict(zip([d] + sources, polys))
+        closed[d] = _closed_monomial(ring, d)
+        inverse = closed[d] ** -1
+        ratios = {src: closed[src] * inverse for src in sources}
+        ok, difference_ok = _eigen_verdicts(ring, d, DEFAULT_SIGMA,
+                                            lam[DEFAULT_SIGMA], lifted, ratios)
+        if max(d) <= cut:
+            working = working and ok and difference_ok
+            opposite = opposite and all(_eigen_verdicts(
+                ring, d, -DEFAULT_SIGMA, lam[-DEFAULT_SIGMA], lifted, ratios))
+        differences.append((d, difference_ok))
+        yield {"check": "sum-op-eigen", "degree": list(d),
+               "status": "pass" if ok else "fail"}
+    for d, ok in differences:
+        yield {"check": "difference-op-eigen", "degree": list(d),
+               "status": "pass" if ok else "fail"}
     if box == 0:
         # at degree 0 both signs pass, so the opposite sign cannot fail
         status = "skipped-out-of-box"

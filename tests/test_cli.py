@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qtoda import cli, operators, toda
+from qtoda import cli, operators, whittaker
 from qtoda.cli import (
     EXIT_BUDGET,
     EXIT_PASS,
@@ -18,16 +18,19 @@ from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
 
 
-def expire_after_first(monkeypatch, key):
-    """A fake clock that passes the time budget as soon as the first record
-    with `key` is written."""
+def expire_after_first(monkeypatch, key, count=1):
+    """A fake clock that passes the time budget as soon as the first `count`
+    records with `key` are written."""
     now = [0.0]
+    seen = [0]
     emit = cli.Reporter.emit
 
     def emit_then_expire(rep, record):
         emit(rep, record)
         if key in record:
-            now[0] = 1e9
+            seen[0] += 1
+            if seen[0] >= count:
+                now[0] = 1e9
 
     monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(cli.Reporter, "emit", emit_then_expire)
@@ -225,10 +228,11 @@ class TestVerify:
         # the deadline passes as soon as the first verdict is out.  The
         # relation suite may then do at most one more record's worth of
         # identity checks (one per basis vector of a degree); the toda suite
-        # has built the degree-0 pairing and nothing else.
+        # has built the degree-0 localization sum `sheaf_rgamma` (one
+        # rgamma_char call) and nothing else.
         calls = []
         counted = {"relations": (operators, "_identity_holds"),
-                   "toda": (toda, "whittaker_pair_closed")}
+                   "toda": (whittaker, "rgamma_char")}
         if suite in counted:
             module, name = counted[suite]
             original = getattr(module, name)
@@ -245,7 +249,24 @@ class TestVerify:
                              for d in all_degrees(3, 2))
             assert len(calls) <= per_record
         if suite == "toda":
-            assert len(calls) == 1
+            assert [tuple(x.degree) for _, x in calls] == [(0, 0)]
+
+    @pytest.mark.parametrize("count", [1, 2, 26, 27, 28, 29, 54, 55])
+    def test_budget_cut_toda_stream_is_a_prefix(self, capsys, monkeypatch,
+                                                count):
+        # the sum-type records come out as their degrees are decided and the
+        # difference-type records from kept verdicts after them, so a run
+        # cut after any record has written exactly the full run's first
+        # records: the config echo and `count` verdicts
+        argv = ("verify", "--n", "4", "--box", "2", "--suite", "toda")
+        _, full = run(capsys, *argv)
+        expire_after_first(monkeypatch, "status", count)
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert lines[:-1] == full[:count + 1]
+        assert parsed(lines[-1:]) == [{
+            "summary": True, "complete": False,
+            "counts": {"pass": count}, "records": count + 1}]
 
     def test_whittaker_command_stops_between_records(
             self, capsys, expire_after_first_verdict):

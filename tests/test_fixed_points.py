@@ -56,8 +56,13 @@ class TestFixedPoint:
         {"n": 3, "rows": [[2], [1, "x"]]},       # ValueError
         {"n": "three", "rows": [[2], [1, 5]]},   # ValueError
         {"n": 3, "rows": [[2], [3, 0]]},         # a column increases
+        {"n": 3, "rows": [[2], [1, 2.5]]},       # int() would read (1, 2)
+        {"n": 3.7, "rows": [[2], [1, 2]]},       # int() would read n = 3
+        {"n": True, "rows": []},                 # int() would read n = 1
+        {"n": 3, "rows": [[2], [1, True]]},      # int() would read 1
     ], ids=["no-rows", "no-n", "list", "n-none", "rows-int", "entry-text",
-            "n-text", "invalid-array"])
+            "n-text", "invalid-array", "entry-float", "n-float", "n-bool",
+            "entry-bool"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             FixedPoint.from_json(data)

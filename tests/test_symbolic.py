@@ -90,8 +90,14 @@ class TestLaurentPoly:
         [[[0, "x", 0], "1"]],        # exponent not an integer
         [[[0, 1, 0], "one"]],        # coefficient not an integer
         [[[0, 1, 0], None]],         # coefficient None: TypeError
+        [[[0, 1, 0], 2.5]],          # int() would truncate it to 2
+        [[[0, 1.5, 0], "1"]],        # int() would truncate it to 1
+        [[[0, 1, 0], True]],         # int() would read it as 1
+        [[[0, False, 0], "1"]],      # int() would read it as 0
     ], ids=["none", "short-term", "long-term", "exponents-int",
-            "exponent-text", "coefficient-text", "coefficient-none"])
+            "exponent-text", "coefficient-text", "coefficient-none",
+            "coefficient-float", "exponent-float", "coefficient-bool",
+            "exponent-bool"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             LaurentPoly.from_json(R2, data)

@@ -1,10 +1,11 @@
 """Tests for the difference-Toda eigen-equations on the generating series."""
 
+import sys
 from functools import lru_cache
 
 import pytest
 
-from qtoda import toda
+from qtoda import toda, whittaker
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
 from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
@@ -146,20 +147,25 @@ class TestEigenEquations:
         assert record["status"] == want
 
     def test_opposite_sign_stops_at_its_first_failure(self, monkeypatch):
-        # at (4, 2) the opposite sign passes at degree 0 of the sum-type
-        # family and fails at the next degree, (0, 0, 1)
+        # at (4, 2) the opposite sign passes both families at degree 0 and
+        # fails the sum-type family at the next degree, (0, 0, 1); no table
+        # of that sign is built after it
         tried = []
-        eigen_holds = toda._eigen_holds
 
-        def counted(ring, s, op, d, sigma=toda.DEFAULT_SIGMA):
-            if sigma != toda.DEFAULT_SIGMA:
-                tried.append((op.__name__, d))
-            return eigen_holds(ring, s, op, d, sigma)
+        def counted(op):
+            def table(ring, d, sigma=toda.DEFAULT_SIGMA):
+                if sigma != toda.DEFAULT_SIGMA:
+                    tried.append((op.__name__, d))
+                return op(ring, d, sigma)
+            return table
 
-        monkeypatch.setattr(toda, "_eigen_holds", counted)
+        for op in (sum_op_at, difference_op_at):
+            monkeypatch.setattr(toda, op.__name__, counted(op))
         records = list(toda_records(ModuleContext(4), 2))
         assert records[-1]["status"] == "pass"
-        assert tried == [("sum_op_at", (0, 0, 0)), ("sum_op_at", (0, 0, 1))]
+        assert tried == [("sum_op_at", (0, 0, 0)),
+                         ("difference_op_at", (0, 0, 0)),
+                         ("sum_op_at", (0, 0, 1))]
 
     def test_verdicts_do_not_depend_on_the_box(self):
         # so the calibration may read a sign's verdict from a larger box
@@ -184,3 +190,100 @@ class TestEigenEquations:
         _, _, sheaf = filled_series(ctx, 3)
         verdicts = eigen_verdicts(ctx.ring, [(sheaf, sum_op_at)], -1, 3)
         assert not all(verdicts.values())
+
+
+def expected_records(ctx, box):
+    """The record stream of toda_records at (ctx.n, box) as the reference
+    decides it: every eigen verdict from eigen_verdicts, the calibration
+    from the verdicts of both signs over degrees <= min(box, 2)."""
+    _, pair, sheaf = filled_series(ctx, box)
+    pairs = ((pair, sum_op_at), (sheaf, difference_op_at))
+    verdicts = eigen_verdicts(ctx.ring, pairs, -1, box)
+    cut = min(box, 2)
+    working = all(eigen_verdicts(ctx.ring, pairs, -1, cut).values())
+    opposite = all(eigen_verdicts(ctx.ring, pairs, 1, cut).values())
+    return [{"check": check, "degree": list(d),
+             "status": "pass" if verdicts[op.__name__, d] else "fail"}
+            for check, op in (("sum-op-eigen", sum_op_at),
+                              ("difference-op-eigen", difference_op_at))
+            for d in all_degrees(ctx.n, box)] + [
+        {"check": "shift-sign-calibration", "working_sign": -1,
+         "status": "pass" if working and not opposite else "fail"}]
+
+
+def patch_everywhere(monkeypatch, original, mutant):
+    """Bind mutant in place of original in every qtoda module, and in this
+    test module, that binds it: `from m import f` copies the name into each
+    importer, so patching the defining module alone would miss those."""
+    patched = 0
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qtoda") \
+                or module is sys.modules[__name__]:
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, mutant)
+                patched += 1
+    assert patched
+
+
+# each mutated function as it is before any mutant is bound
+ORIGINAL = {f.__name__: f for f in (
+    whittaker._closed_monomial, toda.eigenvalue_monomial_sum, toda._shift,
+    toda._table, toda.difference_op_at)}
+
+
+def closed_monomial_mutant(ring, degree):
+    # m_d times v^{2|d|}: a unit, but one that depends on the degree
+    return ORIGINAL["_closed_monomial"](ring, degree) \
+        * ring.v(2 * sum(degree))
+
+
+def eigenvalue_mutant(ring, sigma=toda.DEFAULT_SIGMA):
+    return ORIGINAL["eigenvalue_monomial_sum"](ring, sigma) * ring.v(2)
+
+
+def shift_mutant(ring, j, step, sigma):
+    # shift_2 times v; every shift monomial, cached or not, comes from here
+    m = ORIGINAL["_shift"](ring, j, step, sigma)
+    return m * ring.v(1) if j == 2 else m
+
+
+def diagonal_mutant(ring, d, sigma, multiplier):
+    # the diagonal times v^{2 d_1}: unchanged where d_1 = 0
+    (src, diagonal), *lower = ORIGINAL["_table"](ring, d, sigma, multiplier)
+    return [(src, diagonal * ring.v(2 * d[0]))] + lower
+
+
+def difference_diagonal_mutant(ring, d, sigma=toda.DEFAULT_SIGMA):
+    # the same, in the difference-type table alone: the two tables' diagonals
+    # differ, and only difference-type records fail
+    (src, diagonal), *lower = ORIGINAL["difference_op_at"](ring, d, sigma)
+    return [(src, diagonal * ring.v(2 * d[0]))] + lower
+
+
+MUTANTS = {"_closed_monomial": closed_monomial_mutant,
+           "eigenvalue_monomial_sum": eigenvalue_mutant,
+           "_shift": shift_mutant,
+           "_table": diagonal_mutant,
+           "difference_op_at": difference_diagonal_mutant}
+
+
+@lru_cache(maxsize=None)
+def mutant_context(n):
+    # none of the mutants reaches the context's memo (the sheaf_rgamma sums
+    # and what they are built from), so one context serves them all
+    return ModuleContext(n)
+
+
+@pytest.mark.parametrize("n,box", [(3, 2), (4, 2)], ids=str)
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_fails_exactly_the_reference_failures(monkeypatch, n, box,
+                                                     name):
+    # the shared lift, the division by m_d and the key-shift zero test
+    # decide every record as the rat_sum + eq_exact reference does, on
+    # mutated code too
+    ctx = mutant_context(n)
+    assert list(toda_records(ctx, box)) == expected_records(ctx, box)
+    patch_everywhere(monkeypatch, ORIGINAL[name], MUTANTS[name])
+    records = list(toda_records(ctx, box))
+    assert records == expected_records(ctx, box)
+    assert [r for r in records if r["status"] == "fail"]

@@ -8,30 +8,37 @@ counts measured when the diagonal operators began to be folded into the
 coefficients once per degree and each closed entry began to be built once
 per (row pair, column).  Before that the same run made 14,270 RatFunc
 products, 3,606 zero tests and 171 + 171 closed products.  The whittaker
-and toda bounds are the counts measured when each module's twin code paths
-were folded into one owner.
+bounds are the counts measured when each module's twin code paths were
+folded into one owner.  The toda bounds are the counts measured when each
+degree began to be decided from one lift shared by both operators and
+both signs; before that each family lifted its own parts, and the same run
+made 100 `_over_common_den` calls and 13,715 term products.
 
 Each counted function is wrapped in every qtoda module that binds it
-(`whittaker` and `toda` import their own `sum_is_zero`, and `eq_exact`
-calls the one in `symbolic`), so no call escapes the count.
+(`whittaker` imports its own `sum_is_zero`, `toda` its own
+`_over_common_den`, and `eq_exact` calls the one in `symbolic`), so no
+call escapes the count.  "term products" counts len(a) * len(b) over every
+LaurentPoly product a * b.
 """
 
 import pytest
 
 from qtoda import operators, symbolic, toda, whittaker
 from qtoda.operators import ModuleContext, relation_records
-from qtoda.symbolic import RatFunc
+from qtoda.symbolic import LaurentPoly, RatFunc
 from qtoda.toda import toda_records
 from qtoda.whittaker import whittaker_records
 
 MODULES = (symbolic, operators, whittaker, toda)
-FUNCTIONS = ("sum_is_zero", "raising_product", "lowering_product")
+FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
+             "lowering_product")
 
 
 def count_work(monkeypatch, suite):
     """The records of suite(ModuleContext(4), 2) and the calls each counted
     function made while they were made."""
-    counts = dict.fromkeys(("RatFunc.__mul__",) + FUNCTIONS, 0)
+    counts = dict.fromkeys(("RatFunc.__mul__", "term products") + FUNCTIONS,
+                           0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -39,6 +46,12 @@ def count_work(monkeypatch, suite):
             return fn(*args)
         return wrapper
 
+    def poly_mul(a, b):
+        counts["term products"] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", poly_mul)
     monkeypatch.setattr(RatFunc, "__mul__",
                         counted("RatFunc.__mul__", RatFunc.__mul__))
     for module in MODULES:
@@ -68,8 +81,11 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     (whittaker_records, 497, {"RatFunc.__mul__": 2613, "sum_is_zero": 891,
                               "raising_product": 214,
                               "lowering_product": 98}),
-    # the toda suite reads sheaf_rgamma alone: no product, no closed entry
-    (toda_records, 55, {"RatFunc.__mul__": 0, "sum_is_zero": 56,
+    # the toda suite reads sheaf_rgamma alone: no RatFunc product and no
+    # closed entry; its eigen checks lift each degree once and call no
+    # sum_is_zero
+    (toda_records, 55, {"RatFunc.__mul__": 0, "sum_is_zero": 0,
+                        "_over_common_den": 74, "term products": 8508,
                         "raising_product": 0, "lowering_product": 0}),
 ], ids=["whittaker", "toda"])
 def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
