@@ -14,8 +14,8 @@ first-principles "chain" computation from sheaf-Hom characters of the flag
 (the oracle), and a closed multiplicity formula used by the fast paths.
 Their agreement is a test target, not an assumption.  The closed form is
 one pass over the rows that adds each weight's multiplicity into one
-{key: mult} dict; the oracle adds polynomials block by block, and the two
-share no helper.
+{key: mult} dict; the oracle adds its Hom blocks as polynomials, one
+`poly_sum` per chain, and the two share no formula helper.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .symbolic import (
     TVRing,
     UsageError,
     geometric_block,
+    poly_sum,
 )
 
 Stage = Tuple[int, ...]
@@ -66,25 +67,18 @@ def _hom_into_quotient(ring: TVRing, sub: Stage, quot: Stage) -> LaurentPoly:
     contributes t_k^2 t_j^{-2} (v^{2(a-b+1)} + .. + v^{2a}); into the full
     line k it contributes t_k^2 t_j^{-2} (1 + v^2 + .. + v^{2a}).
     """
-    total = ring.zero()
-    for j, a in enumerate(sub, start=1):
-        for k in range(1, ring.n + 1):
-            m = weight_ratio(ring, k, j)
-            if k <= len(quot):
-                total = total + geometric_block(a - quot[k - 1] + 1, a, m)
-            else:
-                total = total + geometric_block(0, a, m)
-    return total
+    return poly_sum(ring, [
+        geometric_block(a - quot[k - 1] + 1 if k <= len(quot) else 0, a,
+                        weight_ratio(ring, k, j))
+        for j, a in enumerate(sub, start=1) for k in range(1, ring.n + 1)])
 
 
 def based_correction(ring: TVRing) -> LaurentPoly:
     """Character of the strictly-upper-triangular framing directions, which a
     based (framed) moduli problem removes."""
-    total = ring.zero()
-    for j in range(1, ring.n + 1):
-        for k in range(j + 1, ring.n + 1):
-            total = total + weight_ratio(ring, k, j)
-    return total
+    return poly_sum(ring, [weight_ratio(ring, k, j)
+                           for j in range(1, ring.n + 1)
+                           for k in range(j + 1, ring.n + 1)])
 
 
 def chain_tangent_char(ring: TVRing, stages: Sequence[Stage]) -> LaurentPoly:
@@ -95,12 +89,11 @@ def chain_tangent_char(ring: TVRing, stages: Sequence[Stage]) -> LaurentPoly:
     sum_l [Hom(U_l, W/U_l) - Hom(U_l, W/U_{l+1})] minus the framing
     correction.  This is the first-principles oracle.
     """
-    total = ring.zero()
-    for l, stage in enumerate(stages):
-        total = total + _hom_into_quotient(ring, stage, stage)
-        if l + 1 < len(stages):
-            total = total - _hom_into_quotient(ring, stage, stages[l + 1])
-    return total - based_correction(ring)
+    return poly_sum(ring, [_hom_into_quotient(ring, stage, stage)
+                           for stage in stages]
+                    + [-_hom_into_quotient(ring, stage, after)
+                       for stage, after in zip(stages, stages[1:])]
+                    + [-based_correction(ring)])
 
 
 def tangent_char_oracle(ring: TVRing, p: FixedPoint) -> LaurentPoly:
@@ -197,12 +190,11 @@ def corr_tangent_char(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPol
     if not (1 <= i <= p.n - 1 and 1 <= j <= i):
         raise UsageError("modification position out of range")
     a = p.entry(i, j)
-    total = tangent_char(ring, p)
-    for k, dk in enumerate(shifted(p.row(i), j), start=1):
-        total = total + weight_ratio(ring, j, k, 2 * dk - 2 * a)
-    for k in range(1, i):
-        total = total - weight_ratio(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)
-    return total
+    return poly_sum(ring, [tangent_char(ring, p)]
+                    + [weight_ratio(ring, j, k, 2 * dk - 2 * a)
+                       for k, dk in enumerate(shifted(p.row(i), j), start=1)]
+                    + [-weight_ratio(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)
+                       for k in range(1, i)])
 
 
 def modification_weight(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPoly:

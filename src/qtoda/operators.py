@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Literal, Optional, Sequence, Tuple, TypeVar, get_args)
+                    Optional, Sequence, Tuple, TypeVar)
 
 from .characters import (
     corr_tangent_char,
@@ -85,8 +85,6 @@ from .symbolic import (
     tv_ring,
 )
 
-EntryPath = Literal["closed", "geometric"]
-TwistPath = Literal["composite", "direct"]
 T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
 _UNBUILT = object()
@@ -207,12 +205,6 @@ class ModuleContext:
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:
             raise UsageError(f"row index {i} out of range 1..{self.n - 1}")
-
-    def _check_generator(self, i: int, path: str, paths: Any) -> None:
-        """Row i is in range and path is one of the Literal `paths`."""
-        self._check_row(i)
-        if path not in get_args(paths):
-            raise UsageError(f"unknown operator path {path!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,62 +360,62 @@ def _closed_entry(ctx: ModuleContext, kind: str,
     return ctx.memo(kind, (a, b, j), lambda: product(ctx.ring, a, b, j))
 
 
-def op_E(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
+def _generator(ctx: ModuleContext, name: str, i: int, path: str,
+               builds: Dict[str, Callable[[], GradedOperator]]
+               ) -> GradedOperator:
+    """Generator `name`_i along `path`, one of the keys of `builds`, made by
+    its build() once per context, row and path.  A row out of range or an
+    unknown path raises UsageError before anything is built."""
+    ctx._check_row(i)
+    if path not in builds:
+        raise UsageError(f"unknown operator path {path!r}")
+    return ctx.memo(name, (i, path), builds[path])
+
+
+def op_E(ctx: ModuleContext, i: int, path: str = "closed") -> GradedOperator:
     """The raising operator for row i: degree d -> d + e_i.  One operator,
     and so one entry cache, per context, row and path."""
-    ctx._check_generator(i, path, EntryPath)
-    if path == "closed":
-        entry = lambda p, q, j: _closed_entry(ctx, "raising", raising_product,
-                                              p.row(i - 1), p.row(i), j)
-    else:
-        entry = lambda p, q, j: _raise_entry_geometric(ctx, p, i, j)
-    return ctx.memo("E", (i, path), lambda: _move_op(
-        ctx, "E", i, 1, partial(_raise_prefactor, ctx, i), entry))
+    move = partial(_move_op, ctx, "E", i, 1, partial(_raise_prefactor, ctx, i))
+    return _generator(ctx, "E", i, path, {
+        "closed": lambda: move(lambda p, q, j: _closed_entry(
+            ctx, "raising", raising_product, p.row(i - 1), p.row(i), j)),
+        "geometric": lambda: move(
+            lambda p, q, j: _raise_entry_geometric(ctx, p, i, j))})
 
 
-def op_F(ctx: ModuleContext, i: int, path: EntryPath = "closed") -> GradedOperator:
+def op_F(ctx: ModuleContext, i: int, path: str = "closed") -> GradedOperator:
     """The lowering operator for row i: degree d -> d - e_i.  One operator,
     and so one entry cache, per context, row and path."""
-    ctx._check_generator(i, path, EntryPath)
-    if path == "closed":
-        entry = lambda p, q, j: _closed_entry(ctx, "lowering", lowering_product,
-                                              p.row(i), p.row(i + 1), j)
-    else:
-        entry = lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j)
-    return ctx.memo("F", (i, path), lambda: _move_op(
-        ctx, "F", i, -1, partial(_lower_prefactor, ctx, i), entry))
+    move = partial(_move_op, ctx, "F", i, -1, partial(_lower_prefactor, ctx, i))
+    return _generator(ctx, "F", i, path, {
+        "closed": lambda: move(lambda p, q, j: _closed_entry(
+            ctx, "lowering", lowering_product, p.row(i), p.row(i + 1), j)),
+        "geometric": lambda: move(
+            lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j))})
 
 
-def op_e(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
+def op_e(ctx: ModuleContext, i: int, path: str = "composite") -> GradedOperator:
     """Twisted raising generator: E_i K_i^i as a composite, or directly the
     geometric kernel with its own monomial prefactor.  One operator, and so
     one entry cache, per context, row and path."""
-    ctx._check_generator(i, path, TwistPath)
-
-    def build() -> GradedOperator:
-        if path == "composite":
-            return compose(op_E(ctx, i), op_K(ctx, i, i), label=f"e{i}")
-        return _move_op(
+    return _generator(ctx, "e", i, path, {
+        "composite": lambda: compose(op_E(ctx, i), op_K(ctx, i, i),
+                                     label=f"e{i}"),
+        "direct": lambda: _move_op(
             ctx, "e", i, 1, partial(_twisted_raise_prefactor, ctx, i),
-            lambda p, q, j: _raise_entry_geometric(ctx, p, i, j))
-
-    return ctx.memo("e", (i, path), build)
+            lambda p, q, j: _raise_entry_geometric(ctx, p, i, j))})
 
 
-def op_f(ctx: ModuleContext, i: int, path: TwistPath = "composite") -> GradedOperator:
+def op_f(ctx: ModuleContext, i: int, path: str = "composite") -> GradedOperator:
     """Twisted lowering generator: K_i^{-i} F_i as a composite, or directly
     the plain pushforward-pullback kernel.  One operator, and so one entry
     cache, per context, row and path."""
-    ctx._check_generator(i, path, TwistPath)
-
-    def build() -> GradedOperator:
-        if path == "composite":
-            return compose(op_K(ctx, i, -i), op_F(ctx, i), label=f"f{i}")
-        return _move_op(
+    return _generator(ctx, "f", i, path, {
+        "composite": lambda: compose(op_K(ctx, i, -i), op_F(ctx, i),
+                                     label=f"f{i}"),
+        "direct": lambda: _move_op(
             ctx, "f", i, -1, lambda d: ctx.ring.one(),
-            lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j))
-
-    return ctx.memo("f", (i, path), build)
+            lambda p, q, j: _lower_entry_geometric(ctx, p, q, i, j))})
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +523,12 @@ def _at_degree(terms: Sequence[Term], d: DegreeVector) -> Sequence[Term]:
     Each chain is walked right to left, tracking the degree: a diagonal
     operator's scalar, taken at the degree it acts on, multiplies the
     coefficient, and every other operator stays in the chain.  Terms left
-    with the same operators are then added: one coefficient sum each,
-    decided by `sum_is_zero` and dropped when it vanishes.  The result acts
-    on every basis vector of degree d as the terms do.  Operators are
-    homogeneous (`GradedOperator.terms` enforces the declared shift), so
-    every path of a chain passes the same degrees and a diagonal operator
-    scales all of them by the same scalar; distributivity then merges the
-    terms.  The terms themselves come back when no chain holds a diagonal
+    with the same operators are then added: one `rat_sum` each, dropped
+    when it comes out zero.  The result acts on every basis vector of
+    degree d as the terms do.  Operators are homogeneous
+    (`GradedOperator.terms` enforces the declared shift), so every path of
+    a chain passes the same degrees and a diagonal operator scales all of
+    them by the same scalar; distributivity then merges the terms.  The terms themselves come back when no chain holds a diagonal
     operator.
     """
     if all(op.scalar is None for _, chain in terms for op in chain):
@@ -553,9 +544,8 @@ def _at_degree(terms: Sequence[Term], d: DegreeVector) -> Sequence[Term]:
             else:
                 coeff = coeff * op.scalar(degree)
         folded.append((tuple(reversed(kept)), coeff))
-    return [(rat_sum(coeffs[0].ring, coeffs), chain)
-            for chain, coeffs in grouped(folded).items()
-            if len(coeffs) == 1 or not sum_is_zero(coeffs)]
+    return [(s, chain) for chain, coeffs in grouped(folded).items()
+            if not (s := rat_sum(coeffs[0].ring, coeffs)).is_zero()]
 
 
 def _reached(terms: Sequence[Term],

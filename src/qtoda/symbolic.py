@@ -31,21 +31,24 @@ nothing ever needs a multivariate GCD.  A binomial 1 - x^{±s} is
 canonicalized once per (ring, s, bound), so equal binomials share one
 canonical polynomial; any other factor is canonicalized on every use.
 
-Sums are where expanded numerators appear.  Both ways of adding keep every
-tracked factor at its smallest power over the parts (`_over_common_den`),
-so only what is left of each part is expanded.  A verdict needs only a
-zero test: `sum_is_zero` adds the remainders once and compares the sum
-with 0, and `eq_exact(a, b)` is `sum_is_zero([a, -b])`.  Where the parts
-are monomial multiples of a few numerators over one common factor,
-`combination_is_zero` adds each multiple into one copy as a key shift.  A
-value comes
-from `rat_sum`, which adds its parts pairwise in a balanced tree.  After
-each pairwise sum it divides the numerator by every tracked binomial
-1 - x^s that both summands carry in their denominators, for as long as the
-division is exact (a prefix sum along the lattice lines e + Z s, checked by
-multiplying back).  Localization sums collapse to small rational functions,
-so the partial sums stay small instead of growing to the lcm of every
-part's denominator.  `rat_sum` also takes nested lists of parts and sums
+Any number of polynomials is added by `poly_sum`, which merges every part
+into one copy of the first part's terms; `+` is its two-part case.
+
+Sums of rational functions are where expanded numerators appear.  Both
+ways of adding keep every tracked factor at its smallest power over the
+parts (`_over_common_den`), so only what is left of each part is expanded.
+A verdict needs only a zero test: `sum_is_zero` adds the remainders once
+and compares the sum with 0, and `eq_exact(a, b)` is
+`sum_is_zero([a, -b])`.  Where the parts are monomial multiples of a few
+numerators over one common factor, `combination_is_zero` adds each
+multiple into one copy as a key shift.  A value comes from `rat_sum`, which
+adds its parts pairwise in a balanced tree.  After each pairwise sum it
+divides the numerator by every tracked binomial 1 - x^s that both summands
+carry in their denominators, for as long as the division is exact (a
+prefix sum along the lattice lines e + Z s, checked by multiplying back).
+Localization sums collapse to small rational functions, so the partial
+sums stay small instead of growing to the lcm of every part's
+denominator.  `rat_sum` also takes nested lists of parts and sums
 them innermost first.  The localization sums over fixed points nest their
 parts by the rows of the points, the stages of the flag, last row
 innermost: each inner sum then acts as a pushforward along the map that
@@ -54,6 +57,7 @@ forgets one stage, and its poles cancel while its numerator is still small.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,10 +89,12 @@ class DegeneracyError(ValueError):
 
 
 def json_int(x: object) -> int:
-    """An int or a decimal string read from JSON, as an int.  A bool, a
-    float or any other value raises UsageError: int() would read 2.5 as 2
-    and true as 1."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    """An int, or a string in the decimal form -?[0-9]+ that `to_json`
+    writes, read from JSON as an int.  Anything else raises UsageError:
+    int() would read 2.5 as 2, true as 1, and ' 12 ', '1_000', '+5' or
+    non-ASCII digits as numbers too."""
+    if not (type(x) is int or isinstance(x, str)
+            and re.fullmatch("-?[0-9]+", x)):
         raise UsageError(f"not an integer: {x!r}")
     return int(x)
 
@@ -276,9 +282,7 @@ class LaurentPoly:
             raise UsageError("operands live in different rings")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        return LaurentPoly(self.ring, _merged([self, other]),
-                           max(self.bound, other.bound))
+        return poly_sum(self.ring, [self, other])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + -other
@@ -615,24 +619,16 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.unit.is_zero()
 
-    @property
-    def num(self) -> LaurentPoly:
-        out = self.unit
+    def num_den(self) -> Tuple[LaurentPoly, LaurentPoly]:
+        """The numerator and the denominator, expanded in one pass over the
+        tracked factors."""
+        num, den = self.unit, self.ring.one()
         for canon, e in self.factors.values():
             if e > 0:
-                out = out * (canon ** e)
-        return out
-
-    @property
-    def den(self) -> LaurentPoly:
-        out = self.ring.one()
-        for canon, e in self.factors.values():
-            if e < 0:
-                out = out * (canon ** (-e))
-        return out
-
-    def num_den(self) -> Tuple[LaurentPoly, LaurentPoly]:
-        return self.num, self.den
+                num = num * canon ** e
+            else:
+                den = den * canon ** -e
+        return num, den
 
     def eval(self, point: EvalPoint) -> Fraction:
         total = self.unit.eval(point)
@@ -646,7 +642,8 @@ class RatFunc:
         return total
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        num, den = self.num_den()
+        return {"num": num.to_json(), "den": den.to_json()}
 
     def __repr__(self) -> str:
         num, den = self.num_den()
@@ -711,15 +708,10 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     `common` holds each tracked factor at its smallest power over all parts,
     a part without the factor counting as power 0: the least common tracked
     denominator, times every positive factor power that all parts share.
-    Only the remaining powers are expanded into the polys.  When every part
-    carries the same factor dict, as a product with an untracked scalar
-    shares its operand's, that dict is `common` and nothing is expanded;
-    `common` is then a copy, since `_add` changes it.
+    Only the remaining powers are expanded into the polys.  `common` is a
+    new dict, which `_add` changes.
     """
     polys = [r.unit for r in parts]
-    shared = parts[0].factors
-    if all(r.factors is shared for r in parts):
-        return polys, dict(shared)
     keys: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
     for r in reversed(parts):
         keys.update(r.factors)
@@ -748,6 +740,17 @@ def _merged(polys: Sequence[LaurentPoly]) -> Terms:
     return terms
 
 
+def poly_sum(ring: Ring, polys: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The sum of polys, merged in one pass, with the largest bound of the
+    parts; zero when there are none.  A part from another ring raises
+    UsageError."""
+    if any(p.ring is not ring and p.ring != ring for p in polys):
+        raise UsageError("operands live in different rings")
+    if not polys:
+        return ring.zero()
+    return LaurentPoly(ring, _merged(polys), max(p.bound for p in polys))
+
+
 def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     """a + b as (pa + pb) * common (see `_over_common_den`), then cancelled.
 
@@ -755,11 +758,10 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     remainders are expanded and added.  Each tracked 1 - x^s in the
     denominator of both a and b is then divided out of the numerator while
     the division stays exact."""
-    (pa, pb), common = _over_common_den([a, b])
-    terms = _merged([pa, pb])
-    if not terms:
+    polys, common = _over_common_den([a, b])
+    unit = poly_sum(a.ring, polys)
+    if unit.is_zero():
         return RatFunc.zero(a.ring)
-    unit = LaurentPoly(a.ring, terms, max(pa.bound, pb.bound))
     for key, (canon, e) in list(common.items()):
         s_key = _binomial_exponent(canon.terms)
         if s_key is None or a.factors.get(key, _ABSENT)[1] >= 0 \
@@ -867,13 +869,11 @@ def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:
     ring = m.ring
     if not isinstance(ring, TVRing):
         raise UsageError("geometric_block needs a torus ring")
-    if lo > hi:
-        return ring.zero()
     # v^{2l} has key 4l * key(v): the v slot counts half units
     bound = m.bound + 4 * max(abs(lo), abs(hi))
     if bound > SLOT_LIMIT:
         raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     step = 4 * _unit_keys(ring.nvars)[ring.n]
-    return LaurentPoly(ring, _merged([
+    return poly_sum(ring, [
         LaurentPoly(ring, {k + l * step: c for k, c in m.terms.items()}, bound)
-        for l in range(lo, hi + 1)]), bound)
+        for l in range(lo, hi + 1)])

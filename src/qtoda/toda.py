@@ -48,7 +48,7 @@ from typing import Dict, Iterator, List, Tuple
 from .fixed_points import DegreeVector, all_degrees, padded, shifted
 from .operators import ModuleContext
 from .symbolic import (LaurentPoly, TVRing, UsageError, _over_common_den,
-                       combination_is_zero)
+                       combination_is_zero, poly_sum)
 from .whittaker import _closed_monomial, sheaf_rgamma
 
 DEFAULT_SIGMA = -1
@@ -84,9 +84,8 @@ def _table(ring: TVRing, d: DegreeVector, sigma: int, multiplier) -> Table:
     """The degree-d row of an operator: the diagonal (d, sum_j
     shift_j(d)^2), then (d - e_i, multiplier(i, d - e_i)) for each source
     d - e_i (see `_sources`)."""
-    diagonal = ring.zero()
-    for j in range(1, ring.n + 1):
-        diagonal = diagonal + shift_monomial(ring, j, d, sigma) ** 2
+    diagonal = poly_sum(ring, [shift_monomial(ring, j, d, sigma) ** 2
+                               for j in range(1, ring.n + 1)])
     return [(d, diagonal)] + [(src, multiplier(i, src))
                               for i, src in _sources(d)]
 
@@ -111,10 +110,8 @@ def difference_op_at(ring: TVRing, d: DegreeVector,
 def eigenvalue_monomial_sum(ring: TVRing,
                             sigma: int = DEFAULT_SIGMA) -> LaurentPoly:
     """The common eigenvalue sum_{i=1}^n t_i^{2 sigma}."""
-    total = ring.zero()
-    for i in range(1, ring.n + 1):
-        total = total + ring.t_monomial({i: 2 * sigma})
-    return total
+    return poly_sum(ring, [ring.t_monomial({i: 2 * sigma})
+                           for i in range(1, ring.n + 1)])
 
 
 def _eigen_verdicts(ring: TVRing, d: DegreeVector, sigma: int,

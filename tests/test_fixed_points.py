@@ -60,9 +60,15 @@ class TestFixedPoint:
         {"n": 3.7, "rows": [[2], [1, 2]]},       # int() would read n = 3
         {"n": True, "rows": []},                 # int() would read n = 1
         {"n": 3, "rows": [[2], [1, True]]},      # int() would read 1
+        {"n": " 3 ", "rows": [[2], [1, 5]]},     # int() strips the spaces
+        {"n": 3, "rows": [[2], [1, "1_0"]]},     # int() would read 10
+        {"n": "+3", "rows": [[2], [1, 5]]},      # no plus sign in to_json
+        {"n": 3, "rows": [[2], [1, "\u0665"]]},  # Arabic-Indic 5
+        {"n": "\uff13", "rows": [[2], [1, 5]]},  # fullwidth 3
     ], ids=["no-rows", "no-n", "list", "n-none", "rows-int", "entry-text",
             "n-text", "invalid-array", "entry-float", "n-float", "n-bool",
-            "entry-bool"])
+            "entry-bool", "n-spaces", "entry-underscore", "n-plus",
+            "entry-arabic-indic", "n-fullwidth"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             FixedPoint.from_json(data)

@@ -21,6 +21,7 @@ from qtoda.symbolic import (
     generic_ring,
     geometric_block,
     pack,
+    poly_sum,
     rat_sum,
     sum_is_zero,
     tv_ring,
@@ -94,10 +95,17 @@ class TestLaurentPoly:
         [[[0, 1.5, 0], "1"]],        # int() would truncate it to 1
         [[[0, 1, 0], True]],         # int() would read it as 1
         [[[0, False, 0], "1"]],      # int() would read it as 0
+        [[[0, 1, 0], " 12 "]],       # int() strips the spaces
+        [[["0", "1_0", "0"], "1"]],  # int() reads it as 10
+        [[[0, 1, 0], "+5"]],         # to_json never writes a plus sign
+        [[[0, 1, 0], "\u0663"]],     # int() reads Arabic-Indic 3 as 3
+        [[[0, "\uff11\uff12", 0], "1"]],  # int() reads fullwidth 12
     ], ids=["none", "short-term", "long-term", "exponents-int",
             "exponent-text", "coefficient-text", "coefficient-none",
             "coefficient-float", "exponent-float", "coefficient-bool",
-            "exponent-bool"])
+            "exponent-bool", "coefficient-spaces", "exponent-underscore",
+            "coefficient-plus", "coefficient-arabic-indic",
+            "exponent-fullwidth"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             LaurentPoly.from_json(R2, data)
@@ -207,7 +215,7 @@ class TestRatFunc:
         # multiplying by the same tracked factor cancels at the multiset level
         b = a * RatFunc.from_factors(R2, R2.one(), [(one_minus_v2, 1)])
         assert not b.factors
-        assert b.num == R2.one() and b.den == R2.one()
+        assert b.num_den() == (R2.one(), R2.one())
 
     def test_zero_denominator_raises(self):
         with pytest.raises(ArithmeticDomainError):
@@ -233,7 +241,7 @@ class TestRatFunc:
         num = R2.t(1, 2) - R2.v(2)
         den = R2.t(1) - R2.v(1)
         r = RatFunc.from_frac(num, den)
-        assert r.den != R2.one()
+        assert r.num_den()[1] != R2.one()
         # but equality with the reduced form still holds
         assert eq_exact(r, RatFunc.from_poly(R2.t(1) + R2.v(1)))
 
@@ -273,7 +281,8 @@ class TestRatSumAndOracles:
         a = RatFunc.from_frac(R2.one(), one_minus_v2)
         b = RatFunc.from_frac(R2.v(2), one_minus_v2)
         s = rat_sum(R2, [a, -b])
-        assert s.num == one_minus_v2 * R2.one() or eq_exact(s, RatFunc.one(R2))
+        assert s.num_den()[0] == one_minus_v2 * R2.one() \
+            or eq_exact(s, RatFunc.one(R2))
         assert eq_exact(s, RatFunc.one(R2))
 
     def test_lazy_sum_zero(self):
@@ -287,6 +296,42 @@ class TestRatSumAndOracles:
         other = generic_ring(["x"])
         with pytest.raises(UsageError):
             eq_exact(RatFunc.one(R2), RatFunc.one(other))
+
+
+class TestPolySum:
+    @given(st.lists(poly_strategy(R2), max_size=5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_repeated_sum(self, polys, cancel):
+        if cancel:
+            polys = polys + [-p for p in reversed(polys)]
+        total = poly_sum(R2, polys)
+        repeated = R2.zero()
+        for p in polys:
+            repeated = repeated + p
+        # and a reference that adds coefficients by exponent vector
+        want = {}
+        for p in polys:
+            for e, c in p.sorted_terms():
+                want[e] = want.get(e, 0) + c
+        assert total == repeated
+        assert dict(total.sorted_terms()) == {e: c for e, c in want.items()
+                                              if c}
+        assert total.bound == max((p.bound for p in polys), default=0)
+        if cancel:
+            assert total.is_zero()
+
+    def test_empty_is_zero(self):
+        total = poly_sum(R2, [])
+        assert total.is_zero() and total.ring is R2 and total.bound == 0
+
+    def test_mixed_rings_are_a_usage_error(self):
+        other = tv_ring(3)
+        for polys in ([R2.one(), other.one()], [other.one()],
+                      [R2.zero(), other.zero()]):
+            with pytest.raises(UsageError):
+                poly_sum(R2, polys)
+        with pytest.raises(UsageError):
+            R2.one() + other.one()
 
 
 class TestGeometricBlock:
@@ -638,7 +683,7 @@ class TestTreeSum:
         # 1 + v^2 (1 - v^2) / (1 - v^2)^2 collapses to 1 / (1 - v^2)
         c = RatFunc.from_factors(R2, R2.v(2), [(one_minus_v2, -2)])
         s = rat_sum(R2, [a, -b, c, -c.scale_poly(R2.v(2))])
-        assert s.num == R2.one() and s.den == one_minus_v2
+        assert s.num_den() == (R2.one(), one_minus_v2)
 
 
 class TestEqExact:
@@ -649,7 +694,8 @@ class TestEqExact:
                                                           same):
         # shared factors on both sides; with same, b is a refactored copy of a
         if same:
-            b = RatFunc(R2, a.num, {}) * RatFunc.from_frac(R2.one(), a.den)
+            num, den = a.num_den()
+            b = RatFunc(R2, num, {}) * RatFunc.from_frac(R2.one(), den)
         a, b = a * shared, b * shared
         assert eq_exact(a, b) == (a - b).is_zero()
         if same:
@@ -759,8 +805,9 @@ class TestSharedFactorDict:
     @settings(max_examples=80, deadline=None)
     def test_shared_dict_shortcut_matches_the_general_path(self, r, units):
         # parts that carry one factor dict object, as the products of one
-        # entry with untracked scalars do, against parts with equal copies
-        # (two or more, so the copies take the general path)
+        # entry with untracked scalars do, against parts with equal copies:
+        # either way every factor is common and nothing is expanded, and
+        # `common` is a new dict, since `_add` changes it
         shared = [RatFunc(R2, u, r.factors) for u in units]
         copied = [RatFunc(R2, u, dict(r.factors)) for u in units]
         polys, common = symbolic._over_common_den(shared)
@@ -801,7 +848,8 @@ def zero_test_parts(draw):
         unit = draw(poly_strategy(R2, max_terms=3, max_exp=2))
         parts.append(RatFunc.from_factors(R2, unit, factors))
     if draw(st.booleans()):
-        mirror = [RatFunc.from_frac(-p.num, p.den) for p in parts]
+        mirror = [RatFunc.from_frac(-num, den)
+                  for num, den in (p.num_den() for p in parts)]
         if mirror and draw(st.booleans()):
             s, m = draw(step), mirror.pop(0)
             mirror += [m * RatFunc.from_factors(R2, c, [(one_minus(s), -1)])
@@ -868,7 +916,8 @@ def nested_parts(draw, depth=0):
             nested.append(r)
             flat.append(r)
         else:
-            pair = [r, RatFunc.from_frac(-r.num, r.den)]
+            num, den = r.num_den()
+            pair = [r, RatFunc.from_frac(-num, den)]
             nested.append(pair)
             flat += pair
     return nested, flat

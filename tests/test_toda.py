@@ -211,20 +211,6 @@ def expected_records(ctx, box):
          "status": "pass" if working and not opposite else "fail"}]
 
 
-def patch_everywhere(monkeypatch, original, mutant):
-    """Bind mutant in place of original in every qtoda module, and in this
-    test module, that binds it: `from m import f` copies the name into each
-    importer, so patching the defining module alone would miss those."""
-    patched = 0
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("qtoda") \
-                or module is sys.modules[__name__]:
-            for attr in [a for a, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, attr, mutant)
-                patched += 1
-    assert patched
-
-
 # each mutated function as it is before any mutant is bound
 ORIGINAL = {f.__name__: f for f in (
     whittaker._closed_monomial, toda.eigenvalue_monomial_sum, toda._shift,
@@ -276,14 +262,16 @@ def mutant_context(n):
 
 @pytest.mark.parametrize("n,box", [(3, 2), (4, 2)], ids=str)
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_mutant_fails_exactly_the_reference_failures(monkeypatch, n, box,
-                                                     name):
+def test_mutant_fails_exactly_the_reference_failures(bind_everywhere, n,
+                                                     box, name):
     # the shared lift, the division by m_d and the key-shift zero test
     # decide every record as the rat_sum + eq_exact reference does, on
     # mutated code too
     ctx = mutant_context(n)
     assert list(toda_records(ctx, box)) == expected_records(ctx, box)
-    patch_everywhere(monkeypatch, ORIGINAL[name], MUTANTS[name])
+    # this module's reference reads the tables through its own names too
+    assert bind_everywhere(ORIGINAL[name], MUTANTS[name],
+                           sys.modules[__name__])
     records = list(toda_records(ctx, box))
     assert records == expected_records(ctx, box)
     assert [r for r in records if r["status"] == "fail"]
