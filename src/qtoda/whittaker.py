@@ -14,6 +14,14 @@ The two distinguished vectors are:
 - the inverse-determinant vector, an eigenvector of every pairing-adjoint
   twisted raising generator with the same eigenvalue.
 
+The adjoint record and both eigen records of a row i and a degree d are
+decided from one list of lowering edges: the products B_qp = F_i[q -> p]
+sym_factor(q), one per entry of F_i from degree d + e_i down to d.  Every
+other factor is a monomial per degree or per point (the K_i powers of the
+twisted generators, the pairing prefactor, det_weight, the dual prefactor),
+so no composite operator is walked, the pairing weight is built only in the
+box and neither Whittaker vector is built at d + e_i.
+
 Their pairing degree by degree has a closed form: a monomial m_d times the
 coefficient sum of the structure-sheaf vector.  It rests on a per-point
 identity, checked at every fixed point: the dual-vector coefficient times
@@ -24,22 +32,18 @@ coefficient sum term by term.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import det_weight
-from .fixed_points import (DegreeVector, FixedPoint, all_degrees, check_rows,
-                           padded, shifted)
+from .fixed_points import (DegreeVector, FixedPoint, Rows, all_degrees,
+                           check_rows, padded, shifted)
 from .operators import (
-    GradedOperator,
     ModuleContext,
     ModuleVector,
     basis_vector,
-    compose,
     grouped,
     op_E,
     op_F,
-    op_K,
-    op_f,
     raising_product,
     vanishes,
 )
@@ -168,62 +172,104 @@ def whittaker_w(ctx: ModuleContext, degree: Sequence[int]) -> ModuleVector:
     return ctx.memo("whittaker_w", degree, build)
 
 
-def dual_raising_op(ctx: ModuleContext, i: int):
-    """The pairing-adjoint of the twisted raising generator: K_i^{2i} f_i."""
-    return compose(op_K(ctx, i, 2 * i), op_f(ctx, i), label=f"e{i}*")
+# one lowering edge of row i landing on degree d: (q, p, F_i[q -> p] S(T_q))
+# for q of degree d + e_i
+Edge = Tuple[FixedPoint, FixedPoint, RatFunc]
 
 
-def _eigen_holds(ctx: ModuleContext, op: GradedOperator,
-                 vector: Callable[[ModuleContext, Sequence[int]], ModuleVector],
-                 i: int, degree: Sequence[int]) -> bool:
-    """op maps the degree d + e_i component of the vector to 1/(1-v^2) times
-    its degree-d component.  For each target q, the entries times the source
-    coefficients and -(1-v^2)^{-1} times the degree-d coefficient at q must
-    sum to zero."""
-    src = shifted(degree, i)
+def lowering_edges(ctx: ModuleContext, i: int,
+                   degree: Sequence[int]) -> List[Edge]:
+    """Every entry of F_i from degree d + e_i down to d as (q, p, B_qp),
+    with B_qp = F_i[q -> p] sym_factor(q): one product per entry, in the
+    order of the points of d + e_i and of their entries.
+
+    The adjoint record and both eigen records of (i, d) are decided from
+    these products alone; every other factor they need is a monomial per
+    degree or per point.  That is exact for two reasons.  Operators are
+    homogeneous (the reason `_at_degree` gives), so a diagonal K_i acts on
+    every basis vector of one degree by the same scalar, and each entry of
+    a twisted composite is an F_i entry times a monomial.  And the adjoint
+    identity of a point pair is multiplied through by a nonzero rational
+    function, a product of sym factors, which is the same as dividing by
+    its inverse and changes no verdict."""
+    F = op_F(ctx, i)
+    return [(q, p, entry * ctx.sym_factor(q))
+            for q in ctx.points(shifted(degree, i))
+            for p, entry in F.terms(q)]
+
+
+def _eigen_sums_vanish(ctx: ModuleContext, target: ModuleVector,
+                       parts: Iterable[Tuple[Rows, RatFunc]]) -> bool:
+    """The parts (p.rows, part) of an operator applied to a vector at degree
+    d + e_i, minus target(p) / (1 - v^2), sum to zero at every point p of
+    the target's degree; each p's target part comes first."""
     ring = ctx.ring
     minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
     return vanishes(itertools.chain(
-        ((q.rows, c * minus_scale)
-         for q, c in vector(ctx, degree).coeffs.items()),
-        ((q.rows, entry * c) for p, c in vector(ctx, src).coeffs.items()
-         for q, entry in op.terms(p))))
+        ((p.rows, c * minus_scale) for p, c in target.coeffs.items()), parts))
 
 
-def lowering_eigen_check(ctx: ModuleContext, i: int,
-                         degree: Sequence[int]) -> bool:
-    """f_i applied to the structure-sheaf vector at degree d + e_i equals
-    1/(1-v^2) times its degree-d component."""
-    return _eigen_holds(ctx, op_f(ctx, i), whittaker_k, i, degree)
+def lowering_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
+                         edges: Sequence[Edge]) -> bool:
+    """f_i = K_i^{-i} F_i applied to the structure-sheaf vector at degree
+    d + e_i equals 1/(1-v^2) times its degree-d component.  Its coefficient
+    at q is sym_factor(q), and K_i^{-i} acts on degree d by k_i(d)^{-i}, so
+    the part of the edge q -> p is k_i(d)^{-i} B_qp, read from `edges`, the
+    `lowering_edges` of (i, d)."""
+    k = ctx.k_scalar(i, degree) ** -i
+    return _eigen_sums_vanish(ctx, whittaker_k(ctx, degree), (
+        (p.rows, b.scale_poly(k)) for _, p, b in edges))
 
 
-def dual_eigen_check(ctx: ModuleContext, i: int,
-                     degree: Sequence[int]) -> bool:
-    """K_i^{2i} f_i applied to the dual vector at degree d + e_i equals
-    1/(1-v^2) times its degree-d component."""
-    return _eigen_holds(ctx, dual_raising_op(ctx, i), whittaker_w, i, degree)
+def dual_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
+                     edges: Sequence[Edge]) -> bool:
+    """K_i^{2i} f_i, the pairing-adjoint of the twisted raising generator,
+    applied to the dual vector at degree d + e_i equals 1/(1-v^2) times its
+    degree-d component.  Its coefficient at q is omega(d + e_i) det(q)^{-1}
+    sym_factor(q), with omega = `dual_whittaker_prefactor`, and K_i^{2i}
+    K_i^{-i} acts on degree d by k_i(d)^i, so the part of the edge q -> p
+    is k_i(d)^i omega(d + e_i) det(q)^{-1} B_qp, read from `edges`, the
+    `lowering_edges` of (i, d)."""
+    scalar = ctx.k_scalar(i, degree) ** i \
+        * dual_whittaker_prefactor(ctx.ring, shifted(degree, i))
+    return _eigen_sums_vanish(ctx, whittaker_w(ctx, degree), (
+        (p.rows, b.scale_poly(scalar * _det(ctx, q) ** -1))
+        for q, p, b in edges))
 
 
-def eigen_records(ctx: ModuleContext, i: int,
-                  degree: Sequence[int]) -> Iterator[dict]:
-    """Both Whittaker eigen records of row i landing on degree d."""
+def eigen_records(ctx: ModuleContext, i: int, degree: Sequence[int],
+                  edges: Optional[Sequence[Edge]] = None) -> Iterator[dict]:
+    """Both Whittaker eigen records of row i landing on degree d, decided
+    from one list of lowering edges, built here unless given."""
+    if edges is None:
+        edges = lowering_edges(ctx, i, degree)
     for check, holds in (("structure-sheaf-vector-eigen", lowering_eigen_check),
                          ("dual-vector-eigen", dual_eigen_check)):
         yield {"check": check, "i": i, "degree": list(degree),
-               "status": "pass" if holds(ctx, i, degree) else "fail"}
+               "status": "pass" if holds(ctx, i, degree, edges) else "fail"}
 
 
-def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int]) -> bool:
+def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int],
+                   edges: Sequence[Edge]) -> bool:
     """E_i and F_i are adjoint on degrees d and d + e_i: for every point pair
-    (p, q) that either operator links, E_qp theta_q - F_pq theta_p sums to
-    zero (the pairing of E_i[p] with [q] against that of [p] with F_i[q])."""
-    E, F = op_E(ctx, i), op_F(ctx, i)
-    target = shifted(degree, i)
+    (p, q) that either operator links, E_i[p -> q] theta_q - F_i[q -> p]
+    theta_p sums to zero (the pairing of E_i[p] with [q] against that of
+    [p] with F_i[q]).
+
+    Each pair's parts are multiplied by sym_factor(p) sym_factor(q), a
+    nonzero rational function, which changes no verdict.  With theta_x =
+    c_x det(x) / sym_factor(x), c = `pairing_prefactor`, they become
+    E_i[p -> q] sym_factor(p) c_{d+e_i} det(q) and -B_qp c_d det(p) (see
+    `lowering_edges`), so no theta is built."""
+    E = op_E(ctx, i)
+    c_up = pairing_prefactor(ctx.ring, shifted(degree, i))
+    minus_c = -pairing_prefactor(ctx.ring, degree)
     return vanishes(itertools.chain(
-        (((p.rows, q.rows), entry * pairing_weight(ctx, q))
+        (((p.rows, q.rows), (entry * ctx.sym_factor(p)).scale_poly(
+            c_up * _det(ctx, q)))
          for p in ctx.points(degree) for q, entry in E.terms(p)),
-        (((p.rows, q.rows), -(entry * pairing_weight(ctx, p)))
-         for q in ctx.points(target) for p, entry in F.terms(q))))
+        (((p.rows, q.rows), b.scale_poly(minus_c * _det(ctx, p)))
+         for q, p, b in edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +377,27 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     rows of every point up to degree 2, decided once per (i, row i - 1,
     row i) and reported per point; the partial-fraction identity for
     i <= 4; and the two-path Whittaker pairing at every in-box degree.
+
+    Each (i, d) builds its `lowering_edges` once and decides its adjoint
+    record and both eigen verdicts from them; no edge is kept for the next
+    (i, d).  The adjoint records come out as they are decided;
+    the eigen records are kept and follow them all, so a run cut after
+    any record has written a prefix of the full stream.
     """
     n = ctx.n
     z = basis_vector(ctx, FixedPoint.zero(n))
     ok = eq_exact(shapovalov_pair(ctx, z, z), RatFunc.one(ctx.ring))
     yield {"check": "pairing-normalization",
            "status": "pass" if ok else "fail"}
+    eigen: List[dict] = []
     for i in range(1, n):
         for d in all_degrees(n, box):
+            edges = lowering_edges(ctx, i, d)
+            ok = _adjoint_holds(ctx, i, d, edges)
             yield {"check": "raising-lowering-adjoint", "i": i,
-                   "degree": list(d),
-                   "status": "pass" if _adjoint_holds(ctx, i, d) else "fail"}
-    for i in range(1, n):
-        for d in all_degrees(n, box):
-            yield from eigen_records(ctx, i, d)
+                   "degree": list(d), "status": "pass" if ok else "fail"}
+            eigen += eigen_records(ctx, i, d, edges)
+    yield from eigen
     for i in range(1, n):
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):

@@ -268,6 +268,24 @@ class TestVerify:
             "summary": True, "complete": False,
             "counts": {"pass": count}, "records": count + 1}]
 
+    @pytest.mark.parametrize("count", [1, 2, 82, 83, 84, 244, 245, 496])
+    def test_budget_cut_whittaker_stream_is_a_prefix(self, capsys,
+                                                     monkeypatch, count):
+        # the adjoint records come out as their (row, degree) is decided and
+        # the eigen records from kept verdicts after them, so a run cut
+        # after any record, at either side of each family boundary, has
+        # written exactly the full run's first records: the config echo
+        # and `count` verdicts
+        argv = ("verify", "--n", "4", "--box", "2", "--suite", "whittaker")
+        _, full = run(capsys, *argv)
+        expire_after_first(monkeypatch, "status", count)
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert lines[:-1] == full[:count + 1]
+        assert parsed(lines[-1:]) == [{
+            "summary": True, "complete": False,
+            "counts": {"pass": count}, "records": count + 1}]
+
     def test_whittaker_command_stops_between_records(
             self, capsys, expire_after_first_verdict):
         code, lines = run(capsys, "whittaker", "--n", "4", "--degree", "2,2,2")

@@ -55,24 +55,27 @@ def test_unknown_path_is_rejected_before_anything_is_built(op, path):
     assert not ctx._memo
 
 
-def test_whittaker_suite_builds_each_composite_entry_once(monkeypatch):
-    # both Whittaker eigen checks read f_i = K_i^{-i} F_i: the lowering
-    # check directly, the dual check inside K_i^{2i} f_i
+def test_whittaker_suite_builds_no_composite_and_no_theta_outside_the_box(
+        monkeypatch):
+    # the adjoint and both eigen checks of (i, d) read one product
+    # F_i[q -> p] S(T_q) per lowering edge and fold every diagonal factor in
+    # as a monomial, so no composite operator is walked and the pairing
+    # weight is built only at the points the pairing records read
     calls = []
     original = operators._paths
 
     def counted(chain, p, coeff=None):
-        calls.append((tuple(op.label for op in chain), p.rows))
+        calls.append(p.rows)
         return original(chain, p, coeff)
 
     monkeypatch.setattr(operators, "_paths", counted)
-    records = list(whittaker_records(ModuleContext(4), 2))
+    ctx = ModuleContext(4)
+    records = list(whittaker_records(ctx, 2))
     assert all(r["status"] == "pass" for r in records)
-    assert len(calls) == len(set(calls))
-    for i in (1, 2, 3):
-        twisted = {p for chain, p in calls if chain == (f"K{i}^{-i}", f"F{i}")}
-        dual = {p for chain, p in calls if chain == (f"K{i}^{2 * i}", f"f{i}")}
-        assert twisted and twisted == dual
+    assert calls == []
+    in_box = {p.rows for d in all_degrees(4, 2) for p in ctx.points(d)}
+    assert set(ctx._memo["theta"]) == in_box
+    assert len(in_box) == 74
 
 
 def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):

@@ -5,8 +5,10 @@ A check that cannot fail passes vacuously, so each mutant below names the
 record families it kills when all four suites run at (n, box) = (3, 2).
 Rescaling a whole function by a degree-dependent unit reaches neither
 Serre relation, the commutator diagonality nor the partial-fraction
-identity; these mutants change the shape of an entry or of a factor list
-instead.
+identity; the shape mutants change an entry or a factor list instead.
+The scale mutants multiply a diagonal scalar, a prefactor or a point
+weight by a power of v, and each names every family it kills: the
+adjoint and eigen records must see each monomial they fold in.
 
 Each mutant is bound wherever qtoda binds its original (the
 `bind_everywhere` fixture), since `from m import f` copies the name into
@@ -17,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from qtoda import operators
+from qtoda import characters, operators, whittaker
 from qtoda.cli import SUITES
 from qtoda.operators import ModuleContext
 from qtoda.symbolic import RatFunc
@@ -26,6 +28,11 @@ from qtoda.symbolic import RatFunc
 raising_product = operators.raising_product
 lowering_product = operators.lowering_product
 from_factors = RatFunc.from_factors
+k_scalar = ModuleContext.k_scalar
+lower_prefactor = operators._lower_prefactor
+pairing_prefactor = whittaker.pairing_prefactor
+det_weight = characters.det_weight
+dual_whittaker_prefactor = whittaker.dual_whittaker_prefactor
 
 
 def raising_mid_row_mutant(ring, upper, mid, j):
@@ -43,6 +50,15 @@ def drop_last_factor_mutant(ring, unit, factor_list):
     return from_factors(ring, unit, list(factor_list)[:-1])
 
 
+def times_v(original, v_power):
+    """original(first, *rest) times v^{v_power(*rest)}, the first argument
+    a context or a ring."""
+    def mutant(first, *rest):
+        ring = first.ring if isinstance(first, ModuleContext) else first
+        return original(first, *rest) * ring.v(v_power(*rest))
+    return mutant
+
+
 # (original, mutant, {family: failing records at (3, 2)})
 KILL_TABLE = {
     "raising_product": (raising_product, raising_mid_row_mutant,
@@ -52,6 +68,32 @@ KILL_TABLE = {
     "RatFunc.from_factors": (from_factors, drop_last_factor_mutant,
                              {"partial-fraction-identity": 3}),
 }
+
+# the scale mutants, each with every family it kills: d_i is degree[i - 1]
+# and |d| the degree's sum
+SCALE_ROWS = {
+    "ModuleContext.k_scalar": (
+        k_scalar, times_v(k_scalar, lambda i, d: 2 * d[i - 1]),
+        {"diagonal-consistency": 12, "structure-sheaf-vector-eigen": 12,
+         "dual-vector-eigen": 12, "raising-lowering-commutator": 6,
+         "twisted-commutator": 6}),
+    "_lower_prefactor": (
+        lower_prefactor, times_v(lower_prefactor, lambda i, d: 2),
+        {"raising-lowering-adjoint": 18, "structure-sheaf-vector-eigen": 18,
+         "dual-vector-eigen": 18, "raising-lowering-commutator": 12,
+         "twisted-commutator": 12}),
+    "pairing_prefactor": (
+        pairing_prefactor, times_v(pairing_prefactor, lambda d: 2 * sum(d)),
+        {"raising-lowering-adjoint": 18, "whittaker-pairing-two-path": 8}),
+    "det_weight": (
+        det_weight, times_v(det_weight, lambda p: 2 * sum(p.degree)),
+        {"raising-lowering-adjoint": 18, "dual-vector-eigen": 18}),
+    "dual_whittaker_prefactor": (
+        dual_whittaker_prefactor,
+        times_v(dual_whittaker_prefactor, lambda d: 2 * sum(d)),
+        {"dual-vector-eigen": 18, "whittaker-pairing-two-path": 8}),
+}
+KILL_TABLE.update(SCALE_ROWS)
 
 
 def failures(n, box):
@@ -72,4 +114,6 @@ def test_mutant_fails_its_families(bind_everywhere, name):
     original, mutant, killed = KILL_TABLE[name]
     assert bind_everywhere(original, mutant)
     failed = failures(3, 2)
-    assert {family: failed[family] for family in killed} == killed, failed
+    if name not in SCALE_ROWS:
+        failed = {family: failed[family] for family in killed}
+    assert failed == killed, failed

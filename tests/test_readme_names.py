@@ -76,5 +76,6 @@ def test_every_quoted_name_resolves():
 def test_a_stale_name_is_caught():
     table = roots()
     for gone in ("toda._eigen_holds", "RatFunc.num", "EntryPath",
-                 "ModuleContext._check_generator", "QTODA_OTHER_BUDGET"):
+                 "ModuleContext._check_generator", "QTODA_OTHER_BUDGET",
+                 "whittaker.dual_raising_op", "whittaker._eigen_holds"):
         assert not resolves(gone, table), gone

@@ -20,6 +20,7 @@ from qtoda.whittaker import (
     by_rows,
     dual_eigen_check,
     line_pushforward_sides,
+    lowering_edges,
     lowering_eigen_check,
     pairing_prefactor,
     pairing_weight,
@@ -112,14 +113,15 @@ class TestWhittakerVectors:
         ctx = ModuleContext(n)
         for i in range(1, n):
             for d in itertools.product(range(box + 1), repeat=n - 1):
-                assert lowering_eigen_check(ctx, i, d)
+                assert lowering_eigen_check(ctx, i, d,
+                                            lowering_edges(ctx, i, d))
 
     @pytest.mark.parametrize("n,box", [(2, 3), (3, 2)], ids=lambda x: str(x))
     def test_dual_vector_eigen(self, n, box):
         ctx = ModuleContext(n)
         for i in range(1, n):
             for d in itertools.product(range(box + 1), repeat=n - 1):
-                assert dual_eigen_check(ctx, i, d)
+                assert dual_eigen_check(ctx, i, d, lowering_edges(ctx, i, d))
 
 
 class TestPushforwardIdentity:
@@ -340,8 +342,8 @@ class TestBrokenOperatorsFail:
         (drop_last_entry, 2, (1, 2)),
     ], ids=["scaled-row-1", "scaled-row-2", "dropped-row-2"])
     def test_every_reader_of_the_broken_entry_fails(self, edit, i, degree):
-        # the adjoint check reads F_i; both eigen checks read the one
-        # composite f_i = K_i^{-i} F_i that the context keeps
+        # the adjoint check and both eigen checks read the one list of
+        # lowering edges F_i[q -> p] S(T_q) of (i, d)
         ctx, _ = broken_lowering(3, i, degree, edit)
         below = tuple(x - (1 if k == i else 0)
                       for k, x in enumerate(degree, 1))
