@@ -24,7 +24,9 @@ Their entrywise agreement is an acceptance test, not an assumption.
 Each quantum-group relation is written once per generator set (X, Y, c):
 the plain E, F with c = 0, and Sevostyanov's twisted e_i = E_i K_i^i,
 f_i = K_i^{-i} F_i with the twist c = `sevostyanov_c`, whose relations are
-the plain ones deformed by powers v^c.
+the plain ones deformed by powers v^c.  The relations write e_i and f_i as
+the inline chains (E_i, K_i^i) and (K_i^{-i}, F_i), so at each degree a
+twisted chain is the plain chain times monomials.
 
 Relation checks take the box as an int, as every other suite does, and
 run over the degrees with every component in 0..box.  A check at a basis
@@ -35,13 +37,18 @@ parameter ring are retried modulo the determinant constraint
 t_1 ... t_n = 1 (the natural parameter space is the SL_n torus), and the
 mode is reported per record.
 
-Before the points of a degree d are visited, a relation's terms are
+The relations of one (i, j) are decided together, degree by degree.
+Before the points of a degree d are visited, each relation's terms are
 resolved at d once: every diagonal operator is folded into its term's
-coefficient as its scalar at the degree it acts on, and terms left with
-the same operators are added.  The fold is exact because operators are
+multiplier as its scalar at the degree it acts on, and terms left with the
+same operators are added.  The fold is exact because operators are
 homogeneous: all paths of a chain pass the same degrees, so a diagonal
 operator scales every one of them alike.  The diagonal conjugations cancel
-completely there and check no point.
+completely there and check no point.  What is left are a few chains shared
+by the plain and the twisted relations; at each point each is walked once,
+the paths that reach one target are lifted once over their common tracked
+factor, and each relation is a combination of those numerators with its
+own multipliers.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import add
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -78,8 +86,12 @@ from .symbolic import (
     RatFunc,
     TVRing,
     UsageError,
+    _over_common_den,
+    combination_is_zero,
     eq_exact,
     generic_ring,
+    poly_product,
+    poly_sum,
     rat_sum,
     sum_is_zero,
     tv_ring,
@@ -116,8 +128,8 @@ class GradedOperator:
 
     A diagonal operator also gives its `scalar`: the RatFunc it multiplies
     every basis vector of degree d by, as a function of d.  The relation
-    checks fold it into their coefficients once per degree (see
-    `_at_degree`)."""
+    checks fold it into their multipliers once per degree (see
+    `_shape_multipliers`)."""
 
     def __init__(self, label: str, shift: Tuple[int, ...],
                  fn: Callable[[FixedPoint], List[Tuple[FixedPoint, RatFunc]]],
@@ -339,11 +351,14 @@ def _move_op(ctx: ModuleContext, label: str, i: int, step: int,
     """Row i's generator along single-entry moves: `raise_moves` for step 1,
     `lower_moves` for step -1.  The entry from p to q = p ± e_{ij} is
     entry(p, q, j) times prefactor(p.degree), the prefactor built once per
-    point."""
+    degree and kept for as long as the operator lives."""
     moves = raise_moves if step == 1 else lower_moves
+    prefactors: Dict[DegreeVector, LaurentPoly] = {}
 
     def fn(p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
-        pref = prefactor(p.degree)
+        pref = prefactors.get(p.degree)
+        if pref is None:
+            pref = prefactors[p.degree] = prefactor(p.degree)
         return [(q, entry(p, q, j).scale_poly(pref)) for q, j in moves(p, i)]
 
     return GradedOperator(f"{label}{i}", shifted((0,) * (ctx.n - 1), i, step),
@@ -520,32 +535,165 @@ def _at_degree(terms: Sequence[Term], d: DegreeVector) -> Sequence[Term]:
     """The terms as they act on degree d, with every diagonal operator
     folded into its term's coefficient.
 
-    Each chain is walked right to left, tracking the degree: a diagonal
-    operator's scalar, taken at the degree it acts on, multiplies the
-    coefficient, and every other operator stays in the chain.  Terms left
-    with the same operators are then added: one `rat_sum` each, dropped
-    when it comes out zero.  The result acts on every basis vector of
-    degree d as the terms do.  Operators are homogeneous
-    (`GradedOperator.terms` enforces the declared shift), so every path of
-    a chain passes the same degrees and a diagonal operator scales all of
-    them by the same scalar; distributivity then merges the terms.  The terms themselves come back when no chain holds a diagonal
-    operator.
+    Each chain is split by `_split`: a diagonal operator's scalar, taken
+    at the degree it acts on, multiplies the coefficient, and every other
+    operator stays in the chain.  Terms left with the same operators are
+    then added: one `rat_sum` each, dropped when it comes out zero.  The
+    result acts on every basis vector of degree d as the terms do.
+    Operators are homogeneous (`GradedOperator.terms` enforces the declared
+    shift), so every path of a chain passes the same degrees and a diagonal
+    operator scales all of them by the same scalar; distributivity then
+    merges the terms.  The terms themselves come back when no chain holds a
+    diagonal operator.  `verify_relations` reads these terms only at a
+    point where a relation's shared-lift combination does not vanish.
     """
     if all(op.scalar is None for _, chain in terms for op in chain):
         return terms
     folded = []
+    for coeff, kept, diagonal in _split(terms):
+        for s in _scalars(diagonal, d):
+            coeff = coeff * s
+        folded.append((kept, coeff))
+    return [(s, chain) for chain, coeffs in grouped(folded).items()
+            if not (s := rat_sum(coeffs[0].ring, coeffs)).is_zero()]
+
+
+# The diagonal operators of a chain, each with the shift from the chain's
+# source degree to the degree it acts on (None for no shift), and a term
+# split once for every degree: its coefficient, its chain's non-diagonal
+# operators and its diagonal ones.
+Diagonal = List[Tuple[GradedOperator, Optional[Tuple[int, ...]]]]
+Split = Tuple[RatFunc, Tuple[GradedOperator, ...], Diagonal]
+
+
+def _split(terms: Sequence[Term]) -> List[Split]:
+    """Each term as a `Split`, its chain walked right to left from the
+    chain's source degree."""
+    out = []
     for coeff, chain in terms:
-        kept = []
-        degree = d
+        kept, diagonal, offset = [], [], None
         for op in reversed(chain):
             if op.scalar is None:
                 kept.append(op)
-                degree = tuple(a + b for a, b in zip(degree, op.shift))
+                offset = op.shift if offset is None \
+                    else tuple(map(add, offset, op.shift))
             else:
-                coeff = coeff * op.scalar(degree)
-        folded.append((tuple(reversed(kept)), coeff))
-    return [(s, chain) for chain, coeffs in grouped(folded).items()
-            if not (s := rat_sum(coeffs[0].ring, coeffs)).is_zero()]
+                diagonal.append((op, offset))
+        out.append((coeff, tuple(reversed(kept)), diagonal))
+    return out
+
+
+def _scalars(diagonal: Diagonal, d: DegreeVector) -> List[RatFunc]:
+    """The scalar of each split diagonal operator, the chain acting on
+    degree d."""
+    return [op.scalar(d if offset is None else tuple(map(add, d, offset)))
+            for op, offset in diagonal]
+
+
+# A shape is a chain of non-diagonal operators and a coefficient made of
+# tracked factors alone (1 when there are none); `_shape_multipliers` keys
+# it by (chain, factor powers).
+Shape = Tuple[Tuple[GradedOperator, ...], RatFunc]
+
+
+def _shape_multipliers(ring: TVRing, split: Sequence[Split], d: DegreeVector,
+                       shapes: Dict[Hashable, Shape]
+                       ) -> Dict[Hashable, LaurentPoly]:
+    """The split terms as they act on degree d, as {shape key: multiplier}:
+    the sum of the terms is the sum of multiplier * tracked * chain over the
+    shapes, with each shape's (chain, tracked) put into `shapes`.
+
+    Each term is folded as `_at_degree` folds it, but the units of its
+    coefficient and of its diagonal scalars multiply into a
+    Laurent-polynomial multiplier, monomials by key arithmetic
+    (`poly_product`), and only their tracked factors stay in the shape.
+    Terms of one shape add their multipliers, and a shape whose multipliers
+    cancel is dropped.  So the plain and the twisted relations of (i, j)
+    come out as the same few shapes, and no coefficient becomes a RatFunc
+    product unless two of its factors carry tracked factors."""
+    out: Dict[Hashable, LaurentPoly] = {}
+    for coeff, kept, diagonal in split:
+        scalars = [coeff, *_scalars(diagonal, d)]
+        unit = poly_product(ring, [s.unit for s in scalars]) if diagonal \
+            else coeff.unit
+        part = None
+        for r in scalars:
+            if r.factors:
+                tracked = RatFunc(ring, ring.one(), r.factors)
+                part = tracked if part is None else part * tracked
+        key = (kept, () if part is None else tuple(sorted(
+            (k, e) for k, (_, e) in part.factors.items())))
+        if key not in shapes:
+            shapes[key] = (kept, RatFunc.one(ring) if part is None else part)
+        out[key] = poly_sum(ring, [out[key], unit]) if key in out else unit
+    return {key: m for key, m in out.items() if not m.is_zero()}
+
+
+def _failing_relations(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
+                       live: Dict[int, Dict[Hashable, LaurentPoly]],
+                       p: FixedPoint) -> List[int]:
+    """The keys of the relations in `live` whose sum does not annihilate
+    [p], each relation given as {shape key: multiplier}.
+
+    Each shape that a live relation reads is walked once from p, with no
+    coefficient but its tracked part, and the parts that reach one target
+    are lifted once over their common tracked factor.  A relation's sum at
+    that target is its combination of the lifted numerators, each shape's
+    multiplier applied by key shifts, times that common factor, which is
+    nonzero: so it vanishes exactly when the combination does."""
+    zero = ctx.ring.zero()
+    walked = {key: shapes[key] for mults in live.values() for key in mults}
+    failing: List[int] = []
+    for pairs in grouped((q.rows, (key, c)) for key, (chain, part) in
+                         walked.items() for q, c in _paths(chain, p, part)
+                         ).values():
+        polys, _ = _over_common_den([c for _, c in pairs])
+        for k, mults in live.items():
+            if k not in failing and not combination_is_zero(zero, [
+                    (mults[key], poly) for (key, _), poly in zip(pairs, polys)
+                    if key in mults]):
+                failing.append(k)
+    return failing
+
+
+# A relation of the suite ready for the degree loop: name, params, terms,
+# `_max_prefix_shift` and `_split` terms.
+Relation = Tuple[str, dict, List[Term], Tuple[int, ...], List[Split]]
+
+
+def _relations_at_degree(ctx: ModuleContext, box: int,
+                         group: Sequence[Relation],
+                         d: DegreeVector) -> List[dict]:
+    """The record of each relation of `group` at degree d, in order.
+
+    The relations are decided together from `_shape_multipliers` and
+    `_failing_relations`.  Where a relation's combination does not vanish
+    at a point, `_identity_holds` decides that point from the relation's
+    own `_at_degree` terms, so mode and witness are those of the per-point
+    loop over those terms."""
+    records, live, shapes = [], {}, {}
+    for k, (name, params, _, max_shift, split) in enumerate(group):
+        in_box = _orbit_in_box(box, d, max_shift)
+        records.append({"check": name, **params, "degree": list(d),
+                        "mode": "free",
+                        "status": "pass" if in_box else "skipped-out-of-box"})
+        mults = in_box and _shape_multipliers(ctx.ring, split, d, shapes)
+        if mults:
+            live[k] = mults
+    at_d: Dict[int, Sequence[Term]] = {}
+    for p in ctx.points(d) if live else ():
+        for k in _failing_relations(ctx, shapes, live, p):
+            if k not in at_d:
+                at_d[k] = _at_degree(group[k][2], d)
+            ok, mode, witness = _identity_holds(ctx, at_d[k], p)
+            if mode == "modulo-det":
+                records[k]["mode"] = mode
+            if not ok:
+                records[k].update(status="fail", witness=witness)
+                del live[k]
+        if not live:
+            break
+    return records
 
 
 def _reached(terms: Sequence[Term],
@@ -598,20 +746,28 @@ def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
 
 
 def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]:
-    """All relation instances as (name, params, terms-summing-to-zero).
+    """All relation instances as (name, params, terms-summing-to-zero), the
+    relations of one (i, j) one after another.
 
     Each relation is written once for a generator set (tag, X, Y, c): the
-    plain E, F with c = 0, and the twisted e, f with c = sevostyanov_c.
+    plain E, F with c = 0, and the twisted e, f with c = sevostyanov_c.  A
+    generator is a chain: E_i is (E_i,), and e_i = E_i K_i^i and f_i =
+    K_i^{-i} F_i are written inline as (E_i, K_i^i) and (K_i^{-i}, F_i), so
+    a twisted chain folds at each degree to the plain chain times
+    monomials.
     """
     ring = ctx.ring
     rng = range(1, ctx.n)
     one = RatFunc.one(ring)
     v = lambda k: RatFunc.from_poly(ring.v(k))
     vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
-    E, F, e, f, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
-        op_E, op_F, op_e, op_f, op_L, _cartan_commutator_rhs))
+    E, F, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
+        op_E, op_F, op_L, _cartan_commutator_rhs))
     Linv = {i: op_L(ctx, i, -1) for i in rng}
-    sets = (("", E, F, lambda i, j: 0), ("twisted-", e, f, sevostyanov_c))
+    sets = (("", {i: (E[i],) for i in rng}, {i: (F[i],) for i in rng},
+             lambda i, j: 0),
+            ("twisted-", {i: (E[i], op_K(ctx, i, i)) for i in rng},
+             {i: (op_K(ctx, i, -i), F[i]) for i in rng}, sevostyanov_c))
 
     for i, j in itertools.product(rng, rng):
         ij = {"i": i, "j": j}
@@ -619,11 +775,11 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
         for tag, X, Y, _ in sets:
             for way, Z, s in (("raising", X, 1), ("lowering", Y, -1)):
                 yield (f"diagonal-conjugates-{tag}{way}", ij,
-                       [(one, (L[i], Z[j], Linv[i])),
-                        (-v(s if i == j else 0), (Z[j],))])
+                       [(one, (L[i], *Z[j], Linv[i])),
+                        (-v(s if i == j else 0), Z[j])])
         # X_i Y_j - v^{c(i,j)} Y_j X_i = δ_ij (K_i - K_i^{-1}) / (v - v^{-1})
         for tag, X, Y, c in sets:
-            terms = [(one, (X[i], Y[j])), (-v(c(i, j)), (Y[j], X[i]))]
+            terms = [(one, X[i] + Y[j]), (-v(c(i, j)), Y[j] + X[i])]
             if i == j:
                 terms.append((-one, (cartan[i],)))
             yield f"{tag or 'raising-lowering-'}commutator", ij, terms
@@ -631,7 +787,7 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
             for way, Z in (("raising", X), ("lowering", Y)):
                 if abs(i - j) > 1:
                     yield (f"distant-{tag}{way}-commute", ij,
-                           [(one, (Z[i], Z[j])), (-one, (Z[j], Z[i]))])
+                           [(one, Z[i] + Z[j]), (-one, Z[j] + Z[i])])
                 elif abs(i - j) == 1:
                     # In the deformed Serre relation the twist exponent is
                     # indexed by the outer generator first: v^{c(j,i)}, the
@@ -640,9 +796,9 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
                     # candidate exponents at low degrees.
                     k = c(j, i)
                     yield (f"serre-{tag}{way}", ij,
-                           [(one, (Z[i], Z[i], Z[j])),
-                            (-(vv * v(k)), (Z[i], Z[j], Z[i])),
-                            (v(2 * k), (Z[j], Z[i], Z[i]))])
+                           [(one, Z[i] + Z[i] + Z[j]),
+                            (-(vv * v(k)), Z[i] + Z[j] + Z[i]),
+                            (v(2 * k), Z[j] + Z[i] + Z[i])])
 
 
 def cartan_monomial_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
@@ -675,47 +831,49 @@ def cartan_monomial_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
 def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """Run the whole relation suite over the degrees in 0..box.
 
-    Yields one record per (relation, indices, degree), as soon as it is
-    decided; a record passes when the identity annihilates every basis
-    vector of that degree.  Records are skipped when the relation orbit
-    leaves the box.
+    Yields one record per (relation, indices, degree); a record passes when
+    the identity annihilates every basis vector of that degree.  Records
+    are skipped when the relation orbit leaves the box.
 
-    The terms are resolved once per in-box degree by `_at_degree`: each
-    diagonal operator becomes a scalar in its term's coefficient, and terms
-    left with the same operators are added.  That is exact, since every
-    path of a homogeneous chain passes the same degrees, so each target's
-    parts still add up to the same rational function: verdict, mode and
-    witness source are those of the unfolded terms.  So is the witness
-    target, the first failing one in reach order, because every fold in the
-    suite keeps its terms in place or merges a term into the one before it.
-    A witness entry is the same rational function, though its num/den may
-    be written differently.  A relation whose terms all cancel at d, as each
-    diagonal conjugation does, checks no point there.
+    The relations of one (i, j), as `relation_suite` yields them one after
+    another, are decided together, degree by degree
+    (`_relations_at_degree`).  Each relation's terms are resolved at the
+    degree by `_shape_multipliers`: each diagonal operator becomes a factor
+    of its term's multiplier, and terms left with the same operators are
+    added.  At each point every chain that a relation still reads is walked
+    once, and the parts that reach one target are lifted once
+    (`_failing_relations`); a relation passes the point when its
+    combination of the lifted numerators vanishes.  Where it does not,
+    `_identity_holds` decides that point from the relation's `_at_degree`
+    terms, so verdict, mode and witness are those of the per-point loop
+    over the folded terms.  The fold is exact, since every path of a
+    homogeneous chain passes the same degrees, so each target's parts still
+    add up to the same rational function: verdict, mode and witness source
+    are those of the unfolded terms.  So is the witness target, the first
+    failing one in reach order, because every fold in the suite keeps its
+    terms in place or merges a term into the one before it.  A witness
+    entry is the same rational function, though its num/den may be written
+    differently.  A relation whose terms all cancel at d, as each diagonal
+    conjugation does, checks no point there.
+
+    The first relation of each (i, j) comes out as each degree is decided;
+    the records of the others are kept and follow in suite order, so the
+    stream is that of one relation after another and a run cut after any
+    record has written a prefix of it.
     """
     yield from cartan_monomial_records(ctx, box)
-    for name, params, terms in relation_suite(ctx):
-        max_shift = _max_prefix_shift(terms)
+    for _, group in itertools.groupby(relation_suite(ctx),
+                                      key=lambda rel: rel[1]):
+        group = [(name, params, terms, _max_prefix_shift(terms),
+                  _split(terms)) for name, params, terms in group]
+        later: List[List[dict]] = [[] for _ in group[1:]]
         for d in all_degrees(ctx.n, box):
-            if not _orbit_in_box(box, d, max_shift):
-                yield {
-                    "check": name, **params, "degree": list(d),
-                    "mode": "free", "status": "skipped-out-of-box",
-                }
-                continue
-            status, mode, witness = "pass", "free", None
-            at_d = _at_degree(terms, d)
-            for p in ctx.points(d) if at_d else ():
-                ok, m, w = _identity_holds(ctx, at_d, p)
-                if m == "modulo-det":
-                    mode = "modulo-det"
-                if not ok:
-                    status, witness = "fail", w
-                    break
-            rec = {"check": name, **params, "degree": list(d),
-                   "mode": mode, "status": status}
-            if witness:
-                rec["witness"] = witness
-            yield rec
+            first, *rest = _relations_at_degree(ctx, box, group, d)
+            yield first
+            for kept, rec in zip(later, rest):
+                kept.append(rec)
+        for kept in later:
+            yield from kept
 
 
 def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:

@@ -39,9 +39,9 @@ ways of adding keep every tracked factor at its smallest power over the
 parts (`_over_common_den`), so only what is left of each part is expanded.
 A verdict needs only a zero test: `sum_is_zero` adds the remainders once
 and compares the sum with 0, and `eq_exact(a, b)` is
-`sum_is_zero([a, -b])`.  Where the parts are monomial multiples of a few
-numerators over one common factor, `combination_is_zero` adds each
-multiple into one copy as a key shift.  A value comes from `rat_sum`, which
+`sum_is_zero([a, -b])`.  Where the parts are small polynomial multiples of
+a few numerators over one common factor, `combination_is_zero` adds each
+multiple into one copy as key shifts.  A value comes from `rat_sum`, which
 adds its parts pairwise in a balanced tree.  After each pairwise sum it
 divides the numerator by every tracked binomial 1 - x^s that both summands
 carry in their denominators, for as long as the division is exact (a
@@ -751,13 +751,43 @@ def poly_sum(ring: Ring, polys: Sequence[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly(ring, _merged(polys), max(p.bound for p in polys))
 
 
+def poly_product(ring: Ring, polys: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The product of polys; one when there are none.  The monomials among
+    them multiply as one key sum and one coefficient product, applied to the
+    product of the others in one pass, so a monomial costs no polynomial
+    product.  A part from another ring raises UsageError."""
+    shift, scale, bound, rest = 0, 1, 0, None
+    for p in polys:
+        if p.ring is not ring and p.ring != ring:
+            raise UsageError("operands live in different rings")
+        if len(p.terms) == 1:
+            [(key, c)] = p.terms.items()
+            shift, scale, bound = shift + key, scale * c, bound + p.bound
+        else:
+            rest = p if rest is None else rest * p
+    if rest is not None:
+        bound += rest.bound
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
+    if rest is None:
+        return LaurentPoly(ring, {shift: scale}, bound)
+    return LaurentPoly(ring, {k + shift: scale * c
+                              for k, c in rest.terms.items()}, bound)
+
+
 def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     """a + b as (pa + pb) * common (see `_over_common_den`), then cancelled.
 
     The shared numerator factor powers stay tracked on the sum, so only the
     remainders are expanded and added.  Each tracked 1 - x^s in the
     denominator of both a and b is then divided out of the numerator while
-    the division stays exact."""
+    the division stays exact.  A zero summand, such as a partial sum that
+    cancelled, gives back the other summand as it is: lifting over it would
+    expand every positive factor power of the other."""
+    if a.unit.is_zero():
+        return b
+    if b.unit.is_zero():
+        return a
     polys, common = _over_common_den([a, b])
     unit = poly_sum(a.ring, polys)
     if unit.is_zero():
@@ -834,28 +864,26 @@ def sum_is_zero(parts: Sequence[RatFunc]) -> bool:
 
 def combination_is_zero(base: LaurentPoly, multiples: Iterable[
         Tuple[LaurentPoly, LaurentPoly]]) -> bool:
-    """True iff base + sum_k c_k * p_k == 0, for (c_k, p_k) in multiples and
-    every c_k a monomial.
+    """True iff base + sum_k c_k * p_k == 0, for (c_k, p_k) in multiples.
 
-    Each multiple is added into one copy of base's terms as a key shift and
-    a coefficient scale, so no product c_k * p_k is built.
+    Each multiple is added into one copy of base's terms, one key shift and
+    coefficient scale per term of c_k, so no product c_k * p_k is built: a
+    monomial c_k costs one pass over p_k's terms, a c_k of m terms m passes.
     """
     acc = dict(base.terms)
     for c, p in multiples:
         base._check(c)
         base._check(p)
-        if len(c.terms) != 1:
-            raise UsageError("a multiplier is not a monomial")
         if c.bound + p.bound > SLOT_LIMIT:
             raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
-        [(shift, scale)] = c.terms.items()
-        for k, pc in p.terms.items():
-            k += shift
-            nc = acc.get(k, 0) + scale * pc
-            if nc:
-                acc[k] = nc
-            else:
-                del acc[k]
+        for shift, scale in c.terms.items():
+            for k, pc in p.terms.items():
+                k += shift
+                nc = acc.get(k, 0) + scale * pc
+                if nc:
+                    acc[k] = nc
+                else:
+                    del acc[k]
     return not acc
 
 

@@ -32,7 +32,8 @@ coefficient sum term by term.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .characters import det_weight
 from .fixed_points import (DegreeVector, FixedPoint, Rows, all_degrees,
@@ -198,15 +199,26 @@ def lowering_edges(ctx: ModuleContext, i: int,
             for p, entry in F.terms(q)]
 
 
-def _eigen_sums_vanish(ctx: ModuleContext, target: ModuleVector,
+def _eigen_sums_vanish(ctx: ModuleContext,
+                       vector: Callable[[ModuleContext, Sequence[int]],
+                                        ModuleVector],
+                       degree: Sequence[int],
                        parts: Iterable[Tuple[Rows, RatFunc]]) -> bool:
     """The parts (p.rows, part) of an operator applied to a vector at degree
-    d + e_i, minus target(p) / (1 - v^2), sum to zero at every point p of
-    the target's degree; each p's target part comes first."""
-    ring = ctx.ring
-    minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
+    d + e_i, minus vector(d)(p) / (1 - v^2), sum to zero at every point p
+    of degree d; each p's target part comes first.  The target parts are
+    built once per context, vector and degree, so every row reads the same
+    ones."""
+    degree = tuple(degree)
+
+    def build() -> List[Tuple[Rows, RatFunc]]:
+        ring = ctx.ring
+        minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
+        return [(p.rows, c * minus_scale)
+                for p, c in vector(ctx, degree).coeffs.items()]
+
     return vanishes(itertools.chain(
-        ((p.rows, c * minus_scale) for p, c in target.coeffs.items()), parts))
+        ctx.memo("eigen_target", (vector.__name__, degree), build), parts))
 
 
 def lowering_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
@@ -217,7 +229,7 @@ def lowering_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
     the part of the edge q -> p is k_i(d)^{-i} B_qp, read from `edges`, the
     `lowering_edges` of (i, d)."""
     k = ctx.k_scalar(i, degree) ** -i
-    return _eigen_sums_vanish(ctx, whittaker_k(ctx, degree), (
+    return _eigen_sums_vanish(ctx, whittaker_k, degree, (
         (p.rows, b.scale_poly(k)) for _, p, b in edges))
 
 
@@ -232,7 +244,7 @@ def dual_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
     `lowering_edges` of (i, d)."""
     scalar = ctx.k_scalar(i, degree) ** i \
         * dual_whittaker_prefactor(ctx.ring, shifted(degree, i))
-    return _eigen_sums_vanish(ctx, whittaker_w(ctx, degree), (
+    return _eigen_sums_vanish(ctx, whittaker_w, degree, (
         (p.rows, b.scale_poly(scalar * _det(ctx, q) ** -1))
         for q, p, b in edges))
 

@@ -227,11 +227,11 @@ class TestVerify:
                                           expire_after_first_verdict):
         # the deadline passes as soon as the first verdict is out.  The
         # relation suite may then do at most one more record's worth of
-        # identity checks (one per basis vector of a degree); the toda suite
-        # has built the degree-0 localization sum `sheaf_rgamma` (one
-        # rgamma_char call) and nothing else.
+        # point checks (one `_failing_relations` call per basis vector of a
+        # degree); the toda suite has built the degree-0 localization sum
+        # `sheaf_rgamma` (one rgamma_char call) and nothing else.
         calls = []
-        counted = {"relations": (operators, "_identity_holds"),
+        counted = {"relations": (operators, "_failing_relations"),
                    "toda": (whittaker, "rgamma_char")}
         if suite in counted:
             module, name = counted[suite]
@@ -285,6 +285,30 @@ class TestVerify:
         assert parsed(lines[-1:]) == [{
             "summary": True, "complete": False,
             "counts": {"pass": count}, "records": count + 1}]
+
+    @pytest.mark.parametrize("count", [82, 83, 108, 109, 243, 244, 245,
+                                       513, 514])
+    def test_budget_cut_relations_stream_is_a_prefix(self, capsys,
+                                                     monkeypatch, count):
+        # after the 81 diagonal-consistency records come the relations of
+        # each (i, j): (1, 1) has verdicts 82-243, its first relation's 27
+        # streamed as their degrees are decided and the other five
+        # relations' kept verdicts after them from 109; (1, 2) has 244-513.
+        # A run cut at, or one record past, the first or last record of a
+        # group has written exactly the full run's first records: the
+        # config echo and `count` verdicts
+        argv = ("verify", "--n", "4", "--box", "2", "--suite", "relations")
+        _, full = run(capsys, *argv)
+        expire_after_first(monkeypatch, "status", count)
+        code, lines = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert lines[:-1] == full[:count + 1]
+        statuses = {}
+        for r in parsed(full[1:count + 1]):
+            statuses[r["status"]] = statuses.get(r["status"], 0) + 1
+        assert parsed(lines[-1:]) == [{
+            "summary": True, "complete": False,
+            "counts": dict(sorted(statuses.items())), "records": count + 1}]
 
     def test_whittaker_command_stops_between_records(
             self, capsys, expire_after_first_verdict):

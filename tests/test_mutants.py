@@ -15,14 +15,17 @@ Each mutant is bound wherever qtoda binds its original (the
 each importer.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
 from qtoda import characters, operators, whittaker
 from qtoda.cli import SUITES
-from qtoda.operators import ModuleContext
+from qtoda.fixed_points import all_degrees
+from qtoda.operators import ModuleContext, relation_suite, verify_relations
 from qtoda.symbolic import RatFunc
+from test_operators import decide
 
 # each mutated function as it is before any mutant is bound
 raising_product = operators.raising_product
@@ -117,3 +120,49 @@ def test_mutant_fails_its_families(bind_everywhere, name):
     if name not in SCALE_ROWS:
         failed = {family: failed[family] for family in killed}
     assert failed == killed, failed
+
+
+# the twist mutants of `test_operators.test_twist_calibration`
+TWISTS = {"transposed twist": lambda c: lambda i, j: c(j, i),
+          "zero twist": lambda c: lambda i, j: 0}
+
+
+@pytest.mark.parametrize("n,box", [(3, 2), (4, 1), (4, 2)],
+                         ids=lambda x: str(x))
+@pytest.mark.parametrize("name", ["unmutated", *KILL_TABLE, *TWISTS])
+def test_relation_records_match_the_point_loop(bind_everywhere, monkeypatch,
+                                               name, n, box):
+    # every relation record, decided with the other relations of its (i, j)
+    # from shared lifts, has the status, mode and witness, byte for byte,
+    # of the point loop of `_identity_holds` over the relation's own
+    # `_at_degree` terms
+    if name in TWISTS:
+        monkeypatch.setattr(operators, "sevostyanov_c",
+                            TWISTS[name](operators.sevostyanov_c))
+    elif name in KILL_TABLE:
+        original, mutant, _ = KILL_TABLE[name]
+        assert bind_everywhere(original, mutant)
+    ctx = ModuleContext(n)
+    records = {(r["check"], r["i"], r["j"], tuple(r["degree"])): r
+               for r in verify_relations(ctx, box) if "j" in r}
+    failed = 0
+    for check, params, terms in relation_suite(ctx):
+        max_shift = operators._max_prefix_shift(terms)
+        for d in all_degrees(n, box):
+            rec = records.pop((check, params["i"], params["j"], d))
+            if not operators._orbit_in_box(box, d, max_shift):
+                assert rec["status"] == "skipped-out-of-box"
+                continue
+            status, mode, witness = decide(
+                ctx, operators._at_degree(terms, d), d)
+            assert json.dumps([rec["status"], rec["mode"],
+                               rec.get("witness")]) \
+                == json.dumps([status, mode, witness]), (check, params, d)
+            failed += status == "fail"
+    assert not records
+    # non-vacuity: each mutant that the table or the twist calibration has
+    # kill a relation family fails some relation record here
+    killed = KILL_TABLE[name][2] if name in KILL_TABLE else {}
+    if (n, box) == (3, 2) and (name in TWISTS or set(killed) & {
+            "serre-raising", "serre-lowering", "raising-lowering-commutator"}):
+        assert failed

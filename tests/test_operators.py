@@ -274,6 +274,35 @@ class TestRelationSuite:
         assert eq_exact(replayed, rat_sum(ctx.ring, parts))
         assert not operators._zero_mod_det(ctx.ring, replayed)
 
+    def test_tracked_coefficients_decide_like_the_point_loop(
+            self, monkeypatch):
+        # the commutator of row 1 times c = 1/(1 - v^4): its chains carry
+        # c's tracked factor, and its Cartan term carries c's and the
+        # (1 - v^2)^-1 of the Cartan scalar.  Scaled right it holds; with
+        # one term off by v^2 it is (v^2 - 1) c E_1 F_1, which fails where
+        # F_1 moves a point, with the point loop's witness
+        ctx = ModuleContext(3)
+        ring = ctx.ring
+        E, F = op_E(ctx, 1), op_F(ctx, 1)
+        cartan = operators._cartan_commutator_rhs(ctx, 1)
+        c = RatFunc.from_frac(ring.one(), ring.one() - ring.v(4))
+        suite = [(name, {"i": 1, "j": 1},
+                  [(c.scale_poly(ring.v(k)), (E, F)), (-c, (F, E)),
+                   (-c, (cartan,))]) for name, k in (("scaled", 0),
+                                                     ("scaled-wrong", 2))]
+        monkeypatch.setattr(operators, "relation_suite", lambda ctx: suite)
+        records = {(r["check"], tuple(r["degree"])): r
+                   for r in verify_relations(ctx, 2) if "j" in r}
+        statuses = {}
+        for name, _, terms in suite:
+            for d in in_box_degrees(3, 2, terms):
+                rec = records[(name, d)]
+                assert (rec["status"], rec["mode"], rec.get("witness")) \
+                    == decide(ctx, operators._at_degree(terms, d), d)
+                statuses.setdefault(name, set()).add(rec["status"])
+        assert statuses["scaled"] == {"pass"}
+        assert "fail" in statuses["scaled-wrong"]
+
     @pytest.mark.parametrize("n,box", SUITE_BOXES, ids=lambda x: str(x))
     def test_commutator_diagonality(self, n, box):
         ctx = ModuleContext(n)
@@ -367,11 +396,11 @@ class TestDegreeFold:
         for name, params, terms in relation_suite(ctx):
             if not name.startswith("diagonal-conjugates"):
                 continue
-            [(_, (Z,))] = terms[1:]
+            [(_, Z)] = terms[1:]
             for d in in_box_degrees(4, 2, terms):
                 rec = records[(name, params["i"], params["j"], d)]
                 status, mode, witness = decide(ctx, terms, d)
-                moves = any(Z.terms(p) for p in ctx.points(d))
+                moves = any(operators._paths(Z, p) for p in ctx.points(d))
                 assert rec["status"] == status == ("fail" if moves
                                                    else "pass")
                 assert rec["mode"] == mode

@@ -17,10 +17,12 @@ from qtoda.symbolic import (
     RatFunc,
     UsageError,
     binomial_quotient,
+    combination_is_zero,
     eq_exact,
     generic_ring,
     geometric_block,
     pack,
+    poly_product,
     poly_sum,
     rat_sum,
     sum_is_zero,
@@ -332,6 +334,85 @@ class TestPolySum:
                 poly_sum(R2, polys)
         with pytest.raises(UsageError):
             R2.one() + other.one()
+
+
+class TestPolyProduct:
+    @given(st.lists(poly_strategy(R2, max_terms=3), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_repeated_product(self, polys):
+        # monomials, general polynomials and the zero polynomial alike
+        repeated = R2.one()
+        for p in polys:
+            repeated = repeated * p
+        total = poly_product(R2, polys)
+        assert total == repeated
+        assert digit_bound(total) <= total.bound \
+            == sum(p.bound for p in polys)
+
+    def test_empty_is_one_and_monomials_need_no_product(self, monkeypatch):
+        assert poly_product(R2, []) == R2.one()
+        monkeypatch.setattr(LaurentPoly, "__mul__", None)
+        m = poly_product(R2, [R2.t(1, 2), R2.const(-3), R2.v(-1),
+                              R2.t(2) + R2.v(1)])
+        # v^-1 is stored with doubled exponent -2
+        assert m == LaurentPoly.from_json(R2, [[[2, 1, -2], -3],
+                                                [[2, 0, 0], -3]])
+
+    def test_mixed_rings_and_overflow_are_usage_errors(self):
+        with pytest.raises(UsageError):
+            poly_product(R2, [R2.one(), tv_ring(3).one()])
+        big = R2.t(1, SLOT_LIMIT)
+        with pytest.raises(UsageError):
+            poly_product(R2, [big, R2.t(1)])
+        with pytest.raises(UsageError):
+            poly_product(R2, [big, R2.t(1) + R2.one()])
+
+
+class TestCombinationIsZero:
+    @given(poly_strategy(R2), st.lists(st.tuples(
+        poly_strategy(R2, max_terms=3, max_exp=2), poly_strategy(R2)),
+        max_size=4), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_sum_of_products(self, base, multiples, cancel):
+        # multipliers of any number of terms, zero among them
+        if cancel:
+            base = -poly_sum(R2, [c * p for c, p in multiples])
+        want = poly_sum(R2, [base] + [c * p for c, p in multiples])
+        assert combination_is_zero(base, multiples) == want.is_zero()
+        if cancel:
+            assert combination_is_zero(base, multiples)
+
+    def test_multi_term_multipliers_cancel_to_zero(self):
+        # (v + v^-1) v^2 p - v p - v^3 p and (v + v^-1) q - (v + v^-1) q
+        # both vanish, though no multiplier is a monomial
+        v = R2.v
+        p, q = R2.t(1) - R2.t(2, 2), R2.t(1) + v(3)
+        vv = v(1) + v(-1)
+        assert combination_is_zero(R2.zero(), [
+            (vv * v(2), p), (-v(1), p), (-v(3), p),
+            (vv, q), (-v(1) - v(-1), q)])
+        assert not combination_is_zero(R2.zero(), [(vv, p), (-v(1), p)])
+        assert combination_is_zero(R2.zero(), [])
+        assert combination_is_zero(R2.zero(), [(R2.zero(), p)])
+
+    def test_monomial_multipliers_shift_keys(self):
+        p = R2.t(1) - R2.v(2)
+        base = -(R2.t(2, 3) * p) + R2.const(2) * p
+        assert combination_is_zero(base, [(R2.t(2, 3), p), (R2.const(-2), p)])
+        assert not combination_is_zero(base, [(R2.t(2, 3), p)])
+
+    def test_slot_limit_and_ring_are_checked(self):
+        big = R2.t(1, SLOT_LIMIT)
+        for c in (R2.t(1), R2.t(1) + R2.v(1)):
+            with pytest.raises(UsageError):
+                combination_is_zero(R2.zero(), [(c, big)])
+        other = tv_ring(3)
+        with pytest.raises(UsageError):
+            combination_is_zero(R2.zero(), [(other.one(), R2.one())])
+        with pytest.raises(UsageError):
+            combination_is_zero(R2.zero(), [(R2.one(), other.one())])
+        with pytest.raises(UsageError):
+            combination_is_zero(other.one(), [(R2.one(), R2.one())])
 
 
 class TestGeometricBlock:
@@ -746,6 +827,17 @@ class TestSharedNumeratorFactors:
         assert eq_exact(total, RatFunc.from_factors(
             R2, R2.t(1) * f + R2.v(1) * one_minus((0, 0, 2)),
             [(f, 2), (one_minus((0, 0, 2)), -1)]))
+
+    def test_a_cancelled_partial_sum_expands_no_factor(self):
+        # the tree adds 2f and -2f first; their zero sum, which carries no
+        # factor, must not lift f out of the remaining part
+        f = SHARED[0]
+        key, canon = tracked(f)
+        parts = [RatFunc.from_factors(R2, R2.const(c), [(f, 1)])
+                 for c in (1, 2, -2)]
+        total = rat_sum(R2, parts)
+        assert total.factors == {key: (canon, 1)} and total.unit.is_one()
+        assert (parts[1] + parts[2]) + parts[0] is parts[0]
 
 
 class TestProductFastPaths:

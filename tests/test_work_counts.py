@@ -4,23 +4,23 @@
 Times on a shared host wander by tens of percent from one run to the next;
 these counts repeat exactly, so a change that makes a suite do more work
 fails here even when no timing could show it.  The relation bounds are the
-counts measured when the diagonal operators began to be folded into the
-coefficients once per degree and each closed entry began to be built once
-per (row pair, column).  Before that the same run made 14,270 RatFunc
-products, 3,606 zero tests and 171 + 171 closed products.  The whittaker
-bounds are the counts measured when each module's twin code paths were
-folded into one owner, but for the RatFunc product bound: that is the
-count measured when the adjoint and both eigen records of each (row,
-degree) began to be decided from one product per lowering edge, every
-diagonal factor folded in as a monomial.  Before that the same run made
-2,613 RatFunc products.  The toda bounds are the counts measured when each
-degree began to be decided from one lift shared by both operators and
-both signs; before that each family lifted its own parts, and the same run
-made 100 `_over_common_den` calls and 13,715 term products.  The relation
-`sum_is_zero` bound is the count measured when each coefficient group of
-the fold began to be summed once by `rat_sum`; before that every group of
-two or more was first tested with `sum_is_zero`, and the same run made
-2,364 zero tests.
+counts measured when every relation of one (i, j) began to be decided
+together at each degree: each distinct chain walked once per point with
+no coefficient, the parts that reach a target lifted once, and each
+relation a `combination_is_zero` of those numerators.  Before that the
+same run made 9,610 RatFunc products, 1,554 zero tests, 2,364
+`_over_common_den` calls and 30,939 term products.  The closed-product
+bounds are the counts measured when each closed entry began to be built
+once per (row pair, column); before that the run made 171 + 171.  The
+whittaker bounds are the counts measured when each module's twin code
+paths were folded into one owner, but for the RatFunc product bound: that
+is the count measured when each eigen target part -W(p) / (1 - v^2)
+began to be built once per (degree, vector) and shared by every row.
+Before that the same run made 1,230 RatFunc products.  The toda bounds
+are the counts measured when each degree began to be decided from one
+lift shared by both operators and both signs; before that each family
+lifted its own parts, and the same run made 100 `_over_common_den` calls
+and 13,715 term products.
 
 Each counted function is wrapped in every qtoda module that binds it
 (`whittaker` imports its own `sum_is_zero`, `toda` its own
@@ -72,8 +72,10 @@ def count_work(monkeypatch, suite):
 
 def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     bounds = {
-        "RatFunc.__mul__": 9610,
-        "sum_is_zero": 1554,
+        "RatFunc.__mul__": 2927,
+        "sum_is_zero": 42,
+        "_over_common_den": 798,
+        "term products": 11509,
         "raising_product": 49,
         "lowering_product": 46,
     }
@@ -86,7 +88,7 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("suite,n_records,bounds", [
-    (whittaker_records, 497, {"RatFunc.__mul__": 1230, "sum_is_zero": 891,
+    (whittaker_records, 497, {"RatFunc.__mul__": 934, "sum_is_zero": 891,
                               "raising_product": 214,
                               "lowering_product": 98}),
     # the toda suite reads sheaf_rgamma alone: no RatFunc product and no
