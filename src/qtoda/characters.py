@@ -206,7 +206,7 @@ def modification_weight(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentP
 
 def char_dimension(chi: LaurentPoly) -> int:
     """Number of tangent weights counted with multiplicity."""
-    return chi.eval_at_ones()
+    return sum(chi.terms.values())
 
 
 def sym_inverse(chi: LaurentPoly) -> RatFunc:

@@ -31,7 +31,7 @@ from .operators import (
     relation_records,
     summation_records,
 )
-from .symbolic import UsageError, tv_ring
+from .symbolic import UsageError, json_int, tv_ring
 from .toda import toda_records
 from .whittaker import (
     eigen_records,
@@ -99,8 +99,8 @@ class Reporter:
 
 def _parse_degree(text: str, n: int) -> tuple:
     try:
-        degree = tuple(int(x) for x in text.split(","))
-    except ValueError:
+        degree = tuple(json_int(x) for x in text.split(","))
+    except UsageError:
         raise UsageError(f"cannot parse degree vector {text!r}")
     return check_degree(n, degree)
 
@@ -182,7 +182,7 @@ def cmd_verify(args) -> Iterator[dict]:
 
 _DEGREE = ("--degree", {"required": True,
                         "help": "comma-separated degree vector"})
-_BOX = ("--box", {"type": int, "required": True,
+_BOX = ("--box", {"type": json_int, "required": True,
                   "help": "componentwise degree cap"})
 
 # (name, help, command, arguments after --n and --out) per subcommand
@@ -194,9 +194,9 @@ SUBCOMMANDS = (
     ("verify", "run a verification suite", cmd_verify, [
         _BOX,
         ("--suite", {"default": "full", "choices": ("full",) + tuple(SUITES)}),
-        ("--seed", {"type": int, "default": 0,
+        ("--seed", {"type": json_int, "default": 0,
                     "help": "picks the summation suite's random rows"}),
-        ("--i", {"type": int, "help": "restrict the summation-identity "
+        ("--i", {"type": json_int, "help": "restrict the summation-identity "
                                       "suite to one row index"})]),
     ("whittaker", "emit Whittaker data at one degree", cmd_whittaker,
      [_DEGREE]),
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, required=True,
+        p.add_argument("--n", type=json_int, required=True,
                        help="rank parameter (>= 2)")
         p.add_argument("--out", help="write the report to this path")
         for flag, options in arguments:

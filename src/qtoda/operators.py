@@ -48,7 +48,10 @@ completely there and check no point.  What is left are a few chains shared
 by the plain and the twisted relations; at each point each is walked once,
 the paths that reach one target are lifted once over their common tracked
 factor, and each relation is a combination of those numerators with its
-own multipliers.
+own multipliers.  That walk and lift alone decide each relation: where a
+combination does not vanish, the relation's parts at the target are summed
+once and tried modulo the determinant, and a sum that survives there is
+the record's witness.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ class GradedOperator:
     A diagonal operator also gives its `scalar`: the RatFunc it multiplies
     every basis vector of degree d by, as a function of d.  The relation
     checks fold it into their multipliers once per degree (see
-    `_shape_multipliers`)."""
+    `_shape_multipliers`), so they never walk a diagonal operator's
+    `terms`."""
 
     def __init__(self, label: str, shift: Tuple[int, ...],
                  fn: Callable[[FixedPoint], List[Tuple[FixedPoint, RatFunc]]],
@@ -531,33 +535,6 @@ def _orbit_in_box(box: int, degree: DegreeVector,
     return all(d + m <= box for d, m in zip(degree, max_shift))
 
 
-def _at_degree(terms: Sequence[Term], d: DegreeVector) -> Sequence[Term]:
-    """The terms as they act on degree d, with every diagonal operator
-    folded into its term's coefficient.
-
-    Each chain is split by `_split`: a diagonal operator's scalar, taken
-    at the degree it acts on, multiplies the coefficient, and every other
-    operator stays in the chain.  Terms left with the same operators are
-    then added: one `rat_sum` each, dropped when it comes out zero.  The
-    result acts on every basis vector of degree d as the terms do.
-    Operators are homogeneous (`GradedOperator.terms` enforces the declared
-    shift), so every path of a chain passes the same degrees and a diagonal
-    operator scales all of them by the same scalar; distributivity then
-    merges the terms.  The terms themselves come back when no chain holds a
-    diagonal operator.  `verify_relations` reads these terms only at a
-    point where a relation's shared-lift combination does not vanish.
-    """
-    if all(op.scalar is None for _, chain in terms for op in chain):
-        return terms
-    folded = []
-    for coeff, kept, diagonal in _split(terms):
-        for s in _scalars(diagonal, d):
-            coeff = coeff * s
-        folded.append((kept, coeff))
-    return [(s, chain) for chain, coeffs in grouped(folded).items()
-            if not (s := rat_sum(coeffs[0].ring, coeffs)).is_zero()]
-
-
 # The diagonal operators of a chain, each with the shift from the chain's
 # source degree to the degree it acts on (None for no shift), and a term
 # split once for every degree: its coefficient, its chain's non-diagonal
@@ -583,13 +560,6 @@ def _split(terms: Sequence[Term]) -> List[Split]:
     return out
 
 
-def _scalars(diagonal: Diagonal, d: DegreeVector) -> List[RatFunc]:
-    """The scalar of each split diagonal operator, the chain acting on
-    degree d."""
-    return [op.scalar(d if offset is None else tuple(map(add, d, offset)))
-            for op, offset in diagonal]
-
-
 # A shape is a chain of non-diagonal operators and a coefficient made of
 # tracked factors alone (1 when there are none); `_shape_multipliers` keys
 # it by (chain, factor powers).
@@ -603,17 +573,23 @@ def _shape_multipliers(ring: TVRing, split: Sequence[Split], d: DegreeVector,
     the sum of the terms is the sum of multiplier * tracked * chain over the
     shapes, with each shape's (chain, tracked) put into `shapes`.
 
-    Each term is folded as `_at_degree` folds it, but the units of its
-    coefficient and of its diagonal scalars multiply into a
-    Laurent-polynomial multiplier, monomials by key arithmetic
-    (`poly_product`), and only their tracked factors stay in the shape.
-    Terms of one shape add their multipliers, and a shape whose multipliers
-    cancel is dropped.  So the plain and the twisted relations of (i, j)
-    come out as the same few shapes, and no coefficient becomes a RatFunc
-    product unless two of its factors carry tracked factors."""
+    Each diagonal operator is folded into its term at the degree it acts
+    on: the units of the term's coefficient and of its diagonal scalars
+    multiply into a Laurent-polynomial multiplier, monomials by key
+    arithmetic (`poly_product`), and only their tracked factors stay in the
+    shape.  The fold is exact because operators are homogeneous
+    (`GradedOperator.terms` enforces the declared shift): every path of a
+    chain passes the same degrees, so a diagonal operator scales all of
+    them by the same scalar.  Terms of one shape add their multipliers, and
+    a shape whose multipliers cancel is dropped.  So the plain and the
+    twisted relations of (i, j) come out as the same few shapes, and no
+    coefficient becomes a RatFunc product unless two of its factors carry
+    tracked factors."""
     out: Dict[Hashable, LaurentPoly] = {}
     for coeff, kept, diagonal in split:
-        scalars = [coeff, *_scalars(diagonal, d)]
+        scalars = [coeff, *(op.scalar(
+            d if offset is None else tuple(map(add, d, offset)))
+            for op, offset in diagonal)]
         unit = poly_product(ring, [s.unit for s in scalars]) if diagonal \
             else coeff.unit
         part = None
@@ -629,50 +605,63 @@ def _shape_multipliers(ring: TVRing, split: Sequence[Split], d: DegreeVector,
     return {key: m for key, m in out.items() if not m.is_zero()}
 
 
-def _failing_relations(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
-                       live: Dict[int, Dict[Hashable, LaurentPoly]],
-                       p: FixedPoint) -> List[int]:
-    """The keys of the relations in `live` whose sum does not annihilate
-    [p], each relation given as {shape key: multiplier}.
+def _decide_point(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
+                  live: Dict[int, Dict[Hashable, LaurentPoly]],
+                  records: List[dict], p: FixedPoint) -> None:
+    """Decide at [p] each relation in `live`, given as {shape key:
+    multiplier}, into its record in `records`; a relation that fails
+    leaves `live` once the point is done.
 
     Each shape that a live relation reads is walked once from p, with no
     coefficient but its tracked part, and the parts that reach one target
     are lifted once over their common tracked factor.  A relation's sum at
     that target is its combination of the lifted numerators, each shape's
     multiplier applied by key shifts, times that common factor, which is
-    nonzero: so it vanishes exactly when the combination does."""
-    zero = ctx.ring.zero()
+    nonzero: so it vanishes exactly when the combination does.  Where it
+    does not, the record's mode becomes modulo-det and the sum itself, the
+    `rat_sum` of the relation's parts at the target, is tried modulo the
+    determinant; if it does not vanish there either, the record fails with
+    the point, the target and that sum as its witness."""
+    ring = ctx.ring
+    zero = ring.zero()
     walked = {key: shapes[key] for mults in live.values() for key in mults}
-    failing: List[int] = []
-    for pairs in grouped((q.rows, (key, c)) for key, (chain, part) in
-                         walked.items() for q, c in _paths(chain, p, part)
-                         ).values():
+    failed: List[int] = []
+    for rows, pairs in grouped((q.rows, (key, c)) for key, (chain, part) in
+                               walked.items()
+                               for q, c in _paths(chain, p, part)).items():
         polys, _ = _over_common_den([c for _, c in pairs])
         for k, mults in live.items():
-            if k not in failing and not combination_is_zero(zero, [
+            if k in failed or combination_is_zero(zero, [
                     (mults[key], poly) for (key, _), poly in zip(pairs, polys)
                     if key in mults]):
-                failing.append(k)
-    return failing
+                continue
+            records[k]["mode"] = "modulo-det"
+            r = rat_sum(ring, [c.scale_poly(mults[key]) for key, c in pairs
+                               if key in mults])
+            if not _zero_mod_det(ring, r):
+                records[k].update(status="fail", witness={
+                    "source": p.to_json(),
+                    "target": FixedPoint(p.n, rows).to_json(),
+                    "entry": r.to_json(),
+                })
+                failed.append(k)
+    for k in failed:
+        del live[k]
 
 
-# A relation of the suite ready for the degree loop: name, params, terms,
+# A relation of the suite ready for the degree loop: name, params,
 # `_max_prefix_shift` and `_split` terms.
-Relation = Tuple[str, dict, List[Term], Tuple[int, ...], List[Split]]
+Relation = Tuple[str, dict, Tuple[int, ...], List[Split]]
 
 
 def _relations_at_degree(ctx: ModuleContext, box: int,
                          group: Sequence[Relation],
                          d: DegreeVector) -> List[dict]:
-    """The record of each relation of `group` at degree d, in order.
-
-    The relations are decided together from `_shape_multipliers` and
-    `_failing_relations`.  Where a relation's combination does not vanish
-    at a point, `_identity_holds` decides that point from the relation's
-    own `_at_degree` terms, so mode and witness are those of the per-point
-    loop over those terms."""
+    """The record of each relation of `group` at degree d, in order, the
+    relations decided together from `_shape_multipliers` and
+    `_decide_point`."""
     records, live, shapes = [], {}, {}
-    for k, (name, params, _, max_shift, split) in enumerate(group):
+    for k, (name, params, max_shift, split) in enumerate(group):
         in_box = _orbit_in_box(box, d, max_shift)
         records.append({"check": name, **params, "degree": list(d),
                         "mode": "free",
@@ -680,47 +669,11 @@ def _relations_at_degree(ctx: ModuleContext, box: int,
         mults = in_box and _shape_multipliers(ctx.ring, split, d, shapes)
         if mults:
             live[k] = mults
-    at_d: Dict[int, Sequence[Term]] = {}
     for p in ctx.points(d) if live else ():
-        for k in _failing_relations(ctx, shapes, live, p):
-            if k not in at_d:
-                at_d[k] = _at_degree(group[k][2], d)
-            ok, mode, witness = _identity_holds(ctx, at_d[k], p)
-            if mode == "modulo-det":
-                records[k]["mode"] = mode
-            if not ok:
-                records[k].update(status="fail", witness=witness)
-                del live[k]
+        _decide_point(ctx, shapes, live, records, p)
         if not live:
             break
     return records
-
-
-def _reached(terms: Sequence[Term],
-             p: FixedPoint) -> Iterator[Tuple[Rows, RatFunc]]:
-    """The parts of (sum of terms)[p] as (target rows, part) pairs, one per
-    path, in reach order."""
-    return ((q.rows, c) for coeff, chain in terms
-            for q, c in _paths(chain, p, coeff))
-
-
-def _identity_holds(ctx: ModuleContext, terms: Sequence[Term],
-                    p: FixedPoint) -> Tuple[bool, str, Optional[dict]]:
-    """Check that sum of terms annihilates [p]; returns (ok, mode, witness)."""
-    mode = "free"
-    for rows, parts in grouped(_reached(terms, p)).items():
-        if sum_is_zero(parts):
-            continue
-        mode = "modulo-det"
-        r = rat_sum(ctx.ring, parts)
-        if not _zero_mod_det(ctx.ring, r):
-            witness = {
-                "source": p.to_json(),
-                "target": FixedPoint(p.n, rows).to_json(),
-                "entry": r.to_json(),
-            }
-            return False, mode, witness
-    return True, mode, None
 
 
 def _zero_mod_det(ring: TVRing, r: RatFunc) -> bool:
@@ -842,19 +795,15 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     of its term's multiplier, and terms left with the same operators are
     added.  At each point every chain that a relation still reads is walked
     once, and the parts that reach one target are lifted once
-    (`_failing_relations`); a relation passes the point when its
-    combination of the lifted numerators vanishes.  Where it does not,
-    `_identity_holds` decides that point from the relation's `_at_degree`
-    terms, so verdict, mode and witness are those of the per-point loop
-    over the folded terms.  The fold is exact, since every path of a
-    homogeneous chain passes the same degrees, so each target's parts still
-    add up to the same rational function: verdict, mode and witness source
-    are those of the unfolded terms.  So is the witness target, the first
-    failing one in reach order, because every fold in the suite keeps its
-    terms in place or merges a term into the one before it.  A witness
-    entry is the same rational function, though its num/den may be written
-    differently.  A relation whose terms all cancel at d, as each diagonal
-    conjugation does, checks no point there.
+    (`_decide_point`); a relation passes the target when its combination
+    of the lifted numerators vanishes.  Where it does not, the record's
+    mode becomes modulo-det, and the relation's sum at the target is tried
+    modulo the determinant; the first target where that fails too gives
+    the witness.  The fold is exact, so each target's parts add up to the
+    rational function that the unfolded terms' parts do: verdict, mode and
+    witness are those of the per-point loop over the unfolded terms, the
+    tests checking them byte for byte.  A relation whose terms all cancel
+    at d, as each diagonal conjugation does, checks no point there.
 
     The first relation of each (i, j) comes out as each degree is decided;
     the records of the others are kept and follow in suite order, so the
@@ -864,8 +813,8 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     yield from cartan_monomial_records(ctx, box)
     for _, group in itertools.groupby(relation_suite(ctx),
                                       key=lambda rel: rel[1]):
-        group = [(name, params, terms, _max_prefix_shift(terms),
-                  _split(terms)) for name, params, terms in group]
+        group = [(name, params, _max_prefix_shift(terms), _split(terms))
+                 for name, params, terms in group]
         later: List[List[dict]] = [[] for _ in group[1:]]
         for d in all_degrees(ctx.n, box):
             first, *rest = _relations_at_degree(ctx, box, group, d)
@@ -888,7 +837,9 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue
-        ok = all(vanishes(r for r in _reached(terms, p) if r[0] != p.rows)
+        ok = all(vanishes((q.rows, c) for coeff, chain in terms
+                          for q, c in _paths(chain, p, coeff)
+                          if q.rows != p.rows)
                  for p in ctx.points(d))
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}

@@ -366,10 +366,6 @@ class LaurentPoly:
             total += term
         return total
 
-    def eval_at_ones(self) -> int:
-        """Sum of coefficients: evaluation with every variable set to 1."""
-        return sum(self.terms.values())
-
     def to_json(self) -> list:
         """Canonical form: list of [exponent-vector, decimal-string] pairs.
 

@@ -88,6 +88,30 @@ class TestEnumerate:
         assert main(["nonsense"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--degree", "1_0,0"],
+    ["enumerate", "--n", "3", "--degree", "١,1"],
+    ["enumerate", "--n", "3", "--degree", "+1,1"],
+    ["enumerate", "--n", "3", "--degree", " 1,1"],
+    ["characters", "--n", "2", "--degree", "1_0"],
+    ["whittaker", "--n", "2", "--degree", "٢"],
+    ["toda", "--n", "٢", "--box", "1"],
+    ["toda", "--n", "2", "--box", "1_0"],
+    ["verify", "--n", "+2", "--box", "0"],
+    ["verify", "--n", "2", "--box", "0", "--seed", "1_0"],
+    ["verify", "--n", "3", "--box", "0", "--suite", "summation",
+     "--i", "١"],
+], ids=lambda argv: " ".join(argv))
+def test_loose_integers_are_rejected(capsys, tmp_path, argv):
+    # every integer is read as `from_json` reads one: ASCII digits and
+    # an optional minus sign, nothing else.  int() would read 1_0 as
+    # 10 and non-ASCII digits as numbers
+    out = tmp_path / "r.jsonl"
+    code, lines = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_USAGE and lines == []
+    assert not out.exists()
+
+
 class TestCharacters:
     def test_oracle_equivalence_records(self, capsys):
         code, lines = run(capsys, "characters", "--n", "3", "--degree", "1,1")
@@ -227,11 +251,11 @@ class TestVerify:
                                           expire_after_first_verdict):
         # the deadline passes as soon as the first verdict is out.  The
         # relation suite may then do at most one more record's worth of
-        # point checks (one `_failing_relations` call per basis vector of a
+        # point checks (one `_decide_point` call per basis vector of a
         # degree); the toda suite has built the degree-0 localization sum
         # `sheaf_rgamma` (one rgamma_char call) and nothing else.
         calls = []
-        counted = {"relations": (operators, "_failing_relations"),
+        counted = {"relations": (operators, "_decide_point"),
                    "toda": (whittaker, "rgamma_char")}
         if suite in counted:
             module, name = counted[suite]

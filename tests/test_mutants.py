@@ -134,8 +134,7 @@ def test_relation_records_match_the_point_loop(bind_everywhere, monkeypatch,
                                                name, n, box):
     # every relation record, decided with the other relations of its (i, j)
     # from shared lifts, has the status, mode and witness, byte for byte,
-    # of the point loop of `_identity_holds` over the relation's own
-    # `_at_degree` terms
+    # of the point loop `decide` over the relation's own unfolded terms
     if name in TWISTS:
         monkeypatch.setattr(operators, "sevostyanov_c",
                             TWISTS[name](operators.sevostyanov_c))
@@ -153,8 +152,7 @@ def test_relation_records_match_the_point_loop(bind_everywhere, monkeypatch,
             if not operators._orbit_in_box(box, d, max_shift):
                 assert rec["status"] == "skipped-out-of-box"
                 continue
-            status, mode, witness = decide(
-                ctx, operators._at_degree(terms, d), d)
+            status, mode, witness = decide(ctx, terms, d)
             assert json.dumps([rec["status"], rec["mode"],
                                rec.get("witness")]) \
                 == json.dumps([status, mode, witness]), (check, params, d)

@@ -77,5 +77,7 @@ def test_a_stale_name_is_caught():
     table = roots()
     for gone in ("toda._eigen_holds", "RatFunc.num", "EntryPath",
                  "ModuleContext._check_generator", "QTODA_OTHER_BUDGET",
-                 "whittaker.dual_raising_op", "whittaker._eigen_holds"):
+                 "whittaker.dual_raising_op", "whittaker._eigen_holds",
+                 "operators._at_degree", "operators._identity_holds",
+                 "_failing_relations", "LaurentPoly.eval_at_ones"):
         assert not resolves(gone, table), gone
