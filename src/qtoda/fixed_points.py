@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .symbolic import UsageError, json_int
+from .symbolic import UsageError, json_int, json_list
 
 DegreeVector = Tuple[int, ...]
 Rows = Tuple[Tuple[int, ...], ...]
@@ -72,11 +72,13 @@ class FixedPoint:
 
     @staticmethod
     def from_json(data: dict) -> "FixedPoint":
-        """The point `to_json` wrote.  Data of any other shape raises
-        UsageError."""
+        """The point `to_json` wrote: its rows and each row must be lists.
+        Data of any other shape, a string in place of a list among it,
+        raises UsageError."""
         try:
             n = json_int(data["n"])
-            rows = tuple(tuple(json_int(a) for a in r) for r in data["rows"])
+            rows = tuple(tuple(json_int(a) for a in json_list(r))
+                         for r in json_list(data["rows"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed fixed point JSON: {exc!r}") from exc
         return FixedPoint(n, rows)

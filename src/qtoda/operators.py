@@ -129,15 +129,15 @@ class ModuleVector:
 class GradedOperator:
     """A degree-homogeneous operator given by its action on basis vectors.
 
-    A diagonal operator also gives its `scalar`: the RatFunc it multiplies
-    every basis vector of degree d by, as a function of d.  The relation
-    checks fold it into their multipliers once per degree (see
+    A diagonal operator also gives its `scalar`: the Laurent polynomial it
+    multiplies every basis vector of degree d by, as a function of d.  The
+    relation checks fold it into their multipliers once per degree (see
     `_shape_multipliers`), so they never walk a diagonal operator's
     `terms`."""
 
     def __init__(self, label: str, shift: Tuple[int, ...],
                  fn: Callable[[FixedPoint], List[Tuple[FixedPoint, RatFunc]]],
-                 scalar: Optional[Callable[[DegreeVector], RatFunc]] = None):
+                 scalar: Optional[Callable[[DegreeVector], LaurentPoly]] = None):
         self.label = label
         self.shift = shift
         self.scalar = scalar
@@ -228,19 +228,22 @@ class ModuleContext:
 # ---------------------------------------------------------------------------
 
 def op_scalar(ctx: ModuleContext,
-              scalar: Callable[[DegreeVector], RatFunc],
+              scalar: Callable[[DegreeVector], LaurentPoly],
               label: str = "scalar") -> GradedOperator:
-    """The diagonal operator acting on degree d by scalar(d), built once per
-    degree of this operator; the operator's `scalar` reads the same cache."""
-    by_degree: Dict[DegreeVector, RatFunc] = {}
+    """The diagonal operator acting on degree d by the Laurent polynomial
+    scalar(d), built once per degree of this operator; the operator's
+    `scalar` reads the same cache, and its `terms` entry is that polynomial
+    with no tracked factor."""
+    by_degree: Dict[DegreeVector, LaurentPoly] = {}
 
-    def at(d: DegreeVector) -> RatFunc:
+    def at(d: DegreeVector) -> LaurentPoly:
         s = by_degree.get(d)
         if s is None:
             s = by_degree[d] = scalar(d)
         return s
     return GradedOperator(label, (0,) * (ctx.n - 1),
-                          lambda p: [(p, at(p.degree))], scalar=at)
+                          lambda p: [(p, RatFunc.from_poly(at(p.degree)))],
+                          scalar=at)
 
 
 def _monomial_op(ctx: ModuleContext, name: str,
@@ -249,7 +252,7 @@ def _monomial_op(ctx: ModuleContext, name: str,
     """The diagonal operator `name`_i^power, acting on degree d by
     monomial(i, d) ** power."""
     ctx._check_row(i)
-    return op_scalar(ctx, lambda d: RatFunc.from_poly(monomial(i, d) ** power),
+    return op_scalar(ctx, lambda d: monomial(i, d) ** power,
                      label=f"{name}{i}^{power}")
 
 
@@ -574,33 +577,26 @@ def _shape_multipliers(ring: TVRing, split: Sequence[Split], d: DegreeVector,
     shapes, with each shape's (chain, tracked) put into `shapes`.
 
     Each diagonal operator is folded into its term at the degree it acts
-    on: the units of the term's coefficient and of its diagonal scalars
-    multiply into a Laurent-polynomial multiplier, monomials by key
-    arithmetic (`poly_product`), and only their tracked factors stay in the
-    shape.  The fold is exact because operators are homogeneous
+    on: its Laurent-polynomial scalar multiplies the unit of the term's
+    coefficient into the multiplier, monomials by key arithmetic
+    (`poly_product`), and the coefficient's tracked factors alone stay in
+    the shape.  The fold is exact because operators are homogeneous
     (`GradedOperator.terms` enforces the declared shift): every path of a
     chain passes the same degrees, so a diagonal operator scales all of
     them by the same scalar.  Terms of one shape add their multipliers, and
     a shape whose multipliers cancel is dropped.  So the plain and the
     twisted relations of (i, j) come out as the same few shapes, and no
-    coefficient becomes a RatFunc product unless two of its factors carry
-    tracked factors."""
+    coefficient becomes a RatFunc product."""
     out: Dict[Hashable, LaurentPoly] = {}
     for coeff, kept, diagonal in split:
-        scalars = [coeff, *(op.scalar(
+        unit = poly_product(ring, [coeff.unit, *(op.scalar(
             d if offset is None else tuple(map(add, d, offset)))
-            for op, offset in diagonal)]
-        unit = poly_product(ring, [s.unit for s in scalars]) if diagonal \
-            else coeff.unit
-        part = None
-        for r in scalars:
-            if r.factors:
-                tracked = RatFunc(ring, ring.one(), r.factors)
-                part = tracked if part is None else part * tracked
-        key = (kept, () if part is None else tuple(sorted(
-            (k, e) for k, (_, e) in part.factors.items())))
+            for op, offset in diagonal)]) if diagonal else coeff.unit
+        key = (kept, tuple(sorted((k, e) for k, (_, e) in
+                                  coeff.factors.items()))
+               if coeff.factors else ())
         if key not in shapes:
-            shapes[key] = (kept, RatFunc.one(ring) if part is None else part)
+            shapes[key] = (kept, RatFunc(ring, ring.one(), coeff.factors))
         out[key] = poly_sum(ring, [out[key], unit]) if key in out else unit
     return {key: m for key, m in out.items() if not m.is_zero()}
 
@@ -687,15 +683,14 @@ def _zero_mod_det(ring: TVRing, r: RatFunc) -> bool:
 
 
 def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
-    """(K_i - K_i^{-1}) / (v - v^{-1}) as a diagonal operator."""
-    ring = ctx.ring
-
-    def scalar(d: DegreeVector) -> RatFunc:
+    """K_i - K_i^{-1} as a diagonal operator: the Cartan term of [E_i, F_i],
+    whose 1/(v - v^{-1}) `relation_suite` writes in the term's
+    coefficient."""
+    def scalar(d: DegreeVector) -> LaurentPoly:
         kappa = ctx.k_scalar(i, d)
-        return RatFunc.from_frac(kappa - kappa ** -1,
-                                 ring.v(1) - ring.v(-1))
+        return kappa - kappa ** -1
 
-    return op_scalar(ctx, scalar, label=f"(K{i}-K{i}^-1)/(v-v^-1)")
+    return op_scalar(ctx, scalar, label=f"K{i}-K{i}^-1")
 
 
 def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]:
@@ -714,6 +709,9 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
     one = RatFunc.one(ring)
     v = lambda k: RatFunc.from_poly(ring.v(k))
     vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
+    # the Cartan term -(K_i - K_i^{-1}) / (v - v^{-1}): its operator acts by
+    # a Laurent polynomial, and its denominator is the coefficient's
+    cartan_coeff = RatFunc.from_frac(-ring.one(), ring.v(1) - ring.v(-1))
     E, F, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
         op_E, op_F, op_L, _cartan_commutator_rhs))
     Linv = {i: op_L(ctx, i, -1) for i in rng}
@@ -734,7 +732,7 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
         for tag, X, Y, c in sets:
             terms = [(one, X[i] + Y[j]), (-v(c(i, j)), Y[j] + X[i])]
             if i == j:
-                terms.append((-one, (cartan[i],)))
+                terms.append((cartan_coeff, (cartan[i],)))
             yield f"{tag or 'raising-lowering-'}commutator", ij, terms
         for tag, X, Y, c in sets:
             for way, Z in (("raising", X), ("lowering", Y)):
@@ -830,16 +828,17 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
     Yields one record per degree."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
-    terms = ((one, (E, F)), (-one, (F, E)))
-    max_shift = _max_prefix_shift(terms)
+    max_shift = _max_prefix_shift([(one, (E, F)), (-one, (F, E))])
     for d in all_degrees(ctx.n, box):
         if not _orbit_in_box(box, d, max_shift):
             yield {"check": "commutator-diagonality", "i": i,
                    "degree": list(d), "status": "skipped-out-of-box"}
             continue
-        ok = all(vanishes((q.rows, c) for coeff, chain in terms
-                          for q, c in _paths(chain, p, coeff)
-                          if q.rows != p.rows)
+        # the parts of -F_i E_i are negated, not multiplied by -1
+        ok = all(vanishes([(q.rows, c) for q, c in _paths((E, F), p)
+                           if q.rows != p.rows]
+                          + [(q.rows, -c) for q, c in _paths((F, E), p)
+                             if q.rows != p.rows])
                  for p in ctx.points(d))
         yield {"check": "commutator-diagonality", "i": i,
                "degree": list(d), "status": "pass" if ok else "fail"}

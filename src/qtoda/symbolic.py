@@ -99,6 +99,14 @@ def json_int(x: object) -> int:
     return int(x)
 
 
+def json_list(x: object) -> list:
+    """x when it is a list, as JSON reads an array.  Anything else raises
+    UsageError: iterating a string would read "21" as the entries 2, 1."""
+    if not isinstance(x, list):
+        raise UsageError(f"not a list: {x!r}")
+    return x
+
+
 def pack(exps: Sequence[int]) -> int:
     """The key of the monomial with exponent vector exps (no range check)."""
     key = sum(exps)
@@ -374,13 +382,14 @@ class LaurentPoly:
         return [[list(e), str(c)] for e, c in self.sorted_terms()]
 
     @staticmethod
-    def from_json(ring: Ring, data: Iterable) -> "LaurentPoly":
+    def from_json(ring: Ring, data: list) -> "LaurentPoly":
         """The polynomial of [exponent-vector, coefficient] pairs, as
-        `to_json` writes them; like terms are added.  Data of any other
-        shape raises UsageError."""
+        `to_json` writes them; like terms are added.  The pairs and each
+        exponent vector must be lists, and data of any other shape, a
+        string in place of a list among it, raises UsageError."""
         try:
-            pairs = [(tuple(json_int(x) for x in exps), json_int(coeff))
-                     for exps, coeff in data]
+            pairs = [(tuple(json_int(x) for x in json_list(exps)),
+                      json_int(coeff)) for exps, coeff in json_list(data)]
         except (TypeError, ValueError) as exc:
             raise UsageError(f"malformed polynomial JSON: {exc!r}") from exc
         terms: Dict[Exponent, int] = {}
@@ -788,10 +797,21 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     unit = poly_sum(a.ring, polys)
     if unit.is_zero():
         return RatFunc.zero(a.ring)
-    for key, (canon, e) in list(common.items()):
+    return _cancelled(a.ring, unit, common, [
+        key for key in common if a.factors.get(key, _ABSENT)[1] < 0
+        and b.factors.get(key, _ABSENT)[1] < 0])
+
+
+def _cancelled(ring: Ring, unit: LaurentPoly,
+               factors: Dict[FactorKey, Tuple[LaurentPoly, int]],
+               keys: Sequence[FactorKey]) -> RatFunc:
+    """unit * factors, each tracked 1 - x^s of `keys`, a denominator
+    factor, divided out of unit while the division stays exact; `factors`
+    is updated in place."""
+    for key in keys:
+        canon, e = factors[key]
         s_key = _binomial_exponent(canon.terms)
-        if s_key is None or a.factors.get(key, _ABSENT)[1] >= 0 \
-                or b.factors.get(key, _ABSENT)[1] >= 0:
+        if s_key is None:
             continue
         while e < 0:
             q = binomial_quotient(unit, s_key)
@@ -799,10 +819,10 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
                 break
             unit, e = q, e + 1
         if e:
-            common[key] = (canon, e)
+            factors[key] = (canon, e)
         else:
-            del common[key]
-    return RatFunc(a.ring, unit, common)
+            del factors[key]
+    return RatFunc(ring, unit, factors)
 
 
 def _tree_sum(parts: Sequence[RatFunc], lo: int, hi: int) -> RatFunc:
@@ -824,6 +844,9 @@ def rat_sum(ring: Ring, terms: Parts) -> RatFunc:
     lcm of every part's denominator.  A part that is a list is summed first,
     recursively, so nested parts are added innermost first: a caller that
     groups parts whose poles cancel together keeps every partial sum small.
+    A lone part is cancelled the same way against each tracked binomial of
+    its own denominator: a part that pieces of one denominator were folded
+    into then prints as their sum does.
     """
     live = []
     for t in terms:
@@ -833,6 +856,11 @@ def rat_sum(ring: Ring, terms: Parts) -> RatFunc:
             live.append(t)
     if not live:
         return RatFunc.zero(ring)
+    if len(live) == 1:
+        r = live[0]
+        below = [key for key, (_, e) in r.factors.items() if e < 0]
+        return _cancelled(ring, r.unit, dict(r.factors), below) if below \
+            else r
     return _tree_sum(live, 0, len(live))
 
 

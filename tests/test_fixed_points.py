@@ -65,10 +65,12 @@ class TestFixedPoint:
         {"n": "+3", "rows": [[2], [1, 5]]},      # no plus sign in to_json
         {"n": 3, "rows": [[2], [1, "\u0665"]]},  # Arabic-Indic 5
         {"n": "\uff13", "rows": [[2], [1, 5]]},  # fullwidth 3
+        {"n": 2, "rows": "5"},                   # would read the point [5]
+        {"n": 3, "rows": ["3", "21"]},           # would read [3; 2,1]
     ], ids=["no-rows", "no-n", "list", "n-none", "rows-int", "entry-text",
             "n-text", "invalid-array", "entry-float", "n-float", "n-bool",
             "entry-bool", "n-spaces", "entry-underscore", "n-plus",
-            "entry-arabic-indic", "n-fullwidth"])
+            "entry-arabic-indic", "n-fullwidth", "rows-text", "row-text"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             FixedPoint.from_json(data)

@@ -1,14 +1,15 @@
 """The kill table: mutants of the code that every suite runs through, each
 with the records it must fail.
 
-A check that cannot fail passes vacuously, so each mutant below names the
-record families it kills when all four suites run at (n, box) = (3, 2).
-Rescaling a whole function by a degree-dependent unit reaches neither
-Serre relation, the commutator diagonality nor the partial-fraction
-identity; the shape mutants change an entry or a factor list instead.
-The scale mutants multiply a diagonal scalar, a prefactor or a point
-weight by a power of v, and each names every family it kills: the
-adjoint and eigen records must see each monomial they fold in.
+A check that cannot fail passes vacuously, so each mutant below names
+every record family it kills, with its failing records, when all four
+suites run at (n, box) = (3, 2); together the rows kill every family those
+runs emit.  Rescaling a whole function by a degree-dependent unit reaches
+neither Serre relation, the commutator diagonality nor the
+partial-fraction identity; the shape mutants change an entry or a factor
+list instead.  The scale mutants multiply a diagonal scalar, a prefactor,
+a point weight, a closed monomial or the Toda eigenvalue by a power of v:
+the adjoint and eigen records must see each monomial they fold in.
 
 Each mutant is bound wherever qtoda binds its original (the
 `bind_everywhere` fixture), since `from m import f` copies the name into
@@ -20,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from qtoda import characters, operators, whittaker
+from qtoda import characters, operators, toda, whittaker
 from qtoda.cli import SUITES
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext, relation_suite, verify_relations
@@ -32,8 +33,12 @@ raising_product = operators.raising_product
 lowering_product = operators.lowering_product
 from_factors = RatFunc.from_factors
 k_scalar = ModuleContext.k_scalar
+l_scalar = ModuleContext.l_scalar
+raise_prefactor = operators._raise_prefactor
 lower_prefactor = operators._lower_prefactor
 pairing_prefactor = whittaker.pairing_prefactor
+closed_monomial = whittaker._closed_monomial
+eigenvalue_monomial_sum = toda.eigenvalue_monomial_sum
 det_weight = characters.det_weight
 dual_whittaker_prefactor = whittaker.dual_whittaker_prefactor
 
@@ -65,21 +70,52 @@ def times_v(original, v_power):
 # (original, mutant, {family: failing records at (3, 2)})
 KILL_TABLE = {
     "raising_product": (raising_product, raising_mid_row_mutant,
-                        {"serre-raising": 2, "commutator-diagonality": 2}),
+                        {"serre-raising": 2, "serre-twisted-raising": 2,
+                         "raising-lowering-commutator": 6,
+                         "twisted-commutator": 6, "commutator-diagonality": 2,
+                         "commutator-summation-identity": 1,
+                         "raising-lowering-adjoint": 9,
+                         "line-pushforward-identity": 14}),
     "lowering_product": (lowering_product, lowering_low_row_mutant,
-                         {"serre-lowering": 4}),
+                         {"raising-lowering-commutator": 16,
+                          "twisted-commutator": 16, "serre-lowering": 4,
+                          "serre-twisted-lowering": 4,
+                          "commutator-summation-identity": 2,
+                          "raising-lowering-adjoint": 18,
+                          "structure-sheaf-vector-eigen": 18,
+                          "dual-vector-eigen": 18}),
     "RatFunc.from_factors": (from_factors, drop_last_factor_mutant,
-                             {"partial-fraction-identity": 3}),
+                             {"raising-lowering-commutator": 14,
+                              "twisted-commutator": 14, "serre-raising": 4,
+                              "serre-twisted-raising": 4, "serre-lowering": 2,
+                              "serre-twisted-lowering": 2,
+                              "commutator-summation-identity": 2,
+                              "raising-lowering-adjoint": 18,
+                              "structure-sheaf-vector-eigen": 18,
+                              "dual-vector-eigen": 18,
+                              "line-pushforward-identity": 28,
+                              "partial-fraction-identity": 3,
+                              "sum-op-eigen": 8, "difference-op-eigen": 8,
+                              "shift-sign-calibration": 1}),
 }
 
-# the scale mutants, each with every family it kills: d_i is degree[i - 1]
-# and |d| the degree's sum
+# the scale mutants: d_i is degree[i - 1] and |d| the degree's sum
 SCALE_ROWS = {
     "ModuleContext.k_scalar": (
         k_scalar, times_v(k_scalar, lambda i, d: 2 * d[i - 1]),
         {"diagonal-consistency": 12, "structure-sheaf-vector-eigen": 12,
          "dual-vector-eigen": 12, "raising-lowering-commutator": 6,
          "twisted-commutator": 6}),
+    "ModuleContext.l_scalar": (
+        l_scalar, times_v(l_scalar, lambda i, d: 2 * d[i - 1]),
+        {"diagonal-consistency": 14, "diagonal-conjugates-raising": 12,
+         "diagonal-conjugates-lowering": 12,
+         "diagonal-conjugates-twisted-raising": 12,
+         "diagonal-conjugates-twisted-lowering": 12}),
+    "_raise_prefactor": (
+        raise_prefactor, times_v(raise_prefactor, lambda i, d: 2),
+        {"raising-lowering-commutator": 12, "twisted-commutator": 12,
+         "raising-lowering-adjoint": 18}),
     "_lower_prefactor": (
         lower_prefactor, times_v(lower_prefactor, lambda i, d: 2),
         {"raising-lowering-adjoint": 18, "structure-sheaf-vector-eigen": 18,
@@ -88,6 +124,18 @@ SCALE_ROWS = {
     "pairing_prefactor": (
         pairing_prefactor, times_v(pairing_prefactor, lambda d: 2 * sum(d)),
         {"raising-lowering-adjoint": 18, "whittaker-pairing-two-path": 8}),
+    "constant pairing_prefactor": (
+        pairing_prefactor, times_v(pairing_prefactor, lambda d: 2),
+        {"pairing-normalization": 1, "whittaker-pairing-two-path": 9}),
+    "_closed_monomial": (
+        closed_monomial, times_v(closed_monomial, lambda d: 2 * sum(d)),
+        {"whittaker-pairing-two-path": 8, "sum-op-eigen": 8,
+         "shift-sign-calibration": 1}),
+    "eigenvalue_monomial_sum": (
+        eigenvalue_monomial_sum,
+        times_v(eigenvalue_monomial_sum, lambda *sigma: 2),
+        {"sum-op-eigen": 9, "difference-op-eigen": 9,
+         "shift-sign-calibration": 1}),
     "det_weight": (
         det_weight, times_v(det_weight, lambda p: 2 * sum(p.degree)),
         {"raising-lowering-adjoint": 18, "dual-vector-eigen": 18}),
@@ -99,17 +147,28 @@ SCALE_ROWS = {
 KILL_TABLE.update(SCALE_ROWS)
 
 
-def failures(n, box):
-    """{family: failing records} over every suite at (n, box), on a fresh
-    context, the summation suite drawn from seed 0."""
+def records(n, box):
+    """Every suite's records at (n, box), on a fresh context, the summation
+    suite drawn from seed 0."""
     ctx = ModuleContext(n)
-    records = [r for name, suite in SUITES.items() for r in suite(
+    return [r for name, suite in SUITES.items() for r in suite(
         ctx, *((0, None) if name == "summation" else (box,)))]
-    return Counter(r["check"] for r in records if r["status"] == "fail")
+
+
+def failures(n, box):
+    """{family: failing records} over every suite at (n, box)."""
+    return Counter(r["check"] for r in records(n, box)
+                   if r["status"] == "fail")
 
 
 def test_the_unmutated_suites_fail_nothing():
     assert failures(3, 2) == Counter()
+
+
+def test_the_table_kills_every_family_the_suites_emit():
+    emitted = {r["check"] for r in records(3, 2)}
+    killed = {family for *_, kills in KILL_TABLE.values() for family in kills}
+    assert killed == emitted and len(emitted) == 23
 
 
 @pytest.mark.parametrize("name", list(KILL_TABLE))
@@ -117,8 +176,6 @@ def test_mutant_fails_its_families(bind_everywhere, name):
     original, mutant, killed = KILL_TABLE[name]
     assert bind_everywhere(original, mutant)
     failed = failures(3, 2)
-    if name not in SCALE_ROWS:
-        failed = {family: failed[family] for family in killed}
     assert failed == killed, failed
 
 

@@ -315,19 +315,27 @@ class TestRelationSuite:
     def test_tracked_coefficients_decide_like_the_point_loop(
             self, monkeypatch):
         # the commutator of row 1 times c = 1/(1 - v^4): its chains carry
-        # c's tracked factor, and its Cartan term carries c's and the
-        # (1 - v^2)^-1 of the Cartan scalar.  Scaled right it holds; with
-        # one term off by v^2 it is (v^2 - 1) c E_1 F_1, which fails where
-        # F_1 moves a point, with the point loop's witness
+        # c's tracked factor, and its Cartan term K_1 - K_1^-1 has the
+        # coefficient c * -1/(v - v^-1), which carries c's and the
+        # (1 - v^2)^-1 of 1/(v - v^-1).  Scaled right it holds; with one
+        # term off by v^2 it is (v^2 - 1) c E_1 F_1, which fails where F_1
+        # moves a point, with the point loop's witness
         ctx = ModuleContext(3)
         ring = ctx.ring
         E, F = op_E(ctx, 1), op_F(ctx, 1)
         cartan = operators._cartan_commutator_rhs(ctx, 1)
         c = RatFunc.from_frac(ring.one(), ring.one() - ring.v(4))
+        over_v = RatFunc.from_frac(-ring.one(), ring.v(1) - ring.v(-1))
         suite = [(name, {"i": 1, "j": 1},
                   [(c.scale_poly(ring.v(k)), (E, F)), (-c, (F, E)),
-                   (-c, (cartan,))]) for name, k in (("scaled", 0),
-                                                     ("scaled-wrong", 2))]
+                   (c * over_v, (cartan,))])
+                 for name, k in (("scaled", 0), ("scaled-wrong", 2))]
+        # c's tracked factor is on every term, and both are on the Cartan
+        # term
+        for _, _, terms in suite:
+            assert all(c.factors.keys() <= coeff.factors.keys()
+                       for coeff, _ in terms)
+            assert len(terms[-1][0].factors) == len(c.factors) + 1 == 2
         monkeypatch.setattr(operators, "relation_suite", lambda ctx: suite)
         records = {(r["check"], tuple(r["degree"])): r
                    for r in verify_relations(ctx, 2) if "j" in r}
@@ -423,6 +431,30 @@ class TestDegreeFold:
                     checked += 1
         assert checked
 
+    def test_plain_commutator_folds_to_three_shapes(self):
+        # at every in-box degree of (3, 2), E_i F_i - F_i E_i - the Cartan
+        # term folds to its two chains and the Cartan shape: no chain, the
+        # part 1/(1 - v^2) and the multiplier v (kappa - kappa^-1)
+        ctx = ModuleContext(3)
+        ring = ctx.ring
+        cartan_part = RatFunc.from_frac(ring.one(), ring.one() - ring.v(2))
+        checked = 0
+        for name, params, terms in relation_suite(ctx):
+            i = params["i"]
+            if name != "raising-lowering-commutator" or i != params["j"]:
+                continue
+            split = operators._split(terms)
+            for d in in_box_degrees(3, 2, terms):
+                shapes = {}
+                mults = operators._shape_multipliers(ring, split, d, shapes)
+                assert len(mults) == 3
+                [cartan_key] = [key for key in mults if not shapes[key][0]]
+                kappa = ctx.k_scalar(i, d)
+                assert eq_exact(shapes[cartan_key][1], cartan_part)
+                assert mults[cartan_key] == ring.v(1) * (kappa - kappa ** -1)
+                checked += 1
+        assert checked == 12
+
     def test_broken_diagonal_fails_where_the_reference_fails(
             self, monkeypatch):
         ctx = ModuleContext(4)
@@ -454,9 +486,12 @@ class TestDegreeFold:
                      for i in range(1, 4)]
         for op in diagonal:
             for d in all_degrees(4, 2):
+                scalar = op.scalar(d)
+                assert isinstance(scalar, LaurentPoly)
                 for p in ctx.points(d):
                     [(q, entry)] = op.terms(p)
-                    assert q == p and eq_exact(entry, op.scalar(d))
+                    assert q == p and not entry.factors
+                    assert entry.unit == scalar
         assert all(op(ctx, 1).scalar is None
                    for op in (op_E, op_F, op_e, op_f))
 

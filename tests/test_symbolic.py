@@ -102,12 +102,13 @@ class TestLaurentPoly:
         [[[0, 1, 0], "+5"]],         # to_json never writes a plus sign
         [[[0, 1, 0], "\u0663"]],     # int() reads Arabic-Indic 3 as 3
         [[[0, "\uff11\uff12", 0], "1"]],  # int() reads fullwidth 12
+        [["120", "7"]],              # would read 7 t1 t2^2, digit by digit
     ], ids=["none", "short-term", "long-term", "exponents-int",
             "exponent-text", "coefficient-text", "coefficient-none",
             "coefficient-float", "exponent-float", "coefficient-bool",
             "exponent-bool", "coefficient-spaces", "exponent-underscore",
             "coefficient-plus", "coefficient-arabic-indic",
-            "exponent-fullwidth"])
+            "exponent-fullwidth", "exponents-text"])
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             LaurentPoly.from_json(R2, data)
@@ -286,6 +287,23 @@ class TestRatSumAndOracles:
         assert s.num_den()[0] == one_minus_v2 * R2.one() \
             or eq_exact(s, RatFunc.one(R2))
         assert eq_exact(s, RatFunc.one(R2))
+
+    def test_a_lone_part_prints_as_the_sum_of_its_pieces(self):
+        # m (1 - v^2) / (1 - v^2), as a broken diagonal conjugation folds
+        # its pieces m / (1 - v^2) and -v^2 m / (1 - v^2) into one part
+        m = R2.t(1) ** 2 * R2.t(2) ** -2
+        one_minus_v2 = R2.one() - R2.v(2)
+        over = RatFunc.from_frac(R2.one(), one_minus_v2)
+        lone = over.scale_poly(m * one_minus_v2)
+        pieces = [over.scale_poly(m), over.scale_poly(-R2.v(2) * m)]
+        assert lone.num_den() == (m * one_minus_v2, one_minus_v2)
+        assert rat_sum(R2, [lone]).to_json() == rat_sum(R2, pieces).to_json() \
+            == RatFunc.from_poly(m).to_json()
+        # a binomial divides out only as often as the division is exact
+        twice = over.scale_poly(m * one_minus_v2) * over
+        assert rat_sum(R2, [twice]).num_den() == (m, one_minus_v2)
+        # and one whose numerator it does not divide is left as it is
+        assert rat_sum(R2, [over]).num_den() == over.num_den()
 
     def test_lazy_sum_zero(self):
         a = RatFunc.from_frac(R2.one(), R2.one() - R2.v(2))
