@@ -37,21 +37,24 @@ parameter ring are retried modulo the determinant constraint
 t_1 ... t_n = 1 (the natural parameter space is the SL_n torus), and the
 mode is reported per record.
 
-The relations of one (i, j) are decided together, degree by degree.
-Before the points of a degree d are visited, each relation's terms are
-resolved at d once: every diagonal operator is folded into its term's
-multiplier as its scalar at the degree it acts on, and terms left with the
-same operators are added.  The fold is exact because operators are
-homogeneous: all paths of a chain pass the same degrees, so a diagonal
-operator scales every one of them alike.  The diagonal conjugations cancel
-completely there and check no point.  What is left are a few chains shared
-by the plain and the twisted relations; at each point each is walked once,
-the paths that reach one target are lifted once over their common tracked
-factor, and each relation is a combination of those numerators with its
-own multipliers.  That walk and lift alone decide each relation: where a
-combination does not vanish, the relation's parts at the target are summed
-once and tried modulo the determinant, and a sum that survives there is
-the record's witness.
+The relations of one (i, j) are decided together, degree by degree; each
+row's diagonal consistency K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1} comes
+first, a group of its own.  Before the points of a degree d are visited,
+each relation's terms are resolved at d once: every diagonal operator is
+folded into its term's multiplier as its scalar at the degree it acts on,
+and terms left with the same operators are added.  The fold is exact
+because operators are homogeneous: all paths of a chain pass the same
+degrees, so a diagonal operator scales every one of them alike.  The
+diagonal conjugations cancel completely there and check no point, and so
+does every diagonal consistency but the outermost row's, which keeps one
+shape with no chain and holds only modulo the determinant.  What is left
+are a few chains shared by the plain and the twisted relations; at each
+point each is walked once, the paths that reach one target are lifted once
+over their common tracked factor, and each relation is a combination of
+those numerators with its own multipliers.  That walk and lift alone
+decide each relation: where a combination does not vanish, the relation's
+parts at the target are summed once and tried modulo the determinant, and
+a sum that survives there is the record's witness.
 """
 
 from __future__ import annotations
@@ -694,8 +697,11 @@ def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
 
 
 def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]:
-    """All relation instances as (name, params, terms-summing-to-zero), the
-    relations of one (i, j) one after another.
+    """All relation instances as (name, params, terms-summing-to-zero):
+    first the diagonal consistency K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1}
+    of each row i in order (L_0 = L_n = 1, so a row outside 1..n-1 is left
+    out of the L chain), then the relations of each (i, j), those of one
+    (i, j) one after another.
 
     Each relation is written once for a generator set (tag, X, Y, c): the
     plain E, F with c = 0, and the twisted e, f with c = sevostyanov_c.  A
@@ -715,6 +721,12 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
     E, F, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
         op_E, op_F, op_L, _cartan_commutator_rhs))
     Linv = {i: op_L(ctx, i, -1) for i in rng}
+    # K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1}, with L_0 = L_n = 1
+    for i in rng:
+        yield ("diagonal-consistency", {"i": i}, [
+            (one, (op_K(ctx, i),)),
+            (-one, tuple(Linv[k] if k != i else op_L(ctx, i, 2)
+                         for k in (i - 1, i, i + 1) if k in rng))])
     sets = (("", {i: (E[i],) for i in rng}, {i: (F[i],) for i in rng},
              lambda i, j: 0),
             ("twisted-", {i: (E[i], op_K(ctx, i, i)) for i in rng},
@@ -752,33 +764,6 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
                             (v(2 * k), Z[j] + Z[i] + Z[i])])
 
 
-def cartan_monomial_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
-    """The purely diagonal relations: K_i as a ratio of squares of the L's.
-
-    K_1 = L_1^2 L_2^{-1}; interior K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1};
-    K_{n-1} = L_{n-2}^{-1} L_{n-1}^2 (for n = 2 simply K_1 = L_1^2).  The
-    outermost identity needs the determinant constraint t_1..t_n = 1.
-    Yields one record per (i, degree).
-    """
-    ring = ctx.ring
-    for i in range(1, ctx.n):
-        for d in all_degrees(ctx.n, box):
-            lhs = ctx.k_scalar(i, d)
-            rhs = ring.one()
-            for k, power in ((i - 1, -1), (i, 2), (i + 1, -1)):
-                if 1 <= k <= ctx.n - 1:
-                    rhs = rhs * ctx.l_scalar(k, d) ** power
-            diff = lhs - rhs
-            ok = _zero_mod_det(ring, RatFunc.from_poly(diff))
-            yield {
-                "check": "diagonal-consistency",
-                "i": i,
-                "degree": list(d),
-                "mode": "free" if diff.is_zero() else "modulo-det",
-                "status": "pass" if ok else "fail",
-            }
-
-
 def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """Run the whole relation suite over the degrees in 0..box.
 
@@ -786,12 +771,13 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     the identity annihilates every basis vector of that degree.  Records
     are skipped when the relation orbit leaves the box.
 
-    The relations of one (i, j), as `relation_suite` yields them one after
-    another, are decided together, degree by degree
-    (`_relations_at_degree`).  Each relation's terms are resolved at the
-    degree by `_shape_multipliers`: each diagonal operator becomes a factor
-    of its term's multiplier, and terms left with the same operators are
-    added.  At each point every chain that a relation still reads is walked
+    The relations that share their params, as `relation_suite` yields
+    them one after another, are decided together, degree by degree
+    (`_relations_at_degree`): each row's diagonal consistency alone, then
+    the relations of each (i, j).  Each relation's terms are resolved at
+    the degree by `_shape_multipliers`: each diagonal operator becomes a
+    factor of its term's multiplier, and terms left with the same operators
+    are added.  At each point every chain that a relation still reads is walked
     once, and the parts that reach one target are lifted once
     (`_decide_point`); a relation passes the target when its combination
     of the lifted numerators vanishes.  Where it does not, the record's
@@ -801,14 +787,16 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     rational function that the unfolded terms' parts do: verdict, mode and
     witness are those of the per-point loop over the unfolded terms, the
     tests checking them byte for byte.  A relation whose terms all cancel
-    at d, as each diagonal conjugation does, checks no point there.
+    at d, as each diagonal conjugation and every diagonal consistency but
+    the outermost row's does, checks no point there; the outermost one
+    folds to one shape with no chain and is tried modulo the determinant
+    at each point.
 
-    The first relation of each (i, j) comes out as each degree is decided;
+    The first relation of each group comes out as each degree is decided;
     the records of the others are kept and follow in suite order, so the
     stream is that of one relation after another and a run cut after any
     record has written a prefix of it.
     """
-    yield from cartan_monomial_records(ctx, box)
     for _, group in itertools.groupby(relation_suite(ctx),
                                       key=lambda rel: rel[1]):
         group = [(name, params, _max_prefix_shift(terms), _split(terms))

@@ -844,24 +844,31 @@ def rat_sum(ring: Ring, terms: Parts) -> RatFunc:
     lcm of every part's denominator.  A part that is a list is summed first,
     recursively, so nested parts are added innermost first: a caller that
     groups parts whose poles cancel together keeps every partial sum small.
-    A lone part is cancelled the same way against each tracked binomial of
-    its own denominator: a part that pieces of one denominator were folded
-    into then prints as their sum does.
+    A lone flat part, the only nonzero one given, is cancelled the same way
+    against each tracked binomial of its own denominator: a part that
+    pieces of one denominator were folded into then prints as their sum
+    does.  A nested group's sum is not cancelled again: `_add` has already
+    tried each binomial its summands share.
     """
-    live = []
-    for t in terms:
-        if isinstance(t, list):
-            t = rat_sum(ring, t)
-        if not t.unit.is_zero():
-            live.append(t)
-    if not live:
-        return RatFunc.zero(ring)
-    if len(live) == 1:
+    live = [t for t in terms if isinstance(t, list) or not t.unit.is_zero()]
+    if len(live) == 1 and not isinstance(live[0], list):
         r = live[0]
         below = [key for key, (_, e) in r.factors.items() if e < 0]
         return _cancelled(ring, r.unit, dict(r.factors), below) if below \
             else r
-    return _tree_sum(live, 0, len(live))
+    return _nested_sum(ring, live)
+
+
+def _nested_sum(ring: Ring, terms: Parts) -> RatFunc:
+    """The `rat_sum` of terms, each list among them summed first, with no
+    cancellation of a lone part."""
+    live = []
+    for t in terms:
+        if isinstance(t, list):
+            t = _nested_sum(ring, t)
+        if not t.unit.is_zero():
+            live.append(t)
+    return _tree_sum(live, 0, len(live)) if live else RatFunc.zero(ring)
 
 
 # ---------------------------------------------------------------------------

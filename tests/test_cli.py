@@ -310,12 +310,14 @@ class TestVerify:
             "summary": True, "complete": False,
             "counts": {"pass": count}, "records": count + 1}]
 
-    @pytest.mark.parametrize("count", [82, 83, 108, 109, 243, 244, 245,
-                                       513, 514])
+    @pytest.mark.parametrize("count", [27, 28, 54, 55, 81, 82, 83, 108, 109,
+                                       243, 244, 245, 513, 514])
     def test_budget_cut_relations_stream_is_a_prefix(self, capsys,
                                                      monkeypatch, count):
-        # after the 81 diagonal-consistency records come the relations of
-        # each (i, j): (1, 1) has verdicts 82-243, its first relation's 27
+        # the suite's groups come out one after another: first the
+        # diagonal consistency of each row i, a group of one relation with
+        # 27 verdicts (1-27, 28-54 and 55-81), then the relations of each
+        # (i, j): (1, 1) has verdicts 82-243, its first relation's 27
         # streamed as their degrees are decided and the other five
         # relations' kept verdicts after them from 109; (1, 2) has 244-513.
         # A run cut at, or one record past, the first or last record of a

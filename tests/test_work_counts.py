@@ -14,7 +14,14 @@ and term product bounds were tightened when every diagonal operator began
 to act by a Laurent polynomial, the Cartan term's 1/(v - v^-1) moving into
 its coefficient, and the commutator diagonality began to negate its F E
 parts instead of multiplying each by -1; before that the same run made
-2,927 RatFunc products and 11,509 term products.  The closed-product
+2,927 RatFunc products and 11,509 term products.  The term product bound
+was tightened, and the `_over_common_den` bound raised, when each
+K_i = L_{i-1}^-1 L_i^2 L_{i+1}^-1 identity became one more relation of
+the suite: before that the same run made 11,338 term products and 798
+`_over_common_den` calls.  The 74 calls more are those records' own lifts:
+the K_3 identity holds only modulo the determinant, so it is decided at
+each of the 74 fixed points of the box, each with a one-part lift.  The
+relation suite divides no binomial.  The closed-product
 bounds are the counts measured when each closed entry began to be built
 once per (row pair, column); before that the run made 171 + 171.  The
 whittaker bounds are the counts measured when each module's twin code
@@ -25,7 +32,10 @@ Before that the same run made 1,230 RatFunc products.  The toda bounds
 are the counts measured when each degree began to be decided from one
 lift shared by both operators and both signs; before that each family
 lifted its own parts, and the same run made 100 `_over_common_den` calls
-and 13,715 term products.
+and 13,715 term products.  The `binomial_quotient` bounds are the counts
+measured when `rat_sum` stopped cancelling a nested group's lone sum
+again against the binomials of its denominator, which `_add` had already
+tried; before that the toda run made 558 calls and the whittaker run 65.
 
 Each counted function is wrapped in every qtoda module that binds it
 (`whittaker` imports its own `sum_is_zero`, `toda` its own
@@ -44,7 +54,7 @@ from qtoda.whittaker import whittaker_records
 
 MODULES = (symbolic, operators, whittaker, toda)
 FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
-             "lowering_product")
+             "lowering_product", "binomial_quotient")
 
 
 def count_work(monkeypatch, suite):
@@ -79,29 +89,32 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     bounds = {
         "RatFunc.__mul__": 2756,
         "sum_is_zero": 42,
-        "_over_common_den": 798,
-        "term products": 11338,
+        "_over_common_den": 872,
+        "term products": 11297,
         "raising_product": 49,
         "lowering_product": 46,
+        "binomial_quotient": 0,
     }
     records, counts = count_work(monkeypatch, relation_records)
     assert len(records) == 2268
     assert not [r for r in records if r["status"] == "fail"]
     assert all(counts[name] <= bound for name, bound in bounds.items()), counts
-    # non-vacuity: every wrapped kernel ran
-    assert all(counts.values()), counts
+    # non-vacuity: every kernel with a nonzero bound ran
+    assert all(counts[name] for name, bound in bounds.items() if bound), counts
 
 
 @pytest.mark.parametrize("suite,n_records,bounds", [
     (whittaker_records, 497, {"RatFunc.__mul__": 934, "sum_is_zero": 891,
                               "raising_product": 214,
-                              "lowering_product": 98}),
+                              "lowering_product": 98,
+                              "binomial_quotient": 65}),
     # the toda suite reads sheaf_rgamma alone: no RatFunc product and no
     # closed entry; its eigen checks lift each degree once and call no
     # sum_is_zero
     (toda_records, 55, {"RatFunc.__mul__": 0, "sum_is_zero": 0,
                         "_over_common_den": 74, "term products": 8508,
-                        "raising_product": 0, "lowering_product": 0}),
+                        "raising_product": 0, "lowering_product": 0,
+                        "binomial_quotient": 250}),
 ], ids=["whittaker", "toda"])
 def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
                                             bounds):
