@@ -7,18 +7,27 @@ Each subcommand is a generator of records; `main` writes them one at a
 time and checks the time budget after each.  Identical configuration and
 seed produce byte-identical output.
 
-Exit codes: 0 all pass; 1 at least one failing check; 2 usage error;
-3 time budget exceeded (set via the QTODA_TIME_BUDGET env var, seconds).
+The command line is `qtoda <command> --flag value ...`, read by
+`parse_args` straight from the `SUBCOMMANDS` table, which lists each
+command's flags with their types, choices, defaults and whether they are
+required; `-h`/`--help` and `--version` print their text from the same
+table.  Each flag is written in full, as `--flag value` or `--flag=value`
+(no abbreviations).  Reading the table builds no parser and imports no
+module beyond those the subcommands need.
+
+Exit codes: 0 all pass; 1 at least one failing check; 2 usage error,
+printed as one `error: ...` line on stderr with nothing on stdout; 3 time
+budget exceeded (set via the QTODA_TIME_BUDGET env var, seconds).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
@@ -177,50 +186,135 @@ def cmd_verify(args) -> Iterator[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Command line
 # ---------------------------------------------------------------------------
 
+_N = ("--n", {"type": json_int, "required": True,
+              "help": "rank parameter (>= 2)"})
+_OUT = ("--out", {"help": "write the report to this path"})
 _DEGREE = ("--degree", {"required": True,
                         "help": "comma-separated degree vector"})
 _BOX = ("--box", {"type": json_int, "required": True,
                   "help": "componentwise degree cap"})
 
-# (name, help, command, arguments after --n and --out) per subcommand
+# (name, help, command, flags) per subcommand.  A flag is (--name, options):
+# its value read by `type` (kept as text when absent) and checked against
+# `choices`, and when the flag is not given, `required` or its `default`
+# (None when absent).
 SUBCOMMANDS = (
     ("enumerate", "list fixed points and cross-check the count",
-     cmd_enumerate, [_DEGREE]),
+     cmd_enumerate, [_N, _OUT, _DEGREE]),
     ("characters", "compare closed-form characters against the chain oracle",
-     cmd_characters, [_DEGREE]),
+     cmd_characters, [_N, _OUT, _DEGREE]),
     ("verify", "run a verification suite", cmd_verify, [
-        _BOX,
-        ("--suite", {"default": "full", "choices": ("full",) + tuple(SUITES)}),
+        _N, _OUT, _BOX,
+        ("--suite", {"default": "full", "choices": ("full",) + tuple(SUITES),
+                     "help": "the suite to run"}),
         ("--seed", {"type": json_int, "default": 0,
                     "help": "picks the summation suite's random rows"}),
         ("--i", {"type": json_int, "help": "restrict the summation-identity "
                                       "suite to one row index"})]),
     ("whittaker", "emit Whittaker data at one degree", cmd_whittaker,
-     [_DEGREE]),
-    ("toda", "difference-Toda eigen checks", cmd_toda, [_BOX]),
+     [_N, _OUT, _DEGREE]),
+    ("toda", "difference-Toda eigen checks", cmd_toda, [_N, _OUT, _BOX]),
 )
 
+_HELP = ("-h", "--help")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qtoda",
-        description="Exact verification engine for the fixed-point module, "
-                    "its operator relations, and the difference-Toda "
-                    "eigen-equations.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, fn, arguments in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=json_int, required=True,
-                       help="rank parameter (>= 2)")
-        p.add_argument("--out", help="write the report to this path")
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(fn=fn)
-    return parser
+
+def _flag_help(options: dict) -> str:
+    """A flag's help line: its help text, its choices and its default."""
+    parts = [options.get("help", "")]
+    if "choices" in options:
+        parts.append(f"one of {', '.join(options['choices'])}")
+    if "default" in options:
+        parts.append(f"default {options['default']}")
+    return "; ".join(parts)
+
+
+def _help(row: Optional[tuple] = None) -> str:
+    """The help text of the command line, or of one `SUBCOMMANDS` row."""
+    if row is None:
+        head = ["usage: qtoda <command> [--flag value ...]",
+                "       qtoda -h | --help | --version", "",
+                "Exact verification engine for the fixed-point module, its",
+                "operator relations, and the difference-Toda "
+                "eigen-equations.", "", "commands:"]
+        items = [(name, text) for name, text, _, _ in SUBCOMMANDS]
+        tail = ["", "Run 'qtoda <command> --help' for the flags of a "
+                    "command."]
+    else:
+        name, text, _, flags = row
+        usage = " ".join(f"{flag} {flag[2:].upper()}" if opts.get("required")
+                         else f"[{flag} {flag[2:].upper()}]"
+                         for flag, opts in flags)
+        head = [f"usage: qtoda {name} {usage}", "", text, "",
+                "flags, each given as --flag value or --flag=value:"]
+        items = [(f"{flag} {flag[2:].upper()}", _flag_help(opts))
+                 for flag, opts in flags] + [(", ".join(_HELP),
+                                              "show this help")]
+        tail = []
+    width = max(len(item) for item, _ in items)
+    return "\n".join(head + [f"  {item:<{width}}  {text}"
+                             for item, text in items] + tail)
+
+
+def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command line `<command> --flag value ...`, read against
+    `SUBCOMMANDS`: `command`, `fn` and one field per flag of the command,
+    its value read and checked, or its default.  Each flag is written in
+    full, as `--flag value` or `--flag=value`; a value after a space that
+    starts with `-` must be a negative number.  `-h`/`--help`, first or
+    after the command, and a leading `--version` print their text and give
+    None.  Anything else raises UsageError."""
+    commands = {row[0]: row for row in SUBCOMMANDS}
+    if not argv:
+        raise UsageError(f"missing command; one of {', '.join(commands)}")
+    head, *rest = argv
+    if head in _HELP or head == "--version":
+        print(_help() if head in _HELP else __version__)
+        return None
+    if head not in commands:
+        raise UsageError(f"unknown command {head!r}; "
+                         f"one of {', '.join(commands)}")
+    row = commands[head]
+    name, _, fn, flags = row
+    options = dict(flags)
+    given: Dict[str, str] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            print(_help(row))
+            return None
+        flag, eq, value = token.partition("=")
+        if not flag.startswith("--"):
+            raise UsageError(f"unexpected argument {token!r}")
+        if flag not in options:
+            raise UsageError(f"{name} has no flag {flag}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") \
+                    and not value[1:2].isdigit():
+                raise UsageError(f"{flag} needs a value")
+        given[flag] = value
+    missing = [flag for flag, opts in flags
+               if opts.get("required") and flag not in given]
+    if missing:
+        raise UsageError(f"{name} needs {', '.join(missing)}")
+    args = SimpleNamespace(command=name, fn=fn)
+    for flag, opts in flags:
+        value = opts.get("default")
+        if flag in given:
+            try:
+                value = opts.get("type", str)(given[flag])
+            except UsageError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+            if "choices" in opts and value not in opts["choices"]:
+                raise UsageError(f"{flag} must be one of "
+                                 f"{', '.join(opts['choices'])}, "
+                                 f"not {value!r}")
+        setattr(args, flag[2:], value)
+    return args
 
 
 def _budget() -> Optional[float]:
@@ -244,14 +338,12 @@ def _config_echo(args) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
     stream = sys.stdout
     close = False
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_PASS
         budget = _budget()
         if args.n < 2:
             raise UsageError("rank parameter must be at least 2")

@@ -42,19 +42,21 @@ row's diagonal consistency K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1} comes
 first, a group of its own.  Before the points of a degree d are visited,
 each relation's terms are resolved at d once: every diagonal operator is
 folded into its term's multiplier as its scalar at the degree it acts on,
-and terms left with the same operators are added.  The fold is exact
-because operators are homogeneous: all paths of a chain pass the same
-degrees, so a diagonal operator scales every one of them alike.  The
-diagonal conjugations cancel completely there and check no point, and so
-does every diagonal consistency but the outermost row's, which keeps one
-shape with no chain and holds only modulo the determinant.  What is left
-are a few chains shared by the plain and the twisted relations; at each
-point each is walked once, the paths that reach one target are lifted once
-over their common tracked factor, and each relation is a combination of
-those numerators with its own multipliers.  That walk and lift alone
-decide each relation: where a combination does not vanish, the relation's
-parts at the target are summed once and tried modulo the determinant, and
-a sum that survives there is the record's witness.
+and terms left with the same operators are added; a relation with no
+diagonal operator resolves alike at every degree and is folded once.  The
+fold is exact because operators are homogeneous: all paths of a chain pass
+the same degrees, so a diagonal operator scales every one of them alike.
+The diagonal conjugations cancel completely there and check no point, and
+so does every diagonal consistency but the outermost row's, which keeps
+one shape with no chain and holds only modulo the determinant; its sum is
+the same constant at every point, so the degree's first point decides it.
+What is left are a few chains shared by the plain and the twisted
+relations; at each point each is walked once, the paths that reach one
+target are lifted once over their common tracked factor, and each relation
+is a combination of those numerators with its own multipliers.  That walk
+and lift alone decide each relation: where a combination does not vanish,
+the relation's parts at the target are summed once and tried modulo the
+determinant, and a sum that survives there is the record's witness.
 """
 
 from __future__ import annotations
@@ -654,21 +656,39 @@ Relation = Tuple[str, dict, Tuple[int, ...], List[Split]]
 
 
 def _relations_at_degree(ctx: ModuleContext, box: int,
-                         group: Sequence[Relation],
-                         d: DegreeVector) -> List[dict]:
+                         group: Sequence[Relation], d: DegreeVector,
+                         shapes: Dict[Hashable, Shape],
+                         folded: Dict[int, Dict[Hashable, LaurentPoly]]
+                         ) -> List[dict]:
     """The record of each relation of `group` at degree d, in order, the
     relations decided together from `_shape_multipliers` and
-    `_decide_point`."""
-    records, live, shapes = [], {}, {}
+    `_decide_point`.
+
+    `shapes` and `folded` are the group's, kept from degree to degree: a
+    relation with no diagonal operator folds to the same multipliers at
+    every degree, so it is folded at its first in-box degree only, into
+    `folded` under its index.  When no shape that a live relation reads
+    has a chain, each relation's sum is the same constant at every point,
+    so the degree's first point decides it: verdict, mode and witness."""
+    records, live = [], {}
     for k, (name, params, max_shift, split) in enumerate(group):
         in_box = _orbit_in_box(box, d, max_shift)
         records.append({"check": name, **params, "degree": list(d),
                         "mode": "free",
                         "status": "pass" if in_box else "skipped-out-of-box"})
-        mults = in_box and _shape_multipliers(ctx.ring, split, d, shapes)
+        if not in_box:
+            continue
+        mults = folded.get(k)
+        if mults is None:
+            mults = _shape_multipliers(ctx.ring, split, d, shapes)
+            if not any(diagonal for _, _, diagonal in split):
+                folded[k] = mults
         if mults:
             live[k] = mults
-    for p in ctx.points(d) if live else ():
+    points = ctx.points(d) if live else []
+    if not any(shapes[key][0] for mults in live.values() for key in mults):
+        points = points[:1]
+    for p in points:
         _decide_point(ctx, shapes, live, records, p)
         if not live:
             break
@@ -777,20 +797,21 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     the relations of each (i, j).  Each relation's terms are resolved at
     the degree by `_shape_multipliers`: each diagonal operator becomes a
     factor of its term's multiplier, and terms left with the same operators
-    are added.  At each point every chain that a relation still reads is walked
-    once, and the parts that reach one target are lifted once
-    (`_decide_point`); a relation passes the target when its combination
-    of the lifted numerators vanishes.  Where it does not, the record's
-    mode becomes modulo-det, and the relation's sum at the target is tried
-    modulo the determinant; the first target where that fails too gives
-    the witness.  The fold is exact, so each target's parts add up to the
-    rational function that the unfolded terms' parts do: verdict, mode and
-    witness are those of the per-point loop over the unfolded terms, the
-    tests checking them byte for byte.  A relation whose terms all cancel
+    are added; a relation with no diagonal operator is resolved once, at
+    its first in-box degree.  At each point every chain that a relation
+    still reads is walked once, and the parts that reach one target are
+    lifted once (`_decide_point`); a relation passes the target when its
+    combination of the lifted numerators vanishes.  Where it does not, the
+    record's mode becomes modulo-det, and the relation's sum at the target
+    is tried modulo the determinant; the first target where that fails too
+    gives the witness.  The fold is exact, so each target's parts add up to
+    the rational function that the unfolded terms' parts do: verdict, mode
+    and witness are those of the per-point loop over the unfolded terms,
+    the tests checking them byte for byte.  A relation whose terms all cancel
     at d, as each diagonal conjugation and every diagonal consistency but
     the outermost row's does, checks no point there; the outermost one
-    folds to one shape with no chain and is tried modulo the determinant
-    at each point.
+    folds to one shape with no chain, the same constant at every point,
+    and is tried modulo the determinant at the degree's first point only.
 
     The first relation of each group comes out as each degree is decided;
     the records of the others are kept and follow in suite order, so the
@@ -802,8 +823,10 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
         group = [(name, params, _max_prefix_shift(terms), _split(terms))
                  for name, params, terms in group]
         later: List[List[dict]] = [[] for _ in group[1:]]
+        shapes, folded = {}, {}
         for d in all_degrees(ctx.n, box):
-            first, *rest = _relations_at_degree(ctx, box, group, d)
+            first, *rest = _relations_at_degree(ctx, box, group, d, shapes,
+                                                folded)
             yield first
             for kept, rec in zip(later, rest):
                 kept.append(rec)

@@ -1,13 +1,15 @@
 """Tests for the command-line front end: output contract, exit codes,
-determinism."""
+determinism, the command-line grammar."""
 
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from qtoda import cli, operators, whittaker
+from qtoda import __version__, cli, operators, whittaker
 from qtoda.cli import (
     EXIT_BUDGET,
     EXIT_PASS,
@@ -422,6 +424,140 @@ class TestDeterminism:
         code = main(["toda", "--n", "2", "--box", "1"])
         stdout = capsys.readouterr().out
         assert out.read_text() == stdout
+
+
+# a value each flag accepts; --out takes a path under the test's tmp_path
+SAMPLE = {"--n": "2", "--degree": "1", "--box": "0", "--suite": "relations",
+          "--seed": "3", "--i": "1"}
+FLAG_ROWS = [(name, flag) for name, _, _, flags in cli.SUBCOMMANDS
+             for flag, _ in flags]
+ALL_FLAGS = sorted({flag for _, flag in FLAG_ROWS})
+
+
+def flags_of(command):
+    return [flag for name, flag in FLAG_ROWS if name == command]
+
+
+def required_flags(command, skip=None):
+    """The command's required flags but `skip`, each with its sample."""
+    [flags] = [flags for name, _, _, flags in cli.SUBCOMMANDS
+               if name == command]
+    return [token for flag, options in flags
+            if options.get("required") and flag != skip
+            for token in (flag, SAMPLE[flag])]
+
+
+def usage_errors():
+    """A flag of another command, a flag with no value (last, or followed
+    by a flag), and a stray positional after each command; an unknown
+    command; an empty argv."""
+    cases = []
+    for command, _, _, _ in cli.SUBCOMMANDS:
+        base = [command, *required_flags(command)]
+        cases += [base + [flag, "1"] for flag in ALL_FLAGS
+                  if flag not in flags_of(command)]
+        cases += [base + [flag] for flag in flags_of(command)]
+        cases += [[command, flag, *required_flags(command)]
+                  for flag in flags_of(command)]
+        cases += [base + ["stray"], base + ["--n=2", "stray"]]
+    return cases + [["nonsense"], ["nonsense", "--n", "2"], []]
+
+
+class TestCommandLineGrammar:
+    @pytest.mark.parametrize("command,flag", FLAG_ROWS)
+    def test_both_flag_forms_read_alike(self, capsys, tmp_path, command,
+                                        flag):
+        out = tmp_path / "r.jsonl"
+        value = str(out) if flag == "--out" else SAMPLE[flag]
+        reports = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            code = main([command, *required_flags(command, flag), *form])
+            stdout = capsys.readouterr().out
+            reports.append((code, out.read_text() if flag == "--out"
+                            else stdout))
+        assert reports[0] == reports[1]
+        code, report = reports[0]
+        assert code == EXIT_PASS
+        config = json.loads(report.splitlines()[0])["config"]
+        if flag != "--out":
+            assert str(config[flag[2:]]) == value
+
+    @pytest.mark.parametrize("argv", usage_errors(),
+                             ids=lambda argv: " ".join(argv) or "empty")
+    def test_errors_exit_2_with_one_error_line(self, capsys, tmp_path,
+                                               argv):
+        out = tmp_path / "r.jsonl"
+        if argv and argv[0] != "nonsense":
+            argv = [argv[0], "--out", str(out), *argv[1:]]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_names_every_command(self, capsys, flag):
+        assert main([flag]) == EXIT_PASS
+        words = capsys.readouterr().out.split()
+        assert all(name in words for name, _, _, _ in cli.SUBCOMMANDS)
+        assert "--version" in words
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [row[0] for row in cli.SUBCOMMANDS])
+    @pytest.mark.parametrize("first", [True, False],
+                             ids=["alone", "after-flags"])
+    def test_command_help_names_every_flag(self, capsys, tmp_path, flag,
+                                           command, first):
+        out = tmp_path / "r.jsonl"
+        argv = [command, flag] if first else \
+            [command, "--out", str(out), *required_flags(command), flag]
+        assert main(argv) == EXIT_PASS
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert not [line for line in captured.out.splitlines()
+                    if line.startswith("{")]
+        words = captured.out.split()
+        assert all(f in words for f in flags_of(command))
+        assert not out.exists()
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == EXIT_PASS
+        assert capsys.readouterr().out == __version__ + "\n"
+
+    def test_argv_defaults_to_the_process_arguments(self, capsys,
+                                                    monkeypatch):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["qtoda", "enumerate", "--n", "2",
+                                          "--degree", "1"])
+        assert main() == EXIT_PASS
+        lines = capsys.readouterr().out.splitlines()
+        assert parsed(lines)[0]["config"] == {
+            "command": "enumerate", "n": 2, "degree": "1"}
+
+    def test_flags_are_not_abbreviated(self, capsys):
+        assert main(["verify", "--n", "2", "--box", "0",
+                     "--su", "toda"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: verify has no flag --su\n"
+
+    def test_a_run_imports_no_argument_parser(self):
+        # with -S no site module is imported, so sys.modules holds what
+        # the interpreter and qtoda import
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        script = "\n".join([
+            "import io, json, sys",
+            f"sys.path.insert(0, {src!r})",
+            "from qtoda.cli import main",
+            "out, sys.stdout = sys.stdout, io.StringIO()",
+            "code = main(['verify', '--n', '2', '--box', '0',"
+            " '--suite', 'toda'])",
+            "sys.stdout = out",
+            "print(json.dumps([code, sorted(set(sys.modules)"
+            " & {'argparse', 'gettext', 'locale'})]))"])
+        result = subprocess.run([sys.executable, "-S", "-c", script],
+                                capture_output=True, text=True, check=True)
+        assert json.loads(result.stdout) == [EXIT_PASS, []]
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -19,9 +19,15 @@ was tightened, and the `_over_common_den` bound raised, when each
 K_i = L_{i-1}^-1 L_i^2 L_{i+1}^-1 identity became one more relation of
 the suite: before that the same run made 11,338 term products and 798
 `_over_common_den` calls.  The 74 calls more are those records' own lifts:
-the K_3 identity holds only modulo the determinant, so it is decided at
+the K_3 identity holds only modulo the determinant, so it was decided at
 each of the 74 fixed points of the box, each with a one-part lift.  The
-relation suite divides no binomial.  The closed-product
+`_over_common_den` bound was tightened when that identity, whose one
+shape has no chain, began to be decided at the first point of each degree
+alone: before that the same run made 872 calls.  The `_shape_multipliers`
+bound is the count measured when a relation with no diagonal operator
+began to be folded once per group, not once per in-box degree; before
+that the same run made 1,635 folds.  The relation suite divides no
+binomial.  The closed-product
 bounds are the counts measured when each closed entry began to be built
 once per (row pair, column); before that the run made 171 + 171.  The
 whittaker bounds are the counts measured when each module's twin code
@@ -54,7 +60,7 @@ from qtoda.whittaker import whittaker_records
 
 MODULES = (symbolic, operators, whittaker, toda)
 FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
-             "lowering_product", "binomial_quotient")
+             "lowering_product", "binomial_quotient", "_shape_multipliers")
 
 
 def count_work(monkeypatch, suite):
@@ -89,11 +95,12 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     bounds = {
         "RatFunc.__mul__": 2756,
         "sum_is_zero": 42,
-        "_over_common_den": 872,
+        "_over_common_den": 825,
         "term products": 11297,
         "raising_product": 49,
         "lowering_product": 46,
         "binomial_quotient": 0,
+        "_shape_multipliers": 1335,
     }
     records, counts = count_work(monkeypatch, relation_records)
     assert len(records) == 2268
