@@ -1,9 +1,13 @@
 """Raising/lowering/diagonal operators on the graded module of fixed-point
 classes, and exhaustive verification of the quantum-group relations.
 
-The module M = ⊕_d M_d has one basis vector per fixed point.  Diagonal
-operators act by a degree-dependent scalar, which they expose as
-`GradedOperator.scalar`.  One builder, `_move_op`,
+The module M = ⊕_d M_d has one basis vector per fixed point.  A diagonal
+operator acts on M_d by a Laurent polynomial whose v-exponents are affine
+in d, the weights of the universal Verma module.  So each is given once,
+by its degree-linear `Form`: (slope, polynomial) pairs acting on degree d
+by the sum of polynomial * v^{<slope, d>}.  `ModuleContext.k_form` and
+`l_form` own the forms of K_i and L_i, and `GradedOperator.scalar` and the
+relation fold read them.  One builder, `_move_op`,
 makes every raising and lowering generator (E_i, F_i and the direct e_i,
 f_i): it walks the single-entry increments of row i of the triangular array
 to raise, the decrements to lower, and scales each entry by the
@@ -39,14 +43,14 @@ mode is reported per record.
 
 The relations of one (i, j) are decided together, degree by degree; each
 row's diagonal consistency K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1} comes
-first, a group of its own.  Before the points of a degree d are visited,
-each relation's terms are resolved at d once: every diagonal operator is
-folded into its term's multiplier as its scalar at the degree it acts on,
-and terms left with the same operators are added; a relation with no
-diagonal operator resolves alike at every degree and is folded once.  The
-fold is exact because operators are homogeneous: all paths of a chain pass
-the same degrees, so a diagonal operator scales every one of them alike.
-The diagonal conjugations cancel completely there and check no point, and
+first, a group of its own.  Each relation is folded once, before the
+degree loop: every diagonal operator's form multiplies its term's
+coefficient, and terms left with the same operators are added slope by
+slope, so the relation becomes one degree-linear form per shape, and its
+multiplier at a degree d is that form at d.  The fold is exact because
+operators are homogeneous: all paths of a chain pass the same degrees, so
+a diagonal operator scales every one of them alike.  The diagonal
+conjugations fold to nothing at all and check no point at any degree, and
 so does every diagonal consistency but the outermost row's, which keeps
 one shape with no chain and holds only modulo the determinant; its sum is
 the same constant at every point, so the degree's first point decides it.
@@ -65,7 +69,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add
+from operator import add, mul
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -103,11 +107,17 @@ from .symbolic import (
     rat_sum,
     sum_is_zero,
     tv_ring,
+    v_shifted,
 )
 
 T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
 _UNBUILT = object()
+
+# A degree-linear form: (slope, polynomial) pairs, acting on degree d by the
+# sum of polynomial * v^{<slope, d>} (`form_at`); a slope has one entry per
+# row 1..n-1.
+Form = List[Tuple[Tuple[int, ...], LaurentPoly]]
 
 
 def sevostyanov_c(i: int, j: int) -> int:
@@ -134,20 +144,23 @@ class ModuleVector:
 class GradedOperator:
     """A degree-homogeneous operator given by its action on basis vectors.
 
-    A diagonal operator also gives its `scalar`: the Laurent polynomial it
-    multiplies every basis vector of degree d by, as a function of d.  The
-    relation checks fold it into their multipliers once per degree (see
-    `_shape_multipliers`), so they never walk a diagonal operator's
-    `terms`."""
+    A diagonal operator also gives its degree-linear `form` (None for any
+    other operator), and `scalar(d)`, the Laurent polynomial it multiplies
+    every basis vector of degree d by.  The relation checks fold the form
+    into their multipliers once per relation (see `_fold`), so they never
+    walk a diagonal operator's `terms`."""
 
     def __init__(self, label: str, shift: Tuple[int, ...],
                  fn: Callable[[FixedPoint], List[Tuple[FixedPoint, RatFunc]]],
-                 scalar: Optional[Callable[[DegreeVector], LaurentPoly]] = None):
+                 form: Optional[Form] = None):
         self.label = label
         self.shift = shift
-        self.scalar = scalar
+        self.form = form
         self._fn = fn
         self._cache: Dict[Rows, List[Tuple[FixedPoint, RatFunc]]] = {}
+
+    def scalar(self, d: DegreeVector) -> LaurentPoly:
+        return form_at(self.form, d)
 
     def terms(self, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
         out = self._cache.get(p.rows)
@@ -208,20 +221,29 @@ class ModuleContext:
 
     # -- diagonal scalars --------------------------------------------------
 
-    def k_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
-        """t_{i+1} t_i^{-1} v^{2d_i - d_{i-1} - d_{i+1} + 1} (d_0 = d_n = 0)."""
+    def k_form(self, i: int) -> Form:
+        """K_i acts on degree d by t_{i+1} t_i^{-1} v^{2d_i - d_{i-1} - d_{i+1}
+        + 1} (d_0 = d_n = 0): slope 2e_i - e_{i-1} - e_{i+1} over the rows
+        1..n-1, t_{i+1} t_i^{-1} v at d = 0."""
         self._check_row(i)
-        d = padded(degree)
-        return self.ring.t_monomial(
-            {i + 1: 1, i: -1}, v_power=2 * d[i] - d[i - 1] - d[i + 1] + 1)
+        return self.memo("k_form", i, lambda: [(
+            tuple(2 * (c == i) - (abs(c - i) == 1) for c in range(1, self.n)),
+            self.ring.t_monomial({i + 1: 1, i: -1}, v_power=1))])
+
+    def l_form(self, i: int) -> Form:
+        """L_i acts on degree d by t_1^{-1}..t_i^{-1} v^{d_i + i(n-i)/2}, a
+        half-integer v-exponent: slope e_i."""
+        self._check_row(i)
+        return self.memo("l_form", i, lambda: [(
+            tuple(int(c == i) for c in range(1, self.n)),
+            self.ring.t_monomial({k: -1 for k in range(1, i + 1)},
+                                 v_doubled_extra=i * (self.n - i)))])
+
+    def k_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
+        return form_at(self.k_form(i), degree)
 
     def l_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
-        """t_1^{-1}..t_i^{-1} v^{d_i + i(n-i)/2}; half-integer v-exponent."""
-        self._check_row(i)
-        d = padded(degree)
-        return self.ring.t_monomial(
-            {k: -1 for k in range(1, i + 1)},
-            v_doubled_extra=2 * d[i] + i * (self.n - i))
+        return form_at(self.l_form(i), degree)
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:
@@ -232,41 +254,35 @@ class ModuleContext:
 # Diagonal operators
 # ---------------------------------------------------------------------------
 
-def op_scalar(ctx: ModuleContext,
-              scalar: Callable[[DegreeVector], LaurentPoly],
-              label: str = "scalar") -> GradedOperator:
-    """The diagonal operator acting on degree d by the Laurent polynomial
-    scalar(d), built once per degree of this operator; the operator's
-    `scalar` reads the same cache, and its `terms` entry is that polynomial
-    with no tracked factor."""
-    by_degree: Dict[DegreeVector, LaurentPoly] = {}
-
-    def at(d: DegreeVector) -> LaurentPoly:
-        s = by_degree.get(d)
-        if s is None:
-            s = by_degree[d] = scalar(d)
-        return s
-    return GradedOperator(label, (0,) * (ctx.n - 1),
-                          lambda p: [(p, RatFunc.from_poly(at(p.degree)))],
-                          scalar=at)
+def form_at(form: Form, d: Sequence[int]) -> LaurentPoly:
+    """The polynomial that `form` acts on degree d by: one key shift per
+    pair (`v_shifted`), the shifted pairs added when there are several."""
+    polys = [v_shifted(c, sum(map(mul, slope, d))) for slope, c in form]
+    return polys[0] if len(polys) == 1 else poly_sum(polys[0].ring, polys)
 
 
-def _monomial_op(ctx: ModuleContext, name: str,
-                 monomial: Callable[[int, DegreeVector], LaurentPoly], i: int,
+def op_diagonal(ctx: ModuleContext, form: Form, label: str) -> GradedOperator:
+    """The diagonal operator of `form`: its `terms` entry at p is its scalar
+    at p's degree, with no tracked factor."""
+    return GradedOperator(label, (0,) * (ctx.n - 1), lambda p: [
+        (p, RatFunc.from_poly(form_at(form, p.degree)))], form)
+
+
+def _monomial_op(ctx: ModuleContext, name: str, form: Form, i: int,
                  power: int) -> GradedOperator:
-    """The diagonal operator `name`_i^power, acting on degree d by
-    monomial(i, d) ** power."""
-    ctx._check_row(i)
-    return op_scalar(ctx, lambda d: monomial(i, d) ** power,
-                     label=f"{name}{i}^{power}")
+    """The diagonal operator `name`_i^power of the one-pair `form` of
+    `name`_i: slope times power, monomial to the power."""
+    [(slope, c)] = form
+    return op_diagonal(ctx, [(tuple(power * s for s in slope), c ** power)],
+                       f"{name}{i}^{power}")
 
 
 def op_K(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
-    return _monomial_op(ctx, "K", ctx.k_scalar, i, power)
+    return _monomial_op(ctx, "K", ctx.k_form(i), i, power)
 
 
 def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
-    return _monomial_op(ctx, "L", ctx.l_scalar, i, power)
+    return _monomial_op(ctx, "L", ctx.l_form(i), i, power)
 
 
 # ---------------------------------------------------------------------------
@@ -543,67 +559,60 @@ def _orbit_in_box(box: int, degree: DegreeVector,
     return all(d + m <= box for d, m in zip(degree, max_shift))
 
 
-# The diagonal operators of a chain, each with the shift from the chain's
-# source degree to the degree it acts on (None for no shift), and a term
-# split once for every degree: its coefficient, its chain's non-diagonal
-# operators and its diagonal ones.
-Diagonal = List[Tuple[GradedOperator, Optional[Tuple[int, ...]]]]
-Split = Tuple[RatFunc, Tuple[GradedOperator, ...], Diagonal]
-
-
-def _split(terms: Sequence[Term]) -> List[Split]:
-    """Each term as a `Split`, its chain walked right to left from the
-    chain's source degree."""
-    out = []
-    for coeff, chain in terms:
-        kept, diagonal, offset = [], [], None
-        for op in reversed(chain):
-            if op.scalar is None:
-                kept.append(op)
-                offset = op.shift if offset is None \
-                    else tuple(map(add, offset, op.shift))
-            else:
-                diagonal.append((op, offset))
-        out.append((coeff, tuple(reversed(kept)), diagonal))
-    return out
-
-
 # A shape is a chain of non-diagonal operators and a coefficient made of
-# tracked factors alone (1 when there are none); `_shape_multipliers` keys
-# it by (chain, factor powers).
+# tracked factors alone (1 when there are none); `_fold` keys it by (chain,
+# factor powers).  A relation folds to one degree-linear form per shape.
 Shape = Tuple[Tuple[GradedOperator, ...], RatFunc]
+Fold = Dict[Hashable, Form]
 
 
-def _shape_multipliers(ring: TVRing, split: Sequence[Split], d: DegreeVector,
-                       shapes: Dict[Hashable, Shape]
-                       ) -> Dict[Hashable, LaurentPoly]:
-    """The split terms as they act on degree d, as {shape key: multiplier}:
-    the sum of the terms is the sum of multiplier * tracked * chain over the
-    shapes, with each shape's (chain, tracked) put into `shapes`.
+def _fold(ring: TVRing, terms: Sequence[Term],
+          shapes: Dict[Hashable, Shape]) -> Fold:
+    """The terms as {shape key: form}: at every degree d their sum is the
+    sum of form_at(form, d) * tracked * chain over the shapes, with each
+    shape's (chain, tracked) put into `shapes`.  Built once per relation.
 
-    Each diagonal operator is folded into its term at the degree it acts
-    on: its Laurent-polynomial scalar multiplies the unit of the term's
-    coefficient into the multiplier, monomials by key arithmetic
-    (`poly_product`), and the coefficient's tracked factors alone stay in
-    the shape.  The fold is exact because operators are homogeneous
-    (`GradedOperator.terms` enforces the declared shift): every path of a
-    chain passes the same degrees, so a diagonal operator scales all of
-    them by the same scalar.  Terms of one shape add their multipliers, and
-    a shape whose multipliers cancel is dropped.  So the plain and the
-    twisted relations of (i, j) come out as the same few shapes, and no
-    coefficient becomes a RatFunc product."""
-    out: Dict[Hashable, LaurentPoly] = {}
-    for coeff, kept, diagonal in split:
-        unit = poly_product(ring, [coeff.unit, *(op.scalar(
-            d if offset is None else tuple(map(add, d, offset)))
-            for op, offset in diagonal)]) if diagonal else coeff.unit
+    Each chain is walked right to left from its source degree.  A diagonal
+    operator at offset s from there acts on degree d + s, so each of its
+    pairs (slope, c) becomes (slope, c v^{<slope, s>}), the offset absorbed
+    by a key shift.  A term then expands into one pair per choice of a pair
+    of each of its diagonal operators: the slopes add, and the polynomials
+    multiply the unit of the term's coefficient, monomials by key
+    arithmetic (`poly_product`); the coefficient's tracked factors alone
+    stay in the shape.  Pairs of one shape and slope are added, and a zero
+    sum and a shape left with no pair are dropped.  The fold is exact
+    because operators are homogeneous (`GradedOperator.terms` enforces the
+    declared shift): every path of a chain passes the same degrees, so a
+    diagonal operator scales all of them by the same scalar.  So the plain
+    and the twisted relations of (i, j) come out as the same few shapes, no
+    coefficient becomes a RatFunc product, and a relation that folds to no
+    shape holds at every degree."""
+    zero = (0,) * (ring.n - 1)
+    classes: Dict[Hashable, Dict[Tuple[int, ...], List[LaurentPoly]]] = {}
+    for coeff, chain in terms:
+        kept, forms, offset = [], [], zero
+        for op in reversed(chain):
+            if op.form is None:
+                kept.append(op)
+                offset = tuple(map(add, offset, op.shift))
+            else:
+                forms.append([(s, v_shifted(c, sum(map(mul, s, offset))))
+                              for s, c in op.form])
+        kept = tuple(reversed(kept))
         key = (kept, tuple(sorted((k, e) for k, (_, e) in
                                   coeff.factors.items()))
                if coeff.factors else ())
         if key not in shapes:
             shapes[key] = (kept, RatFunc(ring, ring.one(), coeff.factors))
-        out[key] = poly_sum(ring, [out[key], unit]) if key in out else unit
-    return {key: m for key, m in out.items() if not m.is_zero()}
+        by_slope = classes.setdefault(key, {})
+        for choice in itertools.product(*forms):
+            slope = tuple(map(sum, zip(zero, *(s for s, _ in choice))))
+            by_slope.setdefault(slope, []).append(poly_product(
+                ring, [coeff.unit, *(c for _, c in choice)]))
+    fold = {key: [(slope, m) for slope, polys in by_slope.items()
+                  if not (m := poly_sum(ring, polys)).is_zero()]
+            for key, by_slope in classes.items()}
+    return {key: form for key, form in fold.items() if form}
 
 
 def _decide_point(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
@@ -651,38 +660,32 @@ def _decide_point(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
 
 
 # A relation of the suite ready for the degree loop: name, params,
-# `_max_prefix_shift` and `_split` terms.
-Relation = Tuple[str, dict, Tuple[int, ...], List[Split]]
+# `_max_prefix_shift` and `_fold`.
+Relation = Tuple[str, dict, Tuple[int, ...], Fold]
 
 
 def _relations_at_degree(ctx: ModuleContext, box: int,
                          group: Sequence[Relation], d: DegreeVector,
-                         shapes: Dict[Hashable, Shape],
-                         folded: Dict[int, Dict[Hashable, LaurentPoly]]
-                         ) -> List[dict]:
+                         shapes: Dict[Hashable, Shape]) -> List[dict]:
     """The record of each relation of `group` at degree d, in order, the
-    relations decided together from `_shape_multipliers` and
-    `_decide_point`.
+    relations decided together by `_decide_point`, `shapes` the group's.
 
-    `shapes` and `folded` are the group's, kept from degree to degree: a
-    relation with no diagonal operator folds to the same multipliers at
-    every degree, so it is folded at its first in-box degree only, into
-    `folded` under its index.  When no shape that a live relation reads
-    has a chain, each relation's sum is the same constant at every point,
-    so the degree's first point decides it: verdict, mode and witness."""
+    A relation's multiplier of a shape at d is its form there; a shape
+    whose multiplier is zero at d is dropped, and a relation left with no
+    shape, one whose fold is empty among them, checks no point.  When no
+    shape that a live relation reads has a chain, each relation's sum is
+    the same constant at every point, so the degree's first point decides
+    it: verdict, mode and witness."""
     records, live = [], {}
-    for k, (name, params, max_shift, split) in enumerate(group):
+    for k, (name, params, max_shift, fold) in enumerate(group):
         in_box = _orbit_in_box(box, d, max_shift)
         records.append({"check": name, **params, "degree": list(d),
                         "mode": "free",
                         "status": "pass" if in_box else "skipped-out-of-box"})
         if not in_box:
             continue
-        mults = folded.get(k)
-        if mults is None:
-            mults = _shape_multipliers(ctx.ring, split, d, shapes)
-            if not any(diagonal for _, _, diagonal in split):
-                folded[k] = mults
+        mults = {key: m for key, form in fold.items()
+                 if not (m := form_at(form, d)).is_zero()}
         if mults:
             live[k] = mults
     points = ctx.points(d) if live else []
@@ -707,13 +710,13 @@ def _zero_mod_det(ring: TVRing, r: RatFunc) -> bool:
 
 def _cartan_commutator_rhs(ctx: ModuleContext, i: int) -> GradedOperator:
     """K_i - K_i^{-1} as a diagonal operator: the Cartan term of [E_i, F_i],
-    whose 1/(v - v^{-1}) `relation_suite` writes in the term's
-    coefficient."""
-    def scalar(d: DegreeVector) -> LaurentPoly:
-        kappa = ctx.k_scalar(i, d)
-        return kappa - kappa ** -1
-
-    return op_scalar(ctx, scalar, label=f"K{i}-K{i}^-1")
+    whose 1/(v - v^{-1}) `relation_suite` writes in the term's coefficient.
+    Its form is two pairs, K_i's and minus K_i^{-1}'s, of opposite
+    slopes."""
+    [(slope, kappa)] = ctx.k_form(i)
+    return op_diagonal(ctx, [(slope, kappa),
+                             (tuple(-s for s in slope), -kappa ** -1)],
+                       f"K{i}-K{i}^-1")
 
 
 def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]:
@@ -727,26 +730,25 @@ def relation_suite(ctx: ModuleContext) -> Iterator[Tuple[str, dict, List[Term]]]
     plain E, F with c = 0, and the twisted e, f with c = sevostyanov_c.  A
     generator is a chain: E_i is (E_i,), and e_i = E_i K_i^i and f_i =
     K_i^{-i} F_i are written inline as (E_i, K_i^i) and (K_i^{-i}, F_i), so
-    a twisted chain folds at each degree to the plain chain times
-    monomials.
+    a twisted chain folds to the plain chain times monomials.
     """
     ring = ctx.ring
     rng = range(1, ctx.n)
     one = RatFunc.one(ring)
-    v = lambda k: RatFunc.from_poly(ring.v(k))
-    vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
-    # the Cartan term -(K_i - K_i^{-1}) / (v - v^{-1}): its operator acts by
-    # a Laurent polynomial, and its denominator is the coefficient's
-    cartan_coeff = RatFunc.from_frac(-ring.one(), ring.v(1) - ring.v(-1))
-    E, F, L, cartan = ({i: op(ctx, i) for i in rng} for op in (
-        op_E, op_F, op_L, _cartan_commutator_rhs))
-    Linv = {i: op_L(ctx, i, -1) for i in rng}
+    L, Linv = ({i: op_L(ctx, i, power) for i in rng} for power in (1, -1))
     # K_i = L_{i-1}^{-1} L_i^2 L_{i+1}^{-1}, with L_0 = L_n = 1
     for i in rng:
         yield ("diagonal-consistency", {"i": i}, [
             (one, (op_K(ctx, i),)),
             (-one, tuple(Linv[k] if k != i else op_L(ctx, i, 2)
                          for k in (i - 1, i, i + 1) if k in rng))])
+    v = lambda k: RatFunc.from_poly(ring.v(k))
+    vv = RatFunc.from_poly(ring.v(1) + ring.v(-1))
+    # the Cartan term -(K_i - K_i^{-1}) / (v - v^{-1}): its operator acts by
+    # a Laurent polynomial, and its denominator is the coefficient's
+    cartan_coeff = RatFunc.from_frac(-ring.one(), ring.v(1) - ring.v(-1))
+    E, F, cartan = ({i: op(ctx, i) for i in rng} for op in (
+        op_E, op_F, _cartan_commutator_rhs))
     sets = (("", {i: (E[i],) for i in rng}, {i: (F[i],) for i in rng},
              lambda i, j: 0),
             ("twisted-", {i: (E[i], op_K(ctx, i, i)) for i in rng},
@@ -794,24 +796,26 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     The relations that share their params, as `relation_suite` yields
     them one after another, are decided together, degree by degree
     (`_relations_at_degree`): each row's diagonal consistency alone, then
-    the relations of each (i, j).  Each relation's terms are resolved at
-    the degree by `_shape_multipliers`: each diagonal operator becomes a
-    factor of its term's multiplier, and terms left with the same operators
-    are added; a relation with no diagonal operator is resolved once, at
-    its first in-box degree.  At each point every chain that a relation
-    still reads is walked once, and the parts that reach one target are
-    lifted once (`_decide_point`); a relation passes the target when its
+    the relations of each (i, j).  Each relation's terms are folded once,
+    before the degree loop (`_fold`): each diagonal operator's degree-linear
+    form becomes a factor of its term's multiplier, and terms left with the
+    same operators are added slope by slope, so the multiplier of each
+    shape at a degree is a sum of key-shifted polynomials, zero-tested
+    there.  At each point every chain that a relation still reads is
+    walked once, and the parts that reach one target are lifted once
+    (`_decide_point`); a relation passes the target when its
     combination of the lifted numerators vanishes.  Where it does not, the
     record's mode becomes modulo-det, and the relation's sum at the target
     is tried modulo the determinant; the first target where that fails too
     gives the witness.  The fold is exact, so each target's parts add up to
     the rational function that the unfolded terms' parts do: verdict, mode
     and witness are those of the per-point loop over the unfolded terms,
-    the tests checking them byte for byte.  A relation whose terms all cancel
-    at d, as each diagonal conjugation and every diagonal consistency but
-    the outermost row's does, checks no point there; the outermost one
-    folds to one shape with no chain, the same constant at every point,
-    and is tried modulo the determinant at the degree's first point only.
+    the tests checking them byte for byte.  A relation whose terms all
+    cancel in the fold, as each diagonal conjugation and every diagonal
+    consistency but the outermost row's does, holds at every degree and
+    checks no point; the outermost one folds to one shape with no chain,
+    the same constant at every point, and is tried modulo the determinant
+    at the degree's first point only.
 
     The first relation of each group comes out as each degree is decided;
     the records of the others are kept and follow in suite order, so the
@@ -820,13 +824,13 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     """
     for _, group in itertools.groupby(relation_suite(ctx),
                                       key=lambda rel: rel[1]):
-        group = [(name, params, _max_prefix_shift(terms), _split(terms))
+        shapes: Dict[Hashable, Shape] = {}
+        group = [(name, params, _max_prefix_shift(terms),
+                  _fold(ctx.ring, terms, shapes))
                  for name, params, terms in group]
         later: List[List[dict]] = [[] for _ in group[1:]]
-        shapes, folded = {}, {}
         for d in all_degrees(ctx.n, box):
-            first, *rest = _relations_at_degree(ctx, box, group, d, shapes,
-                                                folded)
+            first, *rest = _relations_at_degree(ctx, box, group, d, shapes)
             yield first
             for kept, rec in zip(later, rest):
                 kept.append(rec)
@@ -834,25 +838,39 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
             yield from kept
 
 
+def _off_diagonal_witness(ctx: ModuleContext, E: GradedOperator,
+                          F: GradedOperator, d: DegreeVector
+                          ) -> Optional[dict]:
+    """The first off-diagonal entry of E F - F E at degree d that is not
+    zero, as {source, target, entry}, the points and the targets tried in
+    reach order; None when every one vanishes."""
+    for p in ctx.points(d):
+        # the parts of -F E are negated, not multiplied by -1
+        reached = grouped([(q.rows, c) for q, c in _paths((E, F), p)]
+                          + [(q.rows, -c) for q, c in _paths((F, E), p)])
+        for rows, parts in reached.items():
+            if rows != p.rows and not sum_is_zero(parts):
+                return {"source": p.to_json(),
+                        "target": FixedPoint(p.n, rows).to_json(),
+                        "entry": rat_sum(ctx.ring, parts).to_json()}
+    return None
+
+
 def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
     """All off-diagonal entries of E_i F_i - F_i E_i must vanish exactly.
-    Yields one record per degree."""
+    Yields one record per degree; a failing one carries the first entry
+    that does not vanish as its witness."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
     max_shift = _max_prefix_shift([(one, (E, F)), (-one, (F, E))])
     for d in all_degrees(ctx.n, box):
-        if not _orbit_in_box(box, d, max_shift):
-            yield {"check": "commutator-diagonality", "i": i,
-                   "degree": list(d), "status": "skipped-out-of-box"}
-            continue
-        # the parts of -F_i E_i are negated, not multiplied by -1
-        ok = all(vanishes([(q.rows, c) for q, c in _paths((E, F), p)
-                           if q.rows != p.rows]
-                          + [(q.rows, -c) for q, c in _paths((F, E), p)
-                             if q.rows != p.rows])
-                 for p in ctx.points(d))
-        yield {"check": "commutator-diagonality", "i": i,
-               "degree": list(d), "status": "pass" if ok else "fail"}
+        rec = {"check": "commutator-diagonality", "i": i, "degree": list(d),
+               "status": "skipped-out-of-box"}
+        if _orbit_in_box(box, d, max_shift):
+            witness = _off_diagonal_witness(ctx, E, F, d)
+            rec.update({"status": "pass"} if witness is None
+                       else {"status": "fail", "witness": witness})
+        yield rec
 
 
 def relation_records(ctx: ModuleContext, box: int) -> Iterator[dict]:

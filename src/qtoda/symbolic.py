@@ -15,9 +15,9 @@ raises UsageError instead of wrapping.
 
 Linearity also builds monomials: the key of (e_1, ..., e_N) is
 sum_j e_j * key(x_j), and a monomial's k-th power is its key times k.
-Constructors, factor shifts, geometric blocks and monomial powers work on
-keys alone; exponent tuples appear only at the boundary (JSON, repr,
-evaluation and the determinant substitution).
+Constructors, factor shifts, v shifts (`v_shifted`), geometric blocks and
+monomial powers work on keys alone; exponent tuples appear only at the
+boundary (JSON, repr, evaluation and the determinant substitution).
 
 Half-integer powers of v occur in a few diagonal operators, so the last
 exponent slot counts units of v^(1/2): the monomial v^k is stored with last
@@ -923,16 +923,25 @@ def eq_exact(a: RatFunc, b: RatFunc) -> bool:
     return sum_is_zero([a, -b])
 
 
+def v_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p * v^k for p in a torus ring, one key shift per term: the v digit
+    and the total digit of every key move by 2k (the v slot counts half
+    units), so the bound grows by 2|k|, and a bound past SLOT_LIMIT raises
+    UsageError instead of wrapping.  p itself when k = 0."""
+    if not k:
+        return p
+    ring = p.ring
+    bound = p.bound + 2 * abs(k)
+    if bound > SLOT_LIMIT:
+        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
+    step = 2 * k * _unit_keys(ring.nvars)[ring.n]
+    return LaurentPoly(ring, {key + step: c for key, c in p.terms.items()},
+                       bound)
+
+
 def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:
     """Sum_{l=lo}^{hi} v^{2l} * m; the zero polynomial when lo > hi."""
     ring = m.ring
     if not isinstance(ring, TVRing):
         raise UsageError("geometric_block needs a torus ring")
-    # v^{2l} has key 4l * key(v): the v slot counts half units
-    bound = m.bound + 4 * max(abs(lo), abs(hi))
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
-    step = 4 * _unit_keys(ring.nvars)[ring.n]
-    return poly_sum(ring, [
-        LaurentPoly(ring, {k + l * step: c for k, c in m.terms.items()}, bound)
-        for l in range(lo, hi + 1)])
+    return poly_sum(ring, [v_shifted(m, 2 * l) for l in range(lo, hi + 1)])

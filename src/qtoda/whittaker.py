@@ -187,7 +187,7 @@ def lowering_edges(ctx: ModuleContext, i: int,
     The adjoint record and both eigen records of (i, d) are decided from
     these products alone; every other factor they need is a monomial per
     degree or per point.  That is exact for two reasons.  Operators are
-    homogeneous (the reason `_shape_multipliers` gives), so a diagonal K_i
+    homogeneous (the reason `_fold` gives), so a diagonal K_i
     acts on every basis vector of one degree by the same scalar, and each
     entry of a twisted composite is an F_i entry times a monomial.  And the adjoint
     identity of a point pair is multiplied through by a nonzero rational

@@ -25,18 +25,18 @@ import pytest
 
 from qtoda import characters, operators, toda, whittaker
 from qtoda.cli import SUITES
-from qtoda.fixed_points import all_degrees
-from qtoda.operators import (ModuleContext, relation_suite, sevostyanov_c,
-                             verify_relations)
-from qtoda.symbolic import RatFunc
-from test_operators import decide
+from qtoda.fixed_points import FixedPoint, all_degrees
+from qtoda.operators import (ModuleContext, diagonality_check, op_E, op_F,
+                             relation_suite, sevostyanov_c, verify_relations)
+from qtoda.symbolic import RatFunc, eq_exact, rat_sum
+from test_operators import decide, witness_entry
 
 # each mutated function as it is before any mutant is bound
 raising_product = operators.raising_product
 lowering_product = operators.lowering_product
 from_factors = RatFunc.from_factors
-k_scalar = ModuleContext.k_scalar
-l_scalar = ModuleContext.l_scalar
+k_form = ModuleContext.k_form
+l_form = ModuleContext.l_form
 raise_prefactor = operators._raise_prefactor
 lower_prefactor = operators._lower_prefactor
 pairing_prefactor = whittaker.pairing_prefactor
@@ -64,6 +64,16 @@ def raising_times_v2_mutant(ring, upper, mid, j):
 
 def drop_last_factor_mutant(ring, unit, factor_list):
     return from_factors(ring, unit, list(factor_list)[:-1])
+
+
+def slope_plus_2e_i(original):
+    """original(ctx, i), a degree-linear form, with 2e_i added to each
+    slope: the diagonal operator then acts on degree d by v^{2d_i} more,
+    wherever its form is read."""
+    def mutant(ctx, i):
+        return [(tuple(s + 2 * (c == i) for c, s in enumerate(slope, start=1)),
+                 poly) for slope, poly in original(ctx, i)]
+    return mutant
 
 
 def times_v(original, v_power):
@@ -111,15 +121,16 @@ KILL_TABLE = {
                             "serre-twisted-lowering": 4}),
 }
 
-# the scale mutants: d_i is degree[i - 1] and |d| the degree's sum
+# the scale mutants: d_i is degree[i - 1] and |d| the degree's sum; the
+# diagonal rows scale K_i or L_i by v^{2d_i} in its degree-linear form
 SCALE_ROWS = {
-    "ModuleContext.k_scalar": (
-        k_scalar, times_v(k_scalar, lambda i, d: 2 * d[i - 1]),
+    "ModuleContext.k_form": (
+        k_form, slope_plus_2e_i(k_form),
         {"diagonal-consistency": 12, "structure-sheaf-vector-eigen": 12,
          "dual-vector-eigen": 12, "raising-lowering-commutator": 6,
          "twisted-commutator": 6}),
-    "ModuleContext.l_scalar": (
-        l_scalar, times_v(l_scalar, lambda i, d: 2 * d[i - 1]),
+    "ModuleContext.l_form": (
+        l_form, slope_plus_2e_i(l_form),
         {"diagonal-consistency": 14, "diagonal-conjugates-raising": 12,
          "diagonal-conjugates-lowering": 12,
          "diagonal-conjugates-twisted-raising": 12,
@@ -241,3 +252,28 @@ def test_relation_records_match_the_point_loop(bind_everywhere, monkeypatch,
             killed = KILL_TABLE[name][2] if name in KILL_TABLE else {}
             assert +failed == Counter({family: count for family, count
                                        in killed.items() if family in failed})
+
+
+def test_commutator_diagonality_failures_carry_replayable_witnesses(
+        bind_everywhere):
+    # the mid-row raising mutant breaks E_i F_i - F_i E_i off the diagonal;
+    # each failing record names the first entry that does not vanish, and
+    # the entry replays from its JSON against the paths of both words
+    original, mutant, killed = KILL_TABLE["raising_product"]
+    assert bind_everywhere(original, mutant)
+    ctx = ModuleContext(3)
+    records = [r for i in (1, 2) for r in diagonality_check(ctx, i, 2)]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert len(failed) == killed["commutator-diagonality"] == 2
+    assert all("witness" not in r for r in records if r["status"] != "fail")
+    for rec in failed:
+        E, F = op_E(ctx, rec["i"]), op_F(ctx, rec["i"])
+        source = FixedPoint.from_json(rec["witness"]["source"])
+        target = FixedPoint.from_json(rec["witness"]["target"])
+        assert source.degree == tuple(rec["degree"]) and target != source
+        parts = [c for q, c in operators._paths((E, F), source)
+                 if q == target] \
+            + [-c for q, c in operators._paths((F, E), source) if q == target]
+        replayed = witness_entry(ctx, rec["witness"])
+        assert not replayed.is_zero()
+        assert eq_exact(rat_sum(ctx.ring, parts), replayed)

@@ -31,8 +31,8 @@ from qtoda.operators import (
     verify_summation_identity,
     verify_relations,
 )
-from qtoda.symbolic import (LaurentPoly, RatFunc, UsageError, eq_exact,
-                            rat_sum, sum_is_zero)
+from qtoda.symbolic import (SLOT_LIMIT, LaurentPoly, RatFunc, UsageError,
+                            eq_exact, rat_sum, sum_is_zero, unpack, v_shifted)
 
 
 def test_grouped_keeps_first_seen_key_and_item_order():
@@ -67,6 +67,33 @@ class TestDiagonalScalars:
         # i = 2, d = (0, 1): t_1^{-1} t_2^{-1} v^{1 + 2*(3-2)/2}
         assert ctx3.l_scalar(2, (0, 1)) == \
             ctx3.ring.t_monomial({1: -1, 2: -1}, v_power=2)
+
+    def test_forms_give_the_closed_scalars(self):
+        # the scalars written out here, not read from any form: K_i acts on
+        # degree d by t_{i+1} t_i^-1 v^{2d_i - d_{i-1} - d_{i+1} + 1} and L_i
+        # by t_1^-1 .. t_i^-1 v^{d_i + i(n-i)/2}, with d_0 = d_n = 0; the
+        # last exponent of a monomial counts half units of v
+        n = 4
+        ctx = ModuleContext(n)
+        ring = ctx.ring
+        checked = 0
+        for degree in all_degrees(n, 2):
+            d = (0, *degree, 0)
+            for i in range(1, n):
+                kappa = ring.monomial(
+                    [-(k == i) + (k == i + 1) for k in range(1, n + 1)]
+                    + [2 * (2 * d[i] - d[i - 1] - d[i + 1] + 1)])
+                ell = ring.monomial([-(k <= i) for k in range(1, n + 1)]
+                                    + [2 * d[i] + i * (n - i)])
+                assert ctx.k_scalar(i, degree) == kappa
+                assert ctx.l_scalar(i, degree) == ell
+                for power in (-1, 1, 2):
+                    assert op_K(ctx, i, power).scalar(degree) == kappa ** power
+                    assert op_L(ctx, i, power).scalar(degree) == ell ** power
+                cartan = operators._cartan_commutator_rhs(ctx, i)
+                assert cartan.scalar(degree) == kappa - kappa ** -1
+                checked += 1
+        assert checked == 3 * 27
 
     def test_row_index_validation(self):
         ctx = ModuleContext(3)
@@ -397,29 +424,50 @@ def witness_entry(ctx, witness):
 
 
 def scale_l_by_total_degree(monkeypatch, ctx):
-    """L_i acts on degree d by its scalar times v^{|d|}.  A constant factor
-    would cancel in L_i X_j L_i^{-1}; this one leaves v^{±1} there for every
-    X_j, so each conjugation breaks wherever X_j moves a point."""
-    original = ctx.l_scalar
-    monkeypatch.setattr(ctx, "l_scalar", lambda i, d: original(i, d)
-                        * ctx.ring.v(sum(d)))
+    """L_i acts on degree d by its scalar times v^{|d|}: each slope of its
+    form one more in every component.  A constant factor would cancel in
+    L_i X_j L_i^{-1}; this one leaves v^{±1} there for every X_j, so each
+    conjugation breaks wherever X_j moves a point."""
+    original = ctx.l_form
+    monkeypatch.setattr(ctx, "l_form", lambda i: [
+        (tuple(s + 1 for s in slope), c) for slope, c in original(i)])
+
+
+def plain_commutator_fold(ctx, i):
+    """The terms of the plain (i, i) commutator, their fold and shapes, and
+    the key of the Cartan shape, the one with no chain."""
+    [terms] = [terms for name, params, terms in relation_suite(ctx)
+               if name == "raising-lowering-commutator"
+               and params == {"i": i, "j": i}]
+    shapes = {}
+    fold = operators._fold(ctx.ring, terms, shapes)
+    [cartan_key] = [key for key in fold if not shapes[key][0]]
+    return terms, shapes, fold, cartan_key
 
 
 class TestDegreeFold:
-    """`_shape_multipliers` folds each diagonal operator into its term's
-    multiplier once per degree; the unfolded terms are the reference."""
+    """`_fold` folds each relation's diagonal operators once, into one
+    degree-linear form per shape; the unfolded terms are the reference."""
 
-    def test_conjugations_cancel_to_no_terms(self):
-        ctx = ModuleContext(4)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_conjugations_and_inner_consistencies_fold_to_nothing(self, n):
+        # no shape is left at any degree, not just at the in-box ones; the
+        # outermost consistency keeps one shape with no chain and one pair
+        ctx = ModuleContext(n)
         checked = 0
         for name, params, terms in relation_suite(ctx):
-            if name.startswith("diagonal-conjugates"):
-                split = operators._split(terms)
-                for d in in_box_degrees(4, 2, terms):
-                    assert operators._shape_multipliers(
-                        ctx.ring, split, d, {}) == {}
-                    checked += 1
-        assert checked
+            if name != "diagonal-consistency" \
+                    and not name.startswith("diagonal-conjugates"):
+                continue
+            shapes = {}
+            fold = operators._fold(ctx.ring, terms, shapes)
+            if name == "diagonal-consistency" and params["i"] == n - 1:
+                [(key, form)] = fold.items()
+                assert shapes[key][0] == () and len(form) == 1
+            else:
+                assert fold == {}
+            checked += 1
+        assert checked == (n - 1) + 4 * (n - 1) ** 2
 
     def test_plain_commutator_folds_to_three_shapes(self):
         # at every in-box degree of (3, 2), E_i F_i - F_i E_i - the Cartan
@@ -429,21 +477,47 @@ class TestDegreeFold:
         ring = ctx.ring
         cartan_part = RatFunc.from_frac(ring.one(), ring.one() - ring.v(2))
         checked = 0
-        for name, params, terms in relation_suite(ctx):
-            i = params["i"]
-            if name != "raising-lowering-commutator" or i != params["j"]:
-                continue
-            split = operators._split(terms)
+        for i in (1, 2):
+            terms, shapes, fold, cartan_key = plain_commutator_fold(ctx, i)
+            assert len(fold) == 3
+            assert eq_exact(shapes[cartan_key][1], cartan_part)
             for d in in_box_degrees(3, 2, terms):
-                shapes = {}
-                mults = operators._shape_multipliers(ring, split, d, shapes)
-                assert len(mults) == 3
-                [cartan_key] = [key for key in mults if not shapes[key][0]]
+                mults = {key: operators.form_at(form, d)
+                         for key, form in fold.items()}
+                assert not any(m.is_zero() for m in mults.values())
                 kappa = ctx.k_scalar(i, d)
-                assert eq_exact(shapes[cartan_key][1], cartan_part)
                 assert mults[cartan_key] == ring.v(1) * (kappa - kappa ** -1)
                 checked += 1
         assert checked == 12
+
+    def test_a_degree_shift_past_the_slot_limit_raises(self):
+        ring = ModuleContext(3).ring
+        nvars = ring.nvars
+        # the total digit: t_1^{L-2} takes v^1 (digit L) but not v^2
+        big = ring.t(1, SLOT_LIMIT - 2)
+        [key] = v_shifted(big, 1).terms
+        assert unpack(key, nvars) == (SLOT_LIMIT - 2, 0, 0, 2)
+        with pytest.raises(UsageError):
+            v_shifted(big, 2)
+        # the v digit, both ways: v^1 takes v^{±k} but not v^{±(k+1)}
+        k = (SLOT_LIMIT - 2) // 2
+        for sign in (1, -1):
+            [key] = v_shifted(ring.v(1), sign * k).terms
+            assert unpack(key, nvars) == (0, 0, 0, 2 + 2 * sign * k)
+            with pytest.raises(UsageError):
+                v_shifted(ring.v(1), sign * (k + 1))
+        # so a relation at a far degree raises before it checks a point
+        ctx = ModuleContext(3)
+        terms, shapes, fold, _ = plain_commutator_fold(ctx, 1)
+        # <slope, far> = 2 * far_1 for K_1's slope (2, -1): a v digit past
+        # SLOT_LIMIT once doubled
+        far = (SLOT_LIMIT // 4 + 1, 0)
+        group = [("raising-lowering-commutator", {"i": 1, "j": 1},
+                  operators._max_prefix_shift(terms), fold)]
+        with pytest.raises(UsageError):
+            operators._relations_at_degree(ctx, SLOT_LIMIT, group, far, shapes)
+        with pytest.raises(UsageError):
+            ctx.k_scalar(1, far)
 
     def test_broken_diagonal_fails_where_the_reference_fails(
             self, monkeypatch):
@@ -482,7 +556,7 @@ class TestDegreeFold:
                     [(q, entry)] = op.terms(p)
                     assert q == p and not entry.factors
                     assert entry.unit == scalar
-        assert all(op(ctx, 1).scalar is None
+        assert all(op(ctx, 1).form is None
                    for op in (op_E, op_F, op_e, op_f))
 
 

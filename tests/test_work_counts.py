@@ -23,12 +23,13 @@ the K_3 identity holds only modulo the determinant, so it was decided at
 each of the 74 fixed points of the box, each with a one-part lift.  The
 `_over_common_den` bound was tightened when that identity, whose one
 shape has no chain, began to be decided at the first point of each degree
-alone: before that the same run made 872 calls.  The `_shape_multipliers`
-bound is the count measured when a relation with no diagonal operator
-began to be folded once per group, not once per in-box degree; before
-that the same run made 1,635 folds.  The relation suite divides no
-binomial.  The closed-product
-bounds are the counts measured when each closed entry began to be built
+alone: before that the same run made 872 calls.  `_fold` runs once per
+relation, 81 times at n = 4 (3 diagonal consistencies and 78 relations of
+the (i, j)), since each diagonal operator became a degree-linear form;
+before that `_shape_multipliers` folded every relation at every in-box
+degree, 1,335 times, and 1,635 before a relation with no diagonal operator
+was folded once per group.  The relation suite divides no binomial.  The
+closed-product bounds are the counts measured when each closed entry began to be built
 once per (row pair, column); before that the run made 171 + 171.  The
 whittaker bounds are the counts measured when each module's twin code
 paths were folded into one owner, but for the RatFunc product bound: that
@@ -60,7 +61,7 @@ from qtoda.whittaker import whittaker_records
 
 MODULES = (symbolic, operators, whittaker, toda)
 FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
-             "lowering_product", "binomial_quotient", "_shape_multipliers")
+             "lowering_product", "binomial_quotient", "_fold")
 
 
 def count_work(monkeypatch, suite):
@@ -100,7 +101,7 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
         "raising_product": 49,
         "lowering_product": 46,
         "binomial_quotient": 0,
-        "_shape_multipliers": 1335,
+        "_fold": 81,
     }
     records, counts = count_work(monkeypatch, relation_records)
     assert len(records) == 2268
