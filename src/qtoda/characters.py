@@ -13,9 +13,11 @@ Tangent characters at a fixed point come in two independent forms: a
 first-principles "chain" computation from sheaf-Hom characters of the flag
 (the oracle), and a closed multiplicity formula used by the fast paths.
 Their agreement is a test target, not an assumption.  The closed form is
-one pass over the rows that adds each weight's multiplicity into one
-{key: mult} dict; the oracle adds its Hom blocks as polynomials, one
-`poly_sum` per chain, and the two share no formula helper.
+a sum of pieces, piece i reading only rows i and i + 1 of the array: one
+routine adds a piece's multiplicities into a {key: mult} dict, and the
+tangent character adds every piece into one.  The oracle adds its Hom
+blocks as polynomials, one `poly_sum` per chain, and the two share no
+formula helper.
 """
 
 from __future__ import annotations
@@ -111,24 +113,24 @@ def _square_keys(ring: TVRing) -> Tuple[Tuple[int, ...], int]:
             next(iter(ring.v(2).terms)))
 
 
-def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
-    """Tangent character at a fixed point, closed multiplicity formula.
+def _add_piece(mult: Dict[int, int], ring: TVRing, i: int,
+               upper: Sequence[int], lower: Sequence[int]) -> int:
+    """Add the multiplicities of piece i of the tangent character into
+    `mult`, and return the digit bound of its weights.
 
-    For each ordered pair of lines (j, k) the multiplicity of the weight
-    t_k^2 t_j^{-2} v^{2l} is read off the triangular array directly; no
-    sheaf cohomology is recomputed.  Must agree with tangent_char_oracle.
-
-    The multiplicities go straight into one {key: mult} dict, the framing
-    correction (the l = 0 weight of every j < k) included.  The weight has
-    key 2 key(t_k) - 2 key(t_j) + l key(v^2).  Each nonempty run
-    l = lo..hi raises the digit bound to the weight's own bound (2, or 0
-    when j = k) plus 4 max(|lo|, |hi|), and the framing weights have bound 2.
+    Piece i is every run of weights that reads only row i (`upper`) and row
+    i + 1 (`lower`, zero for i = n - 1).  The weight t_k^2 t_j^{-2} v^{2l}
+    has key 2 key(t_k) - 2 key(t_j) + l key(v^2), and the runs are:
+    - for every pair of lines j, k <= i, l = a_{ij} - a_{ik} + 1 ..
+      a_{ij} - a_{i+1,k} once;
+    - the framing runs of column i + 1: for every j <= i, l = 1..a_{ij}
+      once (l = 0 cancels the framing weight of the pair (j, i + 1)) and
+      l = a_{ij} - a_{i+1,i+1} + 1 .. a_{ij} minus once.
+    Each nonempty run l = lo..hi raises the bound, from 2 (the framing
+    weights' own), to the weight's own bound (2, or 0 when j = k) plus
+    4 max(|lo|, |hi|).
     """
-    _check_ring(ring, p)
-    n = ring.n
     tsq, vsq = _square_keys(ring)
-    rows = ((),) + p.rows + ((0,) * n,)  # rows[i][j - 1] = a_{ij}, i = 0..n
-    mult: Dict[int, int] = {}
     bound = 2
 
     def run(base: int, lo: int, hi: int, w_bound: int, sign: int) -> None:
@@ -139,21 +141,51 @@ def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
         for key in range(base + lo * vsq, base + (hi + 1) * vsq, vsq):
             mult[key] = mult.get(key, 0) + sign
 
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            base = tsq[k - 1] - tsq[j - 1]
-            w_bound = 2 if j != k else 0
-            if j < k:
-                a = rows[k - 1][j - 1]
-                run(base, 1, a, 2, 1)  # l = 0 cancels the framing weight
-                run(base, a - rows[k][k - 1] + 1, a, 2, -1)
-            for i in range(max(j, k), n):
-                upper = rows[i][j - 1]
-                run(base, upper - rows[i][k - 1] + 1,
-                    upper - rows[i + 1][k - 1], w_bound, 1)
+    for j, a in enumerate(upper, start=1):
+        base = tsq[i] - tsq[j - 1]
+        run(base, 1, a, 2, 1)
+        run(base, a - lower[i] + 1, a, 2, -1)
+        for k, b in enumerate(upper, start=1):
+            run(tsq[k - 1] - tsq[j - 1], a - b + 1, a - lower[k - 1],
+                2 if j != k else 0, 1)
+    return bound
+
+
+def _character(ring: TVRing, mult: Dict[int, int], bound: int) -> LaurentPoly:
     if bound > SLOT_LIMIT:
         raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     return LaurentPoly(ring, {key: m for key, m in mult.items() if m}, bound)
+
+
+def piece_char(ring: TVRing, i: int, upper: Sequence[int],
+               lower: Sequence[int]) -> LaurentPoly:
+    """Piece i of the tangent character (see `_add_piece`): the weights
+    that read only row i = upper and row i + 1 = lower.  Its multiplicities
+    can be negative; the pieces i = 1..n-1 of a point sum to its
+    tangent_char."""
+    if not 1 <= i <= ring.n - 1 or len(upper) != i or len(lower) != i + 1:
+        raise UsageError(f"piece {i} needs rows of lengths {i} and {i + 1}")
+    mult: Dict[int, int] = {}
+    return _character(ring, mult, _add_piece(mult, ring, i, upper, lower))
+
+
+def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
+    """Tangent character at a fixed point, closed multiplicity formula.
+
+    For each ordered pair of lines (j, k) the multiplicity of the weight
+    t_k^2 t_j^{-2} v^{2l} is read off the triangular array directly; no
+    sheaf cohomology is recomputed.  Must agree with tangent_char_oracle.
+
+    The character is the sum of its pieces i = 1..n-1, each added by
+    `_add_piece` into one {key: mult} dict, the framing correction
+    included; its bound is the largest of theirs.
+    """
+    _check_ring(ring, p)
+    rows = p.rows + ((0,) * ring.n,)  # rows[i - 1] = row i, i = 1..n
+    mult: Dict[int, int] = {}
+    bound = max(_add_piece(mult, ring, i, rows[i - 1], rows[i])
+                for i in range(1, ring.n))
+    return _character(ring, mult, bound)
 
 
 def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:
@@ -209,24 +241,29 @@ def char_dimension(chi: LaurentPoly) -> int:
     return sum(chi.terms.values())
 
 
+def weight_inverse(chi: LaurentPoly) -> RatFunc:
+    """prod_w (1 - w)^{-mult} over the character's weights, for
+    multiplicities of either sign.  Raises DegeneracyError if the trivial
+    weight occurs."""
+    ring = chi.ring
+    if not isinstance(ring, TVRing):
+        raise UsageError("character must live in a torus ring")
+    if 0 in chi.terms:
+        raise DegeneracyError("trivial weight in character: point not isolated")
+    # 1 - w, straight from w's key; chi's bound covers w's digits
+    return RatFunc.from_factors(ring, ring.one(), [
+        (LaurentPoly(ring, {0: 1, key: -1}, chi.bound), -mult)
+        for key, mult in sorted(chi.terms.items())])
+
+
 def sym_inverse(chi: LaurentPoly) -> RatFunc:
     """Inverse of the orientation product over the character's weights,
     prod_w (1 - w)^{-mult}.  Raises DegeneracyError if the trivial weight
     occurs or a multiplicity is negative.
     """
-    ring = chi.ring
-    if not isinstance(ring, TVRing):
-        raise UsageError("character must live in a torus ring")
-    factor_list = []
-    for key, mult in sorted(chi.terms.items()):
-        if mult < 0:
-            raise DegeneracyError("negative weight multiplicity in character")
-        if key == 0:
-            raise DegeneracyError("trivial weight in character: point not isolated")
-        # 1 - w, straight from w's key; chi's bound covers w's digits
-        one_minus_w = LaurentPoly(ring, {0: 1, key: -1}, chi.bound)
-        factor_list.append((one_minus_w, -mult))
-    return RatFunc.from_factors(ring, ring.one(), factor_list)
+    if any(mult < 0 for mult in chi.terms.values()):
+        raise DegeneracyError("negative weight multiplicity in character")
+    return weight_inverse(chi)
 
 
 def det_weight(ring: TVRing, p: FixedPoint) -> LaurentPoly:

@@ -120,19 +120,24 @@ def enumerate_points(n: int, degree: Sequence[int]) -> List[FixedPoint]:
     """All fixed points for the given rank and degree vector, in
     lexicographic order of rows.
 
-    Row i is built from each array of rows 1..i-1: its first i - 1 entries
-    run over the product of 0..a_{i-1,j} (in lexicographic order), and its
-    last entry, where a new coordinate line enters the flag, takes what is
-    left of d_i.
+    Row i is built from each array of rows 1..i-1 by `admissible_rows`.
     """
     degree = check_degree(n, degree)
     arrays: List[Rows] = [((),)]  # row 0 is empty
     for d in degree:
-        arrays = [rows + (head + (d - sum(head),),) for rows in arrays
-                  for head in itertools.product(
-                      *(range(min(a, d) + 1) for a in rows[-1]))
-                  if sum(head) <= d]
+        arrays = [rows + (row,) for rows in arrays
+                  for row in admissible_rows(rows[-1], d)]
     return [FixedPoint(n, rows[1:]) for rows in arrays]
+
+
+def admissible_rows(upper: Sequence[int], d: int) -> List[Tuple[int, ...]]:
+    """The rows summing to d that can follow the row `upper` in an array,
+    in lexicographic order: the first len(upper) entries run over the
+    product of 0..min(a, d), each capped by the entry a above it, and the
+    last entry, where a new coordinate line enters the flag, takes what is
+    left of d."""
+    return [head + (d - sum(head),) for head in itertools.product(
+        *(range(min(a, d) + 1) for a in upper)) if sum(head) <= d]
 
 
 def _positive_interval_vectors(n: int) -> List[DegreeVector]:

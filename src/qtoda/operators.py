@@ -77,8 +77,10 @@ from .characters import (
     corr_tangent_char,
     line_weight,
     modification_weight,
+    piece_char,
     sym_inverse,
     tangent_char,
+    weight_inverse,
     weight_ratio,
 )
 from .fixed_points import (
@@ -213,6 +215,14 @@ class ModuleContext:
         """S-character of the tangent space at p (the localization factor)."""
         return self.memo("sym", p.rows,
                          lambda: sym_inverse(tangent_char(self.ring, p)))
+
+    def piece_factor(self, i: int, upper: Tuple[int, ...],
+                     lower: Tuple[int, ...]) -> RatFunc:
+        """g_i = prod_w (1 - w)^{-mult} over piece i of the tangent
+        character, for row i = upper and row i + 1 = lower: the sym factor
+        of a point is the product of its pieces'."""
+        return self.memo("piece", (i, upper, lower), lambda: weight_inverse(
+            piece_char(self.ring, i, upper, lower)))
 
     def corr_sym_factor(self, p: FixedPoint, i: int, j: int) -> RatFunc:
         """S-character of the correspondence tangent space at (p, p+e_{ij})."""
@@ -963,7 +973,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
 
     # the j-th parts of the two halves share the poles s_j - s_k, so each
     # pair is summed first
-    rhs = rat_sum(ring, [[a.scale_poly(q), -b]
+    rhs = rat_sum(ring, [rat_sum(ring, [a.scale_poly(q), -b])
                          for a, b in zip(columns(False), columns(True))])
     return lhs, rhs
 

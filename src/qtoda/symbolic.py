@@ -48,11 +48,7 @@ carry in their denominators, for as long as the division is exact (a
 prefix sum along the lattice lines e + Z s, checked by multiplying back).
 Localization sums collapse to small rational functions, so the partial
 sums stay small instead of growing to the lcm of every part's
-denominator.  `rat_sum` also takes nested lists of parts and sums
-them innermost first.  The localization sums over fixed points nest their
-parts by the rows of the points, the stages of the flag, last row
-innermost: each inner sum then acts as a pushforward along the map that
-forgets one stage, and its poles cancel while its numerator is still small.
+denominator.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Terms = Dict[int, int]  # packed monomial key -> nonzero coefficient
@@ -832,42 +828,23 @@ def _tree_sum(parts: Sequence[RatFunc], lo: int, hi: int) -> RatFunc:
     return _add(_tree_sum(parts, lo, mid), _tree_sum(parts, mid, hi))
 
 
-Parts = Sequence[Union[RatFunc, List["Parts"]]]
-
-
-def rat_sum(ring: Ring, terms: Parts) -> RatFunc:
+def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
     """Sum of rational functions, added pairwise in a balanced tree.
 
     Each pairwise sum is taken over the least common tracked denominator and
     then cancels the tracked binomials it can (see `_add`), so the partial
     sums stay near the size of the reduced result instead of growing to the
-    lcm of every part's denominator.  A part that is a list is summed first,
-    recursively, so nested parts are added innermost first: a caller that
-    groups parts whose poles cancel together keeps every partial sum small.
-    A lone flat part, the only nonzero one given, is cancelled the same way
-    against each tracked binomial of its own denominator: a part that
-    pieces of one denominator were folded into then prints as their sum
-    does.  A nested group's sum is not cancelled again: `_add` has already
-    tried each binomial its summands share.
+    lcm of every part's denominator.  A lone part, the only nonzero one
+    given, is cancelled the same way against each tracked binomial of its
+    own denominator: a part that pieces of one denominator were folded into
+    then prints as their sum does.
     """
-    live = [t for t in terms if isinstance(t, list) or not t.unit.is_zero()]
-    if len(live) == 1 and not isinstance(live[0], list):
+    live = [t for t in terms if not t.unit.is_zero()]
+    if len(live) == 1:
         r = live[0]
         below = [key for key, (_, e) in r.factors.items() if e < 0]
         return _cancelled(ring, r.unit, dict(r.factors), below) if below \
             else r
-    return _nested_sum(ring, live)
-
-
-def _nested_sum(ring: Ring, terms: Parts) -> RatFunc:
-    """The `rat_sum` of terms, each list among them summed first, with no
-    cancellation of a lone part."""
-    live = []
-    for t in terms:
-        if isinstance(t, list):
-            t = _nested_sum(ring, t)
-        if not t.unit.is_zero():
-            live.append(t)
     return _tree_sum(live, 0, len(live)) if live else RatFunc.zero(ring)
 
 

@@ -5,7 +5,8 @@ Two series are tested, both read from the module context one degree at a
 time: the Whittaker pairing series I_d = m_d J_d (`whittaker_pair_closed`,
 the unit monomial `_closed_monomial` times `sheaf_rgamma`) and the
 coefficient-sum series J_d = `sheaf_rgamma` itself, so both read the one
-localization sum, built once per degree.
+localization sum, built once per degree by the transfer over adjacent rows
+(`whittaker.suffix_sum`): the suite builds no per-point sym factor.
 The two difference operators act through shift monomials: shifting slot j
 of the degree lattice multiplies the coefficient by
 t_j^sigma v^{d_j - d_{j-1}} (sigma = -1 in our conventions; the

@@ -27,6 +27,13 @@ coefficient sum of the structure-sheaf vector.  It rests on a per-point
 identity, checked at every fixed point: the dual-vector coefficient times
 the pairing weight is m_d, so the localized pairing sum is m_d times that
 coefficient sum term by term.
+
+The coefficient sum `sheaf_rgamma` is not summed point by point.  The sym
+factor of a point is a product of pieces g_i, piece i reading only rows i
+and i + 1, so the sum over the points of a degree is a transfer over the
+rows: `suffix_sum` sums g_i times the suffix sum of the next row over the
+rows that can follow row i, and each suffix sum is built once per
+context, shared by every degree and every row above it.
 """
 
 from __future__ import annotations
@@ -36,13 +43,13 @@ from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .characters import det_weight
-from .fixed_points import (DegreeVector, FixedPoint, Rows, all_degrees,
-                           check_rows, padded, shifted)
+from .fixed_points import (DegreeVector, FixedPoint, Rows, admissible_rows,
+                           all_degrees, check_degree, check_rows, padded,
+                           shifted)
 from .operators import (
     ModuleContext,
     ModuleVector,
     basis_vector,
-    grouped,
     op_E,
     op_F,
     raising_product,
@@ -50,7 +57,6 @@ from .operators import (
 )
 from .symbolic import (
     LaurentPoly,
-    Parts,
     RatFunc,
     TVRing,
     UsageError,
@@ -95,41 +101,52 @@ def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
     return ctx.memo("theta", p.rows, build)
 
 
-def by_rows(pairs: Sequence[Tuple[FixedPoint, RatFunc]],
-            row: int = 0) -> Parts:
-    """The parts of (point, part) pairs nested the way the space fibres: one
-    group per value of row 1, in it one group per value of row 2, and so on,
-    the last row innermost.  `rat_sum` of the result sums each fibre of the
-    map that forgets a stage before the fibres are added."""
-    if not pairs or row == len(pairs[0][0].rows) - 1:
-        return [part for _, part in pairs]
-    groups = grouped((p.rows[row], (p, part)) for p, part in pairs)
-    return [by_rows(g, row + 1) for g in groups.values()]
-
-
 def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
                     y: ModuleVector) -> RatFunc:
     """The pairing of two graded vectors; distinct degrees are orthogonal."""
     if tuple(x.degree) != tuple(y.degree):
         return RatFunc.zero(ctx.ring)
-    return rat_sum(ctx.ring, by_rows(
-        [(p, xc * y.coeffs[p] * pairing_weight(ctx, p))
-         for p, xc in x.coeffs.items() if p in y.coeffs]))
+    return rat_sum(ctx.ring, [xc * y.coeffs[p] * pairing_weight(ctx, p)
+                              for p, xc in x.coeffs.items() if p in y.coeffs])
 
 
-def rgamma_char(ctx: ModuleContext, x: ModuleVector) -> RatFunc:
-    """Global-sections character of a localized class: the plain coefficient
-    sum (each fixed-point class contributes 1)."""
-    return rat_sum(ctx.ring, by_rows(list(x.coeffs.items())))
+# ---------------------------------------------------------------------------
+# The coefficient sum of the structure-sheaf vector, by a transfer over rows
+# ---------------------------------------------------------------------------
+
+def suffix_sum(ctx: ModuleContext, row: Tuple[int, ...],
+               tail: Tuple[int, ...]) -> RatFunc:
+    """F_i(row; tail), i = len(row): the sum over the rows i + 1..n-1 that
+    can follow row i = `row`, of row sums `tail` = (d_{i+1}, .., d_{n-1}),
+    of the product of the pieces g_i .. g_{n-1} of the sym factor
+    (`ModuleContext.piece_factor`; row n is zero).
+
+    F_{n-1}(row) = g_{n-1}(row, 0), and F_i(row; tail) is one flat
+    `rat_sum` of g_i(row, low) F_{i+1}(low; tail[1:]) over the
+    `admissible_rows` low of sum tail[0].  Each F is built once per
+    context and key, so every degree and every row i - 1 above it share
+    it."""
+    def build() -> RatFunc:
+        i = len(row)
+        if not tail:
+            return ctx.piece_factor(i, row, (0,) * (i + 1))
+        return rat_sum(ctx.ring, [
+            ctx.piece_factor(i, row, low) * suffix_sum(ctx, low, tail[1:])
+            for low in admissible_rows(row, tail[0])])
+
+    return ctx.memo("suffix_sum", (row, tail), build)
 
 
 def sheaf_rgamma(ctx: ModuleContext, degree: Sequence[int]) -> RatFunc:
-    """rgamma_char of the structure-sheaf Whittaker component at one degree,
-    once per degree and context: the closed Whittaker pairing and the Toda
-    coefficient-sum series share it."""
-    degree = tuple(degree)
-    return ctx.memo("sheaf_rgamma", degree,
-                    lambda: rgamma_char(ctx, whittaker_k(ctx, degree)))
+    """Global-sections character of the structure-sheaf Whittaker component
+    at one degree: the sum of sym_factor(p) over the fixed points p of
+    degree d.  The sym factor is the product of the pieces g_1..g_{n-1},
+    piece i reading rows i and i + 1 alone, so the sum is the transfer
+    F_1((d_1); d_2, .., d_{n-1}) of `suffix_sum`, built once per degree and
+    context; the closed Whittaker pairing and the Toda coefficient-sum
+    series share it."""
+    degree = check_degree(ctx.n, degree)
+    return suffix_sum(ctx, degree[:1], degree[1:])
 
 
 # ---------------------------------------------------------------------------

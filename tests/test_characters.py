@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from qtoda import characters
 from qtoda.characters import (
     based_correction,
     char_dimension,
@@ -16,15 +17,18 @@ from qtoda.characters import (
     det_weight,
     line_weight,
     modification_weight,
+    piece_char,
     sym_inverse,
     tangent_char,
     tangent_char_oracle,
+    weight_inverse,
     weight_ratio,
 )
 from qtoda.fixed_points import (FixedPoint, all_degrees, enumerate_points,
                                 raise_moves)
-from qtoda.symbolic import (DegeneracyError, EvalPoint, RatFunc, eq_exact,
-                            geometric_block, tv_ring)
+from qtoda.operators import ModuleContext
+from qtoda.symbolic import (DegeneracyError, EvalPoint, RatFunc, UsageError,
+                            eq_exact, geometric_block, poly_sum, tv_ring)
 
 
 def grid(max_n, max_total):
@@ -103,6 +107,77 @@ class TestOnePassTangentChar:
                 assert chi.terms == want.terms
                 assert chi.bound == want.bound
                 assert chi == tangent_char_oracle(ring, p)
+
+
+add_piece = characters._add_piece
+
+
+def last_piece_run_shifted(mult, ring, i, upper, lower):
+    """`_add_piece` with one run off by one: in the last piece, the framing
+    run l = 1..a_{n-1,1} of the weight t_n^2 t_1^{-2} v^{2l} moves to
+    l = 2..a_{n-1,1} + 1."""
+    bound = add_piece(mult, ring, i, upper, lower)
+    a = upper[0]
+    if i < ring.n - 1 or not a:
+        return bound
+    tsq, vsq = characters._square_keys(ring)
+    base = tsq[i] - tsq[0]
+    for key, step in ((base + vsq, -1), (base + (a + 1) * vsq, 1)):
+        mult[key] = mult.get(key, 0) + step
+    return max(bound, 2 + 4 * (a + 1))
+
+
+def pieces(p):
+    """(i, row i, row i + 1) for i = 1..n-1, row n zero."""
+    rows = p.rows + ((0,) * p.n,)
+    return [(i, rows[i - 1], rows[i]) for i in range(1, p.n)]
+
+
+class TestPieces:
+    """The tangent character splits into pieces, piece i reading rows i and
+    i + 1 alone; the Toda series sums their factors by a transfer."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_pieces_sum_to_the_oracle(self, n):
+        ring = tv_ring(n)
+        for d in all_degrees(n, 2):
+            for p in enumerate_points(n, d):
+                total = poly_sum(ring, [piece_char(ring, *x)
+                                        for x in pieces(p)])
+                assert total == tangent_char_oracle(ring, p), p
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_piece_factors_multiply_to_the_sym_factor(self, n):
+        ctx = ModuleContext(n)
+        for d in all_degrees(n, 2):
+            for p in ctx.points(d):
+                product = RatFunc.one(ctx.ring)
+                for x in pieces(p):
+                    product = product * ctx.piece_factor(*x)
+                assert eq_exact(product, ctx.sym_factor(p)), p
+
+    def test_a_piece_may_carry_negative_multiplicities(self):
+        # piece 1 of [[0]; [0, 1]] is -t_2^2 t_1^{-2}, which piece 2 takes
+        # back, and its factor tracks 1 - w upstairs
+        ring = tv_ring(3)
+        chi = piece_char(ring, 1, (0,), (0, 1))
+        assert chi == -weight_ratio(ring, 2, 1)
+        with pytest.raises(DegeneracyError):
+            sym_inverse(chi)
+        assert eq_exact(weight_inverse(chi) * weight_inverse(-chi),
+                        RatFunc.one(ring))
+
+    def test_trivial_weight_rejected(self):
+        ring = tv_ring(2)
+        with pytest.raises(DegeneracyError):
+            weight_inverse(ring.v(2) - ring.one())
+
+    @pytest.mark.parametrize("i,upper,lower", [
+        (0, (), (0,)), (3, (0, 0, 0), (0, 0, 0, 0)), (1, (1,), (0,)),
+        (2, (1,), (0, 0, 0))])
+    def test_rows_must_fit_the_piece(self, i, upper, lower):
+        with pytest.raises(UsageError):
+            piece_char(tv_ring(3), i, upper, lower)
 
 
 class TestCorrespondenceChar:

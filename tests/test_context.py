@@ -3,7 +3,7 @@ component is built once per context, and sharing them changes no record."""
 
 import pytest
 
-from qtoda import operators, toda, whittaker
+from qtoda import operators, whittaker
 from qtoda.cli import EXIT_PASS, SUITES, main
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext, op_E, op_F, op_e, op_f
@@ -96,13 +96,27 @@ def test_whittaker_suite_builds_each_closed_entry_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def recorded_builds(monkeypatch):
+    """The (kind, key) of every item a ModuleContext builds, in order."""
+    builds = []
+    memo = ModuleContext.memo
+
+    def recording(self, kind, key, build):
+        return memo(self, kind, key,
+                    lambda: builds.append((kind, key)) or build())
+
+    monkeypatch.setattr(ModuleContext, "memo", recording)
+    return builds
+
+
 def test_full_verify_builds_each_whittaker_coefficient_once(monkeypatch,
                                                             tmp_path):
     # verify --suite full runs the whittaker suite, then the toda suite;
-    # both read the coefficient sum per degree, and neither sums the
-    # pairing of the structure-sheaf vector against another
-    pairs, sums = [], []
-    pair, rgamma = whittaker.shapovalov_pair, whittaker.rgamma_char
+    # the coefficient sum sheaf_rgamma, the transfer's F_1((d_1); d_2..),
+    # is built once per degree, and nothing sums the pairing of the
+    # structure-sheaf vector against another
+    pairs = []
+    pair = whittaker.shapovalov_pair
 
     def counted_pair(ctx, x, y):
         # the structure-sheaf component: its coefficients are the sym factors
@@ -111,19 +125,27 @@ def test_full_verify_builds_each_whittaker_coefficient_once(monkeypatch,
             pairs.append(tuple(x.degree))
         return pair(ctx, x, y)
 
-    def counted_rgamma(ctx, x):
-        sums.append(tuple(x.degree))
-        return rgamma(ctx, x)
-
     monkeypatch.setattr(whittaker, "shapovalov_pair", counted_pair)
-    for module in (whittaker, toda):
-        monkeypatch.setattr(module, "rgamma_char", counted_rgamma,
-                            raising=False)
+    builds = recorded_builds(monkeypatch)
     out = tmp_path / "full.jsonl"
     assert main(["verify", "--n", "3", "--box", "2", "--out", str(out)]) \
         == EXIT_PASS
     assert pairs == []
-    assert sorted(sums) == sorted(all_degrees(3, 2))
+    assert sorted(row + tail for kind, (row, tail) in
+                  (b for b in builds if b[0] == "suffix_sum")
+                  if len(row) == 1) == sorted(all_degrees(3, 2))
+
+
+def test_toda_suite_builds_no_sym_factor(monkeypatch, tmp_path):
+    # the transfer multiplies the pieces of the sym factors; no point's own
+    # sym factor, and so no structure-sheaf component, is built
+    builds = recorded_builds(monkeypatch)
+    out = tmp_path / "toda.jsonl"
+    assert main(["verify", "--n", "3", "--box", "2", "--suite", "toda",
+                 "--out", str(out)]) == EXIT_PASS
+    kinds = {kind for kind, _ in builds}
+    assert "piece" in kinds and "suffix_sum" in kinds
+    assert not kinds & {"sym", "whittaker_k"}
 
 
 def test_toda_suite_builds_no_dual_whittaker_vector(monkeypatch, tmp_path):

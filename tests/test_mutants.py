@@ -11,7 +11,10 @@ list instead.  The scale mutants multiply a diagonal scalar, a prefactor,
 a closed product, a point weight, a closed monomial or the Toda
 eigenvalue by a power of v: the adjoint and eigen records must see each
 monomial they fold in.  The zero twist sets Sevostyanov's c(i, j) to 0
-and must break the twisted relations alone.
+and must break the twisted relations alone.  The piece mutant moves one
+run of the last piece of the tangent character by one: `tangent_char`
+and the Toda transfer's piece factors both read that routine, so it is
+the row of the closed tangent character too.
 
 Each mutant is bound wherever qtoda binds its original (the
 `bind_everywhere` fixture), since `from m import f` copies the name into
@@ -29,6 +32,7 @@ from qtoda.fixed_points import FixedPoint, all_degrees
 from qtoda.operators import (ModuleContext, diagonality_check, op_E, op_F,
                              relation_suite, sevostyanov_c, verify_relations)
 from qtoda.symbolic import RatFunc, eq_exact, rat_sum
+from test_characters import add_piece, last_piece_run_shifted
 from test_operators import decide, witness_entry
 
 # each mutated function as it is before any mutant is bound
@@ -115,6 +119,13 @@ KILL_TABLE = {
                               "partial-fraction-identity": 3,
                               "sum-op-eigen": 8, "difference-op-eigen": 8,
                               "shift-sign-calibration": 1}),
+    # one run of the last piece of the tangent character off by one: every
+    # sym factor and the transfer's last piece factors read it
+    "_add_piece": (add_piece, last_piece_run_shifted,
+                   {"raising-lowering-adjoint": 6,
+                    "structure-sheaf-vector-eigen": 6,
+                    "dual-vector-eigen": 6, "sum-op-eigen": 4,
+                    "difference-op-eigen": 4, "shift-sign-calibration": 1}),
     "zero sevostyanov_c": (sevostyanov_c, lambda i, j: 0,
                            {"twisted-commutator": 8,
                             "serre-twisted-raising": 4,

@@ -1003,50 +1003,3 @@ class TestSumIsZero:
                       [RatFunc.one(R2), RatFunc.one(R2), RatFunc.zero(other)]):
             with pytest.raises(UsageError):
                 sum_is_zero(parts)
-
-
-@st.composite
-def nested_parts(draw, depth=0):
-    """(nested, flat): 0-4 items over the shared tracked factors of
-    ratfunc_strategy, each a part, a sublist nested the same way (it may be
-    empty or hold one item), or a sublist that sums to zero (a part and its
-    negation refactored as expanded -num/den); flat lists the same parts in
-    order."""
-    kinds = ["part", "zero"] + (["list"] if depth < 3 else [])
-    nested, flat = [], []
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "list":
-            sub, sub_flat = draw(nested_parts(depth + 1))
-            nested.append(sub)
-            flat += sub_flat
-            continue
-        r = draw(ratfunc_strategy())
-        if kind == "part":
-            nested.append(r)
-            flat.append(r)
-        else:
-            num, den = r.num_den()
-            pair = [r, RatFunc.from_frac(-num, den)]
-            nested.append(pair)
-            flat += pair
-    return nested, flat
-
-
-class TestNestedSum:
-    @given(nested_parts())
-    @settings(max_examples=150, deadline=None)
-    def test_nested_sum_equals_the_flat_sum(self, nested_flat):
-        nested, flat = nested_flat
-        total = rat_sum(R2, nested)
-        assert eq_exact(total, rat_sum(R2, flat))
-        assert total.is_zero() == sum_is_zero(flat)
-
-    def test_empty_and_zero_sublists_drop_out(self):
-        f = one_minus((0, 0, 4))
-        a = RatFunc.from_frac(R2.one(), f)
-        b = RatFunc.from_frac(R2.v(2), f)
-        assert rat_sum(R2, [[], [[]]]).is_zero()
-        # the inner sum 1/(1 - v^2) - v^2/(1 - v^2) reduces to 1 first
-        total = rat_sum(R2, [[], [a, -b], [[RatFunc.one(R2)]]])
-        assert total.unit == R2.const(2) and not total.factors

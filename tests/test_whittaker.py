@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qtoda import symbolic, whittaker
+from qtoda import characters, whittaker
 from qtoda.characters import det_weight
 from qtoda.fixed_points import FixedPoint, all_degrees, enumerate_points
 from qtoda.operators import (
@@ -17,7 +17,6 @@ from qtoda.operators import (
 )
 from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
 from qtoda.whittaker import (
-    by_rows,
     dual_eigen_check,
     line_pushforward_sides,
     lowering_edges,
@@ -25,7 +24,6 @@ from qtoda.whittaker import (
     pairing_prefactor,
     pairing_weight,
     partial_fraction_identity,
-    rgamma_char,
     shapovalov_pair,
     sheaf_rgamma,
     whittaker_k,
@@ -33,6 +31,7 @@ from qtoda.whittaker import (
     whittaker_records,
     whittaker_w,
 )
+from test_characters import last_piece_run_shifted
 
 
 class TestPairing:
@@ -92,10 +91,10 @@ class TestPairing:
         assert eq_exact(shapovalov_pair(ctx, x, y),
                         shapovalov_pair(ctx, y, x))
 
-    def test_rgamma_of_basis_vector_is_one(self):
-        ctx = ModuleContext(3)
-        p = enumerate_points(3, (1, 1))[0]
-        assert eq_exact(rgamma_char(ctx, basis_vector(ctx, p)),
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sheaf_rgamma_at_degree_zero_is_one(self, n):
+        ctx = ModuleContext(n)
+        assert eq_exact(sheaf_rgamma(ctx, (0,) * (n - 1)),
                         RatFunc.one(ctx.ring))
 
 
@@ -222,68 +221,33 @@ class TestWhittakerPairing:
                            "point": [[1], [1, 0]]}]
 
 
-def flatten(nested):
-    out = []
-    for x in nested:
-        out += flatten(x) if isinstance(x, list) else [x]
-    return out
+def point_sum(ctx, degree):
+    """The coefficient sum the old way, the reference for the transfer: one
+    flat rat_sum of sym_factor(p) over the points of the degree."""
+    return rat_sum(ctx.ring, [ctx.sym_factor(p) for p in ctx.points(degree)])
 
 
-def depth(nested):
-    return 1 + max((depth(x) for x in nested if isinstance(x, list)),
-                   default=0)
+class TestTransfer:
+    """sheaf_rgamma sums the products of the adjacent-row pieces by the
+    transfer over rows; its value is the point-by-point sum's."""
 
-
-class TestSumsAlongTheFibration:
-    """shapovalov_pair and rgamma_char sum their parts nested by the rows of
-    the points; the value is the flat sum's."""
-
-    @pytest.mark.parametrize("n,degree", [(4, (2, 2, 2)), (5, (1, 1, 1, 1))])
-    def test_nested_sums_equal_flat_sums(self, n, degree):
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_transfer_equals_the_point_sum(self, n):
         ctx = ModuleContext(n)
-        k, w = whittaker_k(ctx, degree), whittaker_w(ctx, degree)
-        flat_pair = rat_sum(ctx.ring, [c * w.coeffs[p] * pairing_weight(ctx, p)
-                                       for p, c in k.coeffs.items()])
-        assert eq_exact(shapovalov_pair(ctx, k, w), flat_pair)
-        assert eq_exact(rgamma_char(ctx, k),
-                        rat_sum(ctx.ring, list(k.coeffs.values())))
+        for d in all_degrees(n, 2):
+            assert eq_exact(sheaf_rgamma(ctx, d), point_sum(ctx, d)), d
 
-    @pytest.mark.parametrize("n,degree", [(2, (3,)), (4, (2, 2, 2)),
-                                          (5, (1, 2, 2, 1))])
-    def test_by_rows_groups_each_fibre(self, n, degree):
-        points = enumerate_points(n, degree)
-        nested = by_rows([(p, p) for p in points])
-        assert sorted(flatten(nested), key=lambda p: p.rows) \
-            == sorted(points, key=lambda p: p.rows)
-        assert depth(nested) == n - 1
-
-        def check(group, row):
-            # every point of a group agrees on the rows above it
-            points = flatten(group)
-            assert len({p.rows[:row] for p in points}) == 1
-            for sub in group:
-                if isinstance(sub, list):
-                    check(sub, row + 1)
-        check(nested, 0)
-        assert by_rows([]) == []
-
-    def test_nested_sum_divides_smaller_numerators(self, monkeypatch):
-        ctx = ModuleContext(5)
-        degree = (2, 2, 2, 2)
-        terms = []
-        original = symbolic.binomial_quotient
-
-        def counted(p, s_key):
-            terms.append(len(p.terms))
-            return original(p, s_key)
-
-        monkeypatch.setattr(symbolic, "binomial_quotient", counted)
-        nested = sheaf_rgamma(ctx, degree)
-        nested_terms = sum(terms)
-        terms.clear()
-        flat = rat_sum(ctx.ring, list(whittaker_k(ctx, degree).coeffs.values()))
-        assert eq_exact(nested, flat)
-        assert 0 < nested_terms < sum(terms)
+    def test_a_shifted_run_of_the_last_piece_fails(self, bind_everywhere):
+        # the mutant moves one framing run of the last piece, which only
+        # points with a_{n-1,1} > 0 carry: degree 0 still agrees
+        degrees = all_degrees(4, 2)
+        reference = ModuleContext(4)
+        want = {d: point_sum(reference, d) for d in degrees}
+        assert bind_everywhere(characters._add_piece, last_piece_run_shifted)
+        ctx = ModuleContext(4)
+        wrong = [d for d in degrees if not eq_exact(sheaf_rgamma(ctx, d),
+                                                    want[d])]
+        assert wrong and (0, 0, 0) not in wrong
 
 
 def broken_lowering(n, i, degree, edit):

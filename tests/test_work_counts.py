@@ -43,6 +43,15 @@ and 13,715 term products.  The `binomial_quotient` bounds are the counts
 measured when `rat_sum` stopped cancelling a nested group's lone sum
 again against the binomials of its denominator, which `_add` had already
 tried; before that the toda run made 558 calls and the whittaker run 65.
+The toda bounds were set again when the coefficient sums began to be
+built by the transfer over adjacent rows, from the piece factors of the
+tangent character, in place of the per-point sym factors nested by rows:
+before that the same run made no RatFunc product, 74 `_over_common_den`
+calls, 8,508 term products and 250 `binomial_quotient` calls.  The 75
+RatFunc products are the transfer's own, each piece g_i times a suffix
+sum F_{i+1}; the run builds no tangent character of a point
+(`tangent_char` 0), so no per-point sym factor and no structure-sheaf
+component.
 
 Each counted function is wrapped in every qtoda module that binds it
 (`whittaker` imports its own `sum_is_zero`, `toda` its own
@@ -53,15 +62,15 @@ LaurentPoly product a * b.
 
 import pytest
 
-from qtoda import operators, symbolic, toda, whittaker
+from qtoda import characters, operators, symbolic, toda, whittaker
 from qtoda.operators import ModuleContext, relation_records
-from qtoda.symbolic import LaurentPoly, RatFunc
+from qtoda.symbolic import LaurentPoly, RatFunc, eq_exact, rat_sum
 from qtoda.toda import toda_records
-from qtoda.whittaker import whittaker_records
+from qtoda.whittaker import sheaf_rgamma, whittaker_records
 
-MODULES = (symbolic, operators, whittaker, toda)
+MODULES = (symbolic, characters, operators, whittaker, toda)
 FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
-             "lowering_product", "binomial_quotient", "_fold")
+             "lowering_product", "binomial_quotient", "_fold", "tangent_char")
 
 
 def count_work(monkeypatch, suite):
@@ -92,6 +101,29 @@ def count_work(monkeypatch, suite):
     return list(suite(ModuleContext(4), 2)), counts
 
 
+def test_transfer_divides_smaller_numerators_than_the_point_sum(
+        monkeypatch):
+    # at (5; 2,2,2,2) the transfer sums each suffix while its numerator is
+    # small, so it passes fewer terms to the binomial division than the
+    # flat sum of the sym factors of the degree's points
+    ctx = ModuleContext(5)
+    degree = (2, 2, 2, 2)
+    terms = []
+    original = symbolic.binomial_quotient
+
+    def counted(p, s_key):
+        terms.append(len(p.terms))
+        return original(p, s_key)
+
+    monkeypatch.setattr(symbolic, "binomial_quotient", counted)
+    transfer = sheaf_rgamma(ctx, degree)
+    transfer_terms = sum(terms)
+    terms.clear()
+    flat = rat_sum(ctx.ring, [ctx.sym_factor(p) for p in ctx.points(degree)])
+    assert eq_exact(transfer, flat)
+    assert 0 < transfer_terms < sum(terms)
+
+
 def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     bounds = {
         "RatFunc.__mul__": 2756,
@@ -115,14 +147,16 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     (whittaker_records, 497, {"RatFunc.__mul__": 934, "sum_is_zero": 891,
                               "raising_product": 214,
                               "lowering_product": 98,
-                              "binomial_quotient": 65}),
-    # the toda suite reads sheaf_rgamma alone: no RatFunc product and no
-    # closed entry; its eigen checks lift each degree once and call no
-    # sum_is_zero
-    (toda_records, 55, {"RatFunc.__mul__": 0, "sum_is_zero": 0,
-                        "_over_common_den": 74, "term products": 8508,
+                              "binomial_quotient": 65,
+                              "tangent_char": 185}),
+    # the toda suite reads sheaf_rgamma alone: no closed entry and no
+    # point's tangent character, since the transfer multiplies piece
+    # factors (its only RatFunc products, piece times suffix sum); its
+    # eigen checks lift each degree once and call no sum_is_zero
+    (toda_records, 55, {"RatFunc.__mul__": 75, "sum_is_zero": 0,
+                        "_over_common_den": 57, "term products": 7955,
                         "raising_product": 0, "lowering_product": 0,
-                        "binomial_quotient": 250}),
+                        "binomial_quotient": 248, "tangent_char": 0}),
 ], ids=["whittaker", "toda"])
 def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
                                             bounds):
