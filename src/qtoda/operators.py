@@ -516,12 +516,6 @@ def grouped(pairs: Iterable[Tuple[K, T]]) -> Dict[K, List[T]]:
     return groups
 
 
-def vanishes(pairs: Iterable[Tuple[Hashable, RatFunc]]) -> bool:
-    """True when every key's parts from `grouped` sum to zero, the keys
-    tried in first-seen order until one fails."""
-    return all(sum_is_zero(parts) for parts in grouped(pairs).values())
-
-
 def apply_op(op: GradedOperator, x: ModuleVector, box: int) -> ModuleVector:
     """Exact sparse matrix-vector product; targets outside 0..box drop.
     The tests' reference for operator action: no check here calls it."""

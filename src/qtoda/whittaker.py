@@ -15,32 +15,34 @@ The two distinguished vectors are:
   twisted raising generator with the same eigenvalue.
 
 The adjoint record and both eigen records of a row i and a degree d are
-decided from one list of lowering edges: the products B_qp = F_i[q -> p]
-sym_factor(q), one per entry of F_i from degree d + e_i down to d.  Every
-other factor is a monomial per degree or per point (the K_i powers of the
-twisted generators, the pairing prefactor, det_weight, the dual prefactor),
-so no composite operator is walked, the pairing weight is built only in the
+decided at each point p of d, and each identity reads only rows i - 1, i
+and i + 1 of p.  The sym factor of a point is a product of pieces g_k,
+piece k reading only rows k and k + 1, so every factor but the two pieces
+that read row i is the same at p and at each point q = p + e_{ij} that
+E_i reaches; it divides out, as does a monomial per degree or per point.
+What is left reads the three rows alone: the entries E_i[p -> q] and
+F_i[q -> p], the two pieces at p and at q, and monomials in d_{i-1}, d_i
+and d_{i+1}.  So the three verdicts are decided once per (i, row i - 1,
+row i, row i + 1) and read by every point, of any degree, with those rows;
+no composite operator is walked, no pairing weight is built outside the
 box and neither Whittaker vector is built at d + e_i.
 
-Their pairing degree by degree has a closed form: a monomial m_d times the
-coefficient sum of the structure-sheaf vector.  It rests on a per-point
-identity, checked at every fixed point: the dual-vector coefficient times
-the pairing weight is m_d, so the localized pairing sum is m_d times that
-coefficient sum term by term.
+The pairing of the two vectors, degree by degree, has a closed form: a
+monomial m_d times the coefficient sum of the structure-sheaf vector.  It
+rests on a per-point identity, checked at every fixed point: the
+dual-vector coefficient times the pairing weight is m_d, so the localized
+pairing sum is m_d times that coefficient sum term by term.
 
-The coefficient sum `sheaf_rgamma` is not summed point by point.  The sym
-factor of a point is a product of pieces g_i, piece i reading only rows i
-and i + 1, so the sum over the points of a degree is a transfer over the
-rows: `suffix_sum` sums g_i times the suffix sum of the next row over the
-rows that can follow row i, and each suffix sum is built once per
-context, shared by every degree and every row above it.
+The coefficient sum `sheaf_rgamma` is not summed point by point either:
+by the same pieces, the sum over the points of a degree is a transfer
+over the rows.  `suffix_sum` sums g_i times the suffix sum of the next
+row over the rows that can follow row i, and each suffix sum is built
+once per context, shared by every degree and every row above it.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Iterator, List, Sequence, Tuple
 
 from .characters import det_weight
 from .fixed_points import (DegreeVector, FixedPoint, Rows, admissible_rows,
@@ -53,7 +55,6 @@ from .operators import (
     op_E,
     op_F,
     raising_product,
-    vanishes,
 )
 from .symbolic import (
     LaurentPoly,
@@ -190,115 +191,139 @@ def whittaker_w(ctx: ModuleContext, degree: Sequence[int]) -> ModuleVector:
     return ctx.memo("whittaker_w", degree, build)
 
 
-# one lowering edge of row i landing on degree d: (q, p, F_i[q -> p] S(T_q))
-# for q of degree d + e_i
-Edge = Tuple[FixedPoint, FixedPoint, RatFunc]
+# ---------------------------------------------------------------------------
+# Adjointness and both eigen-properties, decided per three rows
+# ---------------------------------------------------------------------------
+
+# the records a local verdict triple decides, in its order
+LOCAL_CHECKS = ("raising-lowering-adjoint", "structure-sheaf-vector-eigen",
+                "dual-vector-eigen")
 
 
-def lowering_edges(ctx: ModuleContext, i: int,
-                   degree: Sequence[int]) -> List[Edge]:
-    """Every entry of F_i from degree d + e_i down to d as (q, p, B_qp),
-    with B_qp = F_i[q -> p] sym_factor(q): one product per entry, in the
-    order of the points of d + e_i and of their entries.
-
-    The adjoint record and both eigen records of (i, d) are decided from
-    these products alone; every other factor they need is a monomial per
-    degree or per point.  That is exact for two reasons.  Operators are
-    homogeneous (the reason `_fold` gives), so a diagonal K_i
-    acts on every basis vector of one degree by the same scalar, and each
-    entry of a twisted composite is an F_i entry times a monomial.  And the adjoint
-    identity of a point pair is multiplied through by a nonzero rational
-    function, a product of sym factors, which is the same as dividing by
-    its inverse and changes no verdict."""
-    F = op_F(ctx, i)
-    return [(q, p, entry * ctx.sym_factor(q))
-            for q in ctx.points(shifted(degree, i))
-            for p, entry in F.terms(q)]
+def local_key(i: int, p: FixedPoint) -> Tuple[int, Rows]:
+    """(i, (row i - 1, row i, row i + 1)) of p, row 0 empty and row n
+    zero: all that the three identities of row i at p read."""
+    return i, (p.row(i - 1), p.row(i), p.row(i + 1))
 
 
-def _eigen_sums_vanish(ctx: ModuleContext,
-                       vector: Callable[[ModuleContext, Sequence[int]],
-                                        ModuleVector],
-                       degree: Sequence[int],
-                       parts: Iterable[Tuple[Rows, RatFunc]]) -> bool:
-    """The parts (p.rows, part) of an operator applied to a vector at degree
-    d + e_i, minus vector(d)(p) / (1 - v^2), sum to zero at every point p
-    of degree d; each p's target part comes first.  The target parts are
-    built once per context, vector and degree, so every row reads the same
-    ones."""
-    degree = tuple(degree)
+def local_sym(ctx: ModuleContext, i: int, p: FixedPoint) -> RatFunc:
+    """sigma_i(p) = g_{i-1}(row i - 1, row i) g_i(row i, row i + 1), the two
+    pieces of sym_factor(p) that read row i (`ModuleContext.piece_factor`;
+    there is no g_0).  Built once per context and `local_key`."""
+    def build() -> RatFunc:
+        upper, mid, low = p.row(i - 1), p.row(i), p.row(i + 1)
+        g = ctx.piece_factor(i, mid, low)
+        return ctx.piece_factor(i - 1, upper, mid) * g if i > 1 else g
 
-    def build() -> List[Tuple[Rows, RatFunc]]:
-        ring = ctx.ring
-        minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
-        return [(p.rows, c * minus_scale)
-                for p, c in vector(ctx, degree).coeffs.items()]
-
-    return vanishes(itertools.chain(
-        ctx.memo("eigen_target", (vector.__name__, degree), build), parts))
+    return ctx.memo("local_sym", local_key(i, p), build)
 
 
-def lowering_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
-                         edges: Sequence[Edge]) -> bool:
-    """f_i = K_i^{-i} F_i applied to the structure-sheaf vector at degree
-    d + e_i equals 1/(1-v^2) times its degree-d component.  Its coefficient
-    at q is sym_factor(q), and K_i^{-i} acts on degree d by k_i(d)^{-i}, so
-    the part of the edge q -> p is k_i(d)^{-i} B_qp, read from `edges`, the
-    `lowering_edges` of (i, d)."""
-    k = ctx.k_scalar(i, degree) ** -i
-    return _eigen_sums_vanish(ctx, whittaker_k, degree, (
-        (p.rows, b.scale_poly(k)) for _, p, b in edges))
+def local_parts(ctx: ModuleContext, i: int, p: FixedPoint
+                ) -> Tuple[List[List[RatFunc]], List[RatFunc], List[RatFunc]]:
+    """The parts of the three identities of row i at the point p of degree
+    d, each divided by a nonzero factor that changes no verdict: the
+    adjoint pair of every q that E_i reaches from p, then the parts of the
+    structure-sheaf and of the dual eigen-equation at p.
+
+    The sym factor of any point x is R_i sigma_i(x) (`local_sym`), and R_i,
+    the product of the pieces that do not read row i, is the same at p and
+    at every q = p + e_{ij}; every identity is divided by it.  With
+    B_q = F_i[q -> p] sigma_i(q), c = `pairing_prefactor`, omega =
+    `dual_whittaker_prefactor` and k = k_i(d), the parts are:
+    - adjoint, E_i[p -> q] theta_q = F_i[q -> p] theta_p times
+      S(p) S(q) / (R_i c_d det(p)):
+      E_i[p -> q] sigma_i(p) (c_{d+e_i} / c_d) (det(q) / det(p)) and -B_q;
+    - structure sheaf, f_i = K_i^{-i} F_i on the structure-sheaf vector
+      at d + e_i, over R_i: k^{-i} B_q for each q, and
+      -sigma_i(p) / (1 - v^2);
+    - dual, K_i^{2i} f_i on the dual vector at d + e_i, over
+      R_i omega(d) / det(p): k^i (omega(d + e_i) / omega(d))
+      (det(p) / det(q)) B_q for each q, and -sigma_i(p) / (1 - v^2).
+    The q read are those that E_i reaches from p, which are the points
+    whose F_i entries land on p: both operators walk the single-entry moves
+    of row i.
+
+    Every monomial reads d_{i-1}, d_i and d_{i+1} alone, taken here from
+    the row sums of the key, so the parts are those of any point with the
+    same `local_key`."""
+    ring = ctx.ring
+    E, F = op_E(ctx, i), op_F(ctx, i)
+    d = tuple(sum(p.row(k)) if abs(k - i) <= 1 else 0
+              for k in range(1, ctx.n))
+    up = shifted(d, i)
+    c_ratio = pairing_prefactor(ring, up) * pairing_prefactor(ring, d) ** -1
+    k = ctx.k_scalar(i, d)
+    dual_scale = k ** i * dual_whittaker_prefactor(ring, up) \
+        * dual_whittaker_prefactor(ring, d) ** -1
+    sigma_p = local_sym(ctx, i, p)
+    det_p = _det(ctx, p)
+    adjoint: List[List[RatFunc]] = []
+    sheaf: List[RatFunc] = []
+    dual: List[RatFunc] = []
+    for q, e in E.terms(p):
+        det_ratio = _det(ctx, q) * det_p ** -1
+        f = next((f for x, f in F.terms(q) if x.rows == p.rows), None)
+        b = RatFunc.zero(ring) if f is None else f * local_sym(ctx, i, q)
+        adjoint.append([(e * sigma_p).scale_poly(c_ratio * det_ratio), -b])
+        sheaf.append(b.scale_poly(k ** -i))
+        dual.append(b.scale_poly(dual_scale * det_ratio ** -1))
+    target = sigma_p * RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
+    return adjoint, sheaf + [target], dual + [target]
 
 
-def dual_eigen_check(ctx: ModuleContext, i: int, degree: Sequence[int],
-                     edges: Sequence[Edge]) -> bool:
-    """K_i^{2i} f_i, the pairing-adjoint of the twisted raising generator,
-    applied to the dual vector at degree d + e_i equals 1/(1-v^2) times its
-    degree-d component.  Its coefficient at q is omega(d + e_i) det(q)^{-1}
-    sym_factor(q), with omega = `dual_whittaker_prefactor`, and K_i^{2i}
-    K_i^{-i} acts on degree d by k_i(d)^i, so the part of the edge q -> p
-    is k_i(d)^i omega(d + e_i) det(q)^{-1} B_qp, read from `edges`, the
-    `lowering_edges` of (i, d)."""
-    scalar = ctx.k_scalar(i, degree) ** i \
-        * dual_whittaker_prefactor(ctx.ring, shifted(degree, i))
-    return _eigen_sums_vanish(ctx, whittaker_w, degree, (
-        (p.rows, b.scale_poly(scalar * _det(ctx, q) ** -1))
-        for q, p, b in edges))
+def local_verdicts(ctx: ModuleContext, i: int,
+                   p: FixedPoint) -> Tuple[bool, bool, bool]:
+    """Whether the adjoint, the structure-sheaf eigen and the dual eigen
+    identity of row i hold at p, in the order of `LOCAL_CHECKS`: decided
+    from `local_parts` once per context and `local_key`, so every point
+    with the same three rows, at any degree, reads one triple."""
+    def build() -> Tuple[bool, bool, bool]:
+        adjoint, sheaf, dual = local_parts(ctx, i, p)
+        return (all(sum_is_zero(pair) for pair in adjoint),
+                sum_is_zero(sheaf), sum_is_zero(dual))
+
+    return ctx.memo("local_verdicts", local_key(i, p), build)
 
 
-def eigen_records(ctx: ModuleContext, i: int, degree: Sequence[int],
-                  edges: Optional[Sequence[Edge]] = None) -> Iterator[dict]:
-    """Both Whittaker eigen records of row i landing on degree d, decided
-    from one list of lowering edges, built here unless given."""
-    if edges is None:
-        edges = lowering_edges(ctx, i, degree)
-    for check, holds in (("structure-sheaf-vector-eigen", lowering_eigen_check),
-                         ("dual-vector-eigen", dual_eigen_check)):
-        yield {"check": check, "i": i, "degree": list(degree),
-               "status": "pass" if holds(ctx, i, degree, edges) else "fail"}
+def _local_record(ctx: ModuleContext, check: int, i: int,
+                  degree: Sequence[int]) -> dict:
+    """The record of LOCAL_CHECKS[check] for row i at degree d: the AND of
+    its local verdict over the points of d.  A failing record names the
+    rows of the first point, in `ctx.points` order, where it fails."""
+    record = {"check": LOCAL_CHECKS[check], "i": i, "degree": list(degree)}
+    for p in ctx.points(degree):
+        if not local_verdicts(ctx, i, p)[check]:
+            return {**record, "status": "fail",
+                    "point": [list(r) for r in p.rows]}
+    return {**record, "status": "pass"}
 
 
-def _adjoint_holds(ctx: ModuleContext, i: int, degree: Sequence[int],
-                   edges: Sequence[Edge]) -> bool:
-    """E_i and F_i are adjoint on degrees d and d + e_i: for every point pair
-    (p, q) that either operator links, E_i[p -> q] theta_q - F_i[q -> p]
-    theta_p sums to zero (the pairing of E_i[p] with [q] against that of
-    [p] with F_i[q]).
+def adjoint_check(ctx: ModuleContext, i: int, degree: Sequence[int]) -> dict:
+    """The record of: E_i and F_i are adjoint on degrees d and d + e_i."""
+    return _local_record(ctx, 0, i, degree)
 
-    Each pair's parts are multiplied by sym_factor(p) sym_factor(q), a
-    nonzero rational function, which changes no verdict.  With theta_x =
-    c_x det(x) / sym_factor(x), c = `pairing_prefactor`, they become
-    E_i[p -> q] sym_factor(p) c_{d+e_i} det(q) and -B_qp c_d det(p) (see
-    `lowering_edges`), so no theta is built."""
-    E = op_E(ctx, i)
-    c_up = pairing_prefactor(ctx.ring, shifted(degree, i))
-    minus_c = -pairing_prefactor(ctx.ring, degree)
-    return vanishes(itertools.chain(
-        (((p.rows, q.rows), (entry * ctx.sym_factor(p)).scale_poly(
-            c_up * _det(ctx, q)))
-         for p in ctx.points(degree) for q, entry in E.terms(p)),
-        (((p.rows, q.rows), b.scale_poly(minus_c * _det(ctx, p)))
-         for q, p, b in edges)))
+
+def lowering_eigen_check(ctx: ModuleContext, i: int,
+                         degree: Sequence[int]) -> dict:
+    """The record of: f_i = K_i^{-i} F_i applied to the structure-sheaf
+    vector at degree d + e_i equals 1/(1-v^2) times its degree-d
+    component."""
+    return _local_record(ctx, 1, i, degree)
+
+
+def dual_eigen_check(ctx: ModuleContext, i: int,
+                     degree: Sequence[int]) -> dict:
+    """The record of: K_i^{2i} f_i, the pairing-adjoint of the twisted
+    raising generator, applied to the dual vector at degree d + e_i equals
+    1/(1-v^2) times its degree-d component."""
+    return _local_record(ctx, 2, i, degree)
+
+
+def eigen_records(ctx: ModuleContext, i: int,
+                  degree: Sequence[int]) -> Iterator[dict]:
+    """Both Whittaker eigen records of row i landing on degree d."""
+    yield lowering_eigen_check(ctx, i, degree)
+    yield dual_eigen_check(ctx, i, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +432,24 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
     row i) and reported per point; the partial-fraction identity for
     i <= 4; and the two-path Whittaker pairing at every in-box degree.
 
-    Each (i, d) builds its `lowering_edges` once and decides its adjoint
-    record and both eigen verdicts from them; no edge is kept for the next
-    (i, d).  The adjoint records come out as they are decided;
-    the eigen records are kept and follow them all, so a run cut after
-    any record has written a prefix of the full stream.
+    The adjoint record and both eigen records of (i, d) read the
+    `local_verdicts` of the points of d, each decided once per (i, row
+    i - 1, row i, row i + 1).  The adjoint records come out as they are
+    decided; the eigen records follow them all and read the verdicts
+    already decided, so a run cut after any record has written a prefix
+    of the full stream.
     """
     n = ctx.n
     z = basis_vector(ctx, FixedPoint.zero(n))
     ok = eq_exact(shapovalov_pair(ctx, z, z), RatFunc.one(ctx.ring))
     yield {"check": "pairing-normalization",
            "status": "pass" if ok else "fail"}
-    eigen: List[dict] = []
     for i in range(1, n):
         for d in all_degrees(n, box):
-            edges = lowering_edges(ctx, i, d)
-            ok = _adjoint_holds(ctx, i, d, edges)
-            yield {"check": "raising-lowering-adjoint", "i": i,
-                   "degree": list(d), "status": "pass" if ok else "fail"}
-            eigen += eigen_records(ctx, i, d, edges)
-    yield from eigen
+            yield adjoint_check(ctx, i, d)
+    for i in range(1, n):
+        for d in all_degrees(n, box):
+            yield from eigen_records(ctx, i, d)
     for i in range(1, n):
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):

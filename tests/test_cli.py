@@ -300,9 +300,9 @@ class TestVerify:
     def test_budget_cut_whittaker_stream_is_a_prefix(self, capsys,
                                                      monkeypatch, count):
         # the adjoint records come out as their (row, degree) is decided and
-        # the eigen records from kept verdicts after them, so a run cut
-        # after any record, at either side of each family boundary, has
-        # written exactly the full run's first records: the config echo
+        # the eigen records from the verdicts kept per key after them, so a
+        # run cut after any record, at either side of each family boundary,
+        # has written exactly the full run's first records: the config echo
         # and `count` verdicts
         argv = ("verify", "--n", "4", "--box", "2", "--suite", "whittaker")
         _, full = run(capsys, *argv)

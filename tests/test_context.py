@@ -57,10 +57,10 @@ def test_unknown_path_is_rejected_before_anything_is_built(op, path):
 
 def test_whittaker_suite_builds_no_composite_and_no_theta_outside_the_box(
         monkeypatch):
-    # the adjoint and both eigen checks of (i, d) read one product
-    # F_i[q -> p] S(T_q) per lowering edge and fold every diagonal factor in
-    # as a monomial, so no composite operator is walked and the pairing
-    # weight is built only at the points the pairing records read
+    # the adjoint and both eigen checks read the entries of E_i and F_i
+    # and fold every diagonal factor in as a monomial, so no composite
+    # operator is walked and the pairing weight is built only at the points
+    # the pairing records read
     calls = []
     original = operators._paths
 

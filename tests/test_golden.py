@@ -41,7 +41,13 @@ was written once in a table over the plain and twisted generators.
 `verify --suite summation` at (5, 0) with seed 3 is the first pinned run of
 the summation suite; it was pinned from the code that still checked the
 identity on a hand-typed copy of the raising-times-lowering products,
-before its right side was built from the operators' own closed products."""
+before its right side was built from the operators' own closed products.
+`verify --suite whittaker` at (5, 2) is the first pinned whittaker run in
+which points of different degrees share the three rows that an adjoint or
+eigen identity of every row reads, and (3, 3) the first at box 3; both
+were pinned from the code that still decided those identities point by
+point, along every lowering edge, before each was decided once per (i,
+row i - 1, row i, row i + 1)."""
 
 import hashlib
 
@@ -54,6 +60,10 @@ GOLDEN = [
      "18e4dd70dd74c9e830f842af6b7bc8c60c628ad421639fbdfbe972b497dab5d9"),
     (["verify", "--n", "4", "--box", "2", "--suite", "whittaker"],
      "09f449e574a215f8cace41af1ed8caebda30cc6f81a2262ba362c3817d75f8f9"),
+    (["verify", "--n", "5", "--box", "2", "--suite", "whittaker"],
+     "3dc6ce6d1a94c90555b0c4b98c8c8bbd6292a4b8c2e47ab378e54ffaecea3bfb"),
+    (["verify", "--n", "3", "--box", "3", "--suite", "whittaker"],
+     "b7d7ce0f9bb6edcdc59524ab0146a2a337146ea65c9866a56c0e1c8510ecb093"),
     (["verify", "--n", "4", "--box", "2", "--suite", "relations"],
      "47280e0cc767648ca96739a12eff2d3d437a9c161af5f150965a52d387a282da"),
     (["verify", "--n", "5", "--box", "1", "--suite", "relations"],

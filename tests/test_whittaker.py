@@ -6,21 +6,26 @@ import pytest
 
 from qtoda import characters, whittaker
 from qtoda.characters import det_weight
-from qtoda.fixed_points import FixedPoint, all_degrees, enumerate_points
+from qtoda.fixed_points import (FixedPoint, all_degrees, enumerate_points,
+                                shifted)
 from qtoda.operators import (
     GradedOperator,
     ModuleContext,
     apply_op,
     basis_vector,
+    compose,
+    grouped,
     op_E,
     op_F,
+    op_K,
+    op_f,
 )
-from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum
+from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum, sum_is_zero
 from qtoda.whittaker import (
-    dual_eigen_check,
+    LOCAL_CHECKS,
     line_pushforward_sides,
-    lowering_edges,
-    lowering_eigen_check,
+    local_key,
+    local_parts,
     pairing_prefactor,
     pairing_weight,
     partial_fraction_identity,
@@ -32,6 +37,7 @@ from qtoda.whittaker import (
     whittaker_w,
 )
 from test_characters import last_piece_run_shifted
+from test_mutants import KILL_TABLE
 
 
 class TestPairing:
@@ -109,18 +115,37 @@ class TestWhittakerVectors:
 
     @pytest.mark.parametrize("n,box", [(2, 3), (3, 2)], ids=lambda x: str(x))
     def test_structure_sheaf_vector_eigen(self, n, box):
+        # f_i applied to the structure-sheaf vector at d + e_i, as a sparse
+        # matrix-vector product, is its degree-d component over 1 - v^2
         ctx = ModuleContext(n)
+        scale = RatFunc.from_frac(ctx.ring.one(), ctx.ring.one() - ctx.ring.v(2))
         for i in range(1, n):
-            for d in itertools.product(range(box + 1), repeat=n - 1):
-                assert lowering_eigen_check(ctx, i, d,
-                                            lowering_edges(ctx, i, d))
+            for d in all_degrees(n, box):
+                image = apply_op(op_f(ctx, i), whittaker_k(ctx, shifted(d, i)),
+                                 box)
+                assert_component(image, whittaker_k(ctx, d), scale)
 
     @pytest.mark.parametrize("n,box", [(2, 3), (3, 2)], ids=lambda x: str(x))
     def test_dual_vector_eigen(self, n, box):
+        # K_i^{2i} f_i, the pairing-adjoint of the twisted raising
+        # generator, does the same to the dual vector
         ctx = ModuleContext(n)
+        scale = RatFunc.from_frac(ctx.ring.one(), ctx.ring.one() - ctx.ring.v(2))
         for i in range(1, n):
-            for d in itertools.product(range(box + 1), repeat=n - 1):
-                assert dual_eigen_check(ctx, i, d, lowering_edges(ctx, i, d))
+            op = compose(op_K(ctx, i, 2 * i), op_f(ctx, i))
+            for d in all_degrees(n, box):
+                image = apply_op(op, whittaker_w(ctx, shifted(d, i)), box)
+                assert_component(image, whittaker_w(ctx, d), scale)
+
+
+def assert_component(image, vector, scale):
+    """image == scale * vector, coefficient by coefficient, over every
+    point of the vector's degree."""
+    assert image.degree == vector.degree
+    assert set(image.coeffs) <= set(vector.coeffs)
+    zero = RatFunc.zero(scale.ring)
+    for p, c in vector.coeffs.items():
+        assert eq_exact(image.coeffs.get(p, zero), c * scale), p
 
 
 class TestPushforwardIdentity:
@@ -306,19 +331,191 @@ class TestBrokenOperatorsFail:
         (drop_last_entry, 2, (1, 2)),
     ], ids=["scaled-row-1", "scaled-row-2", "dropped-row-2"])
     def test_every_reader_of_the_broken_entry_fails(self, edit, i, degree):
-        # the adjoint check and both eigen checks read the one list of
-        # lowering edges F_i[q -> p] S(T_q) of (i, d)
-        ctx, _ = broken_lowering(3, i, degree, edit)
+        # the adjoint check and both eigen checks at p read the entry
+        # F_i[q -> p] of every q that E_i reaches from p; each failing
+        # record names the point the broken entry lands on
+        ctx, p0 = broken_lowering(3, i, degree, edit)
+        real = op_F(ModuleContext(3), i).terms(p0)
+        target, _ = real[0] if edit is scale_first_entry_by_v else real[-1]
         below = tuple(x - (1 if k == i else 0)
                       for k, x in enumerate(degree, 1))
-        failed = [(r["check"], r["i"], tuple(r["degree"]))
+        failed = [(r["check"], r["i"], tuple(r["degree"]), r["point"])
                   for r in whittaker_records(ctx, 2) if r["status"] != "pass"]
-        assert failed == [(check, i, below) for check in (
-            "raising-lowering-adjoint", "structure-sheaf-vector-eigen",
-            "dual-vector-eigen")]
+        assert failed == [(check, i, below, [list(r) for r in target.rows])
+                          for check in LOCAL_CHECKS]
 
     def test_structure_sheaf_eigen_fails(self):
         ctx, _ = broken_lowering(3, 1, (1, 0), scale_first_entry_by_v)
         assert failing(ctx, 1, "structure-sheaf-vector-eigen") == [(1, (0, 0))]
         assert failing(ModuleContext(3), 1,
                        "structure-sheaf-vector-eigen") == []
+
+
+def reference_verdicts(ctx, i, degree):
+    """{p.rows: [adjoint, structure-sheaf eigen, dual eigen]} at every point
+    p of degree d, decided point by point with whole sym factors, as the
+    suite decided them before each was decided once per local key.
+
+    Every entry of F_i from d + e_i down to d is read as a lowering edge
+    (q, p, B_qp = F_i[q -> p] S(T_q)).  The adjoint pair (p, q) is
+    E_i[p -> q] theta_q - F_i[q -> p] theta_p times S(T_p) S(T_q); the
+    eigen parts at p are those of f_i and of K_i^{2i} f_i applied to the
+    Whittaker vectors at d + e_i, each less the vector's own coefficient at
+    p over 1 - v^2.  The qtoda functions are read through their modules,
+    so a mutant bound there reaches them."""
+    ring = ctx.ring
+    E, F = op_E(ctx, i), op_F(ctx, i)
+    up = shifted(degree, i)
+    edges = [(q, p, entry * ctx.sym_factor(q)) for q in ctx.points(up)
+             for p, entry in F.terms(q)]
+    det = whittaker._det
+    c_up = whittaker.pairing_prefactor(ring, up)
+    minus_c = -whittaker.pairing_prefactor(ring, degree)
+    adjoint = grouped(itertools.chain(
+        (((p.rows, q.rows), (entry * ctx.sym_factor(p)).scale_poly(
+            c_up * det(ctx, q)))
+         for p in ctx.points(degree) for q, entry in E.terms(p)),
+        (((p.rows, q.rows), b.scale_poly(minus_c * det(ctx, p)))
+         for q, p, b in edges)))
+    minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
+    k = ctx.k_scalar(i, degree)
+    dual_pref = whittaker.dual_whittaker_prefactor(ring, up)
+
+    def eigen(vector, parts):
+        return grouped(itertools.chain(
+            ((p.rows, c * minus_scale)
+             for p, c in vector(ctx, degree).coeffs.items()), parts))
+
+    sheaf = eigen(whittaker.whittaker_k,
+                  ((p.rows, b.scale_poly(k ** -i)) for _, p, b in edges))
+    dual = eigen(whittaker.whittaker_w, (
+        (p.rows, b.scale_poly(k ** i * dual_pref * det(ctx, q) ** -1))
+        for q, p, b in edges))
+    return {p.rows: [all(sum_is_zero(parts) for (source, _), parts
+                         in adjoint.items() if source == p.rows),
+                     sum_is_zero(sheaf[p.rows]), sum_is_zero(dual[p.rows])]
+            for p in ctx.points(degree)}
+
+
+def reference_records(ctx, box):
+    """{(check, i, degree): (status, first failing point)} of the adjoint
+    and both eigen families, from `reference_verdicts`."""
+    out = {}
+    for i in range(1, ctx.n):
+        for d in all_degrees(ctx.n, box):
+            verdicts = reference_verdicts(ctx, i, d)
+            for index, check in enumerate(LOCAL_CHECKS):
+                bad = [p for p in ctx.points(d) if not verdicts[p.rows][index]]
+                out[check, i, d] = ("fail", [list(r) for r in bad[0].rows]) \
+                    if bad else ("pass", None)
+    return out
+
+
+# the broken lowering operators of `TestBrokenOperatorsFail`, at n = 3,
+# where every local key is a whole point (for n >= 4 see
+# `TestLocality.test_a_fault_at_one_point_is_seen_at_its_keys_first_point`)
+BROKEN = {"scaled-row-1": (scale_first_entry_by_v, 1, (1, 0)),
+          "scaled-row-2": (scale_first_entry_by_v, 2, (1, 2)),
+          "scaled-row-2-low": (scale_first_entry_by_v, 2, (0, 1)),
+          "dropped-row-2": (drop_last_entry, 2, (1, 2))}
+
+# records whose local verdict differs from the point-by-point one.  The
+# mutant drops the last factor of every factor list: of the one tangent
+# character of a point, but of each piece of a local sym factor, so the two
+# paths divide by different factors.  The row-1 adjoint identity at the
+# degrees (0, 1, ..) then still holds locally at every point.
+DIFFERENCES = {
+    ("RatFunc.from_factors", 3, 2): {("raising-lowering-adjoint", 1, (0, 1))},
+    ("RatFunc.from_factors", 4, 1): {("raising-lowering-adjoint", 1, (0, 1, d))
+                                     for d in range(2)},
+    ("RatFunc.from_factors", 4, 2): {("raising-lowering-adjoint", 1, (0, 1, d))
+                                     for d in range(3)},
+}
+
+
+@pytest.mark.parametrize("n,box,name", [
+    (n, box, name) for n, box in [(3, 2), (4, 1), (4, 2)]
+    for name in ["unmutated", *KILL_TABLE]] + [
+    (3, 2, name) for name in BROKEN], ids=lambda x: str(x))
+def test_records_match_the_point_by_point_deciders(bind_everywhere, n, box,
+                                                   name):
+    # every adjoint and eigen record, decided once per local key, has the
+    # status and the witness of the whole-point deciders, unmutated, under
+    # every mutant of the kill table and under each broken operator
+    if name in BROKEN:
+        ctx, _ = broken_lowering(n, BROKEN[name][1], BROKEN[name][2],
+                                 BROKEN[name][0])
+    else:
+        if name in KILL_TABLE:
+            original, mutant, _ = KILL_TABLE[name]
+            assert bind_everywhere(original, mutant)
+        ctx = ModuleContext(n)
+    got = {(r["check"], r["i"], tuple(r["degree"])):
+           (r["status"], r.get("point"))
+           for r in whittaker_records(ctx, box) if r["check"] in LOCAL_CHECKS}
+    want = reference_records(ctx, box)
+    assert got.keys() == want.keys()
+    differ = {key for key in want if got[key] != want[key]}
+    assert differ == DIFFERENCES.get((name, n, box), set())
+    # the passing side of a difference is the local one
+    assert all(got[key][0] == "pass" for key in differ)
+
+
+class TestLocality:
+    """The three identities of row i at p read only rows i - 1, i and
+    i + 1 of p, so one decision serves every point with those rows."""
+
+    def test_points_that_share_a_key_share_their_parts(self):
+        ctx = ModuleContext(5)
+        points = [p for d in all_degrees(5, 2) for p in ctx.points(d)]
+        compared = 0
+        for i in range(1, 5):
+            by_key = grouped((local_key(i, p), p) for p in points)
+            for first, *rest in by_key.values():
+                want = flat_parts(local_parts(ctx, i, first))
+                for p in rest:
+                    got = flat_parts(local_parts(ctx, i, p))
+                    assert len(got) == len(want) and all(
+                        eq_exact(a, b) for a, b in zip(got, want)), (i, p)
+                    compared += p.rows != first.rows
+        assert compared == 1620 - 330
+
+    def test_keys_are_shared_across_degrees(self):
+        ctx = ModuleContext(5)
+        p = FixedPoint(5, ((1,), (1, 0), (1, 0, 0), (0, 0, 0, 0)))
+        q = FixedPoint(5, ((1,), (1, 0), (1, 0, 0), (1, 0, 0, 0)))
+        assert p.degree != q.degree and local_key(2, p) == local_key(2, q)
+        assert local_key(3, p) != local_key(3, q)
+
+    def test_a_fault_at_one_point_is_seen_at_its_keys_first_point(self):
+        # the records trust that entries are local: an F_1 wrong at one
+        # point of (1, 1, 1) alone lands on a point whose key was decided
+        # at a point of degree (0, 1, 0), so every record passes where the
+        # point loop fails the three records of (1, (0, 1, 1)); the parts
+        # test below is what catches such an operator
+        ctx, p0 = broken_lowering(4, 1, (1, 1, 1), scale_first_entry_by_v)
+        assert p0.rows == ((1,), (0, 1), (0, 0, 1))
+        records = [r for r in whittaker_records(ctx, 2)
+                   if r["check"] in LOCAL_CHECKS]
+        assert all(r["status"] == "pass" for r in records)
+        want = reference_records(ctx, 2)
+        assert {key for key, (status, _) in want.items()
+                if status == "fail"} == {
+            (check, 1, (0, 1, 1)) for check in LOCAL_CHECKS}
+
+    def test_a_fault_at_one_point_breaks_locality(self):
+        # an F_i wrong at one point of d + e_i alone is not local: the
+        # parts of the point its entry lands on differ from those of a
+        # point with the same key whose entries are right
+        ctx, p0 = broken_lowering(4, 1, (1, 1, 1), scale_first_entry_by_v)
+        (p, _), *_ = op_F(ModuleContext(4), 1).terms(p0)
+        twin = next(x for d in all_degrees(4, 2) for x in ctx.points(d)
+                    if local_key(1, x) == local_key(1, p) and x != p)
+        got = flat_parts(local_parts(ctx, 1, p))
+        want = flat_parts(local_parts(ctx, 1, twin))
+        assert not all(eq_exact(a, b) for a, b in zip(got, want))
+
+
+def flat_parts(parts):
+    adjoint, sheaf, dual = parts
+    return [part for pair in adjoint for part in pair] + sheaf + dual

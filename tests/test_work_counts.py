@@ -35,7 +35,14 @@ whittaker bounds are the counts measured when each module's twin code
 paths were folded into one owner, but for the RatFunc product bound: that
 is the count measured when each eigen target part -W(p) / (1 - v^2)
 began to be built once per (degree, vector) and shared by every row.
-Before that the same run made 1,230 RatFunc products.  The toda bounds
+Before that the same run made 1,230 RatFunc products.  The whittaker
+bounds were tightened when the adjoint and both eigen records began to be
+decided once per (i, row i - 1, row i, row i + 1), from the two pieces of
+the tangent character that read row i, in place of whole sym factors
+along every lowering edge: before that the same run made 934 RatFunc
+products, 891 zero tests, 925 `_over_common_den` calls, 6,597 term
+products and 185 `tangent_char` calls.  The 74 left are the points of the
+box, whose sym factors the pairing records read.  The toda bounds
 are the counts measured when each degree began to be decided from one
 lift shared by both operators and both signs; before that each family
 lifted its own parts, and the same run made 100 `_over_common_den` calls
@@ -66,7 +73,8 @@ from qtoda import characters, operators, symbolic, toda, whittaker
 from qtoda.operators import ModuleContext, relation_records
 from qtoda.symbolic import LaurentPoly, RatFunc, eq_exact, rat_sum
 from qtoda.toda import toda_records
-from qtoda.whittaker import sheaf_rgamma, whittaker_records
+from qtoda.fixed_points import all_degrees
+from qtoda.whittaker import local_key, sheaf_rgamma, whittaker_records
 
 MODULES = (symbolic, characters, operators, whittaker, toda)
 FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
@@ -144,11 +152,13 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("suite,n_records,bounds", [
-    (whittaker_records, 497, {"RatFunc.__mul__": 934, "sum_is_zero": 891,
+    (whittaker_records, 497, {"RatFunc.__mul__": 814, "sum_is_zero": 559,
+                              "_over_common_den": 593,
+                              "term products": 4789,
                               "raising_product": 214,
                               "lowering_product": 98,
                               "binomial_quotient": 65,
-                              "tangent_char": 185}),
+                              "tangent_char": 74}),
     # the toda suite reads sheaf_rgamma alone: no closed entry and no
     # point's tangent character, since the transfer multiplies piece
     # factors (its only RatFunc products, piece times suffix sum); its
@@ -166,3 +176,26 @@ def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
     assert all(counts[name] <= bound for name, bound in bounds.items()), counts
     # non-vacuity: every kernel with a nonzero bound ran
     assert all(counts[name] for name, bound in bounds.items() if bound), counts
+
+
+def test_whittaker_suite_decides_each_local_key_once(monkeypatch):
+    # at (5, 2) the adjoint and eigen records read 1,620 (row, point)
+    # pairs, which share 330 keys (i, row i - 1, row i, row i + 1); each
+    # key's verdicts are built once
+    keys = []
+    memo = ModuleContext.memo
+
+    def recording(self, kind, key, build):
+        if kind == "local_verdicts":
+            return memo(self, kind, key, lambda: keys.append(key) or build())
+        return memo(self, kind, key, build)
+
+    monkeypatch.setattr(ModuleContext, "memo", recording)
+    ctx = ModuleContext(5)
+    records = list(whittaker_records(ctx, 2))
+    assert not [r for r in records if r["status"] == "fail"]
+    pairs = [(i, p) for i in range(1, 5) for d in all_degrees(5, 2)
+             for p in ctx.points(d)]
+    assert len(pairs) == 1620
+    assert len(keys) == len(set(keys)) <= 330
+    assert set(keys) == {local_key(i, p) for i, p in pairs}
