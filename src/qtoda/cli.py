@@ -15,9 +15,12 @@ table.  Each flag is written in full, as `--flag value` or `--flag=value`
 (no abbreviations).  Reading the table builds no parser and imports no
 module beyond those the subcommands need.
 
-Exit codes: 0 all pass; 1 at least one failing check; 2 usage error,
-printed as one `error: ...` line on stderr with nothing on stdout; 3 time
-budget exceeded (set via the QTODA_TIME_BUDGET env var, seconds).
+Exit codes: 0 all pass; 1 at least one failing check, or an error raised
+while the records were being made; 2 usage error, printed as one
+`error: ...` line on stderr with nothing on stdout; 3 time budget exceeded
+(set via the QTODA_TIME_BUDGET env var, seconds).  An error raised after
+the config echo (`RECORD_ERRORS`) becomes one `{"status": "error"}` record,
+followed by a summary with `"complete": false`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .operators import (
     relation_records,
     summation_records,
 )
-from .symbolic import UsageError, json_int, tv_ring
+from .symbolic import (ArithmeticDomainError, DegeneracyError,
+                       EvaluationError, UsageError, json_int, tv_ring)
 from .toda import toda_records
 from .whittaker import (
     eigen_records,
@@ -62,6 +66,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 BUDGET_ENV = "QTODA_TIME_BUDGET"
+
+# the errors that a record generator may raise, each written as a record
+RECORD_ERRORS = (DegeneracyError, ArithmeticDomainError, EvaluationError,
+                 UsageError)
 
 # json.dumps builds an encoder per call; one with its defaults writes the
 # same bytes.
@@ -101,6 +109,8 @@ class Reporter:
         }
 
     def exit_code(self, complete: bool) -> int:
+        if self.counts.get("error"):
+            return EXIT_FAIL
         if not complete:
             return EXIT_BUDGET
         return EXIT_FAIL if self.counts.get("fail") else EXIT_PASS
@@ -372,6 +382,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 rep.emit(record)
                 rep.checkpoint()
         except BudgetExceeded:
+            complete = False
+        except RECORD_ERRORS as exc:
+            rep.emit({"status": "error",
+                      "error": f"{type(exc).__name__}: {exc}"})
             complete = False
         rep.emit(rep.summary(complete))
         return rep.exit_code(complete)

@@ -201,17 +201,23 @@ def _moves(p: FixedPoint, i: int, step: int) -> List[Tuple[FixedPoint, int]]:
 
     Row i - step bounds the move: the row above caps a raise, and it has no
     column i, so the diagonal entry has no cap; the row below floors a
-    lowering, with row n zero.  Every target is built, and so validated, as
-    a new FixedPoint.
+    lowering, with row n zero.  A move inside those bounds keeps every row
+    and column condition, so each target is built from p's rows and the
+    degree d + step e_i without running `FixedPoint.__post_init__` again.
     """
     if not 1 <= i <= p.n - 1:
         raise UsageError(f"row index {i} out of range")
     row, bound = p.row(i), p.row(i - step)
+    degree = shifted(p.degree, i, step)
     out = []
     for j in range(1, i + 1):
         if j > len(bound) or step * (bound[j - 1] - row[j - 1]) > 0:
             rows = p.rows[:i - 1] + (shifted(row, j, step),) + p.rows[i:]
-            out.append((FixedPoint(p.n, rows), j))
+            q = object.__new__(FixedPoint)
+            for name, value in (("n", p.n), ("rows", rows),
+                                ("degree", degree)):
+                object.__setattr__(q, name, value)
+            out.append((q, j))
     return out
 
 

@@ -68,7 +68,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from operator import add, mul
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar)
@@ -79,7 +79,6 @@ from .characters import (
     modification_weight,
     piece_char,
     sym_inverse,
-    tangent_char,
     weight_inverse,
     weight_ratio,
 )
@@ -212,9 +211,14 @@ class ModuleContext:
         return self.memo("points", key, lambda: enumerate_points(self.n, key))
 
     def sym_factor(self, p: FixedPoint) -> RatFunc:
-        """S-character of the tangent space at p (the localization factor)."""
-        return self.memo("sym", p.rows,
-                         lambda: sym_inverse(tangent_char(self.ring, p)))
+        """S-character of the tangent space at p (the localization factor),
+        sym_inverse(tangent_char(p)): the product of its pieces
+        g_i(row i, row i + 1), i = 1..n-1 (`piece_factor`, row n zero),
+        which the local deciders and the transfer share.  Built once per
+        point and context."""
+        return self.memo("sym", p.rows, lambda: reduce(mul, [
+            self.piece_factor(i, p.row(i), p.row(i + 1))
+            for i in range(1, self.n)]))
 
     def piece_factor(self, i: int, upper: Tuple[int, ...],
                      lower: Tuple[int, ...]) -> RatFunc:

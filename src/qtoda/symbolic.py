@@ -53,7 +53,6 @@ denominator.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,9 +89,16 @@ def json_int(x: object) -> int:
     int() would read 2.5 as 2, true as 1, and ' 12 ', '1_000', '+5' or
     non-ASCII digits as numbers too."""
     if not (type(x) is int or isinstance(x, str)
-            and re.fullmatch("-?[0-9]+", x)):
+            and _is_decimal(x[1:] if x[:1] == "-" else x)):
         raise UsageError(f"not an integer: {x!r}")
     return int(x)
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether text is [0-9]+: ASCII digits alone, at least one.  Read
+    without a regular expression, whose compilation the first command-line
+    integer would otherwise wait for."""
+    return text.isascii() and text.isdigit()
 
 
 def json_list(x: object) -> list:

@@ -27,6 +27,13 @@ row i, row i + 1) and read by every point, of any degree, with those rows;
 no composite operator is walked, no pairing weight is built outside the
 box and neither Whittaker vector is built at d + e_i.
 
+Each quantity is built once, keyed by exactly what it reads: the degree
+monomials of those parts once per (i, d_{i-1}, d_i, d_{i+1})
+(`local_scalars`), c_d once per degree, the sym factor of a point as the
+product of its pieces (`ModuleContext.sym_factor`), which the local
+deciders have already built, and the left side of the line-pushforward
+identity as the sum of the closed raising entries that E_i has built.
+
 The pairing of the two vectors, degree by degree, has a closed form: a
 monomial m_d times the coefficient sum of the structure-sheaf vector.  It
 rests on a per-point identity, checked at every fixed point: the
@@ -51,6 +58,7 @@ from .fixed_points import (DegreeVector, FixedPoint, Rows, admissible_rows,
 from .operators import (
     ModuleContext,
     ModuleVector,
+    _closed_entry,
     basis_vector,
     op_E,
     op_F,
@@ -65,7 +73,6 @@ from .symbolic import (
     generic_ring,
     rat_sum,
     sum_is_zero,
-    tv_ring,
 )
 
 
@@ -91,12 +98,18 @@ def _det(ctx: ModuleContext, p: FixedPoint) -> LaurentPoly:
     return ctx.memo("det", p.rows, lambda: det_weight(ctx.ring, p))
 
 
+def _pairing_prefactor(ctx: ModuleContext, degree: DegreeVector) -> LaurentPoly:
+    """c_d (`pairing_prefactor`), once per degree and context."""
+    return ctx.memo("pairing_prefactor", degree,
+                    lambda: pairing_prefactor(ctx.ring, degree))
+
+
 def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
     """Per-point weight theta_p = c_d * det_weight(p) / sym_factor(p),
     computed once per point and kept in the context."""
 
     def build() -> RatFunc:
-        pref = pairing_prefactor(ctx.ring, p.degree) * _det(ctx, p)
+        pref = _pairing_prefactor(ctx, p.degree) * _det(ctx, p)
         return RatFunc.from_poly(pref) / ctx.sym_factor(p)
 
     return ctx.memo("theta", p.rows, build)
@@ -250,11 +263,7 @@ def local_parts(ctx: ModuleContext, i: int, p: FixedPoint
     E, F = op_E(ctx, i), op_F(ctx, i)
     d = tuple(sum(p.row(k)) if abs(k - i) <= 1 else 0
               for k in range(1, ctx.n))
-    up = shifted(d, i)
-    c_ratio = pairing_prefactor(ring, up) * pairing_prefactor(ring, d) ** -1
-    k = ctx.k_scalar(i, d)
-    dual_scale = k ** i * dual_whittaker_prefactor(ring, up) \
-        * dual_whittaker_prefactor(ring, d) ** -1
+    c_ratio, sheaf_scale, dual_scale = local_scalars(ctx, i, d)
     sigma_p = local_sym(ctx, i, p)
     det_p = _det(ctx, p)
     adjoint: List[List[RatFunc]] = []
@@ -265,10 +274,30 @@ def local_parts(ctx: ModuleContext, i: int, p: FixedPoint
         f = next((f for x, f in F.terms(q) if x.rows == p.rows), None)
         b = RatFunc.zero(ring) if f is None else f * local_sym(ctx, i, q)
         adjoint.append([(e * sigma_p).scale_poly(c_ratio * det_ratio), -b])
-        sheaf.append(b.scale_poly(k ** -i))
+        sheaf.append(b.scale_poly(sheaf_scale))
         dual.append(b.scale_poly(dual_scale * det_ratio ** -1))
     target = sigma_p * RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
     return adjoint, sheaf + [target], dual + [target]
+
+
+def local_scalars(ctx: ModuleContext, i: int, d: DegreeVector
+                  ) -> Tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The degree monomials of the parts of row i at degree d, which read
+    d_{i-1}, d_i and d_{i+1} alone: c_{d+e_i} / c_d, k_i(d)^{-i} and
+    k_i(d)^i omega(d + e_i) / omega(d) (see `local_parts`).  Built from
+    `pairing_prefactor`, `ModuleContext.k_scalar` and
+    `dual_whittaker_prefactor` once per context, i and those three
+    components, d being zero at every other row."""
+    def build() -> Tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+        ring = ctx.ring
+        up = shifted(d, i)
+        k = ctx.k_scalar(i, d)
+        return (pairing_prefactor(ring, up) * pairing_prefactor(ring, d) ** -1,
+                k ** -i,
+                k ** i * dual_whittaker_prefactor(ring, up)
+                * dual_whittaker_prefactor(ring, d) ** -1)
+
+    return ctx.memo("local_scalars", (i, d), build)
 
 
 def local_verdicts(ctx: ModuleContext, i: int,
@@ -330,7 +359,7 @@ def eigen_records(ctx: ModuleContext, i: int,
 # The pushforward summation identity behind the dual eigen-property
 # ---------------------------------------------------------------------------
 
-def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
+def line_pushforward_sides(ctx: ModuleContext, i: int, upper: Sequence[int],
                            mid: Sequence[int]) -> Tuple[RatFunc, RatFunc]:
     """Both sides of the identity expressing the pushforward of the
     tautological quotient line through the modification correspondence as a
@@ -338,13 +367,15 @@ def line_pushforward_sides(n: int, i: int, upper: Sequence[int],
 
     For row data a_{i-1,*} = upper (length i-1) and a_{i,*} = mid (length
     i), the left side is sum_j raising_product(upper, mid, j), the closed
-    raising entries of E_i without their degree prefactor, and the right
-    side is t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
+    raising entries of E_i without their degree prefactor, read from the
+    context's memo that E_i fills; the right side is
+    t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
     """
-    upper, mid = check_rows(n, i, (upper, mid))
-    ring = tv_ring(n)
-    lhs = rat_sum(ring, [raising_product(ring, upper, mid, j)
-                         for j in range(1, i + 1)])
+    upper, mid = check_rows(ctx.n, i, (upper, mid))
+    ring = ctx.ring
+    lhs = rat_sum(ring, [
+        _closed_entry(ctx, "raising", raising_product, upper, mid, j)
+        for j in range(1, i + 1)])
     rhs = RatFunc.from_frac(
         ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid)),
         ring.one() - ring.v(2))
@@ -455,7 +486,7 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
             for p in ctx.points(d):
                 upper, mid = p.row(i - 1), p.row(i)
                 ok = ctx.memo("pushforward", (i, upper, mid), lambda: eq_exact(
-                    *line_pushforward_sides(n, i, upper, mid)))
+                    *line_pushforward_sides(ctx, i, upper, mid)))
                 yield {"check": "line-pushforward-identity", "i": i,
                        "point": [list(r) for r in p.rows],
                        "status": "pass" if ok else "fail"}

@@ -12,12 +12,14 @@ import pytest
 from qtoda import __version__, cli, operators, whittaker
 from qtoda.cli import (
     EXIT_BUDGET,
+    EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
     main,
 )
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
+from qtoda.symbolic import UsageError
 
 
 def expire_after_first(monkeypatch, key, count=1):
@@ -379,6 +381,47 @@ class TestVerify:
         monkeypatch.setenv("QTODA_TIME_BUDGET", "")
         code, lines = run(capsys, "verify", "--n", "2", "--box", "1")
         assert code == EXIT_PASS and parsed(lines)[-1]["complete"] is True
+
+
+class TestErrorRecords:
+    """An error raised while the records are made becomes one error record
+    and an incomplete summary; one found before the config echo is still a
+    usage error with nothing on stdout."""
+
+    @pytest.mark.parametrize("error", list(cli.RECORD_ERRORS),
+                             ids=lambda e: e.__name__)
+    def test_an_error_mid_stream_becomes_a_record(self, capsys, monkeypatch,
+                                                  error):
+        def suite(ctx, box):
+            yield {"check": "first", "status": "pass"}
+            raise error("no such weight")
+
+        monkeypatch.setitem(cli.SUITES, "whittaker", suite)
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "1",
+                          "--suite", "whittaker")
+        assert code == EXIT_FAIL
+        assert parsed(lines)[1:] == [
+            {"check": "first", "status": "pass"},
+            {"status": "error", "error": f"{error.__name__}: no such weight"},
+            {"summary": True, "complete": False,
+             "counts": {"error": 1, "pass": 1}, "records": 3}]
+
+    def test_a_usage_error_before_the_echo_still_exits_2(self, capsys,
+                                                        monkeypatch):
+        made = []
+
+        def suite(ctx, box):
+            made.append(box)
+            raise UsageError("unreached")
+            yield
+
+        monkeypatch.setitem(cli.SUITES, "whittaker", suite)
+        code = main(["verify", "--n", "3", "--box", "-1", "--suite",
+                     "whittaker"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and made == []
+        assert captured.out == ""
+        assert captured.err == "error: box must be nonnegative\n"
 
 
 class TestVerifyToda:

@@ -225,6 +225,19 @@ class TestMoves:
                     assert view(raise_moves(p, i)) == view(reference(p, i, 1))
                     assert view(lower_moves(p, i)) == view(reference(p, i, -1))
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_move_targets_are_the_validated_points(self, n):
+        # a move builds its target without re-validating the array; each
+        # target is the point FixedPoint(n, rows) builds and checks, equal,
+        # hashed alike and with its degree
+        for d in all_degrees(n, 2):
+            for p in enumerate_points(n, d):
+                for i in range(1, n):
+                    for q, _ in raise_moves(p, i) + lower_moves(p, i):
+                        fresh = FixedPoint(n, q.rows)
+                        assert q == fresh and hash(q) == hash(fresh)
+                        assert q.degree == fresh.degree
+
     def test_zero_point_has_no_lowers(self):
         p = FixedPoint.zero(3)
         assert lower_moves(p, 1) == [] and lower_moves(p, 2) == []

@@ -47,7 +47,10 @@ which points of different degrees share the three rows that an adjoint or
 eigen identity of every row reads, and (3, 3) the first at box 3; both
 were pinned from the code that still decided those identities point by
 point, along every lowering edge, before each was decided once per (i,
-row i - 1, row i, row i + 1)."""
+row i - 1, row i, row i + 1).  `verify --suite whittaker` at (7, 1) is
+the first pinned run with six rows of pieces in every sym factor; it was
+pinned from the code that still built each sym factor from the whole
+tangent character, before it became the product of the piece factors."""
 
 import hashlib
 
@@ -64,6 +67,8 @@ GOLDEN = [
      "3dc6ce6d1a94c90555b0c4b98c8c8bbd6292a4b8c2e47ab378e54ffaecea3bfb"),
     (["verify", "--n", "3", "--box", "3", "--suite", "whittaker"],
      "b7d7ce0f9bb6edcdc59524ab0146a2a337146ea65c9866a56c0e1c8510ecb093"),
+    (["verify", "--n", "7", "--box", "1", "--suite", "whittaker"],
+     "1dcf4a664e11a487873368f87a9409aefd5d47415f6781bcea348f072efff2a5"),
     (["verify", "--n", "4", "--box", "2", "--suite", "relations"],
      "47280e0cc767648ca96739a12eff2d3d437a9c161af5f150965a52d387a282da"),
     (["verify", "--n", "5", "--box", "1", "--suite", "relations"],

@@ -1,5 +1,6 @@
 """Tests for the exact Laurent / rational-function core."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -112,6 +113,18 @@ class TestLaurentPoly:
     def test_malformed_json_is_a_usage_error(self, data):
         with pytest.raises(UsageError):
             LaurentPoly.from_json(R2, data)
+
+    @pytest.mark.parametrize("text", [
+        "0", "7", "-7", "007", "-007", "", "-", "--1", "-+1", "+1", " 1",
+        "1 ", "1\n", "1_0", "1.0", "1e3", "\u0663", "\uff11", "\u00b2",
+        "-\u0663", "12a"])
+    def test_json_int_reads_the_decimal_form_alone(self, text):
+        # the reference is the pattern -?[0-9]+ that to_json writes
+        if re.fullmatch("-?[0-9]+", text):
+            assert symbolic.json_int(text) == int(text)
+        else:
+            with pytest.raises(UsageError):
+                symbolic.json_int(text)
 
     def test_pow(self):
         p = R2.one() + R2.t(1)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from qtoda import characters, whittaker
-from qtoda.characters import det_weight
+from qtoda.characters import det_weight, sym_inverse, tangent_char
 from qtoda.fixed_points import (FixedPoint, all_degrees, enumerate_points,
                                 shifted)
 from qtoda.operators import (
@@ -64,7 +64,7 @@ class TestPairing:
             assert pairing_weight(ctx, p) is theta
             fresh = RatFunc.from_poly(pairing_prefactor(ctx.ring, p.degree)
                                       * det_weight(ctx.ring, p)) \
-                / ModuleContext(3).sym_factor(p)
+                / sym_inverse(tangent_char(ctx.ring, p))
             assert eq_exact(theta, fresh)
 
     def test_prefactor_at_zero_is_one(self):
@@ -157,7 +157,7 @@ class TestPushforwardIdentity:
         (4, (7, 5, 3), (6, 4, 2, 1)),
     ], ids=lambda x: str(x))
     def test_exact_low_rank(self, i, upper, mid):
-        lhs, rhs = line_pushforward_sides(i + 1, i, upper, mid)
+        lhs, rhs = line_pushforward_sides(ModuleContext(i + 1), i, upper, mid)
         assert eq_exact(lhs, rhs)
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -166,12 +166,23 @@ class TestPushforwardIdentity:
 
     def test_row_validation(self):
         with pytest.raises(UsageError):
-            line_pushforward_sides(3, 2, (1, 2), (1, 1))
+            line_pushforward_sides(ModuleContext(3), 2, (1, 2), (1, 1))
 
     def test_sides_live_in_the_context_ring(self):
-        lhs, rhs = line_pushforward_sides(3, 1, (), (1,))
-        assert lhs.ring is ModuleContext(3).ring
-        assert rhs.ring is ModuleContext(3).ring
+        ctx = ModuleContext(3)
+        lhs, rhs = line_pushforward_sides(ctx, 1, (), (1,))
+        assert lhs.ring is ctx.ring and rhs.ring is ctx.ring
+
+    def test_left_side_reads_the_raising_entries_of_E(self, monkeypatch):
+        # E_2 at [1; 0, 0] moves both columns, so it has built every
+        # closed entry of the rows ((1,), (0, 0)); the left side sums those
+        # and builds no product of its own
+        ctx = ModuleContext(3)
+        p = FixedPoint(3, ((1,), (0, 0)))
+        assert [q.row(2) for q, _ in op_E(ctx, 2).terms(p)] \
+            == [(1, 0), (0, 1)]
+        monkeypatch.setattr(whittaker, "raising_product", None)
+        assert eq_exact(*line_pushforward_sides(ctx, 2, (1,), (0, 0)))
 
 
 def pushforward_records(ctx, box):
@@ -187,9 +198,9 @@ class TestPushforwardOncePerRowPair:
         calls = []
         sides = whittaker.line_pushforward_sides
 
-        def counted(n, i, upper, mid):
+        def counted(ctx, i, upper, mid):
             calls.append((i, upper, mid))
-            return sides(n, i, upper, mid)
+            return sides(ctx, i, upper, mid)
 
         monkeypatch.setattr(whittaker, "line_pushforward_sides", counted)
         records = pushforward_records(ModuleContext(4), 2)
@@ -197,13 +208,15 @@ class TestPushforwardOncePerRowPair:
         assert len(records) == 222
         assert all(r["status"] == "pass" for r in records)
 
-    def test_broken_product_fails_every_point(self, monkeypatch):
+    def test_broken_product_fails_every_point(self, bind_everywhere):
+        # the identity sums the closed entries that E_i builds, so the
+        # broken product is bound wherever the entries are made
         raising = whittaker.raising_product
 
         def scaled(ring, *rows_and_column):
             return raising(ring, *rows_and_column).scale_poly(ring.v(1))
 
-        monkeypatch.setattr(whittaker, "raising_product", scaled)
+        assert bind_everywhere(raising, scaled)
         ctx = ModuleContext(4)
         records = pushforward_records(ctx, 2)
         assert all(r["status"] == "fail" for r in records)
@@ -248,8 +261,10 @@ class TestWhittakerPairing:
 
 def point_sum(ctx, degree):
     """The coefficient sum the old way, the reference for the transfer: one
-    flat rat_sum of sym_factor(p) over the points of the degree."""
-    return rat_sum(ctx.ring, [ctx.sym_factor(p) for p in ctx.points(degree)])
+    flat rat_sum of the sym factors of the points of the degree, each from
+    its whole tangent character rather than from the transfer's pieces."""
+    return rat_sum(ctx.ring, [sym_inverse(tangent_char(ctx.ring, p))
+                              for p in ctx.points(degree)])
 
 
 class TestTransfer:
@@ -356,41 +371,52 @@ def reference_verdicts(ctx, i, degree):
     p of degree d, decided point by point with whole sym factors, as the
     suite decided them before each was decided once per local key.
 
+    S(p) is sym_inverse(tangent_char(p)), built from the whole tangent
+    character and not from the pieces the suite multiplies, and so are the
+    coefficients S(p) and S(p) omega(d) / det(p) of both Whittaker vectors.
     Every entry of F_i from d + e_i down to d is read as a lowering edge
-    (q, p, B_qp = F_i[q -> p] S(T_q)).  The adjoint pair (p, q) is
-    E_i[p -> q] theta_q - F_i[q -> p] theta_p times S(T_p) S(T_q); the
-    eigen parts at p are those of f_i and of K_i^{2i} f_i applied to the
+    (q, p, B_qp = F_i[q -> p] S(q)).  The adjoint pair (p, q) is
+    E_i[p -> q] theta_q - F_i[q -> p] theta_p times S(p) S(q); the eigen
+    parts at p are those of f_i and of K_i^{2i} f_i applied to the
     Whittaker vectors at d + e_i, each less the vector's own coefficient at
     p over 1 - v^2.  The qtoda functions are read through their modules,
     so a mutant bound there reaches them."""
     ring = ctx.ring
     E, F = op_E(ctx, i), op_F(ctx, i)
     up = shifted(degree, i)
-    edges = [(q, p, entry * ctx.sym_factor(q)) for q in ctx.points(up)
+    syms = {}
+
+    def sym(p):
+        if p.rows not in syms:
+            syms[p.rows] = characters.sym_inverse(
+                characters.tangent_char(ring, p))
+        return syms[p.rows]
+
+    edges = [(q, p, entry * sym(q)) for q in ctx.points(up)
              for p, entry in F.terms(q)]
     det = whittaker._det
     c_up = whittaker.pairing_prefactor(ring, up)
     minus_c = -whittaker.pairing_prefactor(ring, degree)
     adjoint = grouped(itertools.chain(
-        (((p.rows, q.rows), (entry * ctx.sym_factor(p)).scale_poly(
-            c_up * det(ctx, q)))
+        (((p.rows, q.rows), (entry * sym(p)).scale_poly(c_up * det(ctx, q)))
          for p in ctx.points(degree) for q, entry in E.terms(p)),
         (((p.rows, q.rows), b.scale_poly(minus_c * det(ctx, p)))
          for q, p, b in edges)))
     minus_scale = RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
     k = ctx.k_scalar(i, degree)
     dual_pref = whittaker.dual_whittaker_prefactor(ring, up)
+    dual_here = whittaker.dual_whittaker_prefactor(ring, degree)
 
-    def eigen(vector, parts):
+    def eigen(coeff, parts):
         return grouped(itertools.chain(
-            ((p.rows, c * minus_scale)
-             for p, c in vector(ctx, degree).coeffs.items()), parts))
+            ((p.rows, coeff(p) * minus_scale) for p in ctx.points(degree)),
+            parts))
 
-    sheaf = eigen(whittaker.whittaker_k,
-                  ((p.rows, b.scale_poly(k ** -i)) for _, p, b in edges))
-    dual = eigen(whittaker.whittaker_w, (
-        (p.rows, b.scale_poly(k ** i * dual_pref * det(ctx, q) ** -1))
-        for q, p, b in edges))
+    sheaf = eigen(sym, ((p.rows, b.scale_poly(k ** -i)) for _, p, b in edges))
+    dual = eigen(
+        lambda p: sym(p).scale_poly(dual_here * det(ctx, p) ** -1),
+        ((p.rows, b.scale_poly(k ** i * dual_pref * det(ctx, q) ** -1))
+         for q, p, b in edges))
     return {p.rows: [all(sum_is_zero(parts) for (source, _), parts
                          in adjoint.items() if source == p.rows),
                      sum_is_zero(sheaf[p.rows]), sum_is_zero(dual[p.rows])]

@@ -42,7 +42,14 @@ the tangent character that read row i, in place of whole sym factors
 along every lowering edge: before that the same run made 934 RatFunc
 products, 891 zero tests, 925 `_over_common_den` calls, 6,597 term
 products and 185 `tangent_char` calls.  The 74 left are the points of the
-box, whose sym factors the pairing records read.  The toda bounds
+box, whose sym factors the pairing records read.  The whittaker bounds
+were set again when every quantity the suite reads began to be built once,
+keyed by what it reads: each sym factor as the product of its n - 1 piece
+factors, which the local deciders had already built, in place of a whole
+tangent character (`tangent_char` 74 -> 0, and 148 = (n - 2) * 74
+RatFunc products more, 814 -> 962), and the pushforward identity as the
+sum of the closed raising entries E_i had already built (`raising_product`
+214 -> 130); term products went 4,789 -> 4,709.  The toda bounds
 are the counts measured when each degree began to be decided from one
 lift shared by both operators and both signs; before that each family
 lifted its own parts, and the same run made 100 `_over_common_den` calls
@@ -152,13 +159,13 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("suite,n_records,bounds", [
-    (whittaker_records, 497, {"RatFunc.__mul__": 814, "sum_is_zero": 559,
+    (whittaker_records, 497, {"RatFunc.__mul__": 962, "sum_is_zero": 559,
                               "_over_common_den": 593,
-                              "term products": 4789,
-                              "raising_product": 214,
+                              "term products": 4709,
+                              "raising_product": 130,
                               "lowering_product": 98,
                               "binomial_quotient": 65,
-                              "tangent_char": 74}),
+                              "tangent_char": 0}),
     # the toda suite reads sheaf_rgamma alone: no closed entry and no
     # point's tangent character, since the transfer multiplies piece
     # factors (its only RatFunc products, piece times suffix sum); its
@@ -199,3 +206,26 @@ def test_whittaker_suite_decides_each_local_key_once(monkeypatch):
     assert len(pairs) == 1620
     assert len(keys) == len(set(keys)) <= 330
     assert set(keys) == {local_key(i, p) for i, p in pairs}
+
+
+def test_whittaker_suite_builds_each_local_scalar_once(monkeypatch):
+    # at (5, 2) the 330 local keys read 72 distinct (i, d_{i-1}, d_i,
+    # d_{i+1}): 9 + 27 + 27 + 9 over the rows 1..4; the degree monomials of
+    # the local parts are built once per such key
+    keys = []
+    memo = ModuleContext.memo
+
+    def recording(self, kind, key, build):
+        if kind == "local_scalars":
+            return memo(self, kind, key, lambda: keys.append(key) or build())
+        return memo(self, kind, key, build)
+
+    monkeypatch.setattr(ModuleContext, "memo", recording)
+    ctx = ModuleContext(5)
+    records = list(whittaker_records(ctx, 2))
+    assert not [r for r in records if r["status"] == "fail"]
+    assert 0 < len(keys) == len(set(keys)) <= 72
+    padded_rows = [(i, tuple(d[k - 1] if abs(k - i) <= 1 else 0
+                             for k in range(1, 5)))
+                   for i in range(1, 5) for d in all_degrees(5, 2)]
+    assert set(keys) == set(padded_rows)
