@@ -14,8 +14,8 @@ first-principles "chain" computation from sheaf-Hom characters of the flag
 (the oracle), and a closed multiplicity formula used by the fast paths.
 Their agreement is a test target, not an assumption.  The closed form is
 a sum of pieces, piece i reading only rows i and i + 1 of the array: one
-routine adds a piece's multiplicities into a {key: mult} dict, and the
-tangent character adds every piece into one.  The oracle adds its Hom
+routine, `piece_char`, builds a piece from its runs of weights, and the
+tangent character is the `poly_sum` of its pieces.  The oracle adds its Hom
 blocks as polynomials, one `poly_sum` per chain, and the two share no
 formula helper.
 """
@@ -33,7 +33,6 @@ from .fixed_points import (
     shifted,
 )
 from .symbolic import (
-    SLOT_LIMIT,
     DegeneracyError,
     LaurentPoly,
     RatFunc,
@@ -113,14 +112,15 @@ def _square_keys(ring: TVRing) -> Tuple[Tuple[int, ...], int]:
             next(iter(ring.v(2).terms)))
 
 
-def _add_piece(mult: Dict[int, int], ring: TVRing, i: int,
-               upper: Sequence[int], lower: Sequence[int]) -> int:
-    """Add the multiplicities of piece i of the tangent character into
-    `mult`, and return the digit bound of its weights.
+def piece_char(ring: TVRing, i: int, upper: Sequence[int],
+               lower: Sequence[int]) -> LaurentPoly:
+    """Piece i of the tangent character: every run of weights that reads
+    only row i (`upper`) and row i + 1 (`lower`, zero for i = n - 1).  Its
+    multiplicities can be negative; the pieces i = 1..n-1 of a point sum to
+    its tangent_char.
 
-    Piece i is every run of weights that reads only row i (`upper`) and row
-    i + 1 (`lower`, zero for i = n - 1).  The weight t_k^2 t_j^{-2} v^{2l}
-    has key 2 key(t_k) - 2 key(t_j) + l key(v^2), and the runs are:
+    The weight t_k^2 t_j^{-2} v^{2l} has key 2 key(t_k) - 2 key(t_j) +
+    l key(v^2), and the runs are:
     - for every pair of lines j, k <= i, l = a_{ij} - a_{ik} + 1 ..
       a_{ij} - a_{i+1,k} once;
     - the framing runs of column i + 1: for every j <= i, l = 1..a_{ij}
@@ -130,7 +130,10 @@ def _add_piece(mult: Dict[int, int], ring: TVRing, i: int,
     weights' own), to the weight's own bound (2, or 0 when j = k) plus
     4 max(|lo|, |hi|).
     """
+    if not 1 <= i <= ring.n - 1 or len(upper) != i or len(lower) != i + 1:
+        raise UsageError(f"piece {i} needs rows of lengths {i} and {i + 1}")
     tsq, vsq = _square_keys(ring)
+    mult: Dict[int, int] = {}
     bound = 2
 
     def run(base: int, lo: int, hi: int, w_bound: int, sign: int) -> None:
@@ -148,25 +151,7 @@ def _add_piece(mult: Dict[int, int], ring: TVRing, i: int,
         for k, b in enumerate(upper, start=1):
             run(tsq[k - 1] - tsq[j - 1], a - b + 1, a - lower[k - 1],
                 2 if j != k else 0, 1)
-    return bound
-
-
-def _character(ring: TVRing, mult: Dict[int, int], bound: int) -> LaurentPoly:
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     return LaurentPoly(ring, {key: m for key, m in mult.items() if m}, bound)
-
-
-def piece_char(ring: TVRing, i: int, upper: Sequence[int],
-               lower: Sequence[int]) -> LaurentPoly:
-    """Piece i of the tangent character (see `_add_piece`): the weights
-    that read only row i = upper and row i + 1 = lower.  Its multiplicities
-    can be negative; the pieces i = 1..n-1 of a point sum to its
-    tangent_char."""
-    if not 1 <= i <= ring.n - 1 or len(upper) != i or len(lower) != i + 1:
-        raise UsageError(f"piece {i} needs rows of lengths {i} and {i + 1}")
-    mult: Dict[int, int] = {}
-    return _character(ring, mult, _add_piece(mult, ring, i, upper, lower))
 
 
 def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
@@ -176,16 +161,13 @@ def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
     t_k^2 t_j^{-2} v^{2l} is read off the triangular array directly; no
     sheaf cohomology is recomputed.  Must agree with tangent_char_oracle.
 
-    The character is the sum of its pieces i = 1..n-1, each added by
-    `_add_piece` into one {key: mult} dict, the framing correction
-    included; its bound is the largest of theirs.
+    The character is the `poly_sum` of its pieces i = 1..n-1 (`piece_char`),
+    the framing correction included; its bound is the largest of theirs.
     """
     _check_ring(ring, p)
     rows = p.rows + ((0,) * ring.n,)  # rows[i - 1] = row i, i = 1..n
-    mult: Dict[int, int] = {}
-    bound = max(_add_piece(mult, ring, i, rows[i - 1], rows[i])
-                for i in range(1, ring.n))
-    return _character(ring, mult, bound)
+    return poly_sum(ring, [piece_char(ring, i, rows[i - 1], rows[i])
+                           for i in range(1, ring.n)])
 
 
 def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:

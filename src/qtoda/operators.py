@@ -6,8 +6,8 @@ operator acts on M_d by a Laurent polynomial whose v-exponents are affine
 in d, the weights of the universal Verma module.  So each is given once,
 by its degree-linear `Form`: (slope, polynomial) pairs acting on degree d
 by the sum of polynomial * v^{<slope, d>}.  `ModuleContext.k_form` and
-`l_form` own the forms of K_i and L_i, and `GradedOperator.scalar` and the
-relation fold read them.  One builder, `_move_op`,
+`l_form` own the forms of K_i and L_i, and `form_at` and the relation fold
+read them.  One builder, `_move_op`,
 makes every raising and lowering generator (E_i, F_i and the direct e_i,
 f_i): it walks the single-entry increments of row i of the triangular array
 to raise, the decrements to lower, and scales each entry by the
@@ -146,10 +146,10 @@ class GradedOperator:
     """A degree-homogeneous operator given by its action on basis vectors.
 
     A diagonal operator also gives its degree-linear `form` (None for any
-    other operator), and `scalar(d)`, the Laurent polynomial it multiplies
-    every basis vector of degree d by.  The relation checks fold the form
-    into their multipliers once per relation (see `_fold`), so they never
-    walk a diagonal operator's `terms`."""
+    other operator): `form_at(form, d)` is the Laurent polynomial it
+    multiplies every basis vector of degree d by.  The relation checks fold
+    the form into their multipliers once per relation (see `_fold`), so they
+    never walk a diagonal operator's `terms`."""
 
     def __init__(self, label: str, shift: Tuple[int, ...],
                  fn: Callable[[FixedPoint], List[Tuple[FixedPoint, RatFunc]]],
@@ -159,9 +159,6 @@ class GradedOperator:
         self.form = form
         self._fn = fn
         self._cache: Dict[Rows, List[Tuple[FixedPoint, RatFunc]]] = {}
-
-    def scalar(self, d: DegreeVector) -> LaurentPoly:
-        return form_at(self.form, d)
 
     def terms(self, p: FixedPoint) -> List[Tuple[FixedPoint, RatFunc]]:
         out = self._cache.get(p.rows)
@@ -255,9 +252,6 @@ class ModuleContext:
 
     def k_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
         return form_at(self.k_form(i), degree)
-
-    def l_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
-        return form_at(self.l_form(i), degree)
 
     def _check_row(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:

@@ -10,8 +10,9 @@ A monomial with exponents (e_1, ..., e_N) is packed into one int: the digits
 most significant.  Packing is linear, so a monomial product is one int add,
 and while every digit stays strictly inside (-2**(W-1), 2**(W-1)) int order
 is graded-lexicographic order.  Each polynomial carries an upper bound on
-its largest digit magnitude; a product whose bound could leave that range
-raises UsageError instead of wrapping.
+its largest digit magnitude, and the `LaurentPoly` constructor raises
+UsageError on a bound past SLOT_LIMIT, so no key can wrap: a product,
+shift or factor whose bound could leave the range raises instead.
 
 Linearity also builds monomials: the key of (e_1, ..., e_N) is
 sum_j e_j * key(x_j), and a monomial's k-th power is its key times k.
@@ -31,8 +32,12 @@ nothing ever needs a multivariate GCD.  A binomial 1 - x^{±s} is
 canonicalized once per (ring, s, bound), so equal binomials share one
 canonical polynomial; any other factor is canonicalized on every use.
 
-Any number of polynomials is added by `poly_sum`, which merges every part
-into one copy of the first part's terms; `+` is its two-part case.
+One accumulator, `_accumulate(acc, terms, by)`, adds by * terms into a
+dict in place, one key shift and coefficient scale of terms per term of
+by, and drops each coefficient that cancels: the general product,
+`poly_sum` (and `+`, its two-part case), `sum_is_zero`,
+`combination_is_zero` and the multiply-back check of `binomial_quotient`
+all add through it.
 
 Sums of rational functions are where expanded numerators appear.  Both
 ways of adding keep every tracked factor at its smallest power over the
@@ -143,21 +148,6 @@ def _slot_bound(exps: Sequence[int]) -> int:
     return max(abs(sum(exps)), max((abs(e) for e in exps), default=0))
 
 
-def _packed(ring: "Ring", terms: Mapping[Exponent, int]) -> "LaurentPoly":
-    """The polynomial with these (exponents -> nonzero coefficient) terms,
-    with its exact digit bound."""
-    out: Terms = {}
-    bound = 0
-    for exps, c in terms.items():
-        if len(exps) != ring.nvars:
-            raise UsageError(f"expected {ring.nvars} exponents, got {len(exps)}")
-        bound = max(bound, _slot_bound(exps))
-        out[pack(exps)] = c
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"an exponent or total degree exceeds ±{SLOT_LIMIT}")
-    return LaurentPoly(ring, out, bound)
-
-
 @dataclass(frozen=True)
 class Ring:
     """A parameter space: an ordered tuple of variable names."""
@@ -199,8 +189,6 @@ class Ring:
         """coeff * x^key, where bound is the key's largest digit magnitude."""
         if coeff == 0:
             return self.zero()
-        if bound > SLOT_LIMIT:
-            raise UsageError(f"an exponent or total degree exceeds ±{SLOT_LIMIT}")
         return LaurentPoly(self, {key: int(coeff)}, bound)
 
 
@@ -240,21 +228,13 @@ class TVRing(Ring):
         """Substitute t_n := (t_1 ... t_{n-1})^{-1}, leaving v untouched."""
         if p.ring != self:
             raise UsageError("polynomial from a different ring")
-        out: Dict[Exponent, int] = {}
+        monomials = []
         for key, c in p.terms.items():
             exps = unpack(key, self.nvars)
             en = exps[self.n - 1]
-            new = list(exps)
-            for j in range(self.n - 1):
-                new[j] -= en
-            new[self.n - 1] = 0
-            e = tuple(new)
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return _packed(self, out)
+            monomials.append(self.monomial(
+                [e - en for e in exps[:self.n]] + [exps[self.n]], c))
+        return poly_sum(self, monomials)
 
 
 @lru_cache(maxsize=None)
@@ -277,12 +257,17 @@ class LaurentPoly:
 
     `terms` maps packed monomial keys to coefficients; `bound` is an upper
     bound on the magnitude of every digit of every key (see the module
-    docstring), never above SLOT_LIMIT.
+    docstring).  A bound past SLOT_LIMIT raises UsageError here, so every
+    operation that could carry a key out of range raises instead of
+    wrapping.
     """
 
     __slots__ = ("ring", "terms", "bound")
 
     def __init__(self, ring: Ring, terms: Terms, bound: int):
+        if bound > SLOT_LIMIT:
+            raise UsageError(
+                f"an exponent or total degree could exceed ±{SLOT_LIMIT}")
         self.ring = ring
         self.terms = terms
         self.bound = bound
@@ -304,8 +289,6 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         bound = self.bound + other.bound
-        if bound > SLOT_LIMIT:
-            raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -314,17 +297,7 @@ class LaurentPoly:
             [(ka, ca)], [(kb, cb)] = a.items(), b.items()
             return LaurentPoly(self.ring, {ka + kb: ca * cb}, bound)
         out: Terms = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                if k in out:
-                    nc = out[k] + ca * cb
-                    if nc:
-                        out[k] = nc
-                    else:
-                        del out[k]
-                else:
-                    out[k] = ca * cb
+        _accumulate(out, b, a)
         return LaurentPoly(self.ring, out, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -400,7 +373,9 @@ class LaurentPoly:
                 raise UsageError("exponent vector has wrong arity")
             if c:
                 terms[e] = terms.get(e, 0) + c
-        return _packed(ring, {e: c for e, c in terms.items() if c != 0})
+        kept = {e: c for e, c in terms.items() if c}
+        return LaurentPoly(ring, {pack(e): c for e, c in kept.items()},
+                           max(map(_slot_bound, kept), default=0))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -444,11 +419,9 @@ def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, int, int]:
     """
     low = min(p.terms)
     sign = 1 if p.terms[low] > 0 else -1
-    bound = 2 * p.bound  # digits of k - low
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
     canon = {k - low: sign * c for k, c in p.terms.items()}
-    return LaurentPoly(p.ring, canon, bound), low, sign
+    # the digits of k - low are at most 2 * p.bound
+    return LaurentPoly(p.ring, canon, 2 * p.bound), low, sign
 
 
 def _factor_key(p: LaurentPoly) -> FactorKey:
@@ -461,8 +434,6 @@ def _canonical_binomial(ring: Ring, s: int,
     """The canonical form 1 - x^s (s > 0) of the binomials 1 - x^{±s} of
     digit bound `bound`, and its factor key, built once.  The canonical
     polynomial keeps the bound `_canonical_factor` would give it."""
-    if 2 * bound > SLOT_LIMIT:
-        raise UsageError(f"a factor exponent could exceed ±{SLOT_LIMIT}")
     return LaurentPoly(ring, {0: 1, s: -1}, 2 * bound), ((0, 1), (s, -1))
 
 
@@ -474,6 +445,22 @@ def _binomial_exponent(terms: Terms) -> int | None:
         if terms[s] == -1:
             return s
     return None
+
+
+_ABSENT = (None, 0)  # factors.get default: the factor's power is 0
+
+
+def _add_powers(factors: Dict[FactorKey, Tuple[LaurentPoly, int]],
+                powers: Iterable[Tuple[FactorKey, Tuple[LaurentPoly, int]]]
+                ) -> None:
+    """Raise the power of each tracked factor in place, by e != 0 for each
+    (key, (canon, e)) of powers, dropping a factor at power 0."""
+    for key, (canon, e) in powers:
+        ne = factors.get(key, _ABSENT)[1] + e
+        if ne:
+            factors[key] = (canon, ne)
+        else:
+            del factors[key]
 
 
 class RatFunc:
@@ -528,7 +515,7 @@ class RatFunc:
         unit = self.unit
         if unit.is_zero():
             return self
-        factors = dict(self.factors)
+        tracked = []
         shift, flip, bound = 0, 1, unit.bound
         for f, e in factor_list:
             if e == 0:
@@ -552,20 +539,15 @@ class RatFunc:
                 # |e| * f.bound
                 shift += e * low
                 bound += abs(e) * f.bound
-                if bound > SLOT_LIMIT:
-                    raise UsageError(
-                        f"a factor exponent could exceed ±{SLOT_LIMIT}")
             if key is not None:
-                old = factors.get(key)
-                ne = (old[1] if old else 0) + e
-                if ne:
-                    factors[key] = (canon, ne)
-                else:
-                    factors.pop(key, None)
+                tracked.append((key, (canon, e)))
+        factors = dict(self.factors)
+        _add_powers(factors, tracked)
         if shift or flip < 0:
+            # shifts that cancel leave the keys, and so the bound, as they are
             unit = LaurentPoly(self.ring, {k + shift: flip * c
                                            for k, c in unit.terms.items()},
-                               bound)
+                               bound if shift else unit.bound)
         return RatFunc(self.ring, unit, factors)
 
     # -- arithmetic --------------------------------------------------------
@@ -586,13 +568,7 @@ class RatFunc:
             factors = other.factors
         else:
             factors = dict(self.factors)
-            for key, (canon, e) in other.factors.items():
-                old = factors.get(key)
-                ne = (old[1] if old else 0) + e
-                if ne:
-                    factors[key] = (canon, ne)
-                else:
-                    factors.pop(key, None)
+            _add_powers(factors, other.factors.items())
         return RatFunc(self.ring, self.unit * other.unit, factors)
 
     def inv(self) -> "RatFunc":
@@ -657,9 +633,6 @@ class RatFunc:
         return f"({num!r})/({den!r})"
 
 
-_ABSENT = (None, 0)  # factors.get default: the factor's power is 0
-
-
 def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
     """q with (1 - x^s) q == p, or None when 1 - x^s does not divide p.
 
@@ -696,12 +669,7 @@ def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
             for m in range(1, steps):
                 q[key + m * s_key] = prefix
     back = dict(q)
-    for key, c in q.items():
-        nc = back.get(key + s_key, 0) - c
-        if nc:
-            back[key + s_key] = nc
-        else:
-            del back[key + s_key]
+    _accumulate(back, q, {s_key: -1})
     if back != terms:
         raise ArithmeticError("binomial quotient failed its multiply-back check")
     # q's terms lie between terms of p on one line, so p's bound holds
@@ -734,16 +702,27 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     return polys, common
 
 
+def _accumulate(acc: Terms, terms: Terms, by: Terms) -> None:
+    """acc += by * terms in place: for each (shift, scale) of by, add
+    scale * x^shift * terms, deleting each coefficient that cancels to 0."""
+    for shift, scale in by.items():
+        for k, c in terms.items():
+            k += shift
+            if k in acc:
+                nc = acc[k] + scale * c
+                if nc:
+                    acc[k] = nc
+                else:
+                    del acc[k]
+            else:
+                acc[k] = scale * c
+
+
 def _merged(polys: Sequence[LaurentPoly]) -> Terms:
     """The terms of the sum of polys."""
     terms = dict(polys[0].terms)
     for p in polys[1:]:
-        for k, c in p.terms.items():
-            nc = terms.get(k, 0) + c
-            if nc:
-                terms[k] = nc
-            else:
-                del terms[k]
+        _accumulate(terms, p.terms, {0: 1})
     return terms
 
 
@@ -774,8 +753,6 @@ def poly_product(ring: Ring, polys: Sequence[LaurentPoly]) -> LaurentPoly:
             rest = p if rest is None else rest * p
     if rest is not None:
         bound += rest.bound
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     if rest is None:
         return LaurentPoly(ring, {shift: scale}, bound)
     return LaurentPoly(ring, {k + shift: scale * c
@@ -888,16 +865,11 @@ def combination_is_zero(base: LaurentPoly, multiples: Iterable[
     for c, p in multiples:
         base._check(c)
         base._check(p)
+        # no product is built, so no constructor checks its bound
         if c.bound + p.bound > SLOT_LIMIT:
-            raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
-        for shift, scale in c.terms.items():
-            for k, pc in p.terms.items():
-                k += shift
-                nc = acc.get(k, 0) + scale * pc
-                if nc:
-                    acc[k] = nc
-                else:
-                    del acc[k]
+            raise UsageError(
+                f"an exponent or total degree could exceed ±{SLOT_LIMIT}")
+        _accumulate(acc, p.terms, c.terms)
     return not acc
 
 
@@ -909,17 +881,13 @@ def eq_exact(a: RatFunc, b: RatFunc) -> bool:
 def v_shifted(p: LaurentPoly, k: int) -> LaurentPoly:
     """p * v^k for p in a torus ring, one key shift per term: the v digit
     and the total digit of every key move by 2k (the v slot counts half
-    units), so the bound grows by 2|k|, and a bound past SLOT_LIMIT raises
-    UsageError instead of wrapping.  p itself when k = 0."""
+    units), so the bound grows by 2|k|.  p itself when k = 0."""
     if not k:
         return p
     ring = p.ring
-    bound = p.bound + 2 * abs(k)
-    if bound > SLOT_LIMIT:
-        raise UsageError(f"a product exponent could exceed ±{SLOT_LIMIT}")
     step = 2 * k * _unit_keys(ring.nvars)[ring.n]
     return LaurentPoly(ring, {key + step: c for key, c in p.terms.items()},
-                       bound)
+                       p.bound + 2 * abs(k))
 
 
 def geometric_block(lo: int, hi: int, m: LaurentPoly) -> LaurentPoly:

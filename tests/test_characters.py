@@ -8,7 +8,6 @@ import itertools
 
 import pytest
 
-from qtoda import characters
 from qtoda.characters import (
     based_correction,
     char_dimension,
@@ -109,22 +108,16 @@ class TestOnePassTangentChar:
                 assert chi == tangent_char_oracle(ring, p)
 
 
-add_piece = characters._add_piece
-
-
-def last_piece_run_shifted(mult, ring, i, upper, lower):
-    """`_add_piece` with one run off by one: in the last piece, the framing
+def last_piece_run_shifted(ring, i, upper, lower):
+    """`piece_char` with one run off by one: in the last piece, the framing
     run l = 1..a_{n-1,1} of the weight t_n^2 t_1^{-2} v^{2l} moves to
     l = 2..a_{n-1,1} + 1."""
-    bound = add_piece(mult, ring, i, upper, lower)
+    piece = piece_char(ring, i, upper, lower)
     a = upper[0]
     if i < ring.n - 1 or not a:
-        return bound
-    tsq, vsq = characters._square_keys(ring)
-    base = tsq[i] - tsq[0]
-    for key, step in ((base + vsq, -1), (base + (a + 1) * vsq, 1)):
-        mult[key] = mult.get(key, 0) + step
-    return max(bound, 2 + 4 * (a + 1))
+        return piece
+    return piece + weight_ratio(ring, ring.n, 1, 2 * (a + 1)) \
+        - weight_ratio(ring, ring.n, 1, 2)
 
 
 def pieces(p):

@@ -32,7 +32,7 @@ from qtoda.fixed_points import FixedPoint, all_degrees
 from qtoda.operators import (ModuleContext, diagonality_check, op_E, op_F,
                              relation_suite, sevostyanov_c, verify_relations)
 from qtoda.symbolic import RatFunc, eq_exact, rat_sum
-from test_characters import add_piece, last_piece_run_shifted
+from test_characters import last_piece_run_shifted
 from test_operators import decide, witness_entry
 
 # each mutated function as it is before any mutant is bound
@@ -47,6 +47,7 @@ pairing_prefactor = whittaker.pairing_prefactor
 closed_monomial = whittaker._closed_monomial
 eigenvalue_monomial_sum = toda.eigenvalue_monomial_sum
 det_weight = characters.det_weight
+piece_char = characters.piece_char
 dual_whittaker_prefactor = whittaker.dual_whittaker_prefactor
 
 
@@ -124,7 +125,7 @@ KILL_TABLE = {
                               "shift-sign-calibration": 1}),
     # one run of the last piece of the tangent character off by one: every
     # sym factor and the transfer's last piece factors read it
-    "_add_piece": (add_piece, last_piece_run_shifted,
+    "piece_char": (piece_char, last_piece_run_shifted,
                    {"raising-lowering-adjoint": 6,
                     "structure-sheaf-vector-eigen": 6,
                     "dual-vector-eigen": 6, "sum-op-eigen": 4,

@@ -19,6 +19,7 @@ from qtoda.operators import (
     basis_vector,
     compose,
     diagonality_check,
+    form_at,
     grouped,
     op_E,
     op_F,
@@ -59,13 +60,13 @@ class TestDiagonalScalars:
         assert ctx3.k_scalar(1, (1, 1)) == \
             ctx3.ring.t_monomial({2: 1, 1: -1}, v_power=2)
 
-    def test_l_scalar_examples(self):
+    def test_l_form_examples(self):
         ctx3 = ModuleContext(3)
         # i = 1, d = 0: t_1^{-1} v^{0 + 1*(3-1)/2} = t_1^{-1} v
-        assert ctx3.l_scalar(1, (0, 0)) == \
+        assert form_at(ctx3.l_form(1), (0, 0)) == \
             ctx3.ring.t_monomial({1: -1}, v_power=1)
         # i = 2, d = (0, 1): t_1^{-1} t_2^{-1} v^{1 + 2*(3-2)/2}
-        assert ctx3.l_scalar(2, (0, 1)) == \
+        assert form_at(ctx3.l_form(2), (0, 1)) == \
             ctx3.ring.t_monomial({1: -1, 2: -1}, v_power=2)
 
     def test_forms_give_the_closed_scalars(self):
@@ -86,12 +87,14 @@ class TestDiagonalScalars:
                 ell = ring.monomial([-(k <= i) for k in range(1, n + 1)]
                                     + [2 * d[i] + i * (n - i)])
                 assert ctx.k_scalar(i, degree) == kappa
-                assert ctx.l_scalar(i, degree) == ell
+                assert form_at(ctx.l_form(i), degree) == ell
                 for power in (-1, 1, 2):
-                    assert op_K(ctx, i, power).scalar(degree) == kappa ** power
-                    assert op_L(ctx, i, power).scalar(degree) == ell ** power
+                    assert form_at(op_K(ctx, i, power).form, degree) \
+                        == kappa ** power
+                    assert form_at(op_L(ctx, i, power).form, degree) \
+                        == ell ** power
                 cartan = operators._cartan_commutator_rhs(ctx, i)
-                assert cartan.scalar(degree) == kappa - kappa ** -1
+                assert form_at(cartan.form, degree) == kappa - kappa ** -1
                 checked += 1
         assert checked == 3 * 27
 
@@ -550,7 +553,7 @@ class TestDegreeFold:
                      for i in range(1, 4)]
         for op in diagonal:
             for d in all_degrees(4, 2):
-                scalar = op.scalar(d)
+                scalar = form_at(op.form, d)
                 assert isinstance(scalar, LaurentPoly)
                 for p in ctx.points(d):
                     [(q, entry)] = op.terms(p)

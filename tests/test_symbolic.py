@@ -223,6 +223,13 @@ class TestPacking:
         with pytest.raises(UsageError):
             R2.t(1, SLOT_LIMIT) * R2.t(1, -1)
 
+    def test_the_constructor_guards_the_bound(self):
+        # every operation reaches the limit through this one check, so no
+        # polynomial past it exists, one built by hand included
+        assert LaurentPoly(R2, {0: 1}, SLOT_LIMIT).is_one()
+        with pytest.raises(UsageError):
+            LaurentPoly(R2, {0: 1}, SLOT_LIMIT + 1)
+
 
 class TestRatFunc:
     def test_div_and_cancel(self):
@@ -568,6 +575,19 @@ class TestKeyConstructors:
             RatFunc.from_factors(R2, R2.t(2, SLOT_LIMIT // 2),
                                  [(R2.one() - R2.t(1, -(SLOT_LIMIT // 2)), 2)])
 
+    def test_factor_shifts_that_cancel_leave_the_unit_as_it_is(self):
+        # f = 1 - t_1^-h = -t_1^-h (1 - t_1^h) shifts the unit by t_1^-h and
+        # f^-1 shifts it back: the unit is not moved, so the bound the two
+        # shifts would add up to is never given to a polynomial
+        unit = R2.t(2, SLOT_LIMIT // 2)
+        f = R2.one() - R2.t(1, -(SLOT_LIMIT // 2))
+        r = RatFunc.from_factors(R2, unit, [(f, 1), (f, -1)])
+        assert r.unit is unit and not r.factors
+        # g = -(1 - t_1) has sign -1 and no shift: the unit is only negated
+        g = R2.t(1) - R2.one()
+        r = RatFunc.from_factors(R2, unit, [(f, 1), (f, -1), (g, 1)])
+        assert r.unit == -unit and r.unit.bound == unit.bound
+
     def test_negative_power_of_a_non_monomial_raises(self):
         for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3)):
             with pytest.raises(UsageError):
@@ -627,6 +647,31 @@ class TestBinomialQuotient:
         for p in (pair, pair * one_minus(s)):
             q = binomial_quotient(p, pack(s))
             assert q is None or one_minus(s) * q == p
+
+
+class TestNoZeroCoefficient:
+    """Terms that cancel leave no zero coefficient behind: every sum and
+    product adds through one accumulator, which deletes them."""
+
+    @given(poly_strategy(R2), poly_strategy(R2), st.sets(st.integers(0, 4)),
+           step_strategy())
+    @settings(max_examples=80, deadline=None)
+    def test_cancelling_inputs_store_no_zero(self, p, q, picked, s):
+        # minus the picked terms of p, so p + part cancels them
+        part = poly_sum(R2, [R2.monomial(e, -c) for j, (e, c)
+                             in enumerate(p.sorted_terms()) if j in picked])
+        got = [
+            (p + q) * (p - q),  # the cross terms p q - q p cancel
+            p * q - q * p, p + part, part - p, p - p, -part + part,
+            poly_sum(R2, [p, q, part, -q]),
+            poly_sum(R2, [p * q, -(q * p), part]),
+            binomial_quotient(p * one_minus(s), pack(s)),
+            binomial_quotient((p + part) * one_minus(s), pack(s)),
+        ]
+        for r in got:
+            assert 0 not in r.terms.values(), r
+        assert got[1].is_zero() and got[4].is_zero() and got[5].is_zero()
+        assert got[6] == p + part == got[9]
 
 
 def ratfunc_strategy(max_factors=3):

@@ -283,7 +283,7 @@ class TestTransfer:
         degrees = all_degrees(4, 2)
         reference = ModuleContext(4)
         want = {d: point_sum(reference, d) for d in degrees}
-        assert bind_everywhere(characters._add_piece, last_piece_run_shifted)
+        assert bind_everywhere(characters.piece_char, last_piece_run_shifted)
         ctx = ModuleContext(4)
         wrong = [d for d in degrees if not eq_exact(sheaf_rgamma(ctx, d),
                                                     want[d])]

@@ -71,7 +71,11 @@ Each counted function is wrapped in every qtoda module that binds it
 (`whittaker` imports its own `sum_is_zero`, `toda` its own
 `_over_common_den`, and `eq_exact` calls the one in `symbolic`), so no
 call escapes the count.  "term products" counts len(a) * len(b) over every
-LaurentPoly product a * b.
+LaurentPoly product a * b, and "accumulated terms" counts the terms that
+`symbolic._accumulate`, the one routine every sum, general product and
+zero test adds through, reads: the first count of the work of sums and
+zero tests.  Its bounds are the counts measured when that routine became
+the only one.
 """
 
 import pytest
@@ -90,9 +94,12 @@ FUNCTIONS = ("sum_is_zero", "_over_common_den", "raising_product",
 
 def count_work(monkeypatch, suite):
     """The records of suite(ModuleContext(4), 2) and the calls each counted
-    function made while they were made."""
-    counts = dict.fromkeys(("RatFunc.__mul__", "term products") + FUNCTIONS,
-                           0)
+    function made while they were made.  The binomials the closed products
+    share across contexts are built again, so the counts are a fresh
+    process's, whatever ran before."""
+    operators._one_minus.cache_clear()
+    counts = dict.fromkeys(("RatFunc.__mul__", "term products",
+                            "accumulated terms") + FUNCTIONS, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -104,8 +111,14 @@ def count_work(monkeypatch, suite):
         counts["term products"] += len(a.terms) * len(b.terms)
         return mul(a, b)
 
+    def accumulate(acc, terms, by):
+        counts["accumulated terms"] += len(terms) * len(by)
+        return add(acc, terms, by)
+
     mul = LaurentPoly.__mul__
+    add = symbolic._accumulate
     monkeypatch.setattr(LaurentPoly, "__mul__", poly_mul)
+    monkeypatch.setattr(symbolic, "_accumulate", accumulate)
     monkeypatch.setattr(RatFunc, "__mul__",
                         counted("RatFunc.__mul__", RatFunc.__mul__))
     for module in MODULES:
@@ -145,6 +158,7 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
         "sum_is_zero": 42,
         "_over_common_den": 825,
         "term products": 11297,
+        "accumulated terms": 21901,
         "raising_product": 49,
         "lowering_product": 46,
         "binomial_quotient": 0,
@@ -162,6 +176,7 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     (whittaker_records, 497, {"RatFunc.__mul__": 962, "sum_is_zero": 559,
                               "_over_common_den": 593,
                               "term products": 4709,
+                              "accumulated terms": 3527,
                               "raising_product": 130,
                               "lowering_product": 98,
                               "binomial_quotient": 65,
@@ -172,6 +187,7 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     # eigen checks lift each degree once and call no sum_is_zero
     (toda_records, 55, {"RatFunc.__mul__": 75, "sum_is_zero": 0,
                         "_over_common_den": 57, "term products": 7955,
+                        "accumulated terms": 12817,
                         "raising_product": 0, "lowering_product": 0,
                         "binomial_quotient": 248, "tangent_char": 0}),
 ], ids=["whittaker", "toda"])
