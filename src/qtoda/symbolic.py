@@ -50,7 +50,9 @@ multiple into one copy as key shifts.  A value comes from `rat_sum`, which
 adds its parts pairwise in a balanced tree.  After each pairwise sum it
 divides the numerator by every tracked binomial 1 - x^s that both summands
 carry in their denominators, for as long as the division is exact (a
-prefix sum along the lattice lines e + Z s, checked by multiplying back).
+prefix sum along the lattice lines e + Z s, checked by multiplying back;
+the line through the least key is summed first, so most divisions that
+fail are rejected before the numerator is sorted into its lines).
 Localization sums collapse to small rational functions, so the partial
 sums stay small instead of growing to the lcm of every part's
 denominator.
@@ -146,6 +148,19 @@ def _unit_keys(nvars: int) -> Tuple[int, ...]:
 def _slot_bound(exps: Sequence[int]) -> int:
     """Largest digit magnitude of the key of exps, total degree included."""
     return max(abs(sum(exps)), max((abs(e) for e in exps), default=0))
+
+
+@lru_cache(maxsize=None)
+def _key_bound(key: int) -> int:
+    """Largest digit magnitude of a key, total degree included: the
+    `_slot_bound` of its exponents, read off the balanced digits of the key
+    alone, once per key."""
+    bound = 0
+    while key:
+        digit = ((key + _HALF) & _MASK) - _HALF
+        bound = max(bound, abs(digit))
+        key = (key - digit) >> W
+    return bound
 
 
 @dataclass(frozen=True)
@@ -511,12 +526,17 @@ class RatFunc:
                       ) -> "RatFunc":
         """self * prod f^e, with each f = sign * x^low * canonical tracked by
         its canonical part.  The factor dict is copied once, and the unit is
-        shifted once by the product of the (sign * x^low)^e."""
+        shifted once by the product of the (sign * x^low)^e.  Each distinct
+        x^low is raised to its net exponent E, whose digits are at most
+        |E| * f.bound, so entries that partly cancel add only what is left
+        of them to the unit's bound."""
         unit = self.unit
         if unit.is_zero():
             return self
         tracked = []
-        shift, flip, bound = 0, 1, unit.bound
+        flip = 1
+        # low -> (net exponent, a bound on the digits of low)
+        lows: Dict[int, Tuple[int, int]] = {}
         for f, e in factor_list:
             if e == 0:
                 continue
@@ -535,19 +555,20 @@ class RatFunc:
             if sign < 0 and e % 2:
                 flip = -flip
             if low:
-                # every key shifts by e * low, whose digits are at most
-                # |e| * f.bound
-                shift += e * low
-                bound += abs(e) * f.bound
+                net, low_bound = lows.get(low, (0, f.bound))
+                lows[low] = (net + e, low_bound)
             if key is not None:
                 tracked.append((key, (canon, e)))
         factors = dict(self.factors)
         _add_powers(factors, tracked)
+        shift = sum(net * low for low, (net, _) in lows.items())
         if shift or flip < 0:
             # shifts that cancel leave the keys, and so the bound, as they are
+            bound = unit.bound + sum(abs(net) * low_bound for net, low_bound
+                                     in lows.values()) if shift else unit.bound
             unit = LaurentPoly(self.ring, {k + shift: flip * c
                                            for k, c in unit.terms.items()},
-                               bound if shift else unit.bound)
+                               bound)
         return RatFunc(self.ring, unit, factors)
 
     # -- arithmetic --------------------------------------------------------
@@ -640,18 +661,34 @@ def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
     q_e = sum_{k >= 0} p_{e - k s}, a prefix sum along each lattice line
     e + Z s, so the division is exact exactly when every line sums to 0.
     The keys of one line agree mod s_key.  Two keys of p that agree mod
-    s_key and lie at most 2 * p.bound / |s|_max steps apart are on one line,
-    where |s|_max is the largest digit magnitude of s: both differences then
-    have digits of at most 2 * p.bound, and packing is one-to-one there.  So
-    each residue class, in key order, splits into its lines wherever two
-    neighbours lie further apart.  No division is tried when 2 * p.bound
-    could pass SLOT_LIMIT.  Every quotient is multiplied back before it is
+    s_key and lie at most span = 2 * p.bound / |s|_max steps apart are on
+    one line, where |s|_max is the largest digit magnitude of s (read once
+    per s_key): both differences then have digits of at most 2 * p.bound,
+    and packing is one-to-one there.  For the same reason every term of p
+    on the line through its least key k0 lies at k0 + j s_key for some
+    j = 0..span, and every term of p at such a key is on that line.  So the
+    coefficients at those keys are summed first, walking whichever of the
+    span + 1 keys and p's terms is shorter, and a sum other than 0 rejects
+    the division before anything is sorted.  Otherwise each residue class,
+    in key order, splits into its lines wherever two neighbours lie further
+    apart than span steps.  No division is tried when 2 * p.bound could
+    pass SLOT_LIMIT.  Every quotient is multiplied back before it is
     returned, and a mismatch raises.
     """
     terms = p.terms
     if sum(terms.values()) or 2 * p.bound > SLOT_LIMIT:
         return None
-    span = 2 * p.bound // _slot_bound(unpack(s_key, p.ring.nvars))
+    span = 2 * p.bound // _key_bound(s_key)
+    start = min(terms, default=0)
+    line = range(start, start + span * s_key + 1, s_key)
+    # the coefficient sum of the least key's line, read along whichever of
+    # the line and the terms is shorter
+    if len(line) <= len(terms):
+        total = sum(terms.get(key, 0) for key in line)
+    else:
+        total = sum(c for key, c in terms.items() if key in line)
+    if total:
+        return None
     keys = sorted(terms)
     keys.sort(key=s_key.__rmod__)  # stable: each residue class in key order
     q: Terms = {}

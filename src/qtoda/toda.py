@@ -28,8 +28,10 @@ Each operator is written as a table: `sum_op_at(ring, d, sigma)` and
 as (source degree, multiplier) pairs, so that (op s)_d is the sum of
 multiplier * s[source].  Both rows come from one builder, `_table`: the
 diagonal (d, sum_j shift_j(d)^2) first, then one pair per source d - e_i
-with no negative component.  The tables read no series, and a shift
-monomial is built once per (j, d_j - d_{j-1}, sigma).
+with no negative component.  The tables read no series and make no
+polynomial product: a shift monomial is built once per (j, d_j - d_{j-1},
+sigma) by `_shift`, each squared shift is read from the same cache, and
+each sum-type multiplier is built as one monomial.
 
 Each degree is decided from one lift: `_over_common_den` writes J_d and
 every J_{d-e_i} as numerators L over one common tracked factor, and every
@@ -81,11 +83,19 @@ def _sources(d: DegreeVector) -> List[Tuple[int, DegreeVector]]:
     return [(i, src) for i, src in enumerate(lowered, 1) if min(src) >= 0]
 
 
+def _squared_shift(ring: TVRing, j: int, d: Dict[int, int],
+                   sigma: int) -> LaurentPoly:
+    """shift_j(d)^2 = t_j^{2 sigma} v^{2(d_j - d_{j-1})}, from the `_shift`
+    cache, for a padded degree d (d_0 = d_n = 0)."""
+    return _shift(ring, j, 2 * (d[j] - d[j - 1]), 2 * sigma)
+
+
 def _table(ring: TVRing, d: DegreeVector, sigma: int, multiplier) -> Table:
     """The degree-d row of an operator: the diagonal (d, sum_j
     shift_j(d)^2), then (d - e_i, multiplier(i, d - e_i)) for each source
     d - e_i (see `_sources`)."""
-    diagonal = poly_sum(ring, [shift_monomial(ring, j, d, sigma) ** 2
+    full = padded(d)
+    diagonal = poly_sum(ring, [_squared_shift(ring, j, full, sigma)
                                for j in range(1, ring.n + 1)])
     return [(d, diagonal)] + [(src, multiplier(i, src))
                               for i, src in _sources(d)]
@@ -94,18 +104,23 @@ def _table(ring: TVRing, d: DegreeVector, sigma: int, multiplier) -> Table:
 def sum_op_at(ring: TVRing, d: DegreeVector,
               sigma: int = DEFAULT_SIGMA) -> Table:
     """The sum-type operator's degree-d row: the squared shifts, and at each
-    d - e_i the v^{-2}-weighted nearest-neighbor product there."""
-    return _table(ring, d, sigma, lambda i, src: ring.v(-2)
-                  * shift_monomial(ring, i, src, sigma)
-                  * shift_monomial(ring, i + 1, src, sigma))
+    source s = d - e_i the v^{-2}-weighted nearest-neighbor product there,
+    v^{-2} shift_i(s) shift_{i+1}(s) = t_i^sigma t_{i+1}^sigma
+    v^{s_{i+1} - s_{i-1} - 2}, built as one monomial."""
+    def multiplier(i: int, src: DegreeVector) -> LaurentPoly:
+        s = padded(src)
+        return ring.t_monomial({i: sigma, i + 1: sigma},
+                               v_power=s[i + 1] - s[i - 1] - 2)
+    return _table(ring, d, sigma, multiplier)
 
 
 def difference_op_at(ring: TVRing, d: DegreeVector,
                      sigma: int = DEFAULT_SIGMA) -> Table:
     """The difference-type operator's degree-d row: the squared shifts, and
     at each d - e_i minus the squared (i+1)-th shift at d."""
+    full = padded(d)
     return _table(ring, d, sigma,
-                  lambda i, src: -(shift_monomial(ring, i + 1, d, sigma) ** 2))
+                  lambda i, src: -_squared_shift(ring, i + 1, full, sigma))
 
 
 def eigenvalue_monomial_sum(ring: TVRing,

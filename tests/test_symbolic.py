@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtoda import symbolic
@@ -178,6 +178,11 @@ class TestPacking:
     @settings(max_examples=200, deadline=None)
     def test_unpack_inverts_pack(self, exps):
         assert unpack(pack(exps), len(exps)) == exps
+
+    @given(st.integers(1, 6).flatmap(exps_strategy))
+    @settings(max_examples=200, deadline=None)
+    def test_key_bound_reads_the_slot_bound_off_the_key(self, exps):
+        assert symbolic._key_bound(pack(exps)) == slot_bound(exps)
 
     @given(st.lists(exps_strategy(3), min_size=2, max_size=12, unique=True))
     @settings(max_examples=100, deadline=None)
@@ -588,6 +593,28 @@ class TestKeyConstructors:
         r = RatFunc.from_factors(R2, unit, [(f, 1), (f, -1), (g, 1)])
         assert r.unit == -unit and r.unit.bound == unit.bound
 
+    def test_factor_shifts_that_partly_cancel_bound_the_net_shift(self):
+        # f^2 f^-1 = f shifts the unit by t_1^-(h/5) once, so its bound
+        # grows by f.bound once: h/2 + h/5 is in range, where the bounds of
+        # the three shifts that f^2 and f^-1 make, summed, are not
+        h = SLOT_LIMIT
+        unit = R2.t(2) ** (h // 2)
+        f = R2.one() - R2.t(1, -(h // 5))
+        r = RatFunc.from_factors(R2, unit, [(f, 2), (f, -1)])
+        want = RatFunc.from_factors(R2, unit, [(f, 1)])
+        # f = -t_1^-h/5 (1 - t_1^h/5): the unit takes the monomial, and the
+        # binomial stays tracked
+        assert r.unit == want.unit == -(R2.t(1, -(h // 5)) * unit)
+        assert r.factors == want.factors
+        assert r.unit.bound == h // 2 + h // 5 <= SLOT_LIMIT
+
+    def test_a_net_shift_past_the_limit_raises(self):
+        # f^7 f^-1 = f^6 shifts t_1 by -6 (h / 5), which is past the limit
+        h = SLOT_LIMIT
+        f = R2.one() - R2.t(1, -(h // 5))
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R2.t(2) ** (h // 2), [(f, 7), (f, -1)])
+
     def test_negative_power_of_a_non_monomial_raises(self):
         for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3)):
             with pytest.raises(UsageError):
@@ -604,7 +631,98 @@ def step_strategy(max_exp=3):
         any).map(lambda s: s if pack(s) > 0 else tuple(-x for x in s))
 
 
+def sorted_reference_quotient(p, s_key):
+    """The residue-sorted division with no line pre-check: every numerator
+    with p(1) = 0 is sorted, residue class by residue class in key order,
+    and the first line that fails to close rejects it."""
+    terms = p.terms
+    if sum(terms.values()) or 2 * p.bound > SLOT_LIMIT:
+        return None
+    span = 2 * p.bound // slot_bound(unpack(s_key, p.ring.nvars))
+    keys = sorted(terms)
+    keys.sort(key=s_key.__rmod__)
+    q = {}
+    prefix = 0
+    for key, after in zip(keys, keys[1:]):
+        prefix += terms[key]
+        if prefix:
+            steps, off = divmod(after - key, s_key)
+            if off or steps > span:
+                return None
+            q[key] = prefix
+            for m in range(1, steps):
+                q[key + m * s_key] = prefix
+    return LaurentPoly(p.ring, q, p.bound)
+
+
+def on_line(e0, e, s):
+    """Whether e lies on the lattice line e0 + Z s."""
+    d = [x - y for x, y in zip(e, e0)]
+    k = next(i for i, x in enumerate(s) if x)
+    return d[k] % s[k] == 0 and all(x == d[k] // s[k] * y
+                                    for x, y in zip(d, s))
+
+
+def least_line_sum(p, s):
+    """The coefficient sum of p on the line through its least term, read
+    from exponent tuples."""
+    terms = p.sorted_terms()
+    return sum(c for e, c in terms if on_line(terms[0][0], e, s))
+
+
+def binomial_pair(e, u):
+    """x^e (1 - x^u), whose coefficients sum to 0; its terms lie on one
+    line in direction s only when u is a multiple of s."""
+    return R2.monomial(e) - R2.monomial(tuple(x + y for x, y in zip(e, u)))
+
+
+small_exps = st.tuples(*[st.integers(-3, 3)] * R2.nvars)
+
+
 class TestBinomialQuotient:
+    @given(poly_strategy(R2, max_terms=12, max_exp=3), step_strategy(2))
+    @settings(max_examples=100, deadline=None)
+    def test_divisible_inputs_match_the_sorted_reference(self, p, s):
+        target = p * one_minus(s)
+        assert binomial_quotient(target, pack(s)) == p
+        assert sorted_reference_quotient(target, pack(s)) == p
+
+    @given(poly_strategy(R2, max_terms=8, max_exp=3), step_strategy(2),
+           small_exps, small_exps, nonzero_coeff)
+    @settings(max_examples=100, deadline=None)
+    def test_an_open_least_line_rejects_before_any_sort(self, p, s, e, u,
+                                                         c):
+        target = p * one_minus(s) + binomial_pair(e, u) * R2.const(c)
+        assume(least_line_sum(target, s))
+        assert not sum(target.terms.values())
+        assert sorted_reference_quotient(target, pack(s)) is None
+        with mock.patch.object(symbolic, "sorted", create=True,
+                               side_effect=AssertionError("sorted")):
+            assert binomial_quotient(target, pack(s)) is None
+
+    @given(step_strategy(2), small_exps, small_exps, nonzero_coeff)
+    @settings(max_examples=100, deadline=None)
+    def test_a_closed_least_line_leaves_the_rest_to_the_sort(self, s, e, u,
+                                                              c):
+        # x^a (1 - x^s) with a far below every other term: the least line
+        # closes, and the line of x^e may not
+        a = (-20, -20, -20)
+        target = binomial_pair(a, s) + binomial_pair(e, u) * R2.const(c)
+        assume(not least_line_sum(target, s))
+        want = sorted_reference_quotient(target, pack(s))
+        assume(want is None)
+        with mock.patch.object(symbolic, "sorted", create=True,
+                               wraps=sorted) as sort:
+            assert binomial_quotient(target, pack(s)) is None
+        assert sort.call_count == 1
+
+    @given(step_strategy(), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_the_zero_polynomial_divides_to_zero(self, s, bound):
+        zero = LaurentPoly(R2, {}, bound)
+        assert binomial_quotient(zero, pack(s)).is_zero()
+        assert sorted_reference_quotient(zero, pack(s)).is_zero()
+
     @given(poly_strategy(R2, max_exp=6), step_strategy())
     @settings(max_examples=80, deadline=None)
     def test_every_quotient_multiplies_back(self, p, s):

@@ -98,6 +98,26 @@ class TestSeries:
         ring = ModuleContext(3).ring
         assert op(ring, (0, 0)) == [((0, 0), eigenvalue_monomial_sum(ring))]
 
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    def test_rows_match_the_shift_monomials(self, sigma):
+        # each row's entries, read from the shift cache or built as one
+        # monomial, equal the recursions written with shift_monomial
+        ring = ModuleContext(4).ring
+
+        def shift(j, x):
+            return shift_monomial(ring, j, x, sigma)
+
+        for d in all_degrees(4, 3):
+            diagonal = sum((shift(j, d) ** 2 for j in range(2, 5)),
+                           shift(1, d) ** 2)
+            sources = [(i, d[:i - 1] + (d[i - 1] - 1,) + d[i:])
+                       for i in range(1, 4) if d[i - 1]]
+            assert sum_op_at(ring, d, sigma) == [(d, diagonal)] + [
+                (src, ring.v(-2) * shift(i, src) * shift(i + 1, src))
+                for i, src in sources]
+            assert difference_op_at(ring, d, sigma) == [(d, diagonal)] + [
+                (src, -(shift(i + 1, d) ** 2)) for i, src in sources]
+
     @pytest.mark.parametrize("op", [sum_op_at, difference_op_at],
                              ids=lambda op: op.__name__)
     def test_table_sources(self, op):

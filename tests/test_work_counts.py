@@ -65,7 +65,15 @@ calls, 8,508 term products and 250 `binomial_quotient` calls.  The 75
 RatFunc products are the transfer's own, each piece g_i times a suffix
 sum F_{i+1}; the run builds no tangent character of a point
 (`tangent_char` 0), so no per-point sym factor and no structure-sheaf
-component.
+component.  The toda term product bound was tightened when each
+operator row began to read its squared shifts from the shift cache and to
+build each sum-type multiplier as one monomial: before that the same run
+made 7,955 term products, two one-term products per sum-type multiplier.
+"sorted" counts the `sorted` calls of `symbolic`; at toda the binomial
+division is the only caller.  Its bound is the count measured when the
+division began to sum the line through the least key before sorting: 43,
+one per division that succeeds, where 182 of the 248 divisions (every one
+with p(1) = 0) sorted before.
 
 Each counted function is wrapped in every qtoda module that binds it
 (`whittaker` imports its own `sum_is_zero`, `toda` its own
@@ -99,7 +107,7 @@ def count_work(monkeypatch, suite):
     process's, whatever ran before."""
     operators._one_minus.cache_clear()
     counts = dict.fromkeys(("RatFunc.__mul__", "term products",
-                            "accumulated terms") + FUNCTIONS, 0)
+                            "accumulated terms", "sorted") + FUNCTIONS, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -121,6 +129,8 @@ def count_work(monkeypatch, suite):
     monkeypatch.setattr(symbolic, "_accumulate", accumulate)
     monkeypatch.setattr(RatFunc, "__mul__",
                         counted("RatFunc.__mul__", RatFunc.__mul__))
+    monkeypatch.setattr(symbolic, "sorted", counted("sorted", sorted),
+                        raising=False)
     for module in MODULES:
         for name in FUNCTIONS:
             if hasattr(module, name):
@@ -186,10 +196,11 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     # factors (its only RatFunc products, piece times suffix sum); its
     # eigen checks lift each degree once and call no sum_is_zero
     (toda_records, 55, {"RatFunc.__mul__": 75, "sum_is_zero": 0,
-                        "_over_common_den": 57, "term products": 7955,
+                        "_over_common_den": 57, "term products": 7845,
                         "accumulated terms": 12817,
                         "raising_product": 0, "lowering_product": 0,
-                        "binomial_quotient": 248, "tangent_char": 0}),
+                        "binomial_quotient": 248, "sorted": 43,
+                        "tangent_char": 0}),
 ], ids=["whittaker", "toda"])
 def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
                                             bounds):
