@@ -18,9 +18,10 @@ module beyond those the subcommands need.
 Exit codes: 0 all pass; 1 at least one failing check, or an error raised
 while the records were being made; 2 usage error, printed as one
 `error: ...` line on stderr with nothing on stdout; 3 time budget exceeded
-(set via the QTODA_TIME_BUDGET env var, seconds).  An error raised after
-the config echo (`RECORD_ERRORS`) becomes one `{"status": "error"}` record,
-followed by a summary with `"complete": false`.
+(set via the QTODA_TIME_BUDGET env var, seconds).  Any exception raised
+after the config echo, `MemoryError` included, becomes one
+`{"status": "error"}` record, followed by a summary with
+`"complete": false`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .operators import (
     relation_records,
     summation_records,
 )
-from .symbolic import (ArithmeticDomainError, DegeneracyError,
-                       EvaluationError, UsageError, json_int, tv_ring)
+from .symbolic import UsageError, json_int, tv_ring
 from .toda import toda_records
 from .whittaker import (
     eigen_records,
@@ -66,10 +66,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 BUDGET_ENV = "QTODA_TIME_BUDGET"
-
-# the errors that a record generator may raise, each written as a record
-RECORD_ERRORS = (DegeneracyError, ArithmeticDomainError, EvaluationError,
-                 UsageError)
 
 # json.dumps builds an encoder per call; one with its defaults writes the
 # same bytes.
@@ -377,15 +373,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rep = Reporter(stream, budget)
         rep.emit(_config_echo(args))
         complete = True
+        error = None
         try:
             for record in args.fn(args):
                 rep.emit(record)
                 rep.checkpoint()
         except BudgetExceeded:
             complete = False
-        except RECORD_ERRORS as exc:
-            rep.emit({"status": "error",
-                      "error": f"{type(exc).__name__}: {exc}"})
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        # written after the except block has dropped the traceback, and with
+        # it the generator frame and the context's memos, so a MemoryError
+        # leaves room to write the record
+        if error is not None:
+            rep.emit({"status": "error", "error": error})
             complete = False
         rep.emit(rep.summary(complete))
         return rep.exit_code(complete)

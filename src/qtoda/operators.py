@@ -300,8 +300,13 @@ def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
 @lru_cache(maxsize=None)
 def _one_minus(ring: TVRing, t_num: int, t_den: int, v_power: int) -> LaurentPoly:
     """1 - t_{t_num}^2 t_{t_den}^{-2} v^{v_power}, built once per ring and
-    arguments: the closed products reuse the same few binomials."""
-    return ring.one() - weight_ratio(ring, t_num, t_den, v_power)
+    arguments: the closed products reuse the same few binomials.  Built
+    from the ratio's one key, as `weight_inverse` builds 1 - w, so a miss
+    runs no term loop and no work count depends on what ran before; it is
+    zero when t_num = t_den and v_power = 0."""
+    w = weight_ratio(ring, t_num, t_den, v_power)
+    [key] = w.terms
+    return LaurentPoly(ring, {0: 1, key: -1} if key else {}, w.bound)
 
 
 def _raise_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> LaurentPoly:

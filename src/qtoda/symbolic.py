@@ -857,7 +857,11 @@ def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
     lcm of every part's denominator.  A lone part, the only nonzero one
     given, is cancelled the same way against each tracked binomial of its
     own denominator: a part that pieces of one denominator were folded into
-    then prints as their sum does.
+    then prints as their sum does.  A relation witness reads this: with
+    L_i's form mutated (the kill table's `ModuleContext.l_form` row), the
+    folded witness of `diagonal-conjugates-raising` (i, j) = (1, 1) at
+    degree 0 would print as t_1^2 t_2^-2 (1 - v^2) / (1 - v^2) where the
+    point loop's sum prints t_1^2 t_2^-2.
     """
     live = [t for t in terms if not t.unit.is_zero()]
     if len(live) == 1:

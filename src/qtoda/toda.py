@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .fixed_points import DegreeVector, all_degrees, padded, shifted
 from .operators import ModuleContext
-from .symbolic import (LaurentPoly, TVRing, UsageError, _over_common_den,
+from .symbolic import (LaurentPoly, TVRing, _over_common_den,
                        combination_is_zero, poly_sum)
 from .whittaker import _closed_monomial, sheaf_rgamma
 
@@ -64,16 +64,6 @@ Table = List[Tuple[DegreeVector, LaurentPoly]]
 def _shift(ring: TVRing, j: int, step: int, sigma: int) -> LaurentPoly:
     """t_j^sigma v^step, built once per (ring, j, step, sigma)."""
     return ring.t_monomial({j: sigma}, v_power=step)
-
-
-def shift_monomial(ring: TVRing, j: int, degree: DegreeVector,
-                   sigma: int = DEFAULT_SIGMA) -> LaurentPoly:
-    """Multiplier picked up by the j-th lattice shift at degree d:
-    t_j^sigma v^{d_j - d_{j-1}}  (j runs 1..n, d_0 = d_n = 0)."""
-    if not 1 <= j <= ring.n:
-        raise UsageError(f"shift index {j} out of range 1..{ring.n}")
-    d = padded(degree)
-    return _shift(ring, j, d[j] - d[j - 1], sigma)
 
 
 def _sources(d: DegreeVector) -> List[Tuple[int, DegreeVector]]:

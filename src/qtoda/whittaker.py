@@ -439,7 +439,14 @@ def pairing_two_path_record(ctx: ModuleContext,
 
     The per-point identity implies the summed one: the localized pairing
     sum_p W_k(p) W_w(p) theta_p is then m_d sum_p W_k(p), the closed form.
-    A failing record names the rows of the first point where it fails."""
+    A failing record names the rows of the first point where it fails.
+
+    The loop stays per point, though c_d omega(d) = m_d alone would decide
+    the prefactors once per degree: this is the only verify record that
+    reads `whittaker_w` and theta_p at points p != 0, so it is what checks
+    each point's dual-vector coefficient, omega(d) det(p)^-1 times the sym
+    factor, which the `whittaker` subcommand prints, and each point's
+    theta_p."""
     m_d = RatFunc.from_poly(_closed_monomial(ctx.ring, degree))
     record = {"check": "whittaker-pairing-two-path", "degree": list(degree)}
     for p, c in whittaker_w(ctx, degree).coeffs.items():

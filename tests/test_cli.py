@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from qtoda import __version__, cli, operators, whittaker
+from qtoda import __version__, cli, operators, symbolic, whittaker
 from qtoda.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -19,7 +20,8 @@ from qtoda.cli import (
 )
 from qtoda.fixed_points import all_degrees
 from qtoda.operators import ModuleContext
-from qtoda.symbolic import UsageError
+from qtoda.symbolic import (ArithmeticDomainError, DegeneracyError,
+                            EvaluationError, UsageError)
 
 
 def expire_after_first(monkeypatch, key, count=1):
@@ -388,8 +390,9 @@ class TestErrorRecords:
     and an incomplete summary; one found before the config echo is still a
     usage error with nothing on stdout."""
 
-    @pytest.mark.parametrize("error", list(cli.RECORD_ERRORS),
-                             ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("error", [
+        DegeneracyError, ArithmeticDomainError, EvaluationError, UsageError,
+        MemoryError, RuntimeError], ids=lambda e: e.__name__)
     def test_an_error_mid_stream_becomes_a_record(self, capsys, monkeypatch,
                                                   error):
         def suite(ctx, box):
@@ -405,6 +408,51 @@ class TestErrorRecords:
             {"status": "error", "error": f"{error.__name__}: no such weight"},
             {"summary": True, "complete": False,
              "counts": {"error": 1, "pass": 1}, "records": 3}]
+
+    def test_a_kernel_out_of_memory_keeps_the_records_made(self, capsys,
+                                                          monkeypatch):
+        # a MemoryError from the term accumulator halfway through the toda
+        # suite: the records made before it, then one error record, written
+        # once the suite's context is freed, then an incomplete summary
+        args = ("verify", "--n", "3", "--box", "2", "--suite", "toda")
+        calls = [0]
+        accumulate = symbolic._accumulate
+
+        def counted(acc, terms, by):
+            calls[0] += 1
+            if calls[0] == limit:
+                raise MemoryError()
+            return accumulate(acc, terms, by)
+
+        limit = None
+        monkeypatch.setattr(symbolic, "_accumulate", counted)
+        code, lines = run(capsys, *args)
+        assert code == EXIT_PASS
+        full = parsed(lines)
+        limit, calls[0] = calls[0] // 2, 0
+        contexts, alive_at_error = [], []
+        emit = cli.Reporter.emit
+
+        def emit_noting_contexts(rep, record):
+            if record.get("status") == "error":
+                alive_at_error.extend(ref() is not None for ref in contexts)
+            emit(rep, record)
+
+        def noted_context(n):
+            ctx = ModuleContext(n)
+            contexts.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(cli, "ModuleContext", noted_context)
+        monkeypatch.setattr(cli.Reporter, "emit", emit_noting_contexts)
+        code, lines = run(capsys, *args)
+        *made, error, summary = parsed(lines)
+        assert code == EXIT_FAIL
+        assert 1 < len(made) < len(full) - 1 and made == full[:len(made)]
+        assert error == {"status": "error", "error": "MemoryError: "}
+        assert summary["complete"] is False
+        assert summary["records"] == len(made) + 1
+        assert alive_at_error == [False]
 
     def test_a_usage_error_before_the_echo_still_exits_2(self, capsys,
                                                         monkeypatch):
