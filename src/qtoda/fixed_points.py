@@ -14,26 +14,20 @@ provides both counts so the bijection can be tested.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .symbolic import UsageError, json_int, json_list
+from .symbolic import UsageError, Value, json_int, json_list
 
 DegreeVector = Tuple[int, ...]
 Rows = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Value):
     """A triangular array indexing one torus fixed point."""
 
-    n: int
-    rows: Rows
-    # the row sums, set once in __post_init__; == and hash read (n, rows)
-    degree: DegreeVector = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, rows: Rows) -> None:
+        self.n, self.rows = n, rows
         if self.n < 2:
             raise UsageError("rank parameter must be at least 2")
         if len(self.rows) != self.n - 1:
@@ -51,7 +45,15 @@ class FixedPoint:
                     raise UsageError(
                         f"column {j + 1} increases from row {i} to row {i + 1}"
                     )
-        object.__setattr__(self, "degree", tuple(sum(r) for r in self.rows))
+        # the row sums, set once here or by `_moves`; == and hash read
+        # (n, rows) alone
+        self.degree: DegreeVector = tuple(sum(r) for r in self.rows)
+
+    @property
+    def _key(self) -> tuple:
+        # built per call, not stored: points are many and rarely hashed
+        # (the hot groupings key by `rows`, see `operators.grouped`)
+        return (self.n, self.rows)
 
     def entry(self, i: int, j: int) -> int:
         """Entry a_{ij}, with boundary conventions a_{0,*} = a_{n,*} = 0."""
@@ -203,7 +205,7 @@ def _moves(p: FixedPoint, i: int, step: int) -> List[Tuple[FixedPoint, int]]:
     column i, so the diagonal entry has no cap; the row below floors a
     lowering, with row n zero.  A move inside those bounds keeps every row
     and column condition, so each target is built from p's rows and the
-    degree d + step e_i without running `FixedPoint.__post_init__` again.
+    degree d + step e_i without running `FixedPoint.__init__`'s checks.
     """
     if not 1 <= i <= p.n - 1:
         raise UsageError(f"row index {i} out of range")
@@ -214,9 +216,7 @@ def _moves(p: FixedPoint, i: int, step: int) -> List[Tuple[FixedPoint, int]]:
         if j > len(bound) or step * (bound[j - 1] - row[j - 1]) > 0:
             rows = p.rows[:i - 1] + (shifted(row, j, step),) + p.rows[i:]
             q = object.__new__(FixedPoint)
-            for name, value in (("n", p.n), ("rows", rows),
-                                ("degree", degree)):
-                object.__setattr__(q, name, value)
+            q.n, q.rows, q.degree = p.n, rows, degree
             out.append((q, j))
     return out
 

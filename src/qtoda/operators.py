@@ -66,12 +66,10 @@ determinant, and a sum that survives there is the record's witness.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, mul
-from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple, TypeVar)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable,
+                    Iterator, List, Optional, Sequence, Tuple, TypeVar)
 
 from .characters import (
     corr_tangent_char,
@@ -99,6 +97,7 @@ from .symbolic import (
     RatFunc,
     TVRing,
     UsageError,
+    Value,
     _over_common_den,
     combination_is_zero,
     eq_exact,
@@ -110,6 +109,9 @@ from .symbolic import (
     tv_ring,
     v_shifted,
 )
+
+if TYPE_CHECKING:  # summation_records imports it when it runs
+    import random
 
 T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
@@ -129,17 +131,21 @@ def sevostyanov_c(i: int, j: int) -> int:
     return i - j if abs(i - j) == 1 else 0
 
 
-@dataclass
-class ModuleVector:
-    """An element of one graded piece, as coefficients on fixed points."""
+class ModuleVector(Value):
+    """An element of one graded piece, as coefficients on fixed points.
+    Compared by value; mutable, so unhashable."""
 
-    degree: DegreeVector
-    coeffs: Dict[FixedPoint, RatFunc]
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        for p in self.coeffs:
-            if p.degree != tuple(self.degree):
-                raise UsageError("coefficient key has the wrong degree")
+    def __init__(self, degree: DegreeVector,
+                 coeffs: Dict[FixedPoint, RatFunc]) -> None:
+        if any(p.degree != tuple(degree) for p in coeffs):
+            raise UsageError("coefficient key has the wrong degree")
+        self.degree, self.coeffs = degree, coeffs
+        self._key = (degree, coeffs)
+
+    def __repr__(self) -> str:
+        return f"ModuleVector(degree={self.degree!r}, coeffs={self.coeffs!r})"
 
 
 class GradedOperator:
@@ -512,7 +518,7 @@ def grouped(pairs: Iterable[Tuple[K, T]]) -> Dict[K, List[T]]:
     """{key: items} of (key, item) pairs, the keys and each key's items in
     first-seen order.  Every check that adds the parts of one target groups
     them here, keyed by `rows` tuples rather than by FixedPoint: a tuple's
-    hash and == run in C, the dataclass's in Python."""
+    hash and == run in C, FixedPoint's in Python."""
     groups: Dict[K, List[T]] = {}
     for key, item in pairs:
         groups.setdefault(key, []).append(item)
@@ -1000,6 +1006,7 @@ def summation_records(ctx: ModuleContext, seed: int,
                       i: Optional[int] = None) -> Iterator[dict]:
     """The summation identity for row i, or for every row up to 4, each on
     random admissible rows drawn from `seed`; one record per row."""
+    import random
     rng = random.Random(seed)
     for row in range(1, min(ctx.n, 5)) if i is None else [i]:
         if not 1 <= row <= ctx.n - 1:

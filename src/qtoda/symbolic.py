@@ -60,10 +60,12 @@ denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple)
+
+if TYPE_CHECKING:  # the exact evaluators import it when they run
+    from fractions import Fraction
 
 Exponent = Tuple[int, ...]
 Terms = Dict[int, int]  # packed monomial key -> nonzero coefficient
@@ -163,11 +165,30 @@ def _key_bound(key: int) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class Ring:
+class Value:
+    """Value semantics read from `_key`, the tuple of an object's fields:
+    objects of one class are equal when their keys are, objects of two
+    classes never are (a Ring never equals a TVRing), and the hash is the
+    key's, so a hashable subclass is immutable by convention, like
+    LaurentPoly."""
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key == other._key if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class Ring(Value):
     """A parameter space: an ordered tuple of variable names."""
 
-    names: Tuple[str, ...]
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        self.names = names
+        self._key = (names,)
+
+    def __repr__(self) -> str:
+        return f"Ring(names={self.names!r})"
 
     @property
     def nvars(self) -> int:
@@ -207,11 +228,15 @@ class Ring:
         return LaurentPoly(self, {key: int(coeff)}, bound)
 
 
-@dataclass(frozen=True)
 class TVRing(Ring):
     """The torus character ring with t_1..t_n and the doubled-v slot."""
 
-    n: int = 0
+    def __init__(self, names: Tuple[str, ...], n: int = 0) -> None:
+        self.names, self.n = names, n
+        self._key = (names, n)
+
+    def __repr__(self) -> str:
+        return f"TVRing(names={self.names!r}, n={self.n})"
 
     def t(self, i: int, power: int = 1) -> "LaurentPoly":
         """The monomial t_i^power, 1-based index."""
@@ -352,6 +377,7 @@ class LaurentPoly:
 
     def eval(self, point: "EvalPoint") -> Fraction:
         """Exact evaluation at a point with nonzero coordinates."""
+        from fractions import Fraction
         if len(point.values) != self.ring.nvars:
             raise UsageError("evaluation point has wrong arity")
         total = Fraction(0)
@@ -403,18 +429,21 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(Value):
     """Exact rational values, one per ring variable, all nonzero."""
 
-    values: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if any(v == 0 for v in self.values):
+    def __init__(self, values: Tuple[Fraction, ...]) -> None:
+        if any(v == 0 for v in values):
             raise UsageError("evaluation point coordinates must be nonzero")
+        self.values = values
+        self._key = (values,)
+
+    def __repr__(self) -> str:
+        return f"EvalPoint(values={self.values!r})"
 
     @staticmethod
     def of(*values) -> "EvalPoint":
+        from fractions import Fraction
         return EvalPoint(tuple(Fraction(v) for v in values))
 
 
@@ -641,7 +670,7 @@ class RatFunc:
             if val == 0:
                 if e < 0:
                     raise EvaluationError("zero denominator factor at point")
-                return Fraction(0)
+                return val  # Fraction(0)
             total *= val ** e
         return total
 

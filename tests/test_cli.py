@@ -633,24 +633,33 @@ class TestCommandLineGrammar:
                      "--su", "toda"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: verify has no flag --su\n"
 
-    def test_a_run_imports_no_argument_parser(self):
+    def test_a_toda_run_imports_no_parser_introspection_or_rationals(self):
         # with -S no site module is imported, so sys.modules holds what
-        # the interpreter and qtoda import
+        # the interpreter and qtoda import.  A toda run loads no argument
+        # parser (argparse, gettext, locale), no dataclasses (inspect, ast,
+        # dis), no exact rationals (fractions, decimal) and no random; the
+        # summation suite then imports random itself and still passes
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "src")
+        unwanted = {"argparse", "gettext", "locale", "dataclasses",
+                    "inspect", "ast", "dis", "fractions", "decimal",
+                    "random"}
         script = "\n".join([
             "import io, json, sys",
             f"sys.path.insert(0, {src!r})",
             "from qtoda.cli import main",
             "out, sys.stdout = sys.stdout, io.StringIO()",
-            "code = main(['verify', '--n', '2', '--box', '0',"
-            " '--suite', 'toda'])",
+            "codes = [main(['verify', '--n', '2', '--box', '0',"
+            " '--suite', 'toda'])]",
+            "loaded = sorted(set(sys.modules).intersection(",
+            f"    {sorted(unwanted)!r}))",
+            "codes.append(main(['verify', '--n', '4', '--box', '0',"
+            " '--suite', 'summation']))",
             "sys.stdout = out",
-            "print(json.dumps([code, sorted(set(sys.modules)"
-            " & {'argparse', 'gettext', 'locale'})]))"])
+            "print(json.dumps([codes, loaded]))"])
         result = subprocess.run([sys.executable, "-S", "-c", script],
                                 capture_output=True, text=True, check=True)
-        assert json.loads(result.stdout) == [EXIT_PASS, []]
+        assert json.loads(result.stdout) == [[EXIT_PASS, EXIT_PASS], []]
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

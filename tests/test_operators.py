@@ -15,6 +15,7 @@ from qtoda import operators, whittaker
 from qtoda.fixed_points import FixedPoint, all_degrees, enumerate_points
 from qtoda.operators import (
     ModuleContext,
+    ModuleVector,
     apply_op,
     basis_vector,
     compose,
@@ -190,6 +191,21 @@ class TestModuleAction:
             from qtoda.operators import ModuleVector
             from qtoda.symbolic import RatFunc
             ModuleVector((1,), {FixedPoint.zero(2): RatFunc.one(ctx.ring)})
+
+
+def test_module_vector_compares_by_value_and_rejects_a_wrong_degree_key():
+    ctx = ModuleContext(3)
+    one = RatFunc.one(ctx.ring)
+    p, q = enumerate_points(3, (1, 1))[:2]
+    # one key of the wrong degree among keys of the right one
+    with pytest.raises(UsageError, match="wrong degree"):
+        ModuleVector((1, 1), {p: one, FixedPoint.zero(3): one})
+    x = ModuleVector((1, 1), {p: one, q: one})
+    assert x == ModuleVector((1, 1), {q: one, p: one})
+    assert x != ModuleVector((1, 1), {p: one})
+    assert ModuleVector((1, 1), {}) != ModuleVector((1, 0), {})
+    with pytest.raises(TypeError):  # mutable, so unhashable
+        hash(x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

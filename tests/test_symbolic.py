@@ -16,6 +16,8 @@ from qtoda.symbolic import (
     EvaluationError,
     LaurentPoly,
     RatFunc,
+    Ring,
+    TVRing,
     UsageError,
     binomial_quotient,
     combination_is_zero,
@@ -171,6 +173,52 @@ def naive_product(a, b):
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return sorted(((e, c) for e, c in out.items() if c), key=lambda t: grlex(t[0]))
+
+
+class TestValueSemantics:
+    """Rings and evaluation points compare and hash by their fields: the
+    `lru_cache`s `weight_ratio`, `_one_minus`, `_canonical_binomial` and
+    `toda._shift` are keyed by a ring."""
+
+    def test_a_fresh_tv_ring_equals_the_cached_one_and_hashes_alike(self):
+        cached = tv_ring(3)
+        fresh = TVRing(names=cached.names, n=3)
+        assert fresh is not cached
+        assert fresh == cached and hash(fresh) == hash(cached)
+        # so a cache keyed by the ring serves both: the cached ring builds
+        # the entry, and the fresh one finds it
+        s_key = symbolic._unit_keys(cached.nvars)[0]
+        built = symbolic._canonical_binomial(cached, s_key, 1)
+        assert symbolic._canonical_binomial(fresh, s_key, 1) is built
+        assert TVRing(names=cached.names, n=2) != cached
+        assert TVRing(names=cached.names[::-1], n=3) != cached
+
+    def test_a_ring_never_equals_a_tv_ring(self):
+        torus = tv_ring(2)
+        plain = generic_ring(torus.names)
+        assert plain != torus and torus != plain
+        assert not plain == torus and not torus == plain
+        assert len({plain, torus}) == 2
+        again = Ring(torus.names)
+        assert plain == again and hash(plain) == hash(again)
+
+    def test_an_eval_point_with_a_zero_coordinate_is_a_usage_error(self):
+        for values in [(2, 0, 3), (0,), (Fraction(0, 5), 1)]:
+            with pytest.raises(UsageError):
+                EvalPoint.of(*values)
+        with pytest.raises(UsageError):
+            EvalPoint((Fraction(1), Fraction(0)))
+        point = EvalPoint.of(2, Fraction(1, 2))
+        assert point.values == (Fraction(2), Fraction(1, 2))
+        assert point == EvalPoint((Fraction(2), Fraction(1, 2)))
+        assert hash(point) == hash(EvalPoint.of(2, Fraction(1, 2)))
+        assert point != EvalPoint.of(Fraction(1, 2), 2)
+
+    def test_reprs_name_the_fields(self):
+        assert repr(tv_ring(1)) == "TVRing(names=('t1', 'v'), n=1)"
+        assert repr(generic_ring(["a", "b"])) == "Ring(names=('a', 'b'))"
+        assert (repr(EvalPoint.of(2, Fraction(1, 2)))
+                == "EvalPoint(values=(Fraction(2, 1), Fraction(1, 2)))")
 
 
 class TestPacking:
