@@ -612,9 +612,7 @@ def _fold(ring: TVRing, terms: Sequence[Term],
                 forms.append([(s, v_shifted(c, sum(map(mul, s, offset))))
                               for s, c in op.form])
         kept = tuple(reversed(kept))
-        key = (kept, tuple(sorted((k, e) for k, (_, e) in
-                                  coeff.factors.items()))
-               if coeff.factors else ())
+        key = (kept, tuple(sorted(coeff.factors.items())))
         if key not in shapes:
             shapes[key] = (kept, RatFunc(ring, ring.one(), coeff.factors))
         by_slope = classes.setdefault(key, {})

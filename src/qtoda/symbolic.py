@@ -1,9 +1,9 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic.
 
 The coefficient ring for everything downstream is the integer Laurent ring
-Z[t_1^{±1},...,t_n^{±1}, v^{±1/2}] and its fraction field.  A Laurent
-polynomial is a dict from packed monomial keys to arbitrary-precision ints;
-the zero polynomial is the empty dict.
+Z[t_1^{±1},...,t_n^{±1}, v^{±1/2}], localized at the binomials 1 - x^s.
+A Laurent polynomial is a dict from packed monomial keys to
+arbitrary-precision ints; the zero polynomial is the empty dict.
 
 A monomial with exponents (e_1, ..., e_N) is packed into one int: the digits
 (e_1 + ... + e_N, e_1, ..., e_N) in balanced radix 2**W, the total degree
@@ -25,12 +25,14 @@ exponent slot counts units of v^(1/2): the monomial v^k is stored with last
 exponent 2k.  Helper constructors on :class:`TVRing` hide this.
 
 Rational functions keep numerator/denominator factors as multisets of
-tracked canonical factors instead of expanded products.  Every localization
+tracked binomials instead of expanded products.  Every localization
 quantity in this package is born as a monomial times a product of
-(1 - monomial) binomials, so tracked factors cancel syntactically and
-nothing ever needs a multivariate GCD.  A binomial 1 - x^{±s} is
-canonicalized once per (ring, s, bound), so equal binomials share one
-canonical polynomial; any other factor is canonicalized on every use.
+(1 - monomial) binomials, so a `RatFunc` is an element of the Laurent ring
+localized at the binomials 1 - x^s, not of the whole fraction field.  Each
+factor splits once into a unit monomial times 1 - x^s with s > 0, the
+binomial tracked by its packed key s alone, so equal binomials cancel
+syntactically and nothing ever needs a multivariate GCD.  Any other
+factor raises UsageError.
 
 One accumulator, `_accumulate(acc, terms, by)`, adds by * terms into a
 dict in place, one key shift and coefficient scale of terms per term of
@@ -451,76 +453,41 @@ class EvalPoint(Value):
 # Rational functions with tracked factors
 # ---------------------------------------------------------------------------
 
-FactorKey = Tuple[Tuple[int, int], ...]
+Factors = Dict[int, int]  # tracked key s > 0 of 1 - x^s -> nonzero power
 
 
-def _canonical_factor(p: LaurentPoly) -> Tuple[LaurentPoly, int, int]:
-    """Scale a nonzero factor to canonical form.
-
-    Returns (canonical, low, sign) with p = sign * x^low * canonical, where
-    low is the key of p's graded-lex-least term and canonical's least term
-    is a positive constant.
-    """
-    low = min(p.terms)
-    sign = 1 if p.terms[low] > 0 else -1
-    canon = {k - low: sign * c for k, c in p.terms.items()}
-    # the digits of k - low are at most 2 * p.bound
-    return LaurentPoly(p.ring, canon, 2 * p.bound), low, sign
+def _binomial(ring: Ring, s: int) -> LaurentPoly:
+    """The tracked binomial 1 - x^s of a key s > 0, with the exact bound of
+    its keys."""
+    return LaurentPoly(ring, {0: 1, s: -1}, _key_bound(s))
 
 
-def _factor_key(p: LaurentPoly) -> FactorKey:
-    return tuple(sorted(p.terms.items()))
-
-
-@lru_cache(maxsize=None)
-def _canonical_binomial(ring: Ring, s: int,
-                        bound: int) -> Tuple[LaurentPoly, FactorKey]:
-    """The canonical form 1 - x^s (s > 0) of the binomials 1 - x^{±s} of
-    digit bound `bound`, and its factor key, built once.  The canonical
-    polynomial keeps the bound `_canonical_factor` would give it."""
-    return LaurentPoly(ring, {0: 1, s: -1}, 2 * bound), ((0, 1), (s, -1))
-
-
-def _binomial_exponent(terms: Terms) -> int | None:
-    """s when the terms are exactly those of 1 - x^s, else None."""
-    if len(terms) == 2 and terms.get(0) == 1:
-        a, b = terms
-        s = b if a == 0 else a
-        if terms[s] == -1:
-            return s
-    return None
-
-
-_ABSENT = (None, 0)  # factors.get default: the factor's power is 0
-
-
-def _add_powers(factors: Dict[FactorKey, Tuple[LaurentPoly, int]],
-                powers: Iterable[Tuple[FactorKey, Tuple[LaurentPoly, int]]]
-                ) -> None:
-    """Raise the power of each tracked factor in place, by e != 0 for each
-    (key, (canon, e)) of powers, dropping a factor at power 0."""
-    for key, (canon, e) in powers:
-        ne = factors.get(key, _ABSENT)[1] + e
+def _add_powers(factors: Factors, powers: Iterable[Tuple[int, int]]) -> None:
+    """Raise the power of each tracked binomial in place, by e != 0 for each
+    (s, e) of powers, dropping a binomial at power 0."""
+    for s, e in powers:
+        ne = factors.get(s, 0) + e
         if ne:
-            factors[key] = (canon, ne)
+            factors[s] = ne
         else:
-            del factors[key]
+            del factors[s]
 
 
 class RatFunc:
-    """A rational function num/den over a Laurent ring.
+    """An element of a Laurent ring localized at the binomials 1 - x^s.
 
     Internally: a residual Laurent polynomial `unit` times a product of
-    canonical tracked factors with integer (possibly negative) exponents.
-    Denominators are expanded only on demand; identical factors cancel at
-    the multiset level.  No polynomial GCD is ever computed, so num/den
-    pairs need not be fully reduced.
+    tracked binomials 1 - x^s, each held in `factors` as its packed key
+    s > 0 with a nonzero (possibly negative) power.  This is not the whole
+    fraction field: a factor other than a unit monomial times 1 - x^s
+    raises UsageError.  Denominators are expanded only on demand; equal
+    binomials cancel at the multiset level.  No polynomial GCD is ever
+    computed, so num/den pairs need not be fully reduced.
     """
 
     __slots__ = ("ring", "unit", "factors")
 
-    def __init__(self, ring: Ring, unit: LaurentPoly,
-                 factors: Dict[FactorKey, Tuple[LaurentPoly, int]]):
+    def __init__(self, ring: Ring, unit: LaurentPoly, factors: Factors):
         self.ring = ring
         self.unit = unit
         self.factors = factors
@@ -540,7 +507,9 @@ class RatFunc:
     @staticmethod
     def from_factors(ring: Ring, unit: LaurentPoly,
                      factor_list: Iterable[Tuple[LaurentPoly, int]]) -> "RatFunc":
-        """Build unit * prod f_i^{e_i} with factor tracking."""
+        """Build unit * prod f_i^{e_i} with factor tracking.  A unit from
+        another ring raises UsageError."""
+        ring.one()._check(unit)
         return RatFunc(ring, unit, {})._with_factors(factor_list)
 
     @staticmethod
@@ -553,58 +522,64 @@ class RatFunc:
 
     def _with_factors(self, factor_list: Iterable[Tuple[LaurentPoly, int]]
                       ) -> "RatFunc":
-        """self * prod f^e, with each f = sign * x^low * canonical tracked by
-        its canonical part.  The factor dict is copied once, and the unit is
+        """self * prod f^e, with each f split once into
+        sign * x^low * (1 - x^s), where low is the key of f's least term and
+        s = 0 for a monomial; the binomial is tracked by s.  A factor of
+        another ring, or of any other shape, raises UsageError, and so does
+        an s with a digit past SLOT_LIMIT (the digits of high - low reach
+        2 * f.bound).  The factor dict is copied once, and the unit is
         shifted once by the product of the (sign * x^low)^e.  Each distinct
         x^low is raised to its net exponent E, whose digits are at most
-        |E| * f.bound, so entries that partly cancel add only what is left
-        of them to the unit's bound."""
-        unit = self.unit
+        |E| * _key_bound(low), so the unit's bound grows by what is left of
+        the shifts, whatever the order of the factors."""
+        ring, unit = self.ring, self.unit
         if unit.is_zero():
             return self
         tracked = []
         flip = 1
-        # low -> (net exponent, a bound on the digits of low)
-        lows: Dict[int, Tuple[int, int]] = {}
+        lows: Dict[int, int] = {}  # low -> net exponent
         for f, e in factor_list:
             if e == 0:
                 continue
-            if f.is_zero():
+            unit._check(f)
+            terms = f.terms
+            if not terms:
                 if e < 0:
                     raise ArithmeticDomainError("zero denominator factor")
-                return RatFunc.zero(self.ring)
-            s = _binomial_exponent(f.terms)
-            if s is None:
-                canon, low, sign = _canonical_factor(f)
-                key = None if canon.is_one() else _factor_key(canon)
-            else:
-                # 1 - x^s is canonical for s > 0; 1 - x^s = -x^s (1 - x^-s)
-                canon, key = _canonical_binomial(f.ring, abs(s), f.bound)
-                low, sign = (0, 1) if s > 0 else (s, -1)
+                return RatFunc.zero(ring)
+            low, high = min(terms), max(terms)
+            sign, s = terms[low], high - low
+            if len(terms) > 2 or sign not in (1, -1) or s and \
+                    terms[high] != -sign:
+                raise UsageError(f"not ±x^a or ±x^a (1 - x^s): {f!r}")
+            if s and 2 * f.bound > SLOT_LIMIT:
+                # a digit of s may have wrapped: read the exponents of s
+                n = ring.nvars
+                exps = [a - b for a, b in zip(unpack(high, n), unpack(low, n))]
+                if _slot_bound(exps) > SLOT_LIMIT:
+                    raise UsageError("an exponent or total degree could "
+                                     f"exceed ±{SLOT_LIMIT}")
             if sign < 0 and e % 2:
                 flip = -flip
             if low:
-                net, low_bound = lows.get(low, (0, f.bound))
-                lows[low] = (net + e, low_bound)
-            if key is not None:
-                tracked.append((key, (canon, e)))
+                lows[low] = lows.get(low, 0) + e
+            if s:
+                tracked.append((s, e))
         factors = dict(self.factors)
         _add_powers(factors, tracked)
-        shift = sum(net * low for low, (net, _) in lows.items())
+        shift = sum(net * low for low, net in lows.items())
         if shift or flip < 0:
             # shifts that cancel leave the keys, and so the bound, as they are
-            bound = unit.bound + sum(abs(net) * low_bound for net, low_bound
-                                     in lows.values()) if shift else unit.bound
-            unit = LaurentPoly(self.ring, {k + shift: flip * c
-                                           for k, c in unit.terms.items()},
-                               bound)
-        return RatFunc(self.ring, unit, factors)
+            bound = unit.bound + sum(abs(net) * _key_bound(low) for low, net
+                                     in lows.items()) if shift else unit.bound
+            unit = LaurentPoly(ring, {k + shift: flip * c
+                                      for k, c in unit.terms.items()}, bound)
+        return RatFunc(ring, unit, factors)
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "RatFunc") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise UsageError("operands live in different rings")
+        self.unit._check(other.unit)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
@@ -624,7 +599,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.unit.is_zero():
             raise ArithmeticDomainError("division by zero")
-        factors = {k: (c, -e) for k, (c, e) in self.factors.items()}
+        factors = {s: -e for s, e in self.factors.items()}
         return RatFunc(self.ring, self.ring.one(), factors)._with_factors(
             [(self.unit, -1)])
 
@@ -656,21 +631,22 @@ class RatFunc:
         """The numerator and the denominator, expanded in one pass over the
         tracked factors."""
         num, den = self.unit, self.ring.one()
-        for canon, e in self.factors.values():
+        for s, e in self.factors.items():
             if e > 0:
-                num = num * canon ** e
+                num = num * _binomial(self.ring, s) ** e
             else:
-                den = den * canon ** -e
+                den = den * _binomial(self.ring, s) ** -e
         return num, den
 
     def eval(self, point: EvalPoint) -> Fraction:
+        """The exact value at point.  A vanishing denominator binomial raises
+        EvaluationError, even where a numerator binomial vanishes too."""
+        vals = [(_binomial(self.ring, s).eval(point), e)
+                for s, e in self.factors.items()]
+        if any(not val and e < 0 for val, e in vals):
+            raise EvaluationError("zero denominator factor at point")
         total = self.unit.eval(point)
-        for canon, e in self.factors.values():
-            val = canon.eval(point)
-            if val == 0:
-                if e < 0:
-                    raise EvaluationError("zero denominator factor at point")
-                return val  # Fraction(0)
+        for val, e in vals:
             total *= val ** e
         return total
 
@@ -743,7 +719,7 @@ def binomial_quotient(p: LaurentPoly, s_key: int) -> LaurentPoly | None:
 
 
 def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
-        List[LaurentPoly], Dict[FactorKey, Tuple[LaurentPoly, int]]]:
+        List[LaurentPoly], Factors]:
     """(polys, common) with parts[k] = polys[k] * common for every k.
 
     `common` holds each tracked factor at its smallest power over all parts,
@@ -752,19 +728,20 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     Only the remaining powers are expanded into the polys.  `common` is a
     new dict, which `_add` changes.
     """
+    ring = parts[0].ring
     polys = [r.unit for r in parts]
-    keys: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
+    keys: Factors = {}
     for r in reversed(parts):
         keys.update(r.factors)
-    common: Dict[FactorKey, Tuple[LaurentPoly, int]] = {}
-    for key, (canon, _) in keys.items():
-        powers = [r.factors.get(key, _ABSENT)[1] for r in parts]
+    common: Factors = {}
+    for s in keys:
+        powers = [r.factors.get(s, 0) for r in parts]
         m = min(powers)
         if m:
-            common[key] = (canon, m)
+            common[s] = m
         for k, e in enumerate(powers):
             if e != m:
-                polys[k] = polys[k] * canon ** (e - m)
+                polys[k] = polys[k] * _binomial(ring, s) ** (e - m)
     return polys, common
 
 
@@ -843,30 +820,26 @@ def _add(a: RatFunc, b: RatFunc) -> RatFunc:
     if unit.is_zero():
         return RatFunc.zero(a.ring)
     return _cancelled(a.ring, unit, common, [
-        key for key in common if a.factors.get(key, _ABSENT)[1] < 0
-        and b.factors.get(key, _ABSENT)[1] < 0])
+        s for s in common if a.factors.get(s, 0) < 0
+        and b.factors.get(s, 0) < 0])
 
 
-def _cancelled(ring: Ring, unit: LaurentPoly,
-               factors: Dict[FactorKey, Tuple[LaurentPoly, int]],
-               keys: Sequence[FactorKey]) -> RatFunc:
-    """unit * factors, each tracked 1 - x^s of `keys`, a denominator
+def _cancelled(ring: Ring, unit: LaurentPoly, factors: Factors,
+               keys: Sequence[int]) -> RatFunc:
+    """unit * factors, each tracked 1 - x^s with s in `keys`, a denominator
     factor, divided out of unit while the division stays exact; `factors`
     is updated in place."""
-    for key in keys:
-        canon, e = factors[key]
-        s_key = _binomial_exponent(canon.terms)
-        if s_key is None:
-            continue
+    for s in keys:
+        e = factors[s]
         while e < 0:
-            q = binomial_quotient(unit, s_key)
+            q = binomial_quotient(unit, s)
             if q is None:
                 break
             unit, e = q, e + 1
         if e:
-            factors[key] = (canon, e)
+            factors[s] = e
         else:
-            del factors[key]
+            del factors[s]
     return RatFunc(ring, unit, factors)
 
 
@@ -895,7 +868,7 @@ def rat_sum(ring: Ring, terms: Sequence[RatFunc]) -> RatFunc:
     live = [t for t in terms if not t.unit.is_zero()]
     if len(live) == 1:
         r = live[0]
-        below = [key for key, (_, e) in r.factors.items() if e < 0]
+        below = [s for s, e in r.factors.items() if e < 0]
         return _cancelled(ring, r.unit, dict(r.factors), below) if below \
             else r
     return _tree_sum(live, 0, len(live)) if live else RatFunc.zero(ring)

@@ -37,10 +37,6 @@ CACHES = {
     (symbolic, "tv_ring"): (
         "one ring per n, so every polynomial of one rank shares its ring "
         "by identity", (3,)),
-    (symbolic, "_canonical_binomial"): (
-        "the canonical 1 - x^s per (ring, s, bound), so equal binomials "
-        "share one polynomial and factor key: 1,632 hits at whittaker "
-        "(4, 2)", (RING, T1, 1)),
     (characters, "weight_ratio"): (
         "the monomial t_k^2 t_j^-2 v^l per (ring, k, j, l): 30,167 hits in "
         "`characters --n 5 --degree 2,2,2,2`", (RING, 1, 2, 2)),
@@ -90,7 +86,7 @@ def test_every_cache_is_listed():
     key for key, (_, args) in CACHES.items() if args is not None],
     ids=lambda x: getattr(x, "__name__", x))
 def test_a_cache_miss_runs_no_term_loop(monkeypatch, module, name):
-    # the four caches that return a polynomial among them: a miss builds
+    # the three caches that return a polynomial among them: a miss builds
     # it from keys alone, so no counter sees whether the cache was warm
     calls = []
     accumulate, mul = symbolic._accumulate, LaurentPoly.__mul__

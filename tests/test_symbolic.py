@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtoda import symbolic
+from qtoda import characters, symbolic
 from qtoda.symbolic import (
     SLOT_LIMIT,
     ArithmeticDomainError,
@@ -177,8 +177,8 @@ def naive_product(a, b):
 
 class TestValueSemantics:
     """Rings and evaluation points compare and hash by their fields: the
-    `lru_cache`s `weight_ratio`, `_one_minus`, `_canonical_binomial` and
-    `toda._shift` are keyed by a ring."""
+    `lru_cache`s `weight_ratio`, `_one_minus` and `toda._shift` are keyed
+    by a ring."""
 
     def test_a_fresh_tv_ring_equals_the_cached_one_and_hashes_alike(self):
         cached = tv_ring(3)
@@ -187,9 +187,8 @@ class TestValueSemantics:
         assert fresh == cached and hash(fresh) == hash(cached)
         # so a cache keyed by the ring serves both: the cached ring builds
         # the entry, and the fresh one finds it
-        s_key = symbolic._unit_keys(cached.nvars)[0]
-        built = symbolic._canonical_binomial(cached, s_key, 1)
-        assert symbolic._canonical_binomial(fresh, s_key, 1) is built
+        built = characters.weight_ratio(cached, 1, 2, 2)
+        assert characters.weight_ratio(fresh, 1, 2, 2) is built
         assert TVRing(names=cached.names, n=2) != cached
         assert TVRing(names=cached.names[::-1], n=3) != cached
 
@@ -250,9 +249,10 @@ class TestPacking:
     def test_wide_exponents_against_tuple_reference(self, a, b):
         prod = a * b
         assert prod.sorted_terms() == naive_product(a, b)
-        canons = [canon for f in (a, b) if not f.is_zero()
-                  for canon, _ in RatFunc.from_frac(R2.one(), f).factors.values()]
-        for p in (prod, a + b, a - b, -a, *canons):
+        # the expanded binomial 1 - x^s of each term x^e, s = ±e
+        binomials = [RatFunc.from_frac(R2.one(), one_minus(e)).num_den()[1]
+                     for f in (a, b) for e, _ in f.sorted_terms() if any(e)]
+        for p in (prod, a + b, a - b, -a, *binomials):
             assert digit_bound(p) <= p.bound <= SLOT_LIMIT
 
     def test_slot_at_the_limit_raises(self):
@@ -282,6 +282,43 @@ class TestPacking:
         assert LaurentPoly(R2, {0: 1}, SLOT_LIMIT).is_one()
         with pytest.raises(UsageError):
             LaurentPoly(R2, {0: 1}, SLOT_LIMIT + 1)
+
+
+def one_minus(s):
+    return R2.one() - R2.monomial(s)
+
+
+def step_strategy(max_exp=3):
+    """A nonzero step s with pack(s) > 0, so 1 - x^s is a tracked binomial."""
+    return st.tuples(*[st.integers(-max_exp, max_exp)] * R2.nvars).filter(
+        any).map(lambda s: s if pack(s) > 0 else tuple(-x for x in s))
+
+
+def tracked_factor(max_exp=3):
+    """c x^e or c x^e (1 - x^s), c = ±1 and pack(s) > 0: the two shapes of
+    factor a RatFunc splits and tracks."""
+    exps = st.tuples(*[st.integers(-max_exp, max_exp)] * R2.nvars)
+    sign = st.sampled_from([1, -1])
+    return st.one_of(
+        st.tuples(exps, sign).map(lambda t: R2.monomial(*t)),
+        st.tuples(exps, step_strategy(2), sign).map(
+            lambda t: R2.monomial(t[0], t[2]) * one_minus(t[1])))
+
+
+@st.composite
+def binomial_lists(draw):
+    """1-6 (1 - x^s, exponent) pairs, s of either sign, odd and even
+    exponents, and at times a pair repeated with the opposite exponent, so
+    it cancels."""
+    signed_step = st.tuples(step_strategy(), st.sampled_from([1, -1])).map(
+        lambda t: tuple(t[1] * x for x in t[0]))
+    pairs = draw(st.lists(st.tuples(signed_step.map(one_minus),
+                                    st.integers(-3, 3)),
+                          min_size=1, max_size=5))
+    if draw(st.booleans()):
+        f, e = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((f, -e))
+    return pairs
 
 
 class TestRatFunc:
@@ -328,21 +365,36 @@ class TestRatFunc:
         assert eq_exact(a * b, -RatFunc.one(R2))
         assert not (a * b).factors
 
-    @given(poly_strategy(R2, max_terms=3), poly_strategy(R2, max_terms=3))
+    @given(tracked_factor(), poly_strategy(R2, max_terms=3),
+           binomial_lists())
     @settings(max_examples=30, deadline=None)
-    def test_field_axioms_random(self, p, q):
-        if p.is_zero() or q.is_zero():
-            return
-        a = RatFunc.from_frac(p, q)
+    def test_field_axioms_random(self, f, p, pairs):
+        # a unit inverts when it is itself a tracked factor
+        a = RatFunc.from_factors(R2, f, pairs)
         assert eq_exact(a * a.inv(), RatFunc.one(R2))
-        assert eq_exact(a - a, RatFunc.zero(R2))
-        assert eq_exact(a + a, a.scale_poly(R2.const(2)))
+        b = RatFunc.from_factors(R2, p, pairs)
+        assert eq_exact(b - b, RatFunc.zero(R2))
+        assert eq_exact(b + b, b.scale_poly(R2.const(2)))
 
     def test_eval(self):
         r = RatFunc.from_frac(R2.t(1) + R2.t(2), R2.one() - R2.v(2))
         # last coordinate is the value of v^(1/2), so v^2 evaluates to 2^4
         pt = EvalPoint.of(2, 3, 2)
         assert r.eval(pt) == Fraction(5, 1 - 16)
+
+    def test_zero_over_zero_raises_whichever_factor_came_first(self):
+        # (1 - v^4) / (1 - v^2) at v^(1/2) = 1: both binomials vanish, so
+        # the value is no Fraction, whichever factor was tracked first
+        num, den = R2.one() - R2.v(4), R2.one() - R2.v(2)
+        for pairs in ([(num, 1), (den, -1)], [(den, -1), (num, 1)]):
+            r = RatFunc.from_factors(R2, R2.one(), pairs)
+            with pytest.raises(EvaluationError):
+                r.eval(EvalPoint.of(2, 3, 1))
+            # and away from it the value is 1 + v^2 = 1 + 2^4
+            assert r.eval(EvalPoint.of(2, 3, 2)) == 17
+        # a vanishing numerator binomial alone gives 0
+        r = RatFunc.from_factors(R2, R2.t(1), [(num, 1), (one_minus((1, 0, 0)), -1)])
+        assert r.eval(EvalPoint.of(2, 3, 1)) == 0
 
     def test_to_json_shape(self):
         r = RatFunc.from_frac(R2.t(1), R2.one() - R2.v(2))
@@ -587,14 +639,12 @@ class TestKeyConstructors:
         assert got.terms == want.terms
         assert digit_bound(got) <= got.bound <= SLOT_LIMIT
 
-    @given(poly_strategy(R2), poly_strategy(R2, max_exp=5),
+    @given(poly_strategy(R2), tracked_factor(max_exp=5),
            st.integers(-3, 3))
     @settings(max_examples=120, deadline=None)
     def test_with_factor(self, unit, f, e):
-        if f.is_zero():
-            return
         r = RatFunc.from_factors(R2, unit, [(f, e)])
-        # f = sign * x^low * canonical, low being f's graded-lex-least term
+        # f = sign * x^low * (1 - x^s), low being f's graded-lex-least term
         low, c = f.sorted_terms()[0]
         sign = 1 if c > 0 or e % 2 == 0 else -1
         want = unit * tuple_monomial(R2, [x * e for x in low], sign)
@@ -627,6 +677,23 @@ class TestKeyConstructors:
         with pytest.raises(UsageError):
             RatFunc.from_factors(R2, R2.t(2, SLOT_LIMIT // 2),
                                  [(R2.one() - R2.t(1, -(SLOT_LIMIT // 2)), 2)])
+        # the span s of a two-term factor has digits up to twice its bound:
+        # here t_1^(2h + 2) with h = SLOT_LIMIT // 2, whose digits would wrap
+        h = SLOT_LIMIT // 2
+        with pytest.raises(UsageError):
+            RatFunc.from_frac(R2.one(), R2.t(1, -(h + 2)) - R2.t(1, h + 2))
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R2.one(),
+                                 [(R2.t(1, h + 1) - R2.t(1, -(h + 1)), 1)])
+
+    def test_a_wide_factor_whose_span_fits_is_tracked_exactly(self):
+        # t_1^h - t_1^(h+3) = t_1^h (1 - t_1^3) has bound h + 3 and span 3
+        h = SLOT_LIMIT // 2
+        f = R2.t(1, h) - R2.t(1, h + 3)
+        r = RatFunc.from_factors(R2, R2.one(), [(f, -1)])
+        assert r.factors == {pack((3, 0, 0)): -1}
+        num, den = r.num_den()
+        assert num == R2.t(1, -h) and den == R2.one() - R2.t(1, 3)
 
     def test_factor_shifts_that_cancel_leave_the_unit_as_it_is(self):
         # f = 1 - t_1^-h = -t_1^-h (1 - t_1^h) shifts the unit by t_1^-h and
@@ -643,7 +710,7 @@ class TestKeyConstructors:
 
     def test_factor_shifts_that_partly_cancel_bound_the_net_shift(self):
         # f^2 f^-1 = f shifts the unit by t_1^-(h/5) once, so its bound
-        # grows by f.bound once: h/2 + h/5 is in range, where the bounds of
+        # grows by h/5 once: h/2 + h/5 is in range, where the bounds of
         # the three shifts that f^2 and f^-1 make, summed, are not
         h = SLOT_LIMIT
         unit = R2.t(2) ** (h // 2)
@@ -656,6 +723,16 @@ class TestKeyConstructors:
         assert r.factors == want.factors
         assert r.unit.bound == h // 2 + h // 5 <= SLOT_LIMIT
 
+    def test_the_unit_bound_does_not_depend_on_factor_order(self):
+        # f and g share their least term t_1^-1, whose own bound is 1; g's
+        # bound is 10 (its v^5), which must not leak into the shift
+        f = R2.t(1, -1) - R2.one()
+        g = R2.t(1, -1) * (R2.one() - R2.v(5))
+        fg = RatFunc.from_factors(R2, R2.one(), [(f, 1), (g, 1)])
+        gf = RatFunc.from_factors(R2, R2.one(), [(g, 1), (f, 1)])
+        assert fg.unit == gf.unit == R2.t(1, -2)
+        assert fg.unit.bound == gf.unit.bound == 2
+
     def test_a_net_shift_past_the_limit_raises(self):
         # f^7 f^-1 = f^6 shifts t_1 by -6 (h / 5), which is past the limit
         h = SLOT_LIMIT
@@ -667,16 +744,6 @@ class TestKeyConstructors:
         for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3)):
             with pytest.raises(UsageError):
                 p ** -1
-
-
-def one_minus(s):
-    return R2.one() - R2.monomial(s)
-
-
-def step_strategy(max_exp=3):
-    """A nonzero step s with pack(s) > 0, so 1 - x^s is a canonical factor."""
-    return st.tuples(*[st.integers(-max_exp, max_exp)] * R2.nvars).filter(
-        any).map(lambda s: s if pack(s) > 0 else tuple(-x for x in s))
 
 
 def sorted_reference_quotient(p, s_key):
@@ -853,16 +920,15 @@ def ratfunc_strategy(max_factors=3):
 
 @st.composite
 def factor_lists(draw):
-    """1-6 (factor, exponent) pairs: general polynomials, shifted binomials
+    """1-6 (factor, exponent) pairs: unit monomials, shifted binomials
     whose least key is negative and whose lead may be negative, and at
     times a factor repeated with the opposite exponent, so it cancels."""
-    shifted_binomial = st.tuples(
-        st.tuples(*[st.integers(-3, 0)] * R2.nvars), step_strategy(2),
-        st.sampled_from([1, -1])).map(
-        lambda t: R2.monomial(t[0], t[2]) * one_minus(t[1]))
+    exps = st.tuples(*[st.integers(-3, 0)] * R2.nvars)
+    sign = st.sampled_from([1, -1])
     factor = st.one_of(
-        poly_strategy(R2, max_terms=3, max_exp=2).filter(
-            lambda p: not p.is_zero()), shifted_binomial)
+        st.tuples(exps, sign).map(lambda t: R2.monomial(*t)),
+        st.tuples(exps, step_strategy(2), sign).map(
+            lambda t: R2.monomial(t[0], t[2]) * one_minus(t[1])))
     pairs = draw(st.lists(st.tuples(factor, st.integers(-3, 3)),
                           min_size=1, max_size=5))
     if draw(st.booleans()):
@@ -897,51 +963,44 @@ class TestFromFactors:
             .is_zero()
 
 
-@st.composite
-def binomial_lists(draw):
-    """1-6 (1 - x^s, exponent) pairs, s of either sign, odd and even
-    exponents, and at times a pair repeated with the opposite exponent, so
-    it cancels."""
-    signed_step = st.tuples(step_strategy(), st.sampled_from([1, -1])).map(
-        lambda t: tuple(t[1] * x for x in t[0]))
-    pairs = draw(st.lists(st.tuples(signed_step.map(one_minus),
-                                    st.integers(-3, 3)),
-                          min_size=1, max_size=5))
-    if draw(st.booleans()):
-        f, e = pairs[draw(st.integers(0, len(pairs) - 1))]
-        pairs.append((f, -e))
-    return pairs
-
-
-def factor_view(r):
-    """Each tracked factor's terms, bound and power, by key."""
-    return {key: (canon.terms, canon.bound, e)
-            for key, (canon, e) in r.factors.items()}
-
-
-class TestCanonicalBinomials:
+class TestTrackedBinomials:
     @given(poly_strategy(R2, max_terms=3, max_exp=2).filter(
         lambda p: not p.is_zero()), binomial_lists())
     @settings(max_examples=150, deadline=None)
-    def test_cached_binomials_match_the_generic_path(self, unit, pairs):
+    def test_binomials_of_either_sign_match_the_tuple_reference(self, unit,
+                                                               pairs):
+        # 1 - x^s is tracked under pack(s) for pack(s) > 0, and
+        # 1 - x^-s = -x^-s (1 - x^s) moves -x^-s into the unit
         got = RatFunc.from_factors(R2, unit, pairs)
-        with mock.patch.object(symbolic, "_binomial_exponent",
-                               lambda terms: None):
-            want = RatFunc.from_factors(R2, unit, pairs)
-        assert factor_view(got) == factor_view(want)
-        assert got.unit.terms == want.unit.terms
-        assert got.unit.bound == want.unit.bound
+        powers, want = {}, unit
+        for f, e in pairs:
+            [s] = [x for x, _ in f.sorted_terms() if any(x)]
+            if pack(s) < 0:
+                want = want * tuple_monomial(R2, s, -1) ** e
+                s = tuple(-x for x in s)
+            powers[pack(s)] = powers.get(pack(s), 0) + e
+        assert got.factors == {k: e for k, e in powers.items() if e}
+        assert got.unit.terms == want.terms
+        assert digit_bound(got.unit) <= got.unit.bound <= SLOT_LIMIT
+        for point in POINTS:
+            vals = [f.eval(point) for f, _ in pairs]
+            if 0 in vals:
+                continue
+            value = unit.eval(point)
+            for val, (_, e) in zip(vals, pairs):
+                value *= val ** e
+            assert got.eval(point) == value
 
-    def test_equal_binomials_share_one_canonical_object(self):
+    def test_equal_binomials_share_one_key(self):
         s = (0, 1, 2)
         minus_s = tuple(-x for x in s)
         a = RatFunc.from_factors(R2, R2.one(), [(one_minus(s), -1)])
         b = RatFunc.from_factors(R2, R2.t(1), [(one_minus(s), 2)])
         c = RatFunc.from_factors(R2, R2.one(), [(one_minus(minus_s), 1)])
-        [(canon_a, _)] = a.factors.values()
-        [(canon_b, _)] = b.factors.values()
-        [(canon_c, _)] = c.factors.values()
-        assert canon_a is canon_b is canon_c
+        assert a.factors == {pack(s): -1}
+        assert b.factors == {pack(s): 2}
+        assert c.factors == {pack(s): 1}
+        assert (a * b * c).factors == {pack(s): 2}
 
 
 @st.composite
@@ -957,22 +1016,82 @@ def tagged_factors(draw):
         lambda p: not p.is_zero())), None
 
 
-class TestBinomialExponent:
+class TestFactorSplit:
     @given(tagged_factors())
     @settings(max_examples=200, deadline=None)
-    def test_exponent_is_read_off_the_canonical_key(self, tagged):
-        # _binomial_exponent(canon.terms) is s exactly when the canonical
-        # factor's key is ((0, 1), (s, -1))
+    def test_the_key_is_read_off_the_factor(self, tagged):
+        # read from exponent tuples: f = c x^low (1 - x^step) with c = ±1
+        # and step the largest minus the least exponents, or c x^low, or a
+        # factor that raises
         f, s = tagged
-        canon, _, _ = symbolic._canonical_factor(f)
-        key = symbolic._factor_key(canon)
-        got = symbolic._binomial_exponent(canon.terms)
-        if len(key) == 2 and key[0] == (0, 1) and key[1][1] == -1:
-            assert got == key[1][0]
-        else:
-            assert got is None
+        terms = f.sorted_terms()
+        (low, c), (high, last) = terms[0], terms[-1]
+        step = tuple(x - y for x, y in zip(high, low))
+        if len(terms) > 2 or c not in (1, -1) or any(step) and last != -c:
+            assert s is None
+            with pytest.raises(UsageError):
+                RatFunc.from_factors(R2, R2.one(), [(f, 1)])
+            return
+        r = RatFunc.from_factors(R2, R2.one(), [(f, 1)])
+        assert r.factors == ({pack(step): 1} if any(step) else {})
+        assert r.unit.terms == {pack(low): c}
         if s is not None:
-            assert got == s
+            assert r.factors == {s: 1}
+
+    @pytest.mark.parametrize("f", [
+        R2.one() - R2.v(2) * R2.const(2),        # a coefficient 2
+        (R2.one() - R2.v(2)) ** 2,               # three terms
+        R2.one() + R2.v(2),                      # both signs +
+        R2.const(2), R2.t(1, 3) * R2.const(-3),  # monomials, not units
+        R2.t(1) + R2.t(2) + R2.v(1),
+    ], ids=["one-minus-2v2", "square", "one-plus", "two", "minus-3-t1",
+            "three-monomials"])
+    def test_any_other_factor_raises(self, f):
+        for e in (1, -1, 2):
+            with pytest.raises(UsageError):
+                RatFunc.from_factors(R2, R2.t(1), [(f, e)])
+        with pytest.raises(UsageError):
+            RatFunc.from_frac(R2.one(), f)
+        with pytest.raises(UsageError):
+            RatFunc.from_poly(f).inv()
+
+    def test_every_tracked_key_is_a_positive_int(self):
+        r = RatFunc.from_factors(R2, R2.t(1), [
+            (one_minus((0, 0, 2)), -2), (one_minus((0, 0, -2)), 1),
+            (R2.v(1) - R2.v(-1), -1), (-R2.t(2), 3)])
+        # (1 - v)^-2 (1 - v^-1) = -v^-1 (1 - v)^-1, and
+        # v - v^-1 = -v^-1 (1 - v^2)
+        assert r.factors == {pack((0, 0, 2)): -1, pack((0, 0, 4)): -1}
+        assert all(type(s) is int and s > 0 and type(e) is int and e
+                   for s, e in r.factors.items())
+
+
+class TestRingCheck:
+    """A tracked key means nothing outside its ring, so each constructor
+    checks the ring of the unit and of every factor."""
+
+    def test_a_factor_from_another_ring_raises(self):
+        R3 = tv_ring(3)
+        foreign = R3.one() - R3.v(2)
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R2.one(), [(foreign, -1)])
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R2.one(), [(R3.t(1), 1)])
+        with pytest.raises(UsageError):
+            RatFunc.from_frac(R2.one(), foreign)
+
+    def test_a_unit_from_another_ring_raises(self):
+        R3 = tv_ring(3)
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R3.one(), [])
+        with pytest.raises(UsageError):
+            RatFunc.from_factors(R2, R3.t(1), [(one_minus((0, 0, 2)), -1)])
+        with pytest.raises(UsageError):
+            RatFunc(R2, R3.v(1), {}).inv()
+        # an equal ring built afresh is the same ring
+        fresh = TVRing(names=R2.names, n=2)
+        r = RatFunc.from_factors(fresh, R2.t(1), [(one_minus((0, 0, 2)), -1)])
+        assert eq_exact(r, RatFunc.from_frac(R2.t(1), one_minus((0, 0, 2))))
 
 
 POINTS = [EvalPoint.of(2, 3, Fraction(1, 2)),
@@ -1009,6 +1128,15 @@ class TestTreeSum:
         assert s.num_den() == (R2.one(), one_minus_v2)
 
 
+def retracked(r):
+    """r with its numerator expanded and its denominator binomials tracked
+    again, one factor per power, from their exponent tuples."""
+    num, _ = r.num_den()
+    return RatFunc.from_factors(R2, num, [
+        (one_minus(unpack(s, R2.nvars)), -1)
+        for s, e in r.factors.items() for _ in range(-e)])
+
+
 class TestEqExact:
     @given(ratfunc_strategy(), ratfunc_strategy(), ratfunc_strategy(),
            st.booleans())
@@ -1017,8 +1145,7 @@ class TestEqExact:
                                                           same):
         # shared factors on both sides; with same, b is a refactored copy of a
         if same:
-            num, den = a.num_den()
-            b = RatFunc(R2, num, {}) * RatFunc.from_frac(R2.one(), den)
+            b = retracked(a)
         a, b = a * shared, b * shared
         assert eq_exact(a, b) == (a - b).is_zero()
         if same:
@@ -1026,16 +1153,16 @@ class TestEqExact:
 
 
 # Tracked factors that no part of ratfunc_strategy carries; 1 - v^3 is
-# divisible by the 1 - v that those parts may have in their denominators.
+# divisible by the 1 - v that those parts may have in their denominators,
+# and t_2 v - t_1 = -t_1 (1 - t_1^-1 t_2 v) brings a sign and a shift.
 SHARED = [one_minus((1, 1, 0)), one_minus((0, 0, 6)),
-          R2.t(1) + R2.t(2) + R2.v(1)]
+          R2.t(2) * R2.v(1) - R2.t(1)]
 
 
 def tracked(f):
-    """The (key, canonical factor) under which f is tracked."""
-    [(key, (canon, _))] = RatFunc.from_factors(R2, R2.one(),
-                                               [(f, 1)]).factors.items()
-    return key, canon
+    """The key s under which f is tracked."""
+    [s] = RatFunc.from_factors(R2, R2.one(), [(f, 1)]).factors
+    return s
 
 
 class TestSharedNumeratorFactors:
@@ -1056,16 +1183,14 @@ class TestSharedNumeratorFactors:
             assert total.eval(point) == want
         live = [k for (r, k) in parts_powers if not r.is_zero()]
         if not total.is_zero():
-            key, canon = tracked(f)
-            assert total.factors[key] == (canon, min(live))
+            assert total.factors[tracked(f)] == min(live)
 
     def test_shared_power_is_the_smaller_one(self):
         f = SHARED[0]
-        key, canon = tracked(f)
         a = RatFunc.from_factors(R2, R2.t(1), [(f, 3), (one_minus((0, 0, 2)), -1)])
         b = RatFunc.from_factors(R2, R2.v(1), [(f, 2)])
         total = a + b
-        assert total.factors[key] == (canon, 2)
+        assert total.factors[tracked(f)] == 2
         assert eq_exact(total, RatFunc.from_factors(
             R2, R2.t(1) * f + R2.v(1) * one_minus((0, 0, 2)),
             [(f, 2), (one_minus((0, 0, 2)), -1)]))
@@ -1074,11 +1199,10 @@ class TestSharedNumeratorFactors:
         # the tree adds 2f and -2f first; their zero sum, which carries no
         # factor, must not lift f out of the remaining part
         f = SHARED[0]
-        key, canon = tracked(f)
         parts = [RatFunc.from_factors(R2, R2.const(c), [(f, 1)])
                  for c in (1, 2, -2)]
         total = rat_sum(R2, parts)
-        assert total.factors == {key: (canon, 1)} and total.unit.is_one()
+        assert total.factors == {tracked(f): 1} and total.unit.is_one()
         assert (parts[1] + parts[2]) + parts[0] is parts[0]
 
 
@@ -1164,7 +1288,8 @@ def zero_test_parts(draw):
     is shared by every denominator, each part has a denominator factor of
     its own, or every part carries a positive power of one factor.  Half the
     time the parts are closed to sum to zero: each is followed by its
-    negation refactored as expanded -num/den, and one negation may be split
+    negation refactored as expanded -num over its denominator binomials,
+    tracked again (`retracked`), and one negation may be split
     in two along a binomial, m/(1-x^s) - x^s m/(1-x^s) == m."""
     layout = draw(st.sampled_from(["shared", "disjoint", "positive"]))
     step = st.sampled_from(ZERO_TEST_STEPS)
@@ -1182,8 +1307,7 @@ def zero_test_parts(draw):
         unit = draw(poly_strategy(R2, max_terms=3, max_exp=2))
         parts.append(RatFunc.from_factors(R2, unit, factors))
     if draw(st.booleans()):
-        mirror = [RatFunc.from_frac(-num, den)
-                  for num, den in (p.num_den() for p in parts)]
+        mirror = [-retracked(p) for p in parts]
         if mirror and draw(st.booleans()):
             s, m = draw(step), mirror.pop(0)
             mirror += [m * RatFunc.from_factors(R2, c, [(one_minus(s), -1)])

@@ -545,3 +545,24 @@ class TestLocality:
 def flat_parts(parts):
     adjoint, sheaf, dual = parts
     return [part for pair in adjoint for part in pair] + sheaf + dual
+
+
+def test_entry_times_local_sym_expands_to_one_bound_either_way():
+    # the adjoint parts multiply E_i[p -> q] by sigma_i(p) (`local_parts`):
+    # expanded, the product has the same bounds in either order, since each
+    # tracked binomial 1 - x^s expands with the bound of its own key s
+    ctx = ModuleContext(4)
+    compared = 0
+    for i in range(1, 4):
+        E = op_E(ctx, i)
+        for d in all_degrees(4, 2):
+            for p in ctx.points(d):
+                sigma = whittaker.local_sym(ctx, i, p)
+                for _, e in E.terms(p):
+                    ab, ba = (e * sigma).num_den(), (sigma * e).num_den()
+                    assert ab == ba
+                    assert [x.bound for x in ab] == [x.bound for x in ba], \
+                        (i, p)
+                    compared += 1
+    # the (4, 2) moves of rows 1, 2 and 3
+    assert compared == 74 + 115 + 129
