@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial, reduce
-from operator import add, mul
+from operator import add, le, mul
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable,
                     Iterator, List, Optional, Sequence, Tuple, TypeVar)
 
@@ -572,6 +572,13 @@ def _orbit_in_box(box: int, degree: DegreeVector,
     return all(d + m <= box for d, m in zip(degree, max_shift))
 
 
+def _in_box_limit(box: int, terms: Sequence[Term]) -> Tuple[int, ...]:
+    """box - `_max_prefix_shift(terms)`, componentwise: `_orbit_in_box(box,
+    d, _max_prefix_shift(terms))` holds exactly when d <= this limit in
+    every component."""
+    return tuple(box - m for m in _max_prefix_shift(terms))
+
+
 # A shape is a chain of non-diagonal operators and a coefficient made of
 # tracked factors alone (1 when there are none); `_fold` keys it by (chain,
 # factor powers).  A relation folds to one degree-linear form per shape.
@@ -671,11 +678,11 @@ def _decide_point(ctx: ModuleContext, shapes: Dict[Hashable, Shape],
 
 
 # A relation of the suite ready for the degree loop: name, params,
-# `_max_prefix_shift` and `_fold`.
+# `_in_box_limit` and `_fold`.
 Relation = Tuple[str, dict, Tuple[int, ...], Fold]
 
 
-def _relations_at_degree(ctx: ModuleContext, box: int,
+def _relations_at_degree(ctx: ModuleContext,
                          group: Sequence[Relation], d: DegreeVector,
                          shapes: Dict[Hashable, Shape]) -> List[dict]:
     """The record of each relation of `group` at degree d, in order, the
@@ -686,17 +693,24 @@ def _relations_at_degree(ctx: ModuleContext, box: int,
     shape, one whose fold is empty among them, checks no point.  When no
     shape that a live relation reads has a chain, each relation's sum is
     the same constant at every point, so the degree's first point decides
-    it: verdict, mode and witness."""
+    it: verdict, mode and witness.  A one-pair form is one key shift of a
+    nonzero polynomial, never zero, so only a form of several pairs is
+    zero-tested."""
     records, live = [], {}
-    for k, (name, params, max_shift, fold) in enumerate(group):
-        in_box = _orbit_in_box(box, d, max_shift)
+    for k, (name, params, limit, fold) in enumerate(group):
+        in_box = all(map(le, d, limit))
         records.append({"check": name, **params, "degree": list(d),
                         "mode": "free",
                         "status": "pass" if in_box else "skipped-out-of-box"})
         if not in_box:
             continue
-        mults = {key: m for key, form in fold.items()
-                 if not (m := form_at(form, d)).is_zero()}
+        mults = {}
+        for key, form in fold.items():
+            if len(form) == 1:
+                [(slope, c)] = form
+                mults[key] = v_shifted(c, sum(map(mul, slope, d)))
+            elif not (m := form_at(form, d)).is_zero():
+                mults[key] = m
         if mults:
             live[k] = mults
     points = ctx.points(d) if live else []
@@ -836,12 +850,12 @@ def verify_relations(ctx: ModuleContext, box: int) -> Iterator[dict]:
     for _, group in itertools.groupby(relation_suite(ctx),
                                       key=lambda rel: rel[1]):
         shapes: Dict[Hashable, Shape] = {}
-        group = [(name, params, _max_prefix_shift(terms),
+        group = [(name, params, _in_box_limit(box, terms),
                   _fold(ctx.ring, terms, shapes))
                  for name, params, terms in group]
         later: List[List[dict]] = [[] for _ in group[1:]]
         for d in all_degrees(ctx.n, box):
-            first, *rest = _relations_at_degree(ctx, box, group, d, shapes)
+            first, *rest = _relations_at_degree(ctx, group, d, shapes)
             yield first
             for kept, rec in zip(later, rest):
                 kept.append(rec)

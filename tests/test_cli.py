@@ -385,6 +385,12 @@ class TestVerify:
         assert code == EXIT_PASS and parsed(lines)[-1]["complete"] is True
 
 
+def cyclic():
+    loop = []
+    loop.append(loop)
+    return loop
+
+
 class TestErrorRecords:
     """An error raised while the records are made becomes one error record
     and an incomplete summary; one found before the config echo is still a
@@ -454,6 +460,30 @@ class TestErrorRecords:
         assert summary["records"] == len(made) + 1
         assert alive_at_error == [False]
 
+    @pytest.mark.parametrize("bad,error", [
+        (object(), "TypeError: Object of type object is not JSON serializable"),
+        # records are trees: the writer keeps no markers, so a cycle recurses
+        (cyclic(), "RecursionError: "),
+    ], ids=["unencodable", "cycle"])
+    def test_a_record_that_fails_to_encode_is_not_counted(self, capsys,
+                                                          monkeypatch, bad,
+                                                          error):
+        def suite(ctx, box):
+            yield {"check": "first", "status": "pass"}
+            yield {"check": "second", "status": "pass", "value": bad}
+            yield {"check": "third", "status": "pass"}
+
+        monkeypatch.setitem(cli.SUITES, "whittaker", suite)
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "1",
+                          "--suite", "whittaker")
+        *made, failed, summary = parsed(lines)
+        assert code == EXIT_FAIL
+        assert made[1:] == [{"check": "first", "status": "pass"}]
+        assert failed["status"] == "error"
+        assert failed["error"].startswith(error)
+        assert summary == {"summary": True, "complete": False,
+                           "counts": {"error": 1, "pass": 1}, "records": 3}
+
     def test_a_usage_error_before_the_echo_still_exits_2(self, capsys,
                                                         monkeypatch):
         made = []
@@ -470,6 +500,65 @@ class TestErrorRecords:
         assert code == EXIT_USAGE and made == []
         assert captured.out == ""
         assert captured.err == "error: box must be nonnegative\n"
+
+
+@pytest.fixture(params=["c", "fallback"])
+def writer(request, monkeypatch):
+    """The record writer chosen at import (the C encoder wherever the
+    accelerator is there), or the fallback chosen where it is not."""
+    if request.param == "fallback":
+        monkeypatch.setattr(cli, "_encode", cli._ENCODER.encode)
+    return request.param
+
+
+def handed_to_emit(monkeypatch):
+    """Every record handed to `Reporter.emit`, in order."""
+    records = []
+    emit = cli.Reporter.emit
+
+    def noting(rep, record):
+        records.append(record)
+        emit(rep, record)
+
+    monkeypatch.setattr(cli.Reporter, "emit", noting)
+    return records
+
+
+class TestRecordWriter:
+    """Each record is written as exactly json.dumps(record, sort_keys=True),
+    one line per record."""
+
+    def test_every_record_of_a_full_run(self, capsys, monkeypatch, writer):
+        records = handed_to_emit(monkeypatch)
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "2")
+        assert code == EXIT_PASS and len(lines) > 400
+        assert lines == [json.dumps(r, sort_keys=True) for r in records]
+
+    def test_text_nesting_and_wide_ints(self, capsys, monkeypatch, writer):
+        record = {"status": "pass", "check": "für n ≥ 2 \"q\"\t\u2028",
+                  "witness": {"source": [[0], [1, 2]], "target": [],
+                              "entry": {"num": [[[-1, 2, 0], -3]],
+                                        "den": [{"s": 2 ** 64 + 1}]}},
+                  "big": 2 ** 64, "wide": -(2 ** 200), "neg": -1, "zero": 0}
+        monkeypatch.setitem(cli.SUITES, "whittaker",
+                            lambda ctx, box: iter([record]))
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "1",
+                          "--suite", "whittaker")
+        assert code == EXIT_PASS
+        assert lines[1] == json.dumps(record, sort_keys=True)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                        reason="no C accelerator: each record builds one")
+    def test_no_encoder_is_built_while_records_are_written(self, capsys,
+                                                           monkeypatch):
+        built = []
+        make = json.encoder.c_make_encoder
+        monkeypatch.setattr(json.encoder, "c_make_encoder",
+                            lambda *args: built.append(args) or make(*args))
+        code, lines = run(capsys, "verify", "--n", "3", "--box", "2",
+                          "--suite", "relations")
+        assert code == EXIT_PASS and len(lines) > 300
+        assert built == []
 
 
 class TestVerifyToda:

@@ -5,8 +5,9 @@ import pytest
 
 from qtoda import operators, whittaker
 from qtoda.cli import EXIT_PASS, SUITES, main
-from qtoda.fixed_points import all_degrees
-from qtoda.operators import ModuleContext, op_E, op_F, op_e, op_f
+from qtoda.fixed_points import FixedPoint, all_degrees
+from qtoda.operators import (GradedOperator, ModuleContext, op_E, op_F, op_e,
+                             op_f)
 from qtoda.symbolic import UsageError
 from qtoda.whittaker import whittaker_records
 
@@ -157,3 +158,44 @@ def test_toda_suite_builds_no_dual_whittaker_vector(monkeypatch, tmp_path):
     assert main(["verify", "--n", "3", "--box", "2", "--suite", "toda",
                  "--out", str(out)]) == EXIT_PASS
     assert built == []
+
+
+def failing_once(value):
+    """A build that raises on its first call and gives value after, with
+    the list of its calls."""
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("first build fails")
+        return value
+
+    return build, calls
+
+
+def test_a_memo_stores_an_item_only_after_its_build_returns():
+    ctx = ModuleContext(3)
+    build, calls = failing_once("built")
+    with pytest.raises(RuntimeError):
+        ctx.memo("kind", 1, build)
+    assert 1 not in ctx._memo["kind"]
+    assert ctx.memo("kind", 1, build) == "built"
+    assert ctx.memo("kind", 1, build) == "built" and len(calls) == 2
+
+
+def test_an_operator_caches_a_row_only_after_its_entries_are_built():
+    p = FixedPoint(3, ((0,), (0, 0)))
+    build, calls = failing_once([(p, "entry")])
+    op = GradedOperator("X", (0, 0), build)
+    with pytest.raises(RuntimeError):
+        op.terms(p)
+    assert p.rows not in op._cache
+    assert op.terms(p) == [(p, "entry")]
+    assert op.terms(p) == [(p, "entry")] and len(calls) == 2
+    # entries off the declared shift raise on every call, and are not kept
+    shifted = GradedOperator("Y", (1, 0), lambda q: [(q, "entry")])
+    for _ in range(2):
+        with pytest.raises(UsageError):
+            shifted.terms(p)
+    assert not shifted._cache

@@ -260,12 +260,17 @@ def walked_orbit_in_box(box, degree, terms):
 
 
 def test_max_prefix_shift_decides_the_box_like_the_walk():
+    # and so does the in-box limit that the relation suite prepares
     for name, params, terms in relation_suite(ModuleContext(4)):
         max_shift = operators._max_prefix_shift(terms)
         for box in range(4):
+            limit = operators._in_box_limit(box, terms)
             for d in all_degrees(4, 3):
+                walked = walked_orbit_in_box(box, d, terms)
                 assert operators._orbit_in_box(box, d, max_shift) == \
-                    walked_orbit_in_box(box, d, terms), (name, params, d)
+                    walked, (name, params, d)
+                assert all(a <= b for a, b in zip(d, limit)) == walked, \
+                    (name, params, box, d)
 
 
 class TestRelationSuite:
@@ -537,10 +542,12 @@ class TestDegreeFold:
         # <slope, far> = 2 * far_1 for K_1's slope (2, -1): a v digit past
         # SLOT_LIMIT once doubled
         far = (SLOT_LIMIT // 4 + 1, 0)
-        group = [("raising-lowering-commutator", {"i": 1, "j": 1},
-                  operators._max_prefix_shift(terms), fold)]
+        limit = operators._in_box_limit(SLOT_LIMIT, terms)
+        assert all(a <= b for a, b in zip(far, limit))
+        group = [("raising-lowering-commutator", {"i": 1, "j": 1}, limit,
+                  fold)]
         with pytest.raises(UsageError):
-            operators._relations_at_degree(ctx, SLOT_LIMIT, group, far, shapes)
+            operators._relations_at_degree(ctx, group, far, shapes)
         with pytest.raises(UsageError):
             ctx.k_scalar(1, far)
 
