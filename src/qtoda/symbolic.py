@@ -726,10 +726,16 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     a part without the factor counting as power 0: the least common tracked
     denominator, times every positive factor power that all parts share.
     Only the remaining powers are expanded into the polys.  `common` is a
-    new dict, which `_add` changes.
+    new dict, which `_add` changes.  When every part carries the same
+    factor powers, the units and a copy of the last part's dict are what
+    the loop over the keys would return, key order included, and they are
+    returned at once.
     """
-    ring = parts[0].ring
     polys = [r.unit for r in parts]
+    last = parts[-1].factors
+    if all(r.factors == last for r in parts):
+        return polys, dict(last)
+    ring = parts[0].ring
     keys: Factors = {}
     for r in reversed(parts):
         keys.update(r.factors)

@@ -27,12 +27,17 @@ row i, row i + 1) and read by every point, of any degree, with those rows;
 no composite operator is walked, no pairing weight is built outside the
 box and neither Whittaker vector is built at d + e_i.
 
-Each quantity is built once, keyed by exactly what it reads: the degree
-monomials of those parts once per (i, d_{i-1}, d_i, d_{i+1})
-(`local_scalars`), c_d once per degree, the sym factor of a point as the
-product of its pieces (`ModuleContext.sym_factor`), which the local
-deciders have already built, and the left side of the line-pushforward
-identity as the sum of the closed raising entries that E_i has built.
+Each quantity is built once, keyed by exactly what it reads, and as a
+product of what the context has already built: the degree monomials of
+those parts once per (i, d_{i-1}, d_i, d_{i+1}) (`local_scalars`), c_d
+once per degree, the sym factor of a point as the product of its pieces
+(`ModuleContext.sym_factor`), which the local deciders have already
+built, the pairing weight from the sym factor's negated factor powers and
+inverted unit monomial, with no factor split again, and the eigenvalue
+1/(1 - v^2) once per context (`whittaker_eigenvalue`).  The
+line-pushforward identity is one zero test over the closed raising
+entries that E_i has built and minus its right side, as every other
+identity here is decided: no side is summed.
 
 The pairing of the two vectors, degree by degree, has a closed form: a
 monomial m_d times the coefficient sum of the structure-sheaf vector.  It
@@ -105,14 +110,31 @@ def _pairing_prefactor(ctx: ModuleContext, degree: DegreeVector) -> LaurentPoly:
 
 
 def pairing_weight(ctx: ModuleContext, p: FixedPoint) -> RatFunc:
-    """Per-point weight theta_p = c_d * det_weight(p) / sym_factor(p),
-    computed once per point and kept in the context."""
+    """Per-point weight theta_p = c_d * det_weight(p) * sym_factor(p)^-1,
+    computed once per point and kept in the context.
+
+    The sym factor S(p) is a product of piece factors prod (1 - w)^{-mult},
+    so its unit is a monomial +-x^a: S(p)^-1 is that unit's inverse
+    monomial over the negated factor powers, and no factor is split again
+    (`LaurentPoly.__pow__` raises UsageError on a unit of any other
+    shape)."""
 
     def build() -> RatFunc:
-        pref = _pairing_prefactor(ctx, p.degree) * _det(ctx, p)
-        return RatFunc.from_poly(pref) / ctx.sym_factor(p)
+        s = ctx.sym_factor(p)
+        unit = _pairing_prefactor(ctx, p.degree) * _det(ctx, p) \
+            * s.unit ** -1
+        return RatFunc(ctx.ring, unit, {k: -e for k, e in s.factors.items()})
 
     return ctx.memo("theta", p.rows, build)
+
+
+def whittaker_eigenvalue(ctx: ModuleContext) -> RatFunc:
+    """1/(1 - v^2), the eigenvalue of both Whittaker vectors, built once per
+    context: the eigen targets and the right side of the line-pushforward
+    identity are products of it."""
+    ring = ctx.ring
+    return ctx.memo("eigenvalue", None, lambda: RatFunc.from_frac(
+        ring.one(), ring.one() - ring.v(2)))
 
 
 def shapovalov_pair(ctx: ModuleContext, x: ModuleVector,
@@ -258,7 +280,9 @@ def local_parts(ctx: ModuleContext, i: int, p: FixedPoint
 
     Every monomial reads d_{i-1}, d_i and d_{i+1} alone, taken here from
     the row sums of the key, so the parts are those of any point with the
-    same `local_key`."""
+    same `local_key`.  The eigen target -sigma_i(p) / (1 - v^2), shared by
+    both eigen-equations, is sigma_i(p) times the context's
+    `whittaker_eigenvalue`, negated."""
     ring = ctx.ring
     E, F = op_E(ctx, i), op_F(ctx, i)
     d = tuple(sum(p.row(k)) if abs(k - i) <= 1 else 0
@@ -276,7 +300,7 @@ def local_parts(ctx: ModuleContext, i: int, p: FixedPoint
         adjoint.append([(e * sigma_p).scale_poly(c_ratio * det_ratio), -b])
         sheaf.append(b.scale_poly(sheaf_scale))
         dual.append(b.scale_poly(dual_scale * det_ratio ** -1))
-    target = sigma_p * RatFunc.from_frac(-ring.one(), ring.one() - ring.v(2))
+    target = -(sigma_p * whittaker_eigenvalue(ctx))
     return adjoint, sheaf + [target], dual + [target]
 
 
@@ -359,27 +383,28 @@ def eigen_records(ctx: ModuleContext, i: int,
 # The pushforward summation identity behind the dual eigen-property
 # ---------------------------------------------------------------------------
 
-def line_pushforward_sides(ctx: ModuleContext, i: int, upper: Sequence[int],
-                           mid: Sequence[int]) -> Tuple[RatFunc, RatFunc]:
-    """Both sides of the identity expressing the pushforward of the
+def line_pushforward_parts(ctx: ModuleContext, i: int, upper: Sequence[int],
+                           mid: Sequence[int]) -> List[RatFunc]:
+    """The parts of the identity expressing the pushforward of the
     tautological quotient line through the modification correspondence as a
-    scalar multiple of the structure sheaf.
+    scalar multiple of the structure sheaf, which holds iff they sum to
+    zero (`sum_is_zero`).
 
     For row data a_{i-1,*} = upper (length i-1) and a_{i,*} = mid (length
     i), the left side is sum_j raising_product(upper, mid, j), the closed
     raising entries of E_i without their degree prefactor, read from the
     context's memo that E_i fills; the right side is
-    t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}.
+    t_i^2 v^{2 d_{i-1} - 2 d_i} (1-v^2)^{-1}, a monomial times
+    `whittaker_eigenvalue`.  The parts are the i entries and minus the
+    right side: no side is summed, since only whether the sum vanishes
+    matters.
     """
     upper, mid = check_rows(ctx.n, i, (upper, mid))
-    ring = ctx.ring
-    lhs = rat_sum(ring, [
-        _closed_entry(ctx, "raising", raising_product, upper, mid, j)
-        for j in range(1, i + 1)])
-    rhs = RatFunc.from_frac(
-        ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid)),
-        ring.one() - ring.v(2))
-    return lhs, rhs
+    minus_rhs = ctx.ring.t_monomial(
+        {i: 2}, v_power=2 * sum(upper) - 2 * sum(mid), coeff=-1)
+    return [_closed_entry(ctx, "raising", raising_product, upper, mid, j)
+            for j in range(1, i + 1)] \
+        + [whittaker_eigenvalue(ctx).scale_poly(minus_rhs)]
 
 
 def partial_fraction_identity(i: int) -> bool:
@@ -492,8 +517,9 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
         for d in all_degrees(n, min(box, 2)):
             for p in ctx.points(d):
                 upper, mid = p.row(i - 1), p.row(i)
-                ok = ctx.memo("pushforward", (i, upper, mid), lambda: eq_exact(
-                    *line_pushforward_sides(ctx, i, upper, mid)))
+                ok = ctx.memo("pushforward", (i, upper, mid),
+                              lambda: sum_is_zero(line_pushforward_parts(
+                                  ctx, i, upper, mid)))
                 yield {"check": "line-pushforward-identity", "i": i,
                        "point": [list(r) for r in p.rows],
                        "status": "pass" if ok else "fail"}

@@ -83,5 +83,6 @@ def test_a_stale_name_is_caught():
                  "operators.cartan_monomial_records",
                  "symbolic._canonical_binomial", "symbolic.FactorKey",
                  "symbolic._canonical_factor", "symbolic._factor_key",
-                 "symbolic._binomial_exponent", "symbolic._ABSENT"):
+                 "symbolic._binomial_exponent", "symbolic._ABSENT",
+                 "whittaker.line_pushforward_sides"):
         assert not resolves(gone, table), gone

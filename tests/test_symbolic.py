@@ -741,9 +741,17 @@ class TestKeyConstructors:
             RatFunc.from_factors(R2, R2.t(2) ** (h // 2), [(f, 7), (f, -1)])
 
     def test_negative_power_of_a_non_monomial_raises(self):
-        for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3)):
+        for p in (R2.t(1) - R2.v(1), R2.zero(), R2.const(3),
+                  R2.t_monomial({1: 2}, coeff=-2)):
             with pytest.raises(UsageError):
                 p ** -1
+
+    def test_a_unit_monomial_inverts_exactly(self):
+        # the unit of a sym factor, +-x^a, as the pairing weight inverts it
+        for c in (1, -1):
+            m = R2.t_monomial({1: -3, 2: 2}, v_power=5, coeff=c)
+            assert (m ** -1).terms == {-k: c for k in m.terms}
+            assert (m * m ** -1).is_one()
 
 
 def sorted_reference_quotient(p, s_key):
@@ -1274,6 +1282,72 @@ class TestSharedFactorDict:
         assert [p.bound for p in polys] == [p.bound for p in want_polys]
         assert common == want_common
         assert common is not r.factors
+
+
+def loop_over_common_den(parts):
+    """The lift of `symbolic._over_common_den` as a loop over every tracked
+    key alone, with no shortcut for parts that carry equal factor dicts:
+    the reference of the shortcut."""
+    ring = parts[0].ring
+    polys = [r.unit for r in parts]
+    keys = {}
+    for r in reversed(parts):
+        keys.update(r.factors)
+    common = {}
+    for s in keys:
+        powers = [r.factors.get(s, 0) for r in parts]
+        m = min(powers)
+        if m:
+            common[s] = m
+        for k, e in enumerate(powers):
+            if e != m:
+                polys[k] = polys[k] * symbolic._binomial(ring, s) ** (e - m)
+    return polys, common
+
+
+@st.composite
+def lift_parts(draw):
+    """1-5 nonzero parts whose factor dicts are all equal (one dict object,
+    or equal copies built in another order), mixed, or all empty."""
+    layout = draw(st.sampled_from(["equal", "reordered", "mixed", "empty"]))
+    units = draw(st.lists(poly_strategy(R2, max_terms=3, max_exp=2).filter(
+        lambda p: not p.is_zero()), min_size=1, max_size=5))
+    if layout == "mixed":
+        return [RatFunc(R2, u, draw(ratfunc_strategy()).factors)
+                for u in units]
+    factors = {} if layout == "empty" else draw(ratfunc_strategy()).factors
+    if layout == "reordered":
+        return [RatFunc(R2, u, dict(reversed(list(factors.items()))
+                                    if k % 2 else factors))
+                for k, u in enumerate(units)]
+    return [RatFunc(R2, u, factors) for u in units]
+
+
+class TestLiftShortcut:
+    @given(lift_parts())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop(self, parts):
+        polys, common = symbolic._over_common_den(parts)
+        want_polys, want_common = loop_over_common_den(parts)
+        assert [p.terms for p in polys] == [p.terms for p in want_polys]
+        assert [p.bound for p in polys] == [p.bound for p in want_polys]
+        # the same dict, in the same order, which `_add` cancels in
+        assert list(common.items()) == list(want_common.items())
+        assert all(common is not r.factors for r in parts)
+
+    def test_each_layout_is_covered(self):
+        f = one_minus((0, 0, 2))
+        g = one_minus((1, -1, 0))
+        a = RatFunc.from_factors(R2, R2.t(1), [(f, -1), (g, 2)])
+        b = RatFunc(R2, R2.v(1), dict(reversed(list(a.factors.items()))))
+        c = RatFunc.from_factors(R2, R2.t(2), [(f, -2)])
+        e = RatFunc.from_poly(R2.t(1) + R2.v(1))
+        for parts in ([a], [a, b], [b, a, a], [a, c], [c, e], [e, e]):
+            polys, common = symbolic._over_common_den(parts)
+            want_polys, want_common = loop_over_common_den(parts)
+            assert [p.terms for p in polys] \
+                == [p.terms for p in want_polys]
+            assert list(common.items()) == list(want_common.items())
 
 
 # Steps s whose 1 - x^s is nonzero at every point of POINTS, so a sum of

@@ -11,6 +11,7 @@ from qtoda.fixed_points import (FixedPoint, all_degrees, enumerate_points,
 from qtoda.operators import (
     GradedOperator,
     ModuleContext,
+    _closed_entry,
     apply_op,
     basis_vector,
     compose,
@@ -23,7 +24,7 @@ from qtoda.operators import (
 from qtoda.symbolic import RatFunc, UsageError, eq_exact, rat_sum, sum_is_zero
 from qtoda.whittaker import (
     LOCAL_CHECKS,
-    line_pushforward_sides,
+    line_pushforward_parts,
     local_key,
     local_parts,
     pairing_prefactor,
@@ -56,6 +57,23 @@ class TestPairing:
         y = basis_vector(ctx, enumerate_points(n, d1)[0])
         assert shapovalov_pair(ctx, x, y).is_zero()
         assert x.degree == d0
+
+    @pytest.mark.parametrize("n,box", [(4, 2), (3, 3)])
+    def test_pairing_weight_is_the_quotient(self, n, box):
+        # theta_p, built from S(p)'s inverted unit and negated factor
+        # powers, is c_d det(p) / S(p) at every point of the box, with the
+        # same unit and the same factor dict
+        ctx = ModuleContext(n)
+        points = [p for d in all_degrees(n, box) for p in ctx.points(d)]
+        assert len(points) > 20
+        for p in points:
+            theta = pairing_weight(ctx, p)
+            want = RatFunc.from_poly(pairing_prefactor(ctx.ring, p.degree)
+                                     * det_weight(ctx.ring, p)) \
+                / ctx.sym_factor(p)
+            assert eq_exact(theta, want)
+            assert theta.unit.terms == want.unit.terms
+            assert list(theta.factors.items()) == list(want.factors.items())
 
     def test_pairing_weight_computed_once_per_point(self):
         ctx = ModuleContext(3)
@@ -148,6 +166,30 @@ def assert_component(image, vector, scale):
         assert eq_exact(image.coeffs.get(p, zero), c * scale), p
 
 
+def line_pushforward_sides(ctx, i, upper, mid):
+    """Both sides of the line-pushforward identity, summed: the left side
+    the `rat_sum` tree of the closed raising entries of E_i, the right side
+    t_i^2 v^{2 d_{i-1} - 2 d_i} / (1 - v^2) built from its fraction.  The
+    reference of the one zero test of `line_pushforward_parts`."""
+    ring = ctx.ring
+    lhs = rat_sum(ring, [
+        _closed_entry(ctx, "raising", whittaker.raising_product, tuple(upper),
+                      tuple(mid), j) for j in range(1, i + 1)])
+    rhs = RatFunc.from_frac(
+        ring.t_monomial({i: 2}, v_power=2 * sum(upper) - 2 * sum(mid)),
+        ring.one() - ring.v(2))
+    return lhs, rhs
+
+
+def row_pairs(n, box):
+    """Every (i, row i - 1, row i) that the whittaker suite decides the
+    line-pushforward identity at, in the box capped at 2."""
+    ctx = ModuleContext(n)
+    return sorted({(i, p.row(i - 1), p.row(i)) for i in range(1, n)
+                   for d in all_degrees(n, min(box, 2))
+                   for p in ctx.points(d)})
+
+
 class TestPushforwardIdentity:
     @pytest.mark.parametrize("i,upper,mid", [
         (1, (), (3,)),
@@ -157,8 +199,30 @@ class TestPushforwardIdentity:
         (4, (7, 5, 3), (6, 4, 2, 1)),
     ], ids=lambda x: str(x))
     def test_exact_low_rank(self, i, upper, mid):
-        lhs, rhs = line_pushforward_sides(ModuleContext(i + 1), i, upper, mid)
-        assert eq_exact(lhs, rhs)
+        ctx = ModuleContext(i + 1)
+        assert eq_exact(*line_pushforward_sides(ctx, i, upper, mid))
+        assert sum_is_zero(line_pushforward_parts(ctx, i, upper, mid))
+
+    def test_zero_test_gives_the_summed_verdict(self, bind_everywhere):
+        # at every row pair of (4, 2), with the closed raising entries
+        # right and with them scaled by v, the one zero test agrees with
+        # the tree-summed sides
+        keys = row_pairs(4, 2)
+        assert len(keys) == 50
+        for broken in (False, True):
+            if broken:
+                raising = whittaker.raising_product
+
+                def scaled(ring, *rows_and_column):
+                    return raising(ring, *rows_and_column).scale_poly(
+                        ring.v(1))
+
+                assert bind_everywhere(raising, scaled)
+            ctx = ModuleContext(4)
+            for key in keys:
+                verdict = sum_is_zero(line_pushforward_parts(ctx, *key))
+                assert verdict == eq_exact(*line_pushforward_sides(ctx, *key))
+                assert verdict is not broken, key
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_partial_fractions(self, i):
@@ -166,23 +230,23 @@ class TestPushforwardIdentity:
 
     def test_row_validation(self):
         with pytest.raises(UsageError):
-            line_pushforward_sides(ModuleContext(3), 2, (1, 2), (1, 1))
+            line_pushforward_parts(ModuleContext(3), 2, (1, 2), (1, 1))
 
-    def test_sides_live_in_the_context_ring(self):
+    def test_parts_live_in_the_context_ring(self):
         ctx = ModuleContext(3)
-        lhs, rhs = line_pushforward_sides(ctx, 1, (), (1,))
-        assert lhs.ring is ctx.ring and rhs.ring is ctx.ring
+        parts = line_pushforward_parts(ctx, 1, (), (1,))
+        assert parts and all(r.ring is ctx.ring for r in parts)
 
     def test_left_side_reads_the_raising_entries_of_E(self, monkeypatch):
         # E_2 at [1; 0, 0] moves both columns, so it has built every
-        # closed entry of the rows ((1,), (0, 0)); the left side sums those
-        # and builds no product of its own
+        # closed entry of the rows ((1,), (0, 0)); the zero test reads
+        # those and builds no product of its own
         ctx = ModuleContext(3)
         p = FixedPoint(3, ((1,), (0, 0)))
         assert [q.row(2) for q, _ in op_E(ctx, 2).terms(p)] \
             == [(1, 0), (0, 1)]
         monkeypatch.setattr(whittaker, "raising_product", None)
-        assert eq_exact(*line_pushforward_sides(ctx, 2, (1,), (0, 0)))
+        assert sum_is_zero(line_pushforward_parts(ctx, 2, (1,), (0, 0)))
 
 
 def pushforward_records(ctx, box):
@@ -196,13 +260,13 @@ class TestPushforwardOncePerRowPair:
 
     def test_one_decision_per_row_pair(self, monkeypatch):
         calls = []
-        sides = whittaker.line_pushforward_sides
+        parts = whittaker.line_pushforward_parts
 
         def counted(ctx, i, upper, mid):
             calls.append((i, upper, mid))
-            return sides(ctx, i, upper, mid)
+            return parts(ctx, i, upper, mid)
 
-        monkeypatch.setattr(whittaker, "line_pushforward_sides", counted)
+        monkeypatch.setattr(whittaker, "line_pushforward_parts", counted)
         records = pushforward_records(ModuleContext(4), 2)
         assert len(calls) == len(set(calls)) == 50
         assert len(records) == 222

@@ -49,7 +49,19 @@ factors, which the local deciders had already built, in place of a whole
 tangent character (`tangent_char` 74 -> 0, and 148 = (n - 2) * 74
 RatFunc products more, 814 -> 962), and the pushforward identity as the
 sum of the closed raising entries E_i had already built (`raising_product`
-214 -> 130); term products went 4,789 -> 4,709.  The toda bounds
+214 -> 130); term products went 4,789 -> 4,709.  The whittaker bounds
+were set again when the pairing weight became c_d det(p) times the sym
+factor's inverted unit monomial over its negated factor powers (no
+`RatFunc.inv`), 1/(1 - v^2) began to be built once per context, and each
+line-pushforward identity became one `sum_is_zero` over the closed
+raising entries and minus its right side, in place of a `rat_sum` tree
+compared with `eq_exact`: before that the same run made 962 RatFunc
+products, 593 `_over_common_den` calls, 65 `binomial_quotient` calls, 37
+`sorted` calls and 3,474 accumulated terms (now 888, 559, 0, 0 and
+3,420).  The term product bound was raised then, 4,709 -> 4,881: the one
+zero test lifts the i + 1 parts over one common factor, where the tree
+cancelled as it went, which trades 65 divisions and 37 sorts for 172 term
+products, and the trade is faster.  The toda bounds
 are the counts measured when each degree began to be decided from one
 lift shared by both operators and both signs; before that each family
 lifted its own parts, and the same run made 100 `_over_common_den` calls
@@ -197,14 +209,14 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("suite,n_records,bounds", [
-    (whittaker_records, 497, {"RatFunc.__mul__": 962, "sum_is_zero": 559,
-                              "_over_common_den": 593,
-                              "term products": 4709,
-                              "accumulated terms": 3474,
+    (whittaker_records, 497, {"RatFunc.__mul__": 888, "sum_is_zero": 559,
+                              "_over_common_den": 559,
+                              "term products": 4881,
+                              "accumulated terms": 3420,
                               "raising_product": 130,
                               "lowering_product": 98,
-                              "binomial_quotient": 65,
-                              "sorted": 37, "tangent_char": 0}),
+                              "binomial_quotient": 0,
+                              "sorted": 0, "tangent_char": 0}),
     # the toda suite reads sheaf_rgamma alone: no closed entry and no
     # point's tangent character, since the transfer multiplies piece
     # factors (its only RatFunc products, piece times suffix sum); its
@@ -224,6 +236,49 @@ def test_suite_work_stays_within_its_counts(monkeypatch, suite, n_records,
     assert all(counts[name] <= bound for name, bound in bounds.items()), counts
     # non-vacuity: every kernel with a nonzero bound ran
     assert all(counts[name] for name, bound in bounds.items() if bound), counts
+
+
+def test_whittaker_quantities_are_products(monkeypatch):
+    # at (4, 2) no pairing weight inverts a sym factor (RatFunc.inv splits
+    # its unit again), 1/(1 - v^2) is built once for the context, and the
+    # only sum is the normalization's pairing, each pushforward identity
+    # being one zero test
+    calls = {"inv": 0, "from_frac": 0, "rat_sum": 0, "normalization": 0}
+    inside = []
+    inv, from_frac = RatFunc.inv, RatFunc.from_frac
+
+    def counted_inv(self):
+        calls["inv"] += 1
+        return inv(self)
+
+    def counted_from_frac(num, den):
+        calls["from_frac"] += 1
+        return from_frac(num, den)
+
+    def counted_rat_sum(ring, parts):
+        calls["rat_sum"] += 1
+        calls["normalization"] += bool(inside)
+        return sum_of(ring, parts)
+
+    def pairing(ctx, x, y):
+        inside.append(True)
+        try:
+            return shapovalov_pair(ctx, x, y)
+        finally:
+            inside.pop()
+
+    sum_of, shapovalov_pair = symbolic.rat_sum, whittaker.shapovalov_pair
+    monkeypatch.setattr(RatFunc, "inv", counted_inv)
+    monkeypatch.setattr(RatFunc, "from_frac", staticmethod(counted_from_frac))
+    for module in MODULES:
+        if hasattr(module, "rat_sum"):
+            monkeypatch.setattr(module, "rat_sum", counted_rat_sum)
+    monkeypatch.setattr(whittaker, "shapovalov_pair", pairing)
+    records = list(whittaker_records(ModuleContext(4), 2))
+    assert len(records) == 497
+    assert not [r for r in records if r["status"] == "fail"]
+    assert calls == {"inv": 0, "from_frac": 1, "rat_sum": 1,
+                     "normalization": 1}
 
 
 SUITES = {"relations": relation_records, "whittaker": whittaker_records,
