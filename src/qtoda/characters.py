@@ -28,9 +28,9 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from .fixed_points import (
     DegreeVector,
     FixedPoint,
+    check_row,
     enumerate_points,
     raise_moves,
-    shifted,
 )
 from .symbolic import (
     DegeneracyError,
@@ -38,6 +38,7 @@ from .symbolic import (
     RatFunc,
     TVRing,
     UsageError,
+    _binomial,
     geometric_block,
     poly_sum,
 )
@@ -130,7 +131,8 @@ def piece_char(ring: TVRing, i: int, upper: Sequence[int],
     weights' own), to the weight's own bound (2, or 0 when j = k) plus
     4 max(|lo|, |hi|).
     """
-    if not 1 <= i <= ring.n - 1 or len(upper) != i or len(lower) != i + 1:
+    check_row(ring.n, i)
+    if len(upper) != i or len(lower) != i + 1:
         raise UsageError(f"piece {i} needs rows of lengths {i} and {i + 1}")
     tsq, vsq = _square_keys(ring)
     mult: Dict[int, int] = {}
@@ -165,9 +167,19 @@ def tangent_char(ring: TVRing, p: FixedPoint) -> LaurentPoly:
     the framing correction included; its bound is the largest of theirs.
     """
     _check_ring(ring, p)
-    rows = p.rows + ((0,) * ring.n,)  # rows[i - 1] = row i, i = 1..n
-    return poly_sum(ring, [piece_char(ring, i, rows[i - 1], rows[i])
+    return poly_sum(ring, [piece_char(ring, i, p.row(i), p.row(i + 1))
                            for i in range(1, ring.n)])
+
+
+def _raised(p: FixedPoint, i: int, j: int) -> FixedPoint:
+    """p with entry (i, j) raised by one, the target of a `raise_moves`
+    move; a raise that no move makes, which would leave the fixed points,
+    raises UsageError."""
+    for q, col in raise_moves(p, i):
+        if col == j:
+            return q
+    raise UsageError(f"modification at ({i}, {j}) breaks column monotonicity"
+                     " or leaves the array")
 
 
 def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:
@@ -176,13 +188,7 @@ def _modification_stages(p: FixedPoint, i: int, j: int) -> List[Stage]:
     The extra stage raises the (i, j) twist by one, so it sits between the
     original rows i-1 and i.
     """
-    if not (1 <= i <= p.n - 1 and 1 <= j <= i):
-        raise UsageError("modification position out of range")
-    if j != i and p.entry(i - 1, j) <= p.entry(i, j):
-        raise UsageError("modification breaks column monotonicity")
-    stages = list(p.rows)
-    stages.insert(i - 1, shifted(p.rows[i - 1], j))
-    return stages
+    return [*p.rows[:i - 1], _raised(p, i, j).row(i), *p.rows[i - 1:]]
 
 
 def corr_tangent_char_oracle(ring: TVRing, p: FixedPoint, i: int,
@@ -201,20 +207,21 @@ def corr_tangent_char(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPol
     constraint from row i-1.  Must agree with corr_tangent_char_oracle.
     """
     _check_ring(ring, p)
-    if not (1 <= i <= p.n - 1 and 1 <= j <= i):
-        raise UsageError("modification position out of range")
+    raised = _raised(p, i, j).row(i)
     a = p.entry(i, j)
     return poly_sum(ring, [tangent_char(ring, p)]
                     + [weight_ratio(ring, j, k, 2 * dk - 2 * a)
-                       for k, dk in enumerate(shifted(p.row(i), j), start=1)]
+                       for k, dk in enumerate(raised, start=1)]
                     + [-weight_ratio(ring, j, k, 2 * p.entry(i - 1, k) - 2 * a)
                        for k in range(1, i)])
 
 
 def modification_weight(ring: TVRing, p: FixedPoint, i: int, j: int) -> LaurentPoly:
     """Weight of the tautological quotient line at the fixed pair: the length-
-    one torsion W_i / W'_i sits at twist a_{ij} of line j."""
+    one torsion W_i / W'_i sits at twist a_{ij} of line j.  Defined at a
+    raise alone (`raise_moves`)."""
     _check_ring(ring, p)
+    _raised(p, i, j)
     return line_weight(ring, j, p.entry(i, j))
 
 
@@ -232,10 +239,9 @@ def weight_inverse(chi: LaurentPoly) -> RatFunc:
         raise UsageError("character must live in a torus ring")
     if 0 in chi.terms:
         raise DegeneracyError("trivial weight in character: point not isolated")
-    # 1 - w, straight from w's key; chi's bound covers w's digits
+    # 1 - w, straight from w's key
     return RatFunc.from_factors(ring, ring.one(), [
-        (LaurentPoly(ring, {0: 1, key: -1}, chi.bound), -mult)
-        for key, mult in sorted(chi.terms.items())])
+        (_binomial(ring, key), -mult) for key, mult in sorted(chi.terms.items())])
 
 
 def sym_inverse(chi: LaurentPoly) -> RatFunc:
@@ -283,7 +289,7 @@ def character_records(ring: TVRing, degree: DegreeVector) -> Iterator[dict]:
         dim_ok = char_dimension(chi) == 2 * sum(degree)
         yield {
             "check": "tangent-character-oracle-equivalence",
-            "point": [list(r) for r in p.rows],
+            "point": p.rows_json(),
             "dimension": char_dimension(chi),
             "status": "pass" if ok and dim_ok else "fail",
         }
@@ -294,7 +300,7 @@ def character_records(ring: TVRing, degree: DegreeVector) -> Iterator[dict]:
                 dim_ok = char_dimension(chi_c) == 2 * sum(degree) + 1
                 yield {
                     "check": "correspondence-character-oracle-equivalence",
-                    "point": [list(r) for r in p.rows],
+                    "point": p.rows_json(),
                     "i": i,
                     "j": j,
                     "status": "pass" if ok and dim_ok else "fail",

@@ -40,8 +40,8 @@ from typing import Dict, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .characters import character_records
-from .fixed_points import (all_degrees, check_degree, enumerate_points,
-                           kostant_count, shifted)
+from .fixed_points import (all_degrees, check_degree, check_row,
+                           enumerate_points, kostant_count, shifted)
 from .operators import (
     ModuleContext,
     ModuleVector,
@@ -141,11 +141,11 @@ def _parse_degree(text: str, n: int) -> tuple:
 
 
 def _vector_json(x: ModuleVector) -> dict:
-    entries = []
-    for p in sorted(x.coeffs, key=lambda q: q.rows):
-        entries.append({"point": [list(r) for r in p.rows],
-                        "value": x.coeffs[p].to_json()})
-    return {"degree": list(x.degree), "coeffs": entries}
+    """The component's coefficients in the order it holds them: a Whittaker
+    component's, that of `enumerate_points`, the order of the rows."""
+    return {"degree": list(x.degree), "coeffs": [
+        {"point": p.rows_json(), "value": c.to_json()}
+        for p, c in x.coeffs.items()]}
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def cmd_enumerate(args) -> Iterator[dict]:
     degree = args.degree_vector
     points = enumerate_points(args.n, degree)
     for p in points:
-        yield {"point": [list(r) for r in p.rows]}
+        yield {"point": p.rows_json()}
     expected = kostant_count(args.n, degree)
     yield {
         "check": "count-matches-root-combinations",
@@ -378,9 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "i", None) is not None:
             if args.suite not in ("summation", "full"):
                 raise UsageError(f"--i does not apply to suite {args.suite}")
-            if not 1 <= args.i <= args.n - 1:
-                raise UsageError(
-                    f"row index {args.i} out of range for n={args.n}")
+            check_row(args.n, args.i)
         if getattr(args, "degree", None) is not None:
             args.degree_vector = _parse_degree(args.degree, args.n)
         if args.out:

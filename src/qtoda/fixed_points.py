@@ -69,8 +69,12 @@ class FixedPoint(Value):
             return (0,) * self.n
         return self.rows[i - 1] if i else ()
 
+    def rows_json(self) -> List[List[int]]:
+        """The rows as lists: a record's "point"."""
+        return [list(r) for r in self.rows]
+
     def to_json(self) -> dict:
-        return {"n": self.n, "rows": [list(r) for r in self.rows]}
+        return {"n": self.n, "rows": self.rows_json()}
 
     @staticmethod
     def from_json(data: dict) -> "FixedPoint":
@@ -106,11 +110,17 @@ def check_degree(n: int, degree: Sequence[int]) -> DegreeVector:
     return degree
 
 
+def check_row(n: int, i: int) -> None:
+    """Raise UsageError unless i is a row of an array of rank n, 1..n-1."""
+    if not 1 <= i <= n - 1:
+        raise UsageError(f"row index {i} out of range for n={n}")
+
+
 def check_rows(n: int, i: int, rows: Sequence[Sequence[int]]) -> Rows:
     """Rows i - 1, i, .. of an array of rank n as int tuples, after checking
-    1 <= i <= n - 1 and that the k-th given row has i - 1 + k entries."""
-    if not 1 <= i <= n - 1:
-        raise UsageError("row index out of range")
+    row i (`check_row`) and that the k-th given row has i - 1 + k
+    entries."""
+    check_row(n, i)
     rows = tuple(tuple(int(a) for a in r) for r in rows)
     lengths = range(i - 1, i - 1 + len(rows))
     if any(len(r) != m for r, m in zip(rows, lengths)):
@@ -207,8 +217,7 @@ def _moves(p: FixedPoint, i: int, step: int) -> List[Tuple[FixedPoint, int]]:
     and column condition, so each target is built from p's rows and the
     degree d + step e_i without running `FixedPoint.__init__`'s checks.
     """
-    if not 1 <= i <= p.n - 1:
-        raise UsageError(f"row index {i} out of range")
+    check_row(p.n, i)
     row, bound = p.row(i), p.row(i - step)
     degree = shifted(p.degree, i, step)
     out = []

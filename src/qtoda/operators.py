@@ -85,6 +85,7 @@ from .fixed_points import (
     FixedPoint,
     Rows,
     all_degrees,
+    check_row,
     check_rows,
     enumerate_points,
     lower_moves,
@@ -98,6 +99,7 @@ from .symbolic import (
     TVRing,
     UsageError,
     Value,
+    _binomial,
     _over_common_den,
     combination_is_zero,
     eq_exact,
@@ -242,7 +244,7 @@ class ModuleContext:
         """K_i acts on degree d by t_{i+1} t_i^{-1} v^{2d_i - d_{i-1} - d_{i+1}
         + 1} (d_0 = d_n = 0): slope 2e_i - e_{i-1} - e_{i+1} over the rows
         1..n-1, t_{i+1} t_i^{-1} v at d = 0."""
-        self._check_row(i)
+        check_row(self.n, i)
         return self.memo("k_form", i, lambda: [(
             tuple(2 * (c == i) - (abs(c - i) == 1) for c in range(1, self.n)),
             self.ring.t_monomial({i + 1: 1, i: -1}, v_power=1))])
@@ -250,7 +252,7 @@ class ModuleContext:
     def l_form(self, i: int) -> Form:
         """L_i acts on degree d by t_1^{-1}..t_i^{-1} v^{d_i + i(n-i)/2}, a
         half-integer v-exponent: slope e_i."""
-        self._check_row(i)
+        check_row(self.n, i)
         return self.memo("l_form", i, lambda: [(
             tuple(int(c == i) for c in range(1, self.n)),
             self.ring.t_monomial({k: -1 for k in range(1, i + 1)},
@@ -258,10 +260,6 @@ class ModuleContext:
 
     def k_scalar(self, i: int, degree: DegreeVector) -> LaurentPoly:
         return form_at(self.k_form(i), degree)
-
-    def _check_row(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise UsageError(f"row index {i} out of range 1..{self.n - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +305,11 @@ def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
 def _one_minus(ring: TVRing, t_num: int, t_den: int, v_power: int) -> LaurentPoly:
     """1 - t_{t_num}^2 t_{t_den}^{-2} v^{v_power}, built once per ring and
     arguments: the closed products reuse the same few binomials.  Built
-    from the ratio's one key, as `weight_inverse` builds 1 - w, so a miss
-    runs no term loop and no work count depends on what ran before; it is
-    zero when t_num = t_den and v_power = 0."""
-    w = weight_ratio(ring, t_num, t_den, v_power)
-    [key] = w.terms
-    return LaurentPoly(ring, {0: 1, key: -1} if key else {}, w.bound)
+    from the ratio's one key by `_binomial`, as `weight_inverse` builds
+    1 - w, so a miss runs no term loop and no work count depends on what
+    ran before; it is zero when t_num = t_den and v_power = 0."""
+    [key] = weight_ratio(ring, t_num, t_den, v_power).terms
+    return _binomial(ring, key)
 
 
 def _raise_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> LaurentPoly:
@@ -428,7 +425,7 @@ def _generator(ctx: ModuleContext, name: str, i: int, path: str,
     """Generator `name`_i along `path`, one of the keys of `builds`, made by
     its build() once per context, row and path.  A row out of range or an
     unknown path raises UsageError before anything is built."""
-    ctx._check_row(i)
+    check_row(ctx.n, i)
     if path not in builds:
         raise UsageError(f"unknown operator path {path!r}")
     return ctx.memo(name, (i, path), builds[path])
@@ -549,34 +546,21 @@ def basis_vector(ctx: ModuleContext, p: FixedPoint) -> ModuleVector:
 Term = Tuple[RatFunc, Tuple[GradedOperator, ...]]
 
 
-def _max_prefix_shift(terms: Sequence[Term]) -> Tuple[int, ...]:
-    """The componentwise largest shift over every nonempty prefix of every
-    term's chain, the operators applied right to left: each intermediate
-    degree of the orbit of degree d is d plus one of these prefix shifts.
-    Empty when no term applies an operator."""
-    prefixes = [cum for _, chain in terms for cum in itertools.accumulate(
-        (op.shift for op in reversed(chain)),
-        lambda a, b: tuple(x + y for x, y in zip(a, b)))]
-    return tuple(map(max, zip(*prefixes)))
-
-
-def _orbit_in_box(box: int, degree: DegreeVector,
-                  max_shift: Tuple[int, ...]) -> bool:
-    """True when every intermediate degree of every term stays at most box,
-    given the terms' `_max_prefix_shift`: d_c + M_c <= box for every
-    component c.
+def _in_box_limit(box: int, terms: Sequence[Term]) -> Tuple[int, ...]:
+    """The largest degree, componentwise, whose orbit stays in the box:
+    every intermediate degree of every term's chain, the operators applied
+    right to left from degree d, stays at most box in every component
+    exactly when d is at most this limit in every component.  It is box
+    minus the componentwise largest shift over every nonempty prefix of
+    every chain; empty when no term applies an operator.
 
     Degrees with negative components are fine: the module genuinely has no
     such graded pieces, so the operators vanish there by themselves.
     """
-    return all(d + m <= box for d, m in zip(degree, max_shift))
-
-
-def _in_box_limit(box: int, terms: Sequence[Term]) -> Tuple[int, ...]:
-    """box - `_max_prefix_shift(terms)`, componentwise: `_orbit_in_box(box,
-    d, _max_prefix_shift(terms))` holds exactly when d <= this limit in
-    every component."""
-    return tuple(box - m for m in _max_prefix_shift(terms))
+    prefixes = [cum for _, chain in terms for cum in itertools.accumulate(
+        (op.shift for op in reversed(chain)),
+        lambda a, b: tuple(x + y for x, y in zip(a, b)))]
+    return tuple(box - m for m in map(max, zip(*prefixes)))
 
 
 # A shape is a chain of non-diagonal operators and a coefficient made of
@@ -887,11 +871,11 @@ def diagonality_check(ctx: ModuleContext, i: int, box: int) -> Iterator[dict]:
     that does not vanish as its witness."""
     E, F = op_E(ctx, i), op_F(ctx, i)
     one = RatFunc.one(ctx.ring)
-    max_shift = _max_prefix_shift([(one, (E, F)), (-one, (F, E))])
+    limit = _in_box_limit(box, [(one, (E, F)), (-one, (F, E))])
     for d in all_degrees(ctx.n, box):
         rec = {"check": "commutator-diagonality", "i": i, "degree": list(d),
                "status": "skipped-out-of-box"}
-        if _orbit_in_box(box, d, max_shift):
+        if all(map(le, d, limit)):
             witness = _off_diagonal_witness(ctx, E, F, d)
             rec.update({"status": "pass"} if witness is None
                        else {"status": "fail", "witness": witness})
@@ -957,11 +941,7 @@ def summation_identity_sides_generic(i: int) -> Tuple[RatFunc, RatFunc]:
     p = [ring.var(2 * i + 1 + k) for k in range(i - 1)]
     q = ring.var(ring.nvars - 1)
 
-    big = q
-    for x in s:
-        big = big * x ** -2
-    for x in p + r:
-        big = big * x
+    big = poly_product(ring, [q, *(x ** -2 for x in s), *p, *r])
     lhs = RatFunc.from_poly((ring.one() - q) * (big - ring.one()))
 
     def columns(q_on_r: bool) -> List[RatFunc]:
@@ -1021,8 +1001,7 @@ def summation_records(ctx: ModuleContext, seed: int,
     import random
     rng = random.Random(seed)
     for row in range(1, min(ctx.n, 5)) if i is None else [i]:
-        if not 1 <= row <= ctx.n - 1:
-            raise UsageError(f"row index {row} out of range for n={ctx.n}")
+        check_row(ctx.n, row)
         rows = _random_admissible_rows(row, rng)
         ok = verify_summation_identity(ctx.n, row, rows)
         yield {"check": "commutator-summation-identity", "i": row,

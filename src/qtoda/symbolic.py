@@ -456,10 +456,13 @@ class EvalPoint(Value):
 Factors = Dict[int, int]  # tracked key s > 0 of 1 - x^s -> nonzero power
 
 
-def _binomial(ring: Ring, s: int) -> LaurentPoly:
-    """The tracked binomial 1 - x^s of a key s > 0, with the exact bound of
-    its keys."""
-    return LaurentPoly(ring, {0: 1, s: -1}, _key_bound(s))
+def _binomial(ring: Ring, key: int) -> LaurentPoly:
+    """1 - x^key for a key of either sign, with the exact bound of its keys;
+    zero at key 0.  Every 1 - x^k of the package is built here: a tracked
+    binomial is the one of a key s > 0."""
+    if not key:
+        return ring.zero()
+    return LaurentPoly(ring, {0: 1, key: -1}, _key_bound(key))
 
 
 def _add_powers(factors: Factors, powers: Iterable[Tuple[int, int]]) -> None:

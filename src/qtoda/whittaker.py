@@ -347,7 +347,7 @@ def _local_record(ctx: ModuleContext, check: int, i: int,
     for p in ctx.points(degree):
         if not local_verdicts(ctx, i, p)[check]:
             return {**record, "status": "fail",
-                    "point": [list(r) for r in p.rows]}
+                    "point": p.rows_json()}
     return {**record, "status": "pass"}
 
 
@@ -477,7 +477,7 @@ def pairing_two_path_record(ctx: ModuleContext,
     for p, c in whittaker_w(ctx, degree).coeffs.items():
         if not eq_exact(c * pairing_weight(ctx, p), m_d):
             return {**record, "status": "fail",
-                    "point": [list(r) for r in p.rows]}
+                    "point": p.rows_json()}
     return {**record, "status": "pass"}
 
 
@@ -521,7 +521,7 @@ def whittaker_records(ctx: ModuleContext, box: int) -> Iterator[dict]:
                               lambda: sum_is_zero(line_pushforward_parts(
                                   ctx, i, upper, mid)))
                 yield {"check": "line-pushforward-identity", "i": i,
-                       "point": [list(r) for r in p.rows],
+                       "point": p.rows_json(),
                        "status": "pass" if ok else "fail"}
     for i in range(1, 5):
         yield {"check": "partial-fraction-identity", "i": i,

@@ -32,8 +32,9 @@ CACHES = {
     (symbolic, "_unit_keys"): (
         "the variable keys, ints per variable count", (4,)),
     (symbolic, "_key_bound"): (
-        "an int per packed key: each binomial's span unit in "
-        "`binomial_quotient`", (T1,)),
+        "an int per packed key: the exact bound of each 1 - x^k that "
+        "`_binomial` builds, the piece factors' among them, and each "
+        "binomial's span unit in `binomial_quotient`", (T1,)),
     (symbolic, "tv_ring"): (
         "one ring per n, so every polynomial of one rank shares its ring "
         "by identity", (3,)),

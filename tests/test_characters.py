@@ -213,6 +213,37 @@ class TestCorrespondenceChar:
         assert modification_weight(ring, p, 2, 1) == line_weight(ring, 1, 1)
         assert modification_weight(ring, p, 2, 2) == line_weight(ring, 2, 3)
 
+    def test_a_raise_that_breaks_a_column_raises(self):
+        # raising entry (2, 1) of [[1]; [1, 0]] puts 2 below 1 in column 1;
+        # the closed form once returned a character there, holding the
+        # trivial weight at multiplicity -1
+        ring = tv_ring(3)
+        p = FixedPoint(3, ((1,), (1, 0)))
+        assert 1 not in [j for _, j in raise_moves(p, 2)]
+        for fn in (corr_tangent_char, corr_tangent_char_oracle,
+                   modification_weight):
+            with pytest.raises(UsageError):
+                fn(ring, p, 2, 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_position_but_a_raise_raises(self, n):
+        # the three functions are defined at the raising moves alone
+        ring = tv_ring(n)
+        for d in all_degrees(n, 2):
+            for p in enumerate_points(n, d):
+                for i in range(n + 1):
+                    moves = ({j for _, j in raise_moves(p, i)}
+                             if 1 <= i <= n - 1 else set())
+                    for j in range(i + 2):
+                        if j in moves:
+                            modification_weight(ring, p, i, j)
+                            continue
+                        for fn in (corr_tangent_char,
+                                   corr_tangent_char_oracle,
+                                   modification_weight):
+                            with pytest.raises(UsageError):
+                                fn(ring, p, i, j)
+
 
 class TestSymInverse:
     def test_simple(self):

@@ -249,7 +249,7 @@ SUITE_BOXES = [(2, 4), (3, 3), (4, 2)]
 
 def walked_orbit_in_box(box, degree, terms):
     """Every intermediate degree of every term's chain stays at most box,
-    walked term by term: the reference for the max-prefix-shift test."""
+    walked term by term: the reference for the in-box limit."""
     for _, chain in terms:
         cum = list(degree)
         for op in reversed(chain):
@@ -260,17 +260,33 @@ def walked_orbit_in_box(box, degree, terms):
 
 
 def test_max_prefix_shift_decides_the_box_like_the_walk():
-    # and so does the in-box limit that the relation suite prepares
-    for name, params, terms in relation_suite(ModuleContext(4)):
-        max_shift = operators._max_prefix_shift(terms)
+    # the in-box limit, box minus the largest prefix shift, of every
+    # relation and of the diagonality chains E_i F_i and F_i E_i
+    ctx = ModuleContext(4)
+    one = RatFunc.one(ctx.ring)
+    diagonality = [("commutator-diagonality", {"i": i},
+                    [(one, (op_E(ctx, i), op_F(ctx, i))),
+                     (-one, (op_F(ctx, i), op_E(ctx, i)))])
+                   for i in range(1, 4)]
+    for name, params, terms in [*relation_suite(ctx), *diagonality]:
         for box in range(4):
             limit = operators._in_box_limit(box, terms)
             for d in all_degrees(4, 3):
                 walked = walked_orbit_in_box(box, d, terms)
-                assert operators._orbit_in_box(box, d, max_shift) == \
-                    walked, (name, params, d)
                 assert all(a <= b for a, b in zip(d, limit)) == walked, \
                     (name, params, box, d)
+
+
+@pytest.mark.parametrize("n,box", [(3, 2), (4, 2)])
+def test_diagonality_skips_where_the_walk_leaves_the_box(n, box):
+    ctx = ModuleContext(n)
+    one = RatFunc.one(ctx.ring)
+    for i in range(1, n):
+        E, F = op_E(ctx, i), op_F(ctx, i)
+        terms = [(one, (E, F)), (-one, (F, E))]
+        for rec in diagonality_check(ctx, i, box):
+            walked = walked_orbit_in_box(box, rec["degree"], terms)
+            assert (rec["status"] != "skipped-out-of-box") == walked, rec
 
 
 class TestRelationSuite:
@@ -412,9 +428,9 @@ class TestRelationSuite:
 
 
 def in_box_degrees(n, box, terms):
-    max_shift = operators._max_prefix_shift(terms)
+    limit = operators._in_box_limit(box, terms)
     return [d for d in all_degrees(n, box)
-            if operators._orbit_in_box(box, d, max_shift)]
+            if all(a <= b for a, b in zip(d, limit))]
 
 
 def decide(ctx, terms, d):

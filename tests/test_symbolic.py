@@ -1425,3 +1425,82 @@ class TestSumIsZero:
                       [RatFunc.one(R2), RatFunc.one(R2), RatFunc.zero(other)]):
             with pytest.raises(UsageError):
                 sum_is_zero(parts)
+
+
+@st.composite
+def weight_keys(draw):
+    """(ring, key, bound) of a weight w: a `weight_ratio` monomial
+    t_k^2 t_j^-2 v^l, k = j and l = 0 giving key 0, with its own bound, or
+    a weight of a piece character of a fixed point with its character's
+    bound; keys of both signs come up."""
+    from qtoda.fixed_points import all_degrees, enumerate_points
+    n = draw(st.integers(2, 4))
+    ring = tv_ring(n)
+    if draw(st.booleans()):
+        w = characters.weight_ratio(ring, draw(st.integers(1, n)),
+                                    draw(st.integers(1, n)),
+                                    draw(st.integers(-8, 8)))
+        [key] = w.terms
+        return ring, key, w.bound
+    points = enumerate_points(n, draw(st.sampled_from(all_degrees(n, 2))))
+    p = draw(st.sampled_from(points))
+    i = draw(st.integers(1, n - 1))
+    chi = characters.piece_char(ring, i, p.row(i), p.row(i + 1))
+    assume(chi.terms)
+    return ring, draw(st.sampled_from(sorted(chi.terms))), chi.bound
+
+
+def inline_one_minus(ring, key, bound):
+    """1 - x^key as the closed products and `weight_inverse` wrote it
+    before `symbolic._binomial` built it: zero at key 0, the bound the
+    caller held."""
+    return LaurentPoly(ring, {0: 1, key: -1} if key else {}, bound)
+
+
+class TestOneBinomialBuilder:
+    """`symbolic._binomial` builds every 1 - x^k: for keys of either sign
+    and for k = 0 it has the terms of the inline forms it replaced, the
+    exact bound of its keys, and every factor split it feeds is
+    unchanged."""
+
+    @given(weight_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_the_builder_matches_the_inline_binomial(self, drawn):
+        ring, key, bound = drawn
+        got = symbolic._binomial(ring, key)
+        want = inline_one_minus(ring, key, bound)
+        assert got.terms == want.terms
+        # exact: the largest digit of the key, at most the caller's bound
+        exps = unpack(key, ring.nvars)
+        assert got.bound == max(abs(sum(exps)), *map(abs, exps)) <= bound
+        for e in (-2, -1, 1, 3):
+            if not key and e < 0:
+                continue
+            a = RatFunc.from_factors(ring, ring.t(1), [(got, e)])
+            b = RatFunc.from_factors(ring, ring.t(1), [(want, e)])
+            assert (a.unit.terms, a.unit.bound, a.factors) == \
+                (b.unit.terms, b.unit.bound, b.factors)
+
+    def test_key_zero_gives_zero(self):
+        ring = tv_ring(3)
+        zero = symbolic._binomial(ring, 0)
+        assert zero.is_zero() and zero.bound == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_piece_factors_are_unchanged(self, n):
+        # weight_inverse of every piece character against its factors built
+        # from the inline binomial at the character's bound
+        from qtoda.fixed_points import all_degrees, enumerate_points
+        ring = tv_ring(n)
+        for d in all_degrees(n, 2):
+            for p in enumerate_points(n, d):
+                for i in range(1, n):
+                    chi = characters.piece_char(ring, i, p.row(i),
+                                                p.row(i + 1))
+                    got = characters.weight_inverse(chi)
+                    want = RatFunc.from_factors(ring, ring.one(), [
+                        (inline_one_minus(ring, key, chi.bound), -mult)
+                        for key, mult in sorted(chi.terms.items())])
+                    assert (got.unit.terms, got.unit.bound, got.factors) \
+                        == (want.unit.terms, want.unit.bound, want.factors)
+                    assert list(got.factors) == list(want.factors)

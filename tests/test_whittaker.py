@@ -131,6 +131,17 @@ class TestWhittakerVectors:
             assert set(vec.coeffs) == {z}
             assert eq_exact(vec.coeffs[z], RatFunc.one(ctx.ring))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_components_hold_the_points_in_the_order_of_the_rows(self, n):
+        # the `whittaker` subcommand prints the coefficients in the order a
+        # component holds them, unsorted
+        ctx = ModuleContext(n)
+        for d in all_degrees(n, 2):
+            rows = [p.rows for p in enumerate_points(n, d)]
+            assert rows == sorted(rows)
+            for vec in (whittaker_k(ctx, d), whittaker_w(ctx, d)):
+                assert [p.rows for p in vec.coeffs] == rows
+
     @pytest.mark.parametrize("n,box", [(2, 3), (3, 2)], ids=lambda x: str(x))
     def test_structure_sheaf_vector_eigen(self, n, box):
         # f_i applied to the structure-sheaf vector at d + e_i, as a sparse
