@@ -38,7 +38,6 @@ from .symbolic import (
     RatFunc,
     TVRing,
     UsageError,
-    _binomial,
     geometric_block,
     poly_sum,
 )
@@ -232,16 +231,16 @@ def char_dimension(chi: LaurentPoly) -> int:
 
 def weight_inverse(chi: LaurentPoly) -> RatFunc:
     """prod_w (1 - w)^{-mult} over the character's weights, for
-    multiplicities of either sign.  Raises DegeneracyError if the trivial
-    weight occurs."""
+    multiplicities of either sign: each weight's (key, -mult) pair, in key
+    order, goes to `RatFunc.from_binomials`, so no binomial is built as a
+    polynomial.  Raises DegeneracyError if the trivial weight occurs."""
     ring = chi.ring
     if not isinstance(ring, TVRing):
         raise UsageError("character must live in a torus ring")
     if 0 in chi.terms:
         raise DegeneracyError("trivial weight in character: point not isolated")
-    # 1 - w, straight from w's key
-    return RatFunc.from_factors(ring, ring.one(), [
-        (_binomial(ring, key), -mult) for key, mult in sorted(chi.terms.items())])
+    return RatFunc.from_binomials(ring, ring.one(), [
+        (key, -mult) for key, mult in sorted(chi.terms.items())])
 
 
 def sym_inverse(chi: LaurentPoly) -> RatFunc:

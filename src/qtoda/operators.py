@@ -66,7 +66,7 @@ determinant, and a sum that survives there is the record's witness.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from operator import add, le, mul
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable,
                     Iterator, List, Optional, Sequence, Tuple, TypeVar)
@@ -99,7 +99,6 @@ from .symbolic import (
     TVRing,
     UsageError,
     Value,
-    _binomial,
     _over_common_den,
     combination_is_zero,
     eq_exact,
@@ -301,15 +300,13 @@ def op_L(ctx: ModuleContext, i: int, power: int = 1) -> GradedOperator:
 # Raising / lowering operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _one_minus(ring: TVRing, t_num: int, t_den: int, v_power: int) -> LaurentPoly:
-    """1 - t_{t_num}^2 t_{t_den}^{-2} v^{v_power}, built once per ring and
-    arguments: the closed products reuse the same few binomials.  Built
-    from the ratio's one key by `_binomial`, as `weight_inverse` builds
-    1 - w, so a miss runs no term loop and no work count depends on what
-    ran before; it is zero when t_num = t_den and v_power = 0."""
+def _ratio_key(ring: TVRing, t_num: int, t_den: int, v_power: int) -> int:
+    """The key of t_{t_num}^2 t_{t_den}^{-2} v^{v_power} (`weight_ratio`):
+    the closed products pass 1 minus this monomial to
+    `RatFunc.from_binomials` as its key; it is 0, the zero binomial, when
+    t_num = t_den and v_power = 0."""
     [key] = weight_ratio(ring, t_num, t_den, v_power).terms
-    return _binomial(ring, key)
+    return key
 
 
 def _raise_prefactor(ctx: ModuleContext, i: int, degree: DegreeVector) -> LaurentPoly:
@@ -347,16 +344,17 @@ def raising_product(ring: TVRing, upper: Sequence[int], mid: Sequence[int],
     (a = mid_j):
       t_j^2 v^{-2a} (1-v^2)^{-1}
             prod_{k<=i, k!=j} (1 - t_j^2 t_k^{-2} v^{2a_ik - 2a})^{-1}
-            prod_{k<=i-1}     (1 - t_j^2 t_k^{-2} v^{2a_{i-1,k} - 2a})."""
+            prod_{k<=i-1}     (1 - t_j^2 t_k^{-2} v^{2a_{i-1,k} - 2a}),
+    each binomial given to `RatFunc.from_binomials` by its `_ratio_key`."""
     a = mid[j - 1]
     # 1 - v^2 is the binomial with k = j
-    factors: List[Tuple[LaurentPoly, int]] = [(_one_minus(ring, j, j, 2), -1)]
+    pairs = [(_ratio_key(ring, j, j, 2), -1)]
     for k, b in enumerate(mid, start=1):
         if k != j:
-            factors.append((_one_minus(ring, j, k, 2 * b - 2 * a), -1))
+            pairs.append((_ratio_key(ring, j, k, 2 * b - 2 * a), -1))
     for k, b in enumerate(upper, start=1):
-        factors.append((_one_minus(ring, j, k, 2 * b - 2 * a), 1))
-    return RatFunc.from_factors(ring, line_weight(ring, j, a), factors)
+        pairs.append((_ratio_key(ring, j, k, 2 * b - 2 * a), 1))
+    return RatFunc.from_binomials(ring, line_weight(ring, j, a), pairs)
 
 
 def lowering_product(ring: TVRing, mid: Sequence[int], low: Sequence[int],
@@ -365,15 +363,16 @@ def lowering_product(ring: TVRing, mid: Sequence[int], low: Sequence[int],
     the degree prefactor, for rows a_{i,*} = mid and a_{i+1,*} = low
     (a = mid_j):
       (1-v^2)^{-1} prod_{k<=i, k!=j} (1 - t_k^2 t_j^{-2} v^{2a - 2a_ik})^{-1}
-                   prod_{k<=i+1}     (1 - t_k^2 t_j^{-2} v^{2a - 2a_{i+1,k}})."""
+                   prod_{k<=i+1}     (1 - t_k^2 t_j^{-2} v^{2a - 2a_{i+1,k}}),
+    each binomial given to `RatFunc.from_binomials` by its `_ratio_key`."""
     a = mid[j - 1]
-    factors: List[Tuple[LaurentPoly, int]] = [(_one_minus(ring, j, j, 2), -1)]
+    pairs = [(_ratio_key(ring, j, j, 2), -1)]
     for k, b in enumerate(mid, start=1):
         if k != j:
-            factors.append((_one_minus(ring, k, j, 2 * a - 2 * b), -1))
+            pairs.append((_ratio_key(ring, k, j, 2 * a - 2 * b), -1))
     for k, b in enumerate(low, start=1):
-        factors.append((_one_minus(ring, k, j, 2 * a - 2 * b), 1))
-    return RatFunc.from_factors(ring, ring.one(), factors)
+        pairs.append((_ratio_key(ring, k, j, 2 * a - 2 * b), 1))
+    return RatFunc.from_binomials(ring, ring.one(), pairs)
 
 
 def _raise_entry_geometric(ctx: ModuleContext, p: FixedPoint, i: int,

@@ -28,11 +28,18 @@ Rational functions keep numerator/denominator factors as multisets of
 tracked binomials instead of expanded products.  Every localization
 quantity in this package is born as a monomial times a product of
 (1 - monomial) binomials, so a `RatFunc` is an element of the Laurent ring
-localized at the binomials 1 - x^s, not of the whole fraction field.  Each
-factor splits once into a unit monomial times 1 - x^s with s > 0, the
-binomial tracked by its packed key s alone, so equal binomials cancel
-syntactically and nothing ever needs a multivariate GCD.  Any other
-factor raises UsageError.
+localized at the binomials 1 - x^s, not of the whole fraction field.  A
+binomial 1 - x^s with s > 0 is tracked by its packed key s alone, so equal
+binomials cancel syntactically and nothing ever needs a multivariate GCD.
+A binomial is held as its key from the moment it is built until it is
+expanded: `RatFunc.from_binomials` takes unit * prod (1 - x^k)^e as
+(k, e) pairs, and its accumulator, `RatFunc._with_binomials`, is the one
+every factor list passes through, the polynomial factors of
+`from_factors`, `from_frac` and `inv` each split once into a unit
+monomial times 1 - x^s (any other factor raises UsageError).  One kernel,
+`_times_binomial(p, s, e)`, expands a tracked power: p * (1 - x^s)^e as
+one copy of p and one shifted, scaled add of p per power, no polynomial
+product.
 
 One accumulator, `_accumulate(acc, terms, by)`, adds by * terms into a
 dict in place, one key shift and coefficient scale of terms per term of
@@ -458,11 +465,43 @@ Factors = Dict[int, int]  # tracked key s > 0 of 1 - x^s -> nonzero power
 
 def _binomial(ring: Ring, key: int) -> LaurentPoly:
     """1 - x^key for a key of either sign, with the exact bound of its keys;
-    zero at key 0.  Every 1 - x^k of the package is built here: a tracked
-    binomial is the one of a key s > 0."""
+    zero at key 0.  Evaluation reads it; every factor list holds its
+    binomials as keys (`RatFunc.from_binomials`) and every expansion runs
+    `_times_binomial`, so no verify run builds one."""
     if not key:
         return ring.zero()
     return LaurentPoly(ring, {0: 1, key: -1}, _key_bound(key))
+
+
+def _times_binomial(p: LaurentPoly, s: int, e: int) -> LaurentPoly:
+    """p * (1 - x^s)^e for e >= 1, from the key s alone: one copy of p's
+    terms, then for each power k = 1..e one add of p shifted by k s and
+    scaled by (-1)^k binomial(e, k).  The bound grows by e * _key_bound(s),
+    as the product's would, and past SLOT_LIMIT it raises UsageError
+    before any term is added."""
+    out = LaurentPoly(p.ring, dict(p.terms), p.bound + e * _key_bound(s))
+    scale = 1
+    for k in range(1, e + 1):
+        scale = -scale * (e - k + 1) // k
+        _accumulate(out.terms, p.terms, {k * s: scale})
+    return out
+
+
+def _times_monomials(unit: LaurentPoly, lows: Mapping[int, int],
+                     flip: int) -> LaurentPoly:
+    """flip * unit * prod x^(net * low) over the (low, net) of lows, as one
+    key shift of unit's terms.  Each distinct x^low is raised to its net
+    exponent, whose digits are at most |net| * _key_bound(low), so the
+    bound grows by what is left of the shifts, whatever the order of the
+    factors they came from; shifts that cancel leave the keys, and so the
+    bound, as they are."""
+    shift = sum(net * low for low, net in lows.items())
+    if not shift and flip > 0:
+        return unit
+    bound = unit.bound + sum(abs(net) * _key_bound(low) for low, net
+                             in lows.items()) if shift else unit.bound
+    return LaurentPoly(unit.ring, {k + shift: flip * c
+                                   for k, c in unit.terms.items()}, bound)
 
 
 def _add_powers(factors: Factors, powers: Iterable[Tuple[int, int]]) -> None:
@@ -474,6 +513,52 @@ def _add_powers(factors: Factors, powers: Iterable[Tuple[int, int]]) -> None:
             factors[s] = ne
         else:
             del factors[s]
+
+
+def _split_factors(unit: LaurentPoly,
+                   factor_list: Iterable[Tuple[LaurentPoly, int]]
+                   ) -> Tuple[LaurentPoly, List[Tuple[int, int]]]:
+    """(shifted, pairs) with unit * prod f^e = shifted * prod
+    (1 - x^s)^e over the (s, e) of pairs.  Each f is split once into
+    sign * x^low * (1 - x^s), where low is the key of f's least term and
+    s = 0 for a monomial; the monomials shift the unit once
+    (`_times_monomials`), and the zero polynomial is the zero binomial
+    of key 0.  A factor of another ring, or of any other shape, raises
+    UsageError, and so does an s with a digit past SLOT_LIMIT (the
+    digits of high - low reach 2 * f.bound).  A zero unit splits
+    nothing."""
+    pairs: List[Tuple[int, int]] = []
+    if unit.is_zero():
+        return unit, pairs
+    flip = 1
+    lows: Dict[int, int] = {}  # low -> net exponent
+    for f, e in factor_list:
+        if e == 0:
+            continue
+        unit._check(f)
+        terms = f.terms
+        if not terms:
+            pairs.append((0, e))
+            continue
+        low, high = min(terms), max(terms)
+        sign, s = terms[low], high - low
+        if len(terms) > 2 or sign not in (1, -1) or s and \
+                terms[high] != -sign:
+            raise UsageError(f"not ±x^a or ±x^a (1 - x^s): {f!r}")
+        if s and 2 * f.bound > SLOT_LIMIT:
+            # a digit of s may have wrapped: read the exponents of s
+            n = unit.ring.nvars
+            exps = [a - b for a, b in zip(unpack(high, n), unpack(low, n))]
+            if _slot_bound(exps) > SLOT_LIMIT:
+                raise UsageError("an exponent or total degree could "
+                                 f"exceed ±{SLOT_LIMIT}")
+        if sign < 0 and e % 2:
+            flip = -flip
+        if low:
+            lows[low] = lows.get(low, 0) + e
+        if s:
+            pairs.append((s, e))
+    return _times_monomials(unit, lows, flip), pairs
 
 
 class RatFunc:
@@ -510,10 +595,23 @@ class RatFunc:
     @staticmethod
     def from_factors(ring: Ring, unit: LaurentPoly,
                      factor_list: Iterable[Tuple[LaurentPoly, int]]) -> "RatFunc":
-        """Build unit * prod f_i^{e_i} with factor tracking.  A unit from
+        """Build unit * prod f_i^{e_i} with factor tracking: each factor is
+        split once (`_split_factors`) and the binomials go to
+        `from_binomials`.  A unit or factor from another ring raises
+        UsageError."""
+        return RatFunc.from_binomials(ring, *_split_factors(unit, factor_list))
+
+    @staticmethod
+    def from_binomials(ring: Ring, unit: LaurentPoly,
+                       pairs: Iterable[Tuple[int, int]]) -> "RatFunc":
+        """unit * prod (1 - x^k)^e over the (k, e) of pairs, k the packed key
+        of a monomial of ring (see `_with_binomials`): the constructor of
+        every factor list, the keys of the sym, piece and closed-entry
+        factors and the split factors of `from_factors` alike.  A unit from
         another ring raises UsageError."""
-        ring.one()._check(unit)
-        return RatFunc(ring, unit, {})._with_factors(factor_list)
+        if unit.ring is not ring and unit.ring != ring:
+            raise UsageError("operands live in different rings")
+        return RatFunc(ring, unit, {})._with_binomials(pairs)
 
     @staticmethod
     def one(ring: Ring) -> "RatFunc":
@@ -523,61 +621,46 @@ class RatFunc:
     def zero(ring: Ring) -> "RatFunc":
         return RatFunc(ring, ring.zero(), {})
 
-    def _with_factors(self, factor_list: Iterable[Tuple[LaurentPoly, int]]
-                      ) -> "RatFunc":
-        """self * prod f^e, with each f split once into
-        sign * x^low * (1 - x^s), where low is the key of f's least term and
-        s = 0 for a monomial; the binomial is tracked by s.  A factor of
-        another ring, or of any other shape, raises UsageError, and so does
-        an s with a digit past SLOT_LIMIT (the digits of high - low reach
-        2 * f.bound).  The factor dict is copied once, and the unit is
-        shifted once by the product of the (sign * x^low)^e.  Each distinct
-        x^low is raised to its net exponent E, whose digits are at most
-        |E| * _key_bound(low), so the unit's bound grows by what is left of
-        the shifts, whatever the order of the factors."""
-        ring, unit = self.ring, self.unit
-        if unit.is_zero():
+    def _with_binomials(self, pairs: Iterable[Tuple[int, int]]) -> "RatFunc":
+        """self * prod (1 - x^k)^e over the (k, e) of pairs: the one
+        accumulator of tracked factors.  A binomial of key k > 0 is tracked
+        as it is; one of key k < 0 is -x^k (1 - x^-k), whose monomial moves
+        into the unit (`_times_monomials`); k = 0 is the zero binomial,
+        which gives zero at e > 0 and raises ArithmeticDomainError at
+        e < 0.  Pairs with e = 0 are skipped, a zero self is returned as it
+        is, and the factor dict is copied once."""
+        if self.unit.is_zero():
             return self
         tracked = []
+        lows: Dict[int, int] = {}  # k < 0 -> net exponent
         flip = 1
-        lows: Dict[int, int] = {}  # low -> net exponent
-        for f, e in factor_list:
-            if e == 0:
+        for k, e in pairs:
+            if not e:
                 continue
-            unit._check(f)
-            terms = f.terms
-            if not terms:
+            if k < 0:
+                lows[k] = lows.get(k, 0) + e
+                if e % 2:
+                    flip = -flip
+                k = -k
+            elif not k:
                 if e < 0:
                     raise ArithmeticDomainError("zero denominator factor")
-                return RatFunc.zero(ring)
-            low, high = min(terms), max(terms)
-            sign, s = terms[low], high - low
-            if len(terms) > 2 or sign not in (1, -1) or s and \
-                    terms[high] != -sign:
-                raise UsageError(f"not ±x^a or ±x^a (1 - x^s): {f!r}")
-            if s and 2 * f.bound > SLOT_LIMIT:
-                # a digit of s may have wrapped: read the exponents of s
-                n = ring.nvars
-                exps = [a - b for a, b in zip(unpack(high, n), unpack(low, n))]
-                if _slot_bound(exps) > SLOT_LIMIT:
-                    raise UsageError("an exponent or total degree could "
-                                     f"exceed ±{SLOT_LIMIT}")
-            if sign < 0 and e % 2:
-                flip = -flip
-            if low:
-                lows[low] = lows.get(low, 0) + e
-            if s:
-                tracked.append((s, e))
+                return RatFunc.zero(self.ring)
+            tracked.append((k, e))
         factors = dict(self.factors)
         _add_powers(factors, tracked)
-        shift = sum(net * low for low, net in lows.items())
-        if shift or flip < 0:
-            # shifts that cancel leave the keys, and so the bound, as they are
-            bound = unit.bound + sum(abs(net) * _key_bound(low) for low, net
-                                     in lows.items()) if shift else unit.bound
-            unit = LaurentPoly(ring, {k + shift: flip * c
-                                      for k, c in unit.terms.items()}, bound)
-        return RatFunc(ring, unit, factors)
+        return RatFunc(self.ring, _times_monomials(self.unit, lows, flip),
+                       factors)
+
+    def _with_factors(self, factor_list: Iterable[Tuple[LaurentPoly, int]]
+                      ) -> "RatFunc":
+        """self * prod f^e: the factors split once (`_split_factors`), their
+        binomials added to self's tracked ones (`_with_binomials`).  A zero
+        self is returned as it is."""
+        if self.unit.is_zero():
+            return self
+        unit, pairs = _split_factors(self.unit, factor_list)
+        return RatFunc(self.ring, unit, self.factors)._with_binomials(pairs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -636,9 +719,9 @@ class RatFunc:
         num, den = self.unit, self.ring.one()
         for s, e in self.factors.items():
             if e > 0:
-                num = num * _binomial(self.ring, s) ** e
+                num = _times_binomial(num, s, e)
             else:
-                den = den * _binomial(self.ring, s) ** -e
+                den = _times_binomial(den, s, -e)
         return num, den
 
     def eval(self, point: EvalPoint) -> Fraction:
@@ -728,7 +811,8 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     `common` holds each tracked factor at its smallest power over all parts,
     a part without the factor counting as power 0: the least common tracked
     denominator, times every positive factor power that all parts share.
-    Only the remaining powers are expanded into the polys.  `common` is a
+    Only the remaining powers are expanded into the polys, each by
+    `_times_binomial` from its key.  `common` is a
     new dict, which `_add` changes.  When every part carries the same
     factor powers, the units and a copy of the last part's dict are what
     the loop over the keys would return, key order included, and they are
@@ -738,7 +822,6 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
     last = parts[-1].factors
     if all(r.factors == last for r in parts):
         return polys, dict(last)
-    ring = parts[0].ring
     keys: Factors = {}
     for r in reversed(parts):
         keys.update(r.factors)
@@ -750,7 +833,7 @@ def _over_common_den(parts: Sequence[RatFunc]) -> Tuple[
             common[s] = m
         for k, e in enumerate(powers):
             if e != m:
-                polys[k] = polys[k] * _binomial(ring, s) ** (e - m)
+                polys[k] = _times_binomial(polys[k], s, e - m)
     return polys, common
 
 

@@ -32,9 +32,10 @@ CACHES = {
     (symbolic, "_unit_keys"): (
         "the variable keys, ints per variable count", (4,)),
     (symbolic, "_key_bound"): (
-        "an int per packed key: the exact bound of each 1 - x^k that "
-        "`_binomial` builds, the piece factors' among them, and each "
-        "binomial's span unit in `binomial_quotient`", (T1,)),
+        "an int per packed key: the exact bound of each tracked binomial "
+        "1 - x^s, which `_times_binomial` adds per power it expands, of "
+        "each unit shift `_times_monomials` makes, and each binomial's "
+        "span unit in `binomial_quotient`", (T1,)),
     (symbolic, "tv_ring"): (
         "one ring per n, so every polynomial of one rank shares its ring "
         "by identity", (3,)),
@@ -43,9 +44,6 @@ CACHES = {
         "`characters --n 5 --degree 2,2,2,2`", (RING, 1, 2, 2)),
     (characters, "_square_keys"): (
         "the keys of t_k^2 and v^2, ints per ring", (RING,)),
-    (operators, "_one_minus"): (
-        "the binomial 1 - t_k^2 t_j^-2 v^l of the closed entries: 1,039 "
-        "hits at whittaker (4, 2)", (RING, 1, 2, 2)),
     (toda, "_shift"): (
         "the shift monomial t_j^sigma v^l of the operator rows: 260 hits "
         "at toda (4, 2)", (RING, 1, 2, -1)),
@@ -87,7 +85,7 @@ def test_every_cache_is_listed():
     key for key, (_, args) in CACHES.items() if args is not None],
     ids=lambda x: getattr(x, "__name__", x))
 def test_a_cache_miss_runs_no_term_loop(monkeypatch, module, name):
-    # the three caches that return a polynomial among them: a miss builds
+    # the two caches that return a polynomial among them: a miss builds
     # it from keys alone, so no counter sees whether the cache was warm
     calls = []
     accumulate, mul = symbolic._accumulate, LaurentPoly.__mul__

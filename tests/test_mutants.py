@@ -38,7 +38,7 @@ from test_operators import decide, replays_witness
 # each mutated function as it is before any mutant is bound
 raising_product = operators.raising_product
 lowering_product = operators.lowering_product
-from_factors = RatFunc.from_factors
+from_binomials = RatFunc.from_binomials
 k_form = ModuleContext.k_form
 l_form = ModuleContext.l_form
 raise_prefactor = operators._raise_prefactor
@@ -67,8 +67,10 @@ def raising_times_v2_mutant(ring, upper, mid, j):
     return raising_product(ring, upper, mid, j).scale_poly(ring.v(2))
 
 
-def drop_last_factor_mutant(ring, unit, factor_list):
-    return from_factors(ring, unit, list(factor_list)[:-1])
+def drop_last_factor_mutant(ring, unit, pairs):
+    # the keyed constructor drops its last binomial: every closed entry,
+    # piece factor and `RatFunc.from_factors` list passes through it
+    return from_binomials(ring, unit, list(pairs)[:-1])
 
 
 def slope_plus_2e_i(original):
@@ -107,7 +109,7 @@ KILL_TABLE = {
                           "raising-lowering-adjoint": 18,
                           "structure-sheaf-vector-eigen": 18,
                           "dual-vector-eigen": 18}),
-    "RatFunc.from_factors": (from_factors, drop_last_factor_mutant,
+    "RatFunc.from_factors": (from_binomials, drop_last_factor_mutant,
                              {"raising-lowering-commutator": 14,
                               "twisted-commutator": 14, "serre-raising": 4,
                               "serre-twisted-raising": 4, "serre-lowering": 2,

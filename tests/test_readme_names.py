@@ -85,5 +85,6 @@ def test_a_stale_name_is_caught():
                  "symbolic._canonical_factor", "symbolic._factor_key",
                  "symbolic._binomial_exponent", "symbolic._ABSENT",
                  "whittaker.line_pushforward_sides",
-                 "operators._orbit_in_box", "operators._max_prefix_shift"):
+                 "operators._orbit_in_box", "operators._max_prefix_shift",
+                 "operators._one_minus"):
         assert not resolves(gone, table), gone

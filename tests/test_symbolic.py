@@ -1504,3 +1504,111 @@ class TestOneBinomialBuilder:
                     assert (got.unit.terms, got.unit.bound, got.factors) \
                         == (want.unit.terms, want.unit.bound, want.factors)
                     assert list(got.factors) == list(want.factors)
+
+
+@st.composite
+def ring_keys(draw, n):
+    """A key of tv_ring(n) as `weight_keys` draws them, negated at times:
+    a `weight_ratio` monomial (key 0 among them) or a piece character's
+    weight."""
+    from qtoda.fixed_points import all_degrees, enumerate_points
+    ring = tv_ring(n)
+    if draw(st.booleans()):
+        [key] = characters.weight_ratio(ring, draw(st.integers(1, n)),
+                                        draw(st.integers(1, n)),
+                                        draw(st.integers(-8, 8))).terms
+    else:
+        p = draw(st.sampled_from(enumerate_points(
+            n, draw(st.sampled_from(all_degrees(n, 2))))))
+        i = draw(st.integers(1, n - 1))
+        chi = characters.piece_char(ring, i, p.row(i), p.row(i + 1))
+        key = draw(st.sampled_from(sorted(chi.terms) or [0]))
+    return draw(st.sampled_from([key, -key]))
+
+
+@st.composite
+def keyed_pairs(draw):
+    """(ring, unit, pairs): 1-6 (key, power) pairs of one torus ring, keys
+    of both signs, at times a key repeated with another power and at times
+    the zero binomial of key 0, at a power of either sign."""
+    n = draw(st.integers(2, 4))
+    power = st.integers(-3, 3)
+    pairs = draw(st.lists(st.tuples(ring_keys(n), power), min_size=1,
+                          max_size=4))
+    if draw(st.booleans()):
+        key, _ = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append((key, draw(power)))
+    if draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     (0, draw(st.sampled_from([-2, -1, 1, 2]))))
+    unit = draw(poly_strategy(tv_ring(n), max_terms=3, max_exp=2))
+    return tv_ring(n), unit, pairs
+
+
+class TestKeyedBinomials:
+    """`RatFunc.from_binomials` takes each binomial 1 - x^k as its key and
+    `symbolic._times_binomial` expands (1 - x^s)^e from its key: each
+    gives what the polynomial binomial `symbolic._binomial` gave, through
+    the polynomial factor split and through the product."""
+
+    @given(keyed_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_the_keyed_constructor_matches_the_polynomial_factors(self,
+                                                                  drawn):
+        ring, unit, pairs = drawn
+        polys = [(symbolic._binomial(ring, k), e) for k, e in pairs]
+        # the first zero binomial decides: a zero denominator raises, a
+        # zero numerator factor gives zero
+        first_zero = next((e for k, e in pairs if not k and e), 0)
+        if first_zero < 0 and not unit.is_zero():
+            with pytest.raises(ArithmeticDomainError):
+                RatFunc.from_factors(ring, unit, polys)
+            with pytest.raises(ArithmeticDomainError):
+                RatFunc.from_binomials(ring, unit, pairs)
+            return
+        want = RatFunc.from_factors(ring, unit, polys)
+        got = RatFunc.from_binomials(ring, unit, pairs)
+        # the factor dict in key order too: the lift expands in that order
+        assert (got.unit.terms, got.unit.bound, list(got.factors.items())) \
+            == (want.unit.terms, want.unit.bound, list(want.factors.items()))
+        assert all(s > 0 for s in got.factors)
+        assert got.is_zero() == (unit.is_zero() or first_zero > 0)
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        poly_strategy(tv_ring(n), max_terms=4, max_exp=3), ring_keys(n))),
+        st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_the_kernel_matches_the_product(self, drawn, e):
+        p, s = drawn
+        got = symbolic._times_binomial(p, s, e)
+        want = p * symbolic._binomial(p.ring, s) ** e
+        assert (got.terms, got.bound) == (want.terms, want.bound)
+        assert 0 not in got.terms.values()
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        poly_strategy(tv_ring(n), max_terms=3, max_exp=2), ring_keys(n))),
+        st.integers(1, 3), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_the_kernel_raises_where_the_product_does(self, drawn, e, room):
+        # p's bound set near the limit: the kernel raises UsageError exactly
+        # where the product's bound passes SLOT_LIMIT
+        small, s = drawn
+        p = LaurentPoly(small.ring, small.terms, SLOT_LIMIT - room)
+        try:
+            want = p * symbolic._binomial(p.ring, s) ** e
+        except UsageError:
+            with pytest.raises(UsageError):
+                symbolic._times_binomial(p, s, e)
+            return
+        got = symbolic._times_binomial(p, s, e)
+        assert (got.terms, got.bound) == (want.terms, want.bound)
+
+    def test_the_kernel_at_the_limit(self):
+        # t_1 has bound 1: at bound SLOT_LIMIT - 2, two powers fit and three
+        # do not
+        ring = tv_ring(2)
+        s = next(iter(ring.t(1).terms))
+        p = LaurentPoly(ring, {0: 1}, SLOT_LIMIT - 2)
+        assert symbolic._times_binomial(p, s, 2).bound == SLOT_LIMIT
+        with pytest.raises(UsageError):
+            symbolic._times_binomial(p, s, 3)

@@ -106,6 +106,17 @@ fewer when a suite that shares binomials had filled the process-wide
 cache first.  No process-wide cache adds to a count now, so every count
 here is a fresh process's whatever ran before
 (`test_suite_counts_do_not_depend_on_what_ran_before`).
+
+The term product and accumulated-term bounds of all three suites were
+tightened when every tracked binomial began to be held as its key from
+the moment it is built until it is expanded: each factor list goes to
+`RatFunc.from_binomials` as (key, power) pairs, and each expansion of
+(1 - x^s)^e is one copy of the polynomial and one shifted, scaled add per
+power (`symbolic._times_binomial`), with no binomial polynomial and no
+product.  Before that the relations, whittaker and toda runs made 11,203,
+4,881 and 7,845 term products, read 21,865, 3,420 and 12,817 accumulated
+terms, and built 1,712, 1,178 and 531 binomials by `symbolic._binomial`;
+their RatFunc products, 2,756, 888 and 75, did not change.
 """
 
 import itertools
@@ -118,7 +129,7 @@ import pytest
 
 from qtoda import characters, operators, symbolic, toda, whittaker
 from qtoda.operators import ModuleContext, relation_records
-from qtoda.symbolic import LaurentPoly, RatFunc, eq_exact, rat_sum
+from qtoda.symbolic import EvalPoint, LaurentPoly, RatFunc, eq_exact, rat_sum
 from qtoda.toda import toda_records
 from qtoda.fixed_points import all_degrees
 from qtoda.whittaker import local_key, sheaf_rgamma, whittaker_records
@@ -192,8 +203,8 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
         "RatFunc.__mul__": 2756,
         "sum_is_zero": 42,
         "_over_common_den": 825,
-        "term products": 11297,
-        "accumulated terms": 21865,
+        "term products": 3168,
+        "accumulated terms": 17806,
         "raising_product": 49,
         "lowering_product": 46,
         "binomial_quotient": 0,
@@ -211,8 +222,8 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
 @pytest.mark.parametrize("suite,n_records,bounds", [
     (whittaker_records, 497, {"RatFunc.__mul__": 888, "sum_is_zero": 559,
                               "_over_common_den": 559,
-                              "term products": 4881,
-                              "accumulated terms": 3420,
+                              "term products": 2873,
+                              "accumulated terms": 2416,
                               "raising_product": 130,
                               "lowering_product": 98,
                               "binomial_quotient": 0,
@@ -222,8 +233,8 @@ def test_relation_suite_work_stays_within_its_counts(monkeypatch):
     # factors (its only RatFunc products, piece times suffix sum); its
     # eigen checks lift each degree once and call no sum_is_zero
     (toda_records, 55, {"RatFunc.__mul__": 75, "sum_is_zero": 0,
-                        "_over_common_den": 57, "term products": 7845,
-                        "accumulated terms": 12817,
+                        "_over_common_den": 57, "term products": 1330,
+                        "accumulated terms": 9554,
                         "raising_product": 0, "lowering_product": 0,
                         "binomial_quotient": 248, "sorted": 43,
                         "tangent_char": 0}),
@@ -283,6 +294,27 @@ def test_whittaker_quantities_are_products(monkeypatch):
 
 SUITES = {"relations": relation_records, "whittaker": whittaker_records,
           "toda": toda_records}
+
+
+@pytest.mark.parametrize("suite", list(SUITES.values()), ids=list(SUITES))
+def test_no_suite_builds_a_binomial_polynomial(monkeypatch, suite):
+    # every tracked binomial is a key from the factor list to the
+    # expansion, so no suite at (4, 2) calls `symbolic._binomial`, wrapped
+    # in every qtoda module that binds it
+    calls = []
+    binomial = symbolic._binomial
+    for module in MODULES:
+        if hasattr(module, "_binomial"):
+            monkeypatch.setattr(module, "_binomial",
+                                lambda *a: calls.append(a) or binomial(*a))
+    records = list(suite(ModuleContext(4), 2))
+    assert records and not [r for r in records if r["status"] == "fail"]
+    assert calls == []
+    # non-vacuity: evaluation still builds its binomials through the wrapper
+    ring = ModuleContext(4).ring
+    r = RatFunc.from_frac(ring.one(), ring.one() - ring.v(2))
+    r.eval(EvalPoint.of(*range(2, ring.nvars + 2)))
+    assert len(calls) == 1
 
 
 def counts_in_order(order):
